@@ -16,14 +16,13 @@
 //!   ever); the `naive_rewarm_amplification` key records what
 //!   re-warming moved chunks from the store would have cost instead.
 //!
-//! Results land in the same two-section JSON format as
-//! `payload_bench` (`baseline` seeded on first run and kept verbatim,
-//! `current` rewritten every run; `--check` enforces
-//! `current <= baseline * tolerance` per key).
+//! Results land in the [`diesel_bench::ledger`] file `BENCH_8.json`;
+//! `--check` ratchets every key against its `baseline`.
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use diesel_bench::ledger::Ledger;
 use diesel_cache::{CacheConfig, CachePolicy, HashRing, TaskCache, Topology};
 use diesel_chunk::{ChunkBuilderConfig, ChunkId, ChunkIdGenerator, ChunkWriter};
 use diesel_kv::ShardedKv;
@@ -123,93 +122,18 @@ fn rebalance_suite() -> (f64, f64, f64, f64) {
     (grow_ms, shrink_ms, amp, naive_amp)
 }
 
-/// Flat `"key": number` pairs of one named JSON section.
-fn parse_section(text: &str, name: &str) -> Option<Vec<(String, f64)>> {
-    let start = text.find(&format!("\"{name}\""))?;
-    let open = start + text[start..].find('{')?;
-    let close = open + text[open..].find('}')?;
-    let mut out = Vec::new();
-    for part in text[open + 1..close].split(',') {
-        let (k, v) = part.split_once(':')?;
-        out.push((k.trim().trim_matches('"').to_string(), v.trim().parse().ok()?));
-    }
-    Some(out)
-}
-
-fn render_section(pairs: &[(String, f64)]) -> String {
-    let body: Vec<String> = pairs.iter().map(|(k, v)| format!("    \"{k}\": {v:.3}")).collect();
-    format!("{{\n{}\n  }}", body.join(",\n"))
-}
-
-fn render(baseline: &[(String, f64)], current: &[(String, f64)]) -> String {
-    format!(
-        "{{\n  \"schema\": 1,\n  \"suite\": \"elastic_bench\",\n  \"baseline\": {},\n  \"current\": {}\n}}\n",
-        render_section(baseline),
-        render_section(current)
-    )
-}
-
 fn main() {
-    let mut json_path = "BENCH_8.json".to_string();
-    let mut check = false;
-    let mut tolerance = 2.0f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json_path = args.next().expect("--json needs a path"),
-            "--check" => check = true,
-            "--tolerance" => {
-                tolerance =
-                    args.next().and_then(|s| s.parse().ok()).expect("--tolerance needs a number")
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
+    let ledger = Ledger::from_args("elastic_bench", "BENCH_8.json");
 
     let lookup = ring_lookup_ns();
     let (grow, shrink, amp, naive_amp) = rebalance_suite();
 
-    let current: Vec<(String, f64)> = vec![
-        ("ring_lookup_ns".into(), lookup),
-        ("rebalance_4_to_8_ms".into(), grow),
-        ("rebalance_8_to_4_ms".into(), shrink),
-        ("store_read_amplification".into(), amp),
-        ("naive_rewarm_amplification".into(), naive_amp),
+    let current = [
+        ("ring_lookup_ns", lookup),
+        ("rebalance_4_to_8_ms", grow),
+        ("rebalance_8_to_4_ms", shrink),
+        ("store_read_amplification", amp),
+        ("naive_rewarm_amplification", naive_amp),
     ];
-
-    // First run seeds the baseline; later runs keep it verbatim.
-    let baseline = std::fs::read_to_string(&json_path)
-        .ok()
-        .and_then(|t| parse_section(&t, "baseline"))
-        .unwrap_or_else(|| current.clone());
-    std::fs::write(&json_path, render(&baseline, &current)).expect("write json");
-
-    println!("elastic_bench -> {json_path}");
-    for (k, v) in &current {
-        let base = baseline.iter().find(|(bk, _)| bk == k).map(|(_, bv)| *bv);
-        match base {
-            Some(b) if b > 0.0 => {
-                println!("  {k:<28} {v:>12.3}  (baseline {b:.3}, {:+.1}%)", (v / b - 1.0) * 100.0)
-            }
-            _ => println!("  {k:<28} {v:>12.3}"),
-        }
-    }
-
-    if check {
-        let mut failed = false;
-        for (k, v) in &current {
-            if let Some((_, b)) = baseline.iter().find(|(bk, _)| bk == k) {
-                if *b > 0.0 && *v > b * tolerance {
-                    eprintln!(
-                        "REGRESSION: {k} = {v:.3} exceeds baseline {b:.3} x tolerance {tolerance}"
-                    );
-                    failed = true;
-                }
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!("elastic_bench --check: all keys within {tolerance}x of baseline");
-    }
+    ledger.record(&current, 28, |_| true);
 }

@@ -22,6 +22,7 @@
 //! ratchet (`--check`: `current <= baseline * tolerance` per key) never
 //! flakes; the isolation bounds are additionally asserted outright.
 
+use diesel_bench::ledger::Ledger;
 use diesel_simnet::{
     kv_closed_loop_qps, run_multi_tenant, MultiTenantConfig, OpMix, ServiceModel, SimAdmission,
     SimTime, TenantSpec,
@@ -63,48 +64,8 @@ fn heavy() -> TenantSpec {
     }
 }
 
-/// Flat `"key": number` pairs of one named JSON section.
-fn parse_section(text: &str, name: &str) -> Option<Vec<(String, f64)>> {
-    let start = text.find(&format!("\"{name}\""))?;
-    let open = start + text[start..].find('{')?;
-    let close = open + text[open..].find('}')?;
-    let mut out = Vec::new();
-    for part in text[open + 1..close].split(',') {
-        let (k, v) = part.split_once(':')?;
-        out.push((k.trim().trim_matches('"').to_string(), v.trim().parse().ok()?));
-    }
-    Some(out)
-}
-
-fn render_section(pairs: &[(String, f64)]) -> String {
-    let body: Vec<String> = pairs.iter().map(|(k, v)| format!("    \"{k}\": {v:.3}")).collect();
-    format!("{{\n{}\n  }}", body.join(",\n"))
-}
-
-fn render(baseline: &[(String, f64)], current: &[(String, f64)]) -> String {
-    format!(
-        "{{\n  \"schema\": 1,\n  \"suite\": \"mixed_tenants\",\n  \"baseline\": {},\n  \"current\": {}\n}}\n",
-        render_section(baseline),
-        render_section(current)
-    )
-}
-
 fn main() {
-    let mut json_path = "BENCH_9.json".to_string();
-    let mut check = false;
-    let mut tolerance = 2.0f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json_path = args.next().expect("--json needs a path"),
-            "--check" => check = true,
-            "--tolerance" => {
-                tolerance =
-                    args.next().and_then(|s| s.parse().ok()).expect("--tolerance needs a number")
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
+    let ledger = Ledger::from_args("mixed_tenants", "BENCH_9.json");
 
     // Reference: the light tenant alone on the pool.
     let solo = run_multi_tenant(&scenario(vec![light()], None));
@@ -139,52 +100,14 @@ fn main() {
     assert!(kv_mqps > 0.90 && kv_mqps < 0.98, "kv ceiling {kv_mqps:.3} MQPS out of range");
 
     let slowdown_open_key = if slowdown_open.is_finite() { slowdown_open } else { 1e9 };
-    let current: Vec<(String, f64)> = vec![
-        ("light_solo_goodput".into(), solo_good),
-        ("light_slowdown_unthrottled".into(), slowdown_open_key),
-        ("light_slowdown_throttled".into(), slowdown_fair),
-        ("fairness_ratio_throttled".into(), fair.fairness_ratio()),
-        ("kv_ceiling_mqps".into(), kv_mqps),
+    let current = [
+        ("light_solo_goodput", solo_good),
+        ("light_slowdown_unthrottled", slowdown_open_key),
+        ("light_slowdown_throttled", slowdown_fair),
+        ("fairness_ratio_throttled", fair.fairness_ratio()),
+        ("kv_ceiling_mqps", kv_mqps),
     ];
-
-    // First run seeds the baseline; later runs keep it verbatim.
-    let baseline = std::fs::read_to_string(&json_path)
-        .ok()
-        .and_then(|t| parse_section(&t, "baseline"))
-        .unwrap_or_else(|| current.clone());
-    std::fs::write(&json_path, render(&baseline, &current)).expect("write json");
-
-    println!("mixed_tenants -> {json_path}");
-    for (k, v) in &current {
-        let base = baseline.iter().find(|(bk, _)| bk == k).map(|(_, bv)| *bv);
-        match base {
-            Some(b) if b > 0.0 => {
-                println!("  {k:<28} {v:>12.3}  (baseline {b:.3}, {:+.1}%)", (v / b - 1.0) * 100.0)
-            }
-            _ => println!("  {k:<28} {v:>12.3}"),
-        }
-    }
-
-    if check {
-        let mut failed = false;
-        for (k, v) in &current {
-            // Goodput and slowdown-headroom keys are floors, not costs;
-            // only the cost-like keys ratchet against the baseline.
-            if k == "light_solo_goodput" || k == "light_slowdown_unthrottled" {
-                continue;
-            }
-            if let Some((_, b)) = baseline.iter().find(|(bk, _)| bk == k) {
-                if *b > 0.0 && *v > b * tolerance {
-                    eprintln!(
-                        "REGRESSION: {k} = {v:.3} exceeds baseline {b:.3} x tolerance {tolerance}"
-                    );
-                    failed = true;
-                }
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!("mixed_tenants --check: all keys within {tolerance}x of baseline");
-    }
+    // Goodput and slowdown-headroom keys are floors, not costs; only
+    // the cost-like keys ratchet against the baseline.
+    ledger.record(&current, 28, |k| k != "light_solo_goodput" && k != "light_slowdown_unthrottled");
 }

@@ -30,6 +30,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use diesel_bench::ledger::Ledger;
 use diesel_chunk::ChunkBuilderConfig;
 use diesel_core::{ClientConfig, DieselClient, DieselServer};
 use diesel_kv::ShardedKv;
@@ -199,48 +200,8 @@ fn recorder_overhead_ratio() -> f64 {
     best_ratio
 }
 
-/// Flat `"key": number` pairs of one named JSON section.
-fn parse_section(text: &str, name: &str) -> Option<Vec<(String, f64)>> {
-    let start = text.find(&format!("\"{name}\""))?;
-    let open = start + text[start..].find('{')?;
-    let close = open + text[open..].find('}')?;
-    let mut out = Vec::new();
-    for part in text[open + 1..close].split(',') {
-        let (k, v) = part.split_once(':')?;
-        out.push((k.trim().trim_matches('"').to_string(), v.trim().parse().ok()?));
-    }
-    Some(out)
-}
-
-fn render_section(pairs: &[(String, f64)]) -> String {
-    let body: Vec<String> = pairs.iter().map(|(k, v)| format!("    \"{k}\": {v:.3}")).collect();
-    format!("{{\n{}\n  }}", body.join(",\n"))
-}
-
-fn render(baseline: &[(String, f64)], current: &[(String, f64)]) -> String {
-    format!(
-        "{{\n  \"schema\": 1,\n  \"suite\": \"obs_plane\",\n  \"baseline\": {},\n  \"current\": {}\n}}\n",
-        render_section(baseline),
-        render_section(current)
-    )
-}
-
 fn main() {
-    let mut json_path = "BENCH_10.json".to_string();
-    let mut check = false;
-    let mut tolerance = 2.0f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json_path = args.next().expect("--json needs a path"),
-            "--check" => check = true,
-            "--tolerance" => {
-                tolerance =
-                    args.next().and_then(|s| s.parse().ok()).expect("--tolerance needs a number")
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
+    let ledger = Ledger::from_args("obs_plane", "BENCH_10.json");
 
     let reg = populated_registry();
     let tick_us = recorder_tick_us(&reg);
@@ -273,53 +234,15 @@ fn main() {
         "archived scrape must carry the health gauge"
     );
 
-    let current: Vec<(String, f64)> = vec![
-        ("recorder_tick_us_500series".into(), tick_us),
-        ("prom_render_us_500series".into(), render_us),
-        ("slo_eval_us".into(), eval_us),
-        ("recorder_overhead_ratio".into(), overhead),
-        ("slo_health_light_fair".into(), health_fair),
-        ("slo_health_light_open".into(), health_open),
+    let current = [
+        ("recorder_tick_us_500series", tick_us),
+        ("prom_render_us_500series", render_us),
+        ("slo_eval_us", eval_us),
+        ("recorder_overhead_ratio", overhead),
+        ("slo_health_light_fair", health_fair),
+        ("slo_health_light_open", health_open),
     ];
-
-    // First run seeds the baseline; later runs keep it verbatim.
-    let baseline = std::fs::read_to_string(&json_path)
-        .ok()
-        .and_then(|t| parse_section(&t, "baseline"))
-        .unwrap_or_else(|| current.clone());
-    std::fs::write(&json_path, render(&baseline, &current)).expect("write json");
-
-    println!("obs_plane -> {json_path}");
-    for (k, v) in &current {
-        let base = baseline.iter().find(|(bk, _)| bk == k).map(|(_, bv)| *bv);
-        match base {
-            Some(b) if b > 0.0 => {
-                println!("  {k:<28} {v:>12.3}  (baseline {b:.3}, {:+.1}%)", (v / b - 1.0) * 100.0)
-            }
-            _ => println!("  {k:<28} {v:>12.3}"),
-        }
-    }
-
-    if check {
-        let mut failed = false;
-        for (k, v) in &current {
-            // The health gauges are exact contracts asserted above, not
-            // costs; everything else ratchets against the baseline.
-            if k.starts_with("slo_health") {
-                continue;
-            }
-            if let Some((_, b)) = baseline.iter().find(|(bk, _)| bk == k) {
-                if *b > 0.0 && *v > b * tolerance {
-                    eprintln!(
-                        "REGRESSION: {k} = {v:.3} exceeds baseline {b:.3} x tolerance {tolerance}"
-                    );
-                    failed = true;
-                }
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!("obs_plane --check: all keys within {tolerance}x of baseline");
-    }
+    // The health gauges are exact contracts asserted above, not costs;
+    // everything else ratchets against the baseline.
+    ledger.record(&current, 28, |k| !k.starts_with("slo_health"));
 }

@@ -17,16 +17,14 @@
 //! `span_loader_fetch_us`) from one traced cache-hit epoch, so the PR 5
 //! tracer's view of the read path is recorded alongside the wall times.
 //!
-//! Results land in a two-section JSON file (default `BENCH_6.json`):
-//! the first ever run seeds `baseline` (the pre-refactor numbers, kept
-//! verbatim forever); every later run rewrites `current`. With
-//! `--check`, wall-time keys in `current` must stay within
-//! `--tolerance`× of `baseline` (shrink-only in spirit, with headroom
-//! for CI noise) or the process exits nonzero.
+//! Results land in the [`diesel_bench::ledger`] file `BENCH_6.json`
+//! (`baseline` holds the pre-refactor numbers); `--check` ratchets every
+//! key against it.
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use diesel_bench::ledger::Ledger;
 use diesel_cache::{CacheConfig, CachePolicy, TaskCache, Topology};
 use diesel_chunk::{ChunkBuilderConfig, ChunkIdGenerator, ChunkReader, ChunkWriter};
 use diesel_core::{ClientConfig, DieselClient, DieselServer};
@@ -201,49 +199,8 @@ fn traced_span_means() -> (f64, f64) {
     (hit, fetch)
 }
 
-/// Flat `"key": number` pairs of one named JSON section, as written by
-/// [`render`]. Returns `None` if the section is absent or malformed.
-fn parse_section(text: &str, name: &str) -> Option<Vec<(String, f64)>> {
-    let start = text.find(&format!("\"{name}\""))?;
-    let open = start + text[start..].find('{')?;
-    let close = open + text[open..].find('}')?;
-    let mut out = Vec::new();
-    for part in text[open + 1..close].split(',') {
-        let (k, v) = part.split_once(':')?;
-        out.push((k.trim().trim_matches('"').to_string(), v.trim().parse().ok()?));
-    }
-    Some(out)
-}
-
-fn render_section(pairs: &[(String, f64)]) -> String {
-    let body: Vec<String> = pairs.iter().map(|(k, v)| format!("    \"{k}\": {v:.3}")).collect();
-    format!("{{\n{}\n  }}", body.join(",\n"))
-}
-
-fn render(baseline: &[(String, f64)], current: &[(String, f64)]) -> String {
-    format!(
-        "{{\n  \"schema\": 1,\n  \"suite\": \"payload_bench\",\n  \"baseline\": {},\n  \"current\": {}\n}}\n",
-        render_section(baseline),
-        render_section(current)
-    )
-}
-
 fn main() {
-    let mut json_path = "BENCH_6.json".to_string();
-    let mut check = false;
-    let mut tolerance = 2.0f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json_path = args.next().expect("--json needs a path"),
-            "--check" => check = true,
-            "--tolerance" => {
-                tolerance =
-                    args.next().and_then(|s| s.parse().ok()).expect("--tolerance needs a number")
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
+    let ledger = Ledger::from_args("payload_bench", "BENCH_6.json");
 
     let parse = chunk_parse_ns();
     let hit = cache_hit_read_ns();
@@ -252,50 +209,15 @@ fn main() {
     let (kv_put, kv_get) = kv_ops_ns();
     let (span_hit, span_fetch) = traced_span_means();
 
-    let current: Vec<(String, f64)> = vec![
-        ("chunk_parse_ns".into(), parse),
-        ("cache_hit_read_ns".into(), hit),
-        ("merged_read_us_per_file".into(), merged),
-        ("loader_epoch_ms".into(), epoch),
-        ("kv_put_ns".into(), kv_put),
-        ("kv_get_ns".into(), kv_get),
-        ("span_cache_get_hit_us".into(), span_hit),
-        ("span_loader_fetch_us".into(), span_fetch),
+    let current = [
+        ("chunk_parse_ns", parse),
+        ("cache_hit_read_ns", hit),
+        ("merged_read_us_per_file", merged),
+        ("loader_epoch_ms", epoch),
+        ("kv_put_ns", kv_put),
+        ("kv_get_ns", kv_get),
+        ("span_cache_get_hit_us", span_hit),
+        ("span_loader_fetch_us", span_fetch),
     ];
-
-    // First run seeds the baseline; later runs keep it verbatim.
-    let baseline = std::fs::read_to_string(&json_path)
-        .ok()
-        .and_then(|t| parse_section(&t, "baseline"))
-        .unwrap_or_else(|| current.clone());
-    std::fs::write(&json_path, render(&baseline, &current)).expect("write json");
-
-    println!("payload_bench -> {json_path}");
-    for (k, v) in &current {
-        let base = baseline.iter().find(|(bk, _)| bk == k).map(|(_, bv)| *bv);
-        match base {
-            Some(b) if b > 0.0 => {
-                println!("  {k:<26} {v:>12.3}  (baseline {b:.3}, {:+.1}%)", (v / b - 1.0) * 100.0)
-            }
-            _ => println!("  {k:<26} {v:>12.3}"),
-        }
-    }
-
-    if check {
-        let mut failed = false;
-        for (k, v) in &current {
-            if let Some((_, b)) = baseline.iter().find(|(bk, _)| bk == k) {
-                if *b > 0.0 && *v > b * tolerance {
-                    eprintln!(
-                        "REGRESSION: {k} = {v:.3} exceeds baseline {b:.3} x tolerance {tolerance}"
-                    );
-                    failed = true;
-                }
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!("payload_bench --check: all keys within {tolerance}x of baseline");
-    }
+    ledger.record(&current, 26, |_| true);
 }

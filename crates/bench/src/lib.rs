@@ -17,9 +17,12 @@
 //!   DIESEL read path (local / one-hop remote / FUSE) used by the
 //!   cluster-scale figures.
 //! * [`driver`] — deterministic simulated-client drivers.
+//! * [`ledger`] — the `BENCH_*.json` baseline/current ledger and its
+//!   `--json --check --tolerance` gate, shared by the four gated suites.
 //! * [`report`] — fixed-width table printing and result persistence.
 
 pub mod driver;
+pub mod ledger;
 pub mod model;
 pub mod report;
 

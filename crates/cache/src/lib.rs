@@ -24,12 +24,17 @@
 //! * [`ring`] — the consistent-hash placement circle (virtual nodes).
 //! * [`partition`] — chunk → owner-node assignment over a ring
 //!   membership, plus moved-chunk deltas between memberships.
-//! * [`task_cache`] — [`TaskCache`]: the cache itself, with
-//!   [`CachePolicy::Oneshot`] prefetch and [`CachePolicy::OnDemand`]
-//!   fill, LRU eviction, node-failure injection and chunk-wise recovery.
+//! * [`task_cache`] — [`TaskCache`]: the cache itself and the only
+//!   owner of membership, residency, byte budget, store loading and
+//!   rebalance, with [`CachePolicy::Oneshot`] prefetch and
+//!   [`CachePolicy::OnDemand`] fill, install-order eviction (a hit never
+//!   reorders the queue, so the hit path writes nothing), node-failure
+//!   injection and chunk-wise recovery.
+//! * [`transport`] — [`RpcCache`]: a `diesel-net` front on a `TaskCache`,
+//!   one serving thread per member, for reads that really cross threads.
 //! * [`tenant`] — [`TenantCacheMap`]: one `TaskCache` per tenant over a
 //!   shared node plane, with weighted per-tenant byte budgets carved
-//!   out of the node LRU budget (multi-tenant isolation).
+//!   out of the node byte budget (multi-tenant isolation).
 
 pub mod partition;
 pub mod ring;
@@ -45,7 +50,7 @@ pub use task_cache::{
 };
 pub use tenant::{TenantCacheMap, TenantUsage};
 pub use topology::{PeerId, Topology};
-pub use transport::{NetOptions, PeerHandle, PeerRequest, PeerServer, RpcCache};
+pub use transport::{NetOptions, PeerHandle, PeerRequest, RpcCache};
 
 /// Errors from the distributed cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,13 +79,6 @@ pub enum CacheError {
         /// The epoch the cache is currently at.
         epoch: u64,
     },
-    /// A peer was asked for a chunk it does not hold in memory
-    /// (resident-only fetch during warm handoff; the caller falls back
-    /// to the backing store).
-    NotResident {
-        /// The peer that did not hold the chunk.
-        node: usize,
-    },
     /// The serving plane's admission controller rejected the request —
     /// the tenant's token bucket is empty or its queue overflowed. The
     /// client should back off for `retry_after_ms` and retry
@@ -101,9 +99,6 @@ impl std::fmt::Display for CacheError {
             CacheError::InvalidMembership(e) => write!(f, "invalid cache membership: {e}"),
             CacheError::StaleOwner { epoch } => {
                 write!(f, "owner resolved under a stale epoch (cache is at epoch {epoch})")
-            }
-            CacheError::NotResident { node } => {
-                write!(f, "chunk not resident on peer node {node}")
             }
             CacheError::Throttled { retry_after_ms } => {
                 write!(f, "tenant throttled; retry after {retry_after_ms} ms")

@@ -213,29 +213,17 @@ pub struct Fetched {
     pub chunk_hit: bool,
 }
 
-/// How a chunk became resident on a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ChunkFill {
-    /// Already there — someone else filled it first.
-    Resident,
-    /// Copied from the previous owner's memory (no store read).
-    Warm(u64),
-    /// Loaded from the backing store.
-    Store(u64),
-}
-
-/// A resident chunk: an owned [`ChunkView`] over the loaded buffer.
-/// Every file served from it is a `Bytes` sub-slice of the chunk's one
-/// allocation — cache hits never copy payload (DESIGN.md §11).
-#[derive(Debug)]
-struct CachedChunk {
-    view: ChunkView,
-}
-
 #[derive(Debug, Default)]
 struct NodeInner {
-    chunks: HashMap<ChunkId, CachedChunk>,
-    lru: VecDeque<ChunkId>,
+    /// Resident chunks, each an owned [`ChunkView`] over the loaded
+    /// buffer. Every file served from one is a `Bytes` sub-slice of the
+    /// chunk's one allocation — cache hits never copy payload
+    /// (DESIGN.md §11).
+    chunks: HashMap<ChunkId, ChunkView>,
+    /// Resident chunks in install order, oldest first — the eviction
+    /// order. A hit never refreshes a chunk's slot (the hit path writes
+    /// nothing), so this is install-order eviction, not LRU.
+    evict_queue: VecDeque<ChunkId>,
     resident_bytes: u64,
 }
 
@@ -388,9 +376,9 @@ impl<S: ObjectStore> TaskCache<S> {
 
     /// Re-point the per-node byte budget (a tenant map re-partitioning
     /// weighted shares) and immediately shrink every node's residency
-    /// down to it, LRU-first. Growing never evicts; shrinking evicts
-    /// synchronously so one tenant's new cap can never be violated by
-    /// residency installed under the old one.
+    /// down to it, oldest install first. Growing never evicts; shrinking
+    /// evicts synchronously so one tenant's new cap can never be violated
+    /// by residency installed under the old one.
     pub fn set_capacity_bytes_per_node(&self, bytes: u64) {
         self.capacity_bytes.store(bytes, Ordering::Release);
         let states: Vec<Arc<NodeState>> = {
@@ -398,13 +386,18 @@ impl<S: ObjectStore> TaskCache<S> {
             m.nodes.values().cloned().collect()
         };
         for st in states {
-            let mut inner = st.inner.lock();
-            while inner.resident_bytes > bytes {
-                let Some(victim) = inner.lru.pop_front() else { break };
-                if let Some(v) = inner.chunks.remove(&victim) {
-                    inner.resident_bytes -= v.view.chunk_len() as u64;
-                    self.metrics.evictions.inc();
-                }
+            self.evict_down_to(&mut st.inner.lock(), bytes);
+        }
+    }
+
+    /// Evict `inner`'s oldest installs until at most `limit` bytes stay
+    /// resident — the one place the byte budget is enforced.
+    fn evict_down_to(&self, inner: &mut NodeInner, limit: u64) {
+        while inner.resident_bytes > limit {
+            let Some(victim) = inner.evict_queue.pop_front() else { break };
+            if let Some(v) = inner.chunks.remove(&victim) {
+                inner.resident_bytes -= v.chunk_len() as u64;
+                self.metrics.evictions.inc();
             }
         }
     }
@@ -452,24 +445,33 @@ impl<S: ObjectStore> TaskCache<S> {
             .iter()
             .flat_map(|&node| partition.chunks_of(node).iter().map(move |&c| (node, c)))
             .collect();
-        let loads = self.pool.try_map(pairs, |_, (node, chunk)| {
+        self.load_sweep(pairs, cancel)
+    }
+
+    /// Fill every `(node, chunk)` pair across the pool and fold what was
+    /// made resident into one report (the shape shared by prefetch and
+    /// recovery). A cancelled sweep stops issuing loads.
+    fn load_sweep(
+        &self,
+        pairs: Vec<(usize, ChunkId)>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<LoadReport> {
+        let fills = self.pool.try_map(pairs, |_, (node, chunk)| {
             if cancel.is_some_and(CancelToken::is_cancelled) {
-                return Ok((false, 0));
+                return Ok(0);
             }
-            match self.ensure_chunk(node, chunk) {
-                // A rebalance moved the chunk after this sweep
+            match self.fill_chunk(node, chunk) {
+                // A rebalance re-owned the chunk after the sweep
                 // snapshotted the partition; its new owner is filled by
                 // the rebalance sweep (or on demand), not by us.
-                Err(CacheError::StaleOwner { .. }) => Ok((false, 0)),
+                Err(CacheError::StaleOwner { .. }) => Ok(0),
                 other => other,
             }
         })?;
         let mut report = LoadReport::default();
-        for (loaded, bytes) in loads {
-            if loaded {
-                report.chunks_loaded += 1;
-                report.bytes_loaded += bytes;
-            }
+        for bytes in fills.into_iter().filter(|&b| b > 0) {
+            report.chunks_loaded += 1;
+            report.bytes_loaded += bytes;
         }
         Ok(report)
     }
@@ -571,24 +573,8 @@ impl<S: ObjectStore> TaskCache<S> {
         if self.is_node_down(node) {
             return Err(CacheError::NodeDown { node });
         }
-        // diesel-lint: allow(R6) chunk-id list, not payload bytes
-        let chunks: Vec<ChunkId> = self.partition().chunks_of(node).to_vec();
-        let loads = self.pool.try_map(chunks, |_, chunk| {
-            match self.ensure_chunk(node, chunk) {
-                // A rebalance re-owned the chunk mid-recovery; its new
-                // owner is responsible for it now.
-                Err(CacheError::StaleOwner { .. }) => Ok((false, 0)),
-                other => other,
-            }
-        })?;
-        let mut report = LoadReport::default();
-        for (loaded, bytes) in loads {
-            if loaded {
-                report.chunks_loaded += 1;
-                report.bytes_loaded += bytes;
-            }
-        }
-        Ok(report)
+        let pairs = self.partition().chunks_of(node).iter().map(|&c| (node, c)).collect();
+        self.load_sweep(pairs, None)
     }
 
     /// Grow/shrink to the contiguous membership `0..nodes` and rebalance.
@@ -737,7 +723,14 @@ impl<S: ObjectStore> TaskCache<S> {
         let move_keys = moves.clone();
         // Phase 2: the sweep. `try_map` keeps the first error and a
         // deterministic result order at any worker count.
-        let sweep = self.pool.try_map(moves, |_, (chunk, to)| self.move_chunk(chunk, to));
+        let sweep = self.pool.try_map(moves, |_, (chunk, to)| {
+            if self.is_node_down(to) {
+                // The sweep skips downed destinations; `recover_node`
+                // will reload their partition when they return.
+                return Ok(0);
+            }
+            self.fill_chunk(to, chunk)
+        });
         if let Err(e) = sweep {
             // The unfinished windows stay open (see "Failure and
             // repair" above); surface the first error so the caller
@@ -834,16 +827,6 @@ impl<S: ObjectStore> TaskCache<S> {
         }
     }
 
-    /// Relocate one moved chunk onto its new owner (a sweep step).
-    fn move_chunk(&self, chunk: ChunkId, to: usize) -> Result<ChunkFill> {
-        if self.is_node_down(to) {
-            // The sweep skips downed destinations; `recover_node` will
-            // reload their partition when they return.
-            return Ok(ChunkFill::Resident);
-        }
-        self.fill_chunk(to, chunk)
-    }
-
     /// Handoff windows still open: moved chunks whose relocation has
     /// not completed yet (their warm copies are still pinned on the
     /// previous owners). Nonzero after a failed or partially-drained
@@ -867,91 +850,62 @@ impl<S: ObjectStore> TaskCache<S> {
     /// Read a whole file through the cache, re-resolving the owner if a
     /// membership transition invalidates the route mid-flight.
     pub fn get_file(&self, meta: &FileMeta) -> Result<Fetched> {
-        // Fast path: owner resolution and the hit probe under one
-        // membership read acquisition — the fully-warm steady state
-        // pays a single RwLock round instead of resolve-then-validate.
-        // Traced runs take the routed path below so every read still
-        // gets its `cache.get` span.
-        if !trace::active() {
-            // The membership guard is dropped before the node probe:
-            // the hit itself needs no route validation (chunk bytes are
-            // immutable, so a hit on a just-retired owner still serves
-            // the right data), and keeping the guard would nest every
-            // hot-path lock under it — one lockdep graph round per
-            // acquisition instead of per miss.
-            let route = {
-                let m = self.membership.read();
-                match m.partition.owner_of(meta.chunk) {
-                    None => {
-                        self.metrics.file_reads.inc();
-                        return Err(CacheError::UnknownChunk(meta.chunk.encode()));
-                    }
-                    Some(owner) => m.nodes.get(&owner).cloned().map(|dest| (owner, dest)),
-                }
-            };
-            if let Some((owner, dest)) = route {
-                if !dest.down.load(Ordering::Acquire) {
-                    let inner = dest.inner.lock();
-                    if let Some(c) = inner.chunks.get(&meta.chunk) {
-                        self.registry.batch(|| {
-                            self.metrics.file_reads.inc();
-                            self.metrics.chunk_hits.inc();
-                        });
-                        let data = slice_file(c, meta)?;
-                        return Ok(Fetched { data, owner_node: owner, chunk_hit: true });
-                    }
-                }
-            }
-        }
-        let mut attempts = 0;
-        loop {
-            let (owner, epoch) = match self.resolve_owner(meta.chunk) {
-                Ok(route) => route,
-                Err(e) => {
-                    self.metrics.file_reads.inc();
-                    return Err(e);
-                }
-            };
-            match self.get_file_routed(meta, owner, epoch) {
-                Err(CacheError::StaleOwner { .. }) if attempts < 2 => attempts += 1,
-                other => return other,
-            }
-        }
+        retry_stale(|| self.read_file(meta, None))
     }
 
     /// Read a whole file from `owner`, validating that the route was
     /// resolved under the current `epoch`. Remote callers (the RPC
-    /// transport, clients holding a partition snapshot) use this to get
-    /// a typed [`CacheError::StaleOwner`] instead of a wrong-node read
-    /// when a rebalance raced their routing decision.
+    /// front in [`crate::transport`], clients holding a partition
+    /// snapshot) use this to get a typed [`CacheError::StaleOwner`]
+    /// instead of a wrong-node read when a rebalance raced their routing
+    /// decision.
     pub fn get_file_routed(&self, meta: &FileMeta, owner: usize, epoch: u64) -> Result<Fetched> {
+        self.read_file(meta, Some((owner, epoch)))
+    }
+
+    /// The one read path. A caller-supplied `route` is validated, a
+    /// missing one resolved, under a single membership read
+    /// acquisition; the warm hit then takes one node lock and nothing
+    /// else. `trace::active()` only decides whether the `cache.get`
+    /// span records — traced and untraced reads run the same code.
+    fn read_file(&self, meta: &FileMeta, route: Option<(usize, u64)>) -> Result<Fetched> {
         let mut span = if trace::active() {
             let chunk = meta.chunk.encode();
             trace::span("cache.get", &[("chunk", chunk.as_str())])
         } else {
             trace::SpanGuard::default()
         };
-        let dest = {
+        // The membership guard is dropped before the node probe: the
+        // hit itself needs no further route validation (chunk bytes are
+        // immutable, so a hit on a just-retired owner still serves the
+        // right data), and keeping the guard would nest every hot-path
+        // lock under it — one lockdep graph round per acquisition
+        // instead of per miss.
+        let (owner, dest) = {
             let m = self.membership.read();
-            if m.epoch != epoch || m.partition.owner_of(meta.chunk) != Some(owner) {
-                self.metrics.stale_owner_retries.inc();
-                span.label("outcome", "stale_owner");
-                return Err(CacheError::StaleOwner { epoch: m.epoch });
-            }
-            m.nodes.get(&owner).cloned()
+            let current = m.partition.owner_of(meta.chunk);
+            let owner = match (route, current) {
+                (Some((owner, epoch)), _) if m.epoch != epoch || current != Some(owner) => {
+                    self.metrics.stale_owner_retries.inc();
+                    span.label("outcome", "stale_owner");
+                    return Err(CacheError::StaleOwner { epoch: m.epoch });
+                }
+                (_, Some(owner)) => owner,
+                (_, None) => {
+                    self.metrics.file_reads.inc();
+                    span.label("outcome", "unknown_chunk");
+                    return Err(CacheError::UnknownChunk(meta.chunk.encode()));
+                }
+            };
+            (owner, m.nodes.get(&owner).cloned())
         };
-        let Some(dest) = dest else {
+        let Some(dest) = dest.filter(|d| !d.down.load(Ordering::Acquire)) else {
             self.metrics.file_reads.inc();
             span.label("outcome", "node_down");
             return Err(CacheError::NodeDown { node: owner });
         };
-        if dest.down.load(Ordering::Acquire) {
-            self.metrics.file_reads.inc();
-            span.label("outcome", "node_down");
-            return Err(CacheError::NodeDown { node: owner });
-        }
-        // Fast path: chunk resident on its owner. The read and its hit
-        // are one batch so a snapshot never sees hits > reads.
+        // Hit: chunk resident on its owner. The read and its hit are
+        // one batch so a snapshot never sees hits > reads.
         {
             let inner = dest.inner.lock();
             if let Some(c) = inner.chunks.get(&meta.chunk) {
@@ -988,15 +942,6 @@ impl<S: ObjectStore> TaskCache<S> {
         Ok(Fetched { data, owner_node: owner, chunk_hit: false })
     }
 
-    /// Ensure `chunk` is resident on `node`; returns `(loaded now?,
-    /// chunk bytes)`. Prefetch/recovery sweeps use this shape.
-    fn ensure_chunk(&self, node: usize, chunk: ChunkId) -> Result<(bool, u64)> {
-        match self.fill_chunk(node, chunk)? {
-            ChunkFill::Resident => Ok((false, 0)),
-            ChunkFill::Warm(b) | ChunkFill::Store(b) => Ok((true, b)),
-        }
-    }
-
     /// Make `chunk` resident on `node`, preferring the previous owner's
     /// memory (warm handoff) when the chunk is mid-relocation, else the
     /// backing store.
@@ -1008,14 +953,13 @@ impl<S: ObjectStore> TaskCache<S> {
     /// reader that resolved its route before a rebalance could fill the
     /// *old* owner from the store after the sweep already drained it —
     /// a ghost residency that a later resize mistakes for a completed
-    /// move (its fill returns `Resident`, silently skipping the warm
-    /// handoff).
-    fn fill_chunk(&self, node: usize, chunk: ChunkId) -> Result<ChunkFill> {
-        enum Plan {
-            Warm(Arc<NodeState>, ChunkView),
-            Fallback(Option<Arc<NodeState>>),
-        }
-        let (dest, plan) = {
+    /// move (its fill finds the chunk resident, silently skipping the
+    /// warm handoff).
+    ///
+    /// Returns the bytes this call made resident: 0 when the chunk was
+    /// already there or a racing fill won the install.
+    fn fill_chunk(&self, node: usize, chunk: ChunkId) -> Result<u64> {
+        let (dest, src, warm) = {
             let m = self.membership.read();
             if m.partition.owner_of(chunk) != Some(node) {
                 // The route is stale: `node` no longer owns `chunk`.
@@ -1027,25 +971,23 @@ impl<S: ObjectStore> TaskCache<S> {
                 return Err(CacheError::NodeDown { node });
             };
             if dest.inner.lock().chunks.contains_key(&chunk) {
-                return Ok(ChunkFill::Resident);
+                return Ok(0);
             }
             // Warm handoff: if this chunk is mid-relocation, its
             // previous owner may still hold it — a refcounted view
             // clone, no store read, no payload copy.
-            let plan = match m.handoff.get(&chunk) {
-                Some(src) => {
-                    let warm = src.inner.lock().chunks.get(&chunk).map(|c| c.view.clone());
-                    match warm {
-                        Some(view) => Plan::Warm(Arc::clone(src), view),
-                        // The previous owner no longer holds it
-                        // (evicted, killed): fall back to the
-                        // authoritative store and close the window.
-                        None => Plan::Fallback(Some(Arc::clone(src))),
-                    }
-                }
-                None => Plan::Fallback(None),
-            };
-            (dest, plan)
+            let src = m.handoff.get(&chunk).cloned();
+            let warm = src.as_ref().and_then(|s| s.inner.lock().chunks.get(&chunk).cloned());
+            (dest, src, warm)
+        };
+        let (size, counter) = match warm {
+            Some(view) => {
+                (self.install_chunk(&dest, chunk, view), &self.metrics.rebalance_warm_hits)
+            }
+            // No window, or the previous owner no longer holds the
+            // chunk (evicted, killed): the authoritative store fills it
+            // and the window, if any, still closes below.
+            None => (self.load_from_store(&dest, chunk)?, &self.metrics.rebalance_fallbacks),
         };
         // Exactly one racing filler wins the install; only the winner
         // counts the fill and completes the handoff, and it counts
@@ -1053,33 +995,14 @@ impl<S: ObjectStore> TaskCache<S> {
         // ordered after the winner's counters, which is what lets
         // `rebalance_to` treat "every moved chunk's entry is gone" as
         // "every fill in this window has been counted".
-        match plan {
-            Plan::Warm(src, view) => {
-                let size = view.chunk_len() as u64;
-                if !self.install_chunk(&dest, chunk, view) {
-                    return Ok(ChunkFill::Resident); // raced; winner counts
-                }
-                self.registry.batch(|| {
-                    self.metrics.rebalance_warm_hits.inc();
-                    self.metrics.rebalance_bytes.add(size);
-                });
-                self.complete_handoff(chunk, &src);
-                Ok(ChunkFill::Warm(size))
-            }
-            Plan::Fallback(Some(src)) => {
-                let size = self.load_from_store(&dest, chunk)?;
-                if size == 0 {
-                    return Ok(ChunkFill::Resident); // raced; winner counts
-                }
-                self.registry.batch(|| {
-                    self.metrics.rebalance_fallbacks.inc();
-                    self.metrics.rebalance_bytes.add(size);
-                });
-                self.complete_handoff(chunk, &src);
-                Ok(ChunkFill::Store(size))
-            }
-            Plan::Fallback(None) => Ok(ChunkFill::Store(self.load_from_store(&dest, chunk)?)),
+        if let Some(src) = src.filter(|_| size > 0) {
+            self.registry.batch(|| {
+                counter.inc();
+                self.metrics.rebalance_bytes.add(size);
+            });
+            self.complete_handoff(chunk, &src);
         }
+        Ok(size)
     }
 
     /// Load `chunk` from the backing store into `dest`. Returns the
@@ -1109,8 +1032,8 @@ impl<S: ObjectStore> TaskCache<S> {
                 )));
             }
         }
-        let size = view.chunk_len() as u64;
-        if !self.install_chunk(dest, chunk, view) {
+        let size = self.install_chunk(dest, chunk, view);
+        if size == 0 {
             return Ok(0); // raced with another client
         }
         // A load and its bytes are one batch: a snapshot never shows a
@@ -1123,28 +1046,23 @@ impl<S: ObjectStore> TaskCache<S> {
         Ok(size)
     }
 
-    /// Insert a resident chunk into `dest` under its LRU budget.
-    /// Returns false when the chunk was already there (racing fill).
-    fn install_chunk(&self, dest: &Arc<NodeState>, chunk: ChunkId, view: ChunkView) -> bool {
+    /// Insert a resident chunk into `dest` under the node byte budget.
+    /// Returns the bytes installed: 0 when the chunk was already there
+    /// (racing fill).
+    fn install_chunk(&self, dest: &Arc<NodeState>, chunk: ChunkId, view: ChunkView) -> u64 {
         let size = view.chunk_len() as u64;
         let mut inner = dest.inner.lock();
         if inner.chunks.contains_key(&chunk) {
-            return false;
+            return 0;
         }
-        // LRU eviction against the node budget (read fresh: a tenant
-        // map may have re-partitioned it since the last install).
+        // Make room under the node budget (read fresh: a tenant map may
+        // have re-partitioned it since the last install).
         let capacity = self.capacity_bytes.load(Ordering::Acquire);
-        while inner.resident_bytes + size > capacity {
-            let Some(victim) = inner.lru.pop_front() else { break };
-            if let Some(v) = inner.chunks.remove(&victim) {
-                inner.resident_bytes -= v.view.chunk_len() as u64;
-                self.metrics.evictions.inc();
-            }
-        }
-        inner.chunks.insert(chunk, CachedChunk { view });
-        inner.lru.push_back(chunk);
+        self.evict_down_to(&mut inner, capacity.saturating_sub(size));
+        inner.chunks.insert(chunk, view);
+        inner.evict_queue.push_back(chunk);
         inner.resident_bytes += size;
-        true
+        size
     }
 
     /// Close one chunk's overlap window: forget the handoff entry, then
@@ -1166,20 +1084,34 @@ impl<S: ObjectStore> TaskCache<S> {
     }
 }
 
-/// Drop `chunk`'s residency on `st`, retiring its LRU slot and byte
-/// accounting. No-op when the chunk is not resident there.
+/// Drop `chunk`'s residency on `st`, retiring its eviction-queue slot
+/// and byte accounting. No-op when the chunk is not resident there.
 fn evict_residency(st: &NodeState, chunk: ChunkId) {
     let mut inner = st.inner.lock();
     if let Some(v) = inner.chunks.remove(&chunk) {
-        inner.resident_bytes -= v.view.chunk_len() as u64;
-        if let Some(pos) = inner.lru.iter().position(|&c| c == chunk) {
-            inner.lru.remove(pos);
+        inner.resident_bytes -= v.chunk_len() as u64;
+        if let Some(pos) = inner.evict_queue.iter().position(|&c| c == chunk) {
+            inner.evict_queue.remove(pos);
         }
     }
 }
 
-fn slice_file(c: &CachedChunk, meta: &FileMeta) -> Result<Bytes> {
-    c.view.slice_payload(meta.offset, meta.length).map_err(|e| CacheError::Corrupt(e.to_string()))
+/// Run `read` again while it reports a route resolved under a stale
+/// epoch — bounded, so a membership that churns faster than reads
+/// complete surfaces [`CacheError::StaleOwner`] instead of spinning.
+/// Shared by [`TaskCache::get_file`] and the RPC front.
+pub(crate) fn retry_stale<T>(mut read: impl FnMut() -> Result<T>) -> Result<T> {
+    let mut attempts = 0;
+    loop {
+        match read() {
+            Err(CacheError::StaleOwner { .. }) if attempts < 2 => attempts += 1,
+            other => return other,
+        }
+    }
+}
+
+fn slice_file(view: &ChunkView, meta: &FileMeta) -> Result<Bytes> {
+    view.slice_payload(meta.offset, meta.length).map_err(|e| CacheError::Corrupt(e.to_string()))
 }
 
 /// Handle to a background prefetch sweep started by
@@ -1273,7 +1205,7 @@ impl<S> std::fmt::Debug for TaskCache<S> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use diesel_chunk::{ChunkBuilderConfig, ChunkIdGenerator, ChunkWriter};
     use diesel_kv::ShardedKv;
@@ -1282,7 +1214,7 @@ mod tests {
 
     /// Build a dataset of `files` files of `file_size` bytes in small
     /// chunks; returns (store, metadata service, file metas by name).
-    fn dataset(
+    pub(crate) fn dataset(
         files: usize,
         file_size: usize,
         chunk_size: usize,
@@ -1304,7 +1236,7 @@ mod tests {
         (store, metas, snap.chunks)
     }
 
-    fn cache(
+    pub(crate) fn cache(
         store: Arc<MemObjectStore>,
         chunks: Vec<ChunkId>,
         nodes: usize,
@@ -1400,7 +1332,7 @@ mod tests {
     }
 
     #[test]
-    fn memory_constrained_node_evicts_lru() {
+    fn memory_constrained_node_evicts_oldest_installs() {
         let (store, metas, chunks) = dataset(64, 512, 2048);
         // Budget fits only ~2 chunks per node.
         let c = cache(store, chunks.clone(), 2, 6000, CachePolicy::OnDemand);
@@ -1639,6 +1571,98 @@ mod tests {
     }
 
     #[test]
+    fn traced_and_untraced_reads_are_the_same_reads() {
+        type Outcome = Result<(Bytes, usize, bool)>;
+        /// One access sequence over a fresh cache — miss-then-fill, hit,
+        /// routed hit, unknown chunk, killed owner, stale route, then a
+        /// full pass — with or without an ambient tracer. Returns every
+        /// outcome, the counter totals, and how many `cache.get` spans
+        /// the run recorded.
+        fn run(traced: bool) -> (Vec<Outcome>, [u64; 4], usize) {
+            let (store, metas, chunks) = dataset(40, 100, 1024);
+            let c = cache(store, chunks, 4, 1 << 30, CachePolicy::OnDemand);
+            let tracer = diesel_obs::Tracer::enabled(c.registry());
+            let _ambient = traced.then(|| trace::install_tracer(&tracer));
+            assert_eq!(trace::active(), traced);
+            let mut out: Vec<Outcome> = Vec::new();
+            let mut rec = |r: Result<Fetched>| {
+                out.push(r.map(|f| (f.data, f.owner_node, f.chunk_hit)));
+            };
+            let meta = &metas[0].1;
+            rec(c.get_file(meta)); // miss, filled from the store
+            rec(c.get_file(meta)); // hit
+            let (owner, epoch) = c.resolve_owner(meta.chunk).unwrap();
+            rec(c.get_file_routed(meta, owner, epoch)); // routed hit
+            let foreign = FileMeta {
+                chunk: ChunkIdGenerator::deterministic(9, 9, 9).next_id(),
+                index_in_chunk: 0,
+                offset: 0,
+                length: 1,
+                uploaded_ms: 0,
+            };
+            rec(c.get_file(&foreign)); // unknown chunk
+            let (_, other) = metas
+                .iter()
+                .find(|(_, m)| c.resolve_owner(m.chunk).unwrap().0 != owner)
+                .expect("four nodes share the chunks");
+            c.kill_node(c.resolve_owner(other.chunk).unwrap().0);
+            rec(c.get_file(other)); // killed owner
+            c.resize(8).unwrap();
+            rec(c.get_file_routed(meta, owner, epoch)); // stale route
+            for (_, m) in &metas {
+                rec(c.get_file(m));
+            }
+            let m = c.metrics();
+            let counters =
+                [m.file_reads(), m.chunk_hits(), m.chunk_loads(), m.stale_owner_retries()];
+            let spans = tracer.drain().iter().filter(|s| s.name == "cache.get").count();
+            (out, counters, spans)
+        }
+        let (plain, plain_counters, plain_spans) = run(false);
+        let (traced, traced_counters, traced_spans) = run(true);
+        assert_eq!(plain_spans, 0);
+        assert_eq!(traced_spans, plain.len(), "the traced run really traced every read");
+        assert_eq!(plain, traced, "same bytes, owners, hit flags and typed errors");
+        assert_eq!(plain_counters, traced_counters);
+        assert!(plain.iter().any(|o| matches!(o, Err(CacheError::UnknownChunk(_)))));
+        assert!(plain.iter().any(|o| matches!(o, Err(CacheError::NodeDown { .. }))));
+        assert!(plain.iter().any(|o| matches!(o, Err(CacheError::StaleOwner { epoch: 1 }))));
+        assert!(plain.iter().any(|o| matches!(o, Ok((_, _, false)))));
+    }
+
+    #[test]
+    fn rebalance_installs_respect_the_node_byte_budget() {
+        // Regression (re-homed from the RPC peer's Install message): a
+        // rebalance must not grow a node past its budget. The budget
+        // holds ~2 chunks; a 2→4 grow hands each joiner far more.
+        let (store, metas, chunks) = dataset(96, 512, 2048);
+        let mut sizes: Vec<u64> = chunks
+            .iter()
+            .map(|&c| store.size_of(&chunk_object_key("ds", c)).unwrap() as u64)
+            .collect();
+        sizes.sort_unstable();
+        let budget = sizes[sizes.len() - 1] + sizes[sizes.len() - 2];
+        let c = cache(store, chunks, 2, budget, CachePolicy::OnDemand);
+        for (_, meta) in &metas {
+            c.get_file(meta).unwrap(); // warm, thrashing within the budget
+        }
+        let evicted_before = c.metrics().evictions();
+        let report = c.resize(4).unwrap();
+        assert!(report.chunks_moved > 8, "each joiner is handed more than it can hold");
+        assert!(report.peer_warm_hits > 0, "what the sources still held moved warm");
+        assert_eq!(report.peer_warm_hits + report.store_fallbacks, report.chunks_moved);
+        assert!(c.metrics().evictions() > evicted_before, "over-budget installs evict, and count");
+        for node in 0..4 {
+            let resident = c.node_resident_bytes(node);
+            assert!(resident <= budget, "node {node} holds {resident} B over budget {budget} B");
+        }
+        for (name, meta) in metas.iter().take(12) {
+            let i: usize = name[1..].parse().unwrap();
+            assert_eq!(c.get_file(meta).unwrap().data.as_ref(), &vec![(i % 251) as u8; 512][..]);
+        }
+    }
+
+    #[test]
     fn identical_membership_is_a_noop() {
         let (store, _, chunks) = dataset(10, 100, 1024);
         let c = cache(store, chunks, 4, 1 << 30, CachePolicy::Oneshot);
@@ -1670,17 +1694,17 @@ mod tests {
     /// A `MemObjectStore` whose read path can be switched to fail — the
     /// deterministic stand-in for a transient backing-store outage mid
     /// rebalance sweep.
-    struct TogglingStore {
+    pub(crate) struct TogglingStore {
         inner: Arc<MemObjectStore>,
         fail: AtomicBool,
     }
 
     impl TogglingStore {
-        fn new(inner: Arc<MemObjectStore>) -> Self {
+        pub(crate) fn new(inner: Arc<MemObjectStore>) -> Self {
             TogglingStore { inner, fail: AtomicBool::new(false) }
         }
 
-        fn set_fail(&self, on: bool) {
+        pub(crate) fn set_fail(&self, on: bool) {
             self.fail.store(on, Ordering::Release);
         }
     }
@@ -1743,11 +1767,11 @@ mod tests {
         {
             let m = c.membership.read();
             let cur_owner = m.partition.owner_of(chunk).unwrap();
-            let view = m.nodes[&cur_owner].inner.lock().chunks[&chunk].view.clone();
+            let view = m.nodes[&cur_owner].inner.lock().chunks[&chunk].clone();
             let dest = Arc::clone(&m.nodes[&back_to]);
             let orphan_src = Arc::clone(&m.nodes[&7]);
             drop(m);
-            assert!(c.install_chunk(&dest, chunk, view));
+            assert!(c.install_chunk(&dest, chunk, view) > 0);
             c.membership.write().handoff.insert(chunk, orphan_src);
         }
         // Old code: this call never returns. New code: Phase 1 closes

@@ -4,7 +4,7 @@
 //! caches; a shared serving fleet therefore hosts many of them at once.
 //! [`TenantCacheMap`] is the registry of record for that arrangement:
 //! one [`TaskCache`] per tenant (tenant ≡ dataset name), all over the
-//! same node plane and backing store, with the node LRU budget
+//! same node plane and backing store, with the node byte budget
 //! partitioned across tenants by **weighted shares with a hard cap** —
 //! tenant A filling or churning its cache can never evict tenant B's
 //! residency, because A's `TaskCache` evicts only against A's own
@@ -60,7 +60,7 @@ pub struct TenantUsage {
 }
 
 /// One `TaskCache` per tenant over a shared node plane, with weighted
-/// per-tenant byte budgets carved out of the node LRU budget.
+/// per-tenant byte budgets carved out of the node byte budget.
 pub struct TenantCacheMap<S> {
     topology: Topology,
     backing: Arc<S>,

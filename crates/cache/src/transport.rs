@@ -1,63 +1,50 @@
-//! Message-passing transport between cache peers, over `diesel-net`.
+//! The RPC front of the task cache: peers exchange data over `diesel-net`.
 //!
 //! The real DIESEL uses Apache Thrift between clients ("Peers in the
 //! task-grained distributed caching system also use Thrift to exchange
-//! data", §5). This module provides the in-process equivalent: each
-//! master client runs a [`PeerServer`] — a `diesel-net`
-//! [`ThreadServer`] whose handler owns the node's chunk data — and
-//! [`PeerHandle`]s are the "connections" other clients hold. Deadlines,
-//! retries, fault injection and per-endpoint stats all come from
-//! `diesel-net` middleware; this module only maps transport failures to
-//! cache semantics ([`CacheError::NodeDown`] with the *correct* node id).
-//!
-//! Elastic membership rides the same channels: a resize copies each
-//! moved chunk between peers with [`PeerHandle::fetch_resident`] (warm
-//! handoff: memory-only, errors [`CacheError::NotResident`] instead of
-//! touching the store) and [`PeerHandle::install`], then
-//! [`PeerHandle::evict`]s the moved-out residency — the backing store is
-//! only read for chunks no peer still holds (DESIGN.md §13).
-//!
-//! The shared-memory [`TaskCache`](crate::task_cache::TaskCache) remains
-//! the fast path for single-process deployments; [`RpcCache`] composes
-//! peer servers into the same one-hop read protocol over channels, and
-//! the tests assert both give identical results.
+//! data", §5). This module is the in-process equivalent, and it is only
+//! a *front*: one [`TaskCache`] core owns membership, residency, the
+//! byte budget, store loading and rebalance, and an [`RpcCache`] puts
+//! one `diesel-net` [`ThreadServer`] per member node in front of it.
+//! A peer's handler serves [`PeerRequest::FetchFile`] by calling
+//! [`TaskCache::get_file_routed`] for its own node, so a remote read
+//! gets exactly the shared-memory read's route validation
+//! ([`CacheError::StaleOwner`] on an outdated epoch), fill, handoff and
+//! eviction behaviour — there is no second implementation to keep in
+//! step. Deadlines, retries, fault injection and per-endpoint stats all
+//! come from `diesel-net` middleware; this module only maps transport
+//! failures to cache semantics ([`CacheError::NodeDown`] with the
+//! *correct* node id) and spawns or retires peer threads as the core's
+//! membership changes (DESIGN.md §13).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use diesel_chunk::{ChunkHeader, ChunkId};
-use diesel_meta::recovery::chunk_object_key;
+use diesel_chunk::ChunkId;
 use diesel_meta::FileMeta;
 use diesel_net::{
     Channel, Clock, Endpoint, EndpointMetrics, FaultChannel, FaultPolicy, Instrumented, Retry,
-    RetryPolicy, Service, SystemClock, ThreadChannel, ThreadServer,
+    RetryPolicy, Service, SystemClock, ThreadServer,
 };
 use diesel_obs::Registry;
 use diesel_store::{Bytes, ObjectStore};
 
 use crate::partition::ChunkPartition;
-use crate::ring::HashRing;
-use crate::task_cache::RebalanceReport;
+use crate::task_cache::{retry_stale, CacheConfig, RebalanceReport, TaskCache};
+use crate::topology::Topology;
 use crate::{CacheError, Result};
 
 /// A fetch request to a peer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PeerRequest {
-    /// Read one file out of a chunk the peer owns.
-    FetchFile(FileMeta),
-    /// Fetch a whole chunk (used by recovering peers / chunk-wise
-    /// reads); loads from the backing store if not resident.
-    FetchChunk(ChunkId),
-    /// Fetch a whole chunk **only if resident in memory** — the warm
-    /// leg of a rebalance handoff. Never touches the backing store;
-    /// replies [`CacheError::NotResident`] on a cold peer so the caller
-    /// can fall back deliberately.
-    FetchResident(ChunkId),
-    /// Install chunk bytes shipped from a previous owner (the receive
-    /// side of a warm handoff).
-    Install(ChunkId, Bytes),
-    /// Drop a moved-out chunk's residency after its handoff completes.
-    Evict(ChunkId),
+    /// Read one file out of a chunk the peer owned at membership
+    /// `epoch` (the caller's routing decision, validated by the peer).
+    FetchFile {
+        /// The file to read.
+        meta: FileMeta,
+        /// The epoch the caller resolved the peer as owner under.
+        epoch: u64,
+    },
 }
 
 /// A peer's application-level reply (transport errors live in
@@ -83,205 +70,19 @@ impl PeerHandle {
         self.node
     }
 
-    fn call(&self, req: PeerRequest) -> Result<Bytes> {
-        match self.chan.call(req) {
+    /// Fetch a file from the peer (one hop, blocking), routed under
+    /// `epoch`. A transport failure is the peer being down.
+    pub fn fetch_file(&self, meta: &FileMeta, epoch: u64) -> Result<Bytes> {
+        match self.chan.call(PeerRequest::FetchFile { meta: *meta, epoch }) {
             Ok(reply) => reply,
             Err(_) => Err(CacheError::NodeDown { node: self.node }),
         }
-    }
-
-    /// Fetch a file from the peer (one hop, blocking).
-    pub fn fetch_file(&self, meta: &FileMeta) -> Result<Bytes> {
-        self.call(PeerRequest::FetchFile(*meta))
-    }
-
-    /// Fetch a whole chunk from the peer.
-    pub fn fetch_chunk(&self, chunk: ChunkId) -> Result<Bytes> {
-        self.call(PeerRequest::FetchChunk(chunk))
-    }
-
-    /// Fetch a chunk only if the peer holds it in memory
-    /// ([`CacheError::NotResident`] otherwise).
-    pub fn fetch_resident(&self, chunk: ChunkId) -> Result<Bytes> {
-        self.call(PeerRequest::FetchResident(chunk))
-    }
-
-    /// Ship chunk bytes into the peer's residency (warm handoff).
-    pub fn install(&self, chunk: ChunkId, bytes: Bytes) -> Result<()> {
-        self.call(PeerRequest::Install(chunk, bytes)).map(|_| ())
-    }
-
-    /// Drop the peer's residency of a moved-out chunk.
-    pub fn evict(&self, chunk: ChunkId) -> Result<()> {
-        self.call(PeerRequest::Evict(chunk)).map(|_| ())
     }
 }
 
 impl std::fmt::Debug for PeerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PeerHandle").field("node", &self.node).finish_non_exhaustive()
-    }
-}
-
-struct PeerState<S> {
-    node: usize,
-    dataset: String,
-    backing: Arc<S>,
-    /// Memory budget for resident chunks; LRU-evicted past it on every
-    /// insert path (store loads *and* shipped installs), mirroring
-    /// `TaskCache`'s per-node `capacity_bytes_per_node`.
-    capacity_bytes: u64,
-    chunks: HashMap<ChunkId, (Bytes, u32)>, // bytes + header_len
-    lru: std::collections::VecDeque<ChunkId>,
-    resident_bytes: u64,
-}
-
-impl<S: ObjectStore> PeerState<S> {
-    /// Make `chunk` resident under the byte budget. Replaces any
-    /// existing residency of the same chunk, then LRU-evicts others
-    /// until the new total fits (the incoming chunk itself is never
-    /// the victim).
-    fn insert_budgeted(&mut self, chunk: ChunkId, bytes: Bytes, header_len: u32) {
-        self.evict(chunk);
-        let size = bytes.len() as u64;
-        while self.resident_bytes + size > self.capacity_bytes {
-            let Some(victim) = self.lru.pop_front() else { break };
-            if let Some((b, _)) = self.chunks.remove(&victim) {
-                self.resident_bytes -= b.len() as u64;
-            }
-        }
-        self.chunks.insert(chunk, (bytes, header_len));
-        self.lru.push_back(chunk);
-        self.resident_bytes += size;
-    }
-
-    /// Drop `chunk`'s residency (no-op when absent).
-    fn evict(&mut self, chunk: ChunkId) {
-        if let Some((b, _)) = self.chunks.remove(&chunk) {
-            self.resident_bytes -= b.len() as u64;
-            if let Some(pos) = self.lru.iter().position(|&c| c == chunk) {
-                self.lru.remove(pos);
-            }
-        }
-    }
-
-    fn ensure_chunk(&mut self, chunk: ChunkId) -> Result<&(Bytes, u32)> {
-        if !self.chunks.contains_key(&chunk) {
-            let key = chunk_object_key(&self.dataset, chunk);
-            let bytes = self.backing.get(&key).map_err(|er| CacheError::Backing(er.to_string()))?;
-            let header =
-                ChunkHeader::decode(&bytes).map_err(|er| CacheError::Corrupt(er.to_string()))?;
-            self.insert_budgeted(chunk, bytes, header.header_len);
-        }
-        self.chunks
-            .get(&chunk)
-            .ok_or_else(|| CacheError::Backing(format!("chunk {chunk} evicted during insert")))
-    }
-
-    fn handle(&mut self, req: PeerRequest) -> PeerReply {
-        match req {
-            PeerRequest::FetchFile(meta) => {
-                self.ensure_chunk(meta.chunk).and_then(|(bytes, hlen)| {
-                    let start = *hlen as usize + meta.offset as usize;
-                    let end = start + meta.length as usize;
-                    if end > bytes.len() {
-                        Err(CacheError::Corrupt(format!("range {start}..{end} outside chunk")))
-                    } else {
-                        Ok(bytes.slice(start..end))
-                    }
-                })
-            }
-            PeerRequest::FetchChunk(chunk) => {
-                self.ensure_chunk(chunk).map(|(bytes, _)| bytes.clone())
-            }
-            PeerRequest::FetchResident(chunk) => match self.chunks.get(&chunk) {
-                Some((bytes, _)) => Ok(bytes.clone()),
-                None => Err(CacheError::NotResident { node: self.node }),
-            },
-            PeerRequest::Install(chunk, bytes) => {
-                let header = ChunkHeader::decode(&bytes)
-                    .map_err(|er| CacheError::Corrupt(er.to_string()))?;
-                // Same budget as a store load: a large rebalance cannot
-                // grow a peer past its capacity.
-                self.insert_budgeted(chunk, bytes, header.header_len);
-                Ok(Bytes::from_static(&[]))
-            }
-            PeerRequest::Evict(chunk) => {
-                self.evict(chunk);
-                Ok(Bytes::from_static(&[]))
-            }
-        }
-    }
-}
-
-/// One master client's serving thread: owns its partition's chunks.
-pub struct PeerServer {
-    node: usize,
-    server: ThreadServer<PeerRequest, PeerReply>,
-}
-
-impl PeerServer {
-    /// Spawn a serving thread for node `node`, loading chunks lazily
-    /// from `backing`, with no memory budget (use
-    /// [`PeerServer::spawn_budgeted`] to bound residency).
-    pub fn spawn<S: ObjectStore + 'static>(
-        node: usize,
-        dataset: impl Into<String>,
-        backing: Arc<S>,
-    ) -> Self {
-        Self::spawn_budgeted(node, dataset, backing, u64::MAX)
-    }
-
-    /// Spawn a serving thread whose resident chunks are LRU-bounded at
-    /// `capacity_bytes` — enforced on every path that makes a chunk
-    /// resident, including chunks shipped in by a rebalance
-    /// ([`PeerRequest::Install`]).
-    pub fn spawn_budgeted<S: ObjectStore + 'static>(
-        node: usize,
-        dataset: impl Into<String>,
-        backing: Arc<S>,
-        capacity_bytes: u64,
-    ) -> Self {
-        let mut state = PeerState {
-            node,
-            dataset: dataset.into(),
-            backing,
-            capacity_bytes,
-            chunks: HashMap::new(),
-            lru: std::collections::VecDeque::new(),
-            resident_bytes: 0,
-        };
-        let server = ThreadServer::spawn(Endpoint::new("peer", node), move |req| state.handle(req));
-        PeerServer { node, server }
-    }
-
-    /// This peer's node index.
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
-    /// A connection handle to this peer.
-    pub fn handle(&self) -> PeerHandle {
-        PeerHandle::new(self.node, Arc::new(self.server.channel()))
-    }
-
-    /// The raw transport channel, for callers who want to layer their
-    /// own `diesel-net` middleware before wrapping it in a
-    /// [`PeerHandle`].
-    pub fn channel(&self) -> ThreadChannel<PeerRequest, PeerReply> {
-        self.server.channel()
-    }
-
-    /// Stop the peer (simulating a node crash: in-flight and future
-    /// requests fail).
-    pub fn kill(&mut self) {
-        self.server.kill();
-    }
-}
-
-impl std::fmt::Debug for PeerServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PeerServer").field("node", &self.node).finish_non_exhaustive()
     }
 }
 
@@ -297,21 +98,16 @@ pub struct NetOptions {
     pub clock: Arc<dyn Clock>,
     /// Inject faults on calls to one node: `(node, policy)`.
     pub fault_node: Option<(usize, FaultPolicy)>,
-    /// Memory budget per peer for resident chunks (LRU-evicted past
-    /// it, on store loads and rebalance installs alike). Matches
-    /// `CacheConfig::default`'s per-node budget.
-    pub capacity_bytes_per_node: u64,
 }
 
 impl Default for NetOptions {
-    /// No deadline, no retries, no faults, real time, 8 GiB per peer.
+    /// No deadline, no retries, no faults, real time.
     fn default() -> Self {
         NetOptions {
             timeout_ns: None,
             retry: RetryPolicy::none(),
             clock: Arc::new(SystemClock::new()),
             fault_node: None,
-            capacity_bytes_per_node: 8 << 30,
         }
     }
 }
@@ -322,24 +118,25 @@ impl std::fmt::Debug for NetOptions {
             .field("timeout_ns", &self.timeout_ns)
             .field("retry", &self.retry)
             .field("fault_node", &self.fault_node)
-            .field("capacity_bytes_per_node", &self.capacity_bytes_per_node)
             .finish_non_exhaustive()
     }
 }
 
-/// A task cache whose one-hop reads really cross threads: one
-/// [`PeerServer`] per node, clients routing via the shared partition.
-/// Membership is elastic: [`RpcCache::resize`] spawns/retires peer
-/// threads and relocates moved chunks peer-to-peer.
+/// One member's serving thread and the instrumented connection to it.
+struct Peer {
+    server: ThreadServer<PeerRequest, PeerReply>,
+    handle: PeerHandle,
+}
+
+/// A task cache whose one-hop reads really cross threads: one serving
+/// thread per member node in front of a shared [`TaskCache`] core,
+/// clients routing via the core's partition. Membership is elastic:
+/// [`RpcCache::resize`] rebalances the core and spawns/retires peer
+/// threads to match.
 pub struct RpcCache<S> {
-    dataset: String,
-    backing: Arc<S>,
+    core: Arc<TaskCache<S>>,
     opts: NetOptions,
-    partition: ChunkPartition,
-    epoch: u64,
-    peers: HashMap<usize, PeerServer>,
-    handles: HashMap<usize, PeerHandle>,
-    registry: Arc<Registry>,
+    peers: HashMap<usize, Peer>,
 }
 
 impl<S: ObjectStore + 'static> RpcCache<S> {
@@ -354,9 +151,8 @@ impl<S: ObjectStore + 'static> RpcCache<S> {
         Self::spawn_with(nodes, dataset, backing, chunks, NetOptions::default())
     }
 
-    /// Spawn with explicit transport options. Every peer channel is
-    /// stacked as `Retry(Instrumented(Fault?(ThreadChannel)))`, sharing
-    /// one registry with per-endpoint metric labels.
+    /// Spawn with explicit transport options over a default-configured
+    /// core whose registry runs on `opts.clock`.
     pub fn spawn_with(
         nodes: usize,
         dataset: &str,
@@ -364,177 +160,128 @@ impl<S: ObjectStore + 'static> RpcCache<S> {
         chunks: Vec<ChunkId>,
         opts: NetOptions,
     ) -> Result<Self> {
-        let partition = ChunkPartition::new(chunks, nodes)?;
-        let registry = Arc::new(Registry::new(opts.clock.clone()));
-        let mut cache = RpcCache {
-            dataset: dataset.into(),
+        let core = TaskCache::with_registry(
+            Topology::uniform(nodes, 1)?,
             backing,
-            opts,
-            partition,
-            epoch: 0,
-            peers: HashMap::new(),
-            handles: HashMap::new(),
-            registry,
-        };
-        for n in 0..nodes {
-            cache.spawn_peer(n);
-        }
-        Ok(cache)
+            dataset,
+            chunks,
+            CacheConfig::default(),
+            Arc::new(Registry::new(opts.clock.clone())),
+        )?;
+        Ok(Self::front(Arc::new(core), opts))
     }
 
-    /// Spawn the serving thread and middleware stack for `node`.
-    fn spawn_peer(&mut self, node: usize) {
-        let peer = PeerServer::spawn_budgeted(
-            node,
-            self.dataset.clone(),
-            self.backing.clone(),
-            self.opts.capacity_bytes_per_node,
-        );
-        let mut raw = peer.channel();
+    /// Put peer servers in front of an existing `core` (whose
+    /// [`CacheConfig`] states the per-node byte budget, once). Every
+    /// peer channel is stacked as
+    /// `Retry(Instrumented(Fault?(ThreadChannel)))`, with per-endpoint
+    /// metric labels in the core's registry.
+    pub fn front(core: Arc<TaskCache<S>>, opts: NetOptions) -> Self {
+        let mut cache = RpcCache { core, opts, peers: HashMap::new() };
+        cache.sync_peers();
+        cache
+    }
+
+    /// Make the peer set match the core's membership: spawn a serving
+    /// thread and middleware stack for every member without one, retire
+    /// the threads of nodes that left.
+    fn sync_peers(&mut self) {
+        let members = self.core.members();
+        self.peers.retain(|node, _| members.contains(node));
+        for node in members {
+            if !self.peers.contains_key(&node) {
+                let peer = self.spawn_peer(node);
+                self.peers.insert(node, peer);
+            }
+        }
+    }
+
+    fn spawn_peer(&self, node: usize) -> Peer {
+        let core = Arc::clone(&self.core);
+        let server = ThreadServer::spawn(Endpoint::new("peer", node), move |req| match req {
+            PeerRequest::FetchFile { meta, epoch } => {
+                core.get_file_routed(&meta, node, epoch).map(|fetched| fetched.data)
+            }
+        });
+        let mut raw = server.channel();
         if let Some(ns) = self.opts.timeout_ns {
             raw = raw.with_timeout_ns(ns);
         }
-        let metrics = EndpointMetrics::new(&self.registry, &raw.endpoint());
-        let chan: Channel<PeerRequest, PeerReply> = match &self.opts.fault_node {
+        let clock = &self.opts.clock;
+        let metrics = EndpointMetrics::new(self.core.registry(), &raw.endpoint());
+        let link: Channel<PeerRequest, PeerReply> = match &self.opts.fault_node {
             Some((fault, policy)) if *fault == node => {
-                let faulty = FaultChannel::new(raw, policy.clone(), self.opts.clock.clone());
-                let measured = Instrumented::new(faulty, metrics.clone(), self.opts.clock.clone());
-                Arc::new(
-                    Retry::new(measured, self.opts.retry.clone(), self.opts.clock.clone())
-                        .with_metrics(metrics),
-                )
+                Arc::new(FaultChannel::new(raw, policy.clone(), clock.clone()))
             }
-            _ => {
-                let measured = Instrumented::new(raw, metrics.clone(), self.opts.clock.clone());
-                Arc::new(
-                    Retry::new(measured, self.opts.retry.clone(), self.opts.clock.clone())
-                        .with_metrics(metrics),
-                )
-            }
+            _ => Arc::new(raw),
         };
-        self.handles.insert(node, PeerHandle::new(node, chan));
-        self.peers.insert(node, peer);
+        let measured = Instrumented::new(link, metrics.clone(), clock.clone());
+        let chan =
+            Retry::new(measured, self.opts.retry.clone(), clock.clone()).with_metrics(metrics);
+        Peer { server, handle: PeerHandle::new(node, Arc::new(chan)) }
     }
 
-    /// The partition map (all clients share it, so owner lookup is
-    /// local — no directory hop).
-    pub fn partition(&self) -> &ChunkPartition {
-        &self.partition
+    /// The cache core behind the peers: counters, residency, handoff
+    /// state — everything but the transport. Change membership through
+    /// [`RpcCache::resize`], not on the core, or members lack peers.
+    pub fn core(&self) -> &Arc<TaskCache<S>> {
+        &self.core
     }
 
-    /// The current membership epoch (bumped by every
+    /// A snapshot of the core's partition map (all clients share it, so
+    /// owner lookup is local — no directory hop).
+    pub fn partition(&self) -> ChunkPartition {
+        self.core.partition()
+    }
+
+    /// The core's current membership epoch (bumped by every
     /// [`RpcCache::resize`]).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.core.membership_epoch()
     }
 
     /// The registry holding per-endpoint transport metrics
-    /// (`net.requests{endpoint=peer@N}` and friends) plus the
-    /// `cache.rebalance.*` counters.
+    /// (`net.requests{endpoint=peer@N}` and friends) beside the core's
+    /// `cache.*` counters.
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
+        self.core.registry()
     }
 
     /// The instrumented connection to `node`, or a `NodeDown` error for
     /// non-member nodes.
     pub fn handle(&self, node: usize) -> Result<PeerHandle> {
-        self.handles.get(&node).cloned().ok_or(CacheError::NodeDown { node })
+        self.peers.get(&node).map(|p| p.handle.clone()).ok_or(CacheError::NodeDown { node })
     }
 
-    /// Read a file via its owner peer (one message round trip).
+    /// Read a file via its owner peer (one message round trip),
+    /// re-resolving the owner if the peer reports the route stale.
     pub fn get_file(&self, meta: &FileMeta) -> Result<Bytes> {
-        let owner = self
-            .partition
-            .owner_of(meta.chunk)
-            .ok_or_else(|| CacheError::UnknownChunk(meta.chunk.encode()))?;
-        self.handle(owner)?.fetch_file(meta)
+        retry_stale(|| {
+            let (owner, epoch) = self.core.resolve_owner(meta.chunk)?;
+            self.handle(owner)?.fetch_file(meta, epoch)
+        })
     }
 
-    /// Kill one node's peer server.
+    /// Kill one node: its residency is dropped in the core and its peer
+    /// server stops answering.
     pub fn kill_node(&mut self, node: usize) {
+        self.core.kill_node(node);
         if let Some(peer) = self.peers.get_mut(&node) {
-            peer.kill();
+            peer.server.kill();
         }
     }
 
-    /// Swing the membership to `0..nodes` and relocate moved chunks in
-    /// three phases: **copy** (warm peer-to-peer where the previous
-    /// owner still holds the chunk, backing store otherwise), **switch**
-    /// (install the new partition + epoch — reads route to new owners
-    /// from here on), **drain** (evict moved-out residencies and retire
-    /// departed peers' threads).
+    /// Swing the membership to `0..nodes`: the core installs the epoch
+    /// and relocates moved chunks (warm from the previous owner's
+    /// memory, else from the store); the front then spawns peers for
+    /// joiners and retires leavers' threads. If the core's sweep fails,
+    /// the peer set still follows the installed membership, and calling
+    /// `resize` again with the same `nodes` runs the core's repair sweep
+    /// (see [`TaskCache::rebalance_to`]).
     pub fn resize(&mut self, nodes: usize) -> Result<RebalanceReport> {
-        let next = self.partition.with_membership(HashRing::contiguous(nodes)?);
-        let moves = self.partition.moved_to(&next);
-        // New members get their serving threads before any copy.
-        for &n in next.members() {
-            if !self.peers.contains_key(&n) {
-                self.spawn_peer(n);
-            }
-        }
-        // Phase 1: copy every moved chunk onto its new owner.
-        let mut warm = 0u64;
-        let mut fallback = 0u64;
-        let mut bytes_moved = 0u64;
-        for mv in &moves {
-            let dest = self.handle(mv.to)?;
-            let warm_bytes = self.handle(mv.from).and_then(|src| src.fetch_resident(mv.chunk));
-            match warm_bytes {
-                Ok(bytes) => {
-                    bytes_moved += bytes.len() as u64;
-                    dest.install(mv.chunk, bytes)?;
-                    warm += 1;
-                }
-                Err(CacheError::NotResident { .. }) | Err(CacheError::NodeDown { .. }) => {
-                    // Cold or dead previous owner: the new owner reads
-                    // the authoritative store itself.
-                    let bytes = dest.fetch_chunk(mv.chunk)?;
-                    bytes_moved += bytes.len() as u64;
-                    fallback += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        // Phase 2: switch routing.
-        let departed: Vec<usize> = self
-            .partition
-            .members()
-            .iter()
-            .copied()
-            .filter(|m| !next.members().contains(m))
-            .collect();
-        self.partition = next;
-        self.epoch += 1;
-        // Phase 3: drain moved-out residencies, retire departed peers.
-        for mv in &moves {
-            if self.handles.contains_key(&mv.from) {
-                if let Ok(src) = self.handle(mv.from) {
-                    let _ = src.evict(mv.chunk);
-                }
-            }
-        }
-        for node in departed {
-            if let Some(mut peer) = self.peers.remove(&node) {
-                peer.kill();
-            }
-            self.handles.remove(&node);
-        }
-        let report = RebalanceReport {
-            epoch: self.epoch,
-            chunks_moved: moves.len() as u64,
-            peer_warm_hits: warm,
-            store_fallbacks: fallback,
-            bytes_moved,
-        };
-        let labels = &[("dataset", self.dataset.as_str())];
-        self.registry.batch(|| {
-            self.registry.counter("cache.rebalance.chunks_moved", labels).add(report.chunks_moved);
-            self.registry.counter("cache.rebalance.peer_warm_hits", labels).add(warm);
-            self.registry.counter("cache.rebalance.store_fallbacks", labels).add(fallback);
-            self.registry.counter("cache.rebalance.bytes_moved", labels).add(bytes_moved);
-        });
-        self.registry.gauge("cache.membership_epoch", labels).set(self.epoch);
-        Ok(report)
+        let report = self.core.resize(nodes);
+        self.sync_peers();
+        report
     }
 }
 
@@ -542,7 +289,7 @@ impl<S> std::fmt::Debug for RpcCache<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RpcCache")
             .field("nodes", &self.peers.len())
-            .field("epoch", &self.epoch)
+            .field("core", &self.core)
             .finish()
     }
 }
@@ -550,30 +297,27 @@ impl<S> std::fmt::Debug for RpcCache<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task_cache::{CacheConfig, CachePolicy, TaskCache};
-    use crate::topology::Topology;
-    use diesel_chunk::{ChunkBuilderConfig, ChunkIdGenerator, ChunkWriter};
-    use diesel_kv::ShardedKv;
-    use diesel_meta::MetaService;
+    use crate::task_cache::tests::{cache, TogglingStore};
+    use crate::task_cache::CachePolicy;
     use diesel_net::MockClock;
     use diesel_store::MemObjectStore;
 
     fn dataset(files: usize) -> (Arc<MemObjectStore>, Vec<(String, FileMeta)>, Vec<ChunkId>) {
-        let store = Arc::new(MemObjectStore::new());
-        let svc = MetaService::new(Arc::new(ShardedKv::new()));
-        let ids = ChunkIdGenerator::deterministic(5, 5, 55);
-        let cfg = ChunkBuilderConfig { target_chunk_size: 2048, ..Default::default() };
-        let mut w = ChunkWriter::new(cfg, &ids).with_clock(|| 1);
-        for i in 0..files {
-            w.add_file(&format!("f{i:04}"), &[(i % 251) as u8; 300]).unwrap();
-        }
-        for sealed in w.finish() {
-            store.put(&chunk_object_key("ds", sealed.header.id), sealed.bytes.clone()).unwrap();
-            svc.ingest_chunk("ds", &sealed.header, sealed.bytes.len() as u64).unwrap();
-        }
-        let snap = svc.build_snapshot("ds").unwrap();
-        let metas = snap.files.iter().map(|f| (f.path.clone(), f.meta)).collect();
-        (store, metas, snap.chunks)
+        crate::task_cache::tests::dataset(files, 300, 2048)
+    }
+
+    fn expected(name: &str) -> Vec<u8> {
+        let i: usize = name[1..].parse().unwrap();
+        vec![(i % 251) as u8; 300]
+    }
+
+    /// The shared-memory cache the RPC front is compared against.
+    fn shared_memory_cache(
+        store: Arc<MemObjectStore>,
+        chunks: Vec<ChunkId>,
+        nodes: usize,
+    ) -> TaskCache<MemObjectStore> {
+        cache(store, chunks, nodes, 1 << 30, CachePolicy::OnDemand)
     }
 
     #[test]
@@ -581,8 +325,7 @@ mod tests {
         let (store, metas, chunks) = dataset(60);
         let rpc = RpcCache::spawn(3, "ds", store, chunks).unwrap();
         for (name, meta) in &metas {
-            let i: usize = name[1..].parse().unwrap();
-            assert_eq!(rpc.get_file(meta).unwrap().as_ref(), &vec![(i % 251) as u8; 300][..]);
+            assert_eq!(rpc.get_file(meta).unwrap().as_ref(), &expected(name)[..]);
         }
     }
 
@@ -590,16 +333,30 @@ mod tests {
     fn rpc_and_shared_memory_caches_agree() {
         let (store, metas, chunks) = dataset(50);
         let rpc = RpcCache::spawn(2, "ds", store.clone(), chunks.clone()).unwrap();
-        let shm = TaskCache::new(
-            Topology::uniform(2, 2).unwrap(),
-            store,
-            "ds",
-            chunks,
-            CacheConfig { capacity_bytes_per_node: 1 << 30, policy: CachePolicy::OnDemand },
-        )
-        .unwrap();
+        let shm = shared_memory_cache(store, chunks, 2);
         for (_, meta) in &metas {
             assert_eq!(rpc.get_file(meta).unwrap(), shm.get_file(meta).unwrap().data);
+        }
+    }
+
+    #[test]
+    fn reads_through_the_front_obey_the_cores_byte_budget() {
+        let (store, metas, chunks) = dataset(60);
+        let budget = 2 * chunks
+            .iter()
+            .map(|&c| {
+                store.size_of(&diesel_meta::recovery::chunk_object_key("ds", c)).unwrap() as u64
+            })
+            .max()
+            .unwrap();
+        let core = cache(store, chunks, 2, budget, CachePolicy::OnDemand);
+        let rpc = RpcCache::front(Arc::new(core), NetOptions::default());
+        for (name, meta) in &metas {
+            assert_eq!(rpc.get_file(meta).unwrap().as_ref(), &expected(name)[..]);
+        }
+        assert!(rpc.core().metrics().evictions() > 0, "~2 chunks per node cannot hold the set");
+        for node in 0..2 {
+            assert!(rpc.core().node_resident_bytes(node) <= budget);
         }
     }
 
@@ -654,19 +411,7 @@ mod tests {
             rpc.kill_node(node);
             let h = rpc.handle(node).unwrap();
             assert_eq!(h.node(), node);
-            assert_eq!(h.fetch_file(&metas[0].1).unwrap_err(), CacheError::NodeDown { node },);
-            assert_eq!(h.fetch_chunk(metas[0].1.chunk).unwrap_err(), CacheError::NodeDown { node },);
-        }
-    }
-
-    #[test]
-    fn fetch_chunk_returns_parseable_chunk() {
-        let (store, _, chunks) = dataset(40);
-        let rpc = RpcCache::spawn(2, "ds", store, chunks.clone()).unwrap();
-        for &c in &chunks {
-            let owner = rpc.partition().owner_of(c).unwrap();
-            let bytes = rpc.handle(owner).unwrap().fetch_chunk(c).unwrap();
-            diesel_chunk::ChunkReader::parse(&bytes).unwrap();
+            assert_eq!(h.fetch_file(&metas[0].1, 0).unwrap_err(), CacheError::NodeDown { node });
         }
     }
 
@@ -678,68 +423,7 @@ mod tests {
             rpc.get_file(&metas[0].1).unwrap();
             rpc.handle(0).unwrap()
         }; // rpc dropped here: threads joined
-        assert!(handle.fetch_file(&metas[0].1).is_err(), "dead peer must error");
-    }
-
-    #[test]
-    fn fetch_resident_never_touches_the_store() {
-        let (store, metas, chunks) = dataset(30);
-        let rpc = RpcCache::spawn(2, "ds", store, chunks.clone()).unwrap();
-        let chunk = metas[0].1.chunk;
-        let owner = rpc.partition().owner_of(chunk).unwrap();
-        let h = rpc.handle(owner).unwrap();
-        // Cold peer: resident-only fetch refuses rather than loading.
-        assert_eq!(h.fetch_resident(chunk).unwrap_err(), CacheError::NotResident { node: owner });
-        // Warm it through the normal read path, then the resident fetch
-        // serves from memory.
-        rpc.get_file(&metas[0].1).unwrap();
-        let bytes = h.fetch_resident(chunk).unwrap();
-        diesel_chunk::ChunkReader::parse(&bytes).unwrap();
-        // Evict drops the residency again.
-        h.evict(chunk).unwrap();
-        assert_eq!(h.fetch_resident(chunk).unwrap_err(), CacheError::NotResident { node: owner });
-    }
-
-    #[test]
-    fn install_respects_the_peer_byte_budget() {
-        // Regression: Install used to bypass the capacity policy, so a
-        // large rebalance could grow a peer's memory without bound.
-        let (store, _, chunks) = dataset(60);
-        assert!(chunks.len() >= 3, "need several chunks to thrash");
-        let sizes: Vec<u64> = chunks
-            .iter()
-            .map(|&c| store.size_of(&chunk_object_key("ds", c)).unwrap() as u64)
-            .collect();
-        let budget = sizes[0] + sizes[1]; // fits ~2 chunks
-        let peer = PeerServer::spawn_budgeted(0, "ds", store.clone(), budget);
-        let h = peer.handle();
-        // Ship every chunk in: the peer must keep at most the budget's
-        // worth resident, LRU-evicting the oldest installs.
-        for &c in &chunks {
-            let bytes = store.get(&chunk_object_key("ds", c)).unwrap();
-            h.install(c, bytes).unwrap();
-        }
-        let resident: Vec<&ChunkId> =
-            chunks.iter().filter(|&&c| h.fetch_resident(c).is_ok()).collect();
-        assert!(resident.len() < chunks.len(), "a bounded peer cannot hold everything");
-        let resident_bytes: u64 = resident
-            .iter()
-            .map(|&&c| store.size_of(&chunk_object_key("ds", c)).unwrap() as u64)
-            .sum();
-        assert!(resident_bytes <= budget, "resident {resident_bytes} exceeds budget {budget}");
-        // The most recently installed chunk survived (LRU, not random).
-        assert!(h.fetch_resident(*chunks.last().unwrap()).is_ok());
-        // Store loads obey the same budget: reads still work, memory
-        // still bounded.
-        for &c in &chunks {
-            h.fetch_chunk(c).unwrap();
-        }
-        let resident: u64 = chunks
-            .iter()
-            .filter(|&&c| h.fetch_resident(c).is_ok())
-            .map(|&c| store.size_of(&chunk_object_key("ds", c)).unwrap() as u64)
-            .sum();
-        assert!(resident <= budget);
+        assert!(handle.fetch_file(&metas[0].1, 0).is_err(), "dead peer must error");
     }
 
     #[test]
@@ -760,8 +444,7 @@ mod tests {
         assert_eq!(report.store_fallbacks, 0);
         // Reads still agree with the file contents from the new owners.
         for (name, meta) in &metas {
-            let i: usize = name[1..].parse().unwrap();
-            assert_eq!(rpc.get_file(meta).unwrap().as_ref(), &vec![(i % 251) as u8; 300][..]);
+            assert_eq!(rpc.get_file(meta).unwrap().as_ref(), &expected(name)[..]);
         }
         // Shrink back: the departing peers drain into the survivors.
         let report = rpc.resize(2).unwrap();
@@ -792,6 +475,94 @@ mod tests {
     }
 
     #[test]
+    fn stale_route_is_rejected_by_the_peer_and_rerouted_by_get_file() {
+        let (store, metas, chunks) = dataset(80);
+        let mut rpc = RpcCache::spawn(2, "ds", store, chunks).unwrap();
+        for (_, meta) in &metas {
+            rpc.get_file(meta).unwrap();
+        }
+        // Routes resolved before the resize…
+        let before = rpc.partition();
+        rpc.resize(4).unwrap();
+        let after = rpc.partition();
+        let (name, moved) = metas
+            .iter()
+            .find(|(_, m)| before.owner_of(m.chunk) != after.owner_of(m.chunk))
+            .expect("a doubling must move some chunk");
+        let old_owner = before.owner_of(moved.chunk).unwrap();
+        // …come back as a typed error from the peer thread itself: the
+        // old owner is still a live member, it just no longer owns the
+        // chunk — and an unmoved chunk's epoch-0 route is just as stale.
+        let stale = CacheError::StaleOwner { epoch: 1 };
+        assert_eq!(rpc.handle(old_owner).unwrap().fetch_file(moved, 0).unwrap_err(), stale);
+        let (_, kept) = metas
+            .iter()
+            .find(|(_, m)| before.owner_of(m.chunk) == after.owner_of(m.chunk))
+            .expect("a doubling keeps some chunk in place");
+        let kept_owner = after.owner_of(kept.chunk).unwrap();
+        assert_eq!(rpc.handle(kept_owner).unwrap().fetch_file(kept, 0).unwrap_err(), stale);
+        assert_eq!(rpc.core().metrics().stale_owner_retries(), 2);
+        // The self-resolving read routes under the current epoch.
+        assert_eq!(rpc.get_file(moved).unwrap().as_ref(), &expected(name)[..]);
+        assert!(rpc.handle(kept_owner).unwrap().fetch_file(kept, 1).is_ok());
+    }
+
+    #[test]
+    fn stale_route_retry_is_bounded() {
+        let stale = || Err::<(), _>(CacheError::StaleOwner { epoch: 9 });
+        let mut calls = 0;
+        let healed = retry_stale(|| {
+            calls += 1;
+            if calls < 3 {
+                stale()
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!((healed, calls), (Ok(()), 3), "two re-resolutions are absorbed");
+        let mut calls = 0;
+        let churning = retry_stale(|| {
+            calls += 1;
+            stale()
+        });
+        assert_eq!((churning, calls), (stale(), 3), "the third stale answer surfaces");
+    }
+
+    #[test]
+    fn failed_resize_is_repaired_by_calling_it_again() {
+        let (mem, metas, chunks) = dataset(60);
+        let store = Arc::new(TogglingStore::new(mem));
+        let mut rpc = RpcCache::spawn(2, "ds", Arc::clone(&store), chunks.clone()).unwrap();
+        // Warm half the chunks so the failing sweep is mixed: warm
+        // moves succeed from memory, cold moves hit the dead store.
+        let warm: std::collections::HashSet<ChunkId> =
+            chunks.iter().copied().take(chunks.len() / 2).collect();
+        for (_, meta) in metas.iter().filter(|(_, m)| warm.contains(&m.chunk)) {
+            rpc.get_file(meta).unwrap();
+        }
+        store.set_fail(true);
+        let err = rpc.resize(4).expect_err("cold fallbacks must surface the store outage");
+        assert!(matches!(err, CacheError::Backing(_)), "got {err:?}");
+        // The core installed the epoch and the front followed it: the
+        // joiners have live peers, nothing is half-spawned.
+        assert_eq!(rpc.epoch(), 1);
+        let open = rpc.core().pending_handoffs();
+        assert!(open > 0, "a failed sweep leaves its unfinished windows open");
+        for node in 0..4 {
+            assert!(rpc.handle(node).is_ok(), "member {node} must have a peer");
+        }
+        store.set_fail(false);
+        let report = rpc.resize(4).unwrap();
+        assert_eq!(report.epoch, 1, "repair does not bump the epoch");
+        assert_eq!(report.chunks_moved as usize, open, "repair covers exactly the open windows");
+        assert_eq!(rpc.core().pending_handoffs(), 0);
+        assert!(rpc.core().resident_fraction() <= 1.0 + 1e-9, "no half-installed leftovers");
+        for (name, meta) in &metas {
+            assert_eq!(rpc.get_file(meta).unwrap().as_ref(), &expected(name)[..]);
+        }
+    }
+
+    #[test]
     fn dropped_requests_escalate_to_node_down_after_retries() {
         // End-to-end fault path: every request to node 0 is dropped →
         // each attempt times out on the mock clock → the retry layer
@@ -804,11 +575,11 @@ mod tests {
             retry: RetryPolicy::default(), // 3 attempts
             clock: clock.clone(),
             fault_node: Some((0, FaultPolicy::drops(21, 1.0, 5_000_000))),
-            ..NetOptions::default()
         };
         let rpc = RpcCache::spawn_with(2, "ds", store, chunks, opts).unwrap();
+        let partition = rpc.partition();
         let (of_node0, of_node1): (Vec<_>, Vec<_>) =
-            metas.iter().partition(|(_, m)| rpc.partition().owner_of(m.chunk).unwrap() == 0);
+            metas.iter().partition(|(_, m)| partition.owner_of(m.chunk).unwrap() == 0);
         assert!(!of_node0.is_empty() && !of_node1.is_empty());
 
         // Node 0's partition fails with its own node id after retries.
@@ -842,17 +613,9 @@ mod tests {
             retry: RetryPolicy { max_attempts: 5, ..Default::default() },
             clock: clock.clone(),
             fault_node: Some((0, FaultPolicy::drops(7, 0.4, 1_000_000))),
-            ..NetOptions::default()
         };
         let rpc = RpcCache::spawn_with(2, "ds", store.clone(), chunks.clone(), opts).unwrap();
-        let shm = TaskCache::new(
-            Topology::uniform(2, 2).unwrap(),
-            store,
-            "ds",
-            chunks,
-            CacheConfig { capacity_bytes_per_node: 1 << 30, policy: CachePolicy::OnDemand },
-        )
-        .unwrap();
+        let shm = shared_memory_cache(store, chunks, 2);
         for (_, meta) in &metas {
             assert_eq!(rpc.get_file(meta).unwrap(), shm.get_file(meta).unwrap().data);
         }
@@ -867,14 +630,7 @@ mod tests {
         // NodeDown{node} and keep serving the rest identically.
         let (store, metas, chunks) = dataset(60);
         let mut rpc = RpcCache::spawn(3, "ds", store.clone(), chunks.clone()).unwrap();
-        let shm = TaskCache::new(
-            Topology::uniform(3, 2).unwrap(),
-            store,
-            "ds",
-            chunks,
-            CacheConfig { capacity_bytes_per_node: 1 << 30, policy: CachePolicy::OnDemand },
-        )
-        .unwrap();
+        let shm = shared_memory_cache(store, chunks, 3);
         rpc.kill_node(2);
         shm.kill_node(2);
         for (_, meta) in &metas {

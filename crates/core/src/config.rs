@@ -256,7 +256,12 @@ mod tests {
             let c = c.clone();
             std::thread::spawn(move || c.watch("k", rev, Duration::from_secs(3600)))
         };
-        clock.advance(3600 * 1_000_000_000 + 1);
+        // The watcher fixes its deadline when its thread first runs,
+        // which may be after an advance: keep advancing until it is out.
+        while !watcher.is_finished() {
+            clock.advance(3600 * 1_000_000_000 + 1);
+            std::thread::yield_now();
+        }
         assert!(watcher.join().unwrap().is_none(), "virtual deadline must expire");
     }
 

@@ -19,7 +19,7 @@ use diesel_util::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::{Bytes, ObjectStore, Result, StoreError};
+use crate::{Bytes, ObjectStore, Result};
 
 /// Handles into the registry for the tiered read path.
 #[derive(Debug, Clone)]
@@ -306,12 +306,6 @@ impl<F: ObjectStore, S: ObjectStore> std::fmt::Debug for TieredStore<F, S> {
     }
 }
 
-// Propagate NotFound cleanly when the slow tier misses.
-#[allow(dead_code)]
-fn _not_found(key: &str) -> StoreError {
-    StoreError::NotFound(key.to_owned())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,7 +382,7 @@ mod tests {
     #[test]
     fn miss_errors_propagate() {
         let t = tiered(10);
-        assert!(matches!(t.get("nope"), Err(StoreError::NotFound(_))));
+        assert!(matches!(t.get("nope"), Err(crate::StoreError::NotFound(_))));
     }
 
     #[test]
