@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use diesel_bench::report::fmt_count;
 use diesel_bench::Table;
-use diesel_chunk::{ChunkBuilderConfig, ChunkIdGenerator, ChunkReader, ChunkWriter};
+use diesel_chunk::{ChunkBuilderConfig, ChunkIdGenerator, ChunkView, ChunkWriter};
 use diesel_kv::ShardedKv;
 use diesel_meta::{recover_full, MetaService};
 use diesel_store::model::DeviceModel;
@@ -55,7 +55,7 @@ fn main() {
         let store = MemObjectStore::new();
         let svc = MetaService::new(Arc::new(ShardedKv::new()));
         for c in &sealed {
-            ChunkReader::parse(&c.bytes).unwrap();
+            ChunkView::parse(c.bytes.clone()).unwrap();
             store
                 .put(&diesel_meta::recovery::chunk_object_key("ds", c.header.id), c.bytes.clone())
                 .unwrap();

@@ -4,7 +4,7 @@
 //! pointer-handoff cheap, so this bench pins the hot payload path with
 //! five fixed measurements:
 //!
-//! * `chunk_parse_ns` — [`ChunkReader::parse`] over a ~1000-file chunk
+//! * `chunk_parse_ns` — [`ChunkView::parse`] over a ~1000-file chunk
 //! * `cache_hit_read_ns` — [`TaskCache::get_file`] on a fully prefetched
 //!   cache (the zero-copy fast path)
 //! * `merged_read_us_per_file` — `client.get_many` through the server's
@@ -14,8 +14,11 @@
 //! * `kv_put_ns` / `kv_get_ns` — [`ShardedKv`] point ops
 //!
 //! plus tracer-derived span means (`span_cache_get_hit_us`,
-//! `span_loader_fetch_us`) from one traced cache-hit epoch, so the PR 5
+//! `span_loader_fetch_us`) from traced cache-hit epochs, so the PR 5
 //! tracer's view of the read path is recorded alongside the wall times.
+//! Every key is a best-of over repetitions: the epochs here last a
+//! fraction of a millisecond, and a single one measures the host's
+//! scheduler as much as the code.
 //!
 //! Results land in the [`diesel_bench::ledger`] file `BENCH_6.json`
 //! (`baseline` holds the pre-refactor numbers); `--check` ratchets every
@@ -26,7 +29,7 @@ use std::time::Instant;
 
 use diesel_bench::ledger::Ledger;
 use diesel_cache::{CacheConfig, CachePolicy, TaskCache, Topology};
-use diesel_chunk::{ChunkBuilderConfig, ChunkIdGenerator, ChunkReader, ChunkWriter};
+use diesel_chunk::{ChunkBuilderConfig, ChunkIdGenerator, ChunkView, ChunkWriter};
 use diesel_core::{ClientConfig, DieselClient, DieselServer};
 use diesel_kv::{KvStore, ShardedKv};
 use diesel_meta::FileMeta;
@@ -65,8 +68,8 @@ fn chunk_parse_ns() -> f64 {
     assert_eq!(sealed.len(), 1, "suite expects one chunk");
     let bytes = &sealed[0].bytes;
     best_ns_per_iter(3, 500, || {
-        let r = ChunkReader::parse(bytes).unwrap();
-        assert_eq!(r.header().files.len(), 1000);
+        let v = ChunkView::parse(bytes.clone()).unwrap();
+        assert_eq!(v.file_count(), 1000);
     })
 }
 
@@ -161,7 +164,7 @@ fn loader_epoch_ms() -> f64 {
     client.enable_shuffle(ShuffleKind::ChunkWise { group_size: 2 });
     client.attach_cache(prefetched_cache(&server));
     let loader = DataLoader::new(Arc::new(client), BATCH, SEED);
-    best_ns_per_iter(3, 2, || {
+    best_ns_per_iter(7, 2, || {
         for batch in loader.epoch_iter(0).expect("epoch") {
             batch.expect("batch");
         }
@@ -177,8 +180,8 @@ fn span_mean_us(spans: &[Span], pick: impl Fn(&Span) -> bool) -> f64 {
     durs.iter().sum::<u64>() as f64 / durs.len() as f64 / 1e3
 }
 
-/// One traced cache-hit epoch; returns (cache.get{outcome=hit} mean µs,
-/// loader.fetch mean µs).
+/// Traced cache-hit epochs; returns the best-of-7 per-epoch
+/// (cache.get{outcome=hit} mean µs, loader.fetch mean µs).
 fn traced_span_means() -> (f64, f64) {
     let (server, client) = stack();
     let tracer = Tracer::enabled(server.registry());
@@ -186,17 +189,22 @@ fn traced_span_means() -> (f64, f64) {
     client.attach_cache(prefetched_cache(&server));
     let client = client.with_tracer(tracer.clone());
     let loader = DataLoader::new(Arc::new(client), BATCH, SEED).with_tracer(tracer.clone());
-    tracer.drain(); // spans from the epoch only
-    for batch in loader.epoch_iter(0).expect("epoch") {
-        batch.expect("batch");
+    tracer.drain(); // spans from the epochs only
+    let (mut best_hit, mut best_fetch) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..7 {
+        for batch in loader.epoch_iter(0).expect("epoch") {
+            batch.expect("batch");
+        }
+        let spans = tracer.drain();
+        let hit = span_mean_us(&spans, |s| {
+            s.name == "cache.get" && s.labels.iter().any(|(k, v)| k == "outcome" && v == "hit")
+        });
+        let fetch = span_mean_us(&spans, |s| s.name == "loader.fetch");
+        assert!(fetch > 0.0, "traced epoch must produce loader.fetch spans");
+        best_hit = best_hit.min(hit);
+        best_fetch = best_fetch.min(fetch);
     }
-    let spans = tracer.drain();
-    let hit = span_mean_us(&spans, |s| {
-        s.name == "cache.get" && s.labels.iter().any(|(k, v)| k == "outcome" && v == "hit")
-    });
-    let fetch = span_mean_us(&spans, |s| s.name == "loader.fetch");
-    assert!(fetch > 0.0, "traced epoch must produce loader.fetch spans");
-    (hit, fetch)
+    (best_hit, best_fetch)
 }
 
 fn main() {

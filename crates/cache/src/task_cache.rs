@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use diesel_chunk::{ChunkHeader, ChunkId, ChunkView};
+use diesel_chunk::{ChunkId, ChunkView};
 use diesel_meta::recovery::chunk_object_key;
 use diesel_meta::FileMeta;
 use diesel_store::{Bytes, ObjectStore};
@@ -1019,11 +1019,9 @@ impl<S: ObjectStore> TaskCache<S> {
             };
             self.backing.get(&key).map_err(|e| CacheError::Backing(e.to_string()))?
         };
-        // Decode the header once per load; the view reuses it for every
-        // read served from this residency.
-        let header = ChunkHeader::decode(&bytes).map_err(|e| CacheError::Corrupt(e.to_string()))?;
-        let view =
-            ChunkView::from_parts(bytes, header).map_err(|e| CacheError::Corrupt(e.to_string()))?;
+        // Parse once per load; the view serves every read from this
+        // residency off the decoded header.
+        let view = ChunkView::parse(bytes).map_err(|e| CacheError::Corrupt(e.to_string()))?;
         if self.verify_on_load.load(Ordering::Acquire) {
             let bad = view.verify_all();
             if !bad.is_empty() {
@@ -1367,9 +1365,17 @@ pub(crate) mod tests {
     fn corrupt_meta_range_rejected() {
         let (store, metas, chunks) = dataset(4, 64, 4096);
         let c = cache(store, chunks, 1, 1 << 30, CachePolicy::OnDemand);
-        let mut meta = metas[0].1;
-        meta.length = 1 << 30;
-        assert!(matches!(c.get_file(&meta), Err(CacheError::Corrupt(_))));
+        // Metadata comes from a snapshot loaded off disk: out-of-range
+        // and overflowing ranges are typed errors on miss and on hit,
+        // never a panic and never bytes from outside the payload.
+        for (offset, length) in
+            [(metas[0].1.offset, 1 << 30), (u64::MAX, 1), (u64::MAX, u64::MAX), (1, u64::MAX)]
+        {
+            let meta = FileMeta { offset, length, ..metas[0].1 };
+            let got = c.get_file(&meta);
+            assert!(matches!(got, Err(CacheError::Corrupt(_))), "{offset}+{length}: {got:?}");
+        }
+        assert_eq!(c.get_file(&metas[0].1).unwrap().data, vec![0u8; 64]);
     }
 
     #[test]

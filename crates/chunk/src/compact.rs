@@ -9,7 +9,7 @@
 use crate::builder::ChunkBuilder;
 use crate::format::ChunkHeader;
 use crate::id::ChunkIdGenerator;
-use crate::reader::ChunkReader;
+use crate::view::ChunkView;
 use crate::{ChunkBuilderConfig, Result};
 
 /// Statistics from one compaction.
@@ -32,12 +32,11 @@ pub struct CompactionStats {
 /// the object instead of storing it; the empty chunk is still returned so
 /// the decision stays with the caller.
 pub fn compact_chunk(
-    chunk: &[u8],
+    chunk: &ChunkView,
     ids: &ChunkIdGenerator,
     updated_ms: u64,
 ) -> Result<Option<(ChunkHeader, Vec<u8>, CompactionStats)>> {
-    let reader = ChunkReader::parse(chunk)?;
-    let header = reader.header();
+    let header = chunk.header();
     let dropped = header.deleted_count();
     if dropped == 0 {
         return Ok(None);
@@ -52,7 +51,7 @@ pub fn compact_chunk(
         if header.bitmap.is_deleted(i) {
             reclaimed += f.length;
         } else {
-            builder.add_file(&f.name, reader.read_file_at(i)?)?;
+            builder.add_file(&f.name, &chunk.read_file_at(i)?)?;
         }
     }
     let live = builder.file_count();
@@ -105,15 +104,19 @@ mod tests {
         b.seal(gen().next_id(), 1).1
     }
 
+    fn view(chunk: Vec<u8>) -> ChunkView {
+        ChunkView::parse(chunk.into()).unwrap()
+    }
+
     #[test]
     fn mark_deleted_flips_bitmap_only() {
         let mut chunk = chunk_with(&[("a", b"111"), ("b", b"222")]);
         let before_len = chunk.len();
         assert!(mark_deleted(&mut chunk, "a").unwrap());
         assert_eq!(chunk.len(), before_len);
-        let r = ChunkReader::parse(&chunk).unwrap();
-        assert!(matches!(r.read_file("a"), Err(crate::ChunkError::FileDeleted(_))));
-        assert_eq!(r.read_file("b").unwrap(), b"222");
+        let v = view(chunk.clone());
+        assert!(matches!(v.read_file("a"), Err(crate::ChunkError::FileDeleted(_))));
+        assert_eq!(v.read_file("b").unwrap(), b"222"[..]);
         // Deleting again or deleting a missing file is a no-op.
         assert!(!mark_deleted(&mut chunk, "a").unwrap());
         assert!(!mark_deleted(&mut chunk, "zz").unwrap());
@@ -124,24 +127,30 @@ mod tests {
         let mut chunk = chunk_with(&[("a", b"aaaa"), ("b", b"bbbbbbbb"), ("c", b"cc")]);
         mark_deleted(&mut chunk, "b").unwrap();
         let ids = gen();
-        let (header, bytes, stats) = compact_chunk(&chunk, &ids, 99).unwrap().unwrap();
+        let chunk_len = chunk.len();
+        let (header, bytes, stats) = compact_chunk(&view(chunk), &ids, 99).unwrap().unwrap();
         assert_eq!(stats.live_files, 2);
         assert_eq!(stats.dropped_files, 1);
         assert_eq!(stats.reclaimed_bytes, 8);
         assert_eq!(header.updated_ms, 99);
         assert_eq!(header.deleted_count(), 0);
-        let r = ChunkReader::parse(&bytes).unwrap();
-        assert_eq!(r.read_file("a").unwrap(), b"aaaa");
-        assert_eq!(r.read_file("c").unwrap(), b"cc");
-        assert!(r.read_file("b").is_err());
-        assert!(bytes.len() < chunk.len());
+        assert!(bytes.len() < chunk_len);
+        // The output is itself a well-formed chunk holding exactly the
+        // live files, and compacting it again is a no-op.
+        let out = view(bytes);
+        assert_eq!(out.header(), &header);
+        assert!(out.verify_all().is_empty());
+        assert_eq!(out.read_file("a").unwrap(), b"aaaa"[..]);
+        assert_eq!(out.read_file("c").unwrap(), b"cc"[..]);
+        assert!(matches!(out.read_file("b"), Err(crate::ChunkError::NoSuchFile(_))));
+        assert!(compact_chunk(&out, &ids, 100).unwrap().is_none());
     }
 
     #[test]
     fn compact_noop_without_deletions() {
         let chunk = chunk_with(&[("a", b"x")]);
         let ids = gen();
-        assert!(compact_chunk(&chunk, &ids, 1).unwrap().is_none());
+        assert!(compact_chunk(&view(chunk), &ids, 1).unwrap().is_none());
     }
 
     #[test]
@@ -150,10 +159,10 @@ mod tests {
         mark_deleted(&mut chunk, "a").unwrap();
         mark_deleted(&mut chunk, "b").unwrap();
         let ids = gen();
-        let (header, bytes, stats) = compact_chunk(&chunk, &ids, 1).unwrap().unwrap();
+        let (header, bytes, stats) = compact_chunk(&view(chunk), &ids, 1).unwrap().unwrap();
         assert_eq!(stats.live_files, 0);
         assert_eq!(header.file_count(), 0);
-        ChunkReader::parse(&bytes).unwrap();
+        assert_eq!(view(bytes).file_count(), 0);
     }
 
     #[test]
@@ -164,7 +173,7 @@ mod tests {
         b.add_file("b", b"2").unwrap();
         let (orig_header, mut chunk) = b.seal(ids.next_id(), 1);
         mark_deleted(&mut chunk, "a").unwrap();
-        let (new_header, _, _) = compact_chunk(&chunk, &ids, 2).unwrap().unwrap();
+        let (new_header, _, _) = compact_chunk(&view(chunk), &ids, 2).unwrap().unwrap();
         assert!(new_header.id > orig_header.id, "compaction must sort later for recovery");
     }
 }

@@ -33,13 +33,18 @@ pub const CHUNK_MAGIC: [u8; 4] = *b"DSLC";
 pub const FORMAT_VERSION: u16 = 1;
 /// Byte offset of the fixed part described above.
 pub const FIXED_HEADER_LEN: usize = 54;
+/// Length of the chunk prefix that ends with the header-length field —
+/// what a reader must fetch before [`ChunkHeader::peek_header_len`] can
+/// tell it where the payload starts.
+pub const HEADER_LEN_PREFIX: usize = 10;
 
-/// Byte offset of the file table within an encoded header: the fixed
-/// header followed by the deletion bitmap for `file_count` files. Other
-/// modules use this instead of touching the layout constants directly
-/// (format-hygiene rule R4).
-pub fn file_table_offset(file_count: usize) -> usize {
-    FIXED_HEADER_LEN + crate::bitmap::DeletionBitmap::wire_len(file_count)
+/// Fixed-width read at `at`. Every offset `decode` passes is pre-checked
+/// against the lengths, but a typed error beats a panic if that
+/// invariant ever slips (panic-freedom rule R1).
+fn fixed<const N: usize>(data: &[u8], at: usize) -> Result<[u8; N]> {
+    data.get(at..at + N)
+        .and_then(|s| s.try_into().ok())
+        .ok_or(ChunkError::Truncated { need: at + N, have: data.len() })
 }
 
 /// Metadata of one file stored inside a chunk.
@@ -97,7 +102,9 @@ impl ChunkHeader {
 
     /// Serialized wire length of a header with these files.
     pub fn wire_len(files: &[FileEntry]) -> usize {
-        file_table_offset(files.len()) + files.iter().map(FileEntry::wire_len).sum::<usize>()
+        FIXED_HEADER_LEN
+            + DeletionBitmap::wire_len(files.len())
+            + files.iter().map(FileEntry::wire_len).sum::<usize>()
     }
 
     /// Encode this header into `out` (which should be empty). `header_len`
@@ -128,29 +135,28 @@ impl ChunkHeader {
         out[crc_pos..crc_pos + 4].copy_from_slice(&crc.to_le_bytes());
     }
 
+    /// Read only the header length (== payload start offset) from the
+    /// first [`HEADER_LEN_PREFIX`] bytes of a chunk, checking the magic —
+    /// how a ranged reader finds the payload without fetching the header.
+    pub fn peek_header_len(prefix: &[u8]) -> Result<u32> {
+        if fixed::<4>(prefix, 0)? != CHUNK_MAGIC {
+            return Err(ChunkError::BadMagic);
+        }
+        Ok(u32::from_le_bytes(fixed(prefix, 6)?))
+    }
+
     /// Decode a header from the front of `data` (a whole chunk or at least
     /// its header bytes). Verifies magic, version, structural bounds, the
     /// header CRC and the bitmap/deleted-count consistency.
     pub fn decode(data: &[u8]) -> Result<ChunkHeader> {
-        // Fixed-width read at `at`. Every offset below is pre-checked
-        // against the lengths, but a typed error beats a panic if that
-        // invariant ever slips (panic-freedom rule R1).
-        fn fixed<const N: usize>(data: &[u8], at: usize) -> Result<[u8; N]> {
-            data.get(at..at + N)
-                .and_then(|s| s.try_into().ok())
-                .ok_or(ChunkError::Truncated { need: at + N, have: data.len() })
-        }
         if data.len() < FIXED_HEADER_LEN {
             return Err(ChunkError::Truncated { need: FIXED_HEADER_LEN, have: data.len() });
         }
-        if data[0..4] != CHUNK_MAGIC {
-            return Err(ChunkError::BadMagic);
-        }
+        let hlen = Self::peek_header_len(data)? as usize;
         let version = u16::from_le_bytes(fixed(data, 4)?);
         if version > FORMAT_VERSION {
             return Err(ChunkError::UnsupportedVersion(version));
         }
-        let hlen = u32::from_le_bytes(fixed(data, 6)?) as usize;
         if hlen < FIXED_HEADER_LEN {
             return Err(ChunkError::Truncated { need: FIXED_HEADER_LEN, have: hlen });
         }
@@ -243,6 +249,7 @@ mod tests {
         let mut buf = Vec::new();
         h.encode(&mut buf);
         assert_eq!(buf.len(), h.header_len as usize);
+        assert_eq!(ChunkHeader::peek_header_len(&buf[..HEADER_LEN_PREFIX]), Ok(h.header_len));
         let back = ChunkHeader::decode(&buf).unwrap();
         assert_eq!(back, h);
         assert_eq!(back.deleted_count(), 1);
@@ -256,6 +263,7 @@ mod tests {
         h.encode(&mut buf);
         buf[0] = b'X';
         assert_eq!(ChunkHeader::decode(&buf), Err(ChunkError::BadMagic));
+        assert_eq!(ChunkHeader::peek_header_len(&buf), Err(ChunkError::BadMagic));
     }
 
     #[test]
@@ -289,6 +297,10 @@ mod tests {
         for cut in [0, 4, 13, FIXED_HEADER_LEN, buf.len() - 1] {
             let res = ChunkHeader::decode(&buf[..cut]);
             assert!(res.is_err(), "cut at {cut} must fail");
+            if cut < HEADER_LEN_PREFIX {
+                let peek = ChunkHeader::peek_header_len(&buf[..cut]);
+                assert!(matches!(peek, Err(ChunkError::Truncated { .. })), "peek at {cut}");
+            }
         }
     }
 

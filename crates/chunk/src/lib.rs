@@ -15,12 +15,12 @@
 //!   lexicographically sorting encoded IDs sorts chunks by creation time.
 //! * [`ChunkBuilder`] — packs small files into a chunk until a target size
 //!   (default 4 MB) is reached.
-//! * [`ChunkReader`] — zero-copy parsing of a chunk: iterate files, extract
-//!   one file, verify per-file CRC32 checksums.
-//! * [`ChunkView`] — the owned counterpart over a shared
-//!   [`diesel_util::Bytes`] buffer: file/range reads are `Bytes`
-//!   sub-slices of the chunk's single allocation, which is what the
-//!   caching layers hand to trainers (DESIGN.md §11, payload plane).
+//! * [`ChunkView`] — the chunk parser: an owned view over a shared
+//!   [`diesel_util::Bytes`] buffer plus its decoded header. Iterate
+//!   files, extract one file, verify per-file CRC32 checksums;
+//!   file/range reads are `Bytes` sub-slices of the chunk's single
+//!   allocation, which is what the caching layers hand to trainers
+//!   (DESIGN.md §11, payload plane).
 //! * [`DeletionBitmap`] — tracks logically deleted files inside a chunk;
 //!   [`compact`](compact::compact_chunk) rewrites a chunk without its holes
 //!   (the `DL_purge` housekeeping function of §5).
@@ -33,7 +33,6 @@ pub mod compact;
 pub mod crc;
 pub mod format;
 pub mod id;
-pub mod reader;
 pub mod view;
 
 pub use bitmap::DeletionBitmap;
@@ -42,7 +41,6 @@ pub use compact::{compact_chunk, mark_deleted, CompactionStats};
 // diesel-lint: allow(R4) crate-root re-export: external header tools name the constants via here
 pub use format::{ChunkHeader, FileEntry, CHUNK_MAGIC, FORMAT_VERSION};
 pub use id::{ChunkId, ChunkIdGenerator, MachineId};
-pub use reader::ChunkReader;
 pub use view::ChunkView;
 
 /// Default target chunk size used throughout DIESEL (§4: "files are

@@ -1,20 +1,14 @@
-//! An owned, zero-copy view over one sealed chunk.
+//! The chunk parser: an owned, zero-copy view over one sealed chunk.
 //!
-//! [`ChunkReader`](crate::ChunkReader) borrows the raw buffer and hands
-//! out `&[u8]` — perfect for parse/verify, useless for a cache that
-//! must return payloads outliving any borrow. [`ChunkView`] is the
-//! owned counterpart for the payload plane: it wraps the chunk's
-//! [`Bytes`] and every file/range read is a refcount bump plus offset
-//! arithmetic, yielding `Bytes` sub-slices that share the chunk's one
-//! allocation. A cache hit is therefore pointer handoff, never memcpy —
-//! the invariant the `bytes.copied{site=…}` ledger asserts.
+//! [`ChunkView`] wraps the chunk's [`Bytes`] plus its decoded header,
+//! and every file/range read is a refcount bump plus offset arithmetic,
+//! yielding `Bytes` sub-slices that share the chunk's one allocation. A
+//! cache hit is therefore pointer handoff, never memcpy — the invariant
+//! the `bytes.copied{site=…}` ledger asserts.
 //!
-//! Semantics mirror `ChunkReader` method-for-method (same errors, same
-//! CRC and deletion checks, same range clamping); a proptest below
-//! holds the two byte-identical and checks the returned slices really
-//! share the parent allocation.
-
-use std::collections::HashMap;
+//! Reads by name scan the header's file table; the serving paths never
+//! do that — they slice by [`ChunkView::slice_payload`] from offsets
+//! they already hold in metadata.
 
 use diesel_util::Bytes;
 
@@ -26,32 +20,23 @@ use crate::{ChunkError, Result};
 pub struct ChunkView {
     bytes: Bytes,
     header: ChunkHeader,
-    by_name: HashMap<String, usize>,
 }
 
 impl ChunkView {
     /// Parse a chunk buffer. Verifies header integrity and that the
-    /// payload is fully present — the same contract as
-    /// [`ChunkReader::parse`](crate::ChunkReader::parse), without
-    /// copying any payload bytes.
+    /// payload is fully present, without copying any payload bytes.
     pub fn parse(bytes: Bytes) -> Result<Self> {
         let header = ChunkHeader::decode(&bytes)?;
-        Self::from_parts(bytes, header)
-    }
-
-    /// Build a view from a buffer and its already-decoded header
-    /// (callers like the task cache decode the header once on load and
-    /// must not pay for a second decode per view).
-    pub fn from_parts(bytes: Bytes, header: ChunkHeader) -> Result<Self> {
-        let need = header.header_len as usize + header.payload_len as usize;
-        if bytes.len() < need {
-            return Err(ChunkError::Truncated { need, have: bytes.len() });
+        let need = u64::from(header.header_len)
+            .checked_add(header.payload_len)
+            .and_then(|n| usize::try_from(n).ok());
+        if need.is_none_or(|n| bytes.len() < n) {
+            return Err(ChunkError::Truncated {
+                need: need.unwrap_or(usize::MAX),
+                have: bytes.len(),
+            });
         }
-        // The name map owns `String` keys cloned from the decoded
-        // header — a one-time metadata allocation per chunk load, not a
-        // payload copy (payload bytes are never touched).
-        let by_name = header.files.iter().enumerate().map(|(i, f)| (f.name.clone(), i)).collect();
-        Ok(ChunkView { bytes, header, by_name })
+        Ok(ChunkView { bytes, header })
     }
 
     /// The decoded header.
@@ -82,20 +67,27 @@ impl ChunkView {
 
     /// Find a file's index by exact name, whether live or deleted.
     pub fn find(&self, name: &str) -> Option<usize> {
-        self.by_name.get(name).copied()
+        self.header.files.iter().position(|f| f.name == name)
     }
 
     /// Slice `offset ‖ length` out of the payload region — the
     /// `FileMeta`-driven read the task cache serves hits from. Bounds
     /// are checked against the payload, not trusted from the caller.
     pub fn slice_payload(&self, offset: u64, length: u64) -> Result<Bytes> {
-        let start = self.header.header_len as usize + offset as usize;
-        let end = start + length as usize;
-        let payload_end = self.header.header_len as usize + self.header.payload_len as usize;
-        if end > payload_end {
-            return Err(ChunkError::Truncated { need: end, have: payload_end });
+        // `parse` proved `header_len + payload_len` fits the buffer, so
+        // once `end` is inside the payload the casts below are exact.
+        let base = self.header.header_len as usize;
+        match offset.checked_add(length) {
+            Some(end) if end <= self.header.payload_len => {
+                Ok(self.bytes.slice(base + offset as usize..base + end as usize))
+            }
+            _ => Err(ChunkError::Truncated {
+                need: usize::try_from(offset.saturating_add(length))
+                    .unwrap_or(usize::MAX)
+                    .saturating_add(base),
+                have: self.header.chunk_len(),
+            }),
         }
-        Ok(self.bytes.slice(start..end))
     }
 
     /// The content of the file at `idx` without checksum verification.
@@ -135,7 +127,7 @@ impl ChunkView {
         }
         let whole = self.file_bytes(idx)?;
         let start = (offset as usize).min(whole.len());
-        let end = (start + len).min(whole.len());
+        let end = start.saturating_add(len).min(whole.len());
         Ok(whole.slice(start..end))
     }
 
@@ -165,8 +157,8 @@ impl ChunkView {
 mod tests {
     use super::*;
     use crate::builder::ChunkBuilder;
+    use crate::compact::mark_deleted;
     use crate::id::ChunkIdGenerator;
-    use crate::reader::ChunkReader;
     use proptest::prelude::*;
 
     fn build(files: &[(&str, &[u8])]) -> Bytes {
@@ -179,7 +171,7 @@ mod tests {
     }
 
     #[test]
-    fn reads_match_reader_and_share_the_allocation() {
+    fn reads_by_name_and_index_share_the_allocation() {
         let bytes = build(&[("a", b"one"), ("b/c", b"two"), ("d", b"three")]);
         let v = ChunkView::parse(bytes.clone()).unwrap();
         let got = v.read_file("b/c").unwrap();
@@ -192,27 +184,45 @@ mod tests {
     }
 
     #[test]
-    fn range_reads_clamp_like_reader() {
+    fn range_reads_clamp_to_the_file() {
         let bytes = build(&[("f", b"0123456789")]);
         let v = ChunkView::parse(bytes.clone()).unwrap();
         assert_eq!(v.read_file_range("f", 2, 3).unwrap(), b"234"[..]);
         assert_eq!(v.read_file_range("f", 8, 100).unwrap(), b"89"[..]);
         assert_eq!(v.read_file_range("f", 100, 5).unwrap(), b""[..]);
+        assert_eq!(v.read_file_range("f", 4, usize::MAX).unwrap(), b"456789"[..]);
         assert!(v.read_file_range("f", 2, 3).unwrap().shares_allocation(&bytes));
     }
 
     #[test]
-    fn corruption_and_truncation_mirror_reader() {
+    fn payload_corruption_detected_by_crc() {
         let mut raw = build(&[("f", b"sensitive-data")]).into_vec();
         let n = raw.len();
         raw[n - 2] ^= 0x01;
-        let v = ChunkView::parse(Bytes::from(raw.clone())).unwrap();
+        let v = ChunkView::parse(Bytes::from(raw)).unwrap();
         assert!(matches!(v.read_file("f"), Err(ChunkError::ChecksumMismatch { .. })));
         assert_eq!(v.verify_all(), vec!["f".to_string()]);
+    }
+
+    #[test]
+    fn truncated_payload_rejected_at_parse() {
+        let bytes = build(&[("f", b"0123456789")]);
         assert!(matches!(
-            ChunkView::parse(Bytes::from(raw[..n - 4].to_vec())),
+            ChunkView::parse(bytes.slice(..bytes.len() - 4)),
             Err(ChunkError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn iter_files_reports_live_flags() {
+        let mut raw = build(&[("a", b"1"), ("b", b"2")]).into_vec();
+        let live = |raw: &[u8]| -> Vec<bool> {
+            let v = ChunkView::parse(Bytes::from(raw.to_vec())).unwrap();
+            v.iter_files().map(|(_, live, _)| live).collect()
+        };
+        assert_eq!(live(&raw), vec![true, true]);
+        assert!(mark_deleted(&mut raw, "a").unwrap());
+        assert_eq!(live(&raw), vec![false, true]);
     }
 
     #[test]
@@ -222,19 +232,31 @@ mod tests {
         let whole = v.slice_payload(0, 10).unwrap();
         assert_eq!(whole, b"0123456789"[..]);
         assert!(whole.shares_allocation(&bytes));
-        assert!(matches!(v.slice_payload(5, 100), Err(ChunkError::Truncated { .. })));
+        // Offsets come from metadata loaded off disk: a hostile value
+        // must be a typed error, never a wrapped start that lands in the
+        // header, and never an overflow panic.
+        for (offset, length) in
+            [(5, 100), (u64::MAX, 1), (u64::MAX, 0), (1, u64::MAX), (11, 0), (u64::MAX, u64::MAX)]
+        {
+            assert!(
+                matches!(v.slice_payload(offset, length), Err(ChunkError::Truncated { .. })),
+                "offset {offset} length {length}"
+            );
+        }
+        assert_eq!(v.slice_payload(10, 0).unwrap(), b""[..]);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
-        fn view_is_byte_identical_to_reader_and_zero_copy(
+        fn roundtrip_arbitrary_files_zero_copy(
             files in proptest::collection::vec(
                 ("[a-z]{1,12}(/[a-z]{1,8}){0,3}", proptest::collection::vec(any::<u8>(), 0..2000)),
                 1..20
             ),
             range in (0u64..3000, 0usize..3000),
         ) {
+            // De-duplicate names (chunk semantics assume unique names).
             let mut seen = std::collections::HashSet::new();
             let files: Vec<(String, Vec<u8>)> = files
                 .into_iter()
@@ -245,37 +267,36 @@ mod tests {
                 b.add_file(n, d).unwrap();
             }
             let ids = ChunkIdGenerator::deterministic(2, 2, 20);
-            let (_, raw) = b.seal(ids.next_id(), 5);
+            let (header, raw) = b.seal(ids.next_id(), 5);
             let bytes = Bytes::from(raw);
             let v = ChunkView::parse(bytes.clone()).unwrap();
-            let r = ChunkReader::parse(&bytes).unwrap();
             prop_assert!(v.verify_all().is_empty());
-            prop_assert_eq!(v.header(), r.header());
-            for (i, (n, _)) in files.iter().enumerate() {
-                prop_assert_eq!(v.find(n), r.find(n));
-                // Whole-file reads agree byte for byte…
+            prop_assert_eq!(v.header(), &header);
+            for (i, (n, d)) in files.iter().enumerate() {
+                prop_assert_eq!(v.find(n), Some(i));
+                // Whole-file reads return exactly what was added…
                 let owned = v.read_file(n).unwrap();
-                prop_assert_eq!(owned.as_slice(), r.read_file(n).unwrap());
-                // …and the owned read is a true view: it shares the
-                // parent allocation and its pointers land inside the
-                // parent's buffer (never a fresh copy).
+                prop_assert_eq!(owned.as_slice(), &d[..]);
+                // …as a true view: it shares the parent allocation and
+                // its pointers land inside the parent's buffer (never a
+                // fresh copy).
                 prop_assert!(owned.shares_allocation(&bytes));
                 let parent = bytes.as_slice().as_ptr_range();
                 let sub = owned.as_slice().as_ptr_range();
                 prop_assert!(sub.start >= parent.start && sub.end <= parent.end);
-                // Range reads clamp identically.
+                // Range reads clamp to the file.
                 let (off, len) = range;
-                prop_assert_eq!(
-                    v.read_file_range(n, off, len).unwrap().as_slice(),
-                    r.read_file_range(n, off, len).unwrap()
-                );
+                let start = (off as usize).min(d.len());
+                let end = (start + len).min(d.len());
+                prop_assert_eq!(v.read_file_range(n, off, len).unwrap().as_slice(), &d[start..end]);
                 // Unverified index reads agree too.
-                prop_assert_eq!(v.file_bytes(i).unwrap().as_slice(), r.file_bytes(i).unwrap());
+                prop_assert_eq!(v.file_bytes(i).unwrap().as_slice(), &d[..]);
             }
         }
 
         #[test]
         fn arbitrary_bytes_never_panic(data in proptest::collection::vec(any::<u8>(), 0..600)) {
+            // Hostile input must yield a typed error from the one parser.
             let _ = ChunkView::parse(Bytes::from(data));
         }
     }

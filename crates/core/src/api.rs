@@ -6,9 +6,8 @@
 //! The paper's deployment puts Thrift between libDIESEL and the server
 //! (Fig. 2); this enum is that interface. A [`DirectChannel`] keeps the
 //! co-located case free of queues and copies, while the same call sites
-//! can be pointed at a thread transport, a load-balanced pool
-//! ([`ServerPool`](crate::ServerPool)), or a simnet-cost-modeled wrapper
-//! without touching client code.
+//! can be pointed at a thread transport or a load-balanced pool
+//! ([`ServerPool`](crate::ServerPool)) without touching client code.
 
 use std::sync::Arc;
 
@@ -489,7 +488,7 @@ mod tests {
             .unwrap()
             .into_bytes()
             .unwrap();
-        diesel_chunk::ChunkReader::parse(&chunk).unwrap();
+        diesel_chunk::ChunkView::parse(chunk).unwrap();
         let rec = conn
             .call(ServerRequest::DatasetRecord { dataset: ds() })
             .unwrap()

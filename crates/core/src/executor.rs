@@ -22,21 +22,19 @@ impl ChunkReadPlan {
         self.requests.first().map(|(_, m)| m.offset).unwrap_or(0)
     }
 
-    /// One-past-the-last payload byte needed from this chunk.
-    pub fn max_end(&self) -> u64 {
-        self.requests.iter().map(|(_, m)| m.offset + m.length).max().unwrap_or(0)
+    /// One-past-the-last payload byte needed from this chunk; `None`
+    /// when a request's `offset + length` overflows (metadata from a
+    /// corrupt snapshot), which no chunk can satisfy.
+    pub fn max_end(&self) -> Option<u64> {
+        self.requests
+            .iter()
+            .try_fold(0, |end, (_, m)| Some(end.max(m.offset.checked_add(m.length)?)))
     }
 
     /// Bytes covered if the chunk range `[min_offset, max_end)` is read
-    /// in one operation.
-    pub fn merged_span(&self) -> u64 {
-        self.max_end() - self.min_offset()
-    }
-
-    /// Sum of the individual request lengths (what per-file reads would
-    /// transfer).
-    pub fn requested_bytes(&self) -> u64 {
-        self.requests.iter().map(|(_, m)| m.length).sum()
+    /// in one operation; `None` as for [`ChunkReadPlan::max_end`].
+    pub fn merged_span(&self) -> Option<u64> {
+        self.max_end()?.checked_sub(self.min_offset())
     }
 }
 
@@ -103,9 +101,20 @@ mod tests {
         let plans = plan_chunk_reads(&[meta(1, 100, 50), meta(1, 400, 100), meta(1, 0, 10)]);
         let p = &plans[0];
         assert_eq!(p.min_offset(), 0);
-        assert_eq!(p.max_end(), 500);
-        assert_eq!(p.merged_span(), 500);
-        assert_eq!(p.requested_bytes(), 160);
+        assert_eq!(p.max_end(), Some(500));
+        assert_eq!(p.merged_span(), Some(500));
+    }
+
+    #[test]
+    fn overflowing_ranges_have_no_span() {
+        for bad in [meta(1, u64::MAX, 1), meta(1, 1, u64::MAX), meta(1, u64::MAX, u64::MAX)] {
+            let plans = plan_chunk_reads(&[meta(1, 100, 50), bad]);
+            assert_eq!(plans[0].max_end(), None, "{bad:?}");
+            assert_eq!(plans[0].merged_span(), None, "{bad:?}");
+        }
+        // The largest representable range is still a range.
+        let plans = plan_chunk_reads(&[meta(1, u64::MAX, 0)]);
+        assert_eq!(plans[0].merged_span(), Some(0));
     }
 
     #[test]

@@ -20,13 +20,10 @@
 //! * [`dlcmd`] — the `DLCMD` dataset-management tool (import a directory
 //!   tree, export, purge), mirroring `s3cmd`-style usage; the `dlcmd`
 //!   binary wraps it as a CLI.
-//! * [`config`] — the ETCD stand-in of Fig. 2: versioned configuration
-//!   KV with compare-and-swap and blocking watches.
 
 pub mod admission;
 pub mod api;
 pub mod client;
-pub mod config;
 pub mod dlcmd;
 pub mod executor;
 pub mod fuse;
@@ -36,7 +33,6 @@ pub mod server;
 pub use admission::{AdmissionConfig, AdmissionController, Permit};
 pub use api::{ServerConn, ServerReply, ServerRequest, ServerResponse};
 pub use client::{ClientConfig, DieselClient};
-pub use config::{ConfigEntry, ConfigService};
 pub use executor::{plan_chunk_reads, ChunkReadPlan};
 pub use fuse::{FuseConfig, FuseMount, FuseStats};
 pub use pool::ServerPool;

@@ -51,36 +51,6 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> ServerPool<K, S> {
         ServerPool { servers, balance: BalancedChannel::new(backends), next: AtomicUsize::new(0) }
     }
 
-    /// Deploy `n` servers with the telemetry plane live on each: an
-    /// env-configured flight recorder, the given per-tenant SLO targets,
-    /// and a background driver ticking both on the system clock. Every
-    /// front-end watches the same targets against its own registry;
-    /// `slo.health` gauges merge across the pool via [`stats`](Self::stats)
-    /// (min over servers, since a breach zeroes the gauge — merge keeps
-    /// the last-merged value per id, and per-server ids are identical, so
-    /// read per-server health from [`server`](Self::server) when it
-    /// matters).
-    pub fn deploy_with_telemetry(
-        n: usize,
-        kv: Arc<K>,
-        store: Arc<S>,
-        targets: Vec<crate::SloTarget>,
-    ) -> Self {
-        assert!(n >= 1, "need at least one server");
-        let servers: Vec<Arc<DieselServer<K, S>>> = (0..n)
-            .map(|i| {
-                let server = DieselServer::new(kv.clone(), store.clone());
-                let tracer = Tracer::new(server.registry()).with_part((i + 1) as u16);
-                Arc::new(
-                    server.with_tracer(tracer).with_slo_targets(targets.clone()).start_telemetry(),
-                )
-            })
-            .collect();
-        let backends: Vec<Channel<ServerRequest, ServerReply>> =
-            servers.iter().enumerate().map(|(i, s)| s.direct_channel(i)).collect();
-        ServerPool { servers, balance: BalancedChannel::new(backends), next: AtomicUsize::new(0) }
-    }
-
     /// Number of servers.
     pub fn len(&self) -> usize {
         self.servers.len()

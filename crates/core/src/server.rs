@@ -4,7 +4,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use diesel_chunk::{compact_chunk, mark_deleted, ChunkId, ChunkIdGenerator, SealedChunk};
+use diesel_chunk::format::HEADER_LEN_PREFIX;
+use diesel_chunk::{
+    compact_chunk, mark_deleted, ChunkHeader, ChunkId, ChunkIdGenerator, ChunkView, SealedChunk,
+};
 use diesel_exec::WorkPool;
 use diesel_kv::KvStore;
 use diesel_meta::recovery::{
@@ -12,8 +15,8 @@ use diesel_meta::recovery::{
 };
 use diesel_meta::{DirEntry, FileMeta, MetaService, MetaSnapshot};
 use diesel_obs::{
-    trace, Counter, FlightRecorder, RecorderConfig, RecorderDriver, Registry, RegistrySnapshot,
-    SloMonitor, SloTarget, Tracer,
+    trace, Counter, FlightRecorder, RecorderConfig, Registry, RegistrySnapshot, SloMonitor,
+    SloTarget, Tracer,
 };
 use diesel_store::{Bytes, ObjectStore};
 use diesel_util::Mutex;
@@ -45,12 +48,6 @@ struct Metrics {
     purge_chunks_compacted: Counter,
     purge_chunks_removed: Counter,
     purge_bytes_reclaimed: Counter,
-    refreshes: Counter,
-    refresh_chunks_added: Counter,
-    refresh_chunks_removed: Counter,
-    refresh_chunks_rechecked: Counter,
-    refresh_files_added: Counter,
-    refresh_files_removed: Counter,
 }
 
 impl Metrics {
@@ -62,12 +59,6 @@ impl Metrics {
             purge_chunks_compacted: registry.counter("server.purge.chunks_compacted", &[]),
             purge_chunks_removed: registry.counter("server.purge.chunks_removed", &[]),
             purge_bytes_reclaimed: registry.counter("server.purge.bytes_reclaimed", &[]),
-            refreshes: registry.counter("server.refreshes", &[]),
-            refresh_chunks_added: registry.counter("server.refresh.chunks_added", &[]),
-            refresh_chunks_removed: registry.counter("server.refresh.chunks_removed", &[]),
-            refresh_chunks_rechecked: registry.counter("server.refresh.chunks_rechecked", &[]),
-            refresh_files_added: registry.counter("server.refresh.files_added", &[]),
-            refresh_files_removed: registry.counter("server.refresh.files_removed", &[]),
         }
     }
 }
@@ -89,7 +80,6 @@ pub struct DieselServer<K, S> {
     admission: Option<AdmissionController>,
     recorder: Option<Arc<FlightRecorder>>,
     slo: Option<Arc<SloMonitor>>,
-    telemetry_driver: Option<RecorderDriver>,
 }
 
 impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
@@ -115,7 +105,6 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
             admission: None,
             recorder: None,
             slo: None,
-            telemetry_driver: None,
         }
     }
 
@@ -128,16 +117,6 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
         self
     }
 
-    /// Like [`DieselServer::with_admission`], but with a caller-built
-    /// controller — e.g. one driven by a
-    /// [`MockClock`](diesel_util::MockClock), or shared across the
-    /// front-ends of a [`ServerPool`](crate::ServerPool) so the global
-    /// concurrency cap spans the whole fleet.
-    pub fn with_admission_controller(mut self, admission: AdmissionController) -> Self {
-        self.admission = Some(admission);
-        self
-    }
-
     /// The admission controller gating this server's tenant requests,
     /// if one is installed.
     pub fn admission(&self) -> Option<&AdmissionController> {
@@ -145,9 +124,8 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
     }
 
     /// Attach a caller-built flight recorder (it must sample this
-    /// server's registry). Nothing drives it yet — deterministic
-    /// harnesses tick it themselves; live deployments follow with
-    /// [`DieselServer::start_telemetry`].
+    /// server's registry). Nothing drives it: callers tick it themselves
+    /// (deterministic harnesses, `dlcmd`'s telemetry sweep).
     pub fn with_recorder(mut self, recorder: Arc<FlightRecorder>) -> Self {
         self.recorder = Some(recorder);
         self
@@ -174,24 +152,6 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
                 Arc::clone(recorder),
                 targets,
             )));
-        }
-        self
-    }
-
-    /// Spawn the background telemetry driver: one recorder tick per
-    /// interval on the registry's clock, each followed by an SLO
-    /// evaluation when targets are declared. The driver stops (and its
-    /// thread joins) when the server drops. No-op without a recorder;
-    /// don't call under `MockClock` (virtual sleeps return instantly —
-    /// tick deterministically instead).
-    pub fn start_telemetry(mut self) -> Self {
-        if let Some(rec) = &self.recorder {
-            let slo = self.slo.clone();
-            self.telemetry_driver = Some(rec.spawn_with(move || {
-                if let Some(monitor) = &slo {
-                    monitor.evaluate();
-                }
-            }));
         }
         self
     }
@@ -291,18 +251,13 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
     }
 
     /// The header length of the chunk object at `key`, probed once and
-    /// cached (the header is a fixed prefix; its length sits at bytes
-    /// 6..10 of the encoding).
+    /// cached (the chunk format owns where in the prefix it sits).
     fn chunk_header_len(&self, key: &str) -> Result<u64> {
         if let Some(&len) = self.header_lens.lock().get(key) {
             return Ok(len);
         }
-        let head = self.store.get_range(key, 6, 4)?;
-        let head: [u8; 4] = head
-            .as_ref()
-            .try_into()
-            .map_err(|_| DieselError::Client(format!("chunk object {key} truncated")))?;
-        let len = u32::from_le_bytes(head) as u64;
+        let prefix = self.store.get_range(key, 0, HEADER_LEN_PREFIX)?;
+        let len = u64::from(ChunkHeader::peek_header_len(&prefix)?);
         self.header_lens.lock().insert(key.to_owned(), len);
         Ok(len)
     }
@@ -328,8 +283,9 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
         } else {
             trace::SpanGuard::default()
         };
-        let data = self.store.get_range(&key, header_len + meta.offset, meta.length as usize)?;
-        Ok(data)
+        let (start, len) = object_range(header_len, meta.offset, meta.length)
+            .ok_or_else(|| DieselError::Client(format!("file range overflows chunk {key}")))?;
+        Ok(self.store.get_range(&key, start, len)?)
     }
 
     /// Read a whole chunk (what the task-grained cache and the chunk-wise
@@ -377,8 +333,11 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
             let header_len = self.chunk_header_len(&key)?;
             // One merged read covering every requested byte in the chunk.
             let base = plan.min_offset();
-            let span = plan.merged_span() as usize;
-            let merged = self.store.get_range(&key, header_len + base, span)?;
+            let (start, span) = plan
+                .merged_span()
+                .and_then(|span| object_range(header_len, base, span))
+                .ok_or_else(|| DieselError::Client(format!("file range overflows chunk {key}")))?;
+            let merged = self.store.get_range(&key, start, span)?;
             let mut slices = Vec::with_capacity(plan.requests.len());
             for (idx, meta) in &plan.requests {
                 let start = (meta.offset - base) as usize;
@@ -454,16 +413,8 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
                 continue;
             }
             let key = chunk_object_key(dataset, id);
-            let bytes = self.store.get(&key)?;
-            let old_header = diesel_chunk::ChunkHeader::decode(&bytes)?;
-            let live_bytes: u64 = old_header
-                .files
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !old_header.bitmap.is_deleted(*i))
-                .map(|(_, f)| f.length)
-                .sum();
-            let Some((new_header, new_bytes, stats)) = compact_chunk(&bytes, &self.ids, now_ms)?
+            let old = ChunkView::parse(self.store.get(&key)?)?;
+            let Some((new_header, new_bytes, stats)) = compact_chunk(&old, &self.ids, now_ms)?
             else {
                 continue;
             };
@@ -474,7 +425,8 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
                 dataset,
                 -1,
                 -(stats.live_files as i64),
-                -(live_bytes as i64),
+                // The compacted payload is exactly the old chunk's live bytes.
+                -(new_header.payload_len as i64),
                 now_ms,
             )?;
             // Remove the old chunk object and record. File records were
@@ -519,106 +471,6 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
         Ok(removed)
     }
 
-    /// Incrementally refresh a stale snapshot instead of rebuilding it
-    /// from scratch (§4.1.3 requires clients to re-download when the
-    /// timestamp mismatches; for large datasets most of the snapshot is
-    /// still valid, so this transfers only the delta):
-    ///
-    /// * chunks that vanished (purge/delete-dataset) drop their files;
-    /// * new chunks are read from their self-contained headers;
-    /// * surviving chunks whose record is newer than the snapshot are
-    ///   re-checked against their deletion bitmaps.
-    ///
-    /// Returns the refreshed snapshot — byte-equivalent in content to a
-    /// freshly built one. Delta statistics land in the server's
-    /// `server.refresh.*` counters (one atomic batch per refresh).
-    pub fn refresh_snapshot(&self, snapshot: &MetaSnapshot) -> Result<MetaSnapshot> {
-        let dataset = snapshot.dataset.as_str();
-        let record = self.meta.dataset_record(dataset)?;
-        if snapshot.is_fresh(dataset, record.updated_ms) {
-            return Ok(snapshot.clone());
-        }
-        let mut chunks_added = 0u64;
-        let mut files_added = 0u64;
-        let current: Vec<ChunkId> = self.meta.chunk_ids(dataset)?;
-        let current_set: std::collections::HashSet<ChunkId> = current.iter().copied().collect();
-        let old_set: std::collections::HashSet<ChunkId> = snapshot.chunks.iter().copied().collect();
-
-        // Which surviving chunks changed since the snapshot?
-        let mut rechecked: std::collections::HashMap<ChunkId, diesel_meta::ChunkRecord> =
-            std::collections::HashMap::new();
-        for &id in &current {
-            if old_set.contains(&id) {
-                let rec = self.meta.chunk_record(dataset, id)?;
-                if rec.updated_ms > snapshot.updated_ms {
-                    rechecked.insert(id, rec);
-                }
-            }
-        }
-
-        // Keep files from surviving chunks, applying newer bitmaps.
-        let before = snapshot.files.len();
-        let mut files: Vec<diesel_meta::snapshot::SnapshotFile> = snapshot
-            .files
-            .iter()
-            .filter(|f| {
-                if !current_set.contains(&f.meta.chunk) {
-                    return false;
-                }
-                match rechecked.get(&f.meta.chunk) {
-                    Some(rec) => !rec.bitmap.is_deleted(f.meta.index_in_chunk as usize),
-                    None => true,
-                }
-            })
-            .cloned()
-            .collect();
-        let files_removed = (before - files.len()) as u64;
-        let chunks_removed =
-            snapshot.chunks.iter().filter(|c| !current_set.contains(c)).count() as u64;
-        let chunks_rechecked = rechecked.len() as u64;
-
-        // Scan new chunks from their self-contained headers.
-        for &id in &current {
-            if old_set.contains(&id) {
-                continue;
-            }
-            chunks_added += 1;
-            let bytes = self.store.get(&chunk_object_key(dataset, id))?;
-            let header = diesel_chunk::ChunkHeader::decode(&bytes)?;
-            for (i, f) in header.files.iter().enumerate() {
-                if header.bitmap.is_deleted(i) {
-                    continue;
-                }
-                files_added += 1;
-                files.push(diesel_meta::snapshot::SnapshotFile {
-                    path: f.name.clone(),
-                    meta: FileMeta {
-                        chunk: id,
-                        index_in_chunk: i as u32,
-                        offset: f.offset,
-                        length: f.length,
-                        uploaded_ms: header.updated_ms,
-                    },
-                });
-            }
-        }
-        files.sort_by(|a, b| a.path.cmp(&b.path));
-        self.registry.batch(|| {
-            self.metrics.refreshes.inc();
-            self.metrics.refresh_chunks_added.add(chunks_added);
-            self.metrics.refresh_chunks_removed.add(chunks_removed);
-            self.metrics.refresh_chunks_rechecked.add(chunks_rechecked);
-            self.metrics.refresh_files_added.add(files_added);
-            self.metrics.refresh_files_removed.add(files_removed);
-        });
-        Ok(MetaSnapshot {
-            dataset: dataset.to_owned(),
-            updated_ms: record.updated_ms,
-            chunks: current,
-            files,
-        })
-    }
-
     // ---- fault recovery (§4.1.2) ----
 
     /// Rebuild all of `dataset`'s metadata from chunk headers (power
@@ -632,6 +484,15 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
     pub fn recover_metadata_since(&self, dataset: &str, since_secs: u32) -> Result<RecoveryReport> {
         Ok(recover_from_timestamp(&self.meta, self.store.as_ref(), dataset, since_secs)?)
     }
+}
+
+/// The object range `header_len + offset ‖ length` of a payload read.
+/// `None` when the arithmetic overflows: file metadata arrives from
+/// snapshots loaded off disk and is not trusted to describe a real range.
+fn object_range(header_len: u64, offset: u64, length: u64) -> Option<(u64, usize)> {
+    let start = header_len.checked_add(offset)?;
+    start.checked_add(length)?;
+    Some((start, usize::try_from(length).ok()?))
 }
 
 impl<K, S> std::fmt::Debug for DieselServer<K, S> {
@@ -708,8 +569,39 @@ mod tests {
         let ids = s.meta().chunk_ids("ds").unwrap();
         assert_eq!(ids.len(), 1);
         let chunk = s.read_chunk("ds", ids[0]).unwrap();
-        let r = diesel_chunk::ChunkReader::parse(&chunk).unwrap();
-        assert_eq!(r.read_file("a").unwrap(), &[1u8; 10][..]);
+        let v = ChunkView::parse(chunk).unwrap();
+        assert_eq!(v.read_file("a").unwrap(), [1u8; 10][..]);
+    }
+
+    #[test]
+    fn hostile_file_meta_is_a_typed_error() {
+        let s = server();
+        ingest_files(&s, "ds", &[("a", vec![1; 10]), ("b", vec![2; 20])], 1 << 20);
+        let good = s.stat("ds", "a").unwrap();
+        // A second front-end over the same backends starts with no cached
+        // header lengths, so its reads also cover the format-owned probe.
+        let fresh: Server = DieselServer::new(s.meta().kv().clone(), s.store().clone());
+        assert_eq!(fresh.read_by_meta("ds", &good).unwrap(), [1u8; 10][..]);
+        // Metadata as a corrupt KV record or snapshot would supply it:
+        // neither an overflow panic nor header bytes served as content.
+        for (i, (offset, length)) in
+            [(u64::MAX, 1), (u64::MAX - 60, 8), (1, u64::MAX), (u64::MAX, u64::MAX)]
+                .into_iter()
+                .enumerate()
+        {
+            let bad = FileMeta { offset, length, ..good };
+            for srv in [&s, &fresh] {
+                let got = srv.read_by_meta("ds", &bad);
+                assert!(matches!(got, Err(DieselError::Client(_))), "{offset}+{length}: {got:?}");
+            }
+            let path = format!("evil{i}");
+            let key = diesel_meta::keys::file_key("ds", &path);
+            s.meta().kv().put(&key, bad.encode().into()).unwrap();
+            let got = fresh.read_files_merged("ds", &["a", &path, "b"]);
+            assert!(matches!(got, Err(DieselError::Client(_))), "{offset}+{length}: {got:?}");
+        }
+        let both = fresh.read_files_merged("ds", &["b", "a"]).unwrap();
+        assert_eq!((both[0].len(), both[1].len()), (20, 10));
     }
 
     #[test]
@@ -786,68 +678,6 @@ mod tests {
                 assert_eq!(s.read_file("ds", n).unwrap().as_ref(), &d[..]);
             }
         }
-    }
-
-    #[test]
-    fn incremental_refresh_matches_full_rebuild() {
-        let s = server();
-        let files: Vec<(String, Vec<u8>)> = (0..30).map(|i| file(i, 120)).collect();
-        let refs: Vec<(&str, Vec<u8>)> =
-            files.iter().map(|(n, d)| (n.as_str(), d.clone())).collect();
-        ingest_files(&s, "ds", &refs, 2048);
-        let snap0 = s.build_snapshot("ds").unwrap();
-
-        // Fresh snapshot: refresh is a no-op and counts nothing.
-        let same = s.refresh_snapshot(&snap0).unwrap();
-        assert_eq!(same, snap0);
-        assert_eq!(s.own_snapshot().counter("server.refreshes"), 0);
-
-        // Mutate: delete two files, write new ones, purge (rewrites a
-        // chunk under a fresh ID).
-        s.delete_file("ds", &files[0].0, 5_000_000).unwrap();
-        s.delete_file("ds", &files[4].0, 5_000_001).unwrap();
-        let ids = ChunkIdGenerator::deterministic(8, 8, 90_000);
-        let mut b = ChunkBuilder::with_default_config();
-        b.add_file("new/one", b"fresh").unwrap();
-        let (h, bytes) = b.seal(ids.next_id(), 5_000_002);
-        s.ingest_chunk("ds", SealedChunk { header: h, bytes: bytes.into() }).unwrap();
-        s.purge_dataset("ds", 5_000_003).unwrap();
-
-        let refreshed = s.refresh_snapshot(&snap0).unwrap();
-        let mut full = s.build_snapshot("ds").unwrap();
-        full.files.sort_by(|a, b| a.path.cmp(&b.path));
-        let mut refreshed_sorted = refreshed.clone();
-        refreshed_sorted.files.sort_by(|a, b| a.path.cmp(&b.path));
-        assert_eq!(refreshed_sorted.files, full.files);
-        assert_eq!(refreshed.chunks, full.chunks);
-        assert_eq!(refreshed.updated_ms, full.updated_ms);
-        let stats = s.own_snapshot();
-        assert_eq!(stats.counter("server.refreshes"), 1);
-        assert!(stats.counter("server.refresh.chunks_added") >= 1, "new + compacted chunk");
-        assert!(stats.counter("server.refresh.files_removed") >= 2);
-        // The refreshed snapshot passes the freshness check.
-        let rec = s.meta().dataset_record("ds").unwrap();
-        assert!(refreshed.is_fresh("ds", rec.updated_ms));
-    }
-
-    #[test]
-    fn refresh_applies_bitmap_only_deletions() {
-        // A delete without purge leaves the chunk in place; the refresh
-        // must still drop the file via the chunk record's newer bitmap.
-        let s = server();
-        let files: Vec<(String, Vec<u8>)> = (0..6).map(|i| file(i, 80)).collect();
-        let refs: Vec<(&str, Vec<u8>)> =
-            files.iter().map(|(n, d)| (n.as_str(), d.clone())).collect();
-        ingest_files(&s, "ds", &refs, 1 << 20); // one chunk
-        let snap0 = s.build_snapshot("ds").unwrap();
-        s.delete_file("ds", &files[2].0, 7_000_000).unwrap();
-        let refreshed = s.refresh_snapshot(&snap0).unwrap();
-        let stats = s.own_snapshot();
-        assert_eq!(stats.counter("server.refresh.chunks_added"), 0);
-        assert_eq!(stats.counter("server.refresh.chunks_rechecked"), 1);
-        assert_eq!(stats.counter("server.refresh.files_removed"), 1);
-        assert!(refreshed.files.iter().all(|f| f.path != files[2].0));
-        assert_eq!(refreshed.files.len(), 5);
     }
 
     #[test]

@@ -383,7 +383,7 @@ mod tests {
         let t = classify("crates/core/src/bin/dlcmd.rs");
         assert!(!t.r1 && !t.r2, "bin targets may unwrap and read time");
         assert!(!classify("crates/chunk/src/format.rs").r4, "format.rs owns the constants");
-        assert!(classify("crates/chunk/src/reader.rs").r4);
+        assert!(classify("crates/chunk/src/view.rs").r4);
     }
 
     #[test]

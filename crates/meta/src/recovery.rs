@@ -84,20 +84,15 @@ pub fn recover_from_timestamp<K: KvStore, S: ObjectStore>(
         let probe = store
             .get_range(&key, 0, (64 << 10).min(size))
             .map_err(|e| MetaError::Store(e.to_string()))?;
-        let header = match ChunkHeader::decode(&probe) {
-            Ok(h) => h,
+        let (header, bytes_read, chunk_size) = match ChunkHeader::decode(&probe) {
+            Ok(h) => (h, probe.len(), size),
             Err(_) => {
                 let whole = store.get(&key).map_err(|e| MetaError::Store(e.to_string()))?;
-                report.header_bytes += whole.len() as u64;
-                let h = ChunkHeader::decode(&whole)?;
-                service.ingest_chunk(dataset, &h, whole.len() as u64)?;
-                report.chunks_scanned += 1;
-                report.files_recovered += h.bitmap.live_count() as u64;
-                continue;
+                (ChunkHeader::decode(&whole)?, whole.len(), whole.len())
             }
         };
-        report.header_bytes += probe.len() as u64;
-        service.ingest_chunk(dataset, &header, size as u64)?;
+        report.header_bytes += bytes_read as u64;
+        service.ingest_chunk(dataset, &header, chunk_size as u64)?;
         report.chunks_scanned += 1;
         report.files_recovered += header.bitmap.live_count() as u64;
     }

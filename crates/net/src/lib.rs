@@ -1,9 +1,8 @@
 //! `diesel-net`: the one RPC layer for all inter-node traffic.
 //!
 //! DIESEL's components talk request/reply: clients call servers
-//! (ingest/read/metadata), cache nodes call peer cache nodes (chunk
-//! fetches), and simulations charge those same calls to modeled
-//! resources. Before this crate each of those paths hand-rolled its own
+//! (ingest/read/metadata) and cache nodes call peer cache nodes (chunk
+//! fetches). Before this crate each of those paths hand-rolled its own
 //! crossbeam request/reply plumbing; now they all speak one typed
 //! [`Service`] abstraction and compose the same middleware.
 //!
@@ -18,9 +17,6 @@
 //! - [`ThreadServer`]/[`ThreadChannel`] — a serving thread fed by a
 //!   crossbeam channel, one reply channel per call. Generalizes the old
 //!   `PeerServer`/`PeerHandle` pair from `diesel-cache`.
-//! - [`SimCostChannel`] — wraps any channel and charges each call's
-//!   latency to a [`diesel_simnet::Resource`], advancing a simulated
-//!   clock (queueing included).
 //! - [`Retry`] — bounded retries with exponential backoff on retryable
 //!   errors, driven by an injectable [`Clock`] so tests never sleep.
 //! - [`FaultChannel`] — seeded fault injection (drop → timeout, delay,
@@ -37,7 +33,6 @@ pub mod clock;
 pub mod direct;
 pub mod fault;
 pub mod retry;
-pub mod sim;
 pub mod stats;
 pub mod thread;
 
@@ -46,7 +41,6 @@ pub use clock::{Clock, MockClock, SystemClock};
 pub use direct::DirectChannel;
 pub use fault::{FaultChannel, FaultPolicy};
 pub use retry::{Retry, RetryPolicy};
-pub use sim::SimCostChannel;
 pub use stats::{EndpointMetrics, Instrumented};
 pub use thread::{ThreadChannel, ThreadServer};
 

@@ -16,7 +16,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::stats::Histogram;
 use crate::time::SimTime;
 
 /// An actor in a simulation: one I/O worker, one training process, …
@@ -46,8 +45,6 @@ pub struct SimReport {
     pub finish_times: Vec<SimTime>,
     /// Total steps executed across actors.
     pub steps: u64,
-    /// Distribution of per-step durations.
-    pub step_latency: Histogram,
 }
 
 impl SimReport {
@@ -76,13 +73,11 @@ pub fn run_actors(actors: &mut [&mut dyn SimActor]) -> SimReport {
         heap.push(Reverse((SimTime::ZERO, i)));
     }
     let mut steps = 0u64;
-    let mut lat = Histogram::new();
     while let Some(Reverse((now, idx))) = heap.pop() {
         match actors[idx].step(now) {
             Some(next) => {
                 assert!(next >= now, "actor {idx} moved time backwards: {next} < {now}");
                 steps += 1;
-                lat.record(next - now);
                 heap.push(Reverse((next, idx)));
             }
             None => {
@@ -90,7 +85,7 @@ pub fn run_actors(actors: &mut [&mut dyn SimActor]) -> SimReport {
             }
         }
     }
-    SimReport { finish_times: finish, steps, step_latency: lat }
+    SimReport { finish_times: finish, steps }
 }
 
 #[cfg(test)]

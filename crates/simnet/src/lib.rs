@@ -13,22 +13,21 @@
 //! asking each resource it crosses for a grant; queueing delays emerge
 //! naturally when many actors hit one resource.
 //!
-//! Two drivers are provided:
+//! Two drivers are provided, both bit-reproducible:
 //!
-//! * [`run_actors`] — a deterministic event-loop that always advances the
-//!   actor with the smallest clock; results are bit-reproducible.
-//! * Resources are internally synchronized, so real-thread drivers (rayon)
-//!   can share them too when determinism is not required.
+//! * [`run_actors`] — closed loop: a deterministic event-loop that always
+//!   advances the actor with the smallest clock.
+//! * [`run_multi_tenant`] — open loop: seeded Poisson streams, one per
+//!   tenant, merged in arrival order against a shared pool (one tenant
+//!   is the single-stream case).
 //!
-//! [`Histogram`] and [`Summary`] provide the latency statistics the
-//! benchmark harness prints.
+//! Resources are internally synchronized, so real-thread drivers can
+//! share them too when determinism is not required. Latency
+//! distributions are [`diesel_obs::Histogram`]s over nanoseconds.
 
 pub mod driver;
 pub mod multitenant;
-pub mod net;
-pub mod openloop;
 pub mod resource;
-pub mod stats;
 pub mod telemetry;
 pub mod time;
 
@@ -38,10 +37,7 @@ pub use multitenant::{
     MultiTenantReport, OpClass, OpMix, OpOutcome, ServiceModel, SimAdmission, TenantReport,
     TenantSpec,
 };
-pub use net::{Fabric, NetworkModel, NodeNet};
-pub use openloop::{run_open_loop, OpenLoopReport};
 pub use resource::{Grant, Resource};
-pub use stats::{Histogram, Summary};
 pub use telemetry::{
     noisy_neighbour_config, run_telemetry, SloTransition, TelemetryConfig, TelemetryOutcome,
 };

@@ -1,10 +1,13 @@
 //! Multi-tenant open-loop workloads: merged Poisson streams, per-tenant
 //! admission, goodput and fairness accounting.
 //!
-//! The single-stream driver in [`crate::openloop`] answers "what does one
-//! offered rate do to one queue". The multi-tenant questions of §4 —
-//! does one tenant's burst destroy another tenant's latency, and does
-//! admission control put a floor under the light tenant — need several
+//! An *open-loop* driver offers work at a rate independent of
+//! completions — the model that exposes queueing collapse: at
+//! utilization ρ → 1 latency blows up even though throughput looks
+//! fine. One tenant is the single-stream case ("what does one offered
+//! rate do to one queue"). The multi-tenant questions of §4 — does one
+//! tenant's burst destroy another tenant's latency, and does admission
+//! control put a floor under the light tenant — need several
 //! independent arrival processes *merged in time order* against the same
 //! shared serving pool. This module provides exactly that:
 //!
@@ -31,8 +34,9 @@ use std::collections::BinaryHeap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use diesel_obs::Histogram;
+
 use crate::resource::Resource;
-use crate::stats::Histogram;
 use crate::time::SimTime;
 
 /// Relative weights of the three operation classes a tenant issues.
@@ -352,7 +356,7 @@ pub fn run_multi_tenant_observed(
         };
         let grant = pool.acquire(arrival, service);
         let response = grant.end - arrival;
-        report.latency.record(response);
+        report.latency.record_ns(response.as_nanos());
         if response <= cfg.slo {
             report.good += 1;
         }
@@ -486,6 +490,53 @@ mod tests {
         // And fairness is finite/reported.
         assert!(fair.fairness_ratio().is_finite());
         assert!(fair.fairness_ratio() >= 1.0);
+    }
+
+    /// One read-only tenant against a single 1 ms server: the
+    /// single-stream open-loop driver, i.e. an M/D/1 queue.
+    fn single_stream(rate_per_sec: f64, ops: u64, seed: u64) -> TenantReport {
+        let mut solo = TenantSpec::new("solo", rate_per_sec, ops);
+        solo.mix = OpMix { read: 1, write: 0, meta: 0 };
+        let report = run_multi_tenant(&MultiTenantConfig {
+            tenants: vec![solo],
+            servers: 1,
+            service: ServiceModel { read: SimTime::from_millis(1), ..Default::default() },
+            slo: SimTime::from_millis(20),
+            admission: None,
+            seed,
+        });
+        report.tenants.into_iter().next().unwrap()
+    }
+
+    fn mean_response_secs(t: &TenantReport) -> f64 {
+        t.latency.summary().mean_ns as f64 / 1e9
+    }
+
+    #[test]
+    fn single_tenant_latency_matches_md1_at_moderate_load() {
+        // `Resource`'s FIFO queueing against the analytic M/D/1 mean
+        // response s + ρ·s/(2(1−ρ)): ρ = 0.5 ⇒ 1 ms + 0.5 ms.
+        let (rate, service_s) = (500.0, 1e-3);
+        let rho = rate * service_s;
+        let analytic = service_s + rho * service_s / (2.0 * (1.0 - rho));
+        let mean = mean_response_secs(&single_stream(rate, 50_000, 7));
+        assert!((mean - analytic).abs() / analytic < 0.15, "mean {mean:.6} vs M/D/1 {analytic:.6}");
+    }
+
+    #[test]
+    fn single_tenant_saturation_blows_up_latency_not_throughput() {
+        let light = single_stream(300.0, 20_000, 3);
+        // ρ = 1.3: overloaded. Throughput caps at the 1000 ops/s service
+        // rate…
+        let heavy = single_stream(1_300.0, 20_000, 3);
+        let throughput = heavy.admitted as f64 / heavy.last_completion.as_secs_f64();
+        assert!(throughput > 950.0 && throughput < 1_050.0, "throughput {throughput}");
+        // …while latency explodes relative to the light load.
+        let (l_light, l_heavy) = (mean_response_secs(&light), mean_response_secs(&heavy));
+        assert!(
+            l_heavy > 50.0 * l_light,
+            "overload must blow up latency: {l_light:.6} vs {l_heavy:.6}"
+        );
     }
 
     #[test]

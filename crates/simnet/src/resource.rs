@@ -90,11 +90,6 @@ impl Resource {
         Grant { start, end }
     }
 
-    /// Convenience: acquire for a byte transfer at `bytes_per_sec`.
-    pub fn acquire_bytes(&self, now: SimTime, bytes: u64, bytes_per_sec: f64) -> Grant {
-        self.acquire(now, SimTime::for_bytes(bytes, bytes_per_sec))
-    }
-
     /// Total requests served.
     pub fn served(&self) -> u64 {
         self.served.load(Ordering::Relaxed)

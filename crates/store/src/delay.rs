@@ -1,9 +1,7 @@
 //! A latency-injecting [`ObjectStore`] wrapper.
 //!
-//! [`TimedStore`](crate::TimedStore) *reports* simulated completion
-//! times; [`DelayedStore`] *spends* them: every data-moving operation
-//! sleeps for the [`DeviceModel`] service time on its [`Clock`] before
-//! returning. Two uses:
+//! Every data-moving operation sleeps for the [`DeviceModel`] service
+//! time on the store's [`Clock`] before returning. Two uses:
 //!
 //! * With [`SystemClock`](diesel_util::SystemClock), benchmarks see real
 //!   wall-clock storage latency, so a pipelined read path's overlap of

@@ -11,10 +11,10 @@
 //!   ([`Bytes`] values, cheap clones).
 //! * [`DirObjectStore`] — directory-backed implementation, used by the
 //!   examples to persist datasets on local disk.
-//! * [`DeviceModel`] + [`TimedStore`] — analytic device cost model
+//! * [`DeviceModel`] — analytic device cost model
 //!   (`t = overhead + size / bandwidth`, k-wide) calibrated against the
-//!   paper's Table 2, attached to any `ObjectStore` to produce simulated
-//!   completion times for the cluster-scale experiments.
+//!   paper's Table 2; [`DelayedStore`] attaches it to any `ObjectStore`
+//!   and spends each call's service time on an injectable clock.
 //! * [`TieredStore`] — the server-side SSD/HDD cache of Fig. 4: reads hit
 //!   the fast tier when cached, and a miss triggers background caching of
 //!   the dataset's chunks into the fast tier.
@@ -31,7 +31,7 @@ pub use diesel_util::Bytes;
 pub use dir::DirObjectStore;
 pub use faulty::{FaultConfig, FaultyStore};
 pub use mem::MemObjectStore;
-pub use model::{DeviceModel, TimedStore};
+pub use model::DeviceModel;
 pub use tiered::{TierMetrics, TieredStore};
 
 /// Errors from object-store operations.

@@ -9,12 +9,7 @@
 //! asymmetry DIESEL's chunk design exploits. The Table 2 experiment
 //! binary prints the fit against the paper's rows.
 
-use std::sync::Arc;
-
-use diesel_obs::{Counter, HistogramHandle, Registry};
-use diesel_simnet::{Resource, SimTime};
-
-use crate::{Bytes, ObjectStore, Result};
+use diesel_simnet::SimTime;
 
 /// An analytic model of one storage device/cluster front.
 #[derive(Debug, Clone)]
@@ -85,107 +80,6 @@ impl DeviceModel {
     }
 }
 
-/// An [`ObjectStore`] paired with a [`DeviceModel`]-driven [`Resource`]:
-/// real bytes move, and every operation also returns the simulated time
-/// at which it would have completed on the modeled device. Each request
-/// feeds `store.requests`/`store.bytes` counters and a
-/// `store.service_time` histogram, all labelled `{device=<model name>}`.
-pub struct TimedStore<S> {
-    inner: Arc<S>,
-    model: DeviceModel,
-    device: Resource,
-    registry: Arc<Registry>,
-    requests: Counter,
-    bytes: Counter,
-    service_time: HistogramHandle,
-}
-
-impl<S: ObjectStore> TimedStore<S> {
-    /// Wrap `inner` with `model` timing and a private registry.
-    pub fn new(inner: Arc<S>, model: DeviceModel) -> Self {
-        Self::with_registry(inner, model, Arc::new(Registry::default()))
-    }
-
-    /// Wrap `inner` with `model` timing, recording device metrics into a
-    /// shared `registry`.
-    pub fn with_registry(inner: Arc<S>, model: DeviceModel, registry: Arc<Registry>) -> Self {
-        let device = Resource::new(model.name, model.parallelism);
-        let labels = [("device", model.name)];
-        let requests = registry.counter("store.requests", &labels);
-        let bytes = registry.counter("store.bytes", &labels);
-        let service_time = registry.histogram("store.service_time", &labels);
-        TimedStore { inner, model, device, registry, requests, bytes, service_time }
-    }
-
-    /// The wrapped store.
-    pub fn inner(&self) -> &Arc<S> {
-        &self.inner
-    }
-
-    /// The device model.
-    pub fn model(&self) -> &DeviceModel {
-        &self.model
-    }
-
-    /// The shared device resource (for utilization reporting).
-    pub fn device(&self) -> &Resource {
-        &self.device
-    }
-
-    /// The registry holding this store's device metrics.
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
-    fn record(&self, bytes: u64, service: SimTime) {
-        self.requests.inc();
-        self.bytes.add(bytes);
-        self.service_time.record_ns(service.as_nanos());
-    }
-
-    /// Timed whole-object get: returns the data and the simulated
-    /// completion time for a request issued at `now`.
-    pub fn get_at(&self, now: SimTime, key: &str) -> Result<(Bytes, SimTime)> {
-        let data = self.inner.get(key)?;
-        let service = self.model.service_time(data.len() as u64);
-        self.record(data.len() as u64, service);
-        let grant = self.device.acquire(now, service);
-        Ok((data, grant.end))
-    }
-
-    /// Timed range get.
-    pub fn get_range_at(
-        &self,
-        now: SimTime,
-        key: &str,
-        offset: u64,
-        len: usize,
-    ) -> Result<(Bytes, SimTime)> {
-        let data = self.inner.get_range(key, offset, len)?;
-        let service = self.model.service_time(data.len() as u64);
-        self.record(data.len() as u64, service);
-        let grant = self.device.acquire(now, service);
-        Ok((data, grant.end))
-    }
-
-    /// Timed put.
-    pub fn put_at(&self, now: SimTime, key: &str, value: Bytes) -> Result<SimTime> {
-        let size = value.len() as u64;
-        let service = self.model.service_time(size);
-        self.inner.put(key, value)?;
-        self.record(size, service);
-        Ok(self.device.acquire(now, service).end)
-    }
-
-    /// Simulated cost of a pure-timing request (no data movement) — used
-    /// by baselines that model foreign systems.
-    pub fn charge(&self, now: SimTime, bytes: u64) -> SimTime {
-        let service = self.model.service_time(bytes);
-        self.record(bytes, service);
-        self.device.acquire(now, service).end
-    }
-}
-
 /// The rows of the paper's Table 2, for calibration tests and the
 /// `table2` experiment binary: `(file size bytes, MB/s, files/s)`.
 pub const TABLE2_PAPER_ROWS: [(u64, f64, f64); 7] = [
@@ -201,7 +95,6 @@ pub const TABLE2_PAPER_ROWS: [(u64, f64, f64); 7] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mem::MemObjectStore;
 
     #[test]
     fn ssd_model_reproduces_table2_shape() {
@@ -245,36 +138,5 @@ mod tests {
         let hdd = DeviceModel::hdd_array();
         let ratio = ssd.files_per_sec(4096) / hdd.files_per_sec(4096);
         assert!(ratio > 20.0, "ssd/hdd small-read ratio = {ratio:.0}");
-    }
-
-    #[test]
-    fn timed_store_moves_real_bytes_and_time() {
-        let mem = Arc::new(MemObjectStore::new());
-        let ts = TimedStore::new(mem, DeviceModel::nvme_ssd_cluster());
-        let t1 = ts.put_at(SimTime::ZERO, "k", Bytes::from(vec![7u8; 4096])).unwrap();
-        assert!(t1 > SimTime::ZERO);
-        let (data, t2) = ts.get_at(t1, "k").unwrap();
-        assert_eq!(data.len(), 4096);
-        assert!(t2 > t1);
-        let (part, _) = ts.get_range_at(t2, "k", 0, 100).unwrap();
-        assert_eq!(part.len(), 100);
-        let snap = ts.registry().snapshot();
-        assert_eq!(snap.counter("store.requests{device=nvme-ssd-cluster}"), 3);
-        assert_eq!(snap.counter("store.bytes{device=nvme-ssd-cluster}"), 4096 + 4096 + 100);
-        let hist = snap
-            .histogram("store.service_time{device=nvme-ssd-cluster}")
-            .expect("service-time histogram registered");
-        assert_eq!(hist.count(), 3);
-    }
-
-    #[test]
-    fn timed_store_serializes_on_device_parallelism() {
-        let mem = Arc::new(MemObjectStore::new());
-        mem.put("k", Bytes::from(vec![0u8; 1 << 20])).unwrap();
-        let ts = TimedStore::new(mem, DeviceModel::nvme_ssd_cluster()); // parallelism 1
-        let (_, t1) = ts.get_at(SimTime::ZERO, "k").unwrap();
-        let (_, t2) = ts.get_at(SimTime::ZERO, "k").unwrap();
-        assert!(t2 > t1, "second request must queue behind the first");
-        assert!(t2.as_nanos() >= 2 * t1.as_nanos() - 1000);
     }
 }

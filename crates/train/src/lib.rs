@@ -27,7 +27,6 @@
 pub mod data;
 pub mod loader;
 pub mod mlp;
-pub mod optim;
 pub mod profiles;
 pub mod tensor;
 pub mod trainer;
@@ -35,7 +34,6 @@ pub mod trainer;
 pub use data::{Sample, SyntheticSpec};
 pub use loader::DataLoader;
 pub use mlp::{Mlp, MlpConfig};
-pub use optim::Adam;
 pub use profiles::{ModelProfile, MODEL_PROFILES};
 pub use tensor::Matrix;
 pub use trainer::{topk_accuracy, train, EpochMetrics, TrainConfig};

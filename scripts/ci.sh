@@ -99,6 +99,18 @@ echo "== rustdoc =="
 # docs on public items, etc. are errors).
 RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps
 
+echo "== manifests: every diesel-* dependency is named =="
+# A crate's [dependencies] may list a workspace crate only if its src/
+# names it (`diesel_<name>`); edges nothing uses hide the real layering.
+unused=0
+for manifest in crates/*/Cargo.toml; do
+    src="$(dirname "$manifest")/src"
+    for dep in $(awk '/^\[/{deps=($0=="[dependencies]")} deps&&/^diesel-/{sub(/[ .=].*/,""); print}' "$manifest"); do
+        grep -rq "${dep//-/_}" "$src" || { echo "$manifest: $dep is never named under $src"; unused=1; }
+    done
+done
+[ "$unused" -eq 0 ]
+
 echo "== diesel-lint =="
 # Fails on any non-baselined R1–R6 finding; --baseline-check enforces the
 # ratchet (lint-baseline.txt may only ever shrink). The full unfiltered
