@@ -17,7 +17,7 @@
 //!   re-warming moved chunks from the store would have cost instead.
 //!
 //! Results land in the [`diesel_bench::ledger`] file `BENCH_8.json`;
-//! `--check` ratchets every key against its `baseline`.
+//! `--check` ratchets the two amplification keys against `baseline`.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -135,5 +135,7 @@ fn main() {
         ("store_read_amplification", amp),
         ("naive_rewarm_amplification", naive_amp),
     ];
-    ledger.record(&current, 28, |_| true);
+    // The amplification ratios are deterministic counts and ratchet;
+    // the wall-clock keys are recorded, not gated.
+    ledger.record(&current, 28, |k| k.ends_with("_amplification"));
 }

@@ -24,8 +24,8 @@
 //! so the exposition format is validated on every bench run.
 //!
 //! Ledger protocol matches the other suites: first run seeds
-//! `baseline`, later runs rewrite `current`; with `--check`, cost keys
-//! must stay within `--tolerance`× of baseline.
+//! `baseline`, later runs rewrite `current`; with `--check`, the
+//! overhead ratio must stay within `--tolerance`× of baseline.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -242,7 +242,8 @@ fn main() {
         ("slo_health_light_fair", health_fair),
         ("slo_health_light_open", health_open),
     ];
-    // The health gauges are exact contracts asserted above, not costs;
-    // everything else ratchets against the baseline.
-    ledger.record(&current, 28, |k| !k.starts_with("slo_health"));
+    // The health gauges are exact contracts asserted above and the
+    // `_us` keys are wall-clock time on a shared host (recorded, not
+    // gated); the self-normalised overhead ratio ratchets.
+    ledger.record(&current, 28, |k| k == "recorder_overhead_ratio");
 }

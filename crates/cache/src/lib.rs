@@ -22,7 +22,7 @@
 //!
 //! * [`topology`] — ranks, master election, connection counting.
 //! * [`ring`] — the consistent-hash placement circle (virtual nodes).
-//! * [`partition`] — chunk → owner-node assignment over a ring
+//! * `partition` — chunk → owner-node assignment over a ring
 //!   membership, plus moved-chunk deltas between memberships.
 //! * [`task_cache`] — [`TaskCache`]: the cache itself and the only
 //!   owner of membership, residency, byte budget, store loading and
@@ -30,27 +30,22 @@
 //!   [`CachePolicy::OnDemand`] fill, install-order eviction (a hit never
 //!   reorders the queue, so the hit path writes nothing), node-failure
 //!   injection and chunk-wise recovery.
-//! * [`transport`] — [`RpcCache`]: a `diesel-net` front on a `TaskCache`,
-//!   one serving thread per member, for reads that really cross threads.
 //! * [`tenant`] — [`TenantCacheMap`]: one `TaskCache` per tenant over a
 //!   shared node plane, with weighted per-tenant byte budgets carved
 //!   out of the node byte budget (multi-tenant isolation).
 
-pub mod partition;
+mod partition;
 pub mod ring;
 pub mod task_cache;
 pub mod tenant;
 pub mod topology;
-pub mod transport;
 
-pub use partition::{ChunkMove, ChunkPartition};
 pub use ring::{HashRing, DEFAULT_VNODES};
 pub use task_cache::{
     CacheConfig, CacheMetrics, CachePolicy, LoadReport, PrefetchHandle, RebalanceReport, TaskCache,
 };
 pub use tenant::{TenantCacheMap, TenantUsage};
 pub use topology::{PeerId, Topology};
-pub use transport::{NetOptions, PeerHandle, PeerRequest, RpcCache};
 
 /// Errors from the distributed cache.
 #[derive(Debug, Clone, PartialEq, Eq)]

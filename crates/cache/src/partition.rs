@@ -20,7 +20,7 @@ use crate::Result;
 /// One chunk relocation between two memberships: `chunk` leaves `from`'s
 /// cache and must become resident on `to`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkMove {
+pub(crate) struct ChunkMove {
     /// The relocated chunk.
     pub chunk: ChunkId,
     /// Owner under the old membership — the warm-handoff source peer.
@@ -31,7 +31,7 @@ pub struct ChunkMove {
 
 /// The chunk → node assignment for one dataset in one task.
 #[derive(Debug, Clone)]
-pub struct ChunkPartition {
+pub(crate) struct ChunkPartition {
     ring: HashRing,
     owner: HashMap<ChunkId, usize>,
     per_node: HashMap<usize, Vec<ChunkId>>,
@@ -84,11 +84,6 @@ impl ChunkPartition {
         self.per_node.get(&node).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Number of member nodes.
-    pub fn node_count(&self) -> usize {
-        self.ring.node_count()
-    }
-
     /// Member node ids (sorted).
     pub fn members(&self) -> &[usize] {
         self.ring.members()
@@ -97,11 +92,6 @@ impl ChunkPartition {
     /// Total number of chunks.
     pub fn chunk_count(&self) -> usize {
         self.owner.len()
-    }
-
-    /// The sorted, deduplicated chunk set.
-    pub fn chunks(&self) -> &[ChunkId] {
-        &self.chunks
     }
 
     /// The chunks whose owner differs between `self` and `new`, in
@@ -204,7 +194,7 @@ mod tests {
             assert_eq!(m.to, 4, "a join only moves chunks to the joiner");
         }
         let moved: std::collections::HashSet<ChunkId> = moves.iter().map(|m| m.chunk).collect();
-        for &c in old.chunks() {
+        for &c in &old.chunks {
             if !moved.contains(&c) {
                 assert_eq!(old.owner_of(c), new.owner_of(c), "unmoved chunk changed owner");
             }

@@ -2,7 +2,7 @@
 //!
 //! One [`TaskCache`] exists per DLT task. It holds the task's dataset in
 //! per-node chunk caches: any client resolves a file's chunk owner from
-//! the shared [`ChunkPartition`] and fetches the file in one hop. Chunks
+//! the shared chunk partition and fetches the file in one hop. Chunks
 //! are loaded from the backing object store *whole* — the property that
 //! makes warm-up and recovery fast (Fig. 11b).
 //!
@@ -402,11 +402,9 @@ impl<S: ObjectStore> TaskCache<S> {
         }
     }
 
-    /// A snapshot of the current chunk partition map. This is a copy:
-    /// membership can change under your feet, so pair any routing
-    /// decision made from it with [`TaskCache::get_file_routed`]'s epoch
-    /// check (take the epoch from [`TaskCache::membership_epoch`]).
-    pub fn partition(&self) -> ChunkPartition {
+    /// A snapshot of the current chunk partition map (a copy: sweeps
+    /// plan from it, and `fill_chunk` re-validates each route).
+    fn partition(&self) -> ChunkPartition {
         self.membership.read().partition.clone()
     }
 
@@ -854,11 +852,10 @@ impl<S: ObjectStore> TaskCache<S> {
     }
 
     /// Read a whole file from `owner`, validating that the route was
-    /// resolved under the current `epoch`. Remote callers (the RPC
-    /// front in [`crate::transport`], clients holding a partition
-    /// snapshot) use this to get a typed [`CacheError::StaleOwner`]
-    /// instead of a wrong-node read when a rebalance raced their routing
-    /// decision.
+    /// resolved under the current `epoch` (a pair from
+    /// [`TaskCache::resolve_owner`]): a rebalance that raced the routing
+    /// decision yields a typed [`CacheError::StaleOwner`] instead of a
+    /// wrong-node read.
     pub fn get_file_routed(&self, meta: &FileMeta, owner: usize, epoch: u64) -> Result<Fetched> {
         self.read_file(meta, Some((owner, epoch)))
     }
@@ -1097,8 +1094,7 @@ fn evict_residency(st: &NodeState, chunk: ChunkId) {
 /// Run `read` again while it reports a route resolved under a stale
 /// epoch — bounded, so a membership that churns faster than reads
 /// complete surfaces [`CacheError::StaleOwner`] instead of spinning.
-/// Shared by [`TaskCache::get_file`] and the RPC front.
-pub(crate) fn retry_stale<T>(mut read: impl FnMut() -> Result<T>) -> Result<T> {
+fn retry_stale<T>(mut read: impl FnMut() -> Result<T>) -> Result<T> {
     let mut attempts = 0;
     loop {
         match read() {
@@ -1203,7 +1199,7 @@ impl<S> std::fmt::Debug for TaskCache<S> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use diesel_chunk::{ChunkBuilderConfig, ChunkIdGenerator, ChunkWriter};
     use diesel_kv::ShardedKv;
@@ -1212,7 +1208,7 @@ pub(crate) mod tests {
 
     /// Build a dataset of `files` files of `file_size` bytes in small
     /// chunks; returns (store, metadata service, file metas by name).
-    pub(crate) fn dataset(
+    fn dataset(
         files: usize,
         file_size: usize,
         chunk_size: usize,
@@ -1234,7 +1230,7 @@ pub(crate) mod tests {
         (store, metas, snap.chunks)
     }
 
-    pub(crate) fn cache(
+    fn cache(
         store: Arc<MemObjectStore>,
         chunks: Vec<ChunkId>,
         nodes: usize,
@@ -1563,17 +1559,42 @@ pub(crate) mod tests {
         let (store, metas, chunks) = dataset(20, 100, 1024);
         let c = cache(store, chunks, 4, 1 << 30, CachePolicy::Oneshot);
         c.prefetch_all().unwrap();
-        let meta = &metas[0].1;
-        let (owner, epoch) = c.resolve_owner(meta.chunk).unwrap();
-        // A membership transition lands between resolve and fetch.
+        let route = |m: &FileMeta| c.resolve_owner(m.chunk).unwrap();
+        let routes: Vec<_> = metas.iter().map(|(_, m)| route(m)).collect();
+        // A membership transition lands between resolve and fetch: every
+        // old route is stale, whether its chunk moved or kept its owner.
         c.resize(8).unwrap();
-        match c.get_file_routed(meta, owner, epoch) {
-            Err(CacheError::StaleOwner { epoch: current }) => assert_eq!(current, 1),
-            other => panic!("stale route must be rejected, got {other:?}"),
+        assert!(metas.iter().zip(&routes).any(|((_, m), r)| route(m).0 == r.0), "some owner kept");
+        for ((_, meta), &(owner, epoch)) in metas.iter().zip(&routes) {
+            match c.get_file_routed(meta, owner, epoch) {
+                Err(CacheError::StaleOwner { epoch: current }) => assert_eq!(current, 1),
+                other => panic!("stale route must be rejected, got {other:?}"),
+            }
         }
-        assert!(c.metrics().stale_owner_retries() >= 1);
-        // The self-resolving read path retries internally and succeeds.
-        assert!(c.get_file(meta).unwrap().chunk_hit);
+        assert_eq!(c.metrics().stale_owner_retries(), metas.len() as u64);
+        // The self-resolving read path routes under the current epoch.
+        assert!(c.get_file(&metas[0].1).unwrap().chunk_hit);
+    }
+
+    #[test]
+    fn stale_route_retry_is_bounded() {
+        let stale = || Err::<(), _>(CacheError::StaleOwner { epoch: 9 });
+        let mut calls = 0;
+        let healed = retry_stale(|| {
+            calls += 1;
+            if calls < 3 {
+                stale()
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!((healed, calls), (Ok(()), 3), "two re-resolutions are absorbed");
+        let mut calls = 0;
+        let churning = retry_stale(|| {
+            calls += 1;
+            stale()
+        });
+        assert_eq!((churning, calls), (stale(), 3), "the third stale answer surfaces");
     }
 
     #[test]
@@ -1638,9 +1659,9 @@ pub(crate) mod tests {
 
     #[test]
     fn rebalance_installs_respect_the_node_byte_budget() {
-        // Regression (re-homed from the RPC peer's Install message): a
-        // rebalance must not grow a node past its budget. The budget
-        // holds ~2 chunks; a 2→4 grow hands each joiner far more.
+        // Regression: a rebalance must not grow a node past its budget.
+        // The budget holds ~2 chunks; a 2→4 grow hands each joiner far
+        // more.
         let (store, metas, chunks) = dataset(96, 512, 2048);
         let mut sizes: Vec<u64> = chunks
             .iter()
@@ -1695,22 +1716,27 @@ pub(crate) mod tests {
         assert_eq!(up.chunks_moved, down.chunks_moved, "the same chunks move back");
         assert_eq!(down.peer_warm_hits, down.chunks_moved);
         assert!((c.resident_fraction() - 1.0).abs() < 1e-9);
+        let snap = c.stats();
+        let warm = snap.counter("cache.rebalance.peer_warm_hits{dataset=ds}");
+        assert_eq!(warm, up.chunks_moved + down.chunks_moved);
+        assert_eq!(snap.counter("cache.rebalance.store_fallbacks{dataset=ds}"), 0);
+        assert_eq!(snap.gauge("cache.membership_epoch{dataset=ds}"), 2);
     }
 
     /// A `MemObjectStore` whose read path can be switched to fail — the
     /// deterministic stand-in for a transient backing-store outage mid
     /// rebalance sweep.
-    pub(crate) struct TogglingStore {
+    struct TogglingStore {
         inner: Arc<MemObjectStore>,
         fail: AtomicBool,
     }
 
     impl TogglingStore {
-        pub(crate) fn new(inner: Arc<MemObjectStore>) -> Self {
+        fn new(inner: Arc<MemObjectStore>) -> Self {
             TogglingStore { inner, fail: AtomicBool::new(false) }
         }
 
-        pub(crate) fn set_fail(&self, on: bool) {
+        fn set_fail(&self, on: bool) {
             self.fail.store(on, Ordering::Release);
         }
     }
@@ -1754,15 +1780,14 @@ pub(crate) mod tests {
         // and the old drain loop spun forever on the orphaned entry
         // (holding `cache.rebalance`, wedging every future transition).
         let (store, metas, chunks) = dataset(60, 200, 1024);
-        let c = cache(store, chunks, 4, 1 << 30, CachePolicy::Oneshot);
+        let c = cache(store, chunks.clone(), 4, 1 << 30, CachePolicy::Oneshot);
         c.prefetch_all().unwrap();
         let before = c.partition();
         c.resize(8).unwrap();
         // Pick a chunk the coming shrink will move back: owner differs
         // between the 4-node and 8-node rings (the roundtrip property
         // returns it to its 4-node owner).
-        let (chunk, back_to) = before
-            .chunks()
+        let (chunk, back_to) = chunks
             .iter()
             .map(|&ch| (ch, before.owner_of(ch).unwrap()))
             .find(|&(ch, owner)| c.partition().owner_of(ch) != Some(owner))

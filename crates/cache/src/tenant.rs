@@ -189,11 +189,6 @@ impl<S: ObjectStore + 'static> TenantCacheMap<S> {
         self.tenants.read().keys().cloned().collect()
     }
 
-    /// Number of registered tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.read().len()
-    }
-
     /// The hard per-node byte cap currently assigned to `dataset`.
     pub fn budget_of(&self, dataset: &str) -> Option<u64> {
         self.tenants.read().get(dataset).map(|e| e.cache.capacity_bytes_per_node())

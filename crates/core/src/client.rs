@@ -42,10 +42,39 @@ pub struct ClientConfig {
     pub chunk: ChunkBuilderConfig,
 }
 
+/// The loaded snapshot, as the two views reads need: `namespace` for
+/// stat/ls, `index` for shuffle plans. Mutations go through
+/// [`MetaState::remove`]/[`MetaState::insert`] so the views never
+/// disagree about which paths exist.
 struct MetaState {
-    snapshot: MetaSnapshot,
     namespace: Namespace,
     index: DatasetIndex,
+}
+
+impl MetaState {
+    fn remove(&mut self, path: &str) {
+        let Some(meta) = self.namespace.remove(path) else { return };
+        if let Some(c) = self.index.chunks.iter_mut().find(|c| c.chunk == meta.chunk) {
+            c.files.retain(|f| f != path);
+            c.chunk_bytes -= meta.length;
+        }
+    }
+
+    fn insert(&mut self, path: &str, meta: FileMeta) {
+        self.remove(path);
+        self.namespace.insert(path.to_owned(), meta);
+        match self.index.chunks.iter_mut().find(|c| c.chunk == meta.chunk) {
+            Some(c) => {
+                c.chunk_bytes += meta.length;
+                c.files.push(path.to_owned());
+            }
+            None => self.index.chunks.push(ChunkFiles {
+                chunk: meta.chunk,
+                chunk_bytes: meta.length,
+                files: vec![path.to_owned()],
+            }),
+        }
+    }
 }
 
 /// One libDIESEL client instance.
@@ -290,7 +319,7 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
     fn install_snapshot(&self, snapshot: MetaSnapshot) {
         let namespace = snapshot.build_namespace();
         let index = build_index(&snapshot);
-        *self.meta.write() = Some(MetaState { snapshot, namespace, index });
+        *self.meta.write() = Some(MetaState { namespace, index });
     }
 
     /// Is a metadata snapshot loaded?
@@ -321,13 +350,16 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
             .into_entries()
     }
 
-    /// All file paths in the loaded snapshot (training file lists).
+    /// All file paths in the loaded snapshot, sorted (training file
+    /// lists).
     pub fn file_list(&self) -> Result<Vec<String>> {
         let guard = self.meta.read();
         let state = guard
             .as_ref()
             .ok_or_else(|| DieselError::Client("no metadata snapshot loaded".into()))?;
-        Ok(state.snapshot.files.iter().map(|f| f.path.clone()).collect())
+        let mut paths: Vec<String> = state.namespace.iter().map(|(p, _)| p.clone()).collect();
+        paths.sort_unstable();
+        Ok(paths)
     }
 
     // ---- read path (Fig. 4) ----
@@ -415,11 +447,16 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
             })
             .and_then(ServerResponse::into_bytes_vec);
         match merged {
-            Ok(bytes) => Ok(bytes),
-            // Any batch-level failure (stale snapshot, purge race, a
-            // single missing file) degrades to per-file reads so one bad
-            // path doesn't poison the whole batch's error story.
-            Err(_) => paths.iter().map(|p| self.get(p)).collect(),
+            // A stale snapshot (purge race, a single missing file)
+            // degrades to per-file reads, which recover the way `get`
+            // does. Everything else propagates: after `Throttled` or a
+            // transport failure, one more request per file would only
+            // amplify the overload that rejected the batch.
+            Err(
+                DieselError::Store(diesel_store::StoreError::NotFound(_))
+                | DieselError::Meta(diesel_meta::MetaError::NoSuchFile(_)),
+            ) => paths.iter().map(|p| self.get(p)).collect(),
+            other => other,
         }
     }
 
@@ -432,7 +469,7 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
     }
 
     /// `DL_delete`: remove a file (server-side) and drop it from the
-    /// local namespace.
+    /// local metadata.
     pub fn delete(&self, path: &str) -> Result<()> {
         self.call(ServerRequest::DeleteFile {
             dataset: self.dataset.clone(),
@@ -440,7 +477,7 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
             now_ms: (self.clock_ms)(),
         })?;
         if let Some(state) = self.meta.write().as_mut() {
-            state.namespace.remove(path);
+            state.remove(path);
         }
         Ok(())
     }
@@ -459,14 +496,13 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
         self.put(path, data)?;
         self.flush()?;
         if let Some(state) = self.meta.write().as_mut() {
-            // Keep the local namespace usable without a full re-download;
-            // note the snapshot object itself is now stale for freshness
-            // checks, as any mutation makes it.
+            // Keep the local metadata usable without a full re-download
+            // (a saved snapshot file is now stale, as after any mutation).
             let fresh = self
                 .call(ServerRequest::Stat { dataset: self.dataset.clone(), path: path.to_owned() })
                 .and_then(ServerResponse::into_meta);
             if let Ok(meta) = fresh {
-                state.namespace.insert(path.to_owned(), meta);
+                state.insert(path, meta);
             }
         }
         Ok(())
@@ -539,6 +575,7 @@ impl<K, S> std::fmt::Debug for DieselClient<K, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::AdmissionConfig;
     use diesel_cache::{CacheConfig, CachePolicy, Topology};
     use diesel_kv::ShardedKv;
     use diesel_store::MemObjectStore;
@@ -624,11 +661,61 @@ mod tests {
     fn delete_updates_local_namespace() {
         let s = server();
         let c = small_chunk_client(&s, 5);
-        populate(&c, 6, 40);
+        let mut files = populate(&c, 6, 40);
+        files.sort();
         c.download_meta().unwrap();
+        c.enable_shuffle(ShuffleKind::ChunkWise { group_size: 2 });
+        // The sorted list, the epoch order and a full read over that
+        // order all describe exactly `files`.
+        let views_agree = |files: &[(String, Vec<u8>)]| {
+            let names: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
+            assert_eq!(c.file_list().unwrap(), names);
+            let epoch = c.epoch_file_list(3, 1).unwrap();
+            let data = c.get_many(&epoch).unwrap();
+            let mut read: Vec<_> = epoch.into_iter().zip(data.iter().map(|b| b.to_vec())).collect();
+            read.sort();
+            assert_eq!(read, files);
+        };
         c.delete("cls2/img0002").unwrap();
         assert!(c.stat("cls2/img0002").is_err());
         assert!(c.get("cls2/img0002").is_err());
+        files.retain(|(n, _)| n != "cls2/img0002");
+        views_agree(&files);
+        c.overwrite("cls0/img0000", b"rewritten").unwrap();
+        assert_eq!(files[0].0, "cls0/img0000");
+        files[0].1 = b"rewritten".to_vec();
+        views_agree(&files);
+    }
+
+    #[test]
+    fn throttled_requests_back_off_on_the_clock_and_never_fan_out() {
+        // A zero-burst bucket never holds a token: every tenant request
+        // is rejected with a 250 ms back-off (one token at 4/s).
+        let admission =
+            AdmissionConfig { tenant_rate_per_sec: 4.0, tenant_burst: 0.0, ..Default::default() };
+        let s = Arc::new(
+            DieselServer::new(Arc::new(ShardedKv::new()), Arc::new(MemObjectStore::new()))
+                .with_admission(admission),
+        );
+        let clock = Arc::new(diesel_util::MockClock::new());
+        let rejected = || s.stats_snapshot().counter("server.tenant.throttled{dataset=ds}");
+        let throttled = |r: Result<()>| {
+            assert!(matches!(
+                r,
+                Err(DieselError::Cache(CacheError::Throttled { retry_after_ms: 250 }))
+            ));
+        };
+        let c = DieselClient::connect(s.clone(), "ds").with_clock(clock.clone());
+        let paths: Vec<String> = (0..5).map(|i| format!("f{i}")).collect();
+        // 1 request + 8 obeyed back-offs each — for a batch too, not
+        // 1 + 8 per file on top of the rejected batch.
+        throttled(c.get("f0").map(drop));
+        assert_eq!((rejected(), clock.now_ns()), (9, 8 * 250_000_000));
+        throttled(c.get_many(&paths).map(drop));
+        assert_eq!((rejected(), clock.now_ns()), (18, 16 * 250_000_000));
+        let c = c.with_throttle_retries(0);
+        throttled(c.get_many(&paths).map(drop));
+        assert_eq!((rejected(), clock.now_ns()), (19, 16 * 250_000_000));
     }
 
     #[test]

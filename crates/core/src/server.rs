@@ -132,19 +132,18 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
     }
 
     /// Attach a flight recorder over this server's registry with the
-    /// given caps/interval (use [`RecorderConfig::from_env`] for the
-    /// `DIESEL_RECORDER_*` knobs).
+    /// given caps/interval.
     pub fn with_recorder_config(self, cfg: RecorderConfig) -> Self {
         let recorder = Arc::new(FlightRecorder::new(Arc::clone(&self.registry), cfg));
         self.with_recorder(recorder)
     }
 
     /// Declare per-tenant SLO targets, evaluated against the flight
-    /// recorder on every telemetry tick. Attaches an env-configured
+    /// recorder on every telemetry tick. Attaches a default-configured
     /// recorder first if none is present.
     pub fn with_slo_targets(mut self, targets: Vec<SloTarget>) -> Self {
         if self.recorder.is_none() {
-            self = self.with_recorder_config(RecorderConfig::from_env());
+            self = self.with_recorder_config(RecorderConfig::default());
         }
         if let Some(recorder) = &self.recorder {
             self.slo = Some(Arc::new(SloMonitor::new(

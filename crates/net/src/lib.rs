@@ -1,10 +1,9 @@
-//! `diesel-net`: the one RPC layer for all inter-node traffic.
+//! `diesel-net`: the RPC layer for client↔server traffic.
 //!
-//! DIESEL's components talk request/reply: clients call servers
-//! (ingest/read/metadata) and cache nodes call peer cache nodes (chunk
-//! fetches). Before this crate each of those paths hand-rolled its own
-//! crossbeam request/reply plumbing; now they all speak one typed
-//! [`Service`] abstraction and compose the same middleware.
+//! DIESEL's clients talk request/reply to servers (ingest, read,
+//! metadata) through one typed [`Service`] abstraction, and every
+//! deployment shape composes the same middleware around it. The task
+//! cache is an in-process library and does not come through here.
 //!
 //! # Pieces
 //!
@@ -15,8 +14,7 @@
 //!   `DieselClient` when connected to a co-located server; preserves the
 //!   zero-copy, zero-queue behavior of calling the server directly.
 //! - [`ThreadServer`]/[`ThreadChannel`] — a serving thread fed by a
-//!   crossbeam channel, one reply channel per call. Generalizes the old
-//!   `PeerServer`/`PeerHandle` pair from `diesel-cache`.
+//!   crossbeam channel, one reply channel per call.
 //! - [`Retry`] — bounded retries with exponential backoff on retryable
 //!   errors, driven by an injectable [`Clock`] so tests never sleep.
 //! - [`FaultChannel`] — seeded fault injection (drop → timeout, delay,
@@ -48,8 +46,7 @@ use std::sync::Arc;
 
 /// Identity of the far side of a channel: a human-readable service name
 /// plus the node id it lives on. Carried inside every [`NetError`] so
-/// callers can report *which* endpoint failed (the old transport lost
-/// this and reported `node: usize::MAX`).
+/// callers can report *which* endpoint failed.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Endpoint {
     /// Service name, e.g. `"peer"` or `"server"`.

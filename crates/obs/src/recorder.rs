@@ -53,7 +53,7 @@ pub const DEFAULT_MAX_FRAMES: usize = 600;
 /// Default memory hard-cap on buffered frames (estimated payload).
 pub const DEFAULT_MAX_BYTES: usize = 4 << 20;
 
-/// Recorder tuning, normally read from `DIESEL_RECORDER_*`.
+/// Recorder tuning: sampling interval and retention caps.
 #[derive(Debug, Clone)]
 pub struct RecorderConfig {
     /// Sampling interval in nanoseconds of clock time.
@@ -71,28 +71,6 @@ impl Default for RecorderConfig {
             max_frames: DEFAULT_MAX_FRAMES,
             max_bytes: DEFAULT_MAX_BYTES,
         }
-    }
-}
-
-impl RecorderConfig {
-    /// Read `DIESEL_RECORDER_INTERVAL_MS`, `DIESEL_RECORDER_FRAMES`,
-    /// and `DIESEL_RECORDER_MAX_BYTES`, defaulting each knob
-    /// independently.
-    pub fn from_env() -> Self {
-        fn parsed<T: std::str::FromStr>(key: &str) -> Option<T> {
-            std::env::var(key).ok().and_then(|v| v.trim().parse::<T>().ok())
-        }
-        let mut cfg = RecorderConfig::default();
-        if let Some(ms) = parsed::<u64>("DIESEL_RECORDER_INTERVAL_MS") {
-            cfg.interval_ns = ms.max(1).saturating_mul(1_000_000);
-        }
-        if let Some(frames) = parsed::<usize>("DIESEL_RECORDER_FRAMES") {
-            cfg.max_frames = frames.max(1);
-        }
-        if let Some(bytes) = parsed::<usize>("DIESEL_RECORDER_MAX_BYTES") {
-            cfg.max_bytes = bytes.max(1024);
-        }
-        cfg
     }
 }
 
@@ -531,20 +509,6 @@ mod tests {
         let b = run();
         assert_eq!(a, b);
         assert!(a.starts_with("diesel-recorder v1 frames=4 evicted=0\n"), "{a}");
-    }
-
-    #[test]
-    fn env_config_parses_each_knob_independently() {
-        // Serialize env mutation within this test only.
-        std::env::set_var("DIESEL_RECORDER_INTERVAL_MS", "250");
-        std::env::set_var("DIESEL_RECORDER_FRAMES", "42");
-        std::env::remove_var("DIESEL_RECORDER_MAX_BYTES");
-        let cfg = RecorderConfig::from_env();
-        assert_eq!(cfg.interval_ns, 250_000_000);
-        assert_eq!(cfg.max_frames, 42);
-        assert_eq!(cfg.max_bytes, DEFAULT_MAX_BYTES);
-        std::env::remove_var("DIESEL_RECORDER_INTERVAL_MS");
-        std::env::remove_var("DIESEL_RECORDER_FRAMES");
     }
 
     #[test]

@@ -15,8 +15,8 @@
 #                                   also archives results/scrape.prom)
 # The first ever run of each suite seeds its `baseline` section (kept
 # verbatim forever); every later run rewrites `current`. Pass `--check`
-# to fail if any key regresses past `--tolerance`× baseline — this is
-# how scripts/ci.sh ratchets both planes.
+# to fail if a gated key regresses past `--tolerance`× baseline — the
+# deterministic ratio/count keys; wall-clock keys are recorded only.
 #
 # Usage:
 #   scripts/bench.sh                     # refresh `current` in both ledgers

@@ -79,9 +79,11 @@ echo "== bench gates (payload + elastic + mixed tenants + obs plane) =="
 # fairness ratio, simulated KV QPS ceiling) and BENCH_10.json (telemetry
 # plane: recorder tick / Prometheus render / SLO eval cost, plus the
 # hard <=5% hot-path overhead and SLO-health contracts asserted inside
-# the suite itself). The tolerance is wide because CI machines are
-# noisy; the point is catching accidental copies and store re-reads
-# (2×+ jumps), not 5% jitter.
+# the suite itself). Only the deterministic ratio/count keys are gated
+# (store read amplification, recorder overhead ratio, the mixed-tenant
+# keys): wall-clock keys are measured and written to `current`, and
+# their regressions are caught by the BENCHMARK.json per-layer metrics
+# compared against the parent commit, not by an absolute baseline.
 scripts/bench.sh --check --tolerance 2.5
 
 # obs_plane archives the deterministic scenario's Prometheus scrape and
@@ -110,6 +112,23 @@ for manifest in crates/*/Cargo.toml; do
     done
 done
 [ "$unused" -eq 0 ]
+
+echo "== modules: every module file has a caller =="
+# A module's top-level `pub` items are invisible to rustc's dead-code
+# lint, and a `pub use` in lib.rs is not a caller: at least one of them
+# (declared before the file's first #[cfg(test)]) must be named in some
+# other .rs file on a line that is not a re-export, `pub mod` or comment.
+orphans=0
+for f in crates/*/src/*.rs; do
+    case "${f##*/}" in lib.rs|main.rs) continue ;; esac
+    names="$(awk '/#\[cfg\(test\)\]/{exit} /^pub (struct|enum|trait|fn|type|const) /{sub(/[^A-Za-z0-9_].*/,"",$3); print $3}' "$f" | paste -sd'|')"
+    [ -n "$names" ] || continue
+    find crates src tests examples -name '*.rs' ! -path "$f" -print0 | xargs -0 awk -v re="(^|[^A-Za-z0-9_])($names)([^A-Za-z0-9_]|\$)" '
+        FNR==1{u=0} /^[ \t]*pub use /{u=1} u{if(/;/)u=0; next}
+        /^[ \t]*(pub mod |\/\/)/{next} $0~re{found=1; exit} END{exit !found}' ||
+        { echo "$f: no pub item ($names) is named outside the file"; orphans=1; }
+done
+[ "$orphans" -eq 0 ]
 
 echo "== diesel-lint =="
 # Fails on any non-baselined R1–R6 finding; --baseline-check enforces the
