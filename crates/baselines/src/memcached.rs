@@ -150,16 +150,6 @@ impl MemcachedSim {
         self.servers[idx].keys.write().clear();
     }
 
-    /// Revive a server (empty, as after a restart).
-    pub fn revive_server(&self, idx: usize) {
-        self.servers[idx].alive.store(true, Ordering::Release);
-    }
-
-    /// Is the server alive?
-    pub fn is_alive(&self, idx: usize) -> bool {
-        self.servers[idx].alive.load(Ordering::Acquire)
-    }
-
     /// Total resident keys.
     pub fn cached_keys(&self) -> usize {
         self.servers.iter().map(|s| s.keys.read().len()).sum()
@@ -241,10 +231,6 @@ mod tests {
             let expect = if mc.server_of(k) == 3 { ReadSource::Miss } else { ReadSource::Hit };
             assert_eq!(src, expect);
         }
-        mc.revive_server(3);
-        assert!(mc.is_alive(3));
-        // Revived empty: its keys still miss until re-written.
-        assert!((mc.hit_fraction(&ks) - frac).abs() < 1e-9);
     }
 
     #[test]

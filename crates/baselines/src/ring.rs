@@ -24,7 +24,6 @@ fn point_hash(s: &str) -> u64 {
 pub struct ConsistentHashRing {
     /// Sorted (point, server) pairs.
     points: Vec<(u64, usize)>,
-    servers: usize,
 }
 
 impl ConsistentHashRing {
@@ -40,12 +39,7 @@ impl ConsistentHashRing {
             }
         }
         points.sort_unstable();
-        ConsistentHashRing { points, servers }
-    }
-
-    /// Number of servers in the ring.
-    pub fn server_count(&self) -> usize {
-        self.servers
+        ConsistentHashRing { points }
     }
 
     /// The server owning `key`: the first ring point at or after the
@@ -58,20 +52,20 @@ impl ConsistentHashRing {
             Err(i) => self.points[i].1,
         }
     }
-
-    /// Fraction of sampled keys owned by each server (diagnostics).
-    pub fn load_distribution(&self, sample_keys: usize) -> Vec<f64> {
-        let mut counts = vec![0usize; self.servers];
-        for i in 0..sample_keys {
-            counts[self.lookup(&format!("sample/{i}"))] += 1;
-        }
-        counts.into_iter().map(|c| c as f64 / sample_keys as f64).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fraction of sampled keys owned by each of `servers` servers.
+    fn load_distribution(ring: &ConsistentHashRing, servers: usize, keys: usize) -> Vec<f64> {
+        let mut counts = vec![0usize; servers];
+        for i in 0..keys {
+            counts[ring.lookup(&format!("sample/{i}"))] += 1;
+        }
+        counts.into_iter().map(|c| c as f64 / keys as f64).collect()
+    }
 
     #[test]
     fn lookup_is_stable() {
@@ -86,7 +80,7 @@ mod tests {
     #[test]
     fn distribution_is_roughly_uniform() {
         let ring = ConsistentHashRing::new(8, 160);
-        let dist = ring.load_distribution(40_000);
+        let dist = load_distribution(&ring, 8, 40_000);
         for (s, share) in dist.iter().enumerate() {
             assert!((0.06..0.20).contains(share), "server {s} holds {:.1}% of keys", share * 100.0);
         }
@@ -112,7 +106,7 @@ mod tests {
                 }
             }
             points.sort_unstable();
-            ConsistentHashRing { points, servers: 4 }
+            ConsistentHashRing { points }
         };
         let mut moved = 0;
         let mut total = 0;
@@ -135,7 +129,7 @@ mod tests {
         let rough = ConsistentHashRing::new(8, 4);
         let smooth = ConsistentHashRing::new(8, 512);
         let spread = |r: &ConsistentHashRing| {
-            let d = r.load_distribution(20_000);
+            let d = load_distribution(r, 8, 20_000);
             let max = d.iter().cloned().fold(0.0, f64::max);
             let min = d.iter().cloned().fold(1.0, f64::min);
             max - min

@@ -1,6 +1,9 @@
-//! # diesel-bench — the experiment harness
+//! # diesel-bench — the paper-shape regenerators
 //!
-//! One binary per table/figure of the paper's evaluation (§6); run e.g.
+//! One binary per table/figure of the paper's evaluation (§6), fifteen
+//! in all (`table2`, `fig6`…`fig15`, `ablation_*`), each over the
+//! calibrated simulation and nothing else: wall-clock measurement of
+//! the real stack lives in `diesel-benchmark` (BENCHMARK.json). Run e.g.
 //!
 //! ```text
 //! cargo run -p diesel-bench --release --bin fig11a
@@ -17,12 +20,9 @@
 //!   DIESEL read path (local / one-hop remote / FUSE) used by the
 //!   cluster-scale figures.
 //! * [`driver`] — deterministic simulated-client drivers.
-//! * [`ledger`] — the `BENCH_*.json` baseline/current ledger and its
-//!   `--json --check --tolerance` gate, shared by the four gated suites.
 //! * [`report`] — fixed-width table printing and result persistence.
 
 pub mod driver;
-pub mod ledger;
 pub mod model;
 pub mod report;
 

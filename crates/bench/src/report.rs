@@ -27,11 +27,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: append a row of displayable values.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) {
-        self.row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
-    }
-
     /// Render to a string.
     pub fn render(&self) -> String {
         let ncols = self.headers.len();

@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn moved_to_lists_exactly_the_ownership_diffs() {
         let old = ChunkPartition::new(chunks(600), 4).unwrap();
-        let new = old.with_membership(old.ring().add(4).unwrap());
+        let new = old.with_membership(HashRing::contiguous(5).unwrap());
         let moves = old.moved_to(&new);
         assert!(!moves.is_empty(), "a join must claim some chunks");
         assert!(
@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn shrink_returns_the_leavers_chunks() {
         let big = ChunkPartition::new(chunks(300), 5).unwrap();
-        let small = big.with_membership(big.ring().remove(4).unwrap());
+        let small = big.with_membership(HashRing::contiguous(4).unwrap());
         assert_eq!(small.chunks_of(4), &[] as &[ChunkId], "leaver owns nothing");
         for m in big.moved_to(&small) {
             assert_eq!(m.from, 4, "only the leaver's chunks move on a shrink");

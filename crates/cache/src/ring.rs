@@ -64,11 +64,10 @@ fn vnode_point(node: usize, replica: usize) -> u64 {
 /// A consistent-hash ring over a set of cache node ids.
 ///
 /// Build one with [`HashRing::new`] (arbitrary member ids) or
-/// [`HashRing::contiguous`] (ids `0..n`, the common task layout), then
-/// derive changed memberships with [`add`](HashRing::add) /
-/// [`remove`](HashRing::remove) — the ring itself is immutable, so a
-/// placement epoch is always a concrete value that can be compared and
-/// handed to peers.
+/// [`HashRing::contiguous`] (ids `0..n`, the common task layout). The
+/// ring is immutable and membership is its sole input, so a placement
+/// epoch is always a concrete value that can be compared and handed to
+/// peers; a changed membership is a new ring.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HashRing {
     /// (point, node), sorted by point then node (the tie-break keeps
@@ -121,21 +120,6 @@ impl HashRing {
         &self.members
     }
 
-    /// Number of member nodes.
-    pub fn node_count(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Virtual nodes per member.
-    pub fn vnodes(&self) -> usize {
-        self.vnodes
-    }
-
-    /// Is `node` a member?
-    pub fn contains(&self, node: usize) -> bool {
-        self.members.binary_search(&node).is_ok()
-    }
-
     /// The member owning `chunk`: the first virtual node clockwise of
     /// the chunk's point, wrapping at the top of the circle.
     pub fn owner_of(&self, chunk: ChunkId) -> usize {
@@ -146,32 +130,6 @@ impl HashRing {
             // Unreachable: construction rejects empty memberships.
             None => 0,
         }
-    }
-
-    /// A new ring with `node` joined. Errors if `node` is already a
-    /// member.
-    pub fn add(&self, node: usize) -> Result<Self> {
-        if self.contains(node) {
-            return Err(CacheError::InvalidMembership(format!("node {node} is already a member")));
-        }
-        let mut members = self.members.clone();
-        members.push(node);
-        Self::with_vnodes(&members, self.vnodes)
-    }
-
-    /// A new ring with `node` removed. Errors if `node` is not a member
-    /// or is the last one.
-    pub fn remove(&self, node: usize) -> Result<Self> {
-        if !self.contains(node) {
-            return Err(CacheError::InvalidMembership(format!("node {node} is not a member")));
-        }
-        if self.members.len() == 1 {
-            return Err(CacheError::InvalidMembership(
-                "cannot remove the last member of a ring".into(),
-            ));
-        }
-        let members: Vec<usize> = self.members.iter().copied().filter(|&m| m != node).collect();
-        Self::with_vnodes(&members, self.vnodes)
     }
 }
 
@@ -197,7 +155,7 @@ mod tests {
     fn owners_are_members() {
         let ring = HashRing::new(&[3, 7, 11]).unwrap();
         for c in chunks(500) {
-            assert!(ring.contains(ring.owner_of(c)));
+            assert!(ring.members().contains(&ring.owner_of(c)));
         }
     }
 
@@ -227,19 +185,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn add_then_remove_roundtrips() {
-        let ring = HashRing::contiguous(4).unwrap();
-        let grown = ring.add(4).unwrap();
-        assert_eq!(grown.members(), &[0, 1, 2, 3, 4]);
-        let back = grown.remove(4).unwrap();
-        assert_eq!(back, ring, "membership is the sole input to the ring");
-        assert!(ring.add(2).is_err(), "double-join rejected");
-        assert!(ring.remove(9).is_err(), "unknown member rejected");
-        let one = HashRing::contiguous(1).unwrap();
-        assert!(one.remove(0).is_err(), "last member is irremovable");
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -251,8 +196,8 @@ mod tests {
             let g = ChunkIdGenerator::deterministic(seed + 1, 1, 10);
             let cs: Vec<ChunkId> = (0..600).map(|_| g.next_id()).collect();
             let before = HashRing::contiguous(nodes).unwrap();
-            let after = before.add(nodes).unwrap();
-            let n = after.node_count();
+            let after = HashRing::contiguous(nodes + 1).unwrap();
+            let n = nodes + 1;
             let mut moved = 0usize;
             for &c in &cs {
                 let (old, new) = (before.owner_of(c), after.owner_of(c));
@@ -296,7 +241,8 @@ mod tests {
             let cs: Vec<ChunkId> = (0..400).map(|_| g.next_id()).collect();
             let before = HashRing::contiguous(nodes).unwrap();
             let leaver = seed as usize % nodes;
-            let after = before.remove(leaver).unwrap();
+            let survivors: Vec<usize> = (0..nodes).filter(|&m| m != leaver).collect();
+            let after = HashRing::new(&survivors).unwrap();
             for &c in &cs {
                 let (old, new) = (before.owner_of(c), after.owner_of(c));
                 if old != leaver {

@@ -7,14 +7,14 @@
 //! makes warm-up and recovery fast (Fig. 11b).
 //!
 //! Membership is *elastic* (DESIGN.md §13): the partition rides a
-//! consistent-hash ring, and [`TaskCache::resize`] /
-//! [`TaskCache::add_node`] / [`TaskCache::remove_node`] install a new
-//! membership epoch, then run a rebalance sweep that fills each moved
+//! consistent-hash ring, and [`TaskCache::resize`] installs a new
+//! membership epoch, then runs a rebalance sweep that fills each moved
 //! chunk on its new owner — **from the previous owner's memory when the
 //! chunk is still resident there** (peer warm handoff), falling back to
 //! the backing store only when it is not. Reads that race a rebalance
-//! are protected by the epoch: a request routed with a stale owner gets
-//! [`CacheError::StaleOwner`] and re-resolves.
+//! re-validate ownership before filling: a fill routed to a node that
+//! no longer owns the chunk gets [`CacheError::StaleOwner`] and the
+//! read re-resolves.
 //!
 //! Lock order (runtime lockdep classes, see also `LOCK_RANKS` in
 //! diesel-lint): `cache.rebalance` → `cache.membership` → `cache.node`,
@@ -63,7 +63,10 @@ pub struct CacheConfig {
     /// budget; a [`TenantCacheMap`](crate::TenantCacheMap) re-partitions
     /// it at runtime via [`TaskCache::set_capacity_bytes_per_node`].
     pub capacity_bytes_per_node: u64,
-    /// Fill policy.
+    /// Fill policy — descriptive only: nothing in the cache reads it.
+    /// A cache is `Oneshot` iff its owner calls
+    /// [`TaskCache::prefetch_all`] after construction; otherwise every
+    /// chunk fills on its first miss (`OnDemand`).
     pub policy: CachePolicy,
 }
 
@@ -183,9 +186,7 @@ pub struct LoadReport {
     pub bytes_loaded: u64,
 }
 
-/// Result of one membership transition
-/// ([`TaskCache::resize`]/[`add_node`](TaskCache::add_node)/
-/// [`remove_node`](TaskCache::remove_node)).
+/// Result of one membership transition ([`TaskCache::resize`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RebalanceReport {
     /// The epoch installed by this transition.
@@ -499,8 +500,7 @@ impl<S: ObjectStore> TaskCache<S> {
     /// owner; the fraction counts residencies, so it can exceed 1.
     /// That excess is normally transient, but after a rebalance sweep
     /// *fails* partway it persists — the unfinished chunks' warm copies
-    /// stay pinned on their previous owners (see
-    /// [`TaskCache::pending_handoffs`]) until the transition is retried,
+    /// stay pinned on their previous owners until the transition is retried,
     /// a later transition supersedes it, or the chunks are read on
     /// demand.
     pub fn resident_fraction(&self) -> f64 {
@@ -578,21 +578,6 @@ impl<S: ObjectStore> TaskCache<S> {
     /// Grow/shrink to the contiguous membership `0..nodes` and rebalance.
     pub fn resize(&self, nodes: usize) -> Result<RebalanceReport> {
         self.rebalance_to(HashRing::contiguous(nodes)?)
-    }
-
-    /// Join `node` to the membership and rebalance (steals ≈ 1/n of the
-    /// chunks, warm where possible).
-    pub fn add_node(&self, node: usize) -> Result<RebalanceReport> {
-        let ring = self.membership.read().partition.ring().add(node)?;
-        self.rebalance_to(ring)
-    }
-
-    /// Retire `node` from the membership and rebalance: its chunks are
-    /// handed to the survivors from its memory while it drains, then its
-    /// state is dropped.
-    pub fn remove_node(&self, node: usize) -> Result<RebalanceReport> {
-        let ring = self.membership.read().partition.ring().remove(node)?;
-        self.rebalance_to(ring)
     }
 
     /// Install `ring` as the new membership (epoch bump) and run the
@@ -830,42 +815,23 @@ impl<S: ObjectStore> TaskCache<S> {
     /// previous owners). Nonzero after a failed or partially-drained
     /// transition; retrying the same transition (or any later one, or
     /// an on-demand read of each chunk) closes them.
-    pub fn pending_handoffs(&self) -> usize {
+    #[cfg(test)]
+    fn pending_handoffs(&self) -> usize {
         self.membership.read().handoff.len()
-    }
-
-    /// Resolve the owner of `chunk` under the current epoch. The pair
-    /// feeds [`TaskCache::get_file_routed`], which rejects it with
-    /// [`CacheError::StaleOwner`] if a rebalance lands in between.
-    pub fn resolve_owner(&self, chunk: ChunkId) -> Result<(usize, u64)> {
-        let m = self.membership.read();
-        match m.partition.owner_of(chunk) {
-            Some(owner) => Ok((owner, m.epoch)),
-            None => Err(CacheError::UnknownChunk(chunk.encode())),
-        }
     }
 
     /// Read a whole file through the cache, re-resolving the owner if a
     /// membership transition invalidates the route mid-flight.
     pub fn get_file(&self, meta: &FileMeta) -> Result<Fetched> {
-        retry_stale(|| self.read_file(meta, None))
+        retry_stale(|| self.read_file(meta))
     }
 
-    /// Read a whole file from `owner`, validating that the route was
-    /// resolved under the current `epoch` (a pair from
-    /// [`TaskCache::resolve_owner`]): a rebalance that raced the routing
-    /// decision yields a typed [`CacheError::StaleOwner`] instead of a
-    /// wrong-node read.
-    pub fn get_file_routed(&self, meta: &FileMeta, owner: usize, epoch: u64) -> Result<Fetched> {
-        self.read_file(meta, Some((owner, epoch)))
-    }
-
-    /// The one read path. A caller-supplied `route` is validated, a
-    /// missing one resolved, under a single membership read
-    /// acquisition; the warm hit then takes one node lock and nothing
-    /// else. `trace::active()` only decides whether the `cache.get`
-    /// span records — traced and untraced reads run the same code.
-    fn read_file(&self, meta: &FileMeta, route: Option<(usize, u64)>) -> Result<Fetched> {
+    /// The one read path. The owner is resolved under a single
+    /// membership read acquisition; the warm hit then takes one node
+    /// lock and nothing else. `trace::active()` only decides whether
+    /// the `cache.get` span records — traced and untraced reads run the
+    /// same code.
+    fn read_file(&self, meta: &FileMeta) -> Result<Fetched> {
         let mut span = if trace::active() {
             let chunk = meta.chunk.encode();
             trace::span("cache.get", &[("chunk", chunk.as_str())])
@@ -880,19 +846,10 @@ impl<S: ObjectStore> TaskCache<S> {
         // instead of per miss.
         let (owner, dest) = {
             let m = self.membership.read();
-            let current = m.partition.owner_of(meta.chunk);
-            let owner = match (route, current) {
-                (Some((owner, epoch)), _) if m.epoch != epoch || current != Some(owner) => {
-                    self.metrics.stale_owner_retries.inc();
-                    span.label("outcome", "stale_owner");
-                    return Err(CacheError::StaleOwner { epoch: m.epoch });
-                }
-                (_, Some(owner)) => owner,
-                (_, None) => {
-                    self.metrics.file_reads.inc();
-                    span.label("outcome", "unknown_chunk");
-                    return Err(CacheError::UnknownChunk(meta.chunk.encode()));
-                }
+            let Some(owner) = m.partition.owner_of(meta.chunk) else {
+                self.metrics.file_reads.inc();
+                span.label("outcome", "unknown_chunk");
+                return Err(CacheError::UnknownChunk(meta.chunk.encode()));
             };
             (owner, m.nodes.get(&owner).cloned())
         };
@@ -1520,7 +1477,7 @@ mod tests {
         let c = cache(store, chunks, 4, 1 << 30, CachePolicy::Oneshot);
         c.prefetch_all().unwrap();
         let leaver_share = c.partition().chunks_of(3).len() as u64;
-        let report = c.remove_node(3).unwrap();
+        let report = c.resize(3).unwrap();
         assert_eq!(c.members(), vec![0, 1, 2]);
         assert_eq!(report.chunks_moved, leaver_share, "a shrink moves exactly the leaver's share");
         assert_eq!(report.peer_warm_hits, report.chunks_moved, "drained from the leaver's memory");
@@ -1531,10 +1488,6 @@ mod tests {
         }
         // The retired node is gone from the membership entirely.
         assert_eq!(c.node_resident_bytes(3), 0);
-        assert!(matches!(
-            c.resolve_owner(ChunkIdGenerator::deterministic(9, 9, 9).next_id()),
-            Err(CacheError::UnknownChunk(_))
-        ));
     }
 
     #[test]
@@ -1552,28 +1505,6 @@ mod tests {
         for (_, meta) in &metas {
             assert!(c.get_file(meta).is_ok());
         }
-    }
-
-    #[test]
-    fn stale_owner_route_is_rejected_then_retried() {
-        let (store, metas, chunks) = dataset(20, 100, 1024);
-        let c = cache(store, chunks, 4, 1 << 30, CachePolicy::Oneshot);
-        c.prefetch_all().unwrap();
-        let route = |m: &FileMeta| c.resolve_owner(m.chunk).unwrap();
-        let routes: Vec<_> = metas.iter().map(|(_, m)| route(m)).collect();
-        // A membership transition lands between resolve and fetch: every
-        // old route is stale, whether its chunk moved or kept its owner.
-        c.resize(8).unwrap();
-        assert!(metas.iter().zip(&routes).any(|((_, m), r)| route(m).0 == r.0), "some owner kept");
-        for ((_, meta), &(owner, epoch)) in metas.iter().zip(&routes) {
-            match c.get_file_routed(meta, owner, epoch) {
-                Err(CacheError::StaleOwner { epoch: current }) => assert_eq!(current, 1),
-                other => panic!("stale route must be rejected, got {other:?}"),
-            }
-        }
-        assert_eq!(c.metrics().stale_owner_retries(), metas.len() as u64);
-        // The self-resolving read path routes under the current epoch.
-        assert!(c.get_file(&metas[0].1).unwrap().chunk_hit);
     }
 
     #[test]
@@ -1601,8 +1532,8 @@ mod tests {
     fn traced_and_untraced_reads_are_the_same_reads() {
         type Outcome = Result<(Bytes, usize, bool)>;
         /// One access sequence over a fresh cache — miss-then-fill, hit,
-        /// routed hit, unknown chunk, killed owner, stale route, then a
-        /// full pass — with or without an ambient tracer. Returns every
+        /// unknown chunk, killed owner, then a full pass after a resize
+        /// — with or without an ambient tracer. Returns every
         /// outcome, the counter totals, and how many `cache.get` spans
         /// the run recorded.
         fn run(traced: bool) -> (Vec<Outcome>, [u64; 4], usize) {
@@ -1618,8 +1549,6 @@ mod tests {
             let meta = &metas[0].1;
             rec(c.get_file(meta)); // miss, filled from the store
             rec(c.get_file(meta)); // hit
-            let (owner, epoch) = c.resolve_owner(meta.chunk).unwrap();
-            rec(c.get_file_routed(meta, owner, epoch)); // routed hit
             let foreign = FileMeta {
                 chunk: ChunkIdGenerator::deterministic(9, 9, 9).next_id(),
                 index_in_chunk: 0,
@@ -1628,14 +1557,15 @@ mod tests {
                 uploaded_ms: 0,
             };
             rec(c.get_file(&foreign)); // unknown chunk
+            let part = c.partition();
+            let owner_of = |m: &FileMeta| part.owner_of(m.chunk).unwrap();
             let (_, other) = metas
                 .iter()
-                .find(|(_, m)| c.resolve_owner(m.chunk).unwrap().0 != owner)
+                .find(|(_, m)| owner_of(m) != owner_of(meta))
                 .expect("four nodes share the chunks");
-            c.kill_node(c.resolve_owner(other.chunk).unwrap().0);
+            c.kill_node(owner_of(other));
             rec(c.get_file(other)); // killed owner
             c.resize(8).unwrap();
-            rec(c.get_file_routed(meta, owner, epoch)); // stale route
             for (_, m) in &metas {
                 rec(c.get_file(m));
             }
@@ -1653,7 +1583,6 @@ mod tests {
         assert_eq!(plain_counters, traced_counters);
         assert!(plain.iter().any(|o| matches!(o, Err(CacheError::UnknownChunk(_)))));
         assert!(plain.iter().any(|o| matches!(o, Err(CacheError::NodeDown { .. }))));
-        assert!(plain.iter().any(|o| matches!(o, Err(CacheError::StaleOwner { epoch: 1 }))));
         assert!(plain.iter().any(|o| matches!(o, Ok((_, _, false)))));
     }
 
@@ -1702,6 +1631,7 @@ mod tests {
     #[test]
     fn grow_shrink_roundtrip_restores_placement() {
         let (store, metas, chunks) = dataset(60, 200, 1024);
+        let chunk_count = chunks.len() as u64;
         let c = cache(store, chunks, 4, 1 << 30, CachePolicy::Oneshot);
         c.prefetch_all().unwrap();
         let before = c.partition();
@@ -1721,6 +1651,8 @@ mod tests {
         assert_eq!(warm, up.chunks_moved + down.chunks_moved);
         assert_eq!(snap.counter("cache.rebalance.store_fallbacks{dataset=ds}"), 0);
         assert_eq!(snap.gauge("cache.membership_epoch{dataset=ds}"), 2);
+        // Warm-up + grow + shrink read each chunk from the store once, ever.
+        assert_eq!(c.metrics().chunk_loads(), chunk_count);
     }
 
     /// A `MemObjectStore` whose read path can be switched to fail — the

@@ -10,7 +10,7 @@
 //! residency, because A's `TaskCache` evicts only against A's own
 //! budget.
 //!
-//! Budgets are re-partitioned on every register/deregister: each tenant
+//! Budgets are re-partitioned on every register: each tenant
 //! gets `node_budget × weight / Σweights` bytes per node, applied via
 //! [`TaskCache::set_capacity_bytes_per_node`] (which shrinks residency
 //! synchronously, so a cap is never violated by bytes installed under
@@ -30,7 +30,7 @@ use diesel_obs::Registry;
 use diesel_store::ObjectStore;
 use diesel_util::RwLock;
 
-use crate::task_cache::{CacheConfig, CachePolicy, RebalanceReport, TaskCache};
+use crate::task_cache::{CacheConfig, CachePolicy, TaskCache};
 use crate::topology::Topology;
 use crate::{CacheError, Result};
 
@@ -168,17 +168,6 @@ impl<S: ObjectStore + 'static> TenantCacheMap<S> {
         Ok(cache)
     }
 
-    /// Retire a tenant; its budget flows back to the survivors. Returns
-    /// whether it was registered.
-    pub fn deregister(&self, dataset: &str) -> bool {
-        let removed = self.tenants.write().remove(dataset).is_some();
-        if removed {
-            self.registry.event("cache.tenant.deregistered", &[("dataset", dataset)]);
-            self.repartition();
-        }
-        removed
-    }
-
     /// The cache serving `dataset`, if registered.
     pub fn get(&self, dataset: &str) -> Option<Arc<TaskCache<S>>> {
         self.tenants.read().get(dataset).map(|e| Arc::clone(&e.cache))
@@ -192,21 +181,6 @@ impl<S: ObjectStore + 'static> TenantCacheMap<S> {
     /// The hard per-node byte cap currently assigned to `dataset`.
     pub fn budget_of(&self, dataset: &str) -> Option<u64> {
         self.tenants.read().get(dataset).map(|e| e.cache.capacity_bytes_per_node())
-    }
-
-    /// Resize the shared node plane: every tenant's cache swings to the
-    /// contiguous membership `0..nodes` (each runs its own warm-handoff
-    /// rebalance, reported per tenant in deterministic dataset order).
-    pub fn resize_all(&self, nodes: usize) -> Result<Vec<(String, RebalanceReport)>> {
-        let caches: Vec<(String, Arc<TaskCache<S>>)> = {
-            let t = self.tenants.read();
-            t.iter().map(|(ds, e)| (ds.clone(), Arc::clone(&e.cache))).collect()
-        };
-        let mut reports = Vec::with_capacity(caches.len());
-        for (ds, cache) in caches {
-            reports.push((ds, cache.resize(nodes)?));
-        }
-        Ok(reports)
     }
 
     /// Per-tenant accounting (dataset order).
@@ -312,7 +286,7 @@ mod tests {
     }
 
     #[test]
-    fn budgets_partition_by_weight_and_repartition_on_churn() {
+    fn budgets_partition_by_weight_and_repartition_on_register() {
         let (store, map) = plane(90_000);
         let (_, a_chunks) = seed_dataset(&store, "a", 10, 1);
         let (_, b_chunks) = seed_dataset(&store, "b", 10, 2);
@@ -321,9 +295,7 @@ mod tests {
         map.register("b", b_chunks, 1).unwrap();
         assert_eq!(map.budget_of("a"), Some(60_000));
         assert_eq!(map.budget_of("b"), Some(30_000));
-        assert!(map.deregister("a"));
-        assert_eq!(map.budget_of("b"), Some(90_000));
-        assert_eq!(map.tenants(), vec!["b".to_string()]);
+        assert_eq!(map.tenants(), vec!["a".to_string(), "b".to_string()]);
     }
 
     #[test]
@@ -402,32 +374,5 @@ mod tests {
         assert_eq!(usage[1].dataset, "b");
         assert_eq!(usage[1].file_reads, 0);
         assert_eq!(usage[1].resident_bytes, 0);
-    }
-
-    #[test]
-    fn resize_all_rebalances_every_tenant() {
-        let (store, map) = plane(1 << 20);
-        let (a_metas, a_chunks) = seed_dataset(&store, "a", 30, 1);
-        let (b_metas, b_chunks) = seed_dataset(&store, "b", 30, 2);
-        let a = map.register("a", a_chunks, 1).unwrap();
-        let b = map.register("b", b_chunks, 1).unwrap();
-        for m in &a_metas {
-            a.get_file(m).unwrap();
-        }
-        for m in &b_metas {
-            b.get_file(m).unwrap();
-        }
-        let reports = map.resize_all(4).unwrap();
-        assert_eq!(reports.len(), 2);
-        for (_, r) in &reports {
-            assert_eq!(r.epoch, 1);
-        }
-        assert_eq!(a.members(), vec![0, 1, 2, 3]);
-        for m in &a_metas {
-            a.get_file(m).unwrap();
-        }
-        for m in &b_metas {
-            b.get_file(m).unwrap();
-        }
     }
 }

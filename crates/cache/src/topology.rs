@@ -81,11 +81,6 @@ impl Topology {
         self.masters.get(node).copied().unwrap_or(usize::MAX)
     }
 
-    /// Is `client` a master?
-    pub fn is_master(&self, client: PeerId) -> bool {
-        self.masters.get(client.node) == Some(&client.rank)
-    }
-
     /// Connection count under DIESEL's master-client scheme: every
     /// client holds a connection to every master except itself —
     /// `p × (n − 1)` in total (§4.2).
@@ -130,8 +125,6 @@ mod tests {
         assert_eq!(t.client_count(), 32);
         for node in 0..4 {
             assert_eq!(t.master_of(node), node * 8);
-            assert!(t.is_master(PeerId { node, rank: node * 8 }));
-            assert!(!t.is_master(PeerId { node, rank: node * 8 + 1 }));
         }
     }
 
@@ -172,7 +165,7 @@ mod tests {
         let t = Topology::uniform(1, 1).unwrap();
         assert_eq!(t.diesel_connection_count(), 0);
         assert_eq!(t.full_mesh_connection_count(), 0);
-        assert!(t.is_master(PeerId { node: 0, rank: 0 }));
+        assert_eq!(t.master_of(0), 0);
     }
 
     #[test]

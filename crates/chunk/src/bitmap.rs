@@ -41,12 +41,6 @@ impl DeletionBitmap {
         was
     }
 
-    /// Un-delete file `idx` (used when rebuilding bitmaps during compaction).
-    pub fn clear_deleted(&mut self, idx: usize) {
-        assert!(idx < self.len, "bitmap index {idx} out of range {}", self.len);
-        self.bits[idx / 64] &= !(1u64 << (idx % 64));
-    }
-
     /// Is file `idx` deleted?
     pub fn is_deleted(&self, idx: usize) -> bool {
         assert!(idx < self.len, "bitmap index {idx} out of range {}", self.len);
@@ -61,11 +55,6 @@ impl DeletionBitmap {
     /// Number of live files.
     pub fn live_count(&self) -> usize {
         self.len - self.deleted_count()
-    }
-
-    /// Iterate indices of live (non-deleted) files.
-    pub fn live_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).filter(move |&i| !self.is_deleted(i))
     }
 
     /// Serialize to the on-chunk wire form (little-endian u64 words).
@@ -124,18 +113,6 @@ mod tests {
         assert!(!bm.is_deleted(1));
         assert_eq!(bm.deleted_count(), 3);
         assert_eq!(bm.live_count(), 127);
-        bm.clear_deleted(64);
-        assert!(!bm.is_deleted(64));
-        assert_eq!(bm.deleted_count(), 2);
-    }
-
-    #[test]
-    fn live_indices_skips_deleted() {
-        let mut bm = DeletionBitmap::new(10);
-        bm.set_deleted(2);
-        bm.set_deleted(7);
-        let live: Vec<usize> = bm.live_indices().collect();
-        assert_eq!(live, vec![0, 1, 3, 4, 5, 6, 8, 9]);
     }
 
     #[test]
@@ -182,7 +159,7 @@ mod tests {
                 if d < len { bm.set_deleted(d); }
             }
             prop_assert_eq!(bm.deleted_count() + bm.live_count(), len);
-            prop_assert_eq!(bm.live_indices().count(), bm.live_count());
+            prop_assert_eq!((0..len).filter(|&i| !bm.is_deleted(i)).count(), bm.live_count());
         }
     }
 }

@@ -236,11 +236,6 @@ impl<'a> ChunkWriter<'a> {
         self.seal_current();
         self.sealed
     }
-
-    /// Drain chunks sealed so far without finishing (streaming upload).
-    pub fn take_sealed(&mut self) -> Vec<SealedChunk> {
-        std::mem::take(&mut self.sealed)
-    }
 }
 
 #[cfg(test)]
@@ -317,24 +312,6 @@ mod tests {
         let ids = gen();
         let w = ChunkWriter::new(Default::default(), &ids);
         assert!(w.finish().is_empty());
-    }
-
-    #[test]
-    fn take_sealed_streams_incrementally() {
-        let ids = gen();
-        let cfg = ChunkBuilderConfig { target_chunk_size: 2048, ..Default::default() };
-        let mut w = ChunkWriter::new(cfg, &ids).with_clock(|| 1);
-        let data = vec![1u8; 900];
-        w.add_file("a", &data).unwrap();
-        w.add_file("b", &data).unwrap();
-        w.add_file("c", &data).unwrap(); // seals first chunk
-        let first = w.take_sealed();
-        assert_eq!(first.len(), 1);
-        assert!(w.take_sealed().is_empty());
-        let rest = w.finish();
-        assert_eq!(rest.len(), 1);
-        let total: usize = first.iter().chain(rest.iter()).map(|c| c.header.file_count()).sum();
-        assert_eq!(total, 3);
     }
 
     #[test]

@@ -116,12 +116,6 @@ impl ChunkId {
         let raw = decode_sort64(s)?;
         Ok(ChunkId(raw))
     }
-
-    /// Encode with the *standard* base64 alphabet (not order-preserving);
-    /// provided for interoperability and to document the pitfall.
-    pub fn encode_std_base64(&self) -> String {
-        encode_base64_alphabet(&self.0, STD64)
-    }
 }
 
 impl fmt::Debug for ChunkId {
@@ -143,7 +137,6 @@ impl fmt::Display for ChunkId {
     }
 }
 
-const STD64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 const ORD64: &[u8; 64] = b"-0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz";
 
 fn encode_base64_alphabet(bytes: &[u8; 16], alphabet: &[u8; 64]) -> String {
@@ -360,32 +353,6 @@ mod tests {
         encoded.sort();
         let decoded: Vec<ChunkId> = encoded.iter().map(|s| ChunkId::decode(s).unwrap()).collect();
         assert_eq!(decoded, raw_sorted);
-    }
-
-    #[test]
-    fn std_base64_is_not_order_preserving() {
-        // Documents why the ordered alphabet exists: find two IDs whose raw
-        // order and std-base64 string order disagree.
-        let a = ChunkId::new(0, MachineId::from_seed(0x3e), 0, 0); // byte 0x00 ...
-        let b = ChunkId::new(0x0400_0000, MachineId::from_seed(0), 0, 0);
-        assert!(a.0 < b.0);
-        // '+' and '/' sort before alphanumerics in ASCII but come last in the
-        // standard alphabet, so there exist inversions; assert the specific
-        // global property instead: the mapping is not monotone over a sweep.
-        let mut inversions = 0;
-        let mut prev_raw = ChunkId::new(0, MachineId::from_seed(0), 0, 0);
-        let mut prev_s = prev_raw.encode_std_base64();
-        for ts in 1..2048u32 {
-            let id = ChunkId::new(ts, MachineId::from_seed(ts as u64 * 977), 0, 0);
-            let s = id.encode_std_base64();
-            if (id.0 > prev_raw.0) != (s > prev_s) {
-                inversions += 1;
-            }
-            prev_raw = id;
-            prev_s = s;
-        }
-        assert!(inversions > 0, "expected std base64 to break ordering");
-        let _ = (a, b);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use diesel_util::Bytes;
 
-use crate::format::{ChunkHeader, FileEntry};
+use crate::format::ChunkHeader;
 use crate::{ChunkError, Result};
 
 /// A parsed, owned view over one chunk (`header ‖ payload`).
@@ -118,28 +118,6 @@ impl ChunkView {
         Ok(bytes)
     }
 
-    /// Read a byte range of a live file (FUSE-style partial reads,
-    /// clamped to the file's end).
-    pub fn read_file_range(&self, name: &str, offset: u64, len: usize) -> Result<Bytes> {
-        let idx = self.find(name).ok_or_else(|| ChunkError::NoSuchFile(name.to_owned()))?;
-        if self.header.bitmap.is_deleted(idx) {
-            return Err(ChunkError::FileDeleted(name.to_owned()));
-        }
-        let whole = self.file_bytes(idx)?;
-        let start = (offset as usize).min(whole.len());
-        let end = start.saturating_add(len).min(whole.len());
-        Ok(whole.slice(start..end))
-    }
-
-    /// Iterate `(entry, live, bytes)` over all files in payload order.
-    pub fn iter_files(&self) -> impl Iterator<Item = (&FileEntry, bool, Bytes)> + '_ {
-        self.header.files.iter().enumerate().map(move |(i, f)| {
-            let live = !self.header.bitmap.is_deleted(i);
-            let bytes = self.file_bytes(i).unwrap_or_default();
-            (f, live, bytes)
-        })
-    }
-
     /// Verify every file checksum; returns names of corrupt files.
     pub fn verify_all(&self) -> Vec<String> {
         let mut bad = Vec::new();
@@ -157,7 +135,6 @@ impl ChunkView {
 mod tests {
     use super::*;
     use crate::builder::ChunkBuilder;
-    use crate::compact::mark_deleted;
     use crate::id::ChunkIdGenerator;
     use proptest::prelude::*;
 
@@ -184,17 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn range_reads_clamp_to_the_file() {
-        let bytes = build(&[("f", b"0123456789")]);
-        let v = ChunkView::parse(bytes.clone()).unwrap();
-        assert_eq!(v.read_file_range("f", 2, 3).unwrap(), b"234"[..]);
-        assert_eq!(v.read_file_range("f", 8, 100).unwrap(), b"89"[..]);
-        assert_eq!(v.read_file_range("f", 100, 5).unwrap(), b""[..]);
-        assert_eq!(v.read_file_range("f", 4, usize::MAX).unwrap(), b"456789"[..]);
-        assert!(v.read_file_range("f", 2, 3).unwrap().shares_allocation(&bytes));
-    }
-
-    #[test]
     fn payload_corruption_detected_by_crc() {
         let mut raw = build(&[("f", b"sensitive-data")]).into_vec();
         let n = raw.len();
@@ -211,18 +177,6 @@ mod tests {
             ChunkView::parse(bytes.slice(..bytes.len() - 4)),
             Err(ChunkError::Truncated { .. })
         ));
-    }
-
-    #[test]
-    fn iter_files_reports_live_flags() {
-        let mut raw = build(&[("a", b"1"), ("b", b"2")]).into_vec();
-        let live = |raw: &[u8]| -> Vec<bool> {
-            let v = ChunkView::parse(Bytes::from(raw.to_vec())).unwrap();
-            v.iter_files().map(|(_, live, _)| live).collect()
-        };
-        assert_eq!(live(&raw), vec![true, true]);
-        assert!(mark_deleted(&mut raw, "a").unwrap());
-        assert_eq!(live(&raw), vec![false, true]);
     }
 
     #[test]
@@ -254,7 +208,6 @@ mod tests {
                 ("[a-z]{1,12}(/[a-z]{1,8}){0,3}", proptest::collection::vec(any::<u8>(), 0..2000)),
                 1..20
             ),
-            range in (0u64..3000, 0usize..3000),
         ) {
             // De-duplicate names (chunk semantics assume unique names).
             let mut seen = std::collections::HashSet::new();
@@ -284,11 +237,6 @@ mod tests {
                 let parent = bytes.as_slice().as_ptr_range();
                 let sub = owned.as_slice().as_ptr_range();
                 prop_assert!(sub.start >= parent.start && sub.end <= parent.end);
-                // Range reads clamp to the file.
-                let (off, len) = range;
-                let start = (off as usize).min(d.len());
-                let end = (start + len).min(d.len());
-                prop_assert_eq!(v.read_file_range(n, off, len).unwrap().as_slice(), &d[start..end]);
                 // Unverified index reads agree too.
                 prop_assert_eq!(v.file_bytes(i).unwrap().as_slice(), &d[..]);
             }

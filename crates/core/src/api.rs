@@ -255,22 +255,6 @@ impl ServerResponse {
         }
     }
 
-    /// Unwrap [`ServerResponse::Purge`].
-    pub fn into_purge(self) -> Result<PurgeReport> {
-        match self {
-            ServerResponse::Purge(p) => Ok(p),
-            other => Err(unexpected("a purge report", &other)),
-        }
-    }
-
-    /// Unwrap [`ServerResponse::Removed`].
-    pub fn into_removed(self) -> Result<u64> {
-        match self {
-            ServerResponse::Removed(n) => Ok(n),
-            other => Err(unexpected("a removal count", &other)),
-        }
-    }
-
     /// Unwrap [`ServerResponse::Stats`].
     pub fn into_stats(self) -> Result<RegistrySnapshot> {
         match self {
@@ -512,19 +496,14 @@ mod tests {
         conn.call(ServerRequest::DeleteFile { dataset: ds(), path: "a".into(), now_ms: 2_000 })
             .unwrap()
             .unwrap();
-        let purge = conn
-            .call(ServerRequest::PurgeDataset { dataset: ds(), now_ms: 3_000 })
-            .unwrap()
-            .unwrap()
-            .into_purge()
-            .unwrap();
+        let purge =
+            conn.call(ServerRequest::PurgeDataset { dataset: ds(), now_ms: 3_000 }).unwrap();
+        let Ok(ServerResponse::Purge(purge)) = purge else { panic!("purge replied {purge:?}") };
         assert_eq!(purge.bytes_reclaimed, 5);
-        let removed = conn
-            .call(ServerRequest::DeleteDataset { dataset: ds() })
-            .unwrap()
-            .unwrap()
-            .into_removed()
-            .unwrap();
+        let removed = conn.call(ServerRequest::DeleteDataset { dataset: ds() }).unwrap();
+        let Ok(ServerResponse::Removed(removed)) = removed else {
+            panic!("delete replied {removed:?}")
+        };
         assert!(removed >= 1);
     }
 

@@ -29,6 +29,7 @@ use diesel_core::dlcmd;
 use diesel_core::{DieselClient, DieselServer, ServerRequest};
 use diesel_kv::ShardedKv;
 use diesel_meta::EntryKind;
+use diesel_obs::{FlightRecorder, RecorderConfig, SloMonitor, SloReport, SloTarget};
 use diesel_store::{DirObjectStore, ObjectStore};
 
 type Server = DieselServer<ShardedKv, DirObjectStore>;
@@ -91,31 +92,34 @@ impl<E: std::fmt::Display> From<E> for Cli {
 /// directory store should serve p99 well under 50 ms and essentially
 /// error-free. Hit-rate/throttle objectives need a live cache and
 /// admission controller, which a per-invocation CLI doesn't run.
-fn cli_slo_target(dataset: &str) -> diesel_core::SloTarget {
-    diesel_core::SloTarget {
+fn cli_slo_target(dataset: &str) -> SloTarget {
+    SloTarget {
         read_p99_ns: Some(50_000_000),
         max_error_ratio: Some(0.01),
-        ..diesel_core::SloTarget::new(dataset)
+        ..SloTarget::new(dataset)
     }
 }
 
-/// Build a telemetry-enabled server over the store, sweep every file of
-/// the given datasets through the wire read path (so `server.read_latency`
-/// and the error counters populate), and evaluate the SLO monitor over
-/// the recording. The recorder is ticked manually around the sweep — a
-/// CLI invocation is far shorter than the background driver's cadence.
+/// Build a server over the store with a flight recorder and SLO monitor
+/// on its registry, sweep every file of the given datasets through the
+/// wire read path (so `server.read_latency` and the error counters
+/// populate), and evaluate the monitor over the recording. The recorder
+/// is ticked once before and once after the sweep.
 fn telemetry_sweep(
     store: &Arc<DirObjectStore>,
     datasets: &[String],
-) -> Result<(Arc<diesel_core::FlightRecorder>, Vec<diesel_core::SloReport>, u64), Cli> {
-    let server = DieselServer::new(Arc::new(ShardedKv::new()), store.clone());
+) -> Result<(Arc<FlightRecorder>, Vec<SloReport>, u64), Cli> {
     let server: Arc<Server> =
-        Arc::new(server.with_slo_targets(datasets.iter().map(|d| cli_slo_target(d)).collect()));
+        Arc::new(DieselServer::new(Arc::new(ShardedKv::new()), store.clone()));
     for ds in datasets {
         server.recover_metadata_full(ds).map_err(Cli::from)?;
     }
-    let rec = server.recorder().expect("with_slo_targets attaches a recorder").clone();
-    let monitor = server.slo_monitor().expect("with_slo_targets installs a monitor").clone();
+    let rec = Arc::new(FlightRecorder::new(server.registry().clone(), RecorderConfig::default()));
+    let monitor = SloMonitor::new(
+        server.registry().clone(),
+        rec.clone(),
+        datasets.iter().map(|d| cli_slo_target(d)).collect(),
+    );
     rec.tick(); // baseline frame
     let t0 = rec.latest_t_ns().unwrap_or(0);
     for ds in datasets {

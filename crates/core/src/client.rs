@@ -20,6 +20,7 @@
 //! distributed cache, and generates chunk-wise shuffled epoch orders.
 
 use diesel_util::{Clock, Mutex, RwLock};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use diesel_cache::{CacheError, TaskCache};
@@ -34,6 +35,11 @@ use diesel_store::{Bytes, ObjectStore};
 use crate::api::{ServerConn, ServerRequest, ServerResponse};
 use crate::server::DieselServer;
 use crate::{DieselError, Result};
+
+/// How many [`CacheError::Throttled`] replies one request obeys (sleep
+/// for the server-advised back-off, then retry) before surfacing the
+/// error.
+const THROTTLE_RETRIES: u32 = 8;
 
 /// Client construction parameters.
 #[derive(Debug, Clone, Default)]
@@ -77,6 +83,16 @@ impl MetaState {
     }
 }
 
+/// The write path's buffered state: files answered `Ok(())` by `put` live
+/// in exactly one of the two fields until the server acknowledges their
+/// chunk.
+struct WriteBuffer {
+    open: ChunkBuilder,
+    /// Sealed chunks whose ingest failed, oldest first; the next
+    /// `put`/`flush` re-ships them before anything newer.
+    unshipped: VecDeque<SealedChunk>,
+}
+
 /// One libDIESEL client instance.
 ///
 /// All server traffic goes through a [`ServerConn`] — a `diesel-net`
@@ -93,16 +109,13 @@ pub struct DieselClient<K, S> {
     dataset: String,
     config: ClientConfig,
     ids: ChunkIdGenerator,
-    builder: Mutex<ChunkBuilder>,
+    write: Mutex<WriteBuffer>,
     meta: RwLock<Option<MetaState>>,
     cache: RwLock<Option<Arc<TaskCache<S>>>>,
     shuffle: RwLock<Option<ShuffleKind>>,
     clock_ms: Box<dyn Fn() -> u64 + Send + Sync>,
     /// Back-off sleeper for obeying [`CacheError::Throttled`] replies.
     clock: Arc<dyn Clock>,
-    /// How many throttled replies to obey (sleep + retry) before
-    /// surfacing the error.
-    throttle_retries: u32,
     tracer: Option<Tracer>,
 }
 
@@ -145,14 +158,17 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
         dataset: String,
         config: ClientConfig,
     ) -> Self {
-        let builder = ChunkBuilder::new(config.chunk.clone());
+        let write = WriteBuffer {
+            open: ChunkBuilder::new(config.chunk.clone()),
+            unshipped: VecDeque::new(),
+        };
         DieselClient {
             conn,
             direct,
             dataset,
             config,
             ids: ChunkIdGenerator::new(),
-            builder: Mutex::named("core.client_builder", builder),
+            write: Mutex::named("core.client_builder", write),
             meta: RwLock::named("core.client_meta", None),
             cache: RwLock::named("core.client_cache", None),
             shuffle: RwLock::named("core.client_shuffle", None),
@@ -161,7 +177,6 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
                 Box::new(move || clock.epoch_ms())
             },
             clock: Arc::new(diesel_util::SystemClock::new()),
-            throttle_retries: 8,
             tracer: None,
         }
     }
@@ -171,14 +186,6 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
     /// instant and exactly assertable).
     pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.clock = clock;
-        self
-    }
-
-    /// How many [`CacheError::Throttled`] replies to obey (sleep for the
-    /// server-advised back-off, then retry) before surfacing the error.
-    /// Default 8; 0 disables the retry loop.
-    pub fn with_throttle_retries(mut self, retries: u32) -> Self {
-        self.throttle_retries = retries;
         self
     }
 
@@ -218,7 +225,7 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
     /// as [`DieselError::Net`]; application errors pass through — except
     /// [`CacheError::Throttled`], which the client *obeys*: it sleeps
     /// for the server-advised back-off and retries, up to
-    /// [`with_throttle_retries`](Self::with_throttle_retries) times.
+    /// [`THROTTLE_RETRIES`] times.
     /// (The net layer's `Retry` only re-sends on retryable transport
     /// errors; an admission rejection is an application reply, so the
     /// back-off loop lives here.)
@@ -229,7 +236,7 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
             // clone is pointer-sized per field, not a byte copy.
             match self.conn.call(req.clone()).map_err(DieselError::Net)? {
                 Err(DieselError::Cache(CacheError::Throttled { retry_after_ms }))
-                    if attempts < self.throttle_retries =>
+                    if attempts < THROTTLE_RETRIES =>
                 {
                     attempts += 1;
                     self.clock.sleep_ns(retry_after_ms.saturating_mul(1_000_000));
@@ -244,37 +251,53 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
     /// `DL_put`: buffer one file; ships a sealed chunk when the buffer
     /// reaches the target chunk size.
     pub fn put(&self, path: &str, data: &[u8]) -> Result<()> {
-        let mut b = self.builder.lock();
-        if b.would_overflow(path.len(), data.len()) {
-            let full = std::mem::replace(&mut *b, ChunkBuilder::new(self.config.chunk.clone()));
-            drop(b);
+        let mut w = self.write.lock();
+        let overflow = w.open.would_overflow(path.len(), data.len());
+        if overflow || !w.unshipped.is_empty() {
+            let full = overflow.then(|| self.take_open(&mut w));
+            drop(w);
             self.ship(full)?;
-            b = self.builder.lock();
+            w = self.write.lock();
         }
-        b.add_file(path, data)?;
+        w.open.add_file(path, data)?;
         Ok(())
     }
 
     /// `DL_flush`: seal and ship any buffered files. Returns the number
     /// of chunks shipped by this call.
     pub fn flush(&self) -> Result<usize> {
-        let mut b = self.builder.lock();
-        if b.is_empty() {
-            return Ok(0);
-        }
-        let full = std::mem::replace(&mut *b, ChunkBuilder::new(self.config.chunk.clone()));
-        drop(b);
-        self.ship(full)?;
-        Ok(1)
+        let mut w = self.write.lock();
+        let full = (!w.open.is_empty()).then(|| self.take_open(&mut w));
+        drop(w);
+        self.ship(full)
     }
 
-    fn ship(&self, builder: ChunkBuilder) -> Result<()> {
-        let (header, bytes) = builder.seal(self.ids.next_id(), (self.clock_ms)());
-        self.call(ServerRequest::IngestChunk {
-            dataset: self.dataset.clone(),
-            chunk: SealedChunk { header, bytes: bytes.into() },
-        })?;
-        Ok(())
+    fn take_open(&self, w: &mut WriteBuffer) -> ChunkBuilder {
+        std::mem::replace(&mut w.open, ChunkBuilder::new(self.config.chunk.clone()))
+    }
+
+    /// Seal `full` behind the chunks an earlier failed ship left, then
+    /// ship them all, oldest first. A chunk leaves the buffer only once
+    /// the server acknowledged it: on error it goes back to the front,
+    /// so files already answered `Ok(())` are never dropped.
+    fn ship(&self, full: Option<ChunkBuilder>) -> Result<usize> {
+        if let Some(builder) = full {
+            let (header, bytes) = builder.seal(self.ids.next_id(), (self.clock_ms)());
+            self.write.lock().unshipped.push_back(SealedChunk { header, bytes: bytes.into() });
+        }
+        let mut shipped = 0;
+        loop {
+            let Some(chunk) = self.write.lock().unshipped.pop_front() else { return Ok(shipped) };
+            let sent = self.call(ServerRequest::IngestChunk {
+                dataset: self.dataset.clone(),
+                chunk: chunk.clone(),
+            });
+            if let Err(e) = sent {
+                self.write.lock().unshipped.push_front(chunk);
+                return Err(e);
+            }
+            shipped += 1;
+        }
     }
 
     // ---- metadata ----
@@ -519,23 +542,34 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
     /// Generate this epoch's shuffled file list (the list the training
     /// framework reads; FUSE users fetch it via a helper file).
     pub fn epoch_file_list(&self, seed: u64, epoch: u64) -> Result<Vec<String>> {
-        let plan = self.epoch_plan(seed, epoch)?;
-        let guard = self.meta.read();
-        let state =
-            guard.as_ref().ok_or_else(|| DieselError::Client("metadata not downloaded".into()))?;
-        Ok(plan.items.iter().map(|&i| state.index.resolve(i).1.to_owned()).collect())
+        self.with_epoch_plan(seed, epoch, |index, plan| {
+            plan.items.iter().map(|&i| index.resolve(i).1.to_owned()).collect()
+        })
     }
 
     /// The raw shuffle plan (group boundaries included), for working-set
     /// accounting and chunk-prefetch decisions.
     pub fn epoch_plan(&self, seed: u64, epoch: u64) -> Result<ShufflePlan> {
+        self.with_epoch_plan(seed, epoch, |_, plan| plan)
+    }
+
+    /// Build the epoch's plan and hand it to `f` beside the index it was
+    /// built from, under one metadata guard: plan items are positions in
+    /// that index, and a `delete`/`overwrite`/`download_meta` landing
+    /// before they are resolved would shift or drop them.
+    fn with_epoch_plan<T>(
+        &self,
+        seed: u64,
+        epoch: u64,
+        f: impl FnOnce(&DatasetIndex, ShufflePlan) -> T,
+    ) -> Result<T> {
         let kind = (*self.shuffle.read())
             .ok_or_else(|| DieselError::Client("call enable_shuffle first".into()))?;
         let guard = self.meta.read();
         let state = guard
             .as_ref()
             .ok_or_else(|| DieselError::Client("no metadata snapshot loaded".into()))?;
-        Ok(epoch_order(&state.index, kind, seed, epoch))
+        Ok(f(&state.index, epoch_order(&state.index, kind, seed, epoch)))
     }
 
     /// `DL_close`: flush outstanding writes and drop local state.
@@ -576,9 +610,11 @@ impl<K, S> std::fmt::Debug for DieselClient<K, S> {
 mod tests {
     use super::*;
     use crate::admission::AdmissionConfig;
+    use crate::api::ServerReply;
     use diesel_cache::{CacheConfig, CachePolicy, Topology};
     use diesel_kv::ShardedKv;
     use diesel_store::MemObjectStore;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     type Server = DieselServer<ShardedKv, MemObjectStore>;
     type Client = DieselClient<ShardedKv, MemObjectStore>;
@@ -620,6 +656,79 @@ mod tests {
         }
         // Several chunks were auto-shipped before the final flush.
         assert!(s.meta().chunk_ids("ds").unwrap().len() > 1);
+    }
+
+    /// A channel that loses the first `IngestChunk` in transit and
+    /// forwards everything else.
+    struct DropFirstIngest {
+        inner: ServerConn,
+        dropped: AtomicBool,
+    }
+
+    impl Service<ServerRequest, ServerReply> for DropFirstIngest {
+        fn call(&self, req: ServerRequest) -> diesel_net::Result<ServerReply> {
+            let first = matches!(req, ServerRequest::IngestChunk { .. })
+                && !self.dropped.swap(true, Ordering::SeqCst);
+            if first {
+                return Err(diesel_net::NetError::Disconnected { endpoint: self.endpoint() });
+            }
+            self.inner.call(req)
+        }
+
+        fn endpoint(&self) -> diesel_net::Endpoint {
+            self.inner.endpoint()
+        }
+    }
+
+    #[test]
+    fn a_failed_ship_keeps_the_acknowledged_files_for_the_next_flush() {
+        let s = server();
+        let conn: ServerConn =
+            Arc::new(DropFirstIngest { inner: s.direct_channel(0), dropped: false.into() });
+        let c: Client = DieselClient::connect_channel(conn, "ds");
+        let files: Vec<(String, Vec<u8>)> =
+            (0..5u8).map(|i| (format!("f{i}"), vec![i; 64])).collect();
+        for (n, d) in &files {
+            c.put(n, d).unwrap(); // answered Ok(()): the client owns these bytes now
+        }
+        assert!(matches!(c.flush(), Err(DieselError::Net(_))));
+        assert_eq!(c.flush().unwrap(), 1, "the sealed chunk was kept and re-shipped");
+        assert_eq!(c.flush().unwrap(), 0);
+        for (n, d) in &files {
+            assert_eq!(c.get(n).unwrap().as_ref(), &d[..], "{n}");
+        }
+        assert_eq!(s.meta().chunk_ids("ds").unwrap().len(), 1, "shipped exactly once");
+    }
+
+    #[test]
+    fn epoch_lists_stay_permutations_while_a_writer_overwrites() {
+        let s = server();
+        let c = small_chunk_client(&s, 11);
+        let files = populate(&c, 40, 150);
+        c.download_meta().unwrap();
+        c.enable_shuffle(ShuffleKind::ChunkWise { group_size: 2 });
+        // `overwrite` is delete-then-insert, so at any instant the file
+        // list is every file, or every file but the one being rewritten.
+        let target = "cls0/img0000";
+        let mut all: Vec<String> = files.iter().map(|(n, _)| n.clone()).collect();
+        all.sort();
+        let without: Vec<String> = all.iter().filter(|n| *n != target).cloned().collect();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for round in 0..300u32 {
+                    c.overwrite(target, &round.to_le_bytes()).unwrap();
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            let mut epoch = 0;
+            while !done.load(Ordering::SeqCst) {
+                epoch += 1;
+                let mut list = c.epoch_file_list(7, epoch).unwrap();
+                list.sort();
+                assert!(list == all || list == without, "epoch {epoch} is not a permutation");
+            }
+        });
     }
 
     #[test]
@@ -713,9 +822,6 @@ mod tests {
         assert_eq!((rejected(), clock.now_ns()), (9, 8 * 250_000_000));
         throttled(c.get_many(&paths).map(drop));
         assert_eq!((rejected(), clock.now_ns()), (18, 16 * 250_000_000));
-        let c = c.with_throttle_retries(0);
-        throttled(c.get_many(&paths).map(drop));
-        assert_eq!((rejected(), clock.now_ns()), (19, 16 * 250_000_000));
     }
 
     #[test]

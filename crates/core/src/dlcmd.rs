@@ -462,10 +462,7 @@ mod tests {
         use diesel_obs::{FlightRecorder, RecorderConfig, SloMonitor, SloTarget};
         let clock = Arc::new(diesel_util::MockClock::new());
         let reg = Arc::new(diesel_obs::Registry::new(clock.clone()));
-        let rec = Arc::new(FlightRecorder::new(
-            reg.clone(),
-            RecorderConfig { interval_ns: 1_000_000_000, ..Default::default() },
-        ));
+        let rec = Arc::new(FlightRecorder::new(reg.clone(), RecorderConfig::default()));
         let monitor = SloMonitor::with_windows(
             reg.clone(),
             rec.clone(),

@@ -38,12 +38,6 @@ pub use fuse::{FuseConfig, FuseMount, FuseStats};
 pub use pool::ServerPool;
 pub use server::DieselServer;
 
-// Telemetry-plane types callers wire through the server builders
-// (`with_slo_targets`, `with_recorder_config`), re-exported so
-// downstream crates don't need a direct diesel-obs dependency edge
-// just to declare targets.
-pub use diesel_obs::{FlightRecorder, RecorderConfig, SloMonitor, SloReport, SloTarget};
-
 /// Errors from the core layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DieselError {

@@ -14,10 +14,7 @@ use diesel_meta::recovery::{
     chunk_object_key, recover_from_timestamp, recover_full, RecoveryReport,
 };
 use diesel_meta::{DirEntry, FileMeta, MetaService, MetaSnapshot};
-use diesel_obs::{
-    trace, Counter, FlightRecorder, RecorderConfig, Registry, RegistrySnapshot, SloMonitor,
-    SloTarget, Tracer,
-};
+use diesel_obs::{trace, Counter, Registry, RegistrySnapshot, Tracer};
 use diesel_store::{Bytes, ObjectStore};
 use diesel_util::Mutex;
 
@@ -78,8 +75,6 @@ pub struct DieselServer<K, S> {
     pool: WorkPool,
     tracer: Tracer,
     admission: Option<AdmissionController>,
-    recorder: Option<Arc<FlightRecorder>>,
-    slo: Option<Arc<SloMonitor>>,
 }
 
 impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
@@ -103,8 +98,6 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
             pool: diesel_exec::global().clone(),
             tracer,
             admission: None,
-            recorder: None,
-            slo: None,
         }
     }
 
@@ -121,55 +114,6 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
     /// if one is installed.
     pub fn admission(&self) -> Option<&AdmissionController> {
         self.admission.as_ref()
-    }
-
-    /// Attach a caller-built flight recorder (it must sample this
-    /// server's registry). Nothing drives it: callers tick it themselves
-    /// (deterministic harnesses, `dlcmd`'s telemetry sweep).
-    pub fn with_recorder(mut self, recorder: Arc<FlightRecorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// Attach a flight recorder over this server's registry with the
-    /// given caps/interval.
-    pub fn with_recorder_config(self, cfg: RecorderConfig) -> Self {
-        let recorder = Arc::new(FlightRecorder::new(Arc::clone(&self.registry), cfg));
-        self.with_recorder(recorder)
-    }
-
-    /// Declare per-tenant SLO targets, evaluated against the flight
-    /// recorder on every telemetry tick. Attaches a default-configured
-    /// recorder first if none is present.
-    pub fn with_slo_targets(mut self, targets: Vec<SloTarget>) -> Self {
-        if self.recorder.is_none() {
-            self = self.with_recorder_config(RecorderConfig::default());
-        }
-        if let Some(recorder) = &self.recorder {
-            self.slo = Some(Arc::new(SloMonitor::new(
-                Arc::clone(&self.registry),
-                Arc::clone(recorder),
-                targets,
-            )));
-        }
-        self
-    }
-
-    /// The attached flight recorder, if any — what `dlcmd top` and the
-    /// SLO monitor query.
-    pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.recorder.as_ref()
-    }
-
-    /// The SLO monitor evaluating this server's tenants, if configured.
-    pub fn slo_monitor(&self) -> Option<&Arc<SloMonitor>> {
-        self.slo.as_ref()
-    }
-
-    /// Deterministic ID generation for compaction (tests/simulations).
-    pub fn with_id_generator(mut self, ids: ChunkIdGenerator) -> Self {
-        self.ids = ids;
-        self
     }
 
     /// Execute merged read plans on `pool` instead of the process-wide
@@ -287,8 +231,11 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
         Ok(self.store.get_range(&key, start, len)?)
     }
 
-    /// Read a whole chunk (what the task-grained cache and the chunk-wise
-    /// shuffle issue).
+    /// Read a whole chunk through the server (`ServerRequest::ReadChunk`).
+    /// Nothing in the tree sends that request: the task-grained cache
+    /// fills from the backing store directly (`TaskCache` calls
+    /// `ObjectStore::get` on the chunk key) and the chunk-wise shuffle
+    /// only orders file reads.
     pub fn read_chunk(&self, dataset: &str, chunk: ChunkId) -> Result<Bytes> {
         self.registry.counter("server.chunks_fetched", &[("dataset", dataset)]).inc();
         let key = chunk_object_key(dataset, chunk);
@@ -511,7 +458,6 @@ mod tests {
 
     fn server() -> Server {
         DieselServer::new(Arc::new(ShardedKv::new()), Arc::new(MemObjectStore::new()))
-            .with_id_generator(ChunkIdGenerator::deterministic(7, 7, 70_000))
     }
 
     fn ingest_files(s: &Server, dataset: &str, files: &[(&str, Vec<u8>)], chunk_size: usize) {

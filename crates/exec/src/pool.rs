@@ -242,11 +242,6 @@ impl WorkPool {
         self.inner.workers
     }
 
-    /// Whether this pool runs submissions inline (deterministic mode).
-    pub fn is_inline(&self) -> bool {
-        self.inner.inline_now()
-    }
-
     /// The registry holding this pool's `exec.*` metrics.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.inner.registry
@@ -535,19 +530,9 @@ impl<T> TaskHandle<T> {
         self.shared.slot.lock().is_some()
     }
 
-    /// The task's cancellation token.
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.token
-    }
-
     /// Request cancellation without waiting.
     pub fn cancel(&self) {
         self.token.cancel();
-    }
-
-    /// Let the task run unobserved: the drop will *not* cancel it.
-    pub fn detach(mut self) {
-        self.joined = true;
     }
 }
 
@@ -677,9 +662,7 @@ mod tests {
             gate2.pop(); // wait until the main thread dropped the handle
             seen2.store(token.is_cancelled(), Ordering::SeqCst);
         });
-        let probe = h.cancel_token().clone();
         drop(h);
-        assert!(probe.is_cancelled(), "drop must flip the token");
         gate.push(()).unwrap();
         // Wait for the task to record what it saw.
         for _ in 0..1000 {
@@ -690,15 +673,6 @@ mod tests {
         }
         assert!(seen.load(Ordering::SeqCst), "task observed cancellation");
         assert_eq!(p.registry().snapshot().counter("exec.tasks_cancelled{pool=t}"), 1);
-    }
-
-    #[test]
-    fn detach_does_not_cancel() {
-        let p = pool(2);
-        let h = p.spawn(|| ());
-        let probe = h.cancel_token().clone();
-        h.detach();
-        assert!(!probe.is_cancelled());
     }
 
     #[test]
@@ -769,7 +743,6 @@ mod tests {
     #[test]
     fn inline_pool_runs_everything_on_the_caller() {
         let p = pool(1);
-        assert!(p.is_inline());
         let tid = std::thread::current().id();
         let h = p.spawn(move || std::thread::current().id() == tid);
         assert!(h.is_finished(), "inline spawn completes synchronously");

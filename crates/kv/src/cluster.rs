@@ -115,11 +115,6 @@ impl KvCluster {
         &self.registry
     }
 
-    /// Number of instances.
-    pub fn instance_count(&self) -> usize {
-        self.instances.len()
-    }
-
     /// Which instance owns `key` (contiguous slot ranges, Redis-style).
     pub fn route(&self, key: &str) -> usize {
         let slot = key_slot(key) as usize;
@@ -170,12 +165,6 @@ impl KvCluster {
             .filter(|(_, d)| d.load(Ordering::Acquire))
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// Total operations across instances (sums the per-instance
-    /// `kv.*{instance=N}` cells).
-    pub fn ops_total(&self) -> u64 {
-        self.instances.iter().map(|i| i.metrics().total()).sum()
     }
 
     /// Per-instance key counts (diagnostics / balance tests).
@@ -375,7 +364,6 @@ mod tests {
         }
         assert_eq!(snap.gauge("kv.instances"), 4);
         assert_eq!(snap.gauge("kv.qps_ceiling"), 4 * PAPER_QPS_PER_INSTANCE);
-        assert_eq!(c.ops_total(), 2000);
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl KvMetrics {
     pub fn scans(&self) -> u64 {
         self.scans.get()
     }
-
-    /// Total operations.
-    pub fn total(&self) -> u64 {
-        self.gets() + self.puts() + self.deletes() + self.scans()
-    }
 }
 
 #[cfg(test)]
@@ -84,7 +79,6 @@ mod tests {
         m.record_scan();
         m.record_delete();
         assert_eq!(m.gets(), 2);
-        assert_eq!(m.total(), 5);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("kv.gets{instance=0}"), 2);
         assert_eq!(snap.sum_counter("kv.puts"), 1);

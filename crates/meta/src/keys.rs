@@ -24,9 +24,6 @@ pub fn dataset_key(dataset: &str) -> String {
     format!("ds/{dataset}")
 }
 
-/// Prefix matching all dataset records.
-pub const DATASET_PREFIX: &str = "ds/";
-
 /// Key of a chunk record.
 pub fn chunk_key(dataset: &str, id: ChunkId) -> String {
     format!("ck/{dataset}/{}", id.encode())

@@ -132,40 +132,6 @@ impl Namespace {
         }
         Ok(out)
     }
-
-    /// Recursive traversal (the `ls -R` / `ls -lR` workload of Fig. 10c):
-    /// visits every directory, returning the number of entries touched.
-    /// When `with_sizes` is set the per-file size is read too (the `stat`
-    /// part of `ls -lR`) — with a local namespace both are O(1), which is
-    /// the point of the snapshot design.
-    pub fn walk(&self, path: &str, with_sizes: bool) -> Result<WalkStats> {
-        let node = self.find_dir(path).ok_or_else(|| MetaError::NoSuchFile(path.to_owned()))?;
-        let mut stats = WalkStats::default();
-        walk_in(node, with_sizes, &mut stats);
-        Ok(stats)
-    }
-}
-
-/// Counters from [`Namespace::walk`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct WalkStats {
-    /// Directories visited.
-    pub dirs: u64,
-    /// Files listed.
-    pub files: u64,
-    /// Sum of file sizes (only populated when `with_sizes`).
-    pub bytes: u64,
-}
-
-fn walk_in(node: &DirNode, with_sizes: bool, stats: &mut WalkStats) {
-    stats.dirs += 1;
-    stats.files += node.files.len() as u64;
-    if with_sizes {
-        stats.bytes += node.files.values().sum::<u64>();
-    }
-    for child in node.subdirs.values() {
-        walk_in(child, with_sizes, stats);
-    }
 }
 
 fn remove_in(node: &mut DirNode, parent: &str, name: &str) -> bool {
@@ -239,19 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn walk_counts_everything() {
-        let ns = sample();
-        let s = ns.walk("", true).unwrap();
-        assert_eq!(s.dirs, 5, "root, train, cat, dog, val");
-        assert_eq!(s.files, 5);
-        assert_eq!(s.bytes, 105);
-        let no_sizes = ns.walk("", false).unwrap();
-        assert_eq!(no_sizes.bytes, 0);
-        let sub = ns.walk("train", true).unwrap();
-        assert_eq!(sub.files, 3);
-    }
-
-    #[test]
     fn remove_prunes_empty_dirs() {
         let mut ns = sample();
         assert!(ns.remove("train/dog/3.jpg").is_some());
@@ -274,6 +227,5 @@ mod tests {
         let ns = Namespace::new();
         assert_eq!(ns.file_count(), 0);
         assert!(ns.readdir("").unwrap().is_empty());
-        assert_eq!(ns.walk("", true).unwrap().dirs, 1);
     }
 }

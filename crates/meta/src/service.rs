@@ -114,16 +114,6 @@ impl<K: KvStore> MetaService<K> {
         }
     }
 
-    /// All dataset names.
-    pub fn list_datasets(&self) -> Result<Vec<String>> {
-        Ok(self
-            .kv
-            .pscan(keys::DATASET_PREFIX)?
-            .into_iter()
-            .map(|(k, _)| k[keys::DATASET_PREFIX.len()..].to_owned())
-            .collect())
-    }
-
     /// Point lookup of one file's metadata ("retrieved by a single get").
     pub fn file_meta(&self, dataset: &str, path: &str) -> Result<FileMeta> {
         match self.kv.get(&keys::file_key(dataset, path))? {
@@ -403,7 +393,6 @@ mod tests {
         let got = svc.chunk_ids("ds").unwrap();
         assert_eq!(got, expected_ids, "chunk scan must be in write order");
         assert_eq!(svc.dataset_record("ds").unwrap().chunk_count, 5);
-        assert_eq!(svc.list_datasets().unwrap(), vec!["ds"]);
     }
 
     #[test]
@@ -471,7 +460,6 @@ mod tests {
         assert!(svc.file_meta("ds", "a/d").is_err());
         // Other datasets untouched.
         assert!(svc.dataset_record("keepme").is_ok());
-        assert_eq!(svc.list_datasets().unwrap(), vec!["keepme"]);
     }
 
     #[test]

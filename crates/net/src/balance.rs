@@ -34,11 +34,6 @@ impl<Req, Resp> BalancedChannel<Req, Resp> {
         false
     }
 
-    /// The backend the next call will start at.
-    pub fn next_index(&self) -> usize {
-        self.next.load(Ordering::Relaxed) % self.backends.len()
-    }
-
     /// Direct access to backend `i` (for targeted calls or inspection).
     pub fn backend(&self, i: usize) -> &Channel<Req, Resp> {
         &self.backends[i]

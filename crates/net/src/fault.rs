@@ -56,11 +56,6 @@ impl FaultPolicy {
     pub fn drops(seed: u64, p: f64, timeout_ns: u64) -> Self {
         FaultPolicy { seed, drop_prob: p, drop_timeout_ns: timeout_ns, ..Default::default() }
     }
-
-    /// A policy that disconnects permanently after `n` calls.
-    pub fn disconnects_after(n: u64) -> Self {
-        FaultPolicy { disconnect_after: Some(n), ..Default::default() }
-    }
 }
 
 // SplitMix64: tiny, seedable, and identical everywhere. Kept private to
@@ -195,7 +190,7 @@ mod tests {
     fn disconnect_after_is_permanent() {
         let chan = FaultChannel::new(
             echo(),
-            FaultPolicy::disconnects_after(3),
+            FaultPolicy { disconnect_after: Some(3), ..Default::default() },
             Arc::new(MockClock::new()),
         );
         for i in 0..3 {

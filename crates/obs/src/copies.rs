@@ -19,7 +19,7 @@ use std::sync::{Arc, OnceLock};
 
 use diesel_util::SystemClock;
 
-use crate::registry::{Registry, RegistrySnapshot};
+use crate::registry::Registry;
 
 /// Metric name for the ledger's counter cells.
 pub const BYTES_COPIED: &str = "bytes.copied";
@@ -48,12 +48,6 @@ pub fn copied_at(site: &str) -> u64 {
     ledger().snapshot().counter(&format!("{BYTES_COPIED}{{site={site}}}"))
 }
 
-/// A consistent snapshot of the whole ledger, for delta assertions:
-/// capture, run the workload, capture again, compare per-cell.
-pub fn copies_snapshot() -> RegistrySnapshot {
-    ledger().snapshot()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,7 +61,5 @@ mod tests {
         record_copy("obs-test-site", 2);
         assert_eq!(copied_at("obs-test-site") - before, 130);
         assert!(copied_total() >= copied_at("obs-test-site"));
-        let snap = copies_snapshot();
-        assert!(snap.sum_counter(BYTES_COPIED) >= 130);
     }
 }

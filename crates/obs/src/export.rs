@@ -7,8 +7,7 @@
 //! label order is preserved. Two identical runs therefore export
 //! byte-identical documents, which `tests/determinism.rs` relies on.
 //!
-//! A minimal JSON reader ([`parse_chrome_trace`]) is included so smoke
-//! tests (and the `loader_pipeline --trace` bench) can validate an
+//! The unit tests carry a minimal JSON reader so they can validate an
 //! emitted document and walk its parent/child structure without any
 //! external JSON dependency.
 
@@ -84,300 +83,6 @@ fn escape_json(s: &str, out: &mut String) {
     }
 }
 
-/// One event read back out of a chrome-trace document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExportedSpan {
-    /// Event name (the span name).
-    pub name: String,
-    /// Trace id from `args.trace`.
-    pub trace: u64,
-    /// Span id from `args.span`.
-    pub span: u64,
-    /// Parent span id from `args.parent`, when present.
-    pub parent: Option<u64>,
-    /// Duration in nanoseconds, reconstructed from the `dur` field.
-    pub dur_ns: u64,
-}
-
-impl ExportedSpan {
-    /// Is `self` a descendant of `of` within `all` (same trace,
-    /// following parent links)?
-    pub fn is_descendant_of(&self, of: &ExportedSpan, all: &[ExportedSpan]) -> bool {
-        if self.trace != of.trace {
-            return false;
-        }
-        let mut cursor = self.parent;
-        // Bounded walk: parent chains are acyclic, but cap anyway.
-        for _ in 0..all.len() + 1 {
-            match cursor {
-                None => return false,
-                Some(p) if p == of.span => return true,
-                Some(p) => {
-                    cursor = all
-                        .iter()
-                        .find(|s| s.trace == self.trace && s.span == p)
-                        .and_then(|s| s.parent);
-                }
-            }
-        }
-        false
-    }
-}
-
-/// Parse a chrome-trace document produced by [`chrome_trace_json`]
-/// (or any structurally valid trace-event JSON whose events carry
-/// `args.trace`/`args.span`). Returns `None` on malformed JSON or a
-/// missing `traceEvents` array.
-pub fn parse_chrome_trace(json: &str) -> Option<Vec<ExportedSpan>> {
-    let value = Parser { b: json.as_bytes(), i: 0 }.document()?;
-    let events = value.get("traceEvents")?.as_array()?;
-    let mut out = Vec::with_capacity(events.len());
-    for ev in events {
-        let name = ev.get("name")?.as_str()?.to_owned();
-        let args = ev.get("args")?;
-        let trace = args.get("trace")?.as_str()?.parse::<u64>().ok()?;
-        let span = args.get("span")?.as_str()?.parse::<u64>().ok()?;
-        let parent = match args.get("parent") {
-            Some(p) => Some(p.as_str()?.parse::<u64>().ok()?),
-            None => None,
-        };
-        let dur_ns = ev.get("dur").and_then(Json::as_us_ns).unwrap_or(0);
-        out.push(ExportedSpan { name, trace, span, parent, dur_ns });
-    }
-    Some(out)
-}
-
-/// A parsed JSON value — only what the trace reader needs.
-enum Json {
-    Null,
-    Bool,
-    /// Numbers are kept as their source text (we only ever need the
-    /// fixed-point µs fields, parsed losslessly as integers).
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// A fixed-point microsecond number (`123.456`) as nanoseconds.
-    fn as_us_ns(&self) -> Option<u64> {
-        let text = match self {
-            Json::Num(n) => n.as_str(),
-            _ => return None,
-        };
-        let (whole, frac) = match text.split_once('.') {
-            Some((w, f)) => (w, f),
-            None => (text, ""),
-        };
-        let us = whole.parse::<u64>().ok()?;
-        let mut ns = 0u64;
-        let mut scale = 100;
-        for c in frac.chars().take(3) {
-            ns += (c.to_digit(10)? as u64) * scale;
-            scale /= 10;
-        }
-        Some(us.saturating_mul(1_000).saturating_add(ns))
-    }
-}
-
-/// Minimal recursive-descent JSON parser. Depth-limited, allocation
-/// conscious, and panic-free (diesel-lint R1 applies to this module).
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-const MAX_DEPTH: usize = 64;
-
-impl<'a> Parser<'a> {
-    fn document(mut self) -> Option<Json> {
-        let v = self.value(0)?;
-        self.skip_ws();
-        if self.i == self.b.len() {
-            Some(v)
-        } else {
-            None
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let c = self.peek()?;
-        self.i += 1;
-        Some(c)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Option<()> {
-        self.skip_ws();
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> Option<()> {
-        if self.b.get(self.i..self.i + lit.len()) == Some(lit.as_bytes()) {
-            self.i += lit.len();
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Option<Json> {
-        if depth > MAX_DEPTH {
-            return None;
-        }
-        self.skip_ws();
-        match self.peek()? {
-            b'{' => self.object(depth),
-            b'[' => self.array(depth),
-            b'"' => Some(Json::Str(self.string()?)),
-            b't' => self.eat_literal("true").map(|()| Json::Bool),
-            b'f' => self.eat_literal("false").map(|()| Json::Bool),
-            b'n' => self.eat_literal("null").map(|()| Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Option<Json> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Some(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            let val = self.value(depth + 1)?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.bump()? {
-                b',' => continue,
-                b'}' => return Some(Json::Obj(fields)),
-                _ => return None,
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Option<Json> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Some(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.bump()? {
-                b',' => continue,
-                b']' => return Some(Json::Arr(items)),
-                _ => return None,
-            }
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        if self.bump()? != b'"' {
-            return None;
-        }
-        let mut out = String::new();
-        loop {
-            match self.bump()? {
-                b'"' => return Some(out),
-                b'\\' => match self.bump()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = self.b.get(self.i..self.i + 4)?;
-                        let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                        self.i += 4;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return None,
-                },
-                c if c < 0x20 => return None,
-                c => {
-                    // Re-assemble multi-byte UTF-8 sequences byte-wise.
-                    let start = self.i - 1;
-                    let len = utf8_len(c);
-                    let chunk = self.b.get(start..start + len)?;
-                    out.push_str(std::str::from_utf8(chunk).ok()?);
-                    self.i = start + len;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<Json> {
-        let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
-            self.i += 1;
-        }
-        if self.i == start {
-            return None;
-        }
-        let text = std::str::from_utf8(self.b.get(start..self.i)?).ok()?;
-        Some(Json::Num(text.to_owned()))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
 /// A text "critical path" summary: for every trace, the chain formed
 /// by repeatedly descending into the longest child span — the answer
 /// to "where did this request spend its time".
@@ -432,6 +137,301 @@ pub fn critical_path(spans: &[Span]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One event read back out of a chrome-trace document.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct ExportedSpan {
+        /// Event name (the span name).
+        name: String,
+        /// Trace id from `args.trace`.
+        trace: u64,
+        /// Span id from `args.span`.
+        span: u64,
+        /// Parent span id from `args.parent`, when present.
+        parent: Option<u64>,
+        /// Duration in nanoseconds, reconstructed from the `dur` field.
+        dur_ns: u64,
+    }
+
+    impl ExportedSpan {
+        /// Is `self` a descendant of `of` within `all` (same trace,
+        /// following parent links)?
+        fn is_descendant_of(&self, of: &ExportedSpan, all: &[ExportedSpan]) -> bool {
+            if self.trace != of.trace {
+                return false;
+            }
+            let mut cursor = self.parent;
+            // Bounded walk: parent chains are acyclic, but cap anyway.
+            for _ in 0..all.len() + 1 {
+                match cursor {
+                    None => return false,
+                    Some(p) if p == of.span => return true,
+                    Some(p) => {
+                        cursor = all
+                            .iter()
+                            .find(|s| s.trace == self.trace && s.span == p)
+                            .and_then(|s| s.parent);
+                    }
+                }
+            }
+            false
+        }
+    }
+
+    /// Parse a chrome-trace document produced by [`chrome_trace_json`]
+    /// (or any structurally valid trace-event JSON whose events carry
+    /// `args.trace`/`args.span`). Returns `None` on malformed JSON or a
+    /// missing `traceEvents` array.
+    fn parse_chrome_trace(json: &str) -> Option<Vec<ExportedSpan>> {
+        let value = Parser { b: json.as_bytes(), i: 0 }.document()?;
+        let events = value.get("traceEvents")?.as_array()?;
+        let mut out = Vec::with_capacity(events.len());
+        for ev in events {
+            let name = ev.get("name")?.as_str()?.to_owned();
+            let args = ev.get("args")?;
+            let trace = args.get("trace")?.as_str()?.parse::<u64>().ok()?;
+            let span = args.get("span")?.as_str()?.parse::<u64>().ok()?;
+            let parent = match args.get("parent") {
+                Some(p) => Some(p.as_str()?.parse::<u64>().ok()?),
+                None => None,
+            };
+            let dur_ns = ev.get("dur").and_then(Json::as_us_ns).unwrap_or(0);
+            out.push(ExportedSpan { name, trace, span, parent, dur_ns });
+        }
+        Some(out)
+    }
+
+    /// A parsed JSON value — only what the trace reader needs.
+    enum Json {
+        Null,
+        Bool,
+        /// Numbers are kept as their source text (we only ever need the
+        /// fixed-point µs fields, parsed losslessly as integers).
+        Num(String),
+        Str(String),
+        Arr(Vec<Json>),
+        Obj(Vec<(String, Json)>),
+    }
+
+    impl Json {
+        fn get(&self, key: &str) -> Option<&Json> {
+            match self {
+                Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+                _ => None,
+            }
+        }
+
+        fn as_array(&self) -> Option<&[Json]> {
+            match self {
+                Json::Arr(items) => Some(items),
+                _ => None,
+            }
+        }
+
+        fn as_str(&self) -> Option<&str> {
+            match self {
+                Json::Str(s) => Some(s),
+                _ => None,
+            }
+        }
+
+        /// A fixed-point microsecond number (`123.456`) as nanoseconds.
+        fn as_us_ns(&self) -> Option<u64> {
+            let text = match self {
+                Json::Num(n) => n.as_str(),
+                _ => return None,
+            };
+            let (whole, frac) = match text.split_once('.') {
+                Some((w, f)) => (w, f),
+                None => (text, ""),
+            };
+            let us = whole.parse::<u64>().ok()?;
+            let mut ns = 0u64;
+            let mut scale = 100;
+            for c in frac.chars().take(3) {
+                ns += (c.to_digit(10)? as u64) * scale;
+                scale /= 10;
+            }
+            Some(us.saturating_mul(1_000).saturating_add(ns))
+        }
+    }
+
+    /// Minimal recursive-descent JSON parser. Depth-limited, allocation
+    /// conscious, and panic-free (diesel-lint R1 applies to this module).
+    struct Parser<'a> {
+        b: &'a [u8],
+        i: usize,
+    }
+
+    const MAX_DEPTH: usize = 64;
+
+    impl<'a> Parser<'a> {
+        fn document(mut self) -> Option<Json> {
+            let v = self.value(0)?;
+            self.skip_ws();
+            if self.i == self.b.len() {
+                Some(v)
+            } else {
+                None
+            }
+        }
+
+        fn peek(&self) -> Option<u8> {
+            self.b.get(self.i).copied()
+        }
+
+        fn bump(&mut self) -> Option<u8> {
+            let c = self.peek()?;
+            self.i += 1;
+            Some(c)
+        }
+
+        fn skip_ws(&mut self) {
+            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+                self.i += 1;
+            }
+        }
+
+        fn eat(&mut self, c: u8) -> Option<()> {
+            self.skip_ws();
+            if self.peek() == Some(c) {
+                self.i += 1;
+                Some(())
+            } else {
+                None
+            }
+        }
+
+        fn eat_literal(&mut self, lit: &str) -> Option<()> {
+            if self.b.get(self.i..self.i + lit.len()) == Some(lit.as_bytes()) {
+                self.i += lit.len();
+                Some(())
+            } else {
+                None
+            }
+        }
+
+        fn value(&mut self, depth: usize) -> Option<Json> {
+            if depth > MAX_DEPTH {
+                return None;
+            }
+            self.skip_ws();
+            match self.peek()? {
+                b'{' => self.object(depth),
+                b'[' => self.array(depth),
+                b'"' => Some(Json::Str(self.string()?)),
+                b't' => self.eat_literal("true").map(|()| Json::Bool),
+                b'f' => self.eat_literal("false").map(|()| Json::Bool),
+                b'n' => self.eat_literal("null").map(|()| Json::Null),
+                _ => self.number(),
+            }
+        }
+
+        fn object(&mut self, depth: usize) -> Option<Json> {
+            self.eat(b'{')?;
+            let mut fields = Vec::new();
+            self.skip_ws();
+            if self.peek() == Some(b'}') {
+                self.i += 1;
+                return Some(Json::Obj(fields));
+            }
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.eat(b':')?;
+                let val = self.value(depth + 1)?;
+                fields.push((key, val));
+                self.skip_ws();
+                match self.bump()? {
+                    b',' => continue,
+                    b'}' => return Some(Json::Obj(fields)),
+                    _ => return None,
+                }
+            }
+        }
+
+        fn array(&mut self, depth: usize) -> Option<Json> {
+            self.eat(b'[')?;
+            let mut items = Vec::new();
+            self.skip_ws();
+            if self.peek() == Some(b']') {
+                self.i += 1;
+                return Some(Json::Arr(items));
+            }
+            loop {
+                items.push(self.value(depth + 1)?);
+                self.skip_ws();
+                match self.bump()? {
+                    b',' => continue,
+                    b']' => return Some(Json::Arr(items)),
+                    _ => return None,
+                }
+            }
+        }
+
+        fn string(&mut self) -> Option<String> {
+            if self.bump()? != b'"' {
+                return None;
+            }
+            let mut out = String::new();
+            loop {
+                match self.bump()? {
+                    b'"' => return Some(out),
+                    b'\\' => match self.bump()? {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'u' => {
+                            let hex = self.b.get(self.i..self.i + 4)?;
+                            let code =
+                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
+                            self.i += 4;
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        }
+                        _ => return None,
+                    },
+                    c if c < 0x20 => return None,
+                    c => {
+                        // Re-assemble multi-byte UTF-8 sequences byte-wise.
+                        let start = self.i - 1;
+                        let len = utf8_len(c);
+                        let chunk = self.b.get(start..start + len)?;
+                        out.push_str(std::str::from_utf8(chunk).ok()?);
+                        self.i = start + len;
+                    }
+                }
+            }
+        }
+
+        fn number(&mut self) -> Option<Json> {
+            let start = self.i;
+            if self.peek() == Some(b'-') {
+                self.i += 1;
+            }
+            while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+                self.i += 1;
+            }
+            if self.i == start {
+                return None;
+            }
+            let text = std::str::from_utf8(self.b.get(start..self.i)?).ok()?;
+            Some(Json::Num(text.to_owned()))
+        }
+    }
+
+    fn utf8_len(first: u8) -> usize {
+        match first {
+            0x00..=0x7f => 1,
+            0xc0..=0xdf => 2,
+            0xe0..=0xef => 3,
+            _ => 4,
+        }
+    }
 
     fn span(trace: u64, id: u64, parent: Option<u64>, name: &str, start: u64, end: u64) -> Span {
         Span {

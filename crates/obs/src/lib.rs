@@ -58,12 +58,12 @@ pub mod registry;
 pub mod slo;
 pub mod trace;
 
-pub use copies::{copied_at, copied_total, copies_snapshot, record_copy, BYTES_COPIED};
-pub use export::{chrome_trace_json, critical_path, parse_chrome_trace, ExportedSpan};
+pub use copies::{copied_at, copied_total, record_copy, BYTES_COPIED};
+pub use export::{chrome_trace_json, critical_path};
 pub use histogram::{fmt_ns, Histogram, Summary};
 pub use lockdep::{cycles_reported, lockdep_snapshot, LOCKDEP_CYCLES, LOCKDEP_EVENT};
-pub use prom::{parse_prometheus, render_prometheus, split_metric_id, PromSample, PromValue};
-pub use recorder::{FlightRecorder, Frame, RecorderConfig, RecorderDriver};
+pub use prom::{parse_prometheus, render_prometheus, split_metric_id, PromSample};
+pub use recorder::{FlightRecorder, Frame, RecorderConfig};
 pub use registry::{
     Counter, Event, Gauge, HistogramHandle, Registry, RegistrySnapshot, DEFAULT_EVENT_CAPACITY,
 };

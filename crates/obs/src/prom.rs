@@ -42,17 +42,6 @@ impl PromSample {
     }
 }
 
-/// Kinds a rendered metric can have (mirrors the `# TYPE` header).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PromValue {
-    /// Monotonic counter.
-    Counter,
-    /// Point-in-time gauge.
-    Gauge,
-    /// Bucketed histogram (`_bucket`/`_sum`/`_count` family).
-    Histogram,
-}
-
 /// `cache.chunk_hits` → `cache_chunk_hits`. Any character outside
 /// `[a-zA-Z0-9_:]` becomes an underscore, and a leading digit gets a
 /// `_` prefix, per the exposition grammar.

@@ -1,13 +1,14 @@
-//! Flight recorder: fixed-interval registry sampling into a bounded,
-//! delta-encoded ring of frames.
+//! Flight recorder: registry sampling into a bounded, delta-encoded
+//! ring of frames.
 //!
 //! A [`Registry`] snapshot is a single frame — it can say *how many*
 //! cache hits have ever happened, but not whether the hit rate cratered
 //! for thirty seconds during a rebalance. The [`FlightRecorder`] closes
-//! that gap: a Clock-driven sampler scrapes the registry at a fixed
-//! interval and appends one [`Frame`] per tick, keeping a bounded
-//! window of recent history inside the process itself (the "black box"
-//! a post-incident `dlcmd` can still read).
+//! that gap: every [`tick`](FlightRecorder::tick) scrapes the registry
+//! and appends one [`Frame`], keeping a bounded window of recent
+//! history inside the process itself. Nothing in the tree ticks it on a
+//! timer: `dlcmd top`/`slo` tick it around a read sweep and the simnet
+//! telemetry replay ticks it on simulated time.
 //!
 //! # Frame format
 //!
@@ -37,27 +38,21 @@
 //! queries are deterministic functions of the recording alone.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use diesel_util::{Clock, Mutex};
 
 use crate::histogram::{Histogram, NBUCKETS};
 use crate::registry::Registry;
 
-/// Default sampling interval: 1 s of clock time.
-pub const DEFAULT_INTERVAL_NS: u64 = 1_000_000_000;
-/// Default frame bound: 10 min of history at the default interval.
+/// Default frame bound: 10 min of history at one tick per second.
 pub const DEFAULT_MAX_FRAMES: usize = 600;
 /// Default memory hard-cap on buffered frames (estimated payload).
 pub const DEFAULT_MAX_BYTES: usize = 4 << 20;
 
-/// Recorder tuning: sampling interval and retention caps.
+/// Recorder tuning: retention caps.
 #[derive(Debug, Clone)]
 pub struct RecorderConfig {
-    /// Sampling interval in nanoseconds of clock time.
-    pub interval_ns: u64,
     /// Maximum frames retained (oldest evicted).
     pub max_frames: usize,
     /// Maximum estimated bytes across retained frames (oldest evicted).
@@ -66,11 +61,7 @@ pub struct RecorderConfig {
 
 impl Default for RecorderConfig {
     fn default() -> Self {
-        RecorderConfig {
-            interval_ns: DEFAULT_INTERVAL_NS,
-            max_frames: DEFAULT_MAX_FRAMES,
-            max_bytes: DEFAULT_MAX_BYTES,
-        }
+        RecorderConfig { max_frames: DEFAULT_MAX_FRAMES, max_bytes: DEFAULT_MAX_BYTES }
     }
 }
 
@@ -117,7 +108,6 @@ struct Ring {
     base: Baseline,
     bytes: usize,
     evicted: u64,
-    ticks: u64,
 }
 
 /// The flight recorder. Cheap to share behind an `Arc`; one per
@@ -128,7 +118,6 @@ pub struct FlightRecorder {
     clock: Arc<dyn Clock>,
     cfg: RecorderConfig,
     frames: Mutex<Ring>,
-    stop: AtomicBool,
 }
 
 impl FlightRecorder {
@@ -150,22 +139,13 @@ impl FlightRecorder {
                     },
                     bytes: 0,
                     evicted: 0,
-                    ticks: 0,
                 },
             ),
-            stop: AtomicBool::new(false),
         }
     }
 
-    /// The configuration this recorder runs with.
-    pub fn config(&self) -> &RecorderConfig {
-        &self.cfg
-    }
-
     /// Sample the registry once: append one delta frame and advance the
-    /// baseline. Called by the background driver on live clocks, or
-    /// directly by deterministic harnesses (simnet, CI) under
-    /// `MockClock`.
+    /// baseline.
     pub fn tick(&self) {
         let t_ns = self.clock.now_ns();
         // Snapshot before touching the ring lock: snapshot() nests
@@ -215,7 +195,6 @@ impl FlightRecorder {
         frame.bytes = frame.estimate_bytes();
         ring.bytes += frame.bytes;
         ring.frames.push_back(frame);
-        ring.ticks += 1;
         while ring.frames.len() > 1
             && (ring.frames.len() > self.cfg.max_frames || ring.bytes > self.cfg.max_bytes)
         {
@@ -226,24 +205,10 @@ impl FlightRecorder {
         }
     }
 
-    /// Frames currently retained.
-    pub fn frame_count(&self) -> usize {
-        self.frames.lock().frames.len()
-    }
-
     /// Estimated bytes across retained frames.
-    pub fn bytes(&self) -> usize {
+    #[cfg(test)]
+    fn bytes(&self) -> usize {
         self.frames.lock().bytes
-    }
-
-    /// Frames evicted by the caps since the recorder was built.
-    pub fn frames_evicted(&self) -> u64 {
-        self.frames.lock().evicted
-    }
-
-    /// Ticks sampled since the recorder was built.
-    pub fn ticks(&self) -> u64 {
-        self.frames.lock().ticks
     }
 
     /// Clock reading of the newest frame (`None` before the first tick).
@@ -307,12 +272,6 @@ impl FlightRecorder {
         self.histogram_over(id, window_ns).quantile_ns(q)
     }
 
-    /// Latest absolute gauge value the recorder has seen (baseline, so
-    /// it survives frame eviction). `None` before the gauge existed.
-    pub fn gauge_last(&self, id: &str) -> Option<u64> {
-        self.frames.lock().base.gauges.get(id).copied()
-    }
-
     /// Canonical text serialization of the retained frames — the byte
     /// string CI asserts is identical across identical `MockClock`
     /// runs. One `frame t_ns=…` header per tick, entries sorted by
@@ -342,39 +301,6 @@ impl FlightRecorder {
         }
         out
     }
-
-    /// Ask a running driver to stop after its current sleep.
-    pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-    }
-
-    /// Spawn the background driver: sleep one interval on the
-    /// registry's clock, then [`tick`](Self::tick), until stopped.
-    /// Intended for live clocks — deterministic harnesses call `tick`
-    /// themselves (under `MockClock`, `sleep_ns` returns instantly and
-    /// the loop would spin).
-    pub fn spawn(self: &Arc<Self>) -> RecorderDriver {
-        self.spawn_with(|| {})
-    }
-
-    /// Like [`spawn`](Self::spawn), but run `after_tick` after every
-    /// sample — the hook a server uses to evaluate its SLO monitor on
-    /// each recorder tick.
-    pub fn spawn_with(self: &Arc<Self>, after_tick: impl Fn() + Send + 'static) -> RecorderDriver {
-        self.stop.store(false, Ordering::Relaxed);
-        let rec = Arc::clone(self);
-        let handle = std::thread::spawn(move || {
-            while !rec.stop.load(Ordering::Relaxed) {
-                rec.clock.sleep_ns(rec.cfg.interval_ns);
-                if rec.stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                rec.tick();
-                after_tick();
-            }
-        });
-        RecorderDriver { rec: Arc::clone(self), handle: Some(handle) }
-    }
 }
 
 impl std::fmt::Debug for FlightRecorder {
@@ -384,35 +310,7 @@ impl std::fmt::Debug for FlightRecorder {
             .field("frames", &ring.frames.len())
             .field("bytes", &ring.bytes)
             .field("evicted", &ring.evicted)
-            .field("interval_ns", &self.cfg.interval_ns)
             .finish()
-    }
-}
-
-/// Join guard for the background sampling thread; stops and joins the
-/// driver on drop (or explicitly via [`stop`](RecorderDriver::stop)).
-pub struct RecorderDriver {
-    rec: Arc<FlightRecorder>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl RecorderDriver {
-    /// Stop the driver and wait for its thread to exit.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.rec.request_stop();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for RecorderDriver {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -449,7 +347,7 @@ mod tests {
         // Unchanged gauge is omitted from the second frame.
         let text = rec.encode();
         assert_eq!(text.matches("g server.queue_depth =3").count(), 1, "{text}");
-        assert_eq!(rec.frame_count(), 2);
+        assert!(text.starts_with("diesel-recorder v1 frames=2 evicted=0\n"), "{text}");
 
         // Window spanning both frames sums both deltas; a 1 s window
         // anchored at the newest frame sees only the second.
@@ -462,7 +360,6 @@ mod tests {
         let h = rec.histogram_over(hid, 3_000_000_000);
         assert_eq!(h.summary().count, 2);
         assert_eq!(rec.percentile_over(hid, 0.99, 1_000_000_000), 1_000_000);
-        assert_eq!(rec.gauge_last("server.queue_depth"), Some(3));
     }
 
     #[test]
@@ -475,9 +372,7 @@ mod tests {
             clock.advance(1_000_000_000);
             rec.tick();
         }
-        assert_eq!(rec.frame_count(), 3);
-        assert_eq!(rec.frames_evicted(), 2);
-        assert_eq!(rec.ticks(), 5);
+        assert!(rec.encode().starts_with("diesel-recorder v1 frames=3 evicted=2\n"));
         // Only the last three deltas (3+4+5) remain queryable.
         assert_eq!(rec.delta("x.ops", u64::MAX), 12);
 
@@ -489,7 +384,7 @@ mod tests {
             rec.tick();
         }
         assert!(rec.bytes() <= 1024, "bytes={}", rec.bytes());
-        assert!(rec.frames_evicted() > 0);
+        assert!(!rec.encode().contains(" evicted=0\n"));
     }
 
     #[test]
@@ -509,20 +404,5 @@ mod tests {
         let b = run();
         assert_eq!(a, b);
         assert!(a.starts_with("diesel-recorder v1 frames=4 evicted=0\n"), "{a}");
-    }
-
-    #[test]
-    fn background_driver_ticks_and_stops() {
-        let clock = Arc::new(diesel_util::SystemClock::new());
-        let reg = Arc::new(Registry::new(Arc::clone(&clock) as Arc<dyn Clock>));
-        let cfg = RecorderConfig { interval_ns: 1_000_000, ..RecorderConfig::default() };
-        let rec = Arc::new(FlightRecorder::new(Arc::clone(&reg), cfg));
-        let driver = rec.spawn();
-        let deadline = clock.now_ns() + 5_000_000_000;
-        while rec.ticks() == 0 && clock.now_ns() < deadline {
-            std::thread::yield_now();
-        }
-        driver.stop();
-        assert!(rec.ticks() > 0);
     }
 }

@@ -44,7 +44,6 @@
 //! pulling a full trace.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -156,8 +155,7 @@ struct TracerInner {
     shard_capacity: usize,
     recorded: Counter,
     dropped: Counter,
-    slow_default_ns: u64,
-    slow_overrides: Mutex<BTreeMap<String, u64>>,
+    slow_ns: u64,
 }
 
 /// A span recorder bound to a [`Registry`]'s clock. Cheap to clone;
@@ -190,7 +188,7 @@ impl Tracer {
                 registry.counter("obs.events_dropped", &[("ring", "trace")]),
             )
         };
-        let slow_default_ns = std::env::var("DIESEL_SLOW_MS")
+        let slow_ns = std::env::var("DIESEL_SLOW_MS")
             .ok()
             .and_then(|v| v.trim().parse::<u64>().ok())
             .unwrap_or(100)
@@ -210,8 +208,7 @@ impl Tracer {
                 shard_capacity: DEFAULT_SPAN_CAPACITY / SPAN_SHARDS,
                 recorded,
                 dropped,
-                slow_default_ns,
-                slow_overrides: Mutex::named("obs.trace_slow", BTreeMap::new()),
+                slow_ns,
             }),
         }
     }
@@ -228,12 +225,6 @@ impl Tracer {
     /// The sampling mode this tracer was built with.
     pub fn sampling(&self) -> Sampling {
         self.inner.sampling
-    }
-
-    /// Override the slow-span threshold for one span name (the default
-    /// for all other names comes from `DIESEL_SLOW_MS`).
-    pub fn set_slow_threshold_ns(&self, name: &str, threshold_ns: u64) {
-        self.inner.slow_overrides.lock().insert(name.to_owned(), threshold_ns);
     }
 
     /// Drain every buffered span, sorted by `(trace, id)` — a
@@ -277,14 +268,9 @@ impl Tracer {
             | self.inner.next_span.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn slow_threshold_ns(&self, name: &str) -> u64 {
-        let overrides = self.inner.slow_overrides.lock();
-        overrides.get(name).copied().unwrap_or(self.inner.slow_default_ns)
-    }
-
     fn finish(&self, span: Span) {
         let dur = span.duration_ns();
-        if dur >= self.slow_threshold_ns(&span.name) {
+        if dur >= self.inner.slow_ns {
             self.inner.registry.event("slow", &[("span", &span.name), ("took", &fmt_ns(dur))]);
         }
         let idx = (span.id as usize) % self.inner.shards.len();
@@ -649,11 +635,10 @@ mod tests {
     #[test]
     fn slow_spans_emit_a_watchdog_event() {
         let (clock, registry, tracer) = rig(Sampling::Always);
-        tracer.set_slow_threshold_ns("slow.op", 1_000_000); // 1 ms
         let _t = install_tracer(&tracer);
         {
             let _s = span("slow.op", &[]);
-            clock.advance(2_000_000);
+            clock.advance(200_000_000); // twice the 100 ms default
         }
         {
             let _s = span("fast.op", &[]);
@@ -665,7 +650,7 @@ mod tests {
         assert_eq!(slow.len(), 1, "{:?}", snap.events);
         let ev = slow.first().unwrap();
         assert!(ev.kv.iter().any(|(k, v)| k == "span" && v == "slow.op"), "{ev:?}");
-        assert!(ev.kv.iter().any(|(k, v)| k == "took" && v == "2.00ms"), "{ev:?}");
+        assert!(ev.kv.iter().any(|(k, v)| k == "took" && v == "200.00ms"), "{ev:?}");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!
 //! * [`run_actors`] — closed loop: a deterministic event-loop that always
 //!   advances the actor with the smallest clock.
-//! * [`run_multi_tenant`] — open loop: seeded Poisson streams, one per
+//! * [`run_multi_tenant_observed`] — open loop: seeded Poisson streams, one per
 //!   tenant, merged in arrival order against a shared pool (one tenant
 //!   is the single-stream case).
 //!
@@ -33,9 +33,8 @@ pub mod time;
 
 pub use driver::{run_actors, SimActor, SimReport};
 pub use multitenant::{
-    kv_closed_loop_qps, run_multi_tenant, run_multi_tenant_observed, MultiTenantConfig,
-    MultiTenantReport, OpClass, OpMix, OpOutcome, ServiceModel, SimAdmission, TenantReport,
-    TenantSpec,
+    run_multi_tenant_observed, MultiTenantConfig, MultiTenantReport, OpClass, OpMix, OpOutcome,
+    ServiceModel, SimAdmission, TenantReport, TenantSpec,
 };
 pub use resource::{Grant, Resource};
 pub use telemetry::{

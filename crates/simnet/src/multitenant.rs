@@ -22,11 +22,6 @@
 //! * *goodput* counts only admitted operations that finished inside the
 //!   latency SLO, so queueing collapse shows up as lost goodput even
 //!   though raw throughput looks fine.
-//!
-//! [`kv_closed_loop_qps`] is the companion closed-loop sweep for the KV
-//! ceiling experiment (Fig. 10a): N synchronous clients hammering a
-//! k-instance KV pool, advanced least-clock-first so results are
-//! bit-reproducible at 10⁵–10⁶ simulated clients.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -118,7 +113,7 @@ pub struct SimAdmission {
     pub burst: f64,
 }
 
-/// Full scenario description for [`run_multi_tenant`].
+/// Full scenario description for [`run_multi_tenant_observed`].
 #[derive(Debug, Clone)]
 pub struct MultiTenantConfig {
     /// The tenants sharing the pool.
@@ -135,7 +130,7 @@ pub struct MultiTenantConfig {
     pub seed: u64,
 }
 
-/// What one tenant experienced during a [`run_multi_tenant`] run.
+/// What one tenant experienced during a [`run_multi_tenant_observed`] run.
 #[derive(Debug, Clone)]
 pub struct TenantReport {
     /// Tenant name.
@@ -157,7 +152,8 @@ pub struct TenantReport {
 impl TenantReport {
     /// SLO-qualified operations per simulated second over this tenant's
     /// active window.
-    pub fn goodput(&self) -> f64 {
+    #[cfg(test)]
+    fn goodput(&self) -> f64 {
         if self.last_completion == SimTime::ZERO {
             0.0
         } else {
@@ -179,26 +175,6 @@ impl MultiTenantReport {
     /// Look up one tenant's report by name.
     pub fn tenant(&self, name: &str) -> Option<&TenantReport> {
         self.tenants.iter().find(|t| t.name == name)
-    }
-
-    /// Max/min per-tenant goodput ratio: 1.0 is perfectly even, large
-    /// values mean skew translated into starvation. Tenants with zero
-    /// goodput make the ratio infinite.
-    pub fn fairness_ratio(&self) -> f64 {
-        let mut min = f64::INFINITY;
-        let mut max: f64 = 0.0;
-        for t in &self.tenants {
-            let g = t.goodput();
-            min = min.min(g);
-            max = max.max(g);
-        }
-        if self.tenants.is_empty() || max == 0.0 {
-            1.0
-        } else if min == 0.0 {
-            f64::INFINITY
-        } else {
-            max / min
-        }
     }
 }
 
@@ -241,16 +217,11 @@ struct Bucket {
 ///
 /// Arrivals from all tenants are merged in time order (ties broken by
 /// tenant index, then op index, so runs are deterministic given
-/// `cfg.seed`) and executed FIFO against one shared pool.
-pub fn run_multi_tenant(cfg: &MultiTenantConfig) -> MultiTenantReport {
-    run_multi_tenant_observed(cfg, |_| {})
-}
-
-/// [`run_multi_tenant`] with an observer hook: `observe` is called once
-/// per arrival, in arrival order, with the op's admission decision and
-/// response time. This is how the telemetry plane ([`crate::telemetry`])
-/// replays a simulation into a metric registry without the simulation
-/// knowing about metrics.
+/// `cfg.seed`) and executed FIFO against one shared pool. `observe` is
+/// called once per arrival, in arrival order, with the op's admission
+/// decision and response time. This is how the telemetry plane
+/// ([`crate::telemetry`]) replays a simulation into a metric registry
+/// without the simulation knowing about metrics.
 pub fn run_multi_tenant_observed(
     cfg: &MultiTenantConfig,
     mut observe: impl FnMut(&OpOutcome<'_>),
@@ -375,47 +346,51 @@ pub fn run_multi_tenant_observed(
     MultiTenantReport { tenants: reports, makespan }
 }
 
-/// Closed-loop KV-ceiling sweep (Fig. 10a): `clients` synchronous
-/// clients each issue `ops_per_client` metadata lookups against a pool
-/// of `instances` KV instances, each serving `per_instance_qps`.
-/// Clients advance least-clock-first, so the result is deterministic.
-/// Returns the achieved aggregate QPS, which saturates near
-/// `instances × per_instance_qps` once `clients` is large enough.
-pub fn kv_closed_loop_qps(
-    instances: usize,
-    per_instance_qps: f64,
-    clients: usize,
-    ops_per_client: u64,
-) -> f64 {
-    assert!(instances >= 1, "need at least one KV instance");
-    assert!(per_instance_qps > 0.0, "per-instance QPS must be positive");
-    assert!(clients >= 1 && ops_per_client >= 1, "need work to measure");
-    let service = SimTime::from_secs_f64(1.0 / per_instance_qps);
-    let kv = Resource::new("kv-pool", instances);
-    let mut heap: BinaryHeap<Reverse<(SimTime, usize)>> =
-        (0..clients).map(|c| Reverse((SimTime::ZERO, c))).collect();
-    let mut remaining = vec![ops_per_client; clients];
-    let mut makespan = SimTime::ZERO;
-    let mut total = 0u64;
-    while let Some(Reverse((now, c))) = heap.pop() {
-        let grant = kv.acquire(now, service);
-        total += 1;
-        makespan = makespan.max_of(grant.end);
-        remaining[c] -= 1;
-        if remaining[c] > 0 {
-            heap.push(Reverse((grant.end, c)));
-        }
-    }
-    if makespan == SimTime::ZERO {
-        0.0
-    } else {
-        total as f64 / makespan.as_secs_f64()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run_multi_tenant(cfg: &MultiTenantConfig) -> MultiTenantReport {
+        run_multi_tenant_observed(cfg, |_| {})
+    }
+
+    /// Closed-loop KV-ceiling sweep (Fig. 10a): `clients` synchronous
+    /// clients each issue `ops_per_client` metadata lookups against a pool
+    /// of `instances` KV instances, each serving `per_instance_qps`.
+    /// Clients advance least-clock-first, so the result is deterministic.
+    /// Returns the achieved aggregate QPS, which saturates near
+    /// `instances × per_instance_qps` once `clients` is large enough.
+    fn kv_closed_loop_qps(
+        instances: usize,
+        per_instance_qps: f64,
+        clients: usize,
+        ops_per_client: u64,
+    ) -> f64 {
+        assert!(instances >= 1, "need at least one KV instance");
+        assert!(per_instance_qps > 0.0, "per-instance QPS must be positive");
+        assert!(clients >= 1 && ops_per_client >= 1, "need work to measure");
+        let service = SimTime::from_secs_f64(1.0 / per_instance_qps);
+        let kv = Resource::new("kv-pool", instances);
+        let mut heap: BinaryHeap<Reverse<(SimTime, usize)>> =
+            (0..clients).map(|c| Reverse((SimTime::ZERO, c))).collect();
+        let mut remaining = vec![ops_per_client; clients];
+        let mut makespan = SimTime::ZERO;
+        let mut total = 0u64;
+        while let Some(Reverse((now, c))) = heap.pop() {
+            let grant = kv.acquire(now, service);
+            total += 1;
+            makespan = makespan.max_of(grant.end);
+            remaining[c] -= 1;
+            if remaining[c] > 0 {
+                heap.push(Reverse((grant.end, c)));
+            }
+        }
+        if makespan == SimTime::ZERO {
+            0.0
+        } else {
+            total as f64 / makespan.as_secs_f64()
+        }
+    }
 
     fn two_tenant_cfg(admission: Option<SimAdmission>) -> MultiTenantConfig {
         MultiTenantConfig {
@@ -487,9 +462,6 @@ mod tests {
             fair_good > solo_good / 1.5,
             "throttled mix must stay within 1.5×: solo {solo_good} vs {fair_good}"
         );
-        // And fairness is finite/reported.
-        assert!(fair.fairness_ratio().is_finite());
-        assert!(fair.fairness_ratio() >= 1.0);
     }
 
     /// One read-only tenant against a single 1 ms server: the

@@ -27,13 +27,6 @@ pub struct Grant {
     pub end: SimTime,
 }
 
-impl Grant {
-    /// Queueing delay experienced before service started.
-    pub fn queue_delay(&self, now: SimTime) -> SimTime {
-        self.start - now
-    }
-}
-
 /// A k-server FIFO queueing resource.
 ///
 /// # Examples
@@ -53,7 +46,6 @@ pub struct Resource {
     name: &'static str,
     free_at: Mutex<BinaryHeap<Reverse<SimTime>>>,
     served: AtomicU64,
-    busy_ns: AtomicU64,
 }
 
 impl Resource {
@@ -68,7 +60,6 @@ impl Resource {
             name,
             free_at: Mutex::named("simnet.resource_free", heap),
             served: AtomicU64::new(0),
-            busy_ns: AtomicU64::new(0),
         }
     }
 
@@ -86,26 +77,12 @@ impl Resource {
         heap.push(Reverse(end));
         drop(heap);
         self.served.fetch_add(1, Ordering::Relaxed);
-        self.busy_ns.fetch_add(service.as_nanos(), Ordering::Relaxed);
         Grant { start, end }
     }
 
     /// Total requests served.
     pub fn served(&self) -> u64 {
         self.served.load(Ordering::Relaxed)
-    }
-
-    /// Aggregate busy time across servers.
-    pub fn busy_time(&self) -> SimTime {
-        SimTime(self.busy_ns.load(Ordering::Relaxed))
-    }
-
-    /// Utilization over `[0, horizon]` given `servers` servers.
-    pub fn utilization(&self, horizon: SimTime, servers: usize) -> f64 {
-        if horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        self.busy_time().as_secs_f64() / (horizon.as_secs_f64() * servers as f64)
     }
 
     /// Reset all servers to free-at-zero and clear counters.
@@ -118,7 +95,6 @@ impl Resource {
         }
         drop(heap);
         self.served.store(0, Ordering::Relaxed);
-        self.busy_ns.store(0, Ordering::Relaxed);
     }
 }
 
@@ -137,7 +113,7 @@ mod tests {
         assert_eq!(g1.end, SimTime::from_millis(10));
         assert_eq!(g2.start, SimTime::from_millis(10));
         assert_eq!(g3.end, SimTime::from_millis(30));
-        assert_eq!(g3.queue_delay(SimTime::ZERO), SimTime::from_millis(20));
+        assert_eq!(g3.start, SimTime::from_millis(20));
     }
 
     #[test]
@@ -176,9 +152,6 @@ mod tests {
         r.acquire(SimTime::ZERO, SimTime::from_millis(4));
         r.acquire(SimTime::ZERO, SimTime::from_millis(6));
         assert_eq!(r.served(), 2);
-        assert_eq!(r.busy_time(), SimTime::from_millis(10));
-        let u = r.utilization(SimTime::from_millis(10), 2);
-        assert!((u - 0.5).abs() < 1e-9);
         r.reset();
         assert_eq!(r.served(), 0);
         let g = r.acquire(SimTime::ZERO, SimTime::from_millis(1));

@@ -99,10 +99,7 @@ pub fn run_telemetry(cfg: &TelemetryConfig) -> TelemetryOutcome {
     assert!(cfg.tick > SimTime::ZERO, "tick cadence must be positive");
     let clock = Arc::new(MockClock::new());
     let registry = Arc::new(Registry::new(clock.clone()));
-    let recorder = Arc::new(FlightRecorder::new(
-        registry.clone(),
-        RecorderConfig { interval_ns: cfg.tick.as_nanos(), ..Default::default() },
-    ));
+    let recorder = Arc::new(FlightRecorder::new(registry.clone(), RecorderConfig::default()));
     let monitor = SloMonitor::with_windows(
         registry.clone(),
         recorder.clone(),

@@ -39,10 +39,6 @@ impl SimTime {
     pub fn as_secs_f64(&self) -> f64 {
         self.0 as f64 / 1e9
     }
-    /// Value in whole microseconds.
-    pub fn as_micros(&self) -> u64 {
-        self.0 / 1_000
-    }
     /// Value in whole milliseconds.
     pub fn as_millis(&self) -> u64 {
         self.0 / 1_000_000

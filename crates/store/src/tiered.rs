@@ -9,10 +9,9 @@
 //! background."
 //!
 //! Chunk-granular promotion with LRU eviction bounded by a fast-tier
-//! capacity. Promotion here is synchronous (the simulated-time layer
-//! charges its cost separately); a `promote_prefix` helper performs the
-//! background "cache the dataset" sweep. Read-path counters live in a
-//! `diesel-obs` registry under `store.*`.
+//! capacity. Promotion here is synchronous, on the miss that triggers
+//! it (the simulated-time layer charges its cost separately). Read-path
+//! counters live in a `diesel-obs` registry under `store.*`.
 
 use diesel_obs::{trace, Counter, Gauge, Registry, RegistrySnapshot};
 use diesel_util::Mutex;
@@ -135,7 +134,8 @@ impl<F: ObjectStore, S: ObjectStore> TieredStore<F, S> {
     }
 
     /// Which tier would serve `key` right now? (`true` = fast.)
-    pub fn is_fast_resident(&self, key: &str) -> bool {
+    #[cfg(test)]
+    fn is_fast_resident(&self, key: &str) -> bool {
         self.fast.contains(key)
     }
 
@@ -164,29 +164,6 @@ impl<F: ObjectStore, S: ObjectStore> TieredStore<F, S> {
         self.metrics.resident_bytes.set(st.resident_bytes);
         self.metrics.promotions.inc();
         Ok(())
-    }
-
-    /// The background dataset-caching sweep: promote every slow-tier
-    /// object under `prefix` (in key order) until the fast tier is full.
-    /// Returns how many objects were promoted.
-    pub fn promote_prefix(&self, prefix: &str) -> Result<usize> {
-        let mut promoted = 0;
-        for key in self.slow.list_prefix(prefix) {
-            if self.fast.contains(&key) {
-                continue;
-            }
-            let size = self.slow.size_of(&key).unwrap_or(0) as u64;
-            {
-                let st = self.state.lock();
-                if st.resident_bytes + size > self.fast_capacity_bytes {
-                    break; // fast tier full: stop the sweep, don't thrash
-                }
-            }
-            let data = self.slow.get(&key)?;
-            self.promote(&key, data)?;
-            promoted += 1;
-        }
-        Ok(promoted)
     }
 
     /// Delete from both tiers.
@@ -354,18 +331,6 @@ mod tests {
         t.get("big").unwrap();
         assert!(!t.is_fast_resident("big"));
         assert_eq!(t.metrics().promotions(), 0);
-    }
-
-    #[test]
-    fn promote_prefix_sweeps_until_full() {
-        let t = tiered(350);
-        for i in 0..10 {
-            t.put(&format!("ds/{i}"), Bytes::from(vec![0u8; 100])).unwrap();
-        }
-        t.put("other", Bytes::from(vec![0u8; 100])).unwrap();
-        let promoted = t.promote_prefix("ds/").unwrap();
-        assert_eq!(promoted, 3, "only 3 × 100 B fit in 350 B");
-        assert!(!t.is_fast_resident("other"));
     }
 
     #[test]

@@ -137,7 +137,8 @@ impl Mlp {
     }
 
     /// Predicted class per row.
-    pub fn predict(&self, x: &Matrix) -> Vec<usize> {
+    #[cfg(test)]
+    fn predict(&self, x: &Matrix) -> Vec<usize> {
         let logits = self.forward(x);
         (0..logits.rows)
             .map(|r| {

@@ -39,7 +39,6 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::panic::Location;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex as StdMutex, OnceLock};
 
 use crate::sync::lock_or_recover;
@@ -205,15 +204,6 @@ pub fn set_cycle_reporter(f: Reporter) {
 
 // ---- mode selection ----
 
-const MODE_UNSET: u8 = 0;
-const MODE_OFF: u8 = 1;
-const MODE_WARN: u8 = 2;
-const MODE_FAIL: u8 = 3;
-
-/// Process-wide override set by [`set_global_mode`]; `MODE_UNSET` defers
-/// to the `DIESEL_LOCKDEP` environment variable.
-static GLOBAL_OVERRIDE: AtomicU8 = AtomicU8::new(MODE_UNSET);
-
 thread_local! {
     static THREAD_MODE: Cell<Option<Mode>> = const { Cell::new(None) };
 }
@@ -227,30 +217,10 @@ fn env_mode() -> Mode {
     })
 }
 
-/// The effective mode on this thread: thread override, then process
-/// override, then `DIESEL_LOCKDEP` (default `warn`).
+/// The effective mode on this thread: thread override, then
+/// `DIESEL_LOCKDEP` (default `warn`).
 pub fn mode() -> Mode {
-    if let Some(m) = THREAD_MODE.with(Cell::get) {
-        return m;
-    }
-    match GLOBAL_OVERRIDE.load(Ordering::Relaxed) {
-        MODE_OFF => Mode::Off,
-        MODE_WARN => Mode::Warn,
-        MODE_FAIL => Mode::Fail,
-        _ => env_mode(),
-    }
-}
-
-/// Override the process-wide mode (tests; `None` restores the env
-/// setting).
-pub fn set_global_mode(mode: Option<Mode>) {
-    let v = match mode {
-        None => MODE_UNSET,
-        Some(Mode::Off) => MODE_OFF,
-        Some(Mode::Warn) => MODE_WARN,
-        Some(Mode::Fail) => MODE_FAIL,
-    };
-    GLOBAL_OVERRIDE.store(v, Ordering::Relaxed);
+    THREAD_MODE.with(Cell::get).unwrap_or_else(env_mode)
 }
 
 /// Override the mode for the current thread only (tests exercising

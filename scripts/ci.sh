@@ -54,14 +54,6 @@ echo "== tracing: determinism =="
 # two identical MockClock'd single-worker runs → byte-identical JSON.
 cargo test -q --test determinism traced_epochs_export_byte_identical_chrome_json
 
-echo "== tracing: traced-epoch smoke =="
-# One fully traced epoch through channel+cache+server+store; the bench
-# itself asserts the JSON parses and at least one client read span has
-# a server.handle descendant, exiting nonzero otherwise.
-trace_out="$(mktemp /tmp/diesel-trace.XXXXXX.json)"
-cargo run -q --release -p diesel-bench --bin loader_pipeline -- --trace "$trace_out"
-rm -f "$trace_out"
-
 echo "== telemetry plane: deterministic recorder + SLO under lockdep =="
 # The §15 acceptance scenario, with the lock-order witness armed: two
 # MockClock'd multi-tenant replays must produce byte-identical flight
@@ -69,26 +61,6 @@ echo "== telemetry plane: deterministic recorder + SLO under lockdep =="
 # event sequence, and ServerRequest::Scrape must round-trip through the
 # Prometheus parser — all deterministic, so any diff is a real bug.
 DIESEL_LOCKDEP=fail cargo test -q --test telemetry
-
-echo "== bench gates (payload + elastic + mixed tenants + obs plane) =="
-# Perf ratchets (DESIGN.md §11, §13, §14, §15): rerun the fixed suites
-# and fail if any key drifts past tolerance× the recorded baselines in
-# BENCH_6.json (zero-copy payload plane), BENCH_8.json (ring lookup,
-# 4→8→4 rebalance wall time, store read amplification), BENCH_9.json
-# (multi-tenant isolation: light-tenant slowdown under a 10× neighbour,
-# fairness ratio, simulated KV QPS ceiling) and BENCH_10.json (telemetry
-# plane: recorder tick / Prometheus render / SLO eval cost, plus the
-# hard <=5% hot-path overhead and SLO-health contracts asserted inside
-# the suite itself). Only the deterministic ratio/count keys are gated
-# (store read amplification, recorder overhead ratio, the mixed-tenant
-# keys): wall-clock keys are measured and written to `current`, and
-# their regressions are caught by the BENCHMARK.json per-layer metrics
-# compared against the parent commit, not by an absolute baseline.
-scripts/bench.sh --check --tolerance 2.5
-
-# obs_plane archives the deterministic scenario's Prometheus scrape and
-# already re-parsed it; keep the artifact honest here too.
-test -s results/scrape.prom || { echo "missing results/scrape.prom"; exit 1; }
 
 echo "== rustfmt =="
 cargo fmt --check
@@ -113,30 +85,65 @@ for manifest in crates/*/Cargo.toml; do
 done
 [ "$unused" -eq 0 ]
 
-echo "== modules: every module file has a caller =="
-# A module's top-level `pub` items are invisible to rustc's dead-code
-# lint, and a `pub use` in lib.rs is not a caller: at least one of them
-# (declared before the file's first #[cfg(test)]) must be named in some
-# other .rs file on a line that is not a re-export, `pub mod` or comment.
-orphans=0
-for f in crates/*/src/*.rs; do
-    case "${f##*/}" in lib.rs|main.rs) continue ;; esac
-    names="$(awk '/#\[cfg\(test\)\]/{exit} /^pub (struct|enum|trait|fn|type|const) /{sub(/[^A-Za-z0-9_].*/,"",$3); print $3}' "$f" | paste -sd'|')"
-    [ -n "$names" ] || continue
-    find crates src tests examples -name '*.rs' ! -path "$f" -print0 | xargs -0 awk -v re="(^|[^A-Za-z0-9_])($names)([^A-Za-z0-9_]|\$)" '
-        FNR==1{u=0} /^[ \t]*pub use /{u=1} u{if(/;/)u=0; next}
-        /^[ \t]*(pub mod |\/\/)/{next} $0~re{found=1; exit} END{exit !found}' ||
-        { echo "$f: no pub item ($names) is named outside the file"; orphans=1; }
-done
-[ "$orphans" -eq 0 ]
+echo "== modules + items: every pub item has a non-test caller =="
+# `pub` items are invisible to rustc's dead-code lint, and a `pub use` is
+# not a caller. A `pub fn|struct|enum|trait|type|const` declared outside
+# `#[cfg(test)]` under crates/*/src (not crates/benchmark, not bin/) must
+# be named in another .rs file or in its own file's non-test code, on a
+# line that is not a re-export, `pub mod` or comment; and every module
+# file needs a top-level pub item that is named in another file. A
+# textual scan: a name shared with a called item hides an uncalled one.
+find crates src tests examples -name '*.rs' | sort | xargs awk '
+    BEGIN {
+        # Exemptions, one reason each (at most ten).
+        x["crates/core/src/client.rs: overwrite"]         # Table 3 API surface (§5): in-place file update
+        x["crates/core/src/client.rs: connect_channel"]   # Table 3 DL_connect over a caller-built channel
+        x["crates/core/src/fuse.rs: getattr"]             # FUSE operation surface (§5), beside lookup/readdir/read
+    }
+    FNR==1 { use=0; test=0; skip=0; armed=0; base=FILENAME; sub(/.*\//,"",base)
+             cand=(FILENAME ~ /^crates\/[^\/]+\/src\// && FILENAME !~ /^crates\/benchmark\/|\/bin\//)
+             module=(cand && base!="lib.rs" && base!="main.rs") }
+    { line=$0; sub(/\/\/.*/,"",line) }
+    line ~ /^[ \t]*pub use / { use=1 }
+    use { if (line ~ /;/) use=0; next }
+    line ~ /^[ \t]*pub mod / { next }
+    # `#[cfg(test)] mod` opens the test region (to end of file); on any
+    # other item it hides just that item, braces balanced.
+    cand && line ~ /^[ \t]*#\[cfg\(test\)\]/ { armed=1; next }
+    armed && line ~ /^[ \t]*(#\[.*\])?[ \t]*$/ { next }
+    armed { armed=0; if (line ~ /^[ \t]*(pub )?mod /) test=1; else { skip=1; depth=0; opened=0 } }
+    { hidden=skip }
+    skip { o=gsub(/\{/,"{",line); c=gsub(/\}/,"}",line); depth+=o-c; if (o) opened=1
+           if ((opened && depth<=0) || (!opened && line ~ /;/)) skip=0 }
+    {
+        live=(cand && !test && !hidden)
+        if (live && match(line, /^[ \t]*pub (const |unsafe |async )*(fn|struct|enum|trait|type|const) [A-Za-z_][A-Za-z0-9_]*/)) {
+            t=substr(line, RSTART, RLENGTH); sub(/.* /,"",t)
+            n=++ndecl; dfile[n]=FILENAME; dname[n]=t; dtop[n]=(module && line ~ /^pub /)
+            decls[FILENAME SUBSEP t]++
+        }
+        m=split(line, tok, /[^A-Za-z0-9_]+/)
+        for (i=1;i<=m;i++) { t=tok[i]; if (t=="") continue
+            if (!((t SUBSEP FILENAME) in seen)) { seen[t SUBSEP FILENAME]=1; nfiles[t]++ }
+            if (live) own[FILENAME SUBSEP t]++
+        }
+    }
+    END {
+        for (n=1;n<=ndecl;n++) { f=dfile[n]; t=dname[n]; elsewhere=(nfiles[t]>1)
+            if (dtop[n]) { names[f]=names[f] " " t; if (elsewhere) modok[f]=1 }
+            if (elsewhere || own[f SUBSEP t]>decls[f SUBSEP t] || (f ": " t) in x) continue
+            print f ": " t; bad=1
+        }
+        for (f in names) if (!(f in modok)) { print f ": no pub item (" names[f] " ) is named outside the file"; bad=1 }
+        exit bad
+    }'
 
 echo "== diesel-lint =="
 # Fails on any non-baselined R1–R6 finding; --baseline-check enforces the
 # ratchet (lint-baseline.txt may only ever shrink). The full unfiltered
-# report is kept as a build artifact for dashboards and archaeology.
+# report is a git-ignored build artifact; that run exits 1 whenever any
+# (baselined) finding exists, so only the ratchet below gates.
 mkdir -p results
-# The artifact run exits 1 whenever any (baselined) finding exists; only
-# the ratchet below gates.
 cargo run -q -p diesel-lint --offline -- --workspace --json > results/lint-report.json || true
 cargo run -q -p diesel-lint --offline -- --workspace --baseline lint-baseline.txt --baseline-check
 

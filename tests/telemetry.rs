@@ -11,11 +11,11 @@
 use std::sync::Arc;
 
 use diesel_dlt::chunk::ChunkBuilderConfig;
-use diesel_dlt::core::{
-    ClientConfig, DieselClient, DieselServer, ServerPool, ServerRequest, SloTarget,
-};
+use diesel_dlt::core::{ClientConfig, DieselClient, DieselServer, ServerPool, ServerRequest};
 use diesel_dlt::kv::ShardedKv;
-use diesel_dlt::obs::{parse_prometheus, PromSample};
+use diesel_dlt::obs::{
+    parse_prometheus, FlightRecorder, PromSample, RecorderConfig, SloMonitor, SloTarget,
+};
 use diesel_dlt::simnet::{
     noisy_neighbour_config, run_telemetry, MultiTenantConfig, ServiceModel, SimTime,
     TelemetryConfig, TenantSpec,
@@ -173,16 +173,17 @@ fn pool_scrape_merges_once() {
     assert_eq!(kv_puts, stats_puts, "backend counted exactly once");
 }
 
-/// A telemetry-enabled deployment: the background driver ticks the
-/// recorder on the system clock and the SLO monitor sees wire traffic.
+/// A recorder and SLO monitor over a live server's registry see the
+/// wire traffic `handle` records.
 #[test]
 fn deployed_telemetry_records_wire_traffic() {
-    let server: Arc<Server> = Arc::new(
-        DieselServer::new(Arc::new(ShardedKv::new()), Arc::new(MemObjectStore::new()))
-            .with_slo_targets(vec![SloTarget {
-                read_p99_ns: Some(60_000_000_000),
-                ..SloTarget::new("ds")
-            }]),
+    let server: Arc<Server> =
+        Arc::new(DieselServer::new(Arc::new(ShardedKv::new()), Arc::new(MemObjectStore::new())));
+    let rec = Arc::new(FlightRecorder::new(server.registry().clone(), RecorderConfig::default()));
+    let monitor = SloMonitor::new(
+        server.registry().clone(),
+        rec.clone(),
+        vec![SloTarget { read_p99_ns: Some(60_000_000_000), ..SloTarget::new("ds") }],
     );
     let client = DieselClient::connect_with(server.clone(), "ds", small_chunks());
     for i in 0..10 {
@@ -191,8 +192,6 @@ fn deployed_telemetry_records_wire_traffic() {
     client.flush().unwrap();
     client.download_meta().unwrap();
 
-    let rec = server.recorder().expect("recorder attached").clone();
-    let monitor = server.slo_monitor().expect("monitor attached").clone();
     rec.tick();
     for i in 0..10 {
         client.get(&format!("f{i:02}")).unwrap();
