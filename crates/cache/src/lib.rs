@@ -27,9 +27,13 @@
 //! * [`task_cache`] — [`TaskCache`]: the cache itself and the only
 //!   owner of membership, residency, byte budget, store loading and
 //!   rebalance, with [`CachePolicy::Oneshot`] prefetch and
-//!   [`CachePolicy::OnDemand`] fill, install-order eviction (a hit never
-//!   reorders the queue, so the hit path writes nothing), node-failure
-//!   injection and chunk-wise recovery.
+//!   [`CachePolicy::OnDemand`] fill over single-flight chunk loads,
+//!   node-failure injection and chunk-wise recovery. Where a node
+//!   cannot hold its share of the dataset, the epoch's shuffle plan
+//!   ([`TaskCache::follow_plan`]) is its fill and eviction order:
+//!   budget-bounded lookahead, next-use eviction, release on the last
+//!   planned read. Without a plan eviction is install order, and a
+//!   node whose share fits never evicts at all.
 //! * [`tenant`] — [`TenantCacheMap`]: one `TaskCache` per tenant over a
 //!   shared node plane, with weighted per-tenant byte budgets carved
 //!   out of the node byte budget (multi-tenant isolation).
@@ -42,7 +46,8 @@ pub mod topology;
 
 pub use ring::{HashRing, DEFAULT_VNODES};
 pub use task_cache::{
-    CacheConfig, CacheMetrics, CachePolicy, LoadReport, PrefetchHandle, RebalanceReport, TaskCache,
+    CacheConfig, CacheMetrics, CachePolicy, LoadReport, PlanGuard, PlannedChunk, RebalanceReport,
+    TaskCache,
 };
 pub use tenant::{TenantCacheMap, TenantUsage};
 pub use topology::{PeerId, Topology};

@@ -16,22 +16,44 @@
 //! no longer owns the chunk gets [`CacheError::StaleOwner`] and the
 //! read re-resolves.
 //!
+//! Chunk loads are *single-flight*: at most one store read per (node,
+//! chunk) is in progress at a time, whoever asks — a miss, a sweep, the
+//! lookahead. A reader that misses a chunk already in flight parks on
+//! the node until the flight ends, and every reader is served from the
+//! view it filled or found, whatever happens to residency afterwards.
+//!
+//! Where a node cannot hold its share of the dataset, the epoch's
+//! shuffle plan drives it ([`TaskCache::follow_plan`]): eviction takes
+//! the chunk whose next planned read is farthest away, a chunk is
+//! released on its last planned read, and a budget-bounded lookahead
+//! loads ahead of the readers in plan order on the cache's work pool.
+//! A node whose share fits is left alone, and with no plan installed —
+//! or on such a node — the hit path is what it always was plus one
+//! `Option` test under the node lock it already holds.
+//!
 //! Lock order (runtime lockdep classes, see also `LOCK_RANKS` in
-//! diesel-lint): `cache.rebalance` → `cache.membership` → `cache.node`,
-//! and never two `cache.node` guards at once — warm handoff copies out
-//! of the source node's guard before taking the destination's.
+//! diesel-lint): `cache.rebalance` → `cache.rebalance_drain` →
+//! `cache.lookahead` → `cache.membership` → `cache.node`, and never two
+//! `cache.node` guards at once — warm handoff copies out of the source
+//! node's guard before taking the destination's. `cache.lookahead`
+//! (the plan's load queue) is taken with no other cache lock held but,
+//! possibly, `cache.rebalance` — a rebalance sweep helping the pool may
+//! run a lookahead load — and readers pump it only after dropping their
+//! node guard. No store read and no park happens under a node guard other
+//! than the wait on the node's own condvar.
 //!
 //! Counters live in a `diesel-obs` registry under `cache.*`; related
 //! updates (a read and its hit, a load and its bytes) go through
 //! [`diesel_obs::Registry::batch`] so a snapshot never shows one without
 //! the other.
 
-use diesel_exec::{CancelToken, TaskHandle, WorkPool};
+use diesel_exec::WorkPool;
 use diesel_obs::{trace, Counter, Gauge, Registry, RegistrySnapshot};
-use diesel_util::{Condvar, Mutex, RwLock};
+use diesel_util::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use diesel_chunk::{ChunkId, ChunkView};
@@ -66,7 +88,9 @@ pub struct CacheConfig {
     /// Fill policy — descriptive only: nothing in the cache reads it.
     /// A cache is `Oneshot` iff its owner calls
     /// [`TaskCache::prefetch_all`] after construction; otherwise every
-    /// chunk fills on its first miss (`OnDemand`).
+    /// chunk fills on its first miss (`OnDemand`) — or ahead of it,
+    /// where a node follows an epoch plan
+    /// ([`TaskCache::follow_plan`]).
     pub policy: CachePolicy,
 }
 
@@ -141,7 +165,8 @@ impl CacheMetrics {
         self.bytes_loaded.get()
     }
 
-    /// Chunks evicted for capacity.
+    /// Chunks given up: evicted for capacity, or released on their last
+    /// planned read.
     pub fn evictions(&self) -> u64 {
         self.evictions.get()
     }
@@ -214,6 +239,33 @@ pub struct Fetched {
     pub chunk_hit: bool,
 }
 
+/// One chunk's place in an epoch plan handed to
+/// [`TaskCache::follow_plan`]. Chunk-wise shuffle (§4.3) reads all of a
+/// chunk's files inside one group and the groups in ascending order, so
+/// `(group, reads)` is the chunk's whole future for the epoch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlannedChunk {
+    /// The chunk.
+    pub chunk: ChunkId,
+    /// The shuffle group its reads fall in.
+    pub group: u32,
+    /// File reads the epoch makes of it.
+    pub reads: u32,
+}
+
+/// What a node's plan still expects of one chunk.
+#[derive(Debug, Clone, Copy)]
+struct PlannedUse {
+    group: u32,
+    reads_left: u32,
+    /// The stored chunk's size, as the backing store reports it.
+    bytes: u64,
+}
+
+/// Next planned read of a chunk the plan is finished with or never
+/// named: later than every group.
+const NEVER: u32 = u32::MAX;
+
 #[derive(Debug, Default)]
 struct NodeInner {
     /// Resident chunks, each an owned [`ChunkView`] over the loaded
@@ -221,17 +273,78 @@ struct NodeInner {
     /// chunk's one allocation — cache hits never copy payload
     /// (DESIGN.md §11).
     chunks: HashMap<ChunkId, ChunkView>,
-    /// Resident chunks in install order, oldest first — the eviction
-    /// order. A hit never refreshes a chunk's slot (the hit path writes
-    /// nothing), so this is install-order eviction, not LRU.
+    /// Resident chunks in install order, oldest first. Eviction takes
+    /// the chunk whose next planned read is farthest away and, among
+    /// equals, the oldest install — so a node without a plan evicts in
+    /// install order (a hit never refreshes a slot).
     evict_queue: VecDeque<ChunkId>,
     resident_bytes: u64,
+    /// Chunks being read from the backing store for this node right
+    /// now, each with the bytes it is expected to land (0 for a chunk
+    /// no plan names). At most one
+    /// flight per chunk: a reader that misses one parks on
+    /// [`NodeState::landed`] instead of reading the store again.
+    flights: HashMap<ChunkId, u64>,
+    /// This node's share of the installed epoch plan. `None` — nothing
+    /// counted, nothing released — unless that share exceeds the node's
+    /// byte budget.
+    plan: Option<HashMap<ChunkId, PlannedUse>>,
+}
+
+impl NodeInner {
+    /// The group of `chunk`'s next planned read; [`NEVER`] once the plan
+    /// is finished with it, or never named it.
+    fn next_use(&self, chunk: ChunkId) -> u32 {
+        let planned = self.plan.as_ref().and_then(|p| p.get(&chunk));
+        planned.filter(|u| u.reads_left > 0).map_or(NEVER, |u| u.group)
+    }
+
+    /// The eviction victim: the resident chunk read farthest in the
+    /// future, oldest install first among equals.
+    fn victim(&self) -> Option<(ChunkId, u32)> {
+        let mut best: Option<(ChunkId, u32)> = None;
+        for &chunk in &self.evict_queue {
+            let next = self.next_use(chunk);
+            if best.is_none_or(|(_, farthest)| next > farthest) {
+                best = Some((chunk, next));
+            }
+            if next == NEVER {
+                break;
+            }
+        }
+        best
+    }
+
+    /// Drop `chunk`'s residency, retiring its eviction-queue slot and
+    /// byte accounting. False when it was not resident.
+    fn remove(&mut self, chunk: ChunkId) -> bool {
+        let Some(view) = self.chunks.remove(&chunk) else { return false };
+        self.resident_bytes -= view.chunk_len() as u64;
+        if let Some(pos) = self.evict_queue.iter().position(|&c| c == chunk) {
+            self.evict_queue.remove(pos);
+        }
+        true
+    }
+
+    /// Count `reads` planned reads of `chunk`. True when they were the
+    /// last the plan had for it — the moment the node gives it up.
+    fn note_reads(&mut self, chunk: ChunkId, reads: u32) -> bool {
+        let Some(planned) = self.plan.as_mut().and_then(|p| p.get_mut(&chunk)) else {
+            return false;
+        };
+        let before = planned.reads_left;
+        planned.reads_left = before.saturating_sub(reads);
+        before > 0 && planned.reads_left == 0
+    }
 }
 
 #[derive(Debug)]
 struct NodeState {
     down: AtomicBool,
     inner: Mutex<NodeInner>,
+    /// Notified whenever a flight on this node ends, however it ends,
+    /// and when the node is killed.
+    landed: Condvar,
 }
 
 impl Default for NodeState {
@@ -239,8 +352,62 @@ impl Default for NodeState {
         NodeState {
             down: AtomicBool::new(false),
             inner: Mutex::named("cache.node", NodeInner::default()),
+            landed: Condvar::new(),
         }
     }
+}
+
+/// A registered flight: the one store read of `chunk` for node `dest`.
+/// Dropping it — landed, failed, or unwinding — retires the entry and
+/// wakes every reader parked on it, so no exit path leaves one behind.
+struct Flight {
+    dest: Arc<NodeState>,
+    chunk: ChunkId,
+}
+
+impl Drop for Flight {
+    fn drop(&mut self) {
+        self.dest.inner.lock().flights.remove(&self.chunk);
+        self.dest.landed.notify_all();
+    }
+}
+
+/// A chunk load the lookahead has not started yet.
+#[derive(Debug, Clone, Copy)]
+struct PlannedLoad {
+    node: usize,
+    chunk: ChunkId,
+    group: u32,
+    bytes: u64,
+}
+
+/// What the admission rule says of one planned load right now.
+enum Admission {
+    /// Room was made and the flight is registered.
+    Admitted,
+    /// Its owner has no room that the plan allows it to take, yet.
+    Full,
+    /// Nothing left to fly: resident, in flight, or no longer planned.
+    Moot,
+}
+
+/// The cache-wide half of the installed epoch plan: what the lookahead
+/// has left to load and how many loads it has running. The per-chunk
+/// half lives on the nodes ([`NodeInner::plan`]).
+struct Lookahead<S> {
+    /// Bumped by every install and clear, so a [`PlanGuard`] that
+    /// outlived its plan clears nothing.
+    generation: u64,
+    /// The cache itself, for handing to a pool worker.
+    cache: Weak<TaskCache<S>>,
+    /// Loads not started yet, in plan order — only those owned by nodes
+    /// that carry a plan, and none at all on an inline pool.
+    queue: VecDeque<PlannedLoad>,
+    /// Nodes carrying a plan: once each has been seen full, a scan of
+    /// `queue` can stop.
+    plan_nodes: usize,
+    /// Lookahead workers alive; each flies one load at a time.
+    running: usize,
 }
 
 /// The mutable placement plane: which nodes exist, which chunks they
@@ -270,13 +437,18 @@ pub struct TaskCache<S> {
     /// on-demand fillers finish counting.
     drain_mutex: Mutex<()>,
     drain_cv: Condvar,
+    /// The installed epoch plan's load queue ([`TaskCache::follow_plan`]).
+    lookahead: Mutex<Lookahead<S>>,
+    /// Notified when the last lookahead worker exits; clearing a plan
+    /// waits on it.
+    lookahead_idle: Condvar,
     backing: Arc<S>,
     dataset: String,
     config: CacheConfig,
     /// The live per-node byte budget. Starts at
     /// `config.capacity_bytes_per_node`; a tenant map re-partitions it
-    /// at runtime, and `install_chunk`'s eviction loop reads it fresh on
-    /// every install so shrinks take effect immediately.
+    /// at runtime, and every install and lookahead admission reads it
+    /// fresh, so shrinks take effect immediately.
     capacity_bytes: AtomicU64,
     verify_on_load: AtomicBool,
     registry: Arc<Registry>,
@@ -284,7 +456,7 @@ pub struct TaskCache<S> {
     pool: WorkPool,
 }
 
-impl<S: ObjectStore> TaskCache<S> {
+impl<S: ObjectStore + 'static> TaskCache<S> {
     /// Build the cache for `dataset`, whose chunks are `chunks`, across
     /// the nodes of `topology`, with a private registry.
     pub fn new(
@@ -327,6 +499,17 @@ impl<S: ObjectStore> TaskCache<S> {
             rebalance_lock: Mutex::named("cache.rebalance", ()),
             drain_mutex: Mutex::named("cache.rebalance_drain", ()),
             drain_cv: Condvar::new(),
+            lookahead: Mutex::named(
+                "cache.lookahead",
+                Lookahead {
+                    generation: 0,
+                    cache: Weak::new(),
+                    queue: VecDeque::new(),
+                    plan_nodes: 0,
+                    running: 0,
+                },
+            ),
+            lookahead_idle: Condvar::new(),
             backing,
             dataset,
             capacity_bytes: AtomicU64::new(config.capacity_bytes_per_node),
@@ -338,9 +521,10 @@ impl<S: ObjectStore> TaskCache<S> {
         })
     }
 
-    /// Run this cache's prefetch/recovery sweeps on `pool` instead of
-    /// the process-wide [`diesel_exec::global()`] pool (e.g. an inline
-    /// pool for deterministic tests).
+    /// Run this cache's prefetch/recovery/rebalance sweeps and its plan
+    /// lookahead on `pool` instead of the process-wide
+    /// [`diesel_exec::global()`] pool (e.g. an inline pool for
+    /// deterministic tests — an inline pool runs no lookahead).
     pub fn with_pool(mut self, pool: WorkPool) -> Self {
         self.pool = pool;
         self
@@ -377,9 +561,11 @@ impl<S: ObjectStore> TaskCache<S> {
 
     /// Re-point the per-node byte budget (a tenant map re-partitioning
     /// weighted shares) and immediately shrink every node's residency
-    /// down to it, oldest install first. Growing never evicts; shrinking
+    /// down to it, in eviction order. Growing never evicts; shrinking
     /// evicts synchronously so one tenant's new cap can never be violated
-    /// by residency installed under the old one.
+    /// by residency installed under the old one. Which nodes follow an
+    /// installed plan is decided when the plan is installed, so a new
+    /// budget changes that no later than the next epoch.
     pub fn set_capacity_bytes_per_node(&self, bytes: u64) {
         self.capacity_bytes.store(bytes, Ordering::Release);
         let states: Vec<Arc<NodeState>> = {
@@ -391,16 +577,24 @@ impl<S: ObjectStore> TaskCache<S> {
         }
     }
 
-    /// Evict `inner`'s oldest installs until at most `limit` bytes stay
-    /// resident — the one place the byte budget is enforced.
+    /// Evict from `inner` until at most `limit` bytes stay resident —
+    /// the chunk read farthest in the future first, which is install
+    /// order on a node without a plan.
     fn evict_down_to(&self, inner: &mut NodeInner, limit: u64) {
         while inner.resident_bytes > limit {
-            let Some(victim) = inner.evict_queue.pop_front() else { break };
-            if let Some(v) = inner.chunks.remove(&victim) {
-                inner.resident_bytes -= v.chunk_len() as u64;
-                self.metrics.evictions.inc();
-            }
+            let Some((victim, _)) = inner.victim() else { break };
+            self.evict(inner, victim);
         }
+    }
+
+    /// Give up one resident chunk and count the eviction. False when
+    /// it was not resident.
+    fn evict(&self, inner: &mut NodeInner, chunk: ChunkId) -> bool {
+        let resident = inner.remove(chunk);
+        if resident {
+            self.metrics.evictions.inc();
+        }
+        resident
     }
 
     /// A snapshot of the current chunk partition map (a copy: sweeps
@@ -424,13 +618,9 @@ impl<S: ObjectStore> TaskCache<S> {
     /// node's partition at once (call right after task registration;
     /// §4.2). The report — and the first error, if any — is identical
     /// to the serial node-by-node, chunk-by-chunk sweep for any worker
-    /// count; concurrent on-demand readers de-duplicate against the
-    /// sweep chunk-wise.
+    /// count; concurrent on-demand readers share the sweep's flights
+    /// chunk-wise.
     pub fn prefetch_all(&self) -> Result<LoadReport> {
-        self.prefetch_sweep(None)
-    }
-
-    fn prefetch_sweep(&self, cancel: Option<&CancelToken>) -> Result<LoadReport> {
         let partition = self.partition();
         // Fail fast on downed nodes, like the serial sweep did at the
         // start of each node's partition.
@@ -444,27 +634,20 @@ impl<S: ObjectStore> TaskCache<S> {
             .iter()
             .flat_map(|&node| partition.chunks_of(node).iter().map(move |&c| (node, c)))
             .collect();
-        self.load_sweep(pairs, cancel)
+        self.load_sweep(pairs)
     }
 
     /// Fill every `(node, chunk)` pair across the pool and fold what was
     /// made resident into one report (the shape shared by prefetch and
-    /// recovery). A cancelled sweep stops issuing loads.
-    fn load_sweep(
-        &self,
-        pairs: Vec<(usize, ChunkId)>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<LoadReport> {
+    /// recovery).
+    fn load_sweep(&self, pairs: Vec<(usize, ChunkId)>) -> Result<LoadReport> {
         let fills = self.pool.try_map(pairs, |_, (node, chunk)| {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return Ok(0);
-            }
-            match self.fill_chunk(node, chunk) {
+            match self.fill_chunk(node, chunk, 0, |_| ()) {
                 // A rebalance re-owned the chunk after the sweep
                 // snapshotted the partition; its new owner is filled by
                 // the rebalance sweep (or on demand), not by us.
                 Err(CacheError::StaleOwner { .. }) => Ok(0),
-                other => other,
+                other => other.map(|((), bytes)| bytes),
             }
         })?;
         let mut report = LoadReport::default();
@@ -473,25 +656,6 @@ impl<S: ObjectStore> TaskCache<S> {
             report.bytes_loaded += bytes;
         }
         Ok(report)
-    }
-
-    /// Oneshot prefetch in the background: "the DIESEL client caches the
-    /// dataset in the background when the user loads the training models
-    /// from disk" (§4.2). Reads proceed concurrently (misses load on
-    /// demand and de-duplicate against the sweep). Unlike a raw
-    /// `JoinHandle`, dropping the returned handle cancels the sweep
-    /// cooperatively instead of leaking it.
-    pub fn prefetch_background(self: &Arc<Self>) -> PrefetchHandle
-    where
-        S: 'static,
-    {
-        let me = Arc::clone(self);
-        let task = self.pool.spawn_cancellable(move |token| me.prefetch_sweep(Some(token)));
-        PrefetchHandle {
-            task: Some(task),
-            registry: Arc::clone(&self.registry),
-            dataset: self.dataset.clone(),
-        }
     }
 
     /// Fraction of the dataset's chunks currently resident (the "cache
@@ -534,7 +698,15 @@ impl<S: ObjectStore> TaskCache<S> {
     pub fn kill_node(&self, node: usize) {
         if let Ok(st) = self.node_state(node) {
             st.down.store(true, Ordering::Release);
-            *st.inner.lock() = NodeInner::default();
+            {
+                // Flights stay registered: each is retired by the load
+                // that owns it. Their parked readers wake now and find
+                // the node down.
+                let mut inner = st.inner.lock();
+                let flights = std::mem::take(&mut inner.flights);
+                *inner = NodeInner { flights, ..NodeInner::default() };
+            }
+            st.landed.notify_all();
             self.registry.event(
                 "cache.kill_node",
                 &[("dataset", &self.dataset), ("node", &node.to_string())],
@@ -572,7 +744,7 @@ impl<S: ObjectStore> TaskCache<S> {
             return Err(CacheError::NodeDown { node });
         }
         let pairs = self.partition().chunks_of(node).iter().map(|&c| (node, c)).collect();
-        self.load_sweep(pairs, None)
+        self.load_sweep(pairs)
     }
 
     /// Grow/shrink to the contiguous membership `0..nodes` and rebalance.
@@ -712,7 +884,7 @@ impl<S: ObjectStore> TaskCache<S> {
                 // will reload their partition when they return.
                 return Ok(0);
             }
-            self.fill_chunk(to, chunk)
+            self.fill_chunk(to, chunk, 0, |_| ()).map(|((), bytes)| bytes)
         });
         if let Err(e) = sweep {
             // The unfinished windows stay open (see "Failure and
@@ -823,21 +995,61 @@ impl<S: ObjectStore> TaskCache<S> {
     /// Read a whole file through the cache, re-resolving the owner if a
     /// membership transition invalidates the route mid-flight.
     pub fn get_file(&self, meta: &FileMeta) -> Result<Fetched> {
-        retry_stale(|| self.read_file(meta))
+        let (data, owner_node, chunk_hit) =
+            retry_stale(|| self.read_chunk(meta.chunk, 1, |view| slice_file(view, meta)))?;
+        Ok(Fetched { data: data?, owner_node, chunk_hit })
     }
 
-    /// The one read path. The owner is resolved under a single
+    /// Read a batch of files through the cache, chunk by chunk in order
+    /// of first appearance (as the server's `plan_chunk_reads` groups a
+    /// merged batch — Fig. 2). All of a chunk's files are cut from one
+    /// view of it, so however tight the node budget, a batch loads a
+    /// chunk at most once. Results are per file, in request order.
+    pub fn get_files(&self, metas: &[FileMeta]) -> Vec<Result<Bytes>> {
+        let mut rank: HashMap<ChunkId, usize> = HashMap::new();
+        let mut order: Vec<(usize, usize, &FileMeta)> = Vec::with_capacity(metas.len());
+        for (at, meta) in metas.iter().enumerate() {
+            let next = rank.len();
+            order.push((*rank.entry(meta.chunk).or_insert(next), at, meta));
+        }
+        order.sort_unstable_by_key(|&(rank, at, _)| (rank, at));
+        let mut out: Vec<(usize, Result<Bytes>)> = Vec::with_capacity(metas.len());
+        for run in order.chunk_by(|a, b| a.0 == b.0) {
+            let Some(&(_, _, first)) = run.first() else { continue };
+            let slices = |view: &ChunkView| -> Vec<Result<Bytes>> {
+                run.iter().map(|&(_, _, meta)| slice_file(view, meta)).collect()
+            };
+            let requests = run.iter().map(|&(_, at, _)| at);
+            match retry_stale(|| self.read_chunk(first.chunk, run.len() as u32, slices)) {
+                Ok((files, _, _)) => out.extend(requests.zip(files)),
+                Err(e) => out.extend(requests.map(|at| (at, Err(e.clone())))),
+            }
+        }
+        out.sort_unstable_by_key(|&(at, _)| at);
+        out.into_iter().map(|(_, read)| read).collect()
+    }
+
+    /// The one read path: serve `reads` files of `chunk` by handing
+    /// `serve` one view of it. The owner is resolved under a single
     /// membership read acquisition; the warm hit then takes one node
-    /// lock and nothing else. `trace::active()` only decides whether
-    /// the `cache.get` span records — traced and untraced reads run the
-    /// same code.
-    fn read_file(&self, meta: &FileMeta) -> Result<Fetched> {
+    /// lock and nothing else — on a node that follows a plan it also
+    /// counts the reads there, under that same lock.
+    /// `trace::active()` only decides whether the `cache.get` span
+    /// records — traced and untraced reads run the same code. Returns
+    /// what `serve` made, the owner, and whether the chunk was resident.
+    fn read_chunk<T>(
+        &self,
+        chunk: ChunkId,
+        reads: u32,
+        serve: impl Fn(&ChunkView) -> T,
+    ) -> Result<(T, usize, bool)> {
         let mut span = if trace::active() {
-            let chunk = meta.chunk.encode();
+            let chunk = chunk.encode();
             trace::span("cache.get", &[("chunk", chunk.as_str())])
         } else {
             trace::SpanGuard::default()
         };
+        let files = u64::from(reads);
         // The membership guard is dropped before the node probe: the
         // hit itself needs no further route validation (chunk bytes are
         // immutable, so a hit on a just-retired owner still serves the
@@ -846,127 +1058,209 @@ impl<S: ObjectStore> TaskCache<S> {
         // instead of per miss.
         let (owner, dest) = {
             let m = self.membership.read();
-            let Some(owner) = m.partition.owner_of(meta.chunk) else {
-                self.metrics.file_reads.inc();
+            let Some(owner) = m.partition.owner_of(chunk) else {
+                self.metrics.file_reads.add(files);
                 span.label("outcome", "unknown_chunk");
-                return Err(CacheError::UnknownChunk(meta.chunk.encode()));
+                return Err(CacheError::UnknownChunk(chunk.encode()));
             };
             (owner, m.nodes.get(&owner).cloned())
         };
         let Some(dest) = dest.filter(|d| !d.down.load(Ordering::Acquire)) else {
-            self.metrics.file_reads.inc();
+            self.metrics.file_reads.add(files);
             span.label("outcome", "node_down");
             return Err(CacheError::NodeDown { node: owner });
         };
-        // Hit: chunk resident on its owner. The read and its hit are
-        // one batch so a snapshot never sees hits > reads.
+        // Hit: chunk resident on its owner. The reads and their hits
+        // are one batch so a snapshot never sees hits > reads.
         {
-            let inner = dest.inner.lock();
-            if let Some(c) = inner.chunks.get(&meta.chunk) {
+            let mut inner = dest.inner.lock();
+            if let Some(view) = inner.chunks.get(&chunk) {
                 self.registry.batch(|| {
-                    self.metrics.file_reads.inc();
-                    self.metrics.chunk_hits.inc();
+                    self.metrics.file_reads.add(files);
+                    self.metrics.chunk_hits.add(files);
                 });
-                let data = slice_file(c, meta)?;
+                let out = serve(view);
                 span.label("outcome", "hit");
-                return Ok(Fetched { data, owner_node: owner, chunk_hit: true });
+                let released = inner.plan.is_some() && self.count_reads(&mut inner, chunk, reads);
+                drop(inner);
+                if released {
+                    self.pump();
+                }
+                return Ok((out, owner, true));
             }
         }
         // Miss: fill the whole chunk (any policy — Oneshot may have
-        // evicted under memory pressure), then serve. During a rebalance
-        // overlap this runs inline on the reader's thread and fills warm
-        // from the previous owner — the on-demand-miss-priority path.
-        self.metrics.file_reads.inc();
+        // evicted under memory pressure) and serve from the view that
+        // filled it. During a rebalance overlap this runs inline on the
+        // reader's thread and fills warm from the previous owner — the
+        // on-demand-miss-priority path.
+        self.metrics.file_reads.add(files);
         span.label("outcome", "miss");
-        if let Err(e) = self.fill_chunk(owner, meta.chunk) {
-            if matches!(e, CacheError::StaleOwner { .. }) {
-                // A rebalance landed between route validation and the
-                // fill; surface the typed error so the caller re-routes.
-                self.metrics.stale_owner_retries.inc();
-                span.label("outcome", "stale_owner");
+        match self.fill_chunk(owner, chunk, reads, serve) {
+            Ok((out, _)) => Ok((out, owner, false)),
+            Err(e) => {
+                if matches!(e, CacheError::StaleOwner { .. }) {
+                    // A rebalance landed between route validation and the
+                    // fill; surface the typed error so the caller re-routes.
+                    self.metrics.stale_owner_retries.inc();
+                    span.label("outcome", "stale_owner");
+                }
+                Err(e)
             }
-            return Err(e);
         }
-        let inner = dest.inner.lock();
-        let c = inner
-            .chunks
-            .get(&meta.chunk)
-            .ok_or_else(|| CacheError::UnknownChunk(meta.chunk.encode()))?;
-        let data = slice_file(c, meta)?;
-        Ok(Fetched { data, owner_node: owner, chunk_hit: false })
     }
 
-    /// Make `chunk` resident on `node`, preferring the previous owner's
-    /// memory (warm handoff) when the chunk is mid-relocation, else the
-    /// backing store.
+    /// Count `reads` planned reads of `chunk` on a node that follows a
+    /// plan. On the last one the node releases the chunk — memory goes
+    /// back the moment the plan has no further use for it — which
+    /// counts as an eviction. True when room was freed: the caller
+    /// pumps the lookahead once its node guard is gone.
+    fn count_reads(&self, inner: &mut NodeInner, chunk: ChunkId, reads: u32) -> bool {
+        inner.note_reads(chunk, reads) && self.evict(inner, chunk)
+    }
+
+    /// Make `chunk` resident on `node` and hand `serve` the view that
+    /// did it: the previous owner's (warm handoff) when the chunk is
+    /// mid-relocation, else one read from the backing store. `reads`
+    /// is how many planned file reads `serve` stands for (0 for the
+    /// sweeps, which also never pass a chunk by — see
+    /// [`TaskCache::land`]).
     ///
-    /// Route validation, the residency check, and the handoff lookup
-    /// happen under one membership read guard: a rebalance's Phase 1
-    /// (which bumps the epoch and rewires the handoff map under the
-    /// write lock) cannot interleave between them. Without this, a
-    /// reader that resolved its route before a rebalance could fill the
-    /// *old* owner from the store after the sweep already drained it —
-    /// a ghost residency that a later resize mistakes for a completed
-    /// move (its fill finds the chunk resident, silently skipping the
-    /// warm handoff).
+    /// **Single flight.** At most one store read per (node, chunk) is
+    /// in progress at a time. Whoever finds the chunk neither resident
+    /// nor in flight registers the flight and reads; everyone else
+    /// parks on the node until that flight ends, then looks again — at
+    /// the chunk if it landed, at the store themselves if the flight
+    /// failed. A reader is served from the view it filled or found, so
+    /// nothing that happens to residency afterwards can lose it the
+    /// chunk.
     ///
-    /// Returns the bytes this call made resident: 0 when the chunk was
-    /// already there or a racing fill won the install.
-    fn fill_chunk(&self, node: usize, chunk: ChunkId) -> Result<u64> {
-        let (dest, src, warm) = {
-            let m = self.membership.read();
-            if m.partition.owner_of(chunk) != Some(node) {
-                // The route is stale: `node` no longer owns `chunk`.
-                // Callers re-resolve; filling anyway would plant the
-                // chunk on a non-owner.
-                return Err(CacheError::StaleOwner { epoch: m.epoch });
-            }
-            let Some(dest) = m.nodes.get(&node).cloned() else {
-                return Err(CacheError::NodeDown { node });
+    /// Route validation, the residency check, the handoff lookup and
+    /// the flight registration happen under one membership read guard:
+    /// a rebalance's Phase 1 (which bumps the epoch and rewires the
+    /// handoff map under the write lock) cannot interleave between
+    /// them. Without this, a reader that resolved its route before a
+    /// rebalance could fill the *old* owner from the store after the
+    /// sweep already drained it — a ghost residency that a later resize
+    /// mistakes for a completed move (its fill finds the chunk
+    /// resident, silently skipping the warm handoff).
+    ///
+    /// Returns what `serve` made and the bytes this call made resident:
+    /// 0 when the chunk was already there, or was served but not kept.
+    fn fill_chunk<T>(
+        &self,
+        node: usize,
+        chunk: ChunkId,
+        reads: u32,
+        serve: impl Fn(&ChunkView) -> T,
+    ) -> Result<(T, u64)> {
+        enum Step<T> {
+            Served { out: T, bytes: u64, freed: bool },
+            Park(Arc<NodeState>),
+            Fly(Flight),
+        }
+        loop {
+            let (step, src) = {
+                let m = self.membership.read();
+                if m.partition.owner_of(chunk) != Some(node) {
+                    // The route is stale: `node` no longer owns `chunk`.
+                    // Callers re-resolve; filling anyway would plant the
+                    // chunk on a non-owner.
+                    return Err(CacheError::StaleOwner { epoch: m.epoch });
+                }
+                let Some(dest) = m.nodes.get(&node) else {
+                    return Err(CacheError::NodeDown { node });
+                };
+                // Warm handoff: if this chunk is mid-relocation, its
+                // previous owner may still hold it — a view clone, no
+                // store read, no payload copy.
+                let src = m.handoff.get(&chunk).cloned();
+                let warm = src.as_ref().and_then(|s| s.inner.lock().chunks.get(&chunk).cloned());
+                let mut inner = dest.inner.lock();
+                let step = if let Some(view) = inner.chunks.get(&chunk) {
+                    let out = serve(view);
+                    Step::Served {
+                        out,
+                        bytes: 0,
+                        freed: self.count_reads(&mut inner, chunk, reads),
+                    }
+                } else if let Some(view) = warm {
+                    let out = serve(&view);
+                    let bytes = self.land(&mut inner, chunk, view, false);
+                    Step::Served { out, bytes, freed: self.count_reads(&mut inner, chunk, reads) }
+                } else if inner.flights.contains_key(&chunk) {
+                    Step::Park(Arc::clone(dest))
+                } else {
+                    // No window, or the previous owner no longer holds
+                    // the chunk (evicted, killed): the authoritative
+                    // store fills it, and the window, if any, still
+                    // closes below.
+                    let planned = inner.plan.as_ref().and_then(|p| p.get(&chunk));
+                    let expected = planned.map_or(0, |u| u.bytes);
+                    inner.flights.insert(chunk, expected);
+                    Step::Fly(Flight { dest: Arc::clone(dest), chunk })
+                };
+                (step, src)
             };
-            if dest.inner.lock().chunks.contains_key(&chunk) {
-                return Ok(0);
+            let (out, bytes, freed, counter) = match step {
+                Step::Served { out, bytes, freed } => {
+                    (out, bytes, freed, &self.metrics.rebalance_warm_hits)
+                }
+                Step::Park(dest) => {
+                    let mut inner = dest.inner.lock();
+                    while inner.flights.contains_key(&chunk) && !dest.down.load(Ordering::Acquire) {
+                        inner = dest.landed.wait(inner);
+                    }
+                    drop(inner);
+                    if dest.down.load(Ordering::Acquire) {
+                        return Err(CacheError::NodeDown { node });
+                    }
+                    continue;
+                }
+                Step::Fly(flight) => {
+                    let (out, bytes) = self.load_from_store(flight, reads, reads > 0, &serve)?;
+                    (out, bytes, false, &self.metrics.rebalance_fallbacks)
+                }
+            };
+            // Exactly one filler installs a moving chunk; only it counts
+            // the fill and completes the handoff, and it counts *before*
+            // completing. The handoff entry's removal is therefore
+            // ordered after the winner's counters, which is what lets
+            // `rebalance_to` treat "every moved chunk's entry is gone" as
+            // "every fill in this window has been counted".
+            if let Some(src) = src.filter(|_| bytes > 0) {
+                self.registry.batch(|| {
+                    counter.inc();
+                    self.metrics.rebalance_bytes.add(bytes);
+                });
+                self.complete_handoff(chunk, &src);
             }
-            // Warm handoff: if this chunk is mid-relocation, its
-            // previous owner may still hold it — a refcounted view
-            // clone, no store read, no payload copy.
-            let src = m.handoff.get(&chunk).cloned();
-            let warm = src.as_ref().and_then(|s| s.inner.lock().chunks.get(&chunk).cloned());
-            (dest, src, warm)
-        };
-        let (size, counter) = match warm {
-            Some(view) => {
-                (self.install_chunk(&dest, chunk, view), &self.metrics.rebalance_warm_hits)
+            if freed {
+                self.pump();
             }
-            // No window, or the previous owner no longer holds the
-            // chunk (evicted, killed): the authoritative store fills it
-            // and the window, if any, still closes below.
-            None => (self.load_from_store(&dest, chunk)?, &self.metrics.rebalance_fallbacks),
-        };
-        // Exactly one racing filler wins the install; only the winner
-        // counts the fill and completes the handoff, and it counts
-        // *before* completing. The handoff entry's removal is therefore
-        // ordered after the winner's counters, which is what lets
-        // `rebalance_to` treat "every moved chunk's entry is gone" as
-        // "every fill in this window has been counted".
-        if let Some(src) = src.filter(|_| size > 0) {
-            self.registry.batch(|| {
-                counter.inc();
-                self.metrics.rebalance_bytes.add(size);
-            });
-            self.complete_handoff(chunk, &src);
+            return Ok((out, bytes));
         }
-        Ok(size)
     }
 
-    /// Load `chunk` from the backing store into `dest`. Returns the
-    /// chunk size (0 when a racing fill installed it first).
-    fn load_from_store(&self, dest: &Arc<NodeState>, chunk: ChunkId) -> Result<u64> {
+    /// Fly `flight`: read its chunk from the backing store, hand the
+    /// parsed view to `serve`, and land it on the flight's node. The
+    /// flight ends when this returns, whichever way. Returns what
+    /// `serve` made and the bytes made resident (0 when the chunk was
+    /// served but not kept).
+    fn load_from_store<T>(
+        &self,
+        flight: Flight,
+        reads: u32,
+        may_pass: bool,
+        serve: impl FnOnce(&ChunkView) -> T,
+    ) -> Result<(T, u64)> {
+        let chunk = flight.chunk;
         let key = chunk_object_key(&self.dataset, chunk);
-        // The miss path's fetch from the backing store (the peer/load
-        // leg of a cache read) is its own child span.
+        // The fetch from the backing store is its own child span — under
+        // a sampled ambient trace only: a load the lookahead flies for
+        // no request in particular must not mint a root of its own.
         let bytes = {
-            let _span = if trace::active() {
+            let _span = if trace::active() && trace::current_context().is_some() {
                 trace::span("store.get", &[("key", key.as_str())])
             } else {
                 trace::SpanGuard::default()
@@ -984,37 +1278,229 @@ impl<S: ObjectStore> TaskCache<S> {
                 )));
             }
         }
-        let size = self.install_chunk(dest, chunk, view);
-        if size == 0 {
-            return Ok(0); // raced with another client
-        }
         // A load and its bytes are one batch: a snapshot never shows a
-        // chunk counted without its bytes (the tearing the old
-        // `CacheStats::snapshot` allowed).
+        // chunk counted without its bytes. Counted per store read, not
+        // per install — with one flight per chunk the two only differ
+        // for a chunk that is served and not kept.
+        let size = view.chunk_len() as u64;
         self.registry.batch(|| {
             self.metrics.chunk_loads.inc();
             self.metrics.bytes_loaded.add(size);
         });
-        Ok(size)
+        let out = serve(&view);
+        let landed = {
+            let mut inner = flight.dest.inner.lock();
+            // Reads that are the plan's last for the chunk leave nothing
+            // worth keeping.
+            if inner.note_reads(chunk, reads) {
+                0
+            } else {
+                self.land(&mut inner, chunk, view, may_pass)
+            }
+        };
+        // The node guard is gone; ending the flight takes it again.
+        drop(flight);
+        Ok((out, landed))
     }
 
-    /// Insert a resident chunk into `dest` under the node byte budget.
+    /// Make `view` resident on its node under the node byte budget
+    /// (read fresh: a tenant map may have re-partitioned it since the
+    /// last install), evicting in eviction order. With `may_pass`, a
+    /// planned chunk never displaces one the plan reads no later than
+    /// itself: it has been served to whoever loaded it and is not
+    /// kept. So the lookahead never evicts what is needed sooner, and
+    /// a node whose share of one group overflows its budget reloads
+    /// the overflow once per batch instead of thrashing the group.
     /// Returns the bytes installed: 0 when the chunk was already there
-    /// (racing fill).
-    fn install_chunk(&self, dest: &Arc<NodeState>, chunk: ChunkId, view: ChunkView) -> u64 {
-        let size = view.chunk_len() as u64;
-        let mut inner = dest.inner.lock();
+    /// (a racing warm handoff) or was passed by.
+    fn land(&self, inner: &mut NodeInner, chunk: ChunkId, view: ChunkView, may_pass: bool) -> u64 {
         if inner.chunks.contains_key(&chunk) {
             return 0;
         }
-        // Make room under the node budget (read fresh: a tenant map may
-        // have re-partitioned it since the last install).
+        let size = view.chunk_len() as u64;
         let capacity = self.capacity_bytes.load(Ordering::Acquire);
-        self.evict_down_to(&mut inner, capacity.saturating_sub(size));
+        let incoming = inner.next_use(chunk);
+        while inner.resident_bytes.saturating_add(size) > capacity {
+            let Some((victim, next)) = inner.victim() else { break };
+            if may_pass && incoming != NEVER && next <= incoming {
+                return 0;
+            }
+            self.evict(inner, victim);
+        }
         inner.chunks.insert(chunk, view);
         inner.evict_queue.push_back(chunk);
         inner.resident_bytes += size;
         size
+    }
+
+    /// Make `plan` — this epoch's chunks in order of first read — the
+    /// cache's fill and eviction order on every node whose share of it
+    /// exceeds the node's live byte budget (the streaming regime of
+    /// §4.3), until the returned guard drops or another plan replaces
+    /// it. On such a node:
+    ///
+    /// * eviction takes the chunk whose next planned read is farthest
+    ///   away (Belady over the plan; finished and unplanned chunks
+    ///   count as never);
+    /// * a chunk is released on its last planned read;
+    /// * at most `pool.workers()` loads run ahead of the readers in
+    ///   plan order, each admitted on its owner only into free room or
+    ///   by evicting chunks read later than itself — so lookahead depth
+    ///   is whatever the byte budget allows. A load is submitted when
+    ///   it becomes admissible (here, on a release, when a lookahead
+    ///   load ends); nothing parks a pool worker waiting for room, and
+    ///   an inline pool runs no lookahead at all. An on-demand miss
+    ///   never waits for admission.
+    ///
+    /// A node whose share fits — the paper's fully-cached mode — is
+    /// left alone: it evicts nothing, counts nothing and runs no
+    /// lookahead. The plan is advice: reads that depart from it are
+    /// served all the same.
+    pub fn follow_plan(self: &Arc<Self>, plan: &[PlannedChunk]) -> PlanGuard<S> {
+        let capacity = self.capacity_bytes_per_node();
+        // What each chunk will weigh once resident: the store knows (a
+        // metadata lookup, not a read), the shuffle plan does not.
+        let stored = |chunk| self.backing.size_of(&chunk_object_key(&self.dataset, chunk));
+        let sizes: Vec<u64> =
+            plan.iter().map(|p| stored(p.chunk).map_or(0, |n| n as u64)).collect();
+        let generation = {
+            // The previous plan goes, and its lookahead is joined, first.
+            let mut la = self.retire_plan(self.lookahead.lock());
+            let m = self.membership.read();
+            let mut shares: HashMap<usize, (u64, HashMap<ChunkId, PlannedUse>)> = HashMap::new();
+            let mut loads: VecDeque<PlannedLoad> = VecDeque::with_capacity(plan.len());
+            for (p, &bytes) in plan.iter().zip(&sizes) {
+                let Some(node) = m.partition.owner_of(p.chunk) else { continue };
+                let (share, uses) = shares.entry(node).or_default();
+                *share = share.saturating_add(bytes);
+                uses.insert(p.chunk, PlannedUse { group: p.group, reads_left: p.reads, bytes });
+                loads.push_back(PlannedLoad { node, chunk: p.chunk, group: p.group, bytes });
+            }
+            shares.retain(|_, (share, _)| *share > capacity);
+            if self.pool.workers() > 1 {
+                loads.retain(|load| shares.contains_key(&load.node));
+                la.queue = loads;
+            }
+            for (node, (_, uses)) in shares {
+                if let Some(st) = m.nodes.get(&node) {
+                    st.inner.lock().plan = Some(uses);
+                    la.plan_nodes += 1;
+                }
+            }
+            la.cache = Arc::downgrade(self);
+            la.generation
+        };
+        self.pump();
+        PlanGuard { cache: Arc::clone(self), generation }
+    }
+
+    /// Start lookahead workers while the pool has width to spare and
+    /// some planned load is admissible.
+    fn pump(&self) {
+        loop {
+            let (cache, flight) = {
+                let mut la = self.lookahead.lock();
+                if la.running >= self.pool.workers() {
+                    return;
+                }
+                let Some(cache) = la.cache.upgrade() else { return };
+                let Some(flight) = self.next_load(&mut la) else { return };
+                la.running += 1;
+                (cache, flight)
+            };
+            self.pool.spawn(move || cache.run_lookahead(flight)).detach();
+        }
+    }
+
+    /// One lookahead worker: fly `first`, then whatever is admissible
+    /// next, and exit — rather than wait — when nothing is.
+    fn run_lookahead(&self, first: Flight) {
+        let mut next = Some(first);
+        while let Some(flight) = next {
+            // A failed (or panicking) load is dropped whole — never
+            // cached, never converted: the demand read re-reads the
+            // store and fails in its own name.
+            let _ = catch_unwind(AssertUnwindSafe(|| {
+                self.load_from_store(flight, 0, true, |_| ()).is_ok()
+            }));
+            let mut la = self.lookahead.lock();
+            next = self.next_load(&mut la);
+            if next.is_none() {
+                la.running -= 1;
+                self.lookahead_idle.notify_all();
+            }
+        }
+    }
+
+    /// Register a flight for the earliest queued load that is
+    /// admissible right now, and take it off the queue. A node found
+    /// full is skipped for the rest of the scan — its later loads are
+    /// no easier to admit — and loads that no longer need flying
+    /// (resident, in flight, read out, moved or moving to another
+    /// node) are dropped on the way.
+    fn next_load(&self, la: &mut Lookahead<S>) -> Option<Flight> {
+        let capacity = self.capacity_bytes_per_node();
+        let m = self.membership.read();
+        let mut full: Vec<usize> = Vec::new();
+        let mut at = 0;
+        while let Some(&load) = la.queue.get(at) {
+            if full.contains(&load.node) {
+                at += 1;
+                continue;
+            }
+            let owned = m.partition.owner_of(load.chunk) == Some(load.node)
+                && !m.handoff.contains_key(&load.chunk);
+            let dest = m.nodes.get(&load.node).filter(|d| owned && !d.down.load(Ordering::Acquire));
+            let Some(dest) = dest else {
+                la.queue.remove(at);
+                continue;
+            };
+            match self.admit(&mut dest.inner.lock(), load, capacity) {
+                Admission::Admitted => {
+                    la.queue.remove(at);
+                    return Some(Flight { dest: Arc::clone(dest), chunk: load.chunk });
+                }
+                Admission::Full => {
+                    full.push(load.node);
+                    if full.len() >= la.plan_nodes {
+                        break;
+                    }
+                    at += 1;
+                }
+                Admission::Moot => {
+                    la.queue.remove(at);
+                }
+            }
+        }
+        None
+    }
+
+    /// The admission rule: a planned load goes ahead on its owner only
+    /// into free room — counting what flights already in progress will
+    /// land — or by evicting chunks the plan reads *later* than it. On
+    /// [`Admission::Admitted`] the room has been made and the flight is
+    /// registered.
+    fn admit(&self, inner: &mut NodeInner, load: PlannedLoad, capacity: u64) -> Admission {
+        if inner.next_use(load.chunk) == NEVER
+            || inner.chunks.contains_key(&load.chunk)
+            || inner.flights.contains_key(&load.chunk)
+        {
+            return Admission::Moot;
+        }
+        let landing: u64 = inner.flights.values().sum::<u64>().saturating_add(load.bytes);
+        let later: u64 = inner
+            .chunks
+            .iter()
+            .filter(|(&resident, _)| inner.next_use(resident) > load.group)
+            .map(|(_, view)| view.chunk_len() as u64)
+            .sum();
+        if inner.resident_bytes.saturating_sub(later).saturating_add(landing) > capacity {
+            return Admission::Full;
+        }
+        // Farthest first, so every victim is one of the `later` chunks.
+        self.evict_down_to(inner, capacity.saturating_sub(landing));
+        inner.flights.insert(load.chunk, load.bytes);
+        Admission::Admitted
     }
 
     /// Close one chunk's overlap window: forget the handoff entry, then
@@ -1036,16 +1522,10 @@ impl<S: ObjectStore> TaskCache<S> {
     }
 }
 
-/// Drop `chunk`'s residency on `st`, retiring its eviction-queue slot
-/// and byte accounting. No-op when the chunk is not resident there.
+/// Drop `chunk`'s residency on `st` (a moved-out copy; not an
+/// eviction). No-op when the chunk is not resident there.
 fn evict_residency(st: &NodeState, chunk: ChunkId) {
-    let mut inner = st.inner.lock();
-    if let Some(v) = inner.chunks.remove(&chunk) {
-        inner.resident_bytes -= v.chunk_len() as u64;
-        if let Some(pos) = inner.evict_queue.iter().position(|&c| c == chunk) {
-            inner.evict_queue.remove(pos);
-        }
-    }
+    st.inner.lock().remove(chunk);
 }
 
 /// Run `read` again while it reports a route resolved under a stale
@@ -1065,66 +1545,52 @@ fn slice_file(view: &ChunkView, meta: &FileMeta) -> Result<Bytes> {
     view.slice_payload(meta.offset, meta.length).map_err(|e| CacheError::Corrupt(e.to_string()))
 }
 
-/// Handle to a background prefetch sweep started by
-/// [`TaskCache::prefetch_background`].
-///
-/// Dropping the handle without joining cancels the sweep cooperatively
-/// (the sweep stops issuing chunk loads at the next opportunity) and
-/// records a `cache.prefetch_cancelled` event in the cache's registry —
-/// an abandoned handle can no longer leak a runaway warm-up thread.
-pub struct PrefetchHandle {
-    task: Option<TaskHandle<Result<LoadReport>>>,
-    registry: Arc<Registry>,
-    dataset: String,
+/// Keeps an epoch plan installed ([`TaskCache::follow_plan`]).
+/// Dropping it retires the plan — unless a newer one already replaced
+/// it — and returns once no lookahead load is in flight, which is at
+/// most one store read away.
+pub struct PlanGuard<S> {
+    cache: Arc<TaskCache<S>>,
+    generation: u64,
 }
 
-impl PrefetchHandle {
-    /// Wait for the sweep and take its report.
-    pub fn join(mut self) -> Result<LoadReport> {
-        match self.task.take() {
-            Some(task) => match task.join() {
-                Ok(report) => report,
-                Err(e) => Err(CacheError::Backing(format!("prefetch sweep failed: {e}"))),
-            },
-            None => Ok(LoadReport::default()),
-        }
-    }
-
-    /// Ask the sweep to stop at the next chunk boundary, without
-    /// waiting. [`join`](PrefetchHandle::join) then returns the partial
-    /// report.
-    pub fn cancel(&self) {
-        if let Some(task) = &self.task {
-            task.cancel();
-        }
-    }
-
-    /// Has the sweep finished (successfully or not)?
-    pub fn is_finished(&self) -> bool {
-        self.task.as_ref().is_some_and(TaskHandle::is_finished)
-    }
-}
-
-impl Drop for PrefetchHandle {
+impl<S> Drop for PlanGuard<S> {
     fn drop(&mut self) {
-        if let Some(task) = self.task.take() {
-            if !task.is_finished() {
-                self.registry.event("cache.prefetch_cancelled", &[("dataset", &self.dataset)]);
-            }
-            // `TaskHandle`'s drop flips the cancel token; the sweep
-            // winds down at its next chunk boundary.
-            drop(task);
+        let la = self.cache.lookahead.lock();
+        if la.generation == self.generation {
+            drop(self.cache.retire_plan(la));
         }
     }
 }
 
-impl std::fmt::Debug for PrefetchHandle {
+impl<S> std::fmt::Debug for PlanGuard<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PrefetchHandle").field("finished", &self.is_finished()).finish()
+        f.debug_struct("PlanGuard").field("generation", &self.generation).finish_non_exhaustive()
     }
 }
 
 impl<S> TaskCache<S> {
+    /// Retire the installed plan: empty the load queue, take the plan
+    /// off every node, and wait out the lookahead loads in flight (the
+    /// queue is empty, so each worker exits after its current load).
+    fn retire_plan<'a>(
+        &'a self,
+        mut la: MutexGuard<'a, Lookahead<S>>,
+    ) -> MutexGuard<'a, Lookahead<S>> {
+        la.generation += 1;
+        la.queue.clear();
+        la.plan_nodes = 0;
+        la.cache = Weak::new();
+        let states: Vec<Arc<NodeState>> = self.membership.read().nodes.values().cloned().collect();
+        for st in states {
+            st.inner.lock().plan = None;
+        }
+        while la.running > 0 {
+            la = self.lookahead_idle.wait(la);
+        }
+        la
+    }
+
     /// Counter handles (cheap reads of individual metrics).
     pub fn metrics(&self) -> &CacheMetrics {
         &self.metrics
@@ -1187,13 +1653,13 @@ mod tests {
         (store, metas, snap.chunks)
     }
 
-    fn cache(
-        store: Arc<MemObjectStore>,
+    fn cache<S: ObjectStore + 'static>(
+        store: Arc<S>,
         chunks: Vec<ChunkId>,
         nodes: usize,
         cap: u64,
         policy: CachePolicy,
-    ) -> TaskCache<MemObjectStore> {
+    ) -> TaskCache<S> {
         TaskCache::new(
             Topology::uniform(nodes, 4).unwrap(),
             store,
@@ -1333,9 +1799,11 @@ mod tests {
 
     #[test]
     fn concurrent_readers_share_one_chunk_load() {
-        let (store, metas, chunks) = dataset(32, 256, 1 << 20);
+        let (mem, metas, chunks) = dataset(32, 256, 1 << 20);
         assert_eq!(chunks.len(), 1, "one big chunk expected");
-        let c = Arc::new(cache(store, chunks, 1, 1 << 30, CachePolicy::OnDemand));
+        let store = Arc::new(TestStore::new(mem));
+        store.set_gate(false);
+        let c = Arc::new(cache(store.clone(), chunks, 1, 1 << 30, CachePolicy::OnDemand));
         let metas = Arc::new(metas);
         let handles: Vec<_> = (0..8)
             .map(|_| {
@@ -1348,61 +1816,16 @@ mod tests {
                 })
             })
             .collect();
+        // Every reader has missed, and the store answers none of them
+        // yet: whoever is going to read it is at the gate by now.
+        until(|| c.metrics().file_reads() == 8);
+        store.set_gate(true);
         for h in handles {
             h.join().unwrap();
         }
+        assert_eq!(store.gets(), 1, "eight racing readers, one store read");
         assert_eq!(c.metrics().chunk_loads(), 1, "chunk must be loaded exactly once");
         assert_eq!(c.metrics().file_reads(), 8 * 32);
-    }
-
-    #[test]
-    fn background_prefetch_overlaps_with_reads() {
-        let (store, metas, chunks) = dataset(80, 300, 2048);
-        let c = Arc::new(cache(store, chunks.clone(), 2, 1 << 30, CachePolicy::Oneshot));
-        let handle = c.prefetch_background();
-        // Reads during warm-up: every one must succeed (miss ⇒ on-demand
-        // load that de-duplicates with the prefetcher).
-        for (_, meta) in &metas {
-            assert_eq!(c.get_file(meta).unwrap().data.len(), 300);
-        }
-        let report = handle.join().unwrap();
-        // The prefetcher and readers together load each chunk exactly once.
-        assert_eq!(c.metrics().chunk_loads() as usize, chunks.len());
-        assert!(report.chunks_loaded as usize <= chunks.len());
-        assert!((c.resident_fraction() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dropping_prefetch_handle_cancels_and_logs() {
-        let (store, _, chunks) = dataset(40, 300, 1024);
-        // Inline pool: the spawn runs synchronously, so the sweep is
-        // finished by the time we drop — no cancel event.
-        let c = Arc::new(
-            cache(store.clone(), chunks.clone(), 2, 1 << 30, CachePolicy::Oneshot)
-                .with_pool(diesel_exec::WorkPool::inline("t")),
-        );
-        let h = c.prefetch_background();
-        assert!(h.is_finished());
-        drop(h);
-        assert!(c.stats().events.iter().all(|e| e.scope != "cache.prefetch_cancelled"));
-
-        // Cancelling early stops the sweep at a chunk boundary; the
-        // partial report never exceeds the partition.
-        let c2 = Arc::new(cache(store, chunks, 2, 1 << 30, CachePolicy::Oneshot));
-        let h = c2.prefetch_background();
-        h.cancel();
-        let report = h.join().unwrap();
-        assert!(report.chunks_loaded <= c2.partition().chunk_count() as u64);
-
-        // And a drop of an unfinished sweep logs the cancel event.
-        let h = c2.prefetch_background();
-        let was_finished = h.is_finished();
-        drop(h);
-        let logged = c2.stats().events.iter().any(|e| e.scope == "cache.prefetch_cancelled");
-        assert!(
-            was_finished || logged,
-            "an unfinished sweep dropped without join must log cancellation"
-        );
     }
 
     #[test]
@@ -1655,29 +2078,55 @@ mod tests {
         assert_eq!(c.metrics().chunk_loads(), chunk_count);
     }
 
-    /// A `MemObjectStore` whose read path can be switched to fail — the
-    /// deterministic stand-in for a transient backing-store outage mid
-    /// rebalance sweep.
-    struct TogglingStore {
+    /// A `MemObjectStore` the test drives: it counts whole-object reads,
+    /// can hold every read at a gate until the test opens it, and can be
+    /// switched to fail — the deterministic stand-in for a slow store
+    /// and for a transient outage.
+    struct TestStore {
         inner: Arc<MemObjectStore>,
         fail: AtomicBool,
+        gets: AtomicU64,
+        gate_open: Mutex<bool>,
+        gate_moved: Condvar,
     }
 
-    impl TogglingStore {
+    impl TestStore {
         fn new(inner: Arc<MemObjectStore>) -> Self {
-            TogglingStore { inner, fail: AtomicBool::new(false) }
+            TestStore {
+                inner,
+                fail: AtomicBool::new(false),
+                gets: AtomicU64::new(0),
+                gate_open: Mutex::new(true),
+                gate_moved: Condvar::new(),
+            }
         }
 
         fn set_fail(&self, on: bool) {
             self.fail.store(on, Ordering::Release);
         }
+
+        fn set_gate(&self, open: bool) {
+            *self.gate_open.lock() = open;
+            self.gate_moved.notify_all();
+        }
+
+        /// Reads that have reached the store, held at the gate or not.
+        fn gets(&self) -> u64 {
+            self.gets.load(Ordering::Acquire)
+        }
     }
 
-    impl diesel_store::ObjectStore for TogglingStore {
+    impl diesel_store::ObjectStore for TestStore {
         fn put(&self, key: &str, value: Bytes) -> diesel_store::Result<()> {
             self.inner.put(key, value)
         }
         fn get(&self, key: &str) -> diesel_store::Result<Bytes> {
+            self.gets.fetch_add(1, Ordering::AcqRel);
+            let mut open = self.gate_open.lock();
+            while !*open {
+                open = self.gate_moved.wait(open);
+            }
+            drop(open);
             if self.fail.load(Ordering::Acquire) {
                 return Err(diesel_store::StoreError::Io(format!("injected outage reading {key}")));
             }
@@ -1700,6 +2149,276 @@ mod tests {
         }
         fn total_bytes(&self) -> u64 {
             self.inner.total_bytes()
+        }
+    }
+
+    /// Spin (yielding, never sleeping) until `reached` holds: tests wait
+    /// for a state the code under test is bound to reach, not for time.
+    fn until(reached: impl Fn() -> bool) {
+        while !reached() {
+            std::thread::yield_now();
+        }
+    }
+
+    /// The only node of a one-node cache.
+    fn only_node<S: ObjectStore + 'static>(c: &TaskCache<S>) -> Arc<NodeState> {
+        c.node_state(0).unwrap()
+    }
+
+    /// `chunks` as an epoch plan: `group_size` chunks per group, in
+    /// order, every file of a chunk read once.
+    fn plan_of(
+        chunks: &[ChunkId],
+        metas: &[(String, FileMeta)],
+        group_size: usize,
+    ) -> Vec<PlannedChunk> {
+        chunks
+            .iter()
+            .enumerate()
+            .map(|(i, &chunk)| {
+                let reads = metas.iter().filter(|(_, m)| m.chunk == chunk).count() as u32;
+                PlannedChunk { chunk, group: (i / group_size) as u32, reads }
+            })
+            .collect()
+    }
+
+    /// Read every file of `chunk` once.
+    fn read_all<S: ObjectStore + 'static>(
+        c: &TaskCache<S>,
+        metas: &[(String, FileMeta)],
+        chunk: ChunkId,
+    ) {
+        for (_, meta) in metas.iter().filter(|(_, m)| m.chunk == chunk) {
+            c.get_file(meta).unwrap();
+        }
+    }
+
+    /// A byte budget that holds `n` of the dataset's chunks and not one
+    /// more.
+    fn budget_for(store: &MemObjectStore, chunks: &[ChunkId], n: u64) -> u64 {
+        let sizes = chunks.iter().map(|&c| store.size_of(&chunk_object_key("ds", c)).unwrap());
+        let (min, max) = sizes.fold((usize::MAX, 0), |(lo, hi), s| (lo.min(s), hi.max(s)));
+        assert!((n + 1) * min as u64 > n * max as u64, "chunk sizes too uneven for the test");
+        n * max as u64
+    }
+
+    #[test]
+    fn a_failed_flight_wakes_its_waiters_to_fail_in_their_own_name() {
+        let (mem, metas, chunks) = dataset(8, 256, 1 << 20);
+        let store = Arc::new(TestStore::new(mem));
+        store.set_fail(true);
+        store.set_gate(false);
+        let c = Arc::new(cache(store.clone(), chunks, 1, 1 << 30, CachePolicy::OnDemand));
+        let meta = metas[0].1;
+        let readers: Vec<_> = (0..3)
+            .map(|_| {
+                let c = c.clone();
+                std::thread::spawn(move || c.get_file(&meta).map(|f| f.data))
+            })
+            .collect();
+        // All three have missed; one holds the flight, at the gate.
+        until(|| c.metrics().file_reads() == 3);
+        assert_eq!(store.gets(), 1);
+        store.set_gate(true);
+        for r in readers {
+            let got = r.join().unwrap();
+            assert!(matches!(got, Err(CacheError::Backing(_))), "{got:?}");
+        }
+        // The failure was neither shared nor cached: each waiter woke,
+        // read the store itself and reports what *it* saw.
+        assert_eq!(store.gets(), 3);
+        assert_eq!(c.metrics().chunk_loads(), 0);
+        assert!(only_node(&c).inner.lock().flights.is_empty());
+        store.set_fail(false);
+        assert_eq!(c.get_file(&meta).unwrap().data.len(), 256);
+    }
+
+    #[test]
+    fn killing_a_node_mid_flight_frees_the_waiter_and_the_entry() {
+        let (mem, metas, chunks) = dataset(8, 256, 1 << 20);
+        let store = Arc::new(TestStore::new(mem));
+        store.set_gate(false);
+        let c = Arc::new(cache(store.clone(), chunks, 1, 1 << 30, CachePolicy::OnDemand));
+        let meta = metas[0].1;
+        let read = |c: &Arc<TaskCache<TestStore>>| {
+            let c = c.clone();
+            std::thread::spawn(move || c.get_file(&meta).map(|f| f.data.len()))
+        };
+        let flyer = read(&c);
+        until(|| store.gets() == 1);
+        let waiter = read(&c);
+        until(|| c.metrics().file_reads() == 2);
+        c.kill_node(0);
+        // The gate is still shut: the waiter comes back on the kill, not
+        // on the flight.
+        assert_eq!(waiter.join().unwrap(), Err(CacheError::NodeDown { node: 0 }));
+        store.set_gate(true);
+        assert_eq!(flyer.join().unwrap(), Ok(256), "the flyer is served from what it loaded");
+        assert!(only_node(&c).inner.lock().flights.is_empty(), "the flight retired itself");
+        assert_eq!(store.gets(), 1);
+    }
+
+    #[test]
+    fn a_read_never_loses_the_chunk_it_just_filled() {
+        // One node that holds one chunk, two threads alternating the
+        // node's two chunks in opposite phase: every install evicts the
+        // chunk the other thread just filled. A read is served from the
+        // view it filled (or found), so it never sees that.
+        let (store, metas, chunks) = dataset(2, 256, 256);
+        assert_eq!(chunks.len(), 2);
+        let cap = budget_for(&store, &chunks, 1);
+        let c = Arc::new(cache(store, chunks, 1, cap, CachePolicy::OnDemand));
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let threads: Vec<_> = (0..2usize)
+            .map(|t| {
+                let (c, start) = (c.clone(), start.clone());
+                let pair = [metas[0].1, metas[1].1];
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..4_000usize {
+                        let got = c.get_file(&pair[(i + t) % 2]);
+                        assert_eq!(got.map(|f| f.data.len()), Ok(256), "read {i} of thread {t}");
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert!(c.node_resident_bytes(0) <= cap);
+    }
+
+    #[test]
+    fn a_plan_that_fits_is_installed_on_no_node() {
+        let (store, metas, chunks) = dataset(60, 200, 2048);
+        let pool = WorkPool::new("fits", diesel_exec::ExecConfig::workers(2));
+        let c = Arc::new(
+            cache(store, chunks.clone(), 3, 1 << 30, CachePolicy::Oneshot).with_pool(pool),
+        );
+        c.prefetch_all().unwrap();
+        let loads = c.metrics().chunk_loads();
+        for _epoch in 0..3 {
+            let _following = c.follow_plan(&plan_of(&chunks, &metas, 2));
+            for node in 0..3 {
+                assert!(c.node_state(node).unwrap().inner.lock().plan.is_none());
+            }
+            assert!(c.lookahead.lock().queue.is_empty(), "nothing to look ahead for");
+            for (_, meta) in &metas {
+                assert!(c.get_file(meta).unwrap().chunk_hit);
+            }
+        }
+        // The paper's fully-cached mode: nothing counted, nothing
+        // released, nothing re-read.
+        assert_eq!(c.metrics().chunk_loads(), loads);
+        assert_eq!(c.metrics().evictions(), 0);
+        assert!((c.resident_fraction() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn planned_eviction_takes_the_farthest_next_use_and_never_a_sooner_one() {
+        // An inline pool runs no lookahead, so residency here is the
+        // demand reads' doing alone.
+        let (store, metas, chunks) = dataset(18, 512, 2048);
+        let cap = budget_for(&store, &chunks, 2);
+        let c = Arc::new(
+            cache(store, chunks.clone(), 1, cap, CachePolicy::OnDemand)
+                .with_pool(WorkPool::inline("belady")),
+        );
+        let [a, b, far, farther] = [chunks[0], chunks[1], chunks[2], chunks[3]];
+        let plan: Vec<PlannedChunk> = plan_of(&chunks, &metas, 1)
+            .into_iter()
+            .map(|p| PlannedChunk { group: if p.chunk == b { 0 } else { p.group }, ..p })
+            .collect();
+        // a and b are read in group 0, `far` in 2, `farther` in 3.
+        let _following = c.follow_plan(&plan);
+        assert!(c.lookahead.lock().queue.is_empty(), "an inline pool looks ahead for nothing");
+        let first_of = |chunk| metas.iter().find(|(_, m)| m.chunk == chunk).unwrap().1;
+        let resident = || {
+            let mut ids: Vec<ChunkId> = only_node(&c).inner.lock().chunks.keys().copied().collect();
+            ids.sort();
+            ids
+        };
+        let sorted = |mut ids: Vec<ChunkId>| {
+            ids.sort();
+            ids
+        };
+        c.get_file(&first_of(far)).unwrap();
+        c.get_file(&first_of(farther)).unwrap();
+        assert_eq!(resident(), sorted(vec![far, farther]));
+        // Not install order (`far` is the older install): the farthest
+        // next use goes first.
+        c.get_file(&first_of(a)).unwrap();
+        assert_eq!(resident(), sorted(vec![a, far]));
+        c.get_file(&first_of(b)).unwrap();
+        assert_eq!(resident(), sorted(vec![a, b]));
+        // Both residents are read no later than `far`: it is served and
+        // passed by, not kept.
+        let loads = c.metrics().chunk_loads();
+        assert!(!c.get_file(&first_of(far)).unwrap().chunk_hit);
+        assert_eq!(resident(), sorted(vec![a, b]));
+        assert_eq!(c.metrics().chunk_loads(), loads + 1);
+        // The last planned read of a chunk releases it.
+        let evictions = c.metrics().evictions();
+        for (_, meta) in metas.iter().filter(|(_, m)| m.chunk == a).skip(1) {
+            assert!(c.get_file(meta).unwrap().chunk_hit);
+        }
+        assert_eq!(resident(), vec![b]);
+        assert_eq!(c.metrics().evictions(), evictions + 1);
+    }
+
+    #[test]
+    fn the_lookahead_fills_the_budget_in_plan_order_and_never_past_a_sooner_read() {
+        let (mem, metas, chunks) = dataset(18, 512, 2048);
+        let cap = budget_for(&mem, &chunks, 2);
+        let store = Arc::new(TestStore::new(mem));
+        let pool = WorkPool::new("ahead", diesel_exec::ExecConfig::workers(2));
+        let c = Arc::new(
+            cache(store.clone(), chunks.clone(), 1, cap, CachePolicy::OnDemand).with_pool(pool),
+        );
+        let [a, b, next] = [chunks[0], chunks[1], chunks[2]];
+        // Groups of two: a and b are read first, `next` after them.
+        let _following = c.follow_plan(&plan_of(&chunks, &metas, 2));
+        let idle = || c.lookahead.lock().running == 0;
+        let resident = |chunk| only_node(&c).inner.lock().chunks.contains_key(&chunk);
+        // Two loads fill the budget; `next` is admissible only by
+        // evicting a chunk read sooner than itself, so the workers exit.
+        until(|| resident(a) && resident(b) && idle());
+        assert_eq!(store.gets(), 2);
+        assert_eq!(c.metrics().evictions(), 0);
+        assert_eq!(c.lookahead.lock().queue.front().map(|l| l.chunk), Some(next));
+        // a's last planned read releases it, and that admits `next`.
+        read_all(&c, &metas, a);
+        until(|| resident(next) && idle());
+        assert!(resident(b) && !resident(a));
+        assert_eq!(store.gets(), 3, "each chunk read from the store once");
+        assert!(c.node_resident_bytes(0) <= cap);
+    }
+
+    #[test]
+    fn dropping_the_plan_guard_joins_the_lookahead_within_one_store_read() {
+        let (mem, metas, chunks) = dataset(63, 512, 2048);
+        let cap = budget_for(&mem, &chunks, 2);
+        let store = Arc::new(TestStore::new(mem));
+        store.set_gate(false);
+        let pool = WorkPool::new("drop", diesel_exec::ExecConfig::workers(2));
+        let c = Arc::new(
+            cache(store.clone(), chunks.clone(), 2, cap, CachePolicy::OnDemand).with_pool(pool),
+        );
+        let following = c.follow_plan(&plan_of(&chunks, &metas, 4));
+        until(|| store.gets() == 2);
+        let dropper = std::thread::spawn(move || drop(following));
+        // The drop has emptied the queue and waits for the two loads at
+        // the gate; nothing further can start.
+        until(|| c.lookahead.lock().queue.is_empty());
+        store.set_gate(true);
+        dropper.join().unwrap();
+        assert_eq!(store.gets(), 2, "the drop waited out the loads in flight and no more");
+        assert_eq!(c.lookahead.lock().running, 0);
+        for node in 0..2 {
+            let st = c.node_state(node).unwrap();
+            let inner = st.inner.lock();
+            assert!(inner.plan.is_none() && inner.flights.is_empty());
+            assert!(inner.resident_bytes <= cap);
         }
     }
 
@@ -1734,7 +2453,7 @@ mod tests {
             let dest = Arc::clone(&m.nodes[&back_to]);
             let orphan_src = Arc::clone(&m.nodes[&7]);
             drop(m);
-            assert!(c.install_chunk(&dest, chunk, view) > 0);
+            assert!(c.land(&mut dest.inner.lock(), chunk, view, false) > 0);
             c.membership.write().handoff.insert(chunk, orphan_src);
         }
         // Old code: this call never returns. New code: Phase 1 closes
@@ -1755,7 +2474,7 @@ mod tests {
     #[test]
     fn failed_sweep_is_repaired_by_retrying_the_same_resize() {
         let (mem, metas, chunks) = dataset(60, 200, 1024);
-        let store = Arc::new(TogglingStore::new(mem));
+        let store = Arc::new(TestStore::new(mem));
         let c = TaskCache::new(
             Topology::uniform(2, 4).unwrap(),
             Arc::clone(&store),
@@ -1805,7 +2524,7 @@ mod tests {
         // nodes still holding them), and on-demand reads complete
         // windows chunk-wise.
         let (mem, metas, chunks) = dataset(60, 200, 1024);
-        let store = Arc::new(TogglingStore::new(mem));
+        let store = Arc::new(TestStore::new(mem));
         let c = TaskCache::new(
             Topology::uniform(2, 4).unwrap(),
             Arc::clone(&store),

@@ -23,7 +23,7 @@ use diesel_util::{Clock, Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use diesel_cache::{CacheError, TaskCache};
+use diesel_cache::{CacheError, PlanGuard, PlannedChunk, TaskCache};
 use diesel_chunk::{ChunkBuilder, ChunkBuilderConfig, ChunkIdGenerator, SealedChunk};
 use diesel_kv::KvStore;
 use diesel_meta::{DirEntry, FileMeta, MetaSnapshot, Namespace};
@@ -91,6 +91,16 @@ struct WriteBuffer {
     /// Sealed chunks whose ingest failed, oldest first; the next
     /// `put`/`flush` re-ships them before anything newer.
     unshipped: VecDeque<SealedChunk>,
+}
+
+/// One epoch cut into batches ([`DieselClient::epoch_batches`]).
+#[derive(Debug)]
+pub struct EpochBatches<S> {
+    /// The epoch's shuffled file list, one batch of paths at a time.
+    pub batches: Vec<Vec<String>>,
+    /// Keeps the attached cache, if any, following this epoch's plan.
+    /// Hold it for as long as the batches are being read.
+    pub following: Option<PlanGuard<S>>,
 }
 
 /// One libDIESEL client instance.
@@ -407,17 +417,15 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
         if let Some(cache) = self.cache.read().as_ref() {
             match cache.get_file(&meta) {
                 Ok(f) => return Ok(f.data),
-                Err(CacheError::NodeDown { .. }) => { /* fall through to server */ }
-                Err(CacheError::UnknownChunk(_)) => { /* stale snapshot; server path */ }
-                // The cache retries stale-owner routes internally; an
-                // escaping StaleOwner means membership is churning faster
-                // than we can re-resolve — the server is still
-                // authoritative, so serve from there rather than failing
-                // the read.
-                Err(CacheError::StaleOwner { .. }) => { /* rebalance in flight */ }
+                Err(e) if server_serves(&e) => {}
                 Err(e) => return Err(e.into()),
             }
         }
+        self.read_from_server(path, meta)
+    }
+
+    /// The server leg of a read whose metadata is already resolved.
+    fn read_from_server(&self, path: &str, meta: FileMeta) -> Result<Bytes> {
         let read = self
             .call(ServerRequest::ReadByMeta { dataset: self.dataset.clone(), meta })
             .and_then(ServerResponse::into_bytes);
@@ -445,9 +453,10 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
     /// request order.
     ///
     /// When a task-grained cache is attached the batch is served
-    /// file-by-file through it instead (one-hop chunk-resident reads
-    /// beat a merged server read); any per-file fallback matches
-    /// [`get`](Self::get).
+    /// through it instead (one-hop chunk-resident reads beat a merged
+    /// server read): one `stat` per file, then chunk by chunk in order
+    /// of first appearance, each chunk's files cut from one view of it;
+    /// any per-file fallback matches [`get`](Self::get).
     pub fn get_many(&self, paths: &[String]) -> Result<Vec<Bytes>> {
         if paths.is_empty() {
             return Ok(Vec::new());
@@ -459,8 +468,20 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
         } else {
             trace::SpanGuard::default()
         };
-        if self.cache.read().is_some() {
-            return paths.iter().map(|p| self.get(p)).collect();
+        let cache = self.cache.read().clone();
+        if let Some(cache) = cache {
+            let metas = paths.iter().map(|p| self.stat(p)).collect::<Result<Vec<_>>>()?;
+            let reads = cache.get_files(&metas);
+            return paths
+                .iter()
+                .zip(metas)
+                .zip(reads)
+                .map(|((path, meta), read)| match read {
+                    Ok(data) => Ok(data),
+                    Err(e) if server_serves(&e) => self.read_from_server(path, meta),
+                    Err(e) => Err(e.into()),
+                })
+                .collect();
         }
         let merged = self
             .call(ServerRequest::ReadFilesMerged {
@@ -547,6 +568,62 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
         })
     }
 
+    /// This epoch's shuffled file list cut into `batch_size` path groups
+    /// — what a loader's fetch stage reads, batch by batch.
+    ///
+    /// With a task cache attached, the same pass over the plan, under
+    /// the same metadata guard, also derives the cache's schedule —
+    /// every chunk's shuffle group and read count, in order of first
+    /// read — and hands it to [`TaskCache::follow_plan`].
+    pub fn epoch_batches(
+        &self,
+        seed: u64,
+        epoch: u64,
+        batch_size: usize,
+    ) -> Result<EpochBatches<S>> {
+        let batch_size = batch_size.max(1);
+        let cache = self.cache.read().clone();
+        let (batches, schedule) = self.with_epoch_plan(seed, epoch, |index, plan| {
+            let mut batches: Vec<Vec<String>> = Vec::with_capacity(plan.len().div_ceil(batch_size));
+            let mut batch: Vec<String> = Vec::with_capacity(batch_size);
+            let mut schedule: Vec<PlannedChunk> = Vec::new();
+            // Chunk index → its position in `schedule`, once read.
+            let mut seen: Vec<Option<usize>> = vec![None; index.chunks.len()];
+            let mut group = 0u32;
+            let mut later_groups = plan.group_starts.iter().skip(1).peekable();
+            for (at, item) in plan.items.iter().enumerate() {
+                while later_groups.next_if(|&&start| start <= at).is_some() {
+                    group += 1;
+                }
+                let at_chunk = item.chunk_index as usize;
+                let Some(files) = index.chunks.get(at_chunk) else { continue };
+                let Some(path) = files.files.get(item.file_index as usize) else { continue };
+                batch.push(path.clone());
+                if batch.len() == batch_size {
+                    batches.push(std::mem::replace(&mut batch, Vec::with_capacity(batch_size)));
+                }
+                let Some(slot) = seen.get_mut(at_chunk).filter(|_| cache.is_some()) else {
+                    continue;
+                };
+                match slot.and_then(|pos| schedule.get_mut(pos)) {
+                    Some(planned) => planned.reads += 1,
+                    None => {
+                        *slot = Some(schedule.len());
+                        schedule.push(PlannedChunk { chunk: files.chunk, group, reads: 1 });
+                    }
+                }
+            }
+            if !batch.is_empty() {
+                batches.push(batch);
+            }
+            (batches, schedule)
+        })?;
+        // Installed outside the metadata guard: replacing a plan waits
+        // out the previous one's loads in flight, and the schedule names
+        // chunks, not index positions — nothing a writer can shift.
+        Ok(EpochBatches { batches, following: cache.map(|cache| cache.follow_plan(&schedule)) })
+    }
+
     /// The raw shuffle plan (group boundaries included), for working-set
     /// accounting and chunk-prefetch decisions.
     pub fn epoch_plan(&self, seed: u64, epoch: u64) -> Result<ShufflePlan> {
@@ -577,6 +654,18 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
         self.flush()?;
         Ok(())
     }
+}
+
+/// Cache errors a read answers by going to the server instead (Fig. 4):
+/// the owner node is down; the snapshot is staler than the cache's
+/// partition map; or membership is churning faster than the cache's own
+/// stale-owner retries can re-resolve — the server is still
+/// authoritative, so serve from there rather than failing the read.
+fn server_serves(e: &CacheError) -> bool {
+    matches!(
+        e,
+        CacheError::NodeDown { .. } | CacheError::UnknownChunk(_) | CacheError::StaleOwner { .. }
+    )
 }
 
 fn build_index(snapshot: &MetaSnapshot) -> DatasetIndex {
@@ -855,6 +944,51 @@ mod tests {
         for (n, d) in &files {
             assert_eq!(c.get(n).unwrap().as_ref(), &d[..], "failover read of {n}");
         }
+        // A batch is served chunk by chunk and answered in request
+        // order, each file of the dead node's chunks falling back alone.
+        let names: Vec<String> = files.iter().rev().map(|(n, _)| n.clone()).collect();
+        let reads = cache.metrics().file_reads();
+        let batch = c.get_many(&names).unwrap();
+        assert_eq!(cache.metrics().file_reads() - reads, 40, "one cache read per file");
+        for ((_, d), got) in files.iter().rev().zip(&batch) {
+            assert_eq!(got.as_ref(), &d[..]);
+        }
+    }
+
+    #[test]
+    fn epoch_batches_cut_the_epoch_list_and_hand_a_cache_its_plan() {
+        let s = server();
+        let c = small_chunk_client(&s, 12);
+        populate(&c, 50, 150);
+        c.download_meta().unwrap();
+        c.enable_shuffle(ShuffleKind::ChunkWise { group_size: 2 });
+        let epoch = c.epoch_batches(9, 1, 8).unwrap();
+        assert!(epoch.following.is_none(), "no cache, no plan");
+        assert_eq!(epoch.batches.len(), 7, "50 files in eights");
+        assert!(epoch.batches.iter().take(6).all(|b| b.len() == 8));
+        assert_eq!(epoch.batches.concat(), c.epoch_file_list(9, 1).unwrap());
+
+        let cache = Arc::new(
+            TaskCache::new(
+                Topology::uniform(2, 2).unwrap(),
+                s.store().clone(),
+                "ds",
+                s.meta().chunk_ids("ds").unwrap(),
+                CacheConfig { capacity_bytes_per_node: 4096, policy: CachePolicy::OnDemand },
+            )
+            .unwrap(),
+        );
+        c.attach_cache(cache.clone());
+        let epoch = c.epoch_batches(9, 1, 8).unwrap();
+        assert!(epoch.following.is_some());
+        for batch in &epoch.batches {
+            assert_eq!(c.get_many(batch).unwrap().len(), batch.len());
+        }
+        // The schedule named every chunk with its read count: on nodes
+        // that cannot hold their share, each chunk's last planned read
+        // released it, and the epoch ends with nothing resident.
+        assert!(cache.metrics().evictions() > 0);
+        assert_eq!(cache.resident_fraction(), 0.0);
     }
 
     #[test]

@@ -534,6 +534,12 @@ impl<T> TaskHandle<T> {
     pub fn cancel(&self) {
         self.token.cancel();
     }
+
+    /// Let the task run to completion unobserved: giving up the handle
+    /// this way neither cancels the task nor counts it as cancelled.
+    pub fn detach(mut self) {
+        self.joined = true;
+    }
 }
 
 impl<T> Drop for TaskHandle<T> {
@@ -627,6 +633,15 @@ mod tests {
 
     fn pool(workers: usize) -> WorkPool {
         WorkPool::new("t", ExecConfig::workers(workers))
+    }
+
+    #[test]
+    fn a_detached_task_runs_to_completion_uncounted() {
+        let p = pool(2);
+        let (tx, rx) = std::sync::mpsc::channel();
+        p.spawn_cancellable(move |token| tx.send(token.is_cancelled())).detach();
+        assert_eq!(rx.recv(), Ok(false), "detaching neither cancels nor drops the task");
+        assert_eq!(p.registry().snapshot().counter("exec.tasks_cancelled{pool=t}"), 0);
     }
 
     #[test]

@@ -269,6 +269,10 @@ pub const LOCK_RANKS: &[(&str, u32)] = &[
     // map, so it sits between the transition serializer and the
     // membership plane.
     ("drain_mutex", 13),
+    // The installed epoch plan's load queue: picking the next lookahead
+    // load reads the membership plane and then admits on one node at a
+    // time (cache.lookahead → cache.membership → cache.node).
+    ("lookahead", 14),
     ("membership", 15),
     ("inner", 20),
     ("events", 30),

@@ -9,8 +9,10 @@
 //! epoch runs a two-stage [`WorkPool::pipeline`]:
 //!
 //! 1. `loader.fetch` — the shuffled order is cut into batch-sized path
-//!    groups and each group is read with [`DieselClient::get_many`],
-//!    which the server merges into one ranged read per chunk (Fig. 2).
+//!    groups ([`DieselClient::epoch_batches`], which also hands an
+//!    attached task cache the epoch's plan) and each group is read with
+//!    [`DieselClient::get_many`]: chunk by chunk through the cache, or
+//!    merged by the server into one ranged read per chunk (Fig. 2).
 //! 2. `loader.decode` — fetched bytes are decoded and assembled into a
 //!    `(Matrix, labels)` mini-batch.
 //!
@@ -113,16 +115,20 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DataLoader<K, S> {
     /// overlaps training compute. Yielded batches are identical — same
     /// order, same bytes — for any worker count.
     pub fn epoch_iter(&self, epoch: u64) -> diesel_core::Result<PipelineIter<BatchResult>> {
-        let order = self.client.epoch_file_list(self.seed, epoch)?;
-        let groups: Vec<Vec<String>> =
-            order.chunks(self.batch_size).map(<[String]>::to_vec).collect();
+        let epoch = self.client.epoch_batches(self.seed, epoch, self.batch_size)?;
+        let following = epoch.following;
         let client = Arc::clone(&self.client);
         let tracer = self.tracer.clone();
         let fetched = self.pool.pipeline(
             "loader.fetch",
             self.prefetch_depth,
-            groups.into_iter().enumerate(),
+            epoch.batches.into_iter().enumerate(),
             move |(i, paths): (usize, Vec<String>)| {
+                // An attached cache follows this epoch's plan for as long
+                // as the fetch stage lives: dropping the iterator joins
+                // the stage, which drops the guard, which cancels and
+                // joins whatever the cache's lookahead has in flight.
+                let _following = &following;
                 let _tracer = tracer.as_ref().map(trace::install_tracer);
                 let span = if trace::active() {
                     let batch = i.to_string();

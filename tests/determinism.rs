@@ -5,17 +5,19 @@
 //! training batches, identical prefetch `LoadReport`s — including under
 //! injected storage latency and injected storage faults.
 
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use diesel_dlt::cache::{
-    CacheConfig, CachePolicy, LoadReport, TaskCache, TenantCacheMap, Topology,
+    CacheConfig, CachePolicy, HashRing, LoadReport, TaskCache, TenantCacheMap, Topology,
 };
-use diesel_dlt::chunk::ChunkBuilderConfig;
+use diesel_dlt::chunk::{ChunkBuilderConfig, ChunkId};
 use diesel_dlt::core::{ClientConfig, DieselClient, DieselServer};
 use diesel_dlt::exec::{ExecConfig, WorkPool};
 use diesel_dlt::kv::ShardedKv;
 use diesel_dlt::store::{
-    DelayedStore, DeviceModel, FaultConfig, FaultyStore, MemObjectStore, ObjectStore,
+    Bytes, DelayedStore, DeviceModel, FaultConfig, FaultyStore, MemObjectStore, ObjectStore,
 };
 use diesel_dlt::train::loader::upload_samples;
 use diesel_dlt::train::{DataLoader, SyntheticSpec};
@@ -37,6 +39,19 @@ fn loader_over<S: ObjectStore + 'static>(
     store: Arc<S>,
     pool: WorkPool,
 ) -> DataLoader<ShardedKv, S> {
+    loader_with(store, pool, 83, 2, 8, 17)
+}
+
+/// [`loader_over`] with the dataset size, shuffle group size, batch
+/// size and shuffle seed spelled out.
+fn loader_with<S: ObjectStore + 'static>(
+    store: Arc<S>,
+    pool: WorkPool,
+    samples: usize,
+    group_size: usize,
+    batch: usize,
+    seed: u64,
+) -> DataLoader<ShardedKv, S> {
     let server =
         Arc::new(DieselServer::new(Arc::new(ShardedKv::new()), store).with_pool(pool.clone()));
     let client = DieselClient::connect_with(
@@ -47,11 +62,11 @@ fn loader_over<S: ObjectStore + 'static>(
         },
     )
     .with_deterministic_identity(1, 1, 100);
-    let samples = SyntheticSpec::cifar_like().generate(83);
+    let samples = SyntheticSpec::cifar_like().generate(samples);
     upload_samples(&client, &samples).unwrap();
     client.download_meta().unwrap();
-    client.enable_shuffle(diesel_dlt::shuffle::ShuffleKind::ChunkWise { group_size: 2 });
-    DataLoader::new(Arc::new(client), 8, 17).with_pool(pool).with_prefetch_depth(3)
+    client.enable_shuffle(diesel_dlt::shuffle::ShuffleKind::ChunkWise { group_size });
+    DataLoader::new(Arc::new(client), batch, seed).with_pool(pool).with_prefetch_depth(3)
 }
 
 /// Like [`loader_over`], but with a fully prefetched [`TaskCache`]
@@ -496,16 +511,306 @@ fn two_tenant_epochs_are_byte_identical_across_worker_counts() {
     }
 }
 
+/// A `MemObjectStore` that counts whole-object reads — what a task
+/// cache's chunk loads cost the backing store — and lingers in each
+/// (yielding, not sleeping), so that readers who can race for a chunk
+/// do.
+#[derive(Default)]
+struct CountingStore {
+    inner: MemObjectStore,
+    gets: AtomicU64,
+}
+
+impl ObjectStore for CountingStore {
+    fn put(&self, key: &str, value: Bytes) -> diesel_dlt::store::Result<()> {
+        self.inner.put(key, value)
+    }
+    fn get(&self, key: &str) -> diesel_dlt::store::Result<Bytes> {
+        self.gets.fetch_add(1, Ordering::SeqCst);
+        for _ in 0..64 {
+            std::thread::yield_now();
+        }
+        self.inner.get(key)
+    }
+    fn get_range(&self, key: &str, offset: u64, len: usize) -> diesel_dlt::store::Result<Bytes> {
+        self.inner.get_range(key, offset, len)
+    }
+    fn delete(&self, key: &str) -> diesel_dlt::store::Result<bool> {
+        self.inner.delete(key)
+    }
+    fn contains(&self, key: &str) -> bool {
+        self.inner.contains(key)
+    }
+    fn list_prefix(&self, prefix: &str) -> Vec<String> {
+        self.inner.list_prefix(prefix)
+    }
+    fn size_of(&self, key: &str) -> Option<usize> {
+        self.inner.size_of(key)
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn total_bytes(&self) -> u64 {
+        self.inner.total_bytes()
+    }
+}
+
+const CONSTRAINED_NODES: usize = 4;
+const CONSTRAINED_GROUP: usize = 8;
+const CONSTRAINED_BATCH: usize = 8;
+const CONSTRAINED_SAMPLES: usize = 2_400;
+
+/// The cache-less reference for [`Constrained`]: same samples, shuffle
+/// and batches, every read served by the server, inline.
+fn constrained_baseline(seed: u64, epochs: u64) -> Vec<Fingerprint> {
+    let loader = loader_with(
+        Arc::new(MemObjectStore::new()),
+        pool(1),
+        CONSTRAINED_SAMPLES,
+        CONSTRAINED_GROUP,
+        CONSTRAINED_BATCH,
+        seed,
+    );
+    (0..epochs).map(|e| epoch_fingerprint(&loader, e)).collect()
+}
+
+/// The `constrained_loader` geometry in small: ≈ 93 chunks of ≈ 26
+/// samples over a counting store, shuffled in groups of 8, read through
+/// a 4-node task cache whose per-node budget the test then sets.
+struct Constrained {
+    loader: DataLoader<ShardedKv, CountingStore>,
+    cache: Arc<TaskCache<CountingStore>>,
+    store: Arc<CountingStore>,
+    /// Stored size and owner node of every chunk.
+    chunks: HashMap<ChunkId, (u64, usize)>,
+    seed: u64,
+}
+
+/// One shuffle group as the cache sees it: how many batches read from
+/// it, and per node the stored sizes of the group's chunks it owns.
+type GroupShares = (u64, [Vec<u64>; CONSTRAINED_NODES]);
+
+impl Constrained {
+    /// `fetch` runs the loader's pipeline, `ahead` the cache's lookahead
+    /// (and sweeps). With an inline `fetch` the reads follow the plan
+    /// one batch at a time, whatever the lookahead does beside them.
+    fn new(fetch: WorkPool, ahead: WorkPool, seed: u64) -> Self {
+        let store = Arc::new(CountingStore::default());
+        let loader = loader_with(
+            store.clone(),
+            fetch,
+            CONSTRAINED_SAMPLES,
+            CONSTRAINED_GROUP,
+            CONSTRAINED_BATCH,
+            seed,
+        );
+        let ids = loader.client().server().meta().chunk_ids("synth").unwrap();
+        let ring = HashRing::contiguous(CONSTRAINED_NODES).unwrap();
+        let chunks = ids
+            .iter()
+            .map(|&id| {
+                let key = diesel_dlt::meta::recovery::chunk_object_key("synth", id);
+                (id, (store.size_of(&key).unwrap() as u64, ring.owner_of(id)))
+            })
+            .collect();
+        let cache = Arc::new(
+            TaskCache::new(
+                Topology::uniform(CONSTRAINED_NODES, 1).unwrap(),
+                store.clone(),
+                "synth",
+                ids,
+                CacheConfig { capacity_bytes_per_node: 1 << 30, policy: CachePolicy::OnDemand },
+            )
+            .unwrap()
+            .with_pool(ahead),
+        );
+        loader.client().attach_cache(cache.clone());
+        Constrained { loader, cache, store, chunks, seed }
+    }
+
+    /// A quarter of the stored dataset across all nodes, like the
+    /// benchmark's `constrained_loader`.
+    fn quarter_budget(&self) -> u64 {
+        let cap = self.store.total_bytes() / 4 / CONSTRAINED_NODES as u64;
+        self.cache.set_capacity_bytes_per_node(cap);
+        cap
+    }
+
+    fn groups(&self, epoch: u64) -> Vec<GroupShares> {
+        let client = self.loader.client();
+        let order = client.epoch_file_list(self.seed, epoch).unwrap();
+        let starts = client.epoch_plan(self.seed, epoch).unwrap().group_starts;
+        let bounds: Vec<usize> = starts.into_iter().chain([order.len()]).collect();
+        bounds
+            .windows(2)
+            .map(|w| {
+                let mut shares: [Vec<u64>; CONSTRAINED_NODES] = Default::default();
+                let mut seen: Vec<ChunkId> =
+                    order[w[0]..w[1]].iter().map(|p| client.stat(p).unwrap().chunk).collect();
+                seen.sort();
+                seen.dedup();
+                for chunk in seen {
+                    let (bytes, owner) = self.chunks[&chunk];
+                    shares[owner].push(bytes);
+                }
+                // Batches are cut from the whole order: a group is read
+                // by every batch its range overlaps.
+                let batches = w[1].div_ceil(CONSTRAINED_BATCH) - w[0] / CONSTRAINED_BATCH;
+                (batches as u64, shares)
+            })
+            .collect()
+    }
+
+    /// Read `epoch` through the loader. Its batches must be `want`, and
+    /// no node may hold more than `cap` after any of them. Returns the
+    /// store reads the epoch cost.
+    fn read_epoch(&self, epoch: u64, want: &Fingerprint, cap: u64, workers: usize) -> u64 {
+        let before = self.store.gets.load(Ordering::SeqCst);
+        let mut batches = 0;
+        for (i, b) in self.loader.epoch_iter(epoch).unwrap().enumerate() {
+            let (x, labels) = b.unwrap();
+            let got = (labels, x.data.iter().map(|f| f.to_bits()).collect::<Vec<u32>>());
+            assert_eq!(got, want[i], "batch {i} of epoch {epoch} diverges at workers={workers}");
+            for node in 0..CONSTRAINED_NODES {
+                let held = self.cache.node_resident_bytes(node);
+                assert!(held <= cap, "node {node} holds {held} B over {cap} B at batch {i}");
+            }
+            batches += 1;
+        }
+        assert_eq!(batches, want.len());
+        self.store.gets.load(Ordering::SeqCst) - before
+    }
+}
+
 #[test]
-fn background_prefetch_joins_to_the_same_report() {
-    let foreground = {
-        let store = Arc::new(MemObjectStore::new());
-        cache_over(store.clone(), &store, pool(1)).prefetch_all().unwrap()
-    };
+fn a_streaming_cache_reads_every_chunk_exactly_once_per_epoch() {
+    // The budget is constructed: the largest share any node has of two
+    // consecutive groups. A batch can straddle a group boundary, so
+    // that is the transient working set — with room for it, a cache
+    // that follows the plan needs no chunk twice and, releasing each on
+    // its last planned read, carries none into the next epoch: one
+    // store read per chunk per epoch, however many lookahead workers
+    // race ahead of the reader. (The fetch stage is inline: a threaded
+    // one reads as far ahead of a stalled batch as the scheduler lets
+    // it, and no budget short of the dataset covers that.)
+    const SEED: u64 = 17;
+    let baseline = constrained_baseline(SEED, 3);
+    let probe = Constrained::new(pool(1), pool(1), SEED);
+    let cap = (0..3)
+        .flat_map(|epoch| {
+            let groups = probe.groups(epoch);
+            let of_node = |n: usize| -> Vec<u64> {
+                groups.iter().map(|(_, shares)| shares[n].iter().sum()).collect()
+            };
+            (0..CONSTRAINED_NODES)
+                .flat_map(|n| of_node(n).windows(2).map(|w| w[0] + w[1]).collect::<Vec<_>>())
+                .collect::<Vec<_>>()
+        })
+        .max()
+        .unwrap();
+    for node in 0..CONSTRAINED_NODES {
+        let share: u64 = probe.chunks.values().filter(|c| c.1 == node).map(|c| c.0).sum();
+        assert!(share > cap, "node {node} must stream: {share} B vs budget {cap} B");
+    }
     for workers in WORKER_GRID {
-        let store = Arc::new(MemObjectStore::new());
-        let cache = Arc::new(cache_over(store.clone(), &store, pool(workers)));
-        let report = cache.prefetch_background().join().unwrap();
-        assert_eq!(report, foreground, "background sweep diverges at workers={workers}");
+        let stack = Constrained::new(pool(1), pool(workers), SEED);
+        stack.cache.set_capacity_bytes_per_node(cap);
+        let chunks = stack.chunks.len() as u64;
+        for (epoch, want) in baseline.iter().enumerate() {
+            let gets = stack.read_epoch(epoch as u64, want, cap, workers);
+            assert_eq!(gets, chunks, "epoch {epoch} at workers={workers}: one read per chunk");
+        }
+        assert_eq!(stack.cache.metrics().chunk_loads(), 3 * chunks);
+    }
+}
+
+#[test]
+fn a_quarter_size_cache_reloads_only_what_one_group_cannot_hold() {
+    // The benchmark's geometry (≈ 99 chunks, 4 nodes × a sixteenth of
+    // the dataset, G = 8) over twelve shuffles. Where every node can
+    // hold its share of each single group, an epoch costs one store
+    // read per chunk; where one cannot, the chunks that do not fit are
+    // re-read at most once per batch of that group — never the whole
+    // group, batch after batch. Fetch stage inline, as above.
+    let mut overflowed = 0;
+    for seed in 1..=12u64 {
+        let baseline = constrained_baseline(seed, 3);
+        for workers in WORKER_GRID {
+            let stack = Constrained::new(pool(1), pool(workers), seed);
+            let cap = stack.quarter_budget();
+            let chunks = stack.chunks.len() as u64;
+            for (epoch, want) in baseline.iter().enumerate() {
+                // Chunks of one group beyond what their node can hold,
+                // times the batches that read the group.
+                let overflow: u64 = stack
+                    .groups(epoch as u64)
+                    .iter()
+                    .map(|(batches, shares)| {
+                        let beyond = |sizes: &Vec<u64>| {
+                            let mut sizes = sizes.clone();
+                            sizes.sort_unstable();
+                            let mut room = cap;
+                            let fits = |&s: &u64| room.checked_sub(s).map(|left| room = left);
+                            sizes.len() - sizes.iter().map_while(fits).count()
+                        };
+                        batches * shares.iter().map(beyond).sum::<usize>() as u64
+                    })
+                    .sum();
+                let gets = stack.read_epoch(epoch as u64, want, cap, workers);
+                assert!(
+                    (chunks..=chunks + overflow).contains(&gets),
+                    "seed {seed} epoch {epoch} workers={workers}: {gets} store reads for \
+                     {chunks} chunks, {overflow} allowed on top"
+                );
+                overflowed += u64::from(overflow > 0);
+            }
+        }
+    }
+    assert!(overflowed > 0, "no shuffle over-subscribed a node: the bound above went untested");
+}
+
+#[test]
+fn racing_fetch_threads_share_every_chunk_load() {
+    // The benchmark's arrangement: the loader's fetch stage and the
+    // cache's lookahead on one pool, a quarter-size cache. Threaded
+    // fetch reads ahead of a stalled batch without bound, so how often
+    // a chunk is re-read is the scheduler's doing — but every store
+    // read is one flight: no two readers, and no reader and the
+    // lookahead, ever read the same chunk for the same node at once,
+    // so the store's count and the cache's agree. (At the parent each
+    // racing filler read the store and all but one threw the bytes
+    // away.) Batches stay byte-identical and residency under budget.
+    const SEED: u64 = 11;
+    let baseline = constrained_baseline(SEED, 3);
+    for workers in WORKER_GRID {
+        let stack = Constrained::new(pool(workers), pool(workers), SEED);
+        let cap = stack.quarter_budget();
+        for (epoch, want) in baseline.iter().enumerate() {
+            let loads = stack.cache.metrics().chunk_loads();
+            let gets = stack.read_epoch(epoch as u64, want, cap, workers);
+            assert_eq!(
+                stack.cache.metrics().chunk_loads() - loads,
+                gets,
+                "epoch {epoch} at workers={workers}: a store read the cache did not use"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_cache_that_fits_is_left_alone_by_the_plan() {
+    // The paper's fully-cached mode: the loader hands every epoch's
+    // plan to the cache, and a cache whose partition fits does nothing
+    // with it — no loads, no evictions, nothing released.
+    for workers in WORKER_GRID {
+        let (loader, cache) = elastic_cached_stack(pool(workers), 4);
+        let loads = cache.metrics().chunk_loads();
+        let first = epoch_fingerprint(&loader, 0);
+        for epoch in 1..3 {
+            assert_ne!(epoch_fingerprint(&loader, epoch), first, "another epoch, another order");
+        }
+        assert_eq!(cache.metrics().chunk_loads(), loads, "workers={workers}");
+        assert_eq!(cache.metrics().evictions(), 0, "workers={workers}");
+        assert!((cache.resident_fraction() - 1.0).abs() < 1e-9);
     }
 }
