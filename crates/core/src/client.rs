@@ -414,7 +414,10 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
             trace::SpanGuard::default()
         };
         let meta = self.stat(path)?;
-        if let Some(cache) = self.cache.read().as_ref() {
+        // Not read under the guard: a miss waits on the store, and a
+        // queued `attach_cache` would stall every other reader behind it.
+        let cache = self.cache.read().clone();
+        if let Some(cache) = cache {
             match cache.get_file(&meta) {
                 Ok(f) => return Ok(f.data),
                 Err(e) if server_serves(&e) => {}
@@ -703,7 +706,7 @@ mod tests {
     use diesel_cache::{CacheConfig, CachePolicy, Topology};
     use diesel_kv::ShardedKv;
     use diesel_store::MemObjectStore;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     type Server = DieselServer<ShardedKv, MemObjectStore>;
     type Client = DieselClient<ShardedKv, MemObjectStore>;
@@ -712,7 +715,10 @@ mod tests {
         Arc::new(DieselServer::new(Arc::new(ShardedKv::new()), Arc::new(MemObjectStore::new())))
     }
 
-    fn small_chunk_client(server: &Arc<Server>, seed: u64) -> Client {
+    fn small_chunk_client<S: ObjectStore + 'static>(
+        server: &Arc<DieselServer<ShardedKv, S>>,
+        seed: u64,
+    ) -> DieselClient<ShardedKv, S> {
         let config = ClientConfig {
             chunk: ChunkBuilderConfig { target_chunk_size: 2048, ..Default::default() },
         };
@@ -723,7 +729,11 @@ mod tests {
         )
     }
 
-    fn populate(client: &Client, files: usize, size: usize) -> Vec<(String, Vec<u8>)> {
+    fn populate<S: ObjectStore + 'static>(
+        client: &DieselClient<ShardedKv, S>,
+        files: usize,
+        size: usize,
+    ) -> Vec<(String, Vec<u8>)> {
         let mut out = Vec::new();
         for i in 0..files {
             let name = format!("cls{}/img{i:04}", i % 5);
@@ -953,6 +963,110 @@ mod tests {
         for ((_, d), got) in files.iter().rev().zip(&batch) {
             assert_eq!(got.as_ref(), &d[..]);
         }
+    }
+
+    /// A `MemObjectStore` whose whole-object reads — the cache's miss
+    /// fills — wait while the test holds its gate closed.
+    #[derive(Default)]
+    struct GatedStore {
+        inner: MemObjectStore,
+        closed: Mutex<bool>,
+        moved: diesel_util::Condvar,
+        parked: AtomicUsize,
+    }
+
+    impl GatedStore {
+        fn set_closed(&self, closed: bool) {
+            *self.closed.lock() = closed;
+            self.moved.notify_all();
+        }
+    }
+
+    impl ObjectStore for GatedStore {
+        fn put(&self, key: &str, value: Bytes) -> diesel_store::Result<()> {
+            self.inner.put(key, value)
+        }
+        fn get(&self, key: &str) -> diesel_store::Result<Bytes> {
+            let mut closed = self.closed.lock();
+            if *closed {
+                self.parked.fetch_add(1, Ordering::SeqCst);
+            }
+            while *closed {
+                closed = self.moved.wait(closed);
+            }
+            drop(closed);
+            self.inner.get(key)
+        }
+        fn delete(&self, key: &str) -> diesel_store::Result<bool> {
+            self.inner.delete(key)
+        }
+        fn contains(&self, key: &str) -> bool {
+            self.inner.contains(key)
+        }
+        fn list_prefix(&self, prefix: &str) -> Vec<String> {
+            self.inner.list_prefix(prefix)
+        }
+        fn size_of(&self, key: &str) -> Option<usize> {
+            self.inner.size_of(key)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn total_bytes(&self) -> u64 {
+            self.inner.total_bytes()
+        }
+    }
+
+    #[test]
+    fn a_slow_miss_stalls_neither_attach_cache_nor_other_readers() {
+        let store = Arc::new(GatedStore::default());
+        let s = Arc::new(DieselServer::new(Arc::new(ShardedKv::new()), store.clone()));
+        let c = small_chunk_client(&s, 13);
+        let files = populate(&c, 20, 300);
+        c.download_meta().unwrap();
+        let cache = Arc::new(
+            TaskCache::new(
+                Topology::uniform(1, 1).unwrap(),
+                store.clone(),
+                "ds",
+                s.meta().chunk_ids("ds").unwrap(),
+                CacheConfig { capacity_bytes_per_node: 1 << 30, policy: CachePolicy::OnDemand },
+            )
+            .unwrap(),
+        );
+        c.attach_cache(cache.clone());
+        let (resident, resident_data) = &files[0];
+        c.get(resident).unwrap(); // its chunk is resident from here on
+        let chunk_of = |path: &str| c.stat(path).unwrap().chunk;
+        let (missing, missing_data) =
+            files.iter().find(|(n, _)| chunk_of(n) != chunk_of(resident)).unwrap();
+
+        store.set_closed(true);
+        let (done, finished) = std::sync::mpsc::channel();
+        let (c, cache) = (&c, &cache);
+        std::thread::scope(|scope| {
+            let a = scope.spawn(|| c.get(missing));
+            while store.parked.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now(); // A is bound to reach the gate
+            }
+            let attached = done.clone();
+            scope.spawn(move || {
+                c.attach_cache(cache.clone());
+                attached.send("attach_cache").unwrap();
+            });
+            scope.spawn(move || {
+                assert_eq!(c.get(resident).unwrap().as_ref(), &resident_data[..]);
+                done.send("get").unwrap();
+            });
+            // The timeout only bounds a failure; nothing here waits on time.
+            let wait = std::time::Duration::from_secs(10);
+            let returned = [finished.recv_timeout(wait), finished.recv_timeout(wait)];
+            let a_parked = !a.is_finished();
+            store.set_closed(false);
+            assert!(returned.iter().all(|r| r.is_ok()), "stalled behind the miss: {returned:?}");
+            assert!(a_parked, "both returned while the miss was still in the store");
+            assert_eq!(a.join().unwrap().unwrap().as_ref(), &missing_data[..]);
+        });
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //! * if the new edge closes a cycle (`B` already reaches `A`), that is a
 //!   *potential deadlock*: some thread took `A` then `B`, another may
 //!   take `B` then `A`. The cycle is reported with the acquisition sites
-//!   of both orders — no thread ever needs to block.
+//!   of both orders — no thread ever needs to block;
+//! * each thread also remembers the edges it has already put in (or
+//!   found in) the graph. The graph only grows, so such an edge can
+//!   never again be new or close a cycle: an order the thread has seen
+//!   before is checked against its own memo, without the graph's lock.
 //!
 //! The check runs *before* the real lock is taken, so `fail` mode
 //! panics deterministically on the inverted acquisition instead of
@@ -27,8 +31,12 @@
 //! | value  | effect                                                    |
 //! |--------|-----------------------------------------------------------|
 //! | `off`  | tracking disabled entirely (no held stack, no graph)      |
-//! | `warn` | record the report, invoke the reporter hook, print once   |
+//! | `warn` | record the report, invoke the reporter hook, print it     |
 //! | `fail` | all of the above, then panic on the acquiring thread      |
+//!
+//! A cycle is reported once, when its closing edge is first inserted;
+//! same-class nesting has no edge to remember and is reported on every
+//! occurrence.
 //!
 //! The default is `warn`; CI runs the suite once under `fail`
 //! (scripts/ci.sh) so an inversion anywhere in the tree is a red build.
@@ -39,7 +47,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::panic::Location;
-use std::sync::{Mutex as StdMutex, OnceLock};
+use std::sync::{Mutex as StdMutex, MutexGuard as StdMutexGuard, OnceLock};
 
 use crate::sync::lock_or_recover;
 
@@ -52,7 +60,8 @@ pub struct LockClass(u32);
 /// What to do when an acquisition closes a cycle in the order graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// No tracking at all (zero overhead beyond one atomic load).
+    /// No tracking at all: an acquisition costs one thread-local read
+    /// (the thread override) plus one `OnceLock` load (the process mode).
     Off,
     /// Record and report the cycle; keep running.
     Warn,
@@ -112,6 +121,12 @@ struct EdgeSites {
 
 /// The process-global lock-order graph. Internally synchronized with a
 /// *raw* std mutex — lockdep's own locks must never be tracked.
+///
+/// **Append-only.** Nothing removes an edge or resets the graph. Every
+/// thread's [`KnownEdges`] memo relies on it: an edge the thread has
+/// inserted or found present stays present, so it can never again be
+/// new or close a cycle, and the thread skips the graph for it. Code
+/// that ever resets the graph must also clear every thread's memo.
 #[derive(Default)]
 struct Graph {
     ids: HashMap<String, u32>,
@@ -178,9 +193,19 @@ impl Graph {
     }
 }
 
-fn graph() -> &'static StdMutex<Graph> {
+/// Lock the process-global order graph.
+fn graph() -> StdMutexGuard<'static, Graph> {
     static GRAPH: OnceLock<StdMutex<Graph>> = OnceLock::new();
-    GRAPH.get_or_init(|| StdMutex::new(Graph::default()))
+    #[cfg(test)]
+    GRAPH_LOCKS.with(|n| n.set(n.get() + 1));
+    lock_or_recover(GRAPH.get_or_init(|| StdMutex::new(Graph::default())))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How many times this thread has locked the graph: the witness's
+    /// shared cost, as a count a test can gate on.
+    static GRAPH_LOCKS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn cycle_log() -> &'static StdMutex<Vec<CycleReport>> {
@@ -230,7 +255,7 @@ pub fn set_thread_mode(mode: Option<Mode>) {
     THREAD_MODE.with(|m| m.set(mode));
 }
 
-// ---- per-thread held stack ----
+// ---- per-thread held stack and edge memo ----
 
 struct HeldEntry {
     class: u32,
@@ -238,9 +263,59 @@ struct HeldEntry {
     seq: u64,
 }
 
+/// The order-graph edges this thread has inserted or found present:
+/// one bit per `to` class in a row per `from` class. Valid only because
+/// the [`Graph`] is append-only.
+struct KnownEdges(Vec<Vec<u64>>);
+
+impl KnownEdges {
+    fn contains(&self, from: u32, to: u32) -> bool {
+        let row = self.0.get(from as usize);
+        row.and_then(|r| r.get(to as usize / 64)).is_some_and(|w| w & (1 << (to % 64)) != 0)
+    }
+
+    fn insert(&mut self, from: u32, to: u32) {
+        let (from, word) = (from as usize, to as usize / 64);
+        if self.0.len() <= from {
+            self.0.resize_with(from + 1, Vec::new);
+        }
+        let Some(row) = self.0.get_mut(from) else { return };
+        if row.len() <= word {
+            row.resize(word + 1, 0);
+        }
+        if let Some(w) = row.get_mut(word) {
+            *w |= 1 << (to % 64);
+        }
+    }
+}
+
+/// This thread's side of the witness, in one thread-local so a
+/// checked acquisition costs one access to it.
+struct ThreadWitness {
+    /// The classes this thread holds, in acquisition order.
+    held: Vec<HeldEntry>,
+    known: KnownEdges,
+    next_seq: u64,
+}
+
+impl ThreadWitness {
+    fn push(&mut self, class: u32, site: &'static Location<'static>) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.held.push(HeldEntry { class, site, seq });
+        seq
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.held.len()
+    }
+}
+
 thread_local! {
-    static HELD: RefCell<Vec<HeldEntry>> = const { RefCell::new(Vec::new()) };
-    static NEXT_SEQ: Cell<u64> = const { Cell::new(0) };
+    static HELD: RefCell<ThreadWitness> = const {
+        RefCell::new(ThreadWitness { held: Vec::new(), known: KnownEdges(Vec::new()), next_seq: 0 })
+    };
     static REPORTING: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -263,7 +338,7 @@ impl Held {
 impl Drop for Held {
     fn drop(&mut self) {
         HELD.with(|h| {
-            let mut held = h.borrow_mut();
+            let held = &mut h.borrow_mut().held;
             if let Some(pos) = held.iter().rposition(|e| e.seq == self.seq) {
                 held.remove(pos);
             }
@@ -273,7 +348,7 @@ impl Drop for Held {
 
 /// Intern `name` as a lock class.
 pub fn class(name: &str) -> LockClass {
-    LockClass(lock_or_recover(graph()).intern(name))
+    LockClass(graph().intern(name))
 }
 
 /// Record the acquisition of `class` by the current thread: insert
@@ -288,55 +363,23 @@ pub fn acquire(class: LockClass) -> Option<Held> {
         return None;
     }
     let site = Location::caller();
-    let held: Vec<(u32, &'static Location<'static>)> =
-        HELD.with(|h| h.borrow().iter().map(|e| (e.class, e.site)).collect());
-
-    let mut reports = Vec::new();
-    if !held.is_empty() {
-        let mut g = lock_or_recover(graph());
-        for &(hc, hsite) in &held {
-            if hc == class.0 {
-                // Same-class nesting: two locks of one class taken by
-                // one thread. With another thread doing the same in the
-                // opposite instance order this deadlocks, and lockdep
-                // has no instance-level order to trust — report it.
-                reports.push(CycleReport {
-                    a: g.name(hc),
-                    b: g.name(class.0),
-                    path: vec![g.name(hc), g.name(class.0)],
-                    held_site: hsite.to_string(),
-                    acquire_site: site.to_string(),
-                    prior_held_site: hsite.to_string(),
-                    prior_acquire_site: site.to_string(),
-                });
-                continue;
-            }
-            if g.add_edge(hc, class.0, hsite, site) {
-                if let Some(path) = g.path(class.0, hc) {
-                    // The first edge on the return path carries the
-                    // sites that established the opposite order.
-                    let prior = path
-                        .first()
-                        .zip(path.get(1))
-                        .and_then(|(&x, &y)| g.edges.get(&(x, y)).cloned());
-                    let (p_held, p_acq) = match prior {
-                        Some(e) => (e.held.to_string(), e.acquired.to_string()),
-                        None => (String::new(), String::new()),
-                    };
-                    reports.push(CycleReport {
-                        a: g.name(hc),
-                        b: g.name(class.0),
-                        path: path.iter().map(|&id| g.name(id)).collect(),
-                        held_site: hsite.to_string(),
-                        acquire_site: site.to_string(),
-                        prior_held_site: p_held,
-                        prior_acquire_site: p_acq,
-                    });
-                }
-            }
-        }
+    // Every held class forms an edge this thread knows is in the graph:
+    // nothing to check, and nothing shared is touched.
+    let seq = HELD.with(|h| {
+        let mut t = h.borrow_mut();
+        let known = t.held.iter().all(|e| e.class != class.0 && t.known.contains(e.class, class.0));
+        known.then(|| t.push(class.0, site))
+    });
+    if let Some(seq) = seq {
+        return Some(Held { class, seq });
     }
 
+    // Reports are delivered only after the held stack's borrow ends: the
+    // reporter hook may take named locks, which re-enter `acquire`.
+    let reports = HELD.with(|h| {
+        let t = &mut *h.borrow_mut();
+        check_order(&t.held, &mut t.known, class.0, site)
+    });
     for r in &reports {
         deliver(r);
     }
@@ -347,13 +390,64 @@ pub fn acquire(class: LockClass) -> Option<Held> {
         }
     }
 
-    let seq = NEXT_SEQ.with(|s| {
-        let v = s.get();
-        s.set(v + 1);
-        v
-    });
-    HELD.with(|h| h.borrow_mut().push(HeldEntry { class: class.0, site, seq }));
+    let seq = HELD.with(|h| h.borrow_mut().push(class.0, site));
     Some(Held { class, seq })
+}
+
+/// Check acquiring `class` at `site` against every class in `held`
+/// under the graph's lock: insert each `held → class` edge, remember it
+/// in `known`, and report the edges that close a cycle and every
+/// same-class nesting.
+fn check_order(
+    held: &[HeldEntry],
+    known: &mut KnownEdges,
+    class: u32,
+    site: &'static Location<'static>,
+) -> Vec<CycleReport> {
+    let mut reports = Vec::new();
+    let mut g = graph();
+    for e in held {
+        if e.class == class {
+            // Same-class nesting: two locks of one class taken by
+            // one thread. With another thread doing the same in the
+            // opposite instance order this deadlocks, and lockdep
+            // has no instance-level order to trust — report it.
+            reports.push(CycleReport {
+                a: g.name(e.class),
+                b: g.name(class),
+                path: vec![g.name(e.class), g.name(class)],
+                held_site: e.site.to_string(),
+                acquire_site: site.to_string(),
+                prior_held_site: e.site.to_string(),
+                prior_acquire_site: site.to_string(),
+            });
+            continue;
+        }
+        known.insert(e.class, class);
+        if !g.add_edge(e.class, class, e.site, site) {
+            continue;
+        }
+        if let Some(path) = g.path(class, e.class) {
+            // The first edge on the return path carries the
+            // sites that established the opposite order.
+            let prior =
+                path.first().zip(path.get(1)).and_then(|(&x, &y)| g.edges.get(&(x, y)).cloned());
+            let (p_held, p_acq) = match prior {
+                Some(p) => (p.held.to_string(), p.acquired.to_string()),
+                None => (String::new(), String::new()),
+            };
+            reports.push(CycleReport {
+                a: g.name(e.class),
+                b: g.name(class),
+                path: path.iter().map(|&id| g.name(id)).collect(),
+                held_site: e.site.to_string(),
+                acquire_site: site.to_string(),
+                prior_held_site: p_held,
+                prior_acquire_site: p_acq,
+            });
+        }
+    }
+    reports
 }
 
 /// Append to the log and invoke the reporter hook. The hook may itself
@@ -516,6 +610,81 @@ mod tests {
         // The held stack of the panicking thread died with it; ours is
         // untouched and the report is logged.
         assert!(cycles_between("t6.a", "t6.b") >= 1);
+    }
+
+    #[test]
+    fn a_cycle_through_another_threads_edge_is_caught_past_the_memo() {
+        let a = class("t8.a");
+        let b = class("t8.b");
+        let c = class("t8.c");
+        let before = cycles_between("t8.c", "t8.a");
+        let (to_t2, t2_rx) = std::sync::mpsc::channel();
+        let (t2_done, done_rx) = std::sync::mpsc::channel();
+        let t2 = std::thread::spawn(move || {
+            warn_here();
+            t2_rx.recv().unwrap();
+            let gb = acquire(b);
+            let gc = acquire(c);
+            drop((gb, gc));
+            t2_done.send(()).unwrap();
+        });
+        let t1 = std::thread::spawn(move || {
+            set_thread_mode(Some(Mode::Fail));
+            {
+                let ga = acquire(a);
+                let gb = acquire(b); // a → b, now in this thread's memo
+                drop((ga, gb));
+            }
+            to_t2.send(()).unwrap();
+            done_rx.recv().unwrap(); // b → c is in the graph, not in our memo
+            let gc = acquire(c);
+            let ga = acquire(a); // closes a → b → c → a: panics here
+            drop((gc, ga));
+        });
+        t2.join().unwrap();
+        assert!(t1.join().is_err(), "fail mode must panic on the acquisition closing the cycle");
+        assert_eq!(cycles_between("t8.c", "t8.a"), before + 1);
+        let r = cycles().into_iter().rev().find(|r| r.a == "t8.c" && r.b == "t8.a");
+        let r = r.expect("report recorded");
+        assert_eq!(r.path, ["t8.a", "t8.b", "t8.c"]);
+    }
+
+    #[test]
+    fn same_class_nesting_reports_every_occurrence() {
+        warn_here();
+        let a = class("t9.a");
+        let before = cycles_between("t9.a", "t9.a");
+        for _ in 0..3 {
+            let g1 = acquire(a);
+            let g2 = acquire(a);
+            drop((g1, g2));
+        }
+        set_thread_mode(None);
+        assert_eq!(cycles_between("t9.a", "t9.a"), before + 3);
+    }
+
+    #[test]
+    fn a_known_order_takes_no_graph_lock() {
+        // The witness's cost gate: wall-clock time cannot gate on a
+        // shared host, the number of times the graph is locked can.
+        warn_here();
+        let a = class("t10.a");
+        let b = class("t10.b");
+        let locks = || GRAPH_LOCKS.with(Cell::get);
+        let nest = || {
+            let ga = acquire(a);
+            let gb = acquire(b);
+            drop((gb, ga));
+        };
+        let first = locks();
+        nest();
+        assert_eq!(locks() - first, 1, "the first a → b goes to the graph");
+        let warm = locks();
+        for _ in 0..10_000 {
+            nest();
+        }
+        set_thread_mode(None);
+        assert_eq!(locks() - warm, 0, "a known order never locks the graph");
     }
 
     #[test]

@@ -13,7 +13,9 @@ echo "== lockdep: full suite under DIESEL_LOCKDEP=fail =="
 # The lock-order witness (DESIGN.md §12) panics on the first acquisition
 # that closes a cycle in the lock-order graph, so any ABBA inversion
 # introduced anywhere in the tree is a deterministic red build here —
-# not a flaky timeout in production.
+# not a flaky timeout in production. The same run holds the witness's
+# cost gate: diesel-util's `lockdep::tests::a_known_order_takes_no_graph_lock`
+# fails if an order a thread has already recorded locks the global graph.
 DIESEL_LOCKDEP=fail cargo test -q --workspace
 
 echo "== determinism: inline executor (DIESEL_EXEC_WORKERS=1) =="
