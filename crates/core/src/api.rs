@@ -56,8 +56,9 @@ pub enum ServerRequest {
     ReadFilesMerged {
         /// Dataset.
         dataset: String,
-        /// Requested paths, reply in the same order.
-        paths: Vec<String>,
+        /// Requested paths, reply in the same order. Shared, so a
+        /// retried or re-sent request clones a pointer, not the list.
+        paths: Arc<[String]>,
     },
     /// `stat` by path.
     Stat {
@@ -451,7 +452,7 @@ mod tests {
         let merged = conn
             .call(ServerRequest::ReadFilesMerged {
                 dataset: ds(),
-                paths: vec!["a".into(), "b".into()],
+                paths: ["a".to_owned(), "b".to_owned()].into(),
             })
             .unwrap()
             .unwrap()

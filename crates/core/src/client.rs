@@ -242,8 +242,10 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
     fn call(&self, req: ServerRequest) -> Result<ServerResponse> {
         let mut attempts = 0u32;
         loop {
-            // Requests hold refcounted payloads, so the per-attempt
-            // clone is pointer-sized per field, not a byte copy.
+            // Read requests hold refcounted payloads and path lists, so
+            // the per-attempt clone is pointer-sized per field. An
+            // `IngestChunk` shares its chunk bytes, but its header's
+            // file table is deep-cloned.
             match self.conn.call(req.clone()).map_err(DieselError::Net)? {
                 Err(DieselError::Cache(CacheError::Throttled { retry_after_ms }))
                     if attempts < THROTTLE_RETRIES =>
@@ -489,8 +491,9 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
         let merged = self
             .call(ServerRequest::ReadFilesMerged {
                 dataset: self.dataset.clone(),
-                // diesel-lint: allow(R6) request path list, not payload bytes
-                paths: paths.to_vec(),
+                // The one copy of the path list; every later clone of
+                // the request shares it.
+                paths: paths.into(),
             })
             .and_then(ServerResponse::into_bytes_vec);
         match merged {

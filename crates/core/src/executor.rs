@@ -42,11 +42,16 @@ impl ChunkReadPlan {
 /// offset. Plans come out ordered by chunk ID, so issuing them walks the
 /// object store in key order.
 pub fn plan_chunk_reads(requests: &[FileMeta]) -> Vec<ChunkReadPlan> {
-    let mut indexed: Vec<(usize, FileMeta)> = requests.iter().copied().enumerate().collect();
-    // Sort by (chunk, offset): one pass then split on chunk boundaries.
-    indexed.sort_by_key(|a| (a.1.chunk, a.1.offset));
+    // Sort `(chunk, offset, u32 request index)` keys, not the 48-byte
+    // metas: one pass then split on chunk boundaries. The index breaks
+    // ties, as a stable sort would.
+    let mut order: Vec<(ChunkId, u64, u32)> =
+        requests.iter().zip(0u32..).map(|(m, i)| (m.chunk, m.offset, i)).collect();
+    order.sort_unstable();
     let mut plans: Vec<ChunkReadPlan> = Vec::new();
-    for (idx, meta) in indexed {
+    for (_, _, i) in order {
+        let idx = i as usize;
+        let Some(&meta) = requests.get(idx) else { continue };
         match plans.last_mut() {
             Some(p) if p.chunk == meta.chunk => p.requests.push((idx, meta)),
             _ => plans.push(ChunkReadPlan { chunk: meta.chunk, requests: vec![(idx, meta)] }),

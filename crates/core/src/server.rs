@@ -248,8 +248,9 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
     }
 
     /// Batched read with the request executor: requests are sorted and
-    /// merged into one ranged read per chunk (Fig. 2). Results come back
-    /// in the original request order.
+    /// merged into one ranged read per chunk (Fig. 2). The paths resolve
+    /// with one KV `mget` for the whole batch. Results come back in the
+    /// original request order.
     pub fn read_files_merged(&self, dataset: &str, paths: &[&str]) -> Result<Vec<Bytes>> {
         // One batch: a merged read is never visible without its request
         // count, so `merged_requests / merged_reads` is a sound average.
@@ -257,10 +258,7 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
             self.metrics.merged_reads.inc();
             self.metrics.merged_requests.add(paths.len() as u64);
         });
-        let metas: Vec<FileMeta> = paths
-            .iter()
-            .map(|p| self.meta.file_meta(dataset, p))
-            .collect::<diesel_meta::Result<_>>()?;
+        let metas = self.meta.file_metas(dataset, paths)?;
         let plans = plan_chunk_reads(&metas);
         // Execute the per-chunk plans concurrently on the work pool; the
         // slices land in request-order slots, so the response (and the
@@ -460,7 +458,12 @@ mod tests {
         DieselServer::new(Arc::new(ShardedKv::new()), Arc::new(MemObjectStore::new()))
     }
 
-    fn ingest_files(s: &Server, dataset: &str, files: &[(&str, Vec<u8>)], chunk_size: usize) {
+    fn ingest_files<K: KvStore>(
+        s: &DieselServer<K, MemObjectStore>,
+        dataset: &str,
+        files: &[(&str, Vec<u8>)],
+        chunk_size: usize,
+    ) {
         let ids = ChunkIdGenerator::deterministic(1, 1, 1_000);
         let cfg = ChunkBuilderConfig { target_chunk_size: chunk_size, ..Default::default() };
         let mut w = ChunkWriter::new(cfg, &ids).with_clock(|| 1_000_000);
@@ -505,6 +508,62 @@ mod tests {
         for (i, (n, d)) in files.iter().enumerate() {
             assert_eq!(merged[i].as_ref(), &d[..], "merged read of {n}");
         }
+    }
+
+    /// Forwards to a [`ShardedKv`], counting point reads and the key
+    /// count of every batched read.
+    #[derive(Default)]
+    struct CountingKv {
+        inner: ShardedKv,
+        gets: Mutex<usize>,
+        mgets: Mutex<Vec<usize>>,
+    }
+
+    impl KvStore for CountingKv {
+        fn get(&self, key: &str) -> diesel_kv::Result<Option<Bytes>> {
+            *self.gets.lock() += 1;
+            self.inner.get(key)
+        }
+        fn mget(&self, keys: &[&str]) -> diesel_kv::Result<Vec<Option<Bytes>>> {
+            self.mgets.lock().push(keys.len());
+            self.inner.mget(keys)
+        }
+        fn put(&self, key: &str, value: Bytes) -> diesel_kv::Result<()> {
+            self.inner.put(key, value)
+        }
+        fn delete(&self, key: &str) -> diesel_kv::Result<bool> {
+            self.inner.delete(key)
+        }
+        fn pscan(&self, prefix: &str) -> diesel_kv::Result<Vec<(String, Bytes)>> {
+            self.inner.pscan(prefix)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+    }
+
+    #[test]
+    fn a_merged_read_is_one_kv_round() {
+        let kv = Arc::new(CountingKv::default());
+        let s = DieselServer::new(kv.clone(), Arc::new(MemObjectStore::new()));
+        let files: Vec<(String, Vec<u8>)> = (0..64).map(|i| file(i, 64 + i)).collect();
+        let refs: Vec<(&str, Vec<u8>)> =
+            files.iter().map(|(n, d)| (n.as_str(), d.clone())).collect();
+        ingest_files(&s, "ds", &refs, 1024);
+        *kv.gets.lock() = 0; // ingest's read-modify-writes
+        let paths: Vec<&str> = files.iter().rev().map(|(n, _)| n.as_str()).collect();
+        let merged = s.read_files_merged("ds", &paths).unwrap();
+        for (got, (n, d)) in merged.iter().zip(files.iter().rev()) {
+            assert_eq!(got.as_ref(), &d[..], "{n}");
+        }
+        assert_eq!((*kv.gets.lock(), kv.mgets.lock().clone()), (0, vec![64]));
+
+        // Two missing paths: the earlier one in request order is reported.
+        let got = s.read_files_merged("ds", &[paths[0], "ghost-b", paths[1], "ghost-a"]);
+        assert!(
+            matches!(&got, Err(DieselError::Meta(diesel_meta::MetaError::NoSuchFile(p))) if p == "ghost-b"),
+            "{got:?}"
+        );
     }
 
     #[test]

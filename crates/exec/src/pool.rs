@@ -383,6 +383,12 @@ impl WorkPool {
     /// in input order, or the error of the *lowest-indexed* failing
     /// item — the same error the serial loop would have returned first,
     /// for any worker count.
+    ///
+    /// On an inline pool this *is* the serial loop on the caller: no
+    /// scope, no boxed job, no clock read. It still runs every item,
+    /// counts each in `exec.tasks_submitted` / `exec.tasks_completed`
+    /// (and `exec.tasks_panicked`), and re-raises the first panic once
+    /// the remaining items have run; `exec.task_ns` is not recorded.
     pub fn try_map<I, T, E, F>(&self, items: Vec<I>, f: F) -> std::result::Result<Vec<T>, E>
     where
         I: Send,
@@ -390,6 +396,9 @@ impl WorkPool {
         E: Send,
         F: Fn(usize, I) -> std::result::Result<T, E> + Sync,
     {
+        if self.inner.inline_now() {
+            return self.try_map_inline(items, f);
+        }
         let n = items.len();
         let mut slots: Vec<Option<std::result::Result<T, E>>> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
@@ -408,6 +417,38 @@ impl WorkPool {
             out.push(r?);
         }
         Ok(out)
+    }
+
+    fn try_map_inline<I, T, E, F>(&self, items: Vec<I>, f: F) -> std::result::Result<Vec<T>, E>
+    where
+        F: Fn(usize, I) -> std::result::Result<T, E>,
+    {
+        let metrics = &self.inner.metrics;
+        let n = items.len() as u64;
+        metrics.submitted.add(n);
+        let mut out = Vec::with_capacity(items.len());
+        let mut first_err = None;
+        let mut first_panic = None;
+        for (i, item) in items.into_iter().enumerate() {
+            match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
+                Ok(Ok(v)) => out.push(v),
+                Ok(Err(e)) => {
+                    first_err.get_or_insert(e);
+                }
+                Err(p) => {
+                    metrics.panicked.inc();
+                    first_panic.get_or_insert(p);
+                }
+            }
+        }
+        metrics.completed.add(n);
+        if let Some(p) = first_panic {
+            std::panic::resume_unwind(p);
+        }
+        match first_err {
+            Some(e) => Err(e),
+            None => Ok(out),
+        }
     }
 
     /// Apply `f(chunk_index, chunk)` to every `size`-sized chunk of
@@ -762,6 +803,30 @@ mod tests {
         let h = p.spawn(move || std::thread::current().id() == tid);
         assert!(h.is_finished(), "inline spawn completes synchronously");
         assert!(h.join().unwrap());
+    }
+
+    #[test]
+    fn inline_try_map_is_a_counted_loop_on_the_caller() {
+        let p = pool(1);
+        let caller = std::thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            p.map((0..6).collect::<Vec<u32>>(), |i, x| {
+                assert_eq!(std::thread::current().id(), caller, "item {i} left the caller");
+                seen.lock().push(i);
+                if x == 2 {
+                    panic!("item {x} failed");
+                }
+                x
+            })
+        }));
+        let msg = panic_message(caught.unwrap_err().as_ref());
+        assert!(msg.contains("item 2 failed"), "{msg}");
+        assert_eq!(*seen.lock(), vec![0, 1, 2, 3, 4, 5], "in index order, past the panic");
+        let snap = p.registry().snapshot();
+        assert_eq!(snap.counter("exec.tasks_submitted{pool=t}"), 6);
+        assert_eq!(snap.counter("exec.tasks_completed{pool=t}"), 6);
+        assert_eq!(snap.counter("exec.tasks_panicked{pool=t}"), 1);
     }
 
     #[test]

@@ -209,6 +209,34 @@ impl KvStore for KvCluster {
         Ok(())
     }
 
+    fn mget(&self, keys: &[&str]) -> Result<Vec<Option<Bytes>>> {
+        // Grouped by owning instance like `mput`. Owners are checked in
+        // request order first, so a down instance fails the batch with
+        // the error the per-key loop would have returned.
+        let mut by_instance = keys
+            .iter()
+            .enumerate()
+            .map(|(i, key)| {
+                let idx = self.route(key);
+                self.instance(idx).map(|_| (idx, i))
+            })
+            .collect::<Result<Vec<(usize, usize)>>>()?;
+        by_instance.sort_unstable();
+        let mut out = vec![None; keys.len()];
+        for group in by_instance.chunk_by(|a, b| a.0 == b.0) {
+            let Some(&(idx, _)) = group.first() else { continue };
+            let batch: Vec<&str> =
+                group.iter().filter_map(|&(_, i)| keys.get(i).copied()).collect();
+            let values = self.instance(idx)?.mget(&batch)?;
+            for (&(_, i), value) in group.iter().zip(values) {
+                if let Some(slot) = out.get_mut(i) {
+                    *slot = value;
+                }
+            }
+        }
+        Ok(out)
+    }
+
     fn pscan(&self, prefix: &str) -> Result<Vec<(String, Bytes)>> {
         // A prefix scan must see every owning instance; any down instance
         // makes the result incomplete, so surface the failure.
@@ -385,5 +413,41 @@ mod tests {
         c.put("a", vec![1].into()).unwrap();
         let got = c.mget(&["a", "missing"]).unwrap();
         assert_eq!(got, vec![Some(Bytes::from(vec![1])), None]);
+    }
+
+    #[test]
+    fn mget_batches_per_instance_in_request_order() {
+        let c = cluster(4);
+        for i in (0..200).step_by(2) {
+            c.put(&format!("g/{i}"), vec![i as u8].into()).unwrap();
+        }
+        let names: Vec<String> = (0..200).rev().map(|i| format!("g/{i}")).collect();
+        let keys: Vec<&str> = names.iter().map(String::as_str).collect();
+        let got = c.mget(&keys).unwrap();
+        let expect: Vec<Option<Bytes>> =
+            (0..200u32).rev().map(|i| (i % 2 == 0).then(|| vec![i as u8].into())).collect();
+        assert_eq!(got, expect, "index-aligned, misses as None");
+        let snap = c.obs_snapshot().expect("cluster exposes its registry");
+        let per_instance: Vec<u64> =
+            (0..4).map(|i| snap.counter(&format!("kv.gets{{instance={i}}}"))).collect();
+        assert!(per_instance.iter().all(|&n| n > 0), "{per_instance:?}");
+        assert_eq!(per_instance.iter().sum::<u64>(), 200);
+    }
+
+    #[test]
+    fn mget_fails_with_the_first_down_owner_in_request_order() {
+        let c = cluster(4);
+        let names: Vec<String> = (0..64).map(|i| format!("d/{i}")).collect();
+        let mut keys: Vec<&str> = names.iter().map(String::as_str).collect();
+        // Lead with a key of the highest instance and take instance 0 down
+        // too: checking owners in instance order would report 0.
+        let lead = keys.iter().position(|k| c.route(k) == 3).unwrap();
+        keys.swap(0, lead);
+        assert!(keys.iter().any(|k| c.route(k) == 0));
+        c.fail_instance(3);
+        c.fail_instance(0);
+        assert_eq!(c.mget(&keys), Err(KvError::InstanceDown { instance: 3 }));
+        let serial: Result<Vec<Option<Bytes>>> = keys.iter().map(|k| c.get(k)).collect();
+        assert_eq!(serial, Err(KvError::InstanceDown { instance: 3 }));
     }
 }

@@ -7,12 +7,16 @@
 //! * [`KvStore`] — the operation surface DIESEL needs: `get`, `put`,
 //!   `delete`, batched `mget`/`mput`, and `pscan` (prefix scan — the paper
 //!   translates `readdir` into `pscan hash(dir)/d ∪ pscan hash(dir)/f`).
+//!   A server's merged read resolves its whole batch of paths with one
+//!   `mget`, not one `get` per file.
 //! * [`ShardedKv`] — a single "instance": an in-memory store sharded
-//!   across lock-striped ordered maps, so prefix scans are range scans.
+//!   across lock-striped ordered maps, so prefix scans are range scans;
+//!   an `mget` visits each shard once.
 //! * [`KvCluster`] — N instances with Redis-style slot routing
 //!   (CRC-16 of the key modulo 16384 slots, slots striped over
 //!   instances), per-instance failure injection (node kill) and whole-
 //!   cluster power-loss, mirroring the fault scenarios of §4.1.2.
+//!   Batched calls reach each owning instance once.
 //! * [`KvMetrics`] — operation-counter handles into a shared
 //!   `diesel-obs` registry, used by the benchmarks to report QPS
 //!   against the measured ceiling of the paper's Redis setup.
@@ -72,7 +76,8 @@ pub trait KvStore: Send + Sync {
     /// Remove `key`. Returns whether it existed.
     fn delete(&self, key: &str) -> Result<bool>;
 
-    /// Batched get: one entry per requested key, `None` on miss.
+    /// Batched get: one entry per requested key, `None` on miss. An error
+    /// is the one the per-key loop would meet first.
     fn mget(&self, keys: &[&str]) -> Result<Vec<Option<Bytes>>> {
         keys.iter().map(|k| self.get(k)).collect()
     }

@@ -53,9 +53,12 @@ impl ShardedKv {
         }
     }
 
+    fn shard_index(&self, key: &str) -> usize {
+        (fnv1a_64(key.as_bytes()) as usize) % self.shards.len()
+    }
+
     fn shard_for(&self, key: &str) -> &RwLock<BTreeMap<String, Bytes>> {
-        let idx = (fnv1a_64(key.as_bytes()) as usize) % self.shards.len();
-        &self.shards[idx]
+        &self.shards[self.shard_index(key)]
     }
 
     /// Operation-counter handles for this instance.
@@ -92,7 +95,7 @@ impl Default for ShardedKv {
 
 impl KvStore for ShardedKv {
     fn get(&self, key: &str) -> Result<Option<Bytes>> {
-        self.metrics.record_get();
+        self.metrics.record_gets(1);
         let _span = if trace::active() {
             trace::span("kv.get", &[("key", key)])
         } else {
@@ -100,6 +103,34 @@ impl KvStore for ShardedKv {
         };
         // `Bytes` values make this clone a refcount bump, not a copy.
         Ok(self.shard_for(key).read().get(key).cloned())
+    }
+
+    /// One pass per shard: the keys are grouped by shard, and each shard
+    /// serves its whole group under one read guard.
+    fn mget(&self, keys: &[&str]) -> Result<Vec<Option<Bytes>>> {
+        self.metrics.record_gets(keys.len() as u64);
+        let _span = if trace::active() {
+            let n = keys.len().to_string();
+            trace::span("kv.mget", &[("keys", n.as_str())])
+        } else {
+            trace::SpanGuard::default()
+        };
+        let mut by_shard: Vec<(usize, usize)> =
+            keys.iter().enumerate().map(|(i, key)| (self.shard_index(key), i)).collect();
+        by_shard.sort_unstable();
+        let mut out = vec![None; keys.len()];
+        for group in by_shard.chunk_by(|a, b| a.0 == b.0) {
+            let Some(shard) = group.first().and_then(|&(s, _)| self.shards.get(s)) else {
+                continue;
+            };
+            let guard = shard.read();
+            for &(_, i) in group {
+                if let (Some(slot), Some(key)) = (out.get_mut(i), keys.get(i)) {
+                    *slot = guard.get(*key).cloned();
+                }
+            }
+        }
+        Ok(out)
     }
 
     fn put(&self, key: &str, value: Bytes) -> Result<()> {
@@ -252,6 +283,8 @@ mod tests {
                 1..200
             ),
             prefix in "[a-c]{0,2}",
+            // Small alphabet: duplicates are common; keys with a `d` miss.
+            probe in proptest::collection::vec("[a-d]{1,3}", 0..24),
         ) {
             let kv = ShardedKv::with_shards(4);
             let mut model: BTreeMap<String, Vec<u8>> = BTreeMap::new();
@@ -277,6 +310,14 @@ mod tests {
                 .collect();
             prop_assert_eq!(scanned, expect);
             prop_assert_eq!(kv.len(), model.len());
+
+            let keys: Vec<&str> = probe.iter().map(String::as_str).collect();
+            let gets_before = kv.metrics().gets();
+            let batched = kv.mget(&keys).unwrap();
+            prop_assert_eq!(kv.metrics().gets() - gets_before, keys.len() as u64);
+            let one_by_one: Vec<Option<Bytes>> =
+                keys.iter().map(|k| kv.get(k).unwrap()).collect();
+            prop_assert_eq!(batched, one_by_one);
         }
     }
 }

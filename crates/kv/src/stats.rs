@@ -30,8 +30,9 @@ impl KvMetrics {
         }
     }
 
-    pub(crate) fn record_get(&self) {
-        self.gets.inc();
+    /// Count `n` key reads: one per `get`, one per key of an `mget`.
+    pub(crate) fn record_gets(&self, n: u64) {
+        self.gets.add(n);
     }
     pub(crate) fn record_put(&self) {
         self.puts.inc();
@@ -43,7 +44,7 @@ impl KvMetrics {
         self.scans.inc();
     }
 
-    /// Number of `get` calls (including misses).
+    /// Number of keys read by `get` and `mget` (including misses).
     pub fn gets(&self) -> u64 {
         self.gets.get()
     }
@@ -73,8 +74,8 @@ mod tests {
     fn records_flow_into_the_registry() {
         let reg = Registry::new(Arc::new(diesel_util::MockClock::new()));
         let m = KvMetrics::new(&reg, &[("instance", "0")]);
-        m.record_get();
-        m.record_get();
+        m.record_gets(1);
+        m.record_gets(1);
         m.record_put();
         m.record_scan();
         m.record_delete();

@@ -122,6 +122,42 @@ impl<K: KvStore> MetaService<K> {
         }
     }
 
+    /// Batched [`file_meta`](Self::file_meta): one [`KvStore::mget`] for
+    /// every path, whose keys share one buffer. Results are in request
+    /// order, and the first missing or undecodable path in request order
+    /// is the error the per-path loop would have returned.
+    pub fn file_metas(&self, dataset: &str, paths: &[&str]) -> Result<Vec<FileMeta>> {
+        if paths.is_empty() {
+            return Ok(Vec::new());
+        }
+        let prefix = keys::file_prefix(dataset);
+        let mut buf = String::with_capacity(paths.iter().map(|p| prefix.len() + p.len()).sum());
+        let mut ends = Vec::with_capacity(paths.len());
+        for path in paths {
+            buf.push_str(&prefix);
+            buf.push_str(path);
+            ends.push(buf.len());
+        }
+        let mut start = 0;
+        let kv_keys: Vec<&str> = ends
+            .iter()
+            .map(|&end| {
+                let key = buf.get(start..end).unwrap_or_default();
+                start = end;
+                key
+            })
+            .collect();
+        let values = self.kv.mget(&kv_keys)?;
+        paths
+            .iter()
+            .zip(values)
+            .map(|(path, value)| match value {
+                Some(raw) => FileMeta::decode(&raw),
+                None => Err(MetaError::NoSuchFile((*path).to_owned())),
+            })
+            .collect()
+    }
+
     /// Chunk record lookup.
     pub fn chunk_record(&self, dataset: &str, id: ChunkId) -> Result<ChunkRecord> {
         match self.kv.get(&keys::chunk_key(dataset, id))? {
@@ -338,6 +374,11 @@ mod tests {
         assert_eq!(meta.length, 2);
         assert_eq!(meta.chunk, h.id);
         assert!(matches!(svc.file_meta("ds", "nope"), Err(MetaError::NoSuchFile(_))));
+        let both = ["train/dog/2.jpg", "train/cat/1.jpg"];
+        let batched = svc.file_metas("ds", &both).unwrap();
+        assert_eq!(batched, both.map(|p| svc.file_meta("ds", p).unwrap()));
+        let missing = svc.file_metas("ds", &["train/cat/1.jpg", "nope", "gone"]);
+        assert!(matches!(missing, Err(MetaError::NoSuchFile(p)) if p == "nope"));
 
         let rec = svc.dataset_record("ds").unwrap();
         assert_eq!(rec.chunk_count, 1);
