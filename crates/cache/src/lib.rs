@@ -22,11 +22,11 @@
 //!
 //! * [`topology`] — ranks, master election, connection counting.
 //! * [`ring`] — the consistent-hash placement circle (virtual nodes).
-//! * `partition` — chunk → owner-node assignment over a ring
-//!   membership, plus moved-chunk deltas between memberships.
+//! * `partition` — chunk → owner-node assignment over the ring of the
+//!   task's fixed nodes `0..n`, computed once per cache.
 //! * [`task_cache`] — [`TaskCache`]: the cache itself and the only
-//!   owner of membership, residency, byte budget, store loading and
-//!   rebalance, with [`CachePolicy::Oneshot`] prefetch and
+//!   owner of residency, byte budget and store loading, over a node set
+//!   fixed at construction, with [`CachePolicy::Oneshot`] prefetch and
 //!   [`CachePolicy::OnDemand`] fill over single-flight chunk loads,
 //!   node-failure injection and chunk-wise recovery. Where a node
 //!   cannot hold its share of the dataset, the epoch's shuffle plan
@@ -46,8 +46,7 @@ pub mod topology;
 
 pub use ring::{HashRing, DEFAULT_VNODES};
 pub use task_cache::{
-    CacheConfig, CacheMetrics, CachePolicy, LoadReport, PlanGuard, PlannedChunk, RebalanceReport,
-    TaskCache,
+    CacheConfig, CacheMetrics, CachePolicy, LoadReport, PlanGuard, PlannedChunk, TaskCache,
 };
 pub use tenant::{TenantCacheMap, TenantUsage};
 pub use topology::{PeerId, Topology};
@@ -69,16 +68,9 @@ pub enum CacheError {
     Backing(String),
     /// The cached chunk bytes could not be parsed.
     Corrupt(String),
-    /// A membership set was structurally invalid (empty ring, duplicate
-    /// join, removing the last node, a node index with no clients, …).
+    /// A membership set was structurally invalid (empty ring, a node
+    /// index with no clients, a zero tenant weight, …).
     InvalidMembership(String),
-    /// The caller routed a request using an owner resolved under an
-    /// older membership epoch; re-resolve against the current ring and
-    /// retry (§13 stale-owner protocol).
-    StaleOwner {
-        /// The epoch the cache is currently at.
-        epoch: u64,
-    },
     /// The serving plane's admission controller rejected the request —
     /// the tenant's token bucket is empty or its queue overflowed. The
     /// client should back off for `retry_after_ms` and retry
@@ -97,9 +89,6 @@ impl std::fmt::Display for CacheError {
             CacheError::Backing(e) => write!(f, "backing store error: {e}"),
             CacheError::Corrupt(e) => write!(f, "corrupt cached chunk: {e}"),
             CacheError::InvalidMembership(e) => write!(f, "invalid cache membership: {e}"),
-            CacheError::StaleOwner { epoch } => {
-                write!(f, "owner resolved under a stale epoch (cache is at epoch {epoch})")
-            }
             CacheError::Throttled { retry_after_ms } => {
                 write!(f, "tenant throttled; retry after {retry_after_ms} ms")
             }

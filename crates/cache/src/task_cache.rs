@@ -6,15 +6,14 @@
 //! are loaded from the backing object store *whole* — the property that
 //! makes warm-up and recovery fast (Fig. 11b).
 //!
-//! Membership is *elastic* (DESIGN.md §13): the partition rides a
-//! consistent-hash ring, and [`TaskCache::resize`] installs a new
-//! membership epoch, then runs a rebalance sweep that fills each moved
-//! chunk on its new owner — **from the previous owner's memory when the
-//! chunk is still resident there** (peer warm handoff), falling back to
-//! the backing store only when it is not. Reads that race a rebalance
-//! re-validate ownership before filling: a fill routed to a node that
-//! no longer owns the chunk gets [`CacheError::StaleOwner`] and the
-//! read re-resolves.
+//! Membership is fixed when the cache is built (DESIGN.md §13): the
+//! nodes are `0..topology.node_count()` for the cache's whole life, and
+//! the chunk partition over them — the contiguous consistent-hash ring
+//! every client computes alike — never changes. A warm hit therefore
+//! finds its owner in immutable state: a partition lookup, then that
+//! node's lock. The only membership events are the paper's: a node
+//! fails ([`TaskCache::kill_node`]) and is recovered chunk-wise
+//! ([`TaskCache::recover_node`]).
 //!
 //! Chunk loads are *single-flight*: at most one store read per (node,
 //! chunk) is in progress at a time, whoever asks — a miss, a sweep, the
@@ -32,15 +31,12 @@
 //! `Option` test under the node lock it already holds.
 //!
 //! Lock order (runtime lockdep classes, see also `LOCK_RANKS` in
-//! diesel-lint): `cache.rebalance` → `cache.rebalance_drain` →
-//! `cache.lookahead` → `cache.membership` → `cache.node`, and never two
-//! `cache.node` guards at once — warm handoff copies out of the source
-//! node's guard before taking the destination's. `cache.lookahead`
-//! (the plan's load queue) is taken with no other cache lock held but,
-//! possibly, `cache.rebalance` — a rebalance sweep helping the pool may
-//! run a lookahead load — and readers pump it only after dropping their
-//! node guard. No store read and no park happens under a node guard other
-//! than the wait on the node's own condvar.
+//! diesel-lint): `cache.lookahead` → `cache.node`, and never two
+//! `cache.node` guards at once. `cache.lookahead` (the plan's load
+//! queue) is taken with no other cache lock held, and readers pump it
+//! only after dropping their node guard. No store read and no park
+//! happens under a node guard other than the wait on the node's own
+//! condvar.
 //!
 //! Counters live in a `diesel-obs` registry under `cache.*`; related
 //! updates (a read and its hit, a load and its bytes) go through
@@ -48,13 +44,12 @@
 //! the other.
 
 use diesel_exec::WorkPool;
-use diesel_obs::{trace, Counter, Gauge, Registry, RegistrySnapshot};
-use diesel_util::{Condvar, Mutex, MutexGuard, RwLock};
+use diesel_obs::{trace, Counter, Registry, RegistrySnapshot};
+use diesel_util::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
 
 use diesel_chunk::{ChunkId, ChunkView};
 use diesel_meta::recovery::chunk_object_key;
@@ -62,7 +57,6 @@ use diesel_meta::FileMeta;
 use diesel_store::{Bytes, ObjectStore};
 
 use crate::partition::ChunkPartition;
-use crate::ring::HashRing;
 use crate::topology::Topology;
 use crate::{CacheError, Result};
 
@@ -109,21 +103,13 @@ pub struct CacheMetrics {
     bytes_loaded: Counter,
     evictions: Counter,
     recoveries: Counter,
-    rebalance_moves: Counter,
-    rebalance_warm_hits: Counter,
-    rebalance_fallbacks: Counter,
-    rebalance_bytes: Counter,
-    stale_owner_retries: Counter,
-    membership_epoch: Gauge,
 }
 
 impl CacheMetrics {
     /// Register the cache counters (`cache.file_reads`,
     /// `cache.chunk_hits`, `cache.chunk_loads`, `cache.bytes_loaded`,
-    /// `cache.evictions`, `cache.recoveries`, the
-    /// `cache.rebalance.*` family, `cache.stale_owner_retries`) and the
-    /// `cache.membership_epoch` gauge in `registry`, each carrying a
-    /// `{dataset=…}` label so that tenants sharing one registry stay
+    /// `cache.evictions`, `cache.recoveries`) in `registry`, each
+    /// carrying a `{dataset=…}` label so that tenants sharing one registry stay
     /// separable (snapshot merge sums per labelled id, so per-tenant
     /// cells never double-count; cross-tenant totals come from
     /// [`diesel_obs::RegistrySnapshot::sum_counter`]).
@@ -136,12 +122,6 @@ impl CacheMetrics {
             bytes_loaded: registry.counter("cache.bytes_loaded", labels),
             evictions: registry.counter("cache.evictions", labels),
             recoveries: registry.counter("cache.recoveries", labels),
-            rebalance_moves: registry.counter("cache.rebalance.chunks_moved", labels),
-            rebalance_warm_hits: registry.counter("cache.rebalance.peer_warm_hits", labels),
-            rebalance_fallbacks: registry.counter("cache.rebalance.store_fallbacks", labels),
-            rebalance_bytes: registry.counter("cache.rebalance.bytes_moved", labels),
-            stale_owner_retries: registry.counter("cache.stale_owner_retries", labels),
-            membership_epoch: registry.gauge("cache.membership_epoch", labels),
         }
     }
 
@@ -175,31 +155,6 @@ impl CacheMetrics {
     pub fn recoveries(&self) -> u64 {
         self.recoveries.get()
     }
-
-    /// Chunks whose owner changed in a membership transition.
-    pub fn rebalance_moves(&self) -> u64 {
-        self.rebalance_moves.get()
-    }
-
-    /// Moved chunks filled from their previous owner's memory.
-    pub fn rebalance_warm_hits(&self) -> u64 {
-        self.rebalance_warm_hits.get()
-    }
-
-    /// Moved chunks that had to re-read the backing store.
-    pub fn rebalance_fallbacks(&self) -> u64 {
-        self.rebalance_fallbacks.get()
-    }
-
-    /// Bytes relocated across membership transitions (warm + fallback).
-    pub fn rebalance_bytes(&self) -> u64 {
-        self.rebalance_bytes.get()
-    }
-
-    /// Requests rejected with [`CacheError::StaleOwner`].
-    pub fn stale_owner_retries(&self) -> u64 {
-        self.stale_owner_retries.get()
-    }
 }
 
 /// Result of a prefetch/recovery sweep.
@@ -209,22 +164,6 @@ pub struct LoadReport {
     pub chunks_loaded: u64,
     /// Bytes loaded.
     pub bytes_loaded: u64,
-}
-
-/// Result of one membership transition ([`TaskCache::resize`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RebalanceReport {
-    /// The epoch installed by this transition.
-    pub epoch: u64,
-    /// Chunks whose owner changed (the ring bounds this at ≈ Δ/n of the
-    /// dataset).
-    pub chunks_moved: u64,
-    /// Moved chunks filled from the previous owner's memory.
-    pub peer_warm_hits: u64,
-    /// Moved chunks re-read from the backing store.
-    pub store_fallbacks: u64,
-    /// Bytes relocated (warm + fallback).
-    pub bytes_moved: u64,
 }
 
 /// A file fetched through the cache, with routing info for accounting.
@@ -360,12 +299,12 @@ impl Default for NodeState {
 /// A registered flight: the one store read of `chunk` for node `dest`.
 /// Dropping it — landed, failed, or unwinding — retires the entry and
 /// wakes every reader parked on it, so no exit path leaves one behind.
-struct Flight {
-    dest: Arc<NodeState>,
+struct Flight<'a> {
+    dest: &'a NodeState,
     chunk: ChunkId,
 }
 
-impl Drop for Flight {
+impl Drop for Flight<'_> {
     fn drop(&mut self) {
         self.dest.inner.lock().flights.remove(&self.chunk);
         self.dest.landed.notify_all();
@@ -410,33 +349,13 @@ struct Lookahead<S> {
     running: usize,
 }
 
-/// The mutable placement plane: which nodes exist, which chunks they
-/// own, and which moved-out chunks are still warm on their previous
-/// owner (the overlap window of an in-flight rebalance).
-#[derive(Debug)]
-struct Membership {
-    partition: ChunkPartition,
-    nodes: HashMap<usize, Arc<NodeState>>,
-    /// chunk → its *previous* owner's state, for every chunk whose
-    /// relocation has not completed yet. The entry keeps a removed
-    /// node's memory alive exactly until its chunks are handed off.
-    handoff: HashMap<ChunkId, Arc<NodeState>>,
-    epoch: u64,
-}
-
 /// The distributed cache of one DLT task.
 pub struct TaskCache<S> {
     topology: Topology,
-    membership: RwLock<Membership>,
-    /// Serializes membership transitions; held across the whole sweep so
-    /// two resizes can never interleave their handoff windows.
-    rebalance_lock: Mutex<()>,
-    /// Signal for the post-sweep drain: [`TaskCache::complete_handoff`]
-    /// notifies under this mutex after removing a handoff entry, so the
-    /// rebalance coordinator sleeps instead of spinning while racing
-    /// on-demand fillers finish counting.
-    drain_mutex: Mutex<()>,
-    drain_cv: Condvar,
+    /// Which node owns each chunk, fixed at construction.
+    partition: ChunkPartition,
+    /// One state per node, indexed by node id: `0..topology.node_count()`.
+    nodes: Vec<NodeState>,
     /// The installed epoch plan's load queue ([`TaskCache::follow_plan`]).
     lookahead: Mutex<Lookahead<S>>,
     /// Notified when the last lookahead worker exits; clearing a plan
@@ -489,16 +408,10 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
         let dataset = dataset.into();
         let metrics = CacheMetrics::new(&registry, &dataset);
         let partition = ChunkPartition::new(chunks, p)?;
-        let nodes = partition.members().iter().map(|&id| (id, Arc::default())).collect();
         Ok(TaskCache {
             topology,
-            membership: RwLock::named(
-                "cache.membership",
-                Membership { partition, nodes, handoff: HashMap::new(), epoch: 0 },
-            ),
-            rebalance_lock: Mutex::named("cache.rebalance", ()),
-            drain_mutex: Mutex::named("cache.rebalance_drain", ()),
-            drain_cv: Condvar::new(),
+            partition,
+            nodes: (0..p).map(|_| NodeState::default()).collect(),
             lookahead: Mutex::named(
                 "cache.lookahead",
                 Lookahead {
@@ -521,7 +434,7 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
         })
     }
 
-    /// Run this cache's prefetch/recovery/rebalance sweeps and its plan
+    /// Run this cache's prefetch/recovery sweeps and its plan
     /// lookahead on `pool` instead of the process-wide
     /// [`diesel_exec::global()`] pool (e.g. an inline pool for
     /// deterministic tests — an inline pool runs no lookahead).
@@ -568,11 +481,7 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
     /// budget changes that no later than the next epoch.
     pub fn set_capacity_bytes_per_node(&self, bytes: u64) {
         self.capacity_bytes.store(bytes, Ordering::Release);
-        let states: Vec<Arc<NodeState>> = {
-            let m = self.membership.read();
-            m.nodes.values().cloned().collect()
-        };
-        for st in states {
+        for st in &self.nodes {
             self.evict_down_to(&mut st.inner.lock(), bytes);
         }
     }
@@ -597,23 +506,6 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
         resident
     }
 
-    /// A snapshot of the current chunk partition map (a copy: sweeps
-    /// plan from it, and `fill_chunk` re-validates each route).
-    fn partition(&self) -> ChunkPartition {
-        self.membership.read().partition.clone()
-    }
-
-    /// The current membership epoch (bumped by every transition).
-    pub fn membership_epoch(&self) -> u64 {
-        self.membership.read().epoch
-    }
-
-    /// The current member node ids, sorted.
-    pub fn members(&self) -> Vec<usize> {
-        // diesel-lint: allow(R6) member id list, not payload bytes
-        self.membership.read().partition.members().to_vec()
-    }
-
     /// Oneshot prefetch: fan chunk loads across the work pool, every
     /// node's partition at once (call right after task registration;
     /// §4.2). The report — and the first error, if any — is identical
@@ -621,18 +513,14 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
     /// count; concurrent on-demand readers share the sweep's flights
     /// chunk-wise.
     pub fn prefetch_all(&self) -> Result<LoadReport> {
-        let partition = self.partition();
+        let nodes = 0..self.nodes.len();
         // Fail fast on downed nodes, like the serial sweep did at the
         // start of each node's partition.
-        for &node in partition.members() {
-            if self.is_node_down(node) {
-                return Err(CacheError::NodeDown { node });
-            }
+        if let Some(node) = nodes.clone().find(|&node| self.is_node_down(node)) {
+            return Err(CacheError::NodeDown { node });
         }
-        let pairs: Vec<(usize, ChunkId)> = partition
-            .members()
-            .iter()
-            .flat_map(|&node| partition.chunks_of(node).iter().map(move |&c| (node, c)))
+        let pairs: Vec<(usize, ChunkId)> = nodes
+            .flat_map(|node| self.partition.chunks_of(node).iter().map(move |&c| (node, c)))
             .collect();
         self.load_sweep(pairs)
     }
@@ -642,13 +530,7 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
     /// recovery).
     fn load_sweep(&self, pairs: Vec<(usize, ChunkId)>) -> Result<LoadReport> {
         let fills = self.pool.try_map(pairs, |_, (node, chunk)| {
-            match self.fill_chunk(node, chunk, 0, |_| ()) {
-                // A rebalance re-owned the chunk after the sweep
-                // snapshotted the partition; its new owner is filled by
-                // the rebalance sweep (or on demand), not by us.
-                Err(CacheError::StaleOwner { .. }) => Ok(0),
-                other => other.map(|((), bytes)| bytes),
-            }
+            self.fill_chunk(node, chunk, 0, |_| ()).map(|((), bytes)| bytes)
         })?;
         let mut report = LoadReport::default();
         for bytes in fills.into_iter().filter(|&b| b > 0) {
@@ -659,33 +541,23 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
     }
 
     /// Fraction of the dataset's chunks currently resident (the "cache
-    /// hit ratio" axis of Figs. 6/11b). During a rebalance overlap
-    /// window a moved chunk can be resident on both its old and new
-    /// owner; the fraction counts residencies, so it can exceed 1.
-    /// That excess is normally transient, but after a rebalance sweep
-    /// *fails* partway it persists — the unfinished chunks' warm copies
-    /// stay pinned on their previous owners until the transition is retried,
-    /// a later transition supersedes it, or the chunks are read on
-    /// demand.
+    /// hit ratio" axis of Figs. 6/11b).
     pub fn resident_fraction(&self) -> f64 {
-        let m = self.membership.read();
-        let total = m.partition.chunk_count();
+        let total = self.partition.chunk_count();
         if total == 0 {
             return 1.0;
         }
-        let states: Vec<Arc<NodeState>> = m.nodes.values().cloned().collect();
-        drop(m);
-        let resident: usize = states.iter().map(|n| n.inner.lock().chunks.len()).sum();
+        let resident: usize = self.nodes.iter().map(|n| n.inner.lock().chunks.len()).sum();
         resident as f64 / total as f64
     }
 
-    /// The node state for `node`, or a `NodeDown` error when no such
-    /// node exists in the current membership.
-    fn node_state(&self, node: usize) -> Result<Arc<NodeState>> {
-        self.membership.read().nodes.get(&node).cloned().ok_or(CacheError::NodeDown { node })
+    /// The node state for `node`, or a `NodeDown` error when the task
+    /// has no such node.
+    fn node_state(&self, node: usize) -> Result<&NodeState> {
+        self.nodes.get(node).ok_or(CacheError::NodeDown { node })
     }
 
-    /// Bytes resident on one node (0 for non-members).
+    /// Bytes resident on one node (0 for a node the task does not have).
     pub fn node_resident_bytes(&self, node: usize) -> u64 {
         match self.node_state(node) {
             Ok(st) => st.inner.lock().resident_bytes,
@@ -743,260 +615,14 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
         if self.is_node_down(node) {
             return Err(CacheError::NodeDown { node });
         }
-        let pairs = self.partition().chunks_of(node).iter().map(|&c| (node, c)).collect();
+        let pairs = self.partition.chunks_of(node).iter().map(|&c| (node, c)).collect();
         self.load_sweep(pairs)
     }
 
-    /// Grow/shrink to the contiguous membership `0..nodes` and rebalance.
-    pub fn resize(&self, nodes: usize) -> Result<RebalanceReport> {
-        self.rebalance_to(HashRing::contiguous(nodes)?)
-    }
-
-    /// Install `ring` as the new membership (epoch bump) and run the
-    /// rebalance sweep on the work pool: every moved chunk is filled on
-    /// its new owner from the previous owner's memory when still
-    /// resident there, else from the backing store. On-demand misses of
-    /// moved chunks run inline on the reader's thread (they don't queue
-    /// behind the sweep) and de-duplicate against it chunk-wise.
-    ///
-    /// # Failure and repair
-    ///
-    /// If the sweep errors partway (e.g. a transient backing-store
-    /// failure on a cold fallback), the new epoch stays installed and
-    /// the unfinished chunks keep their handoff windows open: their
-    /// warm copies stay resident on the previous owners (so
-    /// [`TaskCache::resident_fraction`] can exceed 1 until they drain)
-    /// and each window is closed by whichever comes first — an
-    /// on-demand read of the chunk, a later membership transition, or a
-    /// *retry*: calling `rebalance_to`/[`resize`](TaskCache::resize)
-    /// again with the **same** ring runs a repair sweep over the open
-    /// windows instead of returning early, and its report counts
-    /// exactly the chunks it finished.
-    pub fn rebalance_to(&self, ring: HashRing) -> Result<RebalanceReport> {
-        let _serial = self.rebalance_lock.lock();
-        // Snapshot the handoff counters before the epoch is visible:
-        // once Phase 1 publishes the handoff map, a concurrent on-demand
-        // miss can complete a warm handoff before the sweep reaches that
-        // chunk, and its fill must count into this report's window.
-        let warm0 = self.metrics.rebalance_warm_hits();
-        let fallback0 = self.metrics.rebalance_fallbacks();
-        let bytes0 = self.metrics.rebalance_bytes();
-        // Phase 1: swing the placement plane in one write-locked step.
-        // `moves` comes out as `(chunk, destination)` pairs: a fresh
-        // transition's moved-chunk delta, or — when `ring` is already
-        // installed — the repair set of still-open handoff windows.
-        let (epoch, repair, moves) = {
-            let mut m = self.membership.write();
-            let mm = &mut *m;
-            if ring == *mm.partition.ring() {
-                // Same membership: nothing to move, but an earlier
-                // sweep that failed partway may have left handoff
-                // windows open. Finish those instead of returning
-                // early, so a failed `resize` can simply be retried.
-                let mut pending: Vec<(ChunkId, usize)> = mm
-                    .handoff
-                    .keys()
-                    .filter_map(|&chunk| {
-                        // Windows whose destination is down stay parked
-                        // for `recover_node`; repairing them here would
-                        // report moves that never happened.
-                        let to = mm.partition.owner_of(chunk)?;
-                        let up = mm.nodes.get(&to).is_some_and(|n| !n.down.load(Ordering::Acquire));
-                        up.then_some((chunk, to))
-                    })
-                    .collect();
-                if pending.is_empty() {
-                    return Ok(RebalanceReport { epoch: mm.epoch, ..RebalanceReport::default() });
-                }
-                pending.sort();
-                (mm.epoch, true, pending)
-            } else {
-                let next = mm.partition.with_membership(ring);
-                let moves = mm.partition.moved_to(&next);
-                let mut nodes: HashMap<usize, Arc<NodeState>> = HashMap::new();
-                for &id in next.members() {
-                    nodes.insert(id, mm.nodes.get(&id).cloned().unwrap_or_default());
-                }
-                for mv in &moves {
-                    // Normalize this chunk's window before opening a new
-                    // one. A pre-existing entry is an unfinished window
-                    // from an earlier transition (failed sweep, downed
-                    // destination); stacking a fresh entry on top of it
-                    // blindly would leak its warm copy — or worse, leave
-                    // an entry that no fill will ever complete.
-                    let dest = nodes.get(&mv.to);
-                    let resident =
-                        dest.is_some_and(|d| d.inner.lock().chunks.contains_key(&mv.chunk));
-                    let prev = mm.handoff.remove(&mv.chunk);
-                    if resident {
-                        // The destination already holds the bytes (a
-                        // chunk moving back onto a node whose earlier
-                        // move-out never completed). Close the window
-                        // here, under the write lock: the sweep's fill
-                        // will return `Resident`, so nothing downstream
-                        // would ever complete it — the old drain loop
-                        // deadlocked on exactly this state.
-                        let Some(dest) = dest else { continue };
-                        for stale in prev.iter().chain(mm.nodes.get(&mv.from)) {
-                            if !Arc::ptr_eq(stale, dest) {
-                                evict_residency(stale, mv.chunk);
-                            }
-                        }
-                        continue;
-                    }
-                    // Pick the warm source: an open window's source
-                    // still holds the bytes (chained handoff across two
-                    // transitions) — unless it *is* the new destination,
-                    // in which case only the store can fill it. With no
-                    // history, the outgoing owner is the source.
-                    let src = match prev {
-                        Some(p) if dest.is_some_and(|d| Arc::ptr_eq(&p, d)) => None,
-                        Some(p) => Some(p),
-                        None => mm.nodes.get(&mv.from).cloned(),
-                    };
-                    if let Some(src) = src {
-                        mm.handoff.insert(mv.chunk, src);
-                    }
-                }
-                mm.nodes = nodes;
-                mm.partition = next;
-                mm.epoch += 1;
-                let keys = moves.iter().map(|mv| (mv.chunk, mv.to)).collect();
-                (mm.epoch, false, keys)
-            }
-        };
-        if !repair {
-            self.metrics.membership_epoch.set(epoch);
-            self.metrics.rebalance_moves.add(moves.len() as u64);
-        }
-        let mut span = if trace::active() {
-            trace::span("cache.rebalance", &[("epoch", epoch.to_string().as_str())])
-        } else {
-            trace::SpanGuard::default()
-        };
-        let chunks_moved = moves.len() as u64;
-        let move_keys = moves.clone();
-        // Phase 2: the sweep. `try_map` keeps the first error and a
-        // deterministic result order at any worker count.
-        let sweep = self.pool.try_map(moves, |_, (chunk, to)| {
-            if self.is_node_down(to) {
-                // The sweep skips downed destinations; `recover_node`
-                // will reload their partition when they return.
-                return Ok(0);
-            }
-            self.fill_chunk(to, chunk, 0, |_| ()).map(|((), bytes)| bytes)
-        });
-        if let Err(e) = sweep {
-            // The unfinished windows stay open (see "Failure and
-            // repair" above); surface the first error so the caller
-            // can retry the same transition.
-            self.registry.event(
-                "cache.rebalance_failed",
-                &[
-                    ("dataset", &self.dataset),
-                    ("epoch", &epoch.to_string()),
-                    ("error", &e.to_string()),
-                ],
-            );
-            return Err(e);
-        }
-        self.drain_moved(&move_keys);
-        let report = RebalanceReport {
-            epoch,
-            chunks_moved,
-            peer_warm_hits: self.metrics.rebalance_warm_hits() - warm0,
-            store_fallbacks: self.metrics.rebalance_fallbacks() - fallback0,
-            bytes_moved: self.metrics.rebalance_bytes() - bytes0,
-        };
-        span.label("moved", &report.chunks_moved.to_string());
-        span.label("warm", &report.peer_warm_hits.to_string());
-        self.registry.event(
-            "cache.rebalance",
-            &[
-                ("dataset", &self.dataset),
-                ("epoch", &epoch.to_string()),
-                ("nodes", &self.members().len().to_string()),
-                ("moved", &report.chunks_moved.to_string()),
-                ("warm", &report.peer_warm_hits.to_string()),
-                ("fallback", &report.store_fallbacks.to_string()),
-            ],
-        );
-        Ok(report)
-    }
-
-    /// Wait out racing on-demand fills before reading the report
-    /// counters: a reader that won an install race may still sit
-    /// between its install (which made the sweep's own fill return
-    /// `Resident`) and its counter increments. Each winner removes its
-    /// handoff entry only *after* counting, so once every moved chunk
-    /// with a live destination has its entry gone the window is
-    /// complete. Downed destinations are skipped: nothing fills them,
-    /// their entries persist for recovery.
-    ///
-    /// Waiters park on `drain_cv` (notified by every
-    /// [`TaskCache::complete_handoff`]) instead of spinning; the
-    /// bounded `wait_timeout` re-checks the `down` flags, and if no
-    /// entry completes across many consecutive timeouts the drain gives
-    /// up with a `cache.rebalance.drain_stalled` event rather than
-    /// wedging every future membership transition — the stragglers'
-    /// fills still complete their windows, only the report's counter
-    /// window closes early.
-    fn drain_moved(&self, move_keys: &[(ChunkId, usize)]) {
-        let mut stalled_rounds = 0u32;
-        let mut last_pending = usize::MAX;
-        let mut guard = self.drain_mutex.lock();
-        loop {
-            let pending = {
-                let m = self.membership.read();
-                move_keys
-                    .iter()
-                    .filter(|&&(chunk, to)| {
-                        m.handoff.contains_key(&chunk)
-                            && m.nodes.get(&to).is_some_and(|n| !n.down.load(Ordering::Acquire))
-                    })
-                    .count()
-            };
-            if pending == 0 {
-                return;
-            }
-            if pending < last_pending {
-                last_pending = pending;
-                stalled_rounds = 0;
-            }
-            let (g, timed_out) = self.drain_cv.wait_timeout(guard, Duration::from_millis(50));
-            guard = g;
-            if timed_out {
-                stalled_rounds += 1;
-                // ~5 s with zero completions: a filler is wedged (or an
-                // unforeseen state slipped in). Give up on the exact
-                // counter window instead of holding `rebalance_lock`
-                // forever.
-                if stalled_rounds >= 100 {
-                    self.registry.event(
-                        "cache.rebalance.drain_stalled",
-                        &[("dataset", &self.dataset), ("pending", &pending.to_string())],
-                    );
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Handoff windows still open: moved chunks whose relocation has
-    /// not completed yet (their warm copies are still pinned on the
-    /// previous owners). Nonzero after a failed or partially-drained
-    /// transition; retrying the same transition (or any later one, or
-    /// an on-demand read of each chunk) closes them.
-    #[cfg(test)]
-    fn pending_handoffs(&self) -> usize {
-        self.membership.read().handoff.len()
-    }
-
-    /// Read a whole file through the cache, re-resolving the owner if a
-    /// membership transition invalidates the route mid-flight.
+    /// Read a whole file through the cache.
     pub fn get_file(&self, meta: &FileMeta) -> Result<Fetched> {
         let (data, owner_node, chunk_hit) =
-            retry_stale(|| self.read_chunk(meta.chunk, 1, |view| slice_file(view, meta)))?;
+            self.read_chunk(meta.chunk, 1, |view| slice_file(view, meta))?;
         Ok(Fetched { data: data?, owner_node, chunk_hit })
     }
 
@@ -1020,7 +646,7 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
                 run.iter().map(|&(_, _, meta)| slice_file(view, meta)).collect()
             };
             let requests = run.iter().map(|&(_, at, _)| at);
-            match retry_stale(|| self.read_chunk(first.chunk, run.len() as u32, slices)) {
+            match self.read_chunk(first.chunk, run.len() as u32, slices) {
                 Ok((files, _, _)) => out.extend(requests.zip(files)),
                 Err(e) => out.extend(requests.map(|at| (at, Err(e.clone())))),
             }
@@ -1030,9 +656,9 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
     }
 
     /// The one read path: serve `reads` files of `chunk` by handing
-    /// `serve` one view of it. The owner is resolved under a single
-    /// membership read acquisition; the warm hit then takes one node
-    /// lock and nothing else — on a node that follows a plan it also
+    /// `serve` one view of it. The owner comes from the partition, which
+    /// never changes, so a warm hit takes one lock — its owner's node
+    /// lock — and nothing else; on a node that follows a plan it also
     /// counts the reads there, under that same lock.
     /// `trace::active()` only decides whether the `cache.get` span
     /// records — traced and untraced reads run the same code. Returns
@@ -1041,7 +667,7 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
         &self,
         chunk: ChunkId,
         reads: u32,
-        serve: impl Fn(&ChunkView) -> T,
+        serve: impl FnOnce(&ChunkView) -> T,
     ) -> Result<(T, usize, bool)> {
         let mut span = if trace::active() {
             let chunk = chunk.encode();
@@ -1050,22 +676,12 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
             trace::SpanGuard::default()
         };
         let files = u64::from(reads);
-        // The membership guard is dropped before the node probe: the
-        // hit itself needs no further route validation (chunk bytes are
-        // immutable, so a hit on a just-retired owner still serves the
-        // right data), and keeping the guard would nest every hot-path
-        // lock under it — one lockdep graph round per acquisition
-        // instead of per miss.
-        let (owner, dest) = {
-            let m = self.membership.read();
-            let Some(owner) = m.partition.owner_of(chunk) else {
-                self.metrics.file_reads.add(files);
-                span.label("outcome", "unknown_chunk");
-                return Err(CacheError::UnknownChunk(chunk.encode()));
-            };
-            (owner, m.nodes.get(&owner).cloned())
+        let Some(owner) = self.partition.owner_of(chunk) else {
+            self.metrics.file_reads.add(files);
+            span.label("outcome", "unknown_chunk");
+            return Err(CacheError::UnknownChunk(chunk.encode()));
         };
-        let Some(dest) = dest.filter(|d| !d.down.load(Ordering::Acquire)) else {
+        let Some(dest) = self.nodes.get(owner).filter(|d| !d.down.load(Ordering::Acquire)) else {
             self.metrics.file_reads.add(files);
             span.label("outcome", "node_down");
             return Err(CacheError::NodeDown { node: owner });
@@ -1091,23 +707,11 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
         }
         // Miss: fill the whole chunk (any policy — Oneshot may have
         // evicted under memory pressure) and serve from the view that
-        // filled it. During a rebalance overlap this runs inline on the
-        // reader's thread and fills warm from the previous owner — the
-        // on-demand-miss-priority path.
+        // filled it.
         self.metrics.file_reads.add(files);
         span.label("outcome", "miss");
-        match self.fill_chunk(owner, chunk, reads, serve) {
-            Ok((out, _)) => Ok((out, owner, false)),
-            Err(e) => {
-                if matches!(e, CacheError::StaleOwner { .. }) {
-                    // A rebalance landed between route validation and the
-                    // fill; surface the typed error so the caller re-routes.
-                    self.metrics.stale_owner_retries.inc();
-                    span.label("outcome", "stale_owner");
-                }
-                Err(e)
-            }
-        }
+        let (out, _) = self.fill_chunk(owner, chunk, reads, serve)?;
+        Ok((out, owner, false))
     }
 
     /// Count `reads` planned reads of `chunk` on a node that follows a
@@ -1119,12 +723,10 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
         inner.note_reads(chunk, reads) && self.evict(inner, chunk)
     }
 
-    /// Make `chunk` resident on `node` and hand `serve` the view that
-    /// did it: the previous owner's (warm handoff) when the chunk is
-    /// mid-relocation, else one read from the backing store. `reads`
-    /// is how many planned file reads `serve` stands for (0 for the
-    /// sweeps, which also never pass a chunk by — see
-    /// [`TaskCache::land`]).
+    /// Make `chunk` resident on `node` with one read from the backing
+    /// store, and hand `serve` the view that did it. `reads` is how many
+    /// planned file reads `serve` stands for (0 for the sweeps, which
+    /// also never pass a chunk by — see [`TaskCache::land`]).
     ///
     /// **Single flight.** At most one store read per (node, chunk) is
     /// in progress at a time. Whoever finds the chunk neither resident
@@ -1135,16 +737,6 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
     /// nothing that happens to residency afterwards can lose it the
     /// chunk.
     ///
-    /// Route validation, the residency check, the handoff lookup and
-    /// the flight registration happen under one membership read guard:
-    /// a rebalance's Phase 1 (which bumps the epoch and rewires the
-    /// handoff map under the write lock) cannot interleave between
-    /// them. Without this, a reader that resolved its route before a
-    /// rebalance could fill the *old* owner from the store after the
-    /// sweep already drained it — a ghost residency that a later resize
-    /// mistakes for a completed move (its fill finds the chunk
-    /// resident, silently skipping the warm handoff).
-    ///
     /// Returns what `serve` made and the bytes this call made resident:
     /// 0 when the chunk was already there, or was served but not kept.
     fn fill_chunk<T>(
@@ -1152,94 +744,30 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
         node: usize,
         chunk: ChunkId,
         reads: u32,
-        serve: impl Fn(&ChunkView) -> T,
+        serve: impl FnOnce(&ChunkView) -> T,
     ) -> Result<(T, u64)> {
-        enum Step<T> {
-            Served { out: T, bytes: u64, freed: bool },
-            Park(Arc<NodeState>),
-            Fly(Flight),
-        }
-        loop {
-            let (step, src) = {
-                let m = self.membership.read();
-                if m.partition.owner_of(chunk) != Some(node) {
-                    // The route is stale: `node` no longer owns `chunk`.
-                    // Callers re-resolve; filling anyway would plant the
-                    // chunk on a non-owner.
-                    return Err(CacheError::StaleOwner { epoch: m.epoch });
-                }
-                let Some(dest) = m.nodes.get(&node) else {
-                    return Err(CacheError::NodeDown { node });
-                };
-                // Warm handoff: if this chunk is mid-relocation, its
-                // previous owner may still hold it — a view clone, no
-                // store read, no payload copy.
-                let src = m.handoff.get(&chunk).cloned();
-                let warm = src.as_ref().and_then(|s| s.inner.lock().chunks.get(&chunk).cloned());
-                let mut inner = dest.inner.lock();
-                let step = if let Some(view) = inner.chunks.get(&chunk) {
-                    let out = serve(view);
-                    Step::Served {
-                        out,
-                        bytes: 0,
-                        freed: self.count_reads(&mut inner, chunk, reads),
-                    }
-                } else if let Some(view) = warm {
-                    let out = serve(&view);
-                    let bytes = self.land(&mut inner, chunk, view, false);
-                    Step::Served { out, bytes, freed: self.count_reads(&mut inner, chunk, reads) }
-                } else if inner.flights.contains_key(&chunk) {
-                    Step::Park(Arc::clone(dest))
-                } else {
-                    // No window, or the previous owner no longer holds
-                    // the chunk (evicted, killed): the authoritative
-                    // store fills it, and the window, if any, still
-                    // closes below.
-                    let planned = inner.plan.as_ref().and_then(|p| p.get(&chunk));
-                    let expected = planned.map_or(0, |u| u.bytes);
-                    inner.flights.insert(chunk, expected);
-                    Step::Fly(Flight { dest: Arc::clone(dest), chunk })
-                };
-                (step, src)
-            };
-            let (out, bytes, freed, counter) = match step {
-                Step::Served { out, bytes, freed } => {
-                    (out, bytes, freed, &self.metrics.rebalance_warm_hits)
-                }
-                Step::Park(dest) => {
-                    let mut inner = dest.inner.lock();
-                    while inner.flights.contains_key(&chunk) && !dest.down.load(Ordering::Acquire) {
-                        inner = dest.landed.wait(inner);
-                    }
-                    drop(inner);
-                    if dest.down.load(Ordering::Acquire) {
-                        return Err(CacheError::NodeDown { node });
-                    }
-                    continue;
-                }
-                Step::Fly(flight) => {
-                    let (out, bytes) = self.load_from_store(flight, reads, reads > 0, &serve)?;
-                    (out, bytes, false, &self.metrics.rebalance_fallbacks)
-                }
-            };
-            // Exactly one filler installs a moving chunk; only it counts
-            // the fill and completes the handoff, and it counts *before*
-            // completing. The handoff entry's removal is therefore
-            // ordered after the winner's counters, which is what lets
-            // `rebalance_to` treat "every moved chunk's entry is gone" as
-            // "every fill in this window has been counted".
-            if let Some(src) = src.filter(|_| bytes > 0) {
-                self.registry.batch(|| {
-                    counter.inc();
-                    self.metrics.rebalance_bytes.add(bytes);
-                });
-                self.complete_handoff(chunk, &src);
+        let dest = self.node_state(node)?;
+        let mut inner = dest.inner.lock();
+        while inner.flights.contains_key(&chunk) && !inner.chunks.contains_key(&chunk) {
+            if dest.down.load(Ordering::Acquire) {
+                return Err(CacheError::NodeDown { node });
             }
+            inner = dest.landed.wait(inner);
+        }
+        if let Some(view) = inner.chunks.get(&chunk) {
+            let out = serve(view);
+            let freed = self.count_reads(&mut inner, chunk, reads);
+            drop(inner);
             if freed {
                 self.pump();
             }
-            return Ok((out, bytes));
+            return Ok((out, 0));
         }
+        let planned = inner.plan.as_ref().and_then(|p| p.get(&chunk));
+        let expected = planned.map_or(0, |u| u.bytes);
+        inner.flights.insert(chunk, expected);
+        drop(inner);
+        self.load_from_store(Flight { dest, chunk }, reads, reads > 0, serve)
     }
 
     /// Fly `flight`: read its chunk from the backing store, hand the
@@ -1249,7 +777,7 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
     /// served but not kept).
     fn load_from_store<T>(
         &self,
-        flight: Flight,
+        flight: Flight<'_>,
         reads: u32,
         may_pass: bool,
         serve: impl FnOnce(&ChunkView) -> T,
@@ -1312,7 +840,7 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
     /// a node whose share of one group overflows its budget reloads
     /// the overflow once per batch instead of thrashing the group.
     /// Returns the bytes installed: 0 when the chunk was already there
-    /// (a racing warm handoff) or was passed by.
+    /// or was passed by.
     fn land(&self, inner: &mut NodeInner, chunk: ChunkId, view: ChunkView, may_pass: bool) -> u64 {
         if inner.chunks.contains_key(&chunk) {
             return 0;
@@ -1366,11 +894,10 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
         let generation = {
             // The previous plan goes, and its lookahead is joined, first.
             let mut la = self.retire_plan(self.lookahead.lock());
-            let m = self.membership.read();
             let mut shares: HashMap<usize, (u64, HashMap<ChunkId, PlannedUse>)> = HashMap::new();
             let mut loads: VecDeque<PlannedLoad> = VecDeque::with_capacity(plan.len());
             for (p, &bytes) in plan.iter().zip(&sizes) {
-                let Some(node) = m.partition.owner_of(p.chunk) else { continue };
+                let Some(node) = self.partition.owner_of(p.chunk) else { continue };
                 let (share, uses) = shares.entry(node).or_default();
                 *share = share.saturating_add(bytes);
                 uses.insert(p.chunk, PlannedUse { group: p.group, reads_left: p.reads, bytes });
@@ -1382,7 +909,7 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
                 la.queue = loads;
             }
             for (node, (_, uses)) in shares {
-                if let Some(st) = m.nodes.get(&node) {
+                if let Some(st) = self.nodes.get(node) {
                     st.inner.lock().plan = Some(uses);
                     la.plan_nodes += 1;
                 }
@@ -1398,31 +925,36 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
     /// some planned load is admissible.
     fn pump(&self) {
         loop {
-            let (cache, flight) = {
+            let (cache, load) = {
                 let mut la = self.lookahead.lock();
                 if la.running >= self.pool.workers() {
                     return;
                 }
                 let Some(cache) = la.cache.upgrade() else { return };
-                let Some(flight) = self.next_load(&mut la) else { return };
+                let Some(load) = self.next_load(&mut la) else { return };
                 la.running += 1;
-                (cache, flight)
+                (cache, load)
             };
-            self.pool.spawn(move || cache.run_lookahead(flight)).detach();
+            self.pool.spawn(move || cache.run_lookahead(load)).detach();
         }
     }
 
     /// One lookahead worker: fly `first`, then whatever is admissible
-    /// next, and exit — rather than wait — when nothing is.
-    fn run_lookahead(&self, first: Flight) {
+    /// next, and exit — rather than wait — when nothing is. Each load
+    /// comes from [`TaskCache::next_load`] with its flight registered;
+    /// the worker owns that flight from here on.
+    fn run_lookahead(&self, first: PlannedLoad) {
         let mut next = Some(first);
-        while let Some(flight) = next {
+        while let Some(load) = next {
             // A failed (or panicking) load is dropped whole — never
             // cached, never converted: the demand read re-reads the
             // store and fails in its own name.
-            let _ = catch_unwind(AssertUnwindSafe(|| {
-                self.load_from_store(flight, 0, true, |_| ()).is_ok()
-            }));
+            if let Some(dest) = self.nodes.get(load.node) {
+                let flight = Flight { dest, chunk: load.chunk };
+                let _ = catch_unwind(AssertUnwindSafe(|| {
+                    self.load_from_store(flight, 0, true, |_| ()).is_ok()
+                }));
+            }
             let mut la = self.lookahead.lock();
             next = self.next_load(&mut la);
             if next.is_none() {
@@ -1433,14 +965,13 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
     }
 
     /// Register a flight for the earliest queued load that is
-    /// admissible right now, and take it off the queue. A node found
-    /// full is skipped for the rest of the scan — its later loads are
-    /// no easier to admit — and loads that no longer need flying
-    /// (resident, in flight, read out, moved or moving to another
-    /// node) are dropped on the way.
-    fn next_load(&self, la: &mut Lookahead<S>) -> Option<Flight> {
+    /// admissible right now, and take it off the queue: the caller owns
+    /// that flight. A node found full is skipped for the rest of the
+    /// scan — its later loads are no easier to admit — and loads that
+    /// no longer need flying (resident, in flight, read out, owner
+    /// down) are dropped on the way.
+    fn next_load(&self, la: &mut Lookahead<S>) -> Option<PlannedLoad> {
         let capacity = self.capacity_bytes_per_node();
-        let m = self.membership.read();
         let mut full: Vec<usize> = Vec::new();
         let mut at = 0;
         while let Some(&load) = la.queue.get(at) {
@@ -1448,9 +979,7 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
                 at += 1;
                 continue;
             }
-            let owned = m.partition.owner_of(load.chunk) == Some(load.node)
-                && !m.handoff.contains_key(&load.chunk);
-            let dest = m.nodes.get(&load.node).filter(|d| owned && !d.down.load(Ordering::Acquire));
+            let dest = self.nodes.get(load.node).filter(|d| !d.down.load(Ordering::Acquire));
             let Some(dest) = dest else {
                 la.queue.remove(at);
                 continue;
@@ -1458,7 +987,7 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
             match self.admit(&mut dest.inner.lock(), load, capacity) {
                 Admission::Admitted => {
                     la.queue.remove(at);
-                    return Some(Flight { dest: Arc::clone(dest), chunk: load.chunk });
+                    return Some(load);
                 }
                 Admission::Full => {
                     full.push(load.node);
@@ -1502,43 +1031,6 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
         inner.flights.insert(load.chunk, load.bytes);
         Admission::Admitted
     }
-
-    /// Close one chunk's overlap window: forget the handoff entry, then
-    /// evict the moved-out residency from the previous owner. Idempotent
-    /// (racing fills of the same chunk may both get here). Counters for
-    /// the fill must be incremented *before* calling this — the removal
-    /// is what releases [`TaskCache::drain_moved`]'s wait.
-    fn complete_handoff(&self, chunk: ChunkId, src: &Arc<NodeState>) {
-        {
-            let mut m = self.membership.write();
-            m.handoff.remove(&chunk);
-        }
-        evict_residency(src, chunk);
-        // Taken empty-handed (both guards above released): pairs with
-        // the drain waiter's predicate check under the same mutex so a
-        // completion can never slip between its check and its park.
-        let _g = self.drain_mutex.lock();
-        self.drain_cv.notify_all();
-    }
-}
-
-/// Drop `chunk`'s residency on `st` (a moved-out copy; not an
-/// eviction). No-op when the chunk is not resident there.
-fn evict_residency(st: &NodeState, chunk: ChunkId) {
-    st.inner.lock().remove(chunk);
-}
-
-/// Run `read` again while it reports a route resolved under a stale
-/// epoch — bounded, so a membership that churns faster than reads
-/// complete surfaces [`CacheError::StaleOwner`] instead of spinning.
-fn retry_stale<T>(mut read: impl FnMut() -> Result<T>) -> Result<T> {
-    let mut attempts = 0;
-    loop {
-        match read() {
-            Err(CacheError::StaleOwner { .. }) if attempts < 2 => attempts += 1,
-            other => return other,
-        }
-    }
 }
 
 fn slice_file(view: &ChunkView, meta: &FileMeta) -> Result<Bytes> {
@@ -1581,8 +1073,7 @@ impl<S> TaskCache<S> {
         la.queue.clear();
         la.plan_nodes = 0;
         la.cache = Weak::new();
-        let states: Vec<Arc<NodeState>> = self.membership.read().nodes.values().cloned().collect();
-        for st in states {
+        for st in &self.nodes {
             st.inner.lock().plan = None;
         }
         while la.running > 0 {
@@ -1609,12 +1100,10 @@ impl<S> TaskCache<S> {
 
 impl<S> std::fmt::Debug for TaskCache<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let m = self.membership.read();
         f.debug_struct("TaskCache")
             .field("dataset", &self.dataset)
-            .field("nodes", &m.nodes.len())
-            .field("epoch", &m.epoch)
-            .field("chunks", &m.partition.chunk_count())
+            .field("nodes", &self.nodes.len())
+            .field("chunks", &self.partition.chunk_count())
             .field("file_reads", &self.metrics.file_reads())
             .field("chunk_loads", &self.metrics.chunk_loads())
             .finish()
@@ -1624,6 +1113,7 @@ impl<S> std::fmt::Debug for TaskCache<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::HashRing;
     use diesel_chunk::{ChunkBuilderConfig, ChunkIdGenerator, ChunkWriter};
     use diesel_kv::ShardedKv;
     use diesel_meta::MetaService;
@@ -1741,7 +1231,7 @@ mod tests {
 
         // Chunk-wise recovery reloads exactly node 1's partition.
         let report = c.recover_node(1).unwrap();
-        assert_eq!(report.chunks_loaded as usize, c.partition().chunks_of(1).len());
+        assert_eq!(report.chunks_loaded as usize, c.partition.chunks_of(1).len());
         for (_, meta) in &metas {
             assert!(c.get_file(meta).is_ok());
         }
@@ -1863,102 +1353,13 @@ mod tests {
     }
 
     #[test]
-    fn grow_hands_off_warm_without_touching_the_store() {
-        let (store, metas, chunks) = dataset(60, 200, 1024);
-        let c = cache(store, chunks.clone(), 4, 1 << 30, CachePolicy::Oneshot);
-        c.prefetch_all().unwrap();
-        let loads_before = c.metrics().chunk_loads();
-        assert_eq!(c.membership_epoch(), 0);
-
-        let report = c.resize(8).unwrap();
-        assert_eq!(report.epoch, 1);
-        assert_eq!(c.membership_epoch(), 1);
-        assert_eq!(c.members(), (0..8).collect::<Vec<_>>());
-        assert!(report.chunks_moved > 0, "a doubling must move chunks");
-        assert!(report.chunks_moved as usize <= chunks.len(), "movement bounded by the dataset");
-        assert_eq!(
-            report.peer_warm_hits, report.chunks_moved,
-            "fully warm cache: every move is a peer handoff"
-        );
-        assert_eq!(report.store_fallbacks, 0);
-        assert_eq!(
-            c.metrics().chunk_loads(),
-            loads_before,
-            "warm handoff must not touch the backing store"
-        );
-        // The cache still serves every file, all hits, from the new
-        // placement.
-        for (_, meta) in &metas {
-            assert!(c.get_file(meta).unwrap().chunk_hit);
-        }
-        assert!((c.resident_fraction() - 1.0).abs() < 1e-9, "overlap windows all closed");
-    }
-
-    #[test]
-    fn shrink_drains_the_leavers_chunks_to_survivors() {
-        let (store, metas, chunks) = dataset(60, 200, 1024);
-        let c = cache(store, chunks, 4, 1 << 30, CachePolicy::Oneshot);
-        c.prefetch_all().unwrap();
-        let leaver_share = c.partition().chunks_of(3).len() as u64;
-        let report = c.resize(3).unwrap();
-        assert_eq!(c.members(), vec![0, 1, 2]);
-        assert_eq!(report.chunks_moved, leaver_share, "a shrink moves exactly the leaver's share");
-        assert_eq!(report.peer_warm_hits, report.chunks_moved, "drained from the leaver's memory");
-        for (_, meta) in &metas {
-            let f = c.get_file(meta).unwrap();
-            assert!(f.chunk_hit);
-            assert!(f.owner_node < 3, "nothing routes to the retired node");
-        }
-        // The retired node is gone from the membership entirely.
-        assert_eq!(c.node_resident_bytes(3), 0);
-    }
-
-    #[test]
-    fn cold_moves_fall_back_to_the_store() {
-        let (store, metas, chunks) = dataset(60, 200, 1024);
-        // OnDemand and never read: nothing is resident anywhere.
-        let c = cache(store, chunks, 4, 1 << 30, CachePolicy::OnDemand);
-        let report = c.resize(8).unwrap();
-        assert!(report.chunks_moved > 0);
-        assert_eq!(report.peer_warm_hits, 0, "cold cache has no warm source");
-        assert_eq!(
-            report.store_fallbacks, report.chunks_moved,
-            "every move falls back to the authoritative store"
-        );
-        for (_, meta) in &metas {
-            assert!(c.get_file(meta).is_ok());
-        }
-    }
-
-    #[test]
-    fn stale_route_retry_is_bounded() {
-        let stale = || Err::<(), _>(CacheError::StaleOwner { epoch: 9 });
-        let mut calls = 0;
-        let healed = retry_stale(|| {
-            calls += 1;
-            if calls < 3 {
-                stale()
-            } else {
-                Ok(())
-            }
-        });
-        assert_eq!((healed, calls), (Ok(()), 3), "two re-resolutions are absorbed");
-        let mut calls = 0;
-        let churning = retry_stale(|| {
-            calls += 1;
-            stale()
-        });
-        assert_eq!((churning, calls), (stale(), 3), "the third stale answer surfaces");
-    }
-
-    #[test]
     fn traced_and_untraced_reads_are_the_same_reads() {
         type Outcome = Result<(Bytes, usize, bool)>;
         /// One access sequence over a fresh cache — miss-then-fill, hit,
-        /// unknown chunk, killed owner, then a full pass after a resize
-        /// — with or without an ambient tracer. Returns every
-        /// outcome, the counter totals, and how many `cache.get` spans
-        /// the run recorded.
+        /// unknown chunk, killed owner, then a full pass after that
+        /// owner's recovery — with or without an ambient tracer.
+        /// Returns every outcome, the counter totals, and how many
+        /// `cache.get` spans the run recorded.
         fn run(traced: bool) -> (Vec<Outcome>, [u64; 4], usize) {
             let (store, metas, chunks) = dataset(40, 100, 1024);
             let c = cache(store, chunks, 4, 1 << 30, CachePolicy::OnDemand);
@@ -1980,21 +1381,24 @@ mod tests {
                 uploaded_ms: 0,
             };
             rec(c.get_file(&foreign)); // unknown chunk
-            let part = c.partition();
-            let owner_of = |m: &FileMeta| part.owner_of(m.chunk).unwrap();
+
+            // Placement is the contiguous ring every client computes.
+            let ring = HashRing::contiguous(4).unwrap();
             let (_, other) = metas
                 .iter()
-                .find(|(_, m)| owner_of(m) != owner_of(meta))
+                .find(|(_, m)| ring.owner_of(m.chunk) != ring.owner_of(meta.chunk))
                 .expect("four nodes share the chunks");
-            c.kill_node(owner_of(other));
+            let killed = ring.owner_of(other.chunk);
+            c.kill_node(killed);
             rec(c.get_file(other)); // killed owner
-            c.resize(8).unwrap();
+            c.recover_node(killed).unwrap();
             for (_, m) in &metas {
-                rec(c.get_file(m));
+                let got = c.get_file(m);
+                assert_eq!(got.as_ref().map(|f| f.owner_node).ok(), Some(ring.owner_of(m.chunk)));
+                rec(got);
             }
             let m = c.metrics();
-            let counters =
-                [m.file_reads(), m.chunk_hits(), m.chunk_loads(), m.stale_owner_retries()];
+            let counters = [m.file_reads(), m.chunk_hits(), m.chunk_loads(), m.recoveries()];
             let spans = tracer.drain().iter().filter(|s| s.name == "cache.get").count();
             (out, counters, spans)
         }
@@ -2007,75 +1411,6 @@ mod tests {
         assert!(plain.iter().any(|o| matches!(o, Err(CacheError::UnknownChunk(_)))));
         assert!(plain.iter().any(|o| matches!(o, Err(CacheError::NodeDown { .. }))));
         assert!(plain.iter().any(|o| matches!(o, Ok((_, _, false)))));
-    }
-
-    #[test]
-    fn rebalance_installs_respect_the_node_byte_budget() {
-        // Regression: a rebalance must not grow a node past its budget.
-        // The budget holds ~2 chunks; a 2→4 grow hands each joiner far
-        // more.
-        let (store, metas, chunks) = dataset(96, 512, 2048);
-        let mut sizes: Vec<u64> = chunks
-            .iter()
-            .map(|&c| store.size_of(&chunk_object_key("ds", c)).unwrap() as u64)
-            .collect();
-        sizes.sort_unstable();
-        let budget = sizes[sizes.len() - 1] + sizes[sizes.len() - 2];
-        let c = cache(store, chunks, 2, budget, CachePolicy::OnDemand);
-        for (_, meta) in &metas {
-            c.get_file(meta).unwrap(); // warm, thrashing within the budget
-        }
-        let evicted_before = c.metrics().evictions();
-        let report = c.resize(4).unwrap();
-        assert!(report.chunks_moved > 8, "each joiner is handed more than it can hold");
-        assert!(report.peer_warm_hits > 0, "what the sources still held moved warm");
-        assert_eq!(report.peer_warm_hits + report.store_fallbacks, report.chunks_moved);
-        assert!(c.metrics().evictions() > evicted_before, "over-budget installs evict, and count");
-        for node in 0..4 {
-            let resident = c.node_resident_bytes(node);
-            assert!(resident <= budget, "node {node} holds {resident} B over budget {budget} B");
-        }
-        for (name, meta) in metas.iter().take(12) {
-            let i: usize = name[1..].parse().unwrap();
-            assert_eq!(c.get_file(meta).unwrap().data.as_ref(), &vec![(i % 251) as u8; 512][..]);
-        }
-    }
-
-    #[test]
-    fn identical_membership_is_a_noop() {
-        let (store, _, chunks) = dataset(10, 100, 1024);
-        let c = cache(store, chunks, 4, 1 << 30, CachePolicy::Oneshot);
-        c.prefetch_all().unwrap();
-        let report = c.resize(4).unwrap();
-        assert_eq!(report.epoch, 0, "same ring ⇒ no epoch bump");
-        assert_eq!(report.chunks_moved, 0);
-    }
-
-    #[test]
-    fn grow_shrink_roundtrip_restores_placement() {
-        let (store, metas, chunks) = dataset(60, 200, 1024);
-        let chunk_count = chunks.len() as u64;
-        let c = cache(store, chunks, 4, 1 << 30, CachePolicy::Oneshot);
-        c.prefetch_all().unwrap();
-        let before = c.partition();
-        let up = c.resize(8).unwrap();
-        let down = c.resize(4).unwrap();
-        assert_eq!(down.epoch, 2);
-        let after = c.partition();
-        for (_, meta) in &metas {
-            assert_eq!(before.owner_of(meta.chunk), after.owner_of(meta.chunk));
-            assert!(c.get_file(meta).unwrap().chunk_hit, "roundtrip keeps the cache warm");
-        }
-        assert_eq!(up.chunks_moved, down.chunks_moved, "the same chunks move back");
-        assert_eq!(down.peer_warm_hits, down.chunks_moved);
-        assert!((c.resident_fraction() - 1.0).abs() < 1e-9);
-        let snap = c.stats();
-        let warm = snap.counter("cache.rebalance.peer_warm_hits{dataset=ds}");
-        assert_eq!(warm, up.chunks_moved + down.chunks_moved);
-        assert_eq!(snap.counter("cache.rebalance.store_fallbacks{dataset=ds}"), 0);
-        assert_eq!(snap.gauge("cache.membership_epoch{dataset=ds}"), 2);
-        // Warm-up + grow + shrink read each chunk from the store once, ever.
-        assert_eq!(c.metrics().chunk_loads(), chunk_count);
     }
 
     /// A `MemObjectStore` the test drives: it counts whole-object reads,
@@ -2161,7 +1496,7 @@ mod tests {
     }
 
     /// The only node of a one-node cache.
-    fn only_node<S: ObjectStore + 'static>(c: &TaskCache<S>) -> Arc<NodeState> {
+    fn only_node<S: ObjectStore + 'static>(c: &TaskCache<S>) -> &NodeState {
         c.node_state(0).unwrap()
     }
 
@@ -2420,131 +1755,5 @@ mod tests {
             assert!(inner.plan.is_none() && inner.flights.is_empty());
             assert!(inner.resident_bytes <= cap);
         }
-    }
-
-    #[test]
-    fn stale_handoff_window_cannot_wedge_the_next_resize() {
-        // Regression: an interrupted transition can leave a chunk with
-        // an open handoff window *and* bytes already resident on the
-        // node a later transition moves it back to. The sweep's fill
-        // then returns `Resident` without ever completing the window,
-        // and the old drain loop spun forever on the orphaned entry
-        // (holding `cache.rebalance`, wedging every future transition).
-        let (store, metas, chunks) = dataset(60, 200, 1024);
-        let c = cache(store, chunks.clone(), 4, 1 << 30, CachePolicy::Oneshot);
-        c.prefetch_all().unwrap();
-        let before = c.partition();
-        c.resize(8).unwrap();
-        // Pick a chunk the coming shrink will move back: owner differs
-        // between the 4-node and 8-node rings (the roundtrip property
-        // returns it to its 4-node owner).
-        let (chunk, back_to) = chunks
-            .iter()
-            .map(|&ch| (ch, before.owner_of(ch).unwrap()))
-            .find(|&(ch, owner)| c.partition().owner_of(ch) != Some(owner))
-            .expect("a 4→8 grow must move some chunk");
-        // Forge the interrupted state: the chunk's bytes already sit on
-        // the future destination, and a leftover handoff entry points
-        // at some third node that no fill will ever touch.
-        {
-            let m = c.membership.read();
-            let cur_owner = m.partition.owner_of(chunk).unwrap();
-            let view = m.nodes[&cur_owner].inner.lock().chunks[&chunk].clone();
-            let dest = Arc::clone(&m.nodes[&back_to]);
-            let orphan_src = Arc::clone(&m.nodes[&7]);
-            drop(m);
-            assert!(c.land(&mut dest.inner.lock(), chunk, view, false) > 0);
-            c.membership.write().handoff.insert(chunk, orphan_src);
-        }
-        // Old code: this call never returns. New code: Phase 1 closes
-        // the window under the write lock and the shrink completes.
-        let report = c.resize(4).unwrap();
-        assert!(report.chunks_moved > 0);
-        assert_eq!(c.pending_handoffs(), 0, "no orphaned handoff windows survive");
-        assert!((c.resident_fraction() - 1.0).abs() < 1e-9, "no double residency either");
-        for (_, meta) in &metas {
-            assert!(c.get_file(meta).unwrap().chunk_hit);
-        }
-        // And the membership plane still transitions freely afterwards.
-        c.resize(8).unwrap();
-        c.resize(4).unwrap();
-        assert_eq!(c.pending_handoffs(), 0);
-    }
-
-    #[test]
-    fn failed_sweep_is_repaired_by_retrying_the_same_resize() {
-        let (mem, metas, chunks) = dataset(60, 200, 1024);
-        let store = Arc::new(TestStore::new(mem));
-        let c = TaskCache::new(
-            Topology::uniform(2, 4).unwrap(),
-            Arc::clone(&store),
-            "ds",
-            chunks.clone(),
-            CacheConfig { capacity_bytes_per_node: 1 << 30, policy: CachePolicy::OnDemand },
-        )
-        .unwrap();
-        // Warm half the chunks so the failing sweep is mixed: warm
-        // moves succeed peer-to-peer, cold moves hit the dead store.
-        let warm: std::collections::HashSet<ChunkId> =
-            chunks.iter().copied().take(chunks.len() / 2).collect();
-        for (_, meta) in &metas {
-            if warm.contains(&meta.chunk) {
-                c.get_file(meta).unwrap();
-            }
-        }
-        store.set_fail(true);
-        let err = c.resize(4).expect_err("cold fallbacks must surface the store outage");
-        assert!(matches!(err, CacheError::Backing(_)), "got {err:?}");
-        // The epoch is installed; the unfinished chunks keep their
-        // windows open and are reported by `pending_handoffs`.
-        assert_eq!(c.membership_epoch(), 1);
-        let open = c.pending_handoffs();
-        assert!(open > 0, "a failed sweep leaves its unfinished windows open");
-        // Retrying the *same* membership repairs instead of no-opping.
-        store.set_fail(false);
-        let report = c.resize(4).unwrap();
-        assert_eq!(report.epoch, 1, "repair does not bump the epoch");
-        assert_eq!(report.chunks_moved as usize, open, "repair covers exactly the open windows");
-        assert_eq!(report.store_fallbacks, report.chunks_moved, "unfinished chunks were all cold");
-        assert_eq!(c.pending_handoffs(), 0);
-        assert!(c.resident_fraction() <= 1.0 + 1e-9, "no ghost residencies after repair");
-        // A second retry is a true no-op.
-        let again = c.resize(4).unwrap();
-        assert_eq!(again.chunks_moved, 0);
-        for (name, meta) in &metas {
-            let i: usize = name[1..].parse().unwrap();
-            assert_eq!(c.get_file(meta).unwrap().data.as_ref(), &vec![(i % 251) as u8; 200][..]);
-        }
-    }
-
-    #[test]
-    fn failed_sweep_windows_also_heal_through_later_transitions() {
-        // The other two repair routes: a failed grow's windows are
-        // absorbed by a subsequent shrink (the chunks move back onto
-        // nodes still holding them), and on-demand reads complete
-        // windows chunk-wise.
-        let (mem, metas, chunks) = dataset(60, 200, 1024);
-        let store = Arc::new(TestStore::new(mem));
-        let c = TaskCache::new(
-            Topology::uniform(2, 4).unwrap(),
-            Arc::clone(&store),
-            "ds",
-            chunks,
-            CacheConfig { capacity_bytes_per_node: 1 << 30, policy: CachePolicy::OnDemand },
-        )
-        .unwrap();
-        store.set_fail(true);
-        assert!(c.resize(4).is_err(), "fully cold grow against a dead store must fail");
-        assert!(c.pending_handoffs() > 0);
-        store.set_fail(false);
-        // Shrinking back moves every unfinished chunk onto its original
-        // owner; the open windows must not wedge or double-count.
-        let report = c.resize(2).unwrap();
-        assert_eq!(report.epoch, 2);
-        assert_eq!(c.pending_handoffs(), 0, "the shrink absorbs the failed grow's windows");
-        for (_, meta) in &metas {
-            c.get_file(meta).unwrap();
-        }
-        assert!(c.resident_fraction() <= 1.0 + 1e-9);
     }
 }

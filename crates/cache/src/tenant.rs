@@ -192,8 +192,8 @@ impl<S: ObjectStore + 'static> TenantCacheMap<S> {
         entries
             .into_iter()
             .map(|(dataset, weight, cache)| {
-                let resident_bytes =
-                    cache.members().iter().map(|&n| cache.node_resident_bytes(n)).sum();
+                let nodes = 0..cache.topology().node_count();
+                let resident_bytes = nodes.map(|n| cache.node_resident_bytes(n)).sum();
                 let m = cache.metrics();
                 TenantUsage {
                     dataset,
@@ -321,7 +321,10 @@ mod tests {
         for m in &b_metas {
             b.get_file(m).unwrap();
         }
-        let b_resident: u64 = b.members().iter().map(|&n| b.node_resident_bytes(n)).sum();
+        let resident = |c: &TaskCache<MemObjectStore>| -> u64 {
+            (0..c.topology().node_count()).map(|n| c.node_resident_bytes(n)).sum()
+        };
+        let b_resident = resident(&b);
         assert!(b_resident > 0);
         // Tenant A hammers its cache (fills everything, repeatedly).
         for _ in 0..3 {
@@ -331,8 +334,7 @@ mod tests {
         }
         // B's residency and hit path are untouched: A evicts only
         // against A's own budget.
-        let b_after: u64 = b.members().iter().map(|&n| b.node_resident_bytes(n)).sum();
-        assert_eq!(b_resident, b_after);
+        assert_eq!(b_resident, resident(&b));
         assert_eq!(b.metrics().evictions(), 0);
     }
 
@@ -344,13 +346,14 @@ mod tests {
         for m in &a_metas {
             a.get_file(m).unwrap();
         }
-        assert!(a.members().iter().map(|&n| a.node_resident_bytes(n)).sum::<u64>() > 0);
+        let nodes = 0..a.topology().node_count();
+        assert!(nodes.map(|n| a.node_resident_bytes(n)).sum::<u64>() > 0);
         // A heavy new tenant squeezes A's share down to a sliver; A's
         // residency must shrink under the new cap immediately.
         let (_, b_chunks) = seed_dataset(&store, "b", 4, 2);
         map.register("b", b_chunks, 255).unwrap();
         let cap = map.budget_of("a").unwrap();
-        for &n in &a.members() {
+        for n in 0..a.topology().node_count() {
             assert!(a.node_resident_bytes(n) <= cap);
         }
     }

@@ -663,15 +663,11 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
 }
 
 /// Cache errors a read answers by going to the server instead (Fig. 4):
-/// the owner node is down; the snapshot is staler than the cache's
-/// partition map; or membership is churning faster than the cache's own
-/// stale-owner retries can re-resolve — the server is still
-/// authoritative, so serve from there rather than failing the read.
+/// the owner node is down, or the snapshot is staler than the cache's
+/// partition map — the server is still authoritative, so serve from
+/// there rather than failing the read.
 fn server_serves(e: &CacheError) -> bool {
-    matches!(
-        e,
-        CacheError::NodeDown { .. } | CacheError::UnknownChunk(_) | CacheError::StaleOwner { .. }
-    )
+    matches!(e, CacheError::NodeDown { .. } | CacheError::UnknownChunk(_))
 }
 
 fn build_index(snapshot: &MetaSnapshot) -> DatasetIndex {

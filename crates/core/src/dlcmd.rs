@@ -380,8 +380,8 @@ mod tests {
         reg.counter("server.tenant.throttled", &[("dataset", "a")]).add(3);
         reg.counter("cache.file_reads", &[("dataset", "b")]).add(2);
         reg.counter("server.reads", &[]).add(99);
-        reg.event("cache.rebalance", &[("dataset", "a"), ("moved", "5")]);
-        reg.event("cache.rebalance", &[("dataset", "b"), ("moved", "1")]);
+        reg.event("cache.kill_node", &[("dataset", "a"), ("node", "1")]);
+        reg.event("cache.kill_node", &[("dataset", "b"), ("node", "0")]);
         let snap = reg.snapshot();
 
         let only_a = filter_stats(&snap, "a");

@@ -255,25 +255,15 @@ pub const LOCK_RANKS: &[(&str, u32)] = &[
     ("frames", 6),
     ("slo_states", 7),
     // tenant cache map: the tenant table is consulted before any
-    // per-tenant cache work, so it ranks below the cache's membership
-    // plane and the registry.
+    // per-tenant cache work, so it ranks below every cache lock and the
+    // registry.
     ("tenants", 8),
     // obs registry: snapshot nests gate → metrics map → event ring.
     ("gate", 10),
-    // cache elastic membership: a rebalance serializes on
-    // rebalance_lock, swings the membership plane, then touches
-    // per-node inners (cache.rebalance → cache.membership →
-    // cache.node at runtime).
-    ("rebalance_lock", 12),
-    // The rebalance drain parks on this while re-reading the handoff
-    // map, so it sits between the transition serializer and the
-    // membership plane.
-    ("drain_mutex", 13),
     // The installed epoch plan's load queue: picking the next lookahead
-    // load reads the membership plane and then admits on one node at a
-    // time (cache.lookahead → cache.membership → cache.node).
+    // load admits it on its owner, one node at a time
+    // (cache.lookahead → cache.node at runtime).
     ("lookahead", 14),
-    ("membership", 15),
     ("inner", 20),
     ("events", 30),
     // exec pool: worker spawn serializes on start_lock, then appends

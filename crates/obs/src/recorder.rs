@@ -3,7 +3,7 @@
 //!
 //! A [`Registry`] snapshot is a single frame — it can say *how many*
 //! cache hits have ever happened, but not whether the hit rate cratered
-//! for thirty seconds during a rebalance. The [`FlightRecorder`] closes
+//! for thirty seconds while a node recovered. The [`FlightRecorder`] closes
 //! that gap: every [`tick`](FlightRecorder::tick) scrapes the registry
 //! and appends one [`Frame`], keeping a bounded window of recent
 //! history inside the process itself. Nothing in the tree ticks it on a

@@ -594,11 +594,15 @@ mod tests {
     fn thread_mode_fail_panics_on_inversion() {
         let a = class("t6.a");
         let b = class("t6.b");
+        // The setup edge is recorded whatever the process mode is —
+        // under `off` nothing would be, and nothing would invert.
+        warn_here();
         {
             let ga = acquire(a);
             let gb = acquire(b);
             drop((ga, gb));
         }
+        set_thread_mode(None);
         let out = std::thread::spawn(move || {
             set_thread_mode(Some(Mode::Fail));
             let gb = acquire(b);

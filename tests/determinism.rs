@@ -312,9 +312,10 @@ fn total_backing_failure_is_reported_identically_for_any_worker_count() {
     }
 }
 
-/// Like [`cached_loader_over`], but on a `nodes`-wide cache and handing
-/// back the cache so the test can resize it mid-epoch.
-fn elastic_cached_stack(
+/// Like [`cached_loader_over`], but on a `nodes`-wide cache that holds
+/// the whole dataset, prefetched, and handing back the cache so the test
+/// can watch what the epochs' plans do to it.
+fn fitting_cached_stack(
     pool: WorkPool,
     nodes: usize,
 ) -> (DataLoader<ShardedKv, MemObjectStore>, Arc<TaskCache<MemObjectStore>>) {
@@ -348,70 +349,6 @@ fn elastic_cached_stack(
     cache.prefetch_all().unwrap();
     client.attach_cache(cache.clone());
     (DataLoader::new(Arc::new(client), 8, 17).with_pool(pool).with_prefetch_depth(3), cache)
-}
-
-/// Fingerprint one epoch, resizing the cache to `to` nodes right before
-/// batch `resize_at` is pulled — membership swings while the loader's
-/// prefetch pipeline is mid-flight.
-fn epoch_fingerprint_with_resize(
-    loader: &DataLoader<ShardedKv, MemObjectStore>,
-    cache: &TaskCache<MemObjectStore>,
-    epoch: u64,
-    resize_at: usize,
-    to: usize,
-) -> (Fingerprint, diesel_dlt::cache::RebalanceReport) {
-    let mut out = Vec::new();
-    let mut report = None;
-    for (i, b) in loader.epoch_iter(epoch).unwrap().enumerate() {
-        if i == resize_at {
-            report = Some(cache.resize(to).unwrap());
-        }
-        let (x, labels) = b.unwrap();
-        out.push((labels, x.data.iter().map(|f| f.to_bits()).collect()));
-    }
-    (out, report.unwrap())
-}
-
-#[test]
-fn mid_epoch_resize_keeps_batches_byte_identical() {
-    // The elastic-membership scenario (DESIGN.md §13): a warm 4-node
-    // cache grows to 8 in the middle of epoch 0 and shrinks back to 4 in
-    // the middle of epoch 1 while training reads stream through it.
-    // Placement is a performance concern only — every batch must equal
-    // the static, server-served run bit-for-bit, at every worker count —
-    // and a fully warm cluster must relocate peer-to-peer, never
-    // re-reading the backing store.
-    let baseline = {
-        let loader = loader_over(Arc::new(MemObjectStore::new()), pool(1));
-        (0..2).map(|e| epoch_fingerprint(&loader, e)).collect::<Vec<_>>()
-    };
-    assert!(baseline[0].len() > 5, "expect a multi-batch epoch");
-    for workers in WORKER_GRID {
-        let (loader, cache) = elastic_cached_stack(pool(workers), 4);
-        let loads_before = cache.metrics().chunk_loads();
-
-        let (got0, up) = epoch_fingerprint_with_resize(&loader, &cache, 0, 3, 8);
-        assert_eq!(got0, baseline[0], "grow mid-epoch diverges at workers={workers}");
-        assert!(up.chunks_moved > 0, "a doubling must move chunks");
-        assert_eq!(
-            up.peer_warm_hits, up.chunks_moved,
-            "warm grow must be all peer handoffs at workers={workers}"
-        );
-        assert_eq!(up.store_fallbacks, 0);
-
-        let (got1, down) = epoch_fingerprint_with_resize(&loader, &cache, 1, 3, 4);
-        assert_eq!(got1, baseline[1], "shrink mid-epoch diverges at workers={workers}");
-        assert_eq!(down.peer_warm_hits, down.chunks_moved);
-        assert_eq!(down.chunks_moved, up.chunks_moved, "4→8→4 must undo exactly the grow moves");
-
-        assert_eq!(cache.membership_epoch(), 2);
-        assert_eq!(
-            cache.metrics().chunk_loads(),
-            loads_before,
-            "rebalances must not touch the backing store on a warm cluster (workers={workers})"
-        );
-        assert!((cache.resident_fraction() - 1.0).abs() < 1e-9, "survivors hold everything");
-    }
 }
 
 /// Loaders for tenants A and B plus tenant A's cache handle (the one
@@ -803,7 +740,7 @@ fn a_cache_that_fits_is_left_alone_by_the_plan() {
     // plan to the cache, and a cache whose partition fits does nothing
     // with it — no loads, no evictions, nothing released.
     for workers in WORKER_GRID {
-        let (loader, cache) = elastic_cached_stack(pool(workers), 4);
+        let (loader, cache) = fitting_cached_stack(pool(workers), 4);
         let loads = cache.metrics().chunk_loads();
         let first = epoch_fingerprint(&loader, 0);
         for epoch in 1..3 {

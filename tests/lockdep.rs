@@ -21,10 +21,13 @@ fn abba_across_two_threads_is_reported_before_any_deadlock() {
     let a = Arc::new(Mutex::named("abba.a", 0u32));
     let b = Arc::new(Mutex::named("abba.b", 0u32));
 
-    // Thread 1: A → B, putting the edge a→b in the order graph.
+    // Thread 1: A → B, putting the edge a→b in the order graph. Its
+    // mode is thread-scoped, so the edge is recorded under any process
+    // mode, `DIESEL_LOCKDEP=off` included.
     {
         let (a, b) = (Arc::clone(&a), Arc::clone(&b));
         thread::spawn(move || {
+            lockdep::set_thread_mode(Some(Mode::Warn));
             let ga = a.lock();
             let gb = b.lock();
             drop((ga, gb));
@@ -92,6 +95,7 @@ fn fail_mode_turns_the_inversion_into_a_panic_not_a_hang() {
     {
         let (a, b) = (Arc::clone(&a), Arc::clone(&b));
         thread::spawn(move || {
+            lockdep::set_thread_mode(Some(Mode::Warn));
             let ga = a.lock();
             let gb = b.lock();
             drop((ga, gb));
