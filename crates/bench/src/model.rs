@@ -14,7 +14,8 @@
 //! the chunk) or by the owner node's master client — one hop. Each
 //! master is a single-threaded data-plane [`Resource`] moving bytes at
 //! Thrift-copy speed; remote requests additionally pay a client-side
-//! round trip. The FUSE facade multiplies kernel crossings per file.
+//! round trip. A DIESEL-FUSE read also pays `fuse_per_request` per
+//! kernel crossing, `fuse_max_read` bytes at a time.
 
 use diesel_simnet::{Resource, SimTime};
 

@@ -33,22 +33,21 @@
 //!   ([`TaskCache::follow_plan`]) is its fill and eviction order:
 //!   budget-bounded lookahead, next-use eviction, release on the last
 //!   planned read. Without a plan eviction is install order, and a
-//!   node whose share fits never evicts at all.
-//! * [`tenant`] — [`TenantCacheMap`]: one `TaskCache` per tenant over a
-//!   shared node plane, with weighted per-tenant byte budgets carved
-//!   out of the node byte budget (multi-tenant isolation).
+//!   node whose share fits never evicts at all. The per-node byte
+//!   budget, like the node set, is fixed when the cache is built.
+//!
+//! Tenants are isolated the paper's way: one `TaskCache` per task, each
+//! evicting only against its own budget.
 
 mod partition;
 pub mod ring;
 pub mod task_cache;
-pub mod tenant;
 pub mod topology;
 
 pub use ring::{HashRing, DEFAULT_VNODES};
 pub use task_cache::{
     CacheConfig, CacheMetrics, CachePolicy, LoadReport, PlanGuard, PlannedChunk, TaskCache,
 };
-pub use tenant::{TenantCacheMap, TenantUsage};
 pub use topology::{PeerId, Topology};
 
 /// Errors from the distributed cache.
@@ -69,7 +68,7 @@ pub enum CacheError {
     /// The cached chunk bytes could not be parsed.
     Corrupt(String),
     /// A membership set was structurally invalid (empty ring, a node
-    /// index with no clients, a zero tenant weight, …).
+    /// index with no clients, …).
     InvalidMembership(String),
     /// The serving plane's admission controller rejected the request —
     /// the tenant's token bucket is empty or its queue overflowed. The

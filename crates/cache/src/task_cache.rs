@@ -9,7 +9,8 @@
 //! Membership is fixed when the cache is built (DESIGN.md §13): the
 //! nodes are `0..topology.node_count()` for the cache's whole life, and
 //! the chunk partition over them — the contiguous consistent-hash ring
-//! every client computes alike — never changes. A warm hit therefore
+//! every client computes alike — never changes. So is the per-node byte
+//! budget ([`CacheConfig::capacity_bytes_per_node`]). A warm hit therefore
 //! finds its owner in immutable state: a partition lookup, then that
 //! node's lock. The only membership events are the paper's: a node
 //! fails ([`TaskCache::kill_node`]) and is recovered chunk-wise
@@ -48,7 +49,7 @@ use diesel_obs::{trace, Counter, Registry, RegistrySnapshot};
 use diesel_util::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
 use diesel_chunk::{ChunkId, ChunkView};
@@ -75,9 +76,8 @@ pub enum CachePolicy {
 /// Cache construction parameters.
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
-    /// Memory budget per node for cached chunks. This is the *initial*
-    /// budget; a [`TenantCacheMap`](crate::TenantCacheMap) re-partitions
-    /// it at runtime via [`TaskCache::set_capacity_bytes_per_node`].
+    /// Memory budget per node for cached chunks, fixed for the cache's
+    /// life.
     pub capacity_bytes_per_node: u64,
     /// Fill policy — descriptive only: nothing in the cache reads it.
     /// A cache is `Oneshot` iff its owner calls
@@ -364,11 +364,6 @@ pub struct TaskCache<S> {
     backing: Arc<S>,
     dataset: String,
     config: CacheConfig,
-    /// The live per-node byte budget. Starts at
-    /// `config.capacity_bytes_per_node`; a tenant map re-partitions it
-    /// at runtime, and every install and lookahead admission reads it
-    /// fresh, so shrinks take effect immediately.
-    capacity_bytes: AtomicU64,
     verify_on_load: AtomicBool,
     registry: Arc<Registry>,
     metrics: CacheMetrics,
@@ -425,7 +420,6 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
             lookahead_idle: Condvar::new(),
             backing,
             dataset,
-            capacity_bytes: AtomicU64::new(config.capacity_bytes_per_node),
             config,
             verify_on_load: AtomicBool::new(false),
             registry,
@@ -461,29 +455,9 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
         &self.dataset
     }
 
-    /// The construction-time configuration (the *initial* budget; the
-    /// live one is [`TaskCache::capacity_bytes_per_node`]).
+    /// The construction-time configuration, byte budget included.
     pub fn config(&self) -> &CacheConfig {
         &self.config
-    }
-
-    /// The live per-node byte budget.
-    pub fn capacity_bytes_per_node(&self) -> u64 {
-        self.capacity_bytes.load(Ordering::Acquire)
-    }
-
-    /// Re-point the per-node byte budget (a tenant map re-partitioning
-    /// weighted shares) and immediately shrink every node's residency
-    /// down to it, in eviction order. Growing never evicts; shrinking
-    /// evicts synchronously so one tenant's new cap can never be violated
-    /// by residency installed under the old one. Which nodes follow an
-    /// installed plan is decided when the plan is installed, so a new
-    /// budget changes that no later than the next epoch.
-    pub fn set_capacity_bytes_per_node(&self, bytes: u64) {
-        self.capacity_bytes.store(bytes, Ordering::Release);
-        for st in &self.nodes {
-            self.evict_down_to(&mut st.inner.lock(), bytes);
-        }
     }
 
     /// Evict from `inner` until at most `limit` bytes stay resident —
@@ -831,9 +805,8 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
         Ok((out, landed))
     }
 
-    /// Make `view` resident on its node under the node byte budget
-    /// (read fresh: a tenant map may have re-partitioned it since the
-    /// last install), evicting in eviction order. With `may_pass`, a
+    /// Make `view` resident on its node under the node byte budget,
+    /// evicting in eviction order. With `may_pass`, a
     /// planned chunk never displaces one the plan reads no later than
     /// itself: it has been served to whoever loaded it and is not
     /// kept. So the lookahead never evicts what is needed sooner, and
@@ -846,7 +819,7 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
             return 0;
         }
         let size = view.chunk_len() as u64;
-        let capacity = self.capacity_bytes.load(Ordering::Acquire);
+        let capacity = self.config.capacity_bytes_per_node;
         let incoming = inner.next_use(chunk);
         while inner.resident_bytes.saturating_add(size) > capacity {
             let Some((victim, next)) = inner.victim() else { break };
@@ -863,7 +836,7 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
 
     /// Make `plan` — this epoch's chunks in order of first read — the
     /// cache's fill and eviction order on every node whose share of it
-    /// exceeds the node's live byte budget (the streaming regime of
+    /// exceeds the node's byte budget (the streaming regime of
     /// §4.3), until the returned guard drops or another plan replaces
     /// it. On such a node:
     ///
@@ -885,7 +858,7 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
     /// lookahead. The plan is advice: reads that depart from it are
     /// served all the same.
     pub fn follow_plan(self: &Arc<Self>, plan: &[PlannedChunk]) -> PlanGuard<S> {
-        let capacity = self.capacity_bytes_per_node();
+        let capacity = self.config.capacity_bytes_per_node;
         // What each chunk will weigh once resident: the store knows (a
         // metadata lookup, not a read), the shuffle plan does not.
         let stored = |chunk| self.backing.size_of(&chunk_object_key(&self.dataset, chunk));
@@ -971,7 +944,7 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
     /// no longer need flying (resident, in flight, read out, owner
     /// down) are dropped on the way.
     fn next_load(&self, la: &mut Lookahead<S>) -> Option<PlannedLoad> {
-        let capacity = self.capacity_bytes_per_node();
+        let capacity = self.config.capacity_bytes_per_node;
         let mut full: Vec<usize> = Vec::new();
         let mut at = 0;
         while let Some(&load) = la.queue.get(at) {
@@ -1118,6 +1091,7 @@ mod tests {
     use diesel_kv::ShardedKv;
     use diesel_meta::MetaService;
     use diesel_store::MemObjectStore;
+    use std::sync::atomic::AtomicU64;
 
     /// Build a dataset of `files` files of `file_size` bytes in small
     /// chunks; returns (store, metadata service, file metas by name).

@@ -6,8 +6,8 @@
 //! The paper's deployment puts Thrift between libDIESEL and the server
 //! (Fig. 2); this enum is that interface. A [`DirectChannel`] keeps the
 //! co-located case free of queues and copies, while the same call sites
-//! can be pointed at a thread transport or a load-balanced pool
-//! ([`ServerPool`](crate::ServerPool)) without touching client code.
+//! can be pointed at a thread transport, with retry and fault injection
+//! layered on, without touching client code.
 
 use std::sync::Arc;
 

@@ -259,20 +259,13 @@ fn run(args: &[String]) -> Result<(), Cli> {
             let snap = server.handle(ServerRequest::Stats).map_err(Cli::from)?.into_stats()?;
             let rows = dlcmd::tenant_stats(&snap);
             println!(
-                "{:<24} {:>14} {:>14} {:>10} {:>9} {:>9} {:>9}",
-                "dataset",
-                "budget_bytes",
-                "bytes_loaded",
-                "reads",
-                "hit_rate",
-                "admitted",
-                "throttled"
+                "{:<24} {:>14} {:>10} {:>9} {:>9} {:>9}",
+                "dataset", "bytes_loaded", "reads", "hit_rate", "admitted", "throttled"
             );
             for r in rows {
                 println!(
-                    "{:<24} {:>14} {:>14} {:>10} {:>8.1}% {:>9} {:>9}",
+                    "{:<24} {:>14} {:>10} {:>8.1}% {:>9} {:>9}",
                     r.dataset,
-                    r.budget_bytes,
                     r.bytes_loaded,
                     r.file_reads,
                     r.hit_rate() * 100.0,

@@ -109,7 +109,7 @@ pub struct EpochBatches<S> {
 /// channel carrying [`ServerRequest`]s. [`connect`](Self::connect)
 /// builds a direct in-process channel (zero overhead, as before);
 /// [`connect_channel`](Self::connect_channel) accepts any channel — a
-/// thread transport, a load-balanced pool, a fault-injected test rig.
+/// thread transport, a retrying or fault-injected stack.
 pub struct DieselClient<K, S> {
     conn: ServerConn,
     // Kept for co-located deployments so `server()` still hands out the
@@ -147,7 +147,7 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
     }
 
     /// `DL_connect` over an arbitrary `diesel-net` channel (thread
-    /// transport, server pool, instrumented/fault-injected stack).
+    /// transport, instrumented/fault-injected stack).
     pub fn connect_channel(conn: ServerConn, dataset: impl Into<String>) -> Self {
         Self::connect_channel_with(conn, dataset, ClientConfig::default())
     }
@@ -405,9 +405,8 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
     }
 
     /// `DL_get`: read one file. Resolution order is the read flow of
-    /// Fig. 4 — task-grained cache first (one hop), then the server
-    /// (which consults its own tiers). A cache node failure falls back
-    /// to the server path transparently.
+    /// Fig. 4 — task-grained cache first (one hop), then the server. A
+    /// cache node failure falls back to the server path transparently.
     pub fn get(&self, path: &str) -> Result<Bytes> {
         let _tracer = self.tracer.as_ref().map(trace::install_tracer);
         let _span = if trace::active() {
@@ -567,7 +566,7 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
     }
 
     /// Generate this epoch's shuffled file list (the list the training
-    /// framework reads; FUSE users fetch it via a helper file).
+    /// framework reads).
     pub fn epoch_file_list(&self, seed: u64, epoch: u64) -> Result<Vec<String>> {
         self.with_epoch_plan(seed, epoch, |index, plan| {
             plan.items.iter().map(|&i| index.resolve(i).1.to_owned()).collect()
@@ -648,6 +647,9 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
     ) -> Result<T> {
         let kind = (*self.shuffle.read())
             .ok_or_else(|| DieselError::Client("call enable_shuffle first".into()))?;
+        if kind == (ShuffleKind::ChunkWise { group_size: 0 }) {
+            return Err(DieselError::Client("chunk-wise shuffle needs group_size >= 1".into()));
+        }
         let guard = self.meta.read();
         let state = guard
             .as_ref()
@@ -827,6 +829,21 @@ mod tests {
                 assert!(list == all || list == without, "epoch {epoch} is not a permutation");
             }
         });
+    }
+
+    #[test]
+    fn a_zero_group_size_is_a_typed_error_not_a_panic() {
+        let s = server();
+        let c = small_chunk_client(&s, 12);
+        populate(&c, 8, 64);
+        c.download_meta().unwrap();
+        c.enable_shuffle(ShuffleKind::ChunkWise { group_size: 0 });
+        assert!(matches!(c.epoch_file_list(1, 0), Err(DieselError::Client(_))));
+        assert!(matches!(c.epoch_plan(1, 0), Err(DieselError::Client(_))));
+        assert!(matches!(c.epoch_batches(1, 0, 4), Err(DieselError::Client(_))));
+        // The client stays usable: a valid group size plans as before.
+        c.enable_shuffle(ShuffleKind::ChunkWise { group_size: 2 });
+        assert_eq!(c.epoch_file_list(1, 0).unwrap().len(), 8);
     }
 
     #[test]

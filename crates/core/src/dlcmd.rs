@@ -2,8 +2,8 @@
 //! tool (DLCMD, similar to s3cmd in Amazon S3) is provided to write and
 //! manage the datasets in DIESEL").
 //!
-//! These functions are the tool's verbs; the `quickstart` example wires
-//! them to a binary.
+//! These functions are the tool's verbs; the `dlcmd` binary wires them
+//! to a CLI.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -153,8 +153,6 @@ pub fn filter_stats(
 pub struct TenantStatsRow {
     /// Tenant name (the dataset).
     pub dataset: String,
-    /// Per-node cache byte budget (`cache.tenant.budget_bytes`).
-    pub budget_bytes: u64,
     /// Bytes loaded into the tenant's cache so far.
     pub bytes_loaded: u64,
     /// File reads served through the tenant's cache.
@@ -195,9 +193,7 @@ pub fn tenant_stats(snap: &diesel_obs::RegistrySnapshot) -> Vec<TenantStatsRow> 
         .into_iter()
         .map(|dataset| {
             let c = |name: &str| snap.counter(&format!("{name}{{dataset={dataset}}}"));
-            let g = |name: &str| snap.gauge(&format!("{name}{{dataset={dataset}}}"));
             TenantStatsRow {
-                budget_bytes: g("cache.tenant.budget_bytes"),
                 bytes_loaded: c("cache.bytes_loaded"),
                 file_reads: c("cache.file_reads"),
                 chunk_hits: c("cache.chunk_hits"),
@@ -376,7 +372,7 @@ mod tests {
         reg.counter("cache.file_reads", &[("dataset", "a")]).add(10);
         reg.counter("cache.chunk_hits", &[("dataset", "a")]).add(8);
         reg.counter("cache.bytes_loaded", &[("dataset", "a")]).add(4096);
-        reg.gauge("cache.tenant.budget_bytes", &[("dataset", "a")]).set(1 << 20);
+        reg.gauge("server.tenant.qps_ceiling", &[("dataset", "a")]).set(50);
         reg.counter("server.tenant.throttled", &[("dataset", "a")]).add(3);
         reg.counter("cache.file_reads", &[("dataset", "b")]).add(2);
         reg.counter("server.reads", &[]).add(99);
@@ -388,7 +384,7 @@ mod tests {
         assert_eq!(only_a.counter("cache.file_reads{dataset=a}"), 10);
         assert_eq!(only_a.counter("cache.file_reads{dataset=b}"), 0);
         assert_eq!(only_a.counter("server.reads"), 0, "unlabelled metrics are dropped");
-        assert_eq!(only_a.gauge("cache.tenant.budget_bytes{dataset=a}"), 1 << 20);
+        assert_eq!(only_a.gauge("server.tenant.qps_ceiling{dataset=a}"), 50);
         assert_eq!(only_a.events.len(), 1);
 
         let rows = tenant_stats(&snap);
@@ -397,7 +393,6 @@ mod tests {
         assert_eq!(rows[0].file_reads, 10);
         assert_eq!(rows[0].chunk_hits, 8);
         assert_eq!(rows[0].bytes_loaded, 4096);
-        assert_eq!(rows[0].budget_bytes, 1 << 20);
         assert_eq!(rows[0].throttled, 3);
         assert!((rows[0].hit_rate() - 0.8).abs() < 1e-9);
         assert_eq!(rows[1].dataset, "b");

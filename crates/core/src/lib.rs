@@ -14,9 +14,6 @@
 //!   as idiomatic Rust methods. The client holds the metadata snapshot /
 //!   namespace ("metadata cache and interpreter") and optionally attaches
 //!   to a task-grained distributed cache.
-//! * [`fuse`] — the FUSE-style VFS facade: POSIX-ish `open`/`read`/
-//!   `readdir` over a client, with kernel-style request splitting and the
-//!   per-request overhead accounting behind the DIESEL-FUSE curves.
 //! * [`dlcmd`] — the `DLCMD` dataset-management tool (import a directory
 //!   tree, export, purge), mirroring `s3cmd`-style usage; the `dlcmd`
 //!   binary wraps it as a CLI.
@@ -26,16 +23,12 @@ pub mod api;
 pub mod client;
 pub mod dlcmd;
 pub mod executor;
-pub mod fuse;
-pub mod pool;
 pub mod server;
 
 pub use admission::{AdmissionConfig, AdmissionController, Permit};
 pub use api::{ServerConn, ServerReply, ServerRequest, ServerResponse};
 pub use client::{ClientConfig, DieselClient};
 pub use executor::{plan_chunk_reads, ChunkReadPlan};
-pub use fuse::{FuseConfig, FuseMount, FuseStats};
-pub use pool::ServerPool;
 pub use server::DieselServer;
 
 /// Errors from the core layer.

@@ -154,13 +154,6 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
         &self.registry
     }
 
-    /// A snapshot of this server's *own* metrics only — what a
-    /// [`ServerPool`](crate::ServerPool) merges per front-end so shared
-    /// backends are not double counted.
-    pub fn own_snapshot(&self) -> RegistrySnapshot {
-        self.registry.snapshot()
-    }
-
     /// The full observability picture through this server: its own
     /// `server.*` counters merged with the KV database's `kv.*` and the
     /// object store's `store.*` metrics, when those layers keep

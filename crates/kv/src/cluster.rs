@@ -166,11 +166,6 @@ impl KvCluster {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Per-instance key counts (diagnostics / balance tests).
-    pub fn key_distribution(&self) -> Vec<usize> {
-        self.instances.iter().map(|i| i.len()).collect()
-    }
 }
 
 impl KvStore for KvCluster {
@@ -284,7 +279,7 @@ mod tests {
         for i in 0..10_000 {
             c.put(&format!("file/{i}"), vec![0].into()).unwrap();
         }
-        let dist = c.key_distribution();
+        let dist: Vec<usize> = c.instances.iter().map(|i| i.len()).collect();
         assert_eq!(dist.iter().sum::<usize>(), 10_000);
         for &d in &dist {
             assert!(d > 1500, "instance starved: {dist:?}");

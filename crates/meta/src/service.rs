@@ -79,7 +79,7 @@ impl<K: KvStore> MetaService<K> {
 
         // Fold this chunk's contribution into the dataset record with an
         // atomic store-side update (concurrent ingest through *other*
-        // pool servers races on the same record).
+        // servers over the same KV races on the same record).
         let mut decode_err = None;
         self.kv.update(&keys::dataset_key(dataset), &mut |cur| {
             let mut rec = match cur {

@@ -13,8 +13,8 @@
 //! - [`DirectChannel`] — in-process dispatch with no thread hop. Used by
 //!   `DieselClient` when connected to a co-located server; preserves the
 //!   zero-copy, zero-queue behavior of calling the server directly.
-//! - [`ThreadServer`]/[`ThreadChannel`] — a serving thread fed by a
-//!   crossbeam channel, one reply channel per call.
+//! - [`ThreadServer`]/[`ThreadChannel`] — a serving thread fed by an
+//!   mpsc channel, one reply channel per call.
 //! - [`Retry`] — bounded retries with exponential backoff on retryable
 //!   errors, driven by an injectable [`Clock`] so tests never sleep.
 //! - [`FaultChannel`] — seeded fault injection (drop → timeout, delay,
@@ -23,10 +23,7 @@
 //! - [`Instrumented`] + [`EndpointMetrics`] — per-endpoint request/
 //!   error/retry/timeout counters and a latency histogram, living in a
 //!   shared [`diesel_obs::Registry`] for one-snapshot observability.
-//! - [`BalancedChannel`] — round-robin load balancing over N backends
-//!   with failover past disconnected ones.
 
-pub mod balance;
 pub mod clock;
 pub mod direct;
 pub mod fault;
@@ -34,7 +31,6 @@ pub mod retry;
 pub mod stats;
 pub mod thread;
 
-pub use balance::BalancedChannel;
 pub use clock::{Clock, MockClock, SystemClock};
 pub use direct::DirectChannel;
 pub use fault::{FaultChannel, FaultPolicy};
@@ -72,7 +68,7 @@ impl std::fmt::Display for Endpoint {
 /// `Resp` (typically a `Result`), not here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
-    /// No reply within the channel's deadline.
+    /// No reply within the deadline (an injected drop burns it).
     Timeout {
         /// Who we were calling.
         endpoint: Endpoint,

@@ -1,18 +1,16 @@
 //! Serving-thread transport: one thread owns the state, callers send
 //! requests over an mpsc channel and block on a per-call reply channel.
 //!
-//! The request envelope, reply-sender plumbing, shutdown message, and
-//! deadline handling are all here, so a server only provides a handler
-//! closure.
+//! The request envelope, reply-sender plumbing and shutdown message are
+//! all here, so a server only provides a handler closure.
 //!
 //! Calls carry the caller's [`TraceContext`] across the thread hop: the
 //! serving thread installs it around the handler, so spans opened while
 //! handling parent the caller's span even though they run on another
 //! thread.
 
-use std::sync::mpsc::{channel, sync_channel, RecvTimeoutError, Sender, SyncSender};
+use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use diesel_obs::trace;
 use diesel_obs::TraceContext;
@@ -67,9 +65,9 @@ impl<Req: Send + 'static, Resp: Send + 'static> ThreadServer<Req, Resp> {
         ThreadServer { endpoint, tx, thread }
     }
 
-    /// A new caller-side channel to this server, with no deadline.
+    /// A new caller-side channel to this server.
     pub fn channel(&self) -> ThreadChannel<Req, Resp> {
-        ThreadChannel { endpoint: self.endpoint.clone(), tx: self.tx.clone(), timeout_ns: None }
+        ThreadChannel { endpoint: self.endpoint.clone(), tx: self.tx.clone() }
     }
 
     /// This server's endpoint.
@@ -106,32 +104,11 @@ impl<Req, Resp> std::fmt::Debug for ThreadServer<Req, Resp> {
 pub struct ThreadChannel<Req, Resp> {
     endpoint: Endpoint,
     tx: Sender<Msg<Req, Resp>>,
-    timeout_ns: Option<u64>,
-}
-
-impl<Req, Resp> ThreadChannel<Req, Resp> {
-    /// Bound each call's wait for a reply to `ns` nanoseconds.
-    /// A call that exceeds it fails with [`NetError::Timeout`]; the
-    /// server may still process the request, but the reply is dropped
-    /// (lost-reply semantics, as on a real network).
-    pub fn with_timeout_ns(mut self, ns: u64) -> Self {
-        self.timeout_ns = Some(ns);
-        self
-    }
-
-    /// The configured deadline, if any.
-    pub fn timeout_ns(&self) -> Option<u64> {
-        self.timeout_ns
-    }
 }
 
 impl<Req, Resp> Clone for ThreadChannel<Req, Resp> {
     fn clone(&self) -> Self {
-        ThreadChannel {
-            endpoint: self.endpoint.clone(),
-            tx: self.tx.clone(),
-            timeout_ns: self.timeout_ns,
-        }
+        ThreadChannel { endpoint: self.endpoint.clone(), tx: self.tx.clone() }
     }
 }
 
@@ -141,19 +118,7 @@ impl<Req: Send, Resp: Send> Service<Req, Resp> for ThreadChannel<Req, Resp> {
         self.tx
             .send(Msg::Call { req, reply: rtx, ctx: trace::current_context() })
             .map_err(|_| NetError::Disconnected { endpoint: self.endpoint.clone() })?;
-        match self.timeout_ns {
-            None => {
-                rrx.recv().map_err(|_| NetError::Disconnected { endpoint: self.endpoint.clone() })
-            }
-            Some(ns) => rrx.recv_timeout(Duration::from_nanos(ns)).map_err(|e| match e {
-                RecvTimeoutError::Timeout => {
-                    NetError::Timeout { endpoint: self.endpoint.clone(), after_ns: ns }
-                }
-                RecvTimeoutError::Disconnected => {
-                    NetError::Disconnected { endpoint: self.endpoint.clone() }
-                }
-            }),
-        }
+        rrx.recv().map_err(|_| NetError::Disconnected { endpoint: self.endpoint.clone() })
     }
 
     fn endpoint(&self) -> Endpoint {
@@ -163,10 +128,7 @@ impl<Req: Send, Resp: Send> Service<Req, Resp> for ThreadChannel<Req, Resp> {
 
 impl<Req, Resp> std::fmt::Debug for ThreadChannel<Req, Resp> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadChannel")
-            .field("endpoint", &self.endpoint)
-            .field("timeout_ns", &self.timeout_ns)
-            .finish()
+        f.debug_struct("ThreadChannel").field("endpoint", &self.endpoint).finish()
     }
 }
 
@@ -216,31 +178,6 @@ mod tests {
         srv.kill(); // idempotent
         let err = chan.call(2).unwrap_err();
         assert_eq!(err, NetError::Disconnected { endpoint: Endpoint::new("dead", 4) });
-    }
-
-    #[test]
-    fn slow_handler_times_out_and_reply_is_dropped() {
-        let srv = ThreadServer::spawn(Endpoint::new("slow", 2), |x: u64| {
-            std::thread::sleep(Duration::from_millis(50));
-            x
-        });
-        let chan = srv.channel().with_timeout_ns(1_000_000); // 1 ms
-        let err = chan.call(7).unwrap_err();
-        assert_eq!(
-            err,
-            NetError::Timeout { endpoint: Endpoint::new("slow", 2), after_ns: 1_000_000 }
-        );
-        // The server is still alive and serves later calls.
-        let chan2 = srv.channel();
-        assert_eq!(chan2.call(8).unwrap(), 8);
-    }
-
-    #[test]
-    fn fast_handler_beats_its_deadline() {
-        let srv = ThreadServer::spawn(Endpoint::new("fast", 3), |x: u64| x + 5);
-        let chan = srv.channel().with_timeout_ns(5_000_000_000); // 5 s
-        assert_eq!(chan.call(1).unwrap(), 6);
-        assert_eq!(chan.timeout_ns(), Some(5_000_000_000));
     }
 
     #[test]

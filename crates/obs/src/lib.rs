@@ -10,7 +10,8 @@
 //!   atomics; the hot path takes no lock.
 //! * [`RegistrySnapshot`] — a consistent point-in-time copy. Updates
 //!   grouped in [`Registry::batch`] appear all-or-nothing; snapshots
-//!   merge, so a `ServerPool` aggregates per-node registries exactly.
+//!   merge, so a server's `Stats` reply folds the KV and store
+//!   registries into its own exactly.
 //! * [`Event`] — a bounded structured-event ring (`{ts, scope, kv}`)
 //!   stamped via the injected [`diesel_util::Clock`], so replays stay
 //!   deterministic under `MockClock`.

@@ -1,6 +1,6 @@
 //! Prometheus text exposition for [`RegistrySnapshot`]s.
 //!
-//! Renders any snapshot — single-node or pool-merged — in the
+//! Renders any snapshot — one registry's or a merged one — in the
 //! Prometheus text format (version 0.0.4), so the fleet can be scraped
 //! by stock tooling via `dlcmd scrape` / `ServerRequest::Scrape`:
 //!

@@ -111,8 +111,7 @@ struct Ring {
 }
 
 /// The flight recorder. Cheap to share behind an `Arc`; one per
-/// registry (a server pool runs one per node and merges at scrape
-/// time, exactly like `stats`).
+/// registry.
 pub struct FlightRecorder {
     registry: Arc<Registry>,
     clock: Arc<dyn Clock>,

@@ -335,8 +335,8 @@ fn section_of(id: &str) -> &str {
     id.split(['.', '{']).next().unwrap_or(id)
 }
 
-/// A point-in-time copy of a [`Registry`]. Mergeable, so pool-level
-/// aggregation is just `merge` over per-node snapshots.
+/// A point-in-time copy of a [`Registry`]. Mergeable, so aggregating
+/// several registries is just `merge` over their snapshots.
 #[derive(Debug, Clone, Default)]
 pub struct RegistrySnapshot {
     /// Counter values keyed by full metric id.

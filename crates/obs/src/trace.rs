@@ -69,8 +69,7 @@ pub struct TraceContext {
 pub struct Span {
     /// Trace this span belongs to.
     pub trace: u64,
-    /// This span's id, unique within the tracer (and across tracers
-    /// with distinct [`Tracer::with_part`] values).
+    /// This span's id, unique within the tracer.
     pub id: u64,
     /// Parent span id, `None` for a trace root.
     pub parent: Option<u64>,
@@ -145,9 +144,6 @@ struct TracerInner {
     registry: Arc<Registry>,
     clock: Arc<dyn Clock>,
     sampling: Sampling,
-    /// High bits OR-ed into minted ids so tracers in one deployment can
-    /// be kept collision-free; pre-shifted.
-    part: AtomicU64,
     next_trace: AtomicU64,
     next_span: AtomicU64,
     root_seq: AtomicU64,
@@ -198,7 +194,6 @@ impl Tracer {
                 registry: Arc::clone(registry),
                 clock: Arc::clone(registry.clock()),
                 sampling,
-                part: AtomicU64::new(0),
                 next_trace: AtomicU64::new(1),
                 next_span: AtomicU64::new(1),
                 root_seq: AtomicU64::new(0),
@@ -211,15 +206,6 @@ impl Tracer {
                 slow_ns,
             }),
         }
-    }
-
-    /// Namespace this tracer's minted ids under `part` (high 16 bits),
-    /// so several tracers in one deployment (e.g. one per pool node)
-    /// never mint colliding ids. Set before any span is recorded.
-    #[must_use]
-    pub fn with_part(self, part: u16) -> Self {
-        self.inner.part.store((part as u64) << 48, Ordering::Relaxed);
-        self
     }
 
     /// The sampling mode this tracer was built with.
@@ -259,13 +245,11 @@ impl Tracer {
     }
 
     fn mint_trace(&self) -> u64 {
-        self.inner.part.load(Ordering::Relaxed)
-            | self.inner.next_trace.fetch_add(1, Ordering::Relaxed)
+        self.inner.next_trace.fetch_add(1, Ordering::Relaxed)
     }
 
     fn mint_span(&self) -> u64 {
-        self.inner.part.load(Ordering::Relaxed)
-            | self.inner.next_span.fetch_add(1, Ordering::Relaxed)
+        self.inner.next_span.fetch_add(1, Ordering::Relaxed)
     }
 
     fn finish(&self, span: Span) {
@@ -651,28 +635,6 @@ mod tests {
         let ev = slow.first().unwrap();
         assert!(ev.kv.iter().any(|(k, v)| k == "span" && v == "slow.op"), "{ev:?}");
         assert!(ev.kv.iter().any(|(k, v)| k == "took" && v == "200.00ms"), "{ev:?}");
-    }
-
-    #[test]
-    fn part_namespaces_minted_ids() {
-        let (_, _, a) = rig(Sampling::Always);
-        let b = {
-            let clock = Arc::new(MockClock::new());
-            let registry = Arc::new(Registry::new(clock));
-            Tracer::with_sampling(&registry, Sampling::Always).with_part(2)
-        };
-        let span_a = {
-            let _t = install_tracer(&a);
-            let s = span("x", &[]);
-            s.context().unwrap()
-        };
-        let span_b = {
-            let _t = install_tracer(&b);
-            let s = span("x", &[]);
-            s.context().unwrap()
-        };
-        assert_ne!(span_a.span, span_b.span);
-        assert_eq!(span_b.span >> 48, 2);
     }
 
     #[test]

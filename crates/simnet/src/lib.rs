@@ -13,31 +13,17 @@
 //! asking each resource it crosses for a grant; queueing delays emerge
 //! naturally when many actors hit one resource.
 //!
-//! Two drivers are provided, both bit-reproducible:
-//!
-//! * [`run_actors`] — closed loop: a deterministic event-loop that always
-//!   advances the actor with the smallest clock.
-//! * [`run_multi_tenant_observed`] — open loop: seeded Poisson streams, one per
-//!   tenant, merged in arrival order against a shared pool (one tenant
-//!   is the single-stream case).
+//! The driver, [`run_actors`], is a closed loop: a deterministic,
+//! bit-reproducible event loop that always advances the actor with the
+//! smallest clock.
 //!
 //! Resources are internally synchronized, so real-thread drivers can
-//! share them too when determinism is not required. Latency
-//! distributions are [`diesel_obs::Histogram`]s over nanoseconds.
+//! share them too when determinism is not required.
 
 pub mod driver;
-pub mod multitenant;
 pub mod resource;
-pub mod telemetry;
 pub mod time;
 
 pub use driver::{run_actors, SimActor, SimReport};
-pub use multitenant::{
-    run_multi_tenant_observed, MultiTenantConfig, MultiTenantReport, OpClass, OpMix, OpOutcome,
-    ServiceModel, SimAdmission, TenantReport, TenantSpec,
-};
 pub use resource::{Grant, Resource};
-pub use telemetry::{
-    noisy_neighbour_config, run_telemetry, SloTransition, TelemetryConfig, TelemetryOutcome,
-};
 pub use time::SimTime;

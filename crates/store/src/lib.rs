@@ -13,26 +13,20 @@
 //!   examples to persist datasets on local disk.
 //! * [`DeviceModel`] — analytic device cost model
 //!   (`t = overhead + size / bandwidth`, k-wide) calibrated against the
-//!   paper's Table 2; [`DelayedStore`] attaches it to any `ObjectStore`
-//!   and spends each call's service time on an injectable clock.
-//! * [`TieredStore`] — the server-side SSD/HDD cache of Fig. 4: reads hit
-//!   the fast tier when cached, and a miss triggers background caching of
-//!   the dataset's chunks into the fast tier.
+//!   paper's Table 2.
+//! * [`FaultyStore`] — seeded I/O-error and corruption injection over
+//!   any `ObjectStore`.
 
-pub mod delay;
 pub mod dir;
 pub mod faulty;
 pub mod mem;
 pub mod model;
-pub mod tiered;
 
-pub use delay::DelayedStore;
 pub use diesel_util::Bytes;
 pub use dir::DirObjectStore;
 pub use faulty::{FaultConfig, FaultyStore};
 pub use mem::MemObjectStore;
 pub use model::DeviceModel;
-pub use tiered::{TierMetrics, TieredStore};
 
 /// Errors from object-store operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,7 +110,7 @@ pub trait ObjectStore: Send + Sync {
     fn total_bytes(&self) -> u64;
 
     /// A snapshot of this store's metric registry, when it keeps one
-    /// (e.g. [`TieredStore`] hit/promotion counters). Front-end servers
+    /// (e.g. [`DirObjectStore`]'s `store.*{device=dir}` counters). Front-end servers
     /// merge it into their own snapshot so one read shows the whole
     /// pipeline.
     fn obs_snapshot(&self) -> Option<diesel_obs::RegistrySnapshot> {

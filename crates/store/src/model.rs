@@ -48,16 +48,6 @@ impl DeviceModel {
         }
     }
 
-    /// A single local NVMe SSD (the XFS device of Fig. 10c).
-    pub fn local_nvme() -> Self {
-        DeviceModel {
-            name: "local-nvme",
-            per_request_overhead: SimTime::from_micros(12),
-            bytes_per_sec: 2.8e9,
-            parallelism: 8,
-        }
-    }
-
     /// Service time for one request of `bytes`.
     pub fn service_time(&self, bytes: u64) -> SimTime {
         self.per_request_overhead + SimTime::for_bytes(bytes, self.bytes_per_sec)

@@ -1,5 +1,5 @@
 //! Quickstart: deploy DIESEL, import a directory with DLCMD, read it
-//! back through the libDIESEL API and the FUSE facade.
+//! back through the libDIESEL API, then delete and purge.
 //!
 //! ```text
 //! cargo run --example quickstart
@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use diesel_dlt::core::dlcmd;
-use diesel_dlt::core::{DieselClient, DieselServer, FuseConfig, FuseMount};
+use diesel_dlt::core::{DieselClient, DieselServer};
 use diesel_dlt::kv::ShardedKv;
 use diesel_dlt::store::MemObjectStore;
 
@@ -61,20 +61,16 @@ fn main() {
         meta.length, meta.chunk, meta.offset
     );
 
-    // 5. Read through the API...
-    let body = client.get("train/dog/img000.jpg").unwrap();
+    // 5. Read through the API — here from a second worker that loads the
+    //    snapshot from a file (DL_save_meta / DL_load_meta) instead of
+    //    downloading it; the load checks it is fresh against the server.
+    let snap_path = staging.join("pets.snapshot");
+    client.save_meta(&snap_path).unwrap();
+    let worker = DieselClient::connect(server.clone(), "pets");
+    worker.load_meta(&snap_path).unwrap();
+    assert_eq!(worker.file_list().unwrap().len() as u64, files);
+    let body = worker.get("train/dog/img000.jpg").unwrap();
     assert!(body.starts_with(b"dog-image-0"));
-
-    // ...and through the FUSE facade, the way PyTorch/TensorFlow would.
-    let fuse = FuseMount::mount(
-        Arc::new(DieselClient::connect(server.clone(), "pets")),
-        FuseConfig::default(),
-    );
-    fuse.client().download_meta().unwrap();
-    let fd = fuse.open("train/fox/img039.jpg").unwrap();
-    let first = fuse.read(fd, 0, 13).unwrap();
-    println!("FUSE read: {:?}...", std::str::from_utf8(&first).unwrap());
-    fuse.close(fd).unwrap();
 
     // 6. Housekeeping: delete a file, purge the hole, verify space
     //    reclaimed.

@@ -11,14 +11,14 @@
 //!   on top ([`meta`]),
 //! * shared object storage with calibrated device models ([`store`]),
 //! * the task-grained distributed cache ([`cache`]),
-//! * a typed RPC layer with timeouts, retries, fault injection and
+//! * a typed RPC layer with retries, fault injection and
 //!   per-endpoint stats, carrying all inter-node traffic ([`net`]),
 //! * a lock-light metrics registry + structured event ring that every
 //!   serving layer reports into ([`obs`]),
 //! * a work-pool/pipeline executor behind every background thread in
 //!   the tree, with a deterministic inline mode ([`exec`]),
 //! * the chunk-wise shuffle ([`shuffle`]),
-//! * the DIESEL server + libDIESEL client + FUSE facade ([`core`]),
+//! * the DIESEL server + libDIESEL client + DLCMD ([`core`]),
 //! * baselines (Lustre-like FS, Memcached cluster) ([`baselines`]),
 //! * a mini training stack for the accuracy experiments ([`train`]),
 //! * and a deterministic cluster simulator ([`simnet`]).

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use diesel_dlt::chunk::ChunkBuilderConfig;
-use diesel_dlt::core::{ClientConfig, DieselClient, DieselServer, ServerPool};
+use diesel_dlt::core::{ClientConfig, DieselClient, DieselServer};
 use diesel_dlt::kv::{ClusterConfig, KvCluster, ShardedKv};
 use diesel_dlt::store::MemObjectStore;
 
@@ -21,17 +21,20 @@ fn content_for(writer: usize, i: usize) -> Vec<u8> {
 fn parallel_writers_then_parallel_readers() {
     let kv = Arc::new(KvCluster::new(ClusterConfig { instances: 8, shards_per_instance: 16 }));
     let store = Arc::new(MemObjectStore::new());
-    let pool = Arc::new(ServerPool::deploy(3, kv, store));
+    // Three stateless front-ends over one KV and one store; each client
+    // picks one by index, so every front-end serves writers and readers.
+    let servers: Arc<[_]> =
+        (0..3).map(|_| Arc::new(DieselServer::new(kv.clone(), store.clone()))).collect();
 
     const WRITERS: usize = 6;
     const FILES_EACH: usize = 150;
 
     let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
-            let pool = pool.clone();
+            let servers = servers.clone();
             std::thread::spawn(move || {
                 let c = DieselClient::connect_with(
-                    pool.assign(),
+                    servers[w % servers.len()].clone(),
                     "stress",
                     ClientConfig {
                         chunk: ChunkBuilderConfig { target_chunk_size: 4096, ..Default::default() },
@@ -48,16 +51,18 @@ fn parallel_writers_then_parallel_readers() {
         t.join().unwrap();
     }
 
-    // Every server in the pool sees the complete dataset.
-    let rec = pool.server(0).meta().dataset_record("stress").unwrap();
-    assert_eq!(rec.file_count as usize, WRITERS * FILES_EACH);
+    // Every front-end sees the complete dataset.
+    for server in servers.iter() {
+        let rec = server.meta().dataset_record("stress").unwrap();
+        assert_eq!(rec.file_count as usize, WRITERS * FILES_EACH);
+    }
 
     // Parallel readers over parallel snapshot downloads.
     let readers: Vec<_> = (0..8)
         .map(|r| {
-            let pool = pool.clone();
+            let servers = servers.clone();
             std::thread::spawn(move || {
-                let c = DieselClient::connect(pool.assign(), "stress");
+                let c = DieselClient::connect(servers[r % servers.len()].clone(), "stress");
                 c.download_meta().unwrap();
                 for w in 0..WRITERS {
                     for i in (r % 3..FILES_EACH).step_by(3) {

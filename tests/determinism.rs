@@ -3,25 +3,21 @@
 //! Every test here runs the same workload at workers = 1 (inline), 2
 //! and 8 and demands identical observable results — byte-identical
 //! training batches, identical prefetch `LoadReport`s — including under
-//! injected storage latency and injected storage faults.
+//! a lingering store and injected storage faults.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use diesel_dlt::cache::{
-    CacheConfig, CachePolicy, HashRing, LoadReport, TaskCache, TenantCacheMap, Topology,
-};
+use diesel_dlt::cache::{CacheConfig, CachePolicy, HashRing, LoadReport, TaskCache, Topology};
 use diesel_dlt::chunk::{ChunkBuilderConfig, ChunkId};
 use diesel_dlt::core::{ClientConfig, DieselClient, DieselServer};
 use diesel_dlt::exec::{ExecConfig, WorkPool};
 use diesel_dlt::kv::ShardedKv;
-use diesel_dlt::store::{
-    Bytes, DelayedStore, DeviceModel, FaultConfig, FaultyStore, MemObjectStore, ObjectStore,
-};
+use diesel_dlt::store::{Bytes, FaultConfig, FaultyStore, MemObjectStore, ObjectStore};
 use diesel_dlt::train::loader::upload_samples;
 use diesel_dlt::train::{DataLoader, SyntheticSpec};
-use diesel_util::{MockClock, SystemClock};
+use diesel_util::MockClock;
 
 const WORKER_GRID: [usize; 3] = [1, 2, 8];
 
@@ -158,24 +154,16 @@ fn cache_hit_epoch_batches_are_byte_identical_across_worker_counts() {
 
 #[test]
 fn epoch_batches_are_byte_identical_under_real_storage_delay() {
-    // A wall-clock delay on every read perturbs thread interleaving as
-    // hard as a real slow store would; the reorder buffer must still
-    // deliver source order with identical bytes.
+    // A store that lingers in every read hands the CPU to whoever else
+    // is runnable, perturbing thread interleaving the way a slow store
+    // would; the reorder buffer must still deliver source order with
+    // identical bytes.
     let baseline = epoch_fingerprint(&loader_over(Arc::new(MemObjectStore::new()), pool(1)), 0);
-    let model = DeviceModel {
-        name: "determinism-delay",
-        per_request_overhead: diesel_dlt::simnet::SimTime::from_micros(300),
-        bytes_per_sec: 200.0e6,
-        parallelism: 8,
-    };
     for workers in WORKER_GRID {
-        let delayed = Arc::new(DelayedStore::new(
-            Arc::new(MemObjectStore::new()),
-            model.clone(),
-            Arc::new(SystemClock::new()),
-        ));
-        let got = epoch_fingerprint(&loader_over(delayed, pool(workers)), 0);
-        assert_eq!(got, baseline, "delayed batches diverge at workers={workers}");
+        let lingering = Arc::new(CountingStore::default());
+        let got = epoch_fingerprint(&loader_over(lingering.clone(), pool(workers)), 0);
+        assert_eq!(got, baseline, "lingering batches diverge at workers={workers}");
+        assert!(lingering.range_reads.load(Ordering::SeqCst) > 0, "reads reach the store");
     }
 }
 
@@ -359,20 +347,16 @@ type TwoTenantStack = (
     Arc<diesel_dlt::cache::TaskCache<MemObjectStore>>,
 );
 
-/// Two tenants over one shared `TenantCacheMap` plane: independent
-/// synthetic datasets, one loader each, both caches fully prefetched.
+/// Two tenants, one `TaskCache` each over one shared store and
+/// registry: independent synthetic datasets, one loader each, both
+/// caches fully prefetched.
 fn two_tenant_stack(pool: WorkPool) -> TwoTenantStack {
     let store = Arc::new(MemObjectStore::new());
     let server =
         Arc::new(DieselServer::new(Arc::new(ShardedKv::new()), store).with_pool(pool.clone()));
+    let registry = Arc::new(diesel_dlt::obs::Registry::default());
     let mut loaders = Vec::new();
-    let tenants = TenantCacheMap::new(
-        Topology::uniform(2, 2).unwrap(),
-        server.store().clone(),
-        1 << 30,
-        CachePolicy::Oneshot,
-    )
-    .with_pool(pool.clone());
+    let mut caches = Vec::new();
     for (idx, (ds, sample_seed)) in [("synth-a", 83usize), ("synth-b", 29)].into_iter().enumerate()
     {
         let client = DieselClient::connect_with(
@@ -391,15 +375,26 @@ fn two_tenant_stack(pool: WorkPool) -> TwoTenantStack {
         upload_samples(&client, &samples).unwrap();
         client.download_meta().unwrap();
         client.enable_shuffle(diesel_dlt::shuffle::ShuffleKind::ChunkWise { group_size: 2 });
-        let chunks = server.meta().chunk_ids(ds).unwrap();
-        let cache = tenants.register(ds, chunks, 1).unwrap();
+        let cache = Arc::new(
+            TaskCache::with_registry(
+                Topology::uniform(2, 2).unwrap(),
+                server.store().clone(),
+                ds,
+                server.meta().chunk_ids(ds).unwrap(),
+                CacheConfig { capacity_bytes_per_node: 1 << 30, policy: CachePolicy::Oneshot },
+                registry.clone(),
+            )
+            .unwrap()
+            .with_pool(pool.clone()),
+        );
         cache.prefetch_all().unwrap();
-        client.attach_cache(cache);
+        client.attach_cache(cache.clone());
+        caches.push(cache);
         loaders.push(
             DataLoader::new(Arc::new(client), 8, 17).with_pool(pool.clone()).with_prefetch_depth(3),
         );
     }
-    let cache_a = tenants.get("synth-a").unwrap();
+    let cache_a = caches.swap_remove(0);
     let loader_b = loaders.pop().unwrap();
     let loader_a = loaders.pop().unwrap();
     (loader_a, loader_b, cache_a)
@@ -407,8 +402,8 @@ fn two_tenant_stack(pool: WorkPool) -> TwoTenantStack {
 
 #[test]
 fn two_tenant_epochs_are_byte_identical_across_worker_counts() {
-    // Tenant isolation × determinism: two tenants share one
-    // `TenantCacheMap` plane; tenant A's cache nodes are killed and
+    // Tenant isolation × determinism: two tenants, one cache each over
+    // one shared store; tenant A's cache nodes are killed and
     // recovered *while tenant B's epoch streams*. B's batches must equal
     // its workers=1 run bit-for-bit at every worker count — and A's too,
     // once its nodes are back.
@@ -449,13 +444,20 @@ fn two_tenant_epochs_are_byte_identical_across_worker_counts() {
 }
 
 /// A `MemObjectStore` that counts whole-object reads — what a task
-/// cache's chunk loads cost the backing store — and lingers in each
-/// (yielding, not sleeping), so that readers who can race for a chunk
-/// do.
+/// cache's chunk loads cost the backing store — and ranged reads, and
+/// lingers in both (yielding, not sleeping), so that readers who can
+/// race for a chunk do.
 #[derive(Default)]
 struct CountingStore {
     inner: MemObjectStore,
     gets: AtomicU64,
+    range_reads: AtomicU64,
+}
+
+fn linger() {
+    for _ in 0..64 {
+        std::thread::yield_now();
+    }
 }
 
 impl ObjectStore for CountingStore {
@@ -464,12 +466,12 @@ impl ObjectStore for CountingStore {
     }
     fn get(&self, key: &str) -> diesel_dlt::store::Result<Bytes> {
         self.gets.fetch_add(1, Ordering::SeqCst);
-        for _ in 0..64 {
-            std::thread::yield_now();
-        }
+        linger();
         self.inner.get(key)
     }
     fn get_range(&self, key: &str, offset: u64, len: usize) -> diesel_dlt::store::Result<Bytes> {
+        self.range_reads.fetch_add(1, Ordering::SeqCst);
+        linger();
         self.inner.get_range(key, offset, len)
     }
     fn delete(&self, key: &str) -> diesel_dlt::store::Result<bool> {
@@ -513,7 +515,7 @@ fn constrained_baseline(seed: u64, epochs: u64) -> Vec<Fingerprint> {
 
 /// The `constrained_loader` geometry in small: ≈ 93 chunks of ≈ 26
 /// samples over a counting store, shuffled in groups of 8, read through
-/// a 4-node task cache whose per-node budget the test then sets.
+/// a 4-node task cache built with a per-node budget of `cap` bytes.
 struct Constrained {
     loader: DataLoader<ShardedKv, CountingStore>,
     cache: Arc<TaskCache<CountingStore>>,
@@ -521,6 +523,7 @@ struct Constrained {
     /// Stored size and owner node of every chunk.
     chunks: HashMap<ChunkId, (u64, usize)>,
     seed: u64,
+    cap: u64,
 }
 
 /// One shuffle group as the cache sees it: how many batches read from
@@ -531,7 +534,10 @@ impl Constrained {
     /// `fetch` runs the loader's pipeline, `ahead` the cache's lookahead
     /// (and sweeps). With an inline `fetch` the reads follow the plan
     /// one batch at a time, whatever the lookahead does beside them.
-    fn new(fetch: WorkPool, ahead: WorkPool, seed: u64) -> Self {
+    /// `cap` is the per-node budget; `None` gives each node a quarter of
+    /// the stored dataset's per-node share, like the benchmark's
+    /// `constrained_loader`.
+    fn new(fetch: WorkPool, ahead: WorkPool, seed: u64, cap: Option<u64>) -> Self {
         let store = Arc::new(CountingStore::default());
         let loader = loader_with(
             store.clone(),
@@ -550,27 +556,20 @@ impl Constrained {
                 (id, (store.size_of(&key).unwrap() as u64, ring.owner_of(id)))
             })
             .collect();
+        let cap = cap.unwrap_or(store.total_bytes() / 4 / CONSTRAINED_NODES as u64);
         let cache = Arc::new(
             TaskCache::new(
                 Topology::uniform(CONSTRAINED_NODES, 1).unwrap(),
                 store.clone(),
                 "synth",
                 ids,
-                CacheConfig { capacity_bytes_per_node: 1 << 30, policy: CachePolicy::OnDemand },
+                CacheConfig { capacity_bytes_per_node: cap, policy: CachePolicy::OnDemand },
             )
             .unwrap()
             .with_pool(ahead),
         );
         loader.client().attach_cache(cache.clone());
-        Constrained { loader, cache, store, chunks, seed }
-    }
-
-    /// A quarter of the stored dataset across all nodes, like the
-    /// benchmark's `constrained_loader`.
-    fn quarter_budget(&self) -> u64 {
-        let cap = self.store.total_bytes() / 4 / CONSTRAINED_NODES as u64;
-        self.cache.set_capacity_bytes_per_node(cap);
-        cap
+        Constrained { loader, cache, store, chunks, seed, cap }
     }
 
     fn groups(&self, epoch: u64) -> Vec<GroupShares> {
@@ -599,9 +598,9 @@ impl Constrained {
     }
 
     /// Read `epoch` through the loader. Its batches must be `want`, and
-    /// no node may hold more than `cap` after any of them. Returns the
-    /// store reads the epoch cost.
-    fn read_epoch(&self, epoch: u64, want: &Fingerprint, cap: u64, workers: usize) -> u64 {
+    /// no node may hold more than the budget after any of them. Returns
+    /// the store reads the epoch cost.
+    fn read_epoch(&self, epoch: u64, want: &Fingerprint, workers: usize) -> u64 {
         let before = self.store.gets.load(Ordering::SeqCst);
         let mut batches = 0;
         for (i, b) in self.loader.epoch_iter(epoch).unwrap().enumerate() {
@@ -610,7 +609,7 @@ impl Constrained {
             assert_eq!(got, want[i], "batch {i} of epoch {epoch} diverges at workers={workers}");
             for node in 0..CONSTRAINED_NODES {
                 let held = self.cache.node_resident_bytes(node);
-                assert!(held <= cap, "node {node} holds {held} B over {cap} B at batch {i}");
+                assert!(held <= self.cap, "node {node} holds {held} B over budget at batch {i}");
             }
             batches += 1;
         }
@@ -632,7 +631,7 @@ fn a_streaming_cache_reads_every_chunk_exactly_once_per_epoch() {
     // it, and no budget short of the dataset covers that.)
     const SEED: u64 = 17;
     let baseline = constrained_baseline(SEED, 3);
-    let probe = Constrained::new(pool(1), pool(1), SEED);
+    let probe = Constrained::new(pool(1), pool(1), SEED, None);
     let cap = (0..3)
         .flat_map(|epoch| {
             let groups = probe.groups(epoch);
@@ -650,11 +649,10 @@ fn a_streaming_cache_reads_every_chunk_exactly_once_per_epoch() {
         assert!(share > cap, "node {node} must stream: {share} B vs budget {cap} B");
     }
     for workers in WORKER_GRID {
-        let stack = Constrained::new(pool(1), pool(workers), SEED);
-        stack.cache.set_capacity_bytes_per_node(cap);
+        let stack = Constrained::new(pool(1), pool(workers), SEED, Some(cap));
         let chunks = stack.chunks.len() as u64;
         for (epoch, want) in baseline.iter().enumerate() {
-            let gets = stack.read_epoch(epoch as u64, want, cap, workers);
+            let gets = stack.read_epoch(epoch as u64, want, workers);
             assert_eq!(gets, chunks, "epoch {epoch} at workers={workers}: one read per chunk");
         }
         assert_eq!(stack.cache.metrics().chunk_loads(), 3 * chunks);
@@ -673,8 +671,8 @@ fn a_quarter_size_cache_reloads_only_what_one_group_cannot_hold() {
     for seed in 1..=12u64 {
         let baseline = constrained_baseline(seed, 3);
         for workers in WORKER_GRID {
-            let stack = Constrained::new(pool(1), pool(workers), seed);
-            let cap = stack.quarter_budget();
+            let stack = Constrained::new(pool(1), pool(workers), seed, None);
+            let cap = stack.cap;
             let chunks = stack.chunks.len() as u64;
             for (epoch, want) in baseline.iter().enumerate() {
                 // Chunks of one group beyond what their node can hold,
@@ -693,7 +691,7 @@ fn a_quarter_size_cache_reloads_only_what_one_group_cannot_hold() {
                         batches * shares.iter().map(beyond).sum::<usize>() as u64
                     })
                     .sum();
-                let gets = stack.read_epoch(epoch as u64, want, cap, workers);
+                let gets = stack.read_epoch(epoch as u64, want, workers);
                 assert!(
                     (chunks..=chunks + overflow).contains(&gets),
                     "seed {seed} epoch {epoch} workers={workers}: {gets} store reads for \
@@ -720,11 +718,10 @@ fn racing_fetch_threads_share_every_chunk_load() {
     const SEED: u64 = 11;
     let baseline = constrained_baseline(SEED, 3);
     for workers in WORKER_GRID {
-        let stack = Constrained::new(pool(workers), pool(workers), SEED);
-        let cap = stack.quarter_budget();
+        let stack = Constrained::new(pool(workers), pool(workers), SEED, None);
         for (epoch, want) in baseline.iter().enumerate() {
             let loads = stack.cache.metrics().chunk_loads();
-            let gets = stack.read_epoch(epoch as u64, want, cap, workers);
+            let gets = stack.read_epoch(epoch as u64, want, workers);
             assert_eq!(
                 stack.cache.metrics().chunk_loads() - loads,
                 gets,

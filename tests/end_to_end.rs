@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use diesel_dlt::cache::{CacheConfig, CachePolicy, TaskCache, Topology};
 use diesel_dlt::chunk::ChunkBuilderConfig;
-use diesel_dlt::core::{ClientConfig, DieselClient, DieselServer, FuseConfig, FuseMount};
+use diesel_dlt::core::{ClientConfig, DieselClient, DieselServer};
 use diesel_dlt::kv::{ClusterConfig, KvCluster, ShardedKv};
 use diesel_dlt::shuffle::ShuffleKind;
 use diesel_dlt::store::{MemObjectStore, ObjectStore};
@@ -85,7 +85,7 @@ fn merged_server_reads_match_api_reads() {
 }
 
 #[test]
-fn fuse_and_api_agree_through_cache_and_shuffle() {
+fn cached_and_server_reads_agree_through_shuffle() {
     let server = small_chunk_server();
     let c = client(&server, "ds", 4096);
     for i in 0..150usize {
@@ -108,19 +108,14 @@ fn fuse_and_api_agree_through_cache_and_shuffle() {
     c.attach_cache(cache.clone());
     c.enable_shuffle(ShuffleKind::ChunkWise { group_size: 2 });
 
-    let c = Arc::new(c);
-    let fuse = FuseMount::mount(c.clone(), FuseConfig::default());
-    let order = fuse.read_epoch_list(7, 0).unwrap();
-    let mut seen = 0;
-    for name in order.lines() {
-        let via_fuse = fuse.read_file(name).unwrap();
-        let via_api = c.get(name).unwrap();
-        assert_eq!(via_fuse, via_api, "{name}");
-        seen += 1;
+    let order = c.epoch_file_list(7, 0).unwrap();
+    for name in &order {
+        assert_eq!(c.get(name).unwrap(), server.read_file("ds", name).unwrap(), "{name}");
     }
-    assert_eq!(seen, 150);
-    // Cache served the reads (each file read twice: fuse + api).
-    assert!(cache.metrics().file_reads() >= 300);
+    assert_eq!(order.len(), 150);
+    // The cache served every client read, filling each chunk once.
+    assert_eq!(cache.metrics().file_reads(), 150);
+    assert_eq!(cache.metrics().chunk_loads(), server.meta().chunk_ids("ds").unwrap().len() as u64);
 }
 
 #[test]
@@ -170,7 +165,7 @@ fn kv_cluster_backend_works_end_to_end() {
     // Same pipeline but with the slot-routed cluster instead of one
     // instance — exercises routing + mput batching under real load.
     let kv = Arc::new(KvCluster::new(ClusterConfig { instances: 8, shards_per_instance: 8 }));
-    let server = Arc::new(DieselServer::new(kv.clone(), Arc::new(MemObjectStore::new())));
+    let server = Arc::new(DieselServer::new(kv, Arc::new(MemObjectStore::new())));
     let c = DieselClient::connect_with(
         server.clone(),
         "ds",
@@ -182,9 +177,6 @@ fn kv_cluster_backend_works_end_to_end() {
         c.put(&format!("p{}/f{i}", i % 5), &[i as u8; 64]).unwrap();
     }
     c.flush().unwrap();
-    // Keys must actually spread across instances.
-    let dist = kv.key_distribution();
-    assert!(dist.iter().filter(|&&d| d > 0).count() >= 6, "{dist:?}");
     c.download_meta().unwrap();
     for i in (0..300).step_by(17) {
         assert_eq!(c.get(&format!("p{}/f{i}", i % 5)).unwrap().len(), 64);

@@ -4,10 +4,11 @@
 
 use std::sync::Arc;
 
-use diesel_dlt::cache::{CacheConfig, CachePolicy, TaskCache, TenantCacheMap, Topology};
+use diesel_dlt::cache::{CacheConfig, CachePolicy, TaskCache, Topology};
 use diesel_dlt::chunk::ChunkBuilderConfig;
 use diesel_dlt::core::{ClientConfig, DieselClient, DieselServer};
 use diesel_dlt::kv::{ClusterConfig, KvCluster, KvStore};
+use diesel_dlt::obs::Registry;
 use diesel_dlt::store::{MemObjectStore, ObjectStore};
 
 type ClusterServer = DieselServer<KvCluster, MemObjectStore>;
@@ -221,25 +222,32 @@ fn populate_tenant(
 
 #[test]
 fn tenant_a_corruption_leaves_tenant_b_byte_identical() {
-    // The §4.2 failure-containment story, multi-tenant edition: tenant A
+    // The §4.2 failure-containment story with two tenants: tenant A
     // loses its cache nodes *and* its backing chunks are corrupted
-    // mid-epoch. Tenant B — its own `TaskCache` over the same shared
-    // plane via `TenantCacheMap` — must keep serving byte-identical
-    // batches from fully resident chunks, untouched by A's chaos.
+    // mid-epoch. Tenant B — its own `TaskCache` over the same backing
+    // store, counting into the same registry — must keep serving
+    // byte-identical batches from fully resident chunks, untouched by
+    // A's chaos.
     let (_, server) = cluster_server(2);
     let names_a = populate_tenant(&server, "tenant-a", 160, 3);
     let names_b = populate_tenant(&server, "tenant-b", 160, 7);
 
-    let tenants = TenantCacheMap::new(
-        Topology::uniform(4, 2).unwrap(),
-        server.store().clone(),
-        1 << 30,
-        CachePolicy::Oneshot,
-    );
-    let cache_a =
-        tenants.register("tenant-a", server.meta().chunk_ids("tenant-a").unwrap(), 1).unwrap();
-    let cache_b =
-        tenants.register("tenant-b", server.meta().chunk_ids("tenant-b").unwrap(), 1).unwrap();
+    let registry = Arc::new(Registry::default());
+    let cache_for = |dataset: &str| {
+        Arc::new(
+            TaskCache::with_registry(
+                Topology::uniform(4, 2).unwrap(),
+                server.store().clone(),
+                dataset,
+                server.meta().chunk_ids(dataset).unwrap(),
+                CacheConfig { capacity_bytes_per_node: 1 << 30, policy: CachePolicy::Oneshot },
+                registry.clone(),
+            )
+            .unwrap(),
+        )
+    };
+    let cache_a = cache_for("tenant-a");
+    let cache_b = cache_for("tenant-b");
     cache_a.prefetch_all().unwrap();
     cache_b.prefetch_all().unwrap();
 
@@ -283,10 +291,6 @@ fn tenant_a_corruption_leaves_tenant_b_byte_identical() {
     // Tenant A, by contrast, really is broken: its cache is dead and the
     // server-side fallback now reads corrupted chunks.
     assert!(names_a.iter().any(|n| client_a.get(n).is_err()), "tenant A should be failing");
-
-    // B's budget share is exactly half the node budget under equal
-    // weights, and survives A's failure.
-    assert_eq!(tenants.budget_of("tenant-b"), Some((1u64 << 30) / 2));
 }
 
 #[test]

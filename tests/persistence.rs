@@ -8,7 +8,7 @@ use std::sync::Arc;
 use diesel_dlt::chunk::ChunkBuilderConfig;
 use diesel_dlt::core::{ClientConfig, DieselClient, DieselServer};
 use diesel_dlt::kv::ShardedKv;
-use diesel_dlt::store::{DirObjectStore, MemObjectStore, TieredStore};
+use diesel_dlt::store::DirObjectStore;
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("diesel-persist-{tag}-{}", std::process::id()));
@@ -68,58 +68,6 @@ fn dataset_survives_server_restart_on_disk() {
         assert_eq!(client.get(&expect[2].0).unwrap().as_ref(), &expect[2].1[..]);
     }
     let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
-fn server_runs_on_tiered_ssd_hdd_storage() {
-    // The Fig. 4 server cache: a DieselServer directly over a
-    // TieredStore (fast mem tier bounded, slow tier authoritative).
-    let fast = Arc::new(MemObjectStore::new());
-    let slow = Arc::new(MemObjectStore::new());
-    let tiered = Arc::new(TieredStore::new(fast, slow, 64 << 10));
-    let server = Arc::new(DieselServer::new(Arc::new(ShardedKv::new()), tiered.clone()));
-    let client = DieselClient::connect_with(
-        server.clone(),
-        "ds",
-        ClientConfig {
-            chunk: ChunkBuilderConfig { target_chunk_size: 8192, ..Default::default() },
-        },
-    )
-    .with_deterministic_identity(2, 2, 600);
-
-    for i in 0..60usize {
-        client.put(&format!("f{i:03}"), &[(i % 251) as u8; 400]).unwrap();
-    }
-    client.flush().unwrap();
-    client.download_meta().unwrap();
-
-    // Writes land in the slow (authoritative) tier only.
-    assert!(tiered.fast_resident_bytes() == 0);
-    // Whole-chunk reads (what the task cache issues) promote chunks into
-    // the fast tier; repeated reads hit it.
-    let chunks = server.meta().chunk_ids("ds").unwrap();
-    for &c in &chunks {
-        server.read_chunk("ds", c).unwrap();
-    }
-    for &c in &chunks {
-        server.read_chunk("ds", c).unwrap();
-    }
-    let metrics = tiered.metrics();
-    assert!(metrics.promotions() > 0, "chunk reads must warm the fast tier");
-    assert!(metrics.fast_hits() > 0, "second pass must hit the fast tier");
-    assert!(tiered.fast_resident_bytes() <= 64 << 10, "fast tier stays within budget");
-
-    // File reads through the client still return exact bytes.
-    for i in 0..60usize {
-        assert_eq!(
-            client.get(&format!("f{i:03}")).unwrap().as_ref(),
-            &vec![(i % 251) as u8; 400][..]
-        );
-    }
-    // And metadata recovery works through the tiered front as well.
-    server.meta().kv().clear();
-    let report = server.recover_metadata_full("ds").unwrap();
-    assert_eq!(report.files_recovered, 60);
 }
 
 #[test]

@@ -1,19 +1,19 @@
 //! Cross-layer RPC integration: a libDIESEL client talking to a
 //! DIESEL server over the real `diesel-net` stack — serving thread,
-//! per-request timeout, retry, and per-endpoint stats — instead of
-//! direct in-process dispatch. The paper runs this boundary over
-//! Thrift; here every transport failure mode is driven deterministically.
+//! retry, and per-endpoint stats — instead of direct in-process
+//! dispatch. The paper runs this boundary over Thrift; here every
+//! transport failure mode is driven deterministically.
 
 use std::sync::Arc;
 
 use diesel_dlt::chunk::ChunkBuilderConfig;
 use diesel_dlt::core::{
-    ClientConfig, DieselClient, DieselError, DieselServer, ServerPool, ServerReply, ServerRequest,
+    ClientConfig, DieselClient, DieselError, DieselServer, ServerReply, ServerRequest,
 };
 use diesel_dlt::kv::ShardedKv;
 use diesel_dlt::net::{
-    Channel, Endpoint, EndpointMetrics, Instrumented, NetError, Retry, RetryPolicy, Service,
-    SystemClock, ThreadServer,
+    Channel, Endpoint, EndpointMetrics, Instrumented, NetError, Retry, RetryPolicy, SystemClock,
+    ThreadServer,
 };
 use diesel_dlt::obs::Registry;
 use diesel_dlt::store::MemObjectStore;
@@ -38,8 +38,7 @@ fn serve(
     let thread = ThreadServer::spawn(Endpoint::new("server", node), move |req| srv.handle(req));
     let clock = Arc::new(SystemClock::new());
     let metrics = EndpointMetrics::new(registry, thread.endpoint());
-    let measured =
-        Instrumented::new(thread.channel().with_timeout_ns(2_000_000_000), metrics, clock.clone());
+    let measured = Instrumented::new(thread.channel(), metrics, clock.clone());
     let chan: Channel<ServerRequest, ServerReply> =
         Arc::new(Retry::new(measured, RetryPolicy::default(), clock));
     (thread, chan)
@@ -100,42 +99,6 @@ fn killed_server_surfaces_as_net_error() {
         err,
         DieselError::Net(NetError::Disconnected { endpoint: Endpoint::new("server", 3) })
     );
-}
-
-#[test]
-fn pool_channel_and_thread_transport_compose() {
-    // Request-time balancing over a pool, reached through a serving
-    // thread: Retry(Instrumented(ThreadChannel(BalancedChannel(pool)))).
-    let pool = Arc::new(ServerPool::deploy(
-        3,
-        Arc::new(ShardedKv::new()),
-        Arc::new(MemObjectStore::new()),
-    ));
-    let pool_conn = pool.channel();
-    let registry = Registry::default();
-    let thread =
-        ThreadServer::spawn(Endpoint::new("pool-gw", 0), move |req| pool_conn.call(req).unwrap());
-    let clock = Arc::new(SystemClock::new());
-    let metrics = EndpointMetrics::new(&registry, thread.endpoint());
-    let chan: Channel<ServerRequest, ServerReply> =
-        Arc::new(Instrumented::new(thread.channel(), metrics, clock));
-
-    let c: DieselClient<ShardedKv, MemObjectStore> =
-        DieselClient::connect_channel_with(chan, "ds", small_chunks());
-    for i in 0..20 {
-        c.put(&format!("f{i:02}"), &[i as u8; 100]).unwrap();
-    }
-    c.flush().unwrap();
-    c.download_meta().unwrap();
-    for i in 0..20 {
-        assert_eq!(c.get(&format!("f{i:02}")).unwrap().as_ref(), &vec![i as u8; 100][..]);
-    }
-    // Shared backends: any pool member sees the writes.
-    assert_eq!(pool.server(1).meta().dataset_record("ds").unwrap().file_count, 20);
-    let snap = registry.snapshot();
-    assert!(snap.counter("net.requests{endpoint=pool-gw@0}") >= 22);
-
-    drop(thread);
 }
 
 // -- helper: probe a transport failure without panicking mid-API ------
