@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use diesel_chunk::{ChunkId, SealedChunk};
+use diesel_chunk::SealedChunk;
 use diesel_kv::KvStore;
 use diesel_meta::{DatasetRecord, DirEntry, FileMeta, MetaSnapshot};
 use diesel_net::{Channel, DirectChannel, Endpoint};
@@ -44,13 +44,6 @@ pub enum ServerRequest {
         dataset: String,
         /// The file's location.
         meta: FileMeta,
-    },
-    /// Read a whole chunk.
-    ReadChunk {
-        /// Dataset.
-        dataset: String,
-        /// Chunk to read.
-        chunk: ChunkId,
     },
     /// Batched read, merged chunk-wise by the request executor.
     ReadFilesMerged {
@@ -108,11 +101,6 @@ pub enum ServerRequest {
     /// A point-in-time snapshot of the server's metric registry, merged
     /// with its KV and store backends (remote observability).
     Stats,
-    /// The same merged snapshot as [`Stats`](ServerRequest::Stats),
-    /// rendered in the Prometheus text exposition format
-    /// ([`diesel_obs::prom`]) — what `dlcmd scrape` and external
-    /// monitoring pull.
-    Scrape,
     /// Drain the server-side tracer's recorded spans (remote tracing;
     /// see [`diesel_obs::trace`]). Draining empties the buffer, so each
     /// span is returned exactly once.
@@ -127,7 +115,6 @@ impl ServerRequest {
             ServerRequest::IngestChunk { .. } => "IngestChunk",
             ServerRequest::ReadFile { .. } => "ReadFile",
             ServerRequest::ReadByMeta { .. } => "ReadByMeta",
-            ServerRequest::ReadChunk { .. } => "ReadChunk",
             ServerRequest::ReadFilesMerged { .. } => "ReadFilesMerged",
             ServerRequest::Stat { .. } => "Stat",
             ServerRequest::Readdir { .. } => "Readdir",
@@ -137,7 +124,6 @@ impl ServerRequest {
             ServerRequest::PurgeDataset { .. } => "PurgeDataset",
             ServerRequest::DeleteDataset { .. } => "DeleteDataset",
             ServerRequest::Stats => "Stats",
-            ServerRequest::Scrape => "Scrape",
             ServerRequest::Trace => "Trace",
         }
     }
@@ -153,7 +139,6 @@ impl ServerRequest {
             ServerRequest::IngestChunk { dataset, .. }
             | ServerRequest::ReadFile { dataset, .. }
             | ServerRequest::ReadByMeta { dataset, .. }
-            | ServerRequest::ReadChunk { dataset, .. }
             | ServerRequest::ReadFilesMerged { dataset, .. }
             | ServerRequest::Stat { dataset, .. }
             | ServerRequest::Readdir { dataset, .. }
@@ -162,7 +147,7 @@ impl ServerRequest {
             | ServerRequest::DeleteFile { dataset, .. }
             | ServerRequest::PurgeDataset { dataset, .. }
             | ServerRequest::DeleteDataset { dataset } => Some(dataset),
-            ServerRequest::Stats | ServerRequest::Scrape | ServerRequest::Trace => None,
+            ServerRequest::Stats | ServerRequest::Trace => None,
         }
     }
 }
@@ -172,7 +157,7 @@ impl ServerRequest {
 pub enum ServerResponse {
     /// Operation completed with nothing to return.
     Unit,
-    /// File or chunk bytes.
+    /// File bytes.
     Bytes(Bytes),
     /// Batched read results, in request order.
     BytesVec(Vec<Bytes>),
@@ -190,8 +175,6 @@ pub enum ServerResponse {
     Removed(u64),
     /// A metric-registry snapshot.
     Stats(RegistrySnapshot),
-    /// Rendered text (a Prometheus scrape).
-    Text(String),
     /// Spans drained from the server-side tracer.
     Trace(Vec<Span>),
 }
@@ -264,14 +247,6 @@ impl ServerResponse {
         }
     }
 
-    /// Unwrap [`ServerResponse::Text`].
-    pub fn into_text(self) -> Result<String> {
-        match self {
-            ServerResponse::Text(t) => Ok(t),
-            other => Err(unexpected("rendered text", &other)),
-        }
-    }
-
     /// Unwrap [`ServerResponse::Trace`].
     pub fn into_trace(self) -> Result<Vec<Span>> {
         match self {
@@ -289,12 +264,6 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
         if matches!(req, ServerRequest::Trace) {
             return Ok(ServerResponse::Trace(self.tracer().drain()));
         }
-        // Scrapes render outside the span/admission machinery too: a
-        // monitoring pull must not perturb (or be blocked by) the
-        // tenant data plane it observes.
-        if matches!(req, ServerRequest::Scrape) {
-            return Ok(ServerResponse::Text(diesel_obs::render_prometheus(&self.stats_snapshot())));
-        }
         // Installing a disabled tracer is one thread-local read; when a
         // caller context arrived in the envelope (or via a direct
         // channel), the handle span parents the caller's span.
@@ -308,22 +277,7 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
             (Some(adm), Some(tenant)) => Some(adm.admit(tenant).map_err(DieselError::Cache)?),
             _ => None,
         };
-        // Per-tenant telemetry around the dispatch: read-class requests
-        // time into `server.read_latency{dataset=…}` (what the SLO
-        // monitor's p99 objective reads) and any admitted request that
-        // fails counts into `server.request_errors{dataset=…}`.
-        // Throttles never reach this point — they are a separate budget
-        // (`server.tenant.throttled`), not a request error.
-        let read_class = matches!(
-            req,
-            ServerRequest::ReadFile { .. }
-                | ServerRequest::ReadByMeta { .. }
-                | ServerRequest::ReadChunk { .. }
-                | ServerRequest::ReadFilesMerged { .. }
-        );
-        let dataset = req.tenant().map(str::to_owned);
-        let start_ns = if read_class { Some(self.registry().clock().now_ns()) } else { None };
-        let reply = match req {
+        match req {
             ServerRequest::IngestChunk { dataset, chunk } => {
                 self.ingest_chunk(&dataset, chunk).map(|()| ServerResponse::Unit)
             }
@@ -332,9 +286,6 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
             }
             ServerRequest::ReadByMeta { dataset, meta } => {
                 self.read_by_meta(&dataset, &meta).map(ServerResponse::Bytes)
-            }
-            ServerRequest::ReadChunk { dataset, chunk } => {
-                self.read_chunk(&dataset, chunk).map(ServerResponse::Bytes)
             }
             ServerRequest::ReadFilesMerged { dataset, paths } => {
                 let refs: Vec<&str> = paths.iter().map(String::as_str).collect();
@@ -362,24 +313,9 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
                 self.delete_dataset(&dataset).map(ServerResponse::Removed)
             }
             ServerRequest::Stats => Ok(ServerResponse::Stats(self.stats_snapshot())),
-            // Handled by the early returns above; kept for exhaustiveness.
-            ServerRequest::Scrape => {
-                Ok(ServerResponse::Text(diesel_obs::render_prometheus(&self.stats_snapshot())))
-            }
+            // Handled by the early return above; kept for exhaustiveness.
             ServerRequest::Trace => Ok(ServerResponse::Trace(self.tracer().drain())),
-        };
-        if let Some(dataset) = dataset.as_deref() {
-            if let Some(start) = start_ns {
-                let elapsed = self.registry().clock().now_ns().saturating_sub(start);
-                self.registry()
-                    .histogram("server.read_latency", &[("dataset", dataset)])
-                    .record_ns(elapsed);
-            }
-            if reply.is_err() {
-                self.registry().counter("server.request_errors", &[("dataset", dataset)]).inc();
-            }
         }
-        reply
     }
 
     /// An in-process [`ServerConn`] to this server: direct dispatch, no
@@ -467,13 +403,6 @@ mod tests {
             .into_snapshot()
             .unwrap();
         assert_eq!(snap.files.len(), 2);
-        let chunk = conn
-            .call(ServerRequest::ReadChunk { dataset: ds(), chunk: snap.chunks[0] })
-            .unwrap()
-            .unwrap()
-            .into_bytes()
-            .unwrap();
-        diesel_chunk::ChunkView::parse(chunk).unwrap();
         let rec = conn
             .call(ServerRequest::DatasetRecord { dataset: ds() })
             .unwrap()

@@ -29,7 +29,6 @@ use diesel_core::dlcmd;
 use diesel_core::{DieselClient, DieselServer, ServerRequest};
 use diesel_kv::ShardedKv;
 use diesel_meta::EntryKind;
-use diesel_obs::{FlightRecorder, RecorderConfig, SloMonitor, SloReport, SloTarget};
 use diesel_store::{DirObjectStore, ObjectStore};
 
 type Server = DieselServer<ShardedKv, DirObjectStore>;
@@ -48,19 +47,10 @@ fn usage() -> ExitCode {
            purge <dataset>                compact chunks with holes\n  \
            snapshot <dataset> <out-file>  save the metadata snapshot\n  \
            datasets                       list datasets in the store\n  \
-           stats [--dataset <name>]       dump server observability metrics,\n  \
-                                          optionally only one tenant's slice\n  \
-           tenants                        per-tenant cache bytes, hit rate\n  \
-                                          and throttle counts\n  \
+           stats                          dump server observability metrics\n  \
            trace <dataset> [out.json]     trace a full read sweep; print the\n  \
                                           critical-path summary and optionally\n  \
-                                          write chrome-trace JSON\n  \
-           scrape [--prom <out.txt>]      dump every metric in Prometheus text\n  \
-                                          exposition format (stdout or a file)\n  \
-           slo <dataset>                  sweep the dataset's reads, then print\n  \
-                                          each objective's burn rates and state\n  \
-           top                            per-tenant QPS, p99 read latency, hit\n  \
-                                          rate, worst burn rate and SLO health"
+                                          write chrome-trace JSON"
     );
     ExitCode::from(2)
 }
@@ -86,55 +76,6 @@ impl<E: std::fmt::Display> From<E> for Cli {
     fn from(e: E) -> Self {
         Cli::Failed(e.to_string())
     }
-}
-
-/// Default per-tenant targets for the CLI's offline evaluation: a local
-/// directory store should serve p99 well under 50 ms and essentially
-/// error-free. Hit-rate/throttle objectives need a live cache and
-/// admission controller, which a per-invocation CLI doesn't run.
-fn cli_slo_target(dataset: &str) -> SloTarget {
-    SloTarget {
-        read_p99_ns: Some(50_000_000),
-        max_error_ratio: Some(0.01),
-        ..SloTarget::new(dataset)
-    }
-}
-
-/// Build a server over the store with a flight recorder and SLO monitor
-/// on its registry, sweep every file of the given datasets through the
-/// wire read path (so `server.read_latency` and the error counters
-/// populate), and evaluate the monitor over the recording. The recorder
-/// is ticked once before and once after the sweep.
-fn telemetry_sweep(
-    store: &Arc<DirObjectStore>,
-    datasets: &[String],
-) -> Result<(Arc<FlightRecorder>, Vec<SloReport>, u64), Cli> {
-    let server: Arc<Server> =
-        Arc::new(DieselServer::new(Arc::new(ShardedKv::new()), store.clone()));
-    for ds in datasets {
-        server.recover_metadata_full(ds).map_err(Cli::from)?;
-    }
-    let rec = Arc::new(FlightRecorder::new(server.registry().clone(), RecorderConfig::default()));
-    let monitor = SloMonitor::new(
-        server.registry().clone(),
-        rec.clone(),
-        datasets.iter().map(|d| cli_slo_target(d)).collect(),
-    );
-    rec.tick(); // baseline frame
-    let t0 = rec.latest_t_ns().unwrap_or(0);
-    for ds in datasets {
-        let client = DieselClient::connect(server.clone(), ds);
-        client.download_meta().map_err(Cli::from)?;
-        for f in client.file_list().map_err(Cli::from)? {
-            client.get(&f).map_err(Cli::from)?;
-        }
-    }
-    rec.tick(); // sweep delta frame
-    let t1 = rec.latest_t_ns().unwrap_or(t0);
-    let reports = monitor.evaluate();
-    // Window = the sweep's real duration, so `top`'s QPS is the sweep's
-    // actual read throughput rather than a dilution over a fixed window.
-    Ok((rec, reports, t1.saturating_sub(t0).max(1)))
 }
 
 fn now_ms() -> u64 {
@@ -250,31 +191,6 @@ fn run(args: &[String]) -> Result<(), Cli> {
             print!("{}", snap.render());
             Ok(())
         }
-        ("stats", ["--dataset", ds]) => {
-            let snap = server.handle(ServerRequest::Stats).map_err(Cli::from)?.into_stats()?;
-            print!("{}", dlcmd::filter_stats(&snap, ds).render());
-            Ok(())
-        }
-        ("tenants", []) => {
-            let snap = server.handle(ServerRequest::Stats).map_err(Cli::from)?.into_stats()?;
-            let rows = dlcmd::tenant_stats(&snap);
-            println!(
-                "{:<24} {:>14} {:>10} {:>9} {:>9} {:>9}",
-                "dataset", "bytes_loaded", "reads", "hit_rate", "admitted", "throttled"
-            );
-            for r in rows {
-                println!(
-                    "{:<24} {:>14} {:>10} {:>8.1}% {:>9} {:>9}",
-                    r.dataset,
-                    r.bytes_loaded,
-                    r.file_reads,
-                    r.hit_rate() * 100.0,
-                    r.admitted,
-                    r.throttled
-                );
-            }
-            Ok(())
-        }
         ("trace", [dataset]) | ("trace", [dataset, _]) => {
             let out = rest.get(1).copied();
             // A fresh server with an always-on tracer shared with the
@@ -298,36 +214,6 @@ fn run(args: &[String]) -> Result<(), Cli> {
                 println!("wrote {} spans to {out}", spans.len());
             }
             print!("{}", diesel_obs::critical_path(&spans));
-            Ok(())
-        }
-        ("scrape", []) | ("scrape", ["--prom", _]) => {
-            // Same wire request external monitoring would issue; the
-            // reply is already rendered text, so the CLI stays dumb.
-            let text = server.handle(ServerRequest::Scrape).map_err(Cli::from)?.into_text()?;
-            if let ["--prom", out] = rest {
-                std::fs::write(out, &text).map_err(Cli::from)?;
-                println!("wrote {} bytes of Prometheus exposition to {out}", text.len());
-            } else {
-                print!("{text}");
-            }
-            Ok(())
-        }
-        ("slo", [dataset]) => {
-            if !datasets.iter().any(|d| d == dataset) {
-                return Err(Cli::Failed(format!("no such dataset: {dataset}")));
-            }
-            let (_, reports, _) =
-                telemetry_sweep(&store, std::slice::from_ref(&dataset.to_string()))?;
-            let report = reports
-                .iter()
-                .find(|r| r.dataset == *dataset)
-                .ok_or_else(|| Cli::Failed("no SLO report produced".into()))?;
-            print!("{}", dlcmd::render_slo(report));
-            Ok(())
-        }
-        ("top", []) => {
-            let (rec, reports, window_ns) = telemetry_sweep(&store, &datasets)?;
-            print!("{}", dlcmd::render_top(&dlcmd::top_rows(&rec, &reports, window_ns)));
             Ok(())
         }
         ("snapshot", [dataset, out]) => {

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use diesel_chunk::format::HEADER_LEN_PREFIX;
 use diesel_chunk::{
-    compact_chunk, mark_deleted, ChunkHeader, ChunkId, ChunkIdGenerator, ChunkView, SealedChunk,
+    compact_chunk, mark_deleted, ChunkHeader, ChunkIdGenerator, ChunkView, SealedChunk,
 };
 use diesel_exec::WorkPool;
 use diesel_kv::KvStore;
@@ -34,10 +34,10 @@ pub struct PurgeReport {
 }
 
 /// Per-server executor counters, registered under `server.*`. The
-/// read-path counters (`server.file_reads`, `server.chunks_fetched`)
-/// are *not* held here: they carry a `{dataset=…}` label per tenant and
-/// are resolved from the registry at the call site, so per-tenant QPS
-/// is attributable and cluster totals come from `sum_counter`.
+/// read-path counter `server.file_reads` is *not* held here: it carries
+/// a `{dataset=…}` label per tenant and is resolved from the registry at
+/// the call site, so per-tenant QPS is attributable and cluster totals
+/// come from `sum_counter`.
 struct Metrics {
     chunks_ingested: Counter,
     merged_reads: Counter,
@@ -222,22 +222,6 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
         let (start, len) = object_range(header_len, meta.offset, meta.length)
             .ok_or_else(|| DieselError::Client(format!("file range overflows chunk {key}")))?;
         Ok(self.store.get_range(&key, start, len)?)
-    }
-
-    /// Read a whole chunk through the server (`ServerRequest::ReadChunk`).
-    /// Nothing in the tree sends that request: the task-grained cache
-    /// fills from the backing store directly (`TaskCache` calls
-    /// `ObjectStore::get` on the chunk key) and the chunk-wise shuffle
-    /// only orders file reads.
-    pub fn read_chunk(&self, dataset: &str, chunk: ChunkId) -> Result<Bytes> {
-        self.registry.counter("server.chunks_fetched", &[("dataset", dataset)]).inc();
-        let key = chunk_object_key(dataset, chunk);
-        let _span = if trace::active() {
-            trace::span("store.get", &[("key", key.as_str())])
-        } else {
-            trace::SpanGuard::default()
-        };
-        Ok(self.store.get(&key)?)
     }
 
     /// Batched read with the request executor: requests are sorted and
@@ -560,12 +544,12 @@ mod tests {
     }
 
     #[test]
-    fn read_chunk_returns_full_self_contained_chunk() {
+    fn ingested_chunk_is_stored_self_contained() {
         let s = server();
         ingest_files(&s, "ds", &[("a", vec![1; 10]), ("b", vec![2; 20])], 1 << 20);
         let ids = s.meta().chunk_ids("ds").unwrap();
         assert_eq!(ids.len(), 1);
-        let chunk = s.read_chunk("ds", ids[0]).unwrap();
+        let chunk = s.store().get(&chunk_object_key("ds", ids[0])).unwrap();
         let v = ChunkView::parse(chunk).unwrap();
         assert_eq!(v.read_file("a").unwrap(), [1u8; 10][..]);
     }

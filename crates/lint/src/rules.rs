@@ -247,13 +247,6 @@ pub const LOCK_RANKS: &[(&str, u32)] = &[
     // gauges (obs registry `inner`) while held, so it ranks below the
     // registry.
     ("lanes", 5),
-    // `dlcmd top/slo`: the flight recorder's frame ring and the SLO
-    // monitor's state map never hold a registry lock — tick() snapshots
-    // *before* taking `frames`, evaluate() emits events *after* dropping
-    // `slo_states` — so they rank below the registry's gate and any
-    // nesting the other way is a finding.
-    ("frames", 6),
-    ("slo_states", 7),
     // obs registry: snapshot nests gate → metrics map → event ring.
     ("gate", 10),
     // The installed epoch plan's load queue: picking the next lookahead

@@ -10,10 +10,8 @@
 const BUCKETS_PER_DECADE: usize = 16;
 /// Covered range: 1 ns .. 1000 s.
 const DECADES: usize = 12;
-/// Total bucket count (one extra catch-all at the top). Public so the
-/// flight recorder can size fixed bucket-delta arrays against the same
-/// geometry.
-pub const NBUCKETS: usize = BUCKETS_PER_DECADE * DECADES + 1;
+/// Total bucket count (one extra catch-all at the top).
+const NBUCKETS: usize = BUCKETS_PER_DECADE * DECADES + 1;
 
 fn bucket_of(ns: u64) -> usize {
     if ns == 0 {
@@ -64,45 +62,6 @@ impl Histogram {
     /// Sum of all recorded samples in nanoseconds.
     pub fn sum_ns(&self) -> u128 {
         self.sum_ns
-    }
-
-    /// The raw per-bucket sample counts. Bucket `i` covers
-    /// `[bucket_floor_ns(i), bucket_floor_ns(i+1))`; every histogram in
-    /// the workspace uses the same fixed geometry, so two histograms'
-    /// buckets always align index-wise (what makes [`merge`](Self::merge)
-    /// exact and lets the flight recorder store frame-to-frame bucket
-    /// deltas).
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Lower bound (ns) of bucket `idx`; the bucket's exclusive upper
-    /// bound is `bucket_floor_ns(idx + 1)`.
-    pub fn bucket_floor_ns(idx: usize) -> u64 {
-        bucket_floor(idx)
-    }
-
-    /// Rebuild a histogram from per-bucket counts (e.g. a window sum of
-    /// recorder bucket deltas). Count and quantiles are exact at bucket
-    /// resolution; `sum`/`min`/`max` are reconstructed from bucket
-    /// floors, so means carry the same ~4 % relative error as quantiles.
-    /// Counts beyond the fixed bucket geometry are ignored.
-    pub fn from_bucket_counts(counts: &[u64]) -> Histogram {
-        let mut h = Histogram::new();
-        for (i, &c) in counts.iter().take(NBUCKETS).enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let floor = bucket_floor(i);
-            if let Some(slot) = h.counts.get_mut(i) {
-                *slot = c;
-            }
-            h.total += c;
-            h.sum_ns += floor as u128 * c as u128;
-            h.min_ns = h.min_ns.min(floor);
-            h.max_ns = h.max_ns.max(floor);
-        }
-        h
     }
 
     /// Merge another histogram into this one (exact: buckets align).
@@ -364,29 +323,5 @@ mod tests {
         low.merge(&Histogram::new());
         let after: Vec<u64> = [0.0, 0.5, 0.99, 1.0].iter().map(|&q| low.quantile_ns(q)).collect();
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn bucket_counts_round_trip_preserves_count_and_quantiles() {
-        let mut h = Histogram::new();
-        for us in 1..=200u64 {
-            h.record_ns(us * 3_000);
-        }
-        let rebuilt = Histogram::from_bucket_counts(h.bucket_counts());
-        assert_eq!(rebuilt.count(), h.count());
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            // Quantiles agree to bucket resolution: both sides read the
-            // same cumulative bucket walk; only the min/max clamp can
-            // differ (the rebuilt side clamps to bucket floors).
-            let a = h.quantile_ns(q) as f64;
-            let b = rebuilt.quantile_ns(q) as f64;
-            assert!((a - b).abs() / a.max(1.0) < 0.16, "q={q}: {a} vs {b}");
-        }
-        // Empty and out-of-range inputs are safe.
-        assert_eq!(Histogram::from_bucket_counts(&[]).count(), 0);
-        assert_eq!(Histogram::from_bucket_counts(&[0; 4096]).count(), 0);
-        let single = Histogram::from_bucket_counts(&[0, 0, 0, 5]);
-        assert_eq!(single.count(), 5);
-        assert_eq!(single.quantile_ns(0.5), Histogram::bucket_floor_ns(3));
     }
 }

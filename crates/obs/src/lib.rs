@@ -23,14 +23,6 @@
 //! * [`lockdep`] — the `lockdep.cycle{a=…,b=…}` bridge: every
 //!   lock-order cycle detected by `diesel_util::lockdep` lands in a
 //!   process-global ledger registry (DESIGN.md §12).
-//! * [`recorder`] — the flight recorder: Clock-driven sampling of the
-//!   registry into a bounded ring of delta-encoded frames, with
-//!   `rate`/`delta`/`percentile_over` window queries (DESIGN.md §15).
-//! * [`slo`] — the per-tenant SLO monitor: declarative targets
-//!   evaluated on recorder ticks via multi-window burn rates, emitting
-//!   `slo.breach`/`slo.recovered` events and `slo.health` gauges.
-//! * [`prom`] — Prometheus text exposition of any snapshot (with a
-//!   round-trip parser), what `dlcmd scrape` serves fleet-wide.
 //!
 //! # Metric naming
 //!
@@ -53,22 +45,16 @@ pub mod copies;
 pub mod export;
 pub mod histogram;
 pub mod lockdep;
-pub mod prom;
-pub mod recorder;
 pub mod registry;
-pub mod slo;
 pub mod trace;
 
 pub use copies::{copied_at, copied_total, record_copy, BYTES_COPIED};
 pub use export::{chrome_trace_json, critical_path};
 pub use histogram::{fmt_ns, Histogram, Summary};
 pub use lockdep::{cycles_reported, lockdep_snapshot, LOCKDEP_CYCLES, LOCKDEP_EVENT};
-pub use prom::{parse_prometheus, render_prometheus, split_metric_id, PromSample};
-pub use recorder::{FlightRecorder, Frame, RecorderConfig};
 pub use registry::{
     Counter, Event, Gauge, HistogramHandle, Registry, RegistrySnapshot, DEFAULT_EVENT_CAPACITY,
 };
-pub use slo::{SloMonitor, SloObjective, SloReport, SloState, SloTarget};
 pub use trace::{
     AmbientTrace, Sampling, Span, SpanGuard, TraceContext, Tracer, DEFAULT_SPAN_CAPACITY,
 };
