@@ -6,7 +6,6 @@
 //! storage model (effective read throughput at that request size).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use diesel_bench::report::fmt_count;
 use diesel_bench::Table;
@@ -15,6 +14,7 @@ use diesel_kv::ShardedKv;
 use diesel_meta::{recover_full, MetaService};
 use diesel_store::model::DeviceModel;
 use diesel_store::{MemObjectStore, ObjectStore};
+use diesel_util::{Clock, SystemClock};
 
 const FILE_SIZE: usize = 110 << 10; // ImageNet-ish mean file
 const DATASET_BYTES: usize = 64 << 20; // 64 MiB miniature dataset
@@ -41,12 +41,12 @@ fn main() {
         let cfg = ChunkBuilderConfig { target_chunk_size: chunk_size, ..Default::default() };
         let mut w = ChunkWriter::new(cfg, &ids).with_clock(|| 1);
         let data = vec![0x5au8; FILE_SIZE];
-        let t0 = Instant::now();
+        let clock = SystemClock::new();
         for i in 0..files {
             w.add_file(&format!("train/c{}/img{i:05}.jpg", i % 16), &data).unwrap();
         }
         let sealed = w.finish();
-        let build_secs = t0.elapsed().as_secs_f64();
+        let build_secs = clock.now_ns() as f64 / 1e9;
         let total_bytes: usize = sealed.iter().map(|c| c.bytes.len()).sum();
         let payload_bytes = files * FILE_SIZE;
         let overhead = (total_bytes - payload_bytes) as f64 / total_bytes as f64;

@@ -8,7 +8,6 @@
 //! on one node and 88.77 M on ten).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use diesel_bench::report::fmt_count;
 use diesel_bench::Table;
@@ -16,6 +15,7 @@ use diesel_chunk::{ChunkId, MachineId};
 use diesel_meta::records::FileMeta;
 use diesel_meta::snapshot::SnapshotFile;
 use diesel_meta::{MetaSnapshot, Namespace};
+use diesel_util::{Clock, SystemClock};
 
 const FILES: usize = 200_000;
 const THREADS_PER_NODE: usize = 16;
@@ -52,7 +52,7 @@ fn main() {
     let paths = Arc::new(paths);
 
     // Real multithreaded stat throughput on "one node".
-    let start = Instant::now();
+    let clock = SystemClock::new();
     let handles: Vec<_> = (0..THREADS_PER_NODE)
         .map(|t| {
             let ns = ns.clone();
@@ -70,7 +70,7 @@ fn main() {
         })
         .collect();
     let hits: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    let elapsed = start.elapsed().as_secs_f64();
+    let elapsed = clock.now_ns() as f64 / 1e9;
     assert_eq!(hits as usize, THREADS_PER_NODE * LOOKUPS_PER_THREAD);
     let per_node_qps = hits as f64 / elapsed;
 

@@ -33,7 +33,7 @@ pub fn run_uniform_clients(
     ops_each: usize,
     op: impl Fn(usize, usize, SimTime) -> SimTime + Sync,
 ) -> ClientOutcome {
-    // MockClock keeps the registry deterministic (lint R2): event
+    // MockClock keeps the registry deterministic: event
     // timestamps never read the wall clock.
     let registry = Registry::new(Arc::new(MockClock::new()));
     let ops_counter = registry.counter("bench.ops", &[]);

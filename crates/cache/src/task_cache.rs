@@ -1176,7 +1176,7 @@ mod tests {
         let (store, metas, chunks) = dataset(10, 333, 4096);
         let c = cache(store, chunks, 2, 1 << 30, CachePolicy::OnDemand);
         for (name, meta) in &metas {
-            let i: usize = name[1..].parse().unwrap();
+            let i: usize = name.strip_prefix('f').unwrap().parse().unwrap();
             let f = c.get_file(meta).unwrap();
             assert_eq!(f.data.as_ref(), &vec![(i % 251) as u8; 333][..], "content of {name}");
         }

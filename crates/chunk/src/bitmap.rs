@@ -34,17 +34,18 @@ impl DeletionBitmap {
     /// Panics if `idx >= len`.
     pub fn set_deleted(&mut self, idx: usize) -> bool {
         assert!(idx < self.len, "bitmap index {idx} out of range {}", self.len);
-        let w = idx / 64;
         let mask = 1u64 << (idx % 64);
-        let was = self.bits[w] & mask != 0;
-        self.bits[w] |= mask;
+        #[expect(clippy::indexing_slicing, reason = "idx < len is asserted above")]
+        let word = &mut self.bits[idx / 64];
+        let was = *word & mask != 0;
+        *word |= mask;
         was
     }
 
     /// Is file `idx` deleted?
     pub fn is_deleted(&self, idx: usize) -> bool {
         assert!(idx < self.len, "bitmap index {idx} out of range {}", self.len);
-        self.bits[idx / 64] & (1u64 << (idx % 64)) != 0
+        self.bits.get(idx / 64).is_some_and(|w| w & (1u64 << (idx % 64)) != 0)
     }
 
     /// Number of deleted files.
@@ -77,10 +78,12 @@ impl DeletionBitmap {
         if data.len() < words * 8 {
             return None;
         }
-        let mut bits = Vec::with_capacity(words);
-        for i in 0..words {
-            bits.push(u64::from_le_bytes(data[i * 8..(i + 1) * 8].try_into().ok()?));
-        }
+        let bits: Vec<u64> = data
+            .chunks_exact(8)
+            .take(words)
+            .filter_map(|w| w.try_into().ok())
+            .map(u64::from_le_bytes)
+            .collect();
         // Bits past `len` must be zero for equality/count invariants.
         if !len.is_multiple_of(64) {
             if let Some(last) = bits.last() {

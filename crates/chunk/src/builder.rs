@@ -189,7 +189,7 @@ impl<'a> ChunkWriter<'a> {
     }
 
     /// A writer stamping chunks from an explicit timestamp source (the
-    /// determinism seam, rule R2): pass a closure over a shared
+    /// determinism seam): pass a closure over a shared
     /// [`Clock`] so rebuilt datasets carry identical
     /// timestamps.
     pub fn with_clock_fn(

@@ -10,7 +10,7 @@ use crate::builder::ChunkBuilder;
 use crate::format::ChunkHeader;
 use crate::id::ChunkIdGenerator;
 use crate::view::ChunkView;
-use crate::{ChunkBuilderConfig, Result};
+use crate::{ChunkBuilderConfig, ChunkError, Result};
 
 /// Statistics from one compaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,7 +83,8 @@ pub fn mark_deleted(chunk: &mut [u8], name: &str) -> Result<bool> {
     let mut buf = Vec::with_capacity(hlen);
     header.encode(&mut buf);
     debug_assert_eq!(buf.len(), hlen);
-    chunk[..hlen].copy_from_slice(&buf);
+    let have = chunk.len();
+    chunk.get_mut(..hlen).ok_or(ChunkError::Truncated { need: hlen, have })?.copy_from_slice(&buf);
     Ok(true)
 }
 

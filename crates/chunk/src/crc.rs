@@ -47,7 +47,9 @@ impl Hasher {
         let t = table();
         let mut c = self.state;
         for &b in data {
-            c = t[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+            #[expect(clippy::indexing_slicing, reason = "the index is masked to 0..256")]
+            let entry = t[((c ^ b as u32) & 0xff) as usize];
+            c = entry ^ (c >> 8);
         }
         self.state = c;
     }

@@ -28,11 +28,11 @@ use crate::id::ChunkId;
 use crate::{ChunkError, Result};
 
 /// Magic bytes at the start of every chunk.
-pub const CHUNK_MAGIC: [u8; 4] = *b"DSLC";
+const CHUNK_MAGIC: [u8; 4] = *b"DSLC";
 /// Current chunk format version.
-pub const FORMAT_VERSION: u16 = 1;
+const FORMAT_VERSION: u16 = 1;
 /// Byte offset of the fixed part described above.
-pub const FIXED_HEADER_LEN: usize = 54;
+const FIXED_HEADER_LEN: usize = 54;
 /// Length of the chunk prefix that ends with the header-length field —
 /// what a reader must fetch before [`ChunkHeader::peek_header_len`] can
 /// tell it where the payload starts.
@@ -40,11 +40,16 @@ pub const HEADER_LEN_PREFIX: usize = 10;
 
 /// Fixed-width read at `at`. Every offset `decode` passes is pre-checked
 /// against the lengths, but a typed error beats a panic if that
-/// invariant ever slips (panic-freedom rule R1).
+/// invariant ever slips.
 fn fixed<const N: usize>(data: &[u8], at: usize) -> Result<[u8; N]> {
     data.get(at..at + N)
         .and_then(|s| s.try_into().ok())
         .ok_or(ChunkError::Truncated { need: at + N, have: data.len() })
+}
+
+/// `data[lo..hi]`, or `Truncated` when `data` is shorter.
+fn span(data: &[u8], lo: usize, hi: usize) -> Result<&[u8]> {
+    data.get(lo..hi).ok_or(ChunkError::Truncated { need: hi, have: data.len() })
 }
 
 /// Metadata of one file stored inside a chunk.
@@ -132,7 +137,9 @@ impl ChunkHeader {
         }
         debug_assert_eq!(out.len(), hlen);
         let crc = crc32(out);
-        out[crc_pos..crc_pos + 4].copy_from_slice(&crc.to_le_bytes());
+        #[expect(clippy::indexing_slicing, reason = "the CRC placeholder was pushed above")]
+        let field = &mut out[crc_pos..crc_pos + 4];
+        field.copy_from_slice(&crc.to_le_bytes());
     }
 
     /// Read only the header length (== payload start offset) from the
@@ -166,9 +173,9 @@ impl ChunkHeader {
         let stored_crc = u32::from_le_bytes(fixed(data, 10)?);
         // Recompute with the CRC field zeroed.
         let mut hasher = crate::crc::Hasher::new();
-        hasher.update(&data[0..10]);
+        hasher.update(span(data, 0, 10)?);
         hasher.update(&[0u8; 4]);
-        hasher.update(&data[14..hlen]);
+        hasher.update(span(data, 14, hlen)?);
         if hasher.finalize() != stored_crc {
             return Err(ChunkError::HeaderChecksumMismatch);
         }
@@ -184,7 +191,7 @@ impl ChunkHeader {
         if hlen < pos + bm_len {
             return Err(ChunkError::Truncated { need: pos + bm_len, have: hlen });
         }
-        let bitmap = DeletionBitmap::from_bytes(&data[pos..pos + bm_len], file_count)
+        let bitmap = DeletionBitmap::from_bytes(span(data, pos, pos + bm_len)?, file_count)
             .ok_or(ChunkError::Truncated { need: pos + bm_len, have: data.len() })?;
         pos += bm_len;
         if bitmap.deleted_count() != deleted_count {
@@ -201,7 +208,7 @@ impl ChunkHeader {
             if hlen < pos + nlen + 20 {
                 return Err(ChunkError::Truncated { need: pos + nlen + 20, have: hlen });
             }
-            let name = std::str::from_utf8(&data[pos..pos + nlen])
+            let name = std::str::from_utf8(span(data, pos, pos + nlen)?)
                 .map_err(|_| ChunkError::BadFileName)?
                 .to_owned();
             pos += nlen;

@@ -94,14 +94,14 @@ impl ChunkId {
 
     /// Process id (bytes 10–12, 24-bit).
     pub fn pid(&self) -> u32 {
-        let b = &self.0[10..13];
-        ((b[0] as u32) << 16) | ((b[1] as u32) << 8) | b[2] as u32
+        let [.., p0, p1, p2, _, _, _] = self.0;
+        u32::from_be_bytes([0, p0, p1, p2])
     }
 
     /// Per-process counter (bytes 13–15, 24-bit).
     pub fn counter(&self) -> u32 {
-        let b = &self.0[13..16];
-        ((b[0] as u32) << 16) | ((b[1] as u32) << 8) | b[2] as u32
+        let [.., c0, c1, c2] = self.0;
+        u32::from_be_bytes([0, c0, c1, c2])
     }
 
     /// Encode with the order-preserving alphabet. Sorting the resulting
@@ -148,13 +148,17 @@ fn encode_base64_alphabet(bytes: &[u8; 16], alphabet: &[u8; 64]) -> String {
         nbits += 8;
         while nbits >= 6 {
             nbits -= 6;
-            out.push(alphabet[((acc >> nbits) & 0x3f) as usize] as char);
+            #[expect(clippy::indexing_slicing, reason = "the index is masked to 0..64")]
+            let digit = alphabet[((acc >> nbits) & 0x3f) as usize];
+            out.push(char::from(digit));
         }
     }
     if nbits > 0 {
         // Left-align the remaining bits, as standard base64 does. For
         // order preservation the padding bits must be zero (they are).
-        out.push(alphabet[((acc << (6 - nbits)) & 0x3f) as usize] as char);
+        #[expect(clippy::indexing_slicing, reason = "the index is masked to 0..64")]
+        let digit = alphabet[((acc << (6 - nbits)) & 0x3f) as usize];
+        out.push(char::from(digit));
     }
     out
 }
@@ -163,30 +167,33 @@ fn encode_sort64(bytes: &[u8; 16]) -> String {
     encode_base64_alphabet(bytes, ORD64)
 }
 
+/// The value of `c` in [`ORD64`].
+fn sort64_digit(c: u8) -> Option<u32> {
+    let d = match c {
+        b'-' => 0,
+        b'0'..=b'9' => c - b'0' + 1,
+        b'A'..=b'Z' => c - b'A' + 11,
+        b'_' => 37,
+        b'a'..=b'z' => c - b'a' + 38,
+        _ => return None,
+    };
+    Some(d.into())
+}
+
 fn decode_sort64(s: &str) -> crate::Result<[u8; 16]> {
     if s.len() != ChunkId::ENCODED_LEN {
         return Err(ChunkError::BadChunkId);
-    }
-    let mut rev = [0xffu8; 128];
-    for (i, &c) in ORD64.iter().enumerate() {
-        rev[c as usize] = i as u8;
     }
     let mut acc: u32 = 0;
     let mut nbits = 0u32;
     let mut out = [0u8; 16];
     let mut oi = 0usize;
     for c in s.bytes() {
-        if c as usize >= 128 || rev[c as usize] == 0xff {
-            return Err(ChunkError::BadChunkId);
-        }
-        acc = (acc << 6) | rev[c as usize] as u32;
+        acc = (acc << 6) | sort64_digit(c).ok_or(ChunkError::BadChunkId)?;
         nbits += 6;
         if nbits >= 8 {
             nbits -= 8;
-            if oi >= 16 {
-                return Err(ChunkError::BadChunkId);
-            }
-            out[oi] = ((acc >> nbits) & 0xff) as u8;
+            *out.get_mut(oi).ok_or(ChunkError::BadChunkId)? = ((acc >> nbits) & 0xff) as u8;
             oi += 1;
         }
     }
@@ -248,7 +255,7 @@ impl ChunkIdGenerator {
 
     /// A generator taking timestamps from an explicit [`Clock`].
     ///
-    /// This is the determinism seam (rule R2): with a shared `MockClock`
+    /// This is the determinism seam: with a shared `MockClock`
     /// two generators with the same identity mint identical ID
     /// sequences, which is what makes chunk builds reproducible.
     pub fn with_clock(machine: MachineId, pid: u32, clock: Arc<dyn Clock>) -> Self {

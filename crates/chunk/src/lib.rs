@@ -38,8 +38,7 @@ pub mod view;
 pub use bitmap::DeletionBitmap;
 pub use builder::{ChunkBuilder, ChunkBuilderConfig, ChunkWriter, SealedChunk};
 pub use compact::{compact_chunk, mark_deleted, CompactionStats};
-// diesel-lint: allow(R4) crate-root re-export: external header tools name the constants via here
-pub use format::{ChunkHeader, FileEntry, CHUNK_MAGIC, FORMAT_VERSION};
+pub use format::{ChunkHeader, FileEntry};
 pub use id::{ChunkId, ChunkIdGenerator, MachineId};
 pub use view::ChunkView;
 
@@ -50,7 +49,7 @@ pub const DEFAULT_CHUNK_SIZE: usize = 4 << 20;
 /// Errors produced while building or parsing chunks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChunkError {
-    /// The buffer does not start with [`CHUNK_MAGIC`].
+    /// The buffer does not start with the chunk magic (see [`mod@format`]).
     BadMagic,
     /// The format version is newer than this library understands.
     UnsupportedVersion(u16),

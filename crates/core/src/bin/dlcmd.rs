@@ -30,6 +30,7 @@ use diesel_core::{DieselClient, DieselServer, ServerRequest};
 use diesel_kv::ShardedKv;
 use diesel_meta::EntryKind;
 use diesel_store::{DirObjectStore, ObjectStore};
+use diesel_util::{Clock, SystemClock};
 
 type Server = DieselServer<ShardedKv, DirObjectStore>;
 
@@ -76,13 +77,6 @@ impl<E: std::fmt::Display> From<E> for Cli {
     fn from(e: E) -> Self {
         Cli::Failed(e.to_string())
     }
-}
-
-fn now_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
 }
 
 fn run(args: &[String]) -> Result<(), Cli> {
@@ -164,7 +158,7 @@ fn run(args: &[String]) -> Result<(), Cli> {
             Ok(())
         }
         ("rm", [dataset, path]) => {
-            server.delete_file(dataset, path, now_ms()).map_err(Cli::from)?;
+            server.delete_file(dataset, path, SystemClock::new().epoch_ms()).map_err(Cli::from)?;
             println!("deleted {path} (run `purge` to reclaim space)");
             Ok(())
         }
@@ -175,7 +169,8 @@ fn run(args: &[String]) -> Result<(), Cli> {
             Ok(())
         }
         ("purge", [dataset]) => {
-            let r = server.purge_dataset(dataset, now_ms()).map_err(Cli::from)?;
+            let r =
+                server.purge_dataset(dataset, SystemClock::new().epoch_ms()).map_err(Cli::from)?;
             println!(
                 "compacted {} chunks, removed {}, reclaimed {} bytes",
                 r.chunks_compacted, r.chunks_removed, r.bytes_reclaimed

@@ -226,8 +226,8 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
     /// Panics for clients built with
     /// [`connect_channel`](Self::connect_channel), which hold no direct
     /// server reference.
+    #[expect(clippy::expect_used, reason = "documented panic: a direct-only accessor")]
     pub fn server(&self) -> &Arc<DieselServer<K, S>> {
-        // diesel-lint: allow(R1) documented panic: direct-only accessor, misuse is a caller bug
         self.direct.as_ref().expect("client was connected over a channel, not a direct server")
     }
 
@@ -685,9 +685,9 @@ fn build_index(snapshot: &MetaSnapshot) -> DatasetIndex {
         })
         .collect();
     for f in &snapshot.files {
-        if let Some(&i) = pos.get(&f.meta.chunk) {
-            chunks[i].chunk_bytes += f.meta.length;
-            chunks[i].files.push(f.path.clone());
+        if let Some(c) = pos.get(&f.meta.chunk).and_then(|&i| chunks.get_mut(i)) {
+            c.chunk_bytes += f.meta.length;
+            c.files.push(f.path.clone());
         }
     }
     DatasetIndex::new(chunks)

@@ -122,13 +122,14 @@ impl KvCluster {
     }
 
     fn instance(&self, idx: usize) -> Result<&ShardedKv> {
-        if self.down[idx].load(Ordering::Acquire) {
-            return Err(KvError::InstanceDown { instance: idx });
+        match (self.instances.get(idx), self.down.get(idx)) {
+            (Some(inst), Some(down)) if !down.load(Ordering::Acquire) => Ok(inst),
+            _ => Err(KvError::InstanceDown { instance: idx }),
         }
-        Ok(&self.instances[idx])
     }
 
     /// Take instance `idx` down; subsequent ops routed to it fail.
+    #[expect(clippy::indexing_slicing, reason = "fault injection names one of its instances")]
     pub fn fail_instance(&self, idx: usize) {
         if !self.down[idx].swap(true, Ordering::Release) {
             self.instances_down.add(1);
@@ -138,6 +139,7 @@ impl KvCluster {
 
     /// Bring instance `idx` back up **empty** (its in-memory state was
     /// lost with the node).
+    #[expect(clippy::indexing_slicing, reason = "fault injection names one of its instances")]
     pub fn recover_instance(&self, idx: usize) {
         self.instances[idx].clear();
         if self.down[idx].swap(false, Ordering::Release) {
@@ -148,9 +150,9 @@ impl KvCluster {
 
     /// Clear every instance (data-center power failure, scenario b).
     pub fn power_loss(&self) {
-        for (i, inst) in self.instances.iter().enumerate() {
+        for (inst, down) in self.instances.iter().zip(&self.down) {
             inst.clear();
-            if self.down[i].swap(false, Ordering::Release) {
+            if down.swap(false, Ordering::Release) {
                 self.instances_down.sub(1);
             }
         }
@@ -193,7 +195,9 @@ impl KvStore for KvCluster {
         let n = self.instances.len();
         let mut grouped: Vec<Vec<(String, Bytes)>> = (0..n).map(|_| Vec::new()).collect();
         for (k, v) in pairs {
-            grouped[self.route(&k)].push((k, v));
+            #[expect(clippy::indexing_slicing, reason = "route() is below instances.len()")]
+            let group = &mut grouped[self.route(&k)];
+            group.push((k, v));
         }
         for (idx, batch) in grouped.into_iter().enumerate() {
             if batch.is_empty() {

@@ -25,14 +25,11 @@ pub const NUM_SLOTS: u16 = 16384;
 /// contains a `{...}` section, only the bytes inside the braces are
 /// hashed, letting callers co-locate related keys on one instance.
 pub fn key_slot(key: &str) -> u16 {
-    let bytes = key.as_bytes();
-    let hashed = match bytes.iter().position(|&b| b == b'{') {
-        Some(open) => match bytes[open + 1..].iter().position(|&b| b == b'}') {
-            Some(rel) if rel > 0 => &bytes[open + 1..open + 1 + rel],
-            _ => bytes,
-        },
-        None => bytes,
-    };
+    let hashed = match key.split_once('{').and_then(|(_, rest)| rest.split_once('}')) {
+        Some((tag, _)) if !tag.is_empty() => tag,
+        _ => key,
+    }
+    .as_bytes();
     crc16(hashed) % NUM_SLOTS
 }
 

@@ -57,6 +57,7 @@ impl ShardedKv {
         (fnv1a_64(key.as_bytes()) as usize) % self.shards.len()
     }
 
+    #[expect(clippy::indexing_slicing, reason = "shard_index is reduced modulo shards.len()")]
     fn shard_for(&self, key: &str) -> &RwLock<BTreeMap<String, Bytes>> {
         &self.shards[self.shard_index(key)]
     }

@@ -2,11 +2,10 @@
 //! source (preserving byte offsets and line structure) and collect
 //! `// diesel-lint: allow(...)` suppression directives along the way.
 //!
-//! The issue called for `syn`, but the build must stay dependency-free
-//! offline, so the rules run over this scrubbed text instead: every
-//! comment, string, char and lifetime quirk is blanked to spaces, which
-//! makes the later token scans immune to `"panic!("`-in-a-string false
-//! positives while keeping line numbers exact.
+//! Every comment, string, char and lifetime quirk is blanked to spaces,
+//! which makes the token scans immune to `".lock()"`-in-a-string false
+//! positives while keeping line numbers exact; the build stays
+//! dependency-free.
 
 use crate::Rule;
 
@@ -226,7 +225,7 @@ fn scrub_prefixed_literal(b: &[u8], mut i: usize, out: &mut [u8], line: &mut usi
     i
 }
 
-/// Parse a `// diesel-lint: allow(R1, R3) reason…` comment.
+/// Parse a `// diesel-lint: allow(R3, R5) reason…` comment.
 fn parse_directive(comment: &str, line: usize) -> Option<Suppression> {
     let body = comment.trim_start_matches('/').trim();
     let rest = body.strip_prefix("diesel-lint:")?.trim();
@@ -296,16 +295,15 @@ mod tests {
 
     #[test]
     fn strings_and_comments_are_blanked() {
-        let s = scrub("let x = \"panic!(\"; // panic!()\nlet y = 1;");
-        assert!(!s.code.contains("panic!"));
+        let s = scrub("let x = \".call(\"; // .call()\nlet y = 1;");
+        assert!(!s.code.contains("call"));
         assert!(s.code.contains("let y = 1;"));
-        assert_eq!(s.code.len(), s.code.len());
     }
 
     #[test]
     fn raw_strings_and_chars() {
-        let s = scrub(r####"let a = r#"unwrap()"#; let c = '{'; let l: &'static str = "x";"####);
-        assert!(!s.code.contains("unwrap"));
+        let s = scrub(r####"let a = r#"to_vec()"#; let c = '{'; let l: &'static str = "x";"####);
+        assert!(!s.code.contains("to_vec"));
         assert!(!s.code.contains('{'));
         assert!(s.code.contains("static"));
     }
@@ -318,13 +316,13 @@ mod tests {
 
     #[test]
     fn directives_parse() {
-        let s = scrub("x(); // diesel-lint: allow(R1) hot path, length checked above\ny();");
+        let s = scrub("x(); // diesel-lint: allow(R6) metadata string, not payload\ny();");
         assert_eq!(
             s.suppressions,
-            vec![Suppression { line: 1, rules: vec![Rule::R1], has_reason: true }]
+            vec![Suppression { line: 1, rules: vec![Rule::R6], has_reason: true }]
         );
-        let s = scrub("// diesel-lint: allow(R2, R4)\n");
-        assert_eq!(s.suppressions[0].rules, vec![Rule::R2, Rule::R4]);
+        let s = scrub("// diesel-lint: allow(R3, R5)\n");
+        assert_eq!(s.suppressions[0].rules, vec![Rule::R3, Rule::R5]);
         assert!(!s.suppressions[0].has_reason);
     }
 

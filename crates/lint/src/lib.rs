@@ -1,44 +1,31 @@
-//! # diesel-lint — workspace invariant checker
+//! # diesel-lint — lock and copy invariants the compiler cannot see
 //!
-//! Enforces six repo-specific rules the compiler cannot see:
+//! Panic-freedom, determinism and chunk-format hygiene are checked by the
+//! compiler: clippy's lints in the root `Cargo.toml`, `clippy.toml`'s
+//! `disallowed-methods`, and the privacy of `diesel_chunk::format`'s
+//! constants (DESIGN.md §7). This crate checks the three repo-specific
+//! rules nothing upstream does:
 //!
-//! * **R1 panic-freedom** — no `unwrap`/`expect`/panicking macros/slice
-//!   indexing in the library code of the serving crates (`core`,
-//!   `cache`, `meta`, `kv`, `net`, `store`, `chunk`). Poisoned locks are
-//!   handled by `diesel_util::lock_or_recover`, so no lock-unwrap
-//!   pattern needs to exist.
-//! * **R2 determinism** — no `Instant::now`/`SystemTime::now`/
-//!   `thread_rng`/`from_entropy` outside the clock module
-//!   (`diesel_util::clock` and its `diesel_net::clock` re-export shim).
-//!   Bench, bin and test targets are exempt.
 //! * **R3 lock discipline** — no blocking `.call(…)` RPC or simulated
 //!   `sleep_ns(…)` in a scope holding a lock guard (scope-level
 //!   approximation of the cache peer fan-out deadlock hazard).
-//! * **R4 format hygiene** — the chunk on-disk constants (`CHUNK_MAGIC`,
-//!   `FORMAT_VERSION`, `FIXED_HEADER_LEN`) are referenced only from
-//!   `chunk::format`.
 //! * **R5 lock order** — a nested `.lock()`/`.read()`/`.write()` under a
 //!   live guard must follow the declared rank manifest
 //!   (`rules::LOCK_RANKS`): strictly rank-upward, no unranked nesting.
 //!   The static half of the deadlock-freedom invariant; the runtime half
 //!   is `diesel_util::lockdep` (DESIGN.md §12).
 //! * **R6 copy hygiene** — payload byte copies (`.to_vec()`,
-//!   `.into_vec()`, `Vec::from`) outside `util::bytes` must sit beside a
-//!   `record_copy(…)` ledger call, keeping the zero-copy read path
-//!   (DESIGN.md §11) shrink-only.
+//!   `.into_vec()`, `Vec::from`) in serving-crate library code outside
+//!   `util::bytes` must sit beside a `record_copy(…)` ledger call,
+//!   keeping the zero-copy read path (DESIGN.md §11) shrink-only.
 //!
 //! Findings can be suppressed in place with
-//! `// diesel-lint: allow(R1) <reason>` (the reason is mandatory), or
-//! carried in a baseline file so adoption is incremental; the baseline
-//! may only ever shrink (`--baseline-check`).
+//! `// diesel-lint: allow(R6) <reason>` (the reason is mandatory).
 //!
-//! The issue sketched this on top of `syn`; the build is offline and
-//! dependency-free, so the rules instead run over a comment- and
-//! literal-scrubbed view of the source (see [`lex`]) — cruder than an
-//! AST, but exact about line numbers and immune to tokens hiding in
-//! strings.
+//! The rules run over a comment- and literal-scrubbed view of the source
+//! (see [`lex`]) — cruder than an AST, but exact about line numbers and
+//! immune to tokens hiding in strings.
 
-pub mod baseline;
 pub mod lex;
 pub mod rules;
 
@@ -48,14 +35,8 @@ use std::path::{Path, PathBuf};
 /// The rule a finding belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// Panic-freedom in serving crates.
-    R1,
-    /// Determinism: no raw time/entropy reads.
-    R2,
     /// Lock discipline: no blocking calls under a guard.
     R3,
-    /// Format hygiene: on-disk constants stay in `chunk::format`.
-    R4,
     /// Lock order: nested acquisition follows the rank manifest.
     R5,
     /// Copy hygiene: payload byte copies are ledgered.
@@ -63,63 +44,33 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// All rules, in order.
-    pub const ALL: [Rule; 6] = [Rule::R1, Rule::R2, Rule::R3, Rule::R4, Rule::R5, Rule::R6];
-
-    /// Short code, e.g. `"R1"`.
+    /// Short code, e.g. `"R3"`.
     pub fn code(self) -> &'static str {
         match self {
-            Rule::R1 => "R1",
-            Rule::R2 => "R2",
             Rule::R3 => "R3",
-            Rule::R4 => "R4",
             Rule::R5 => "R5",
             Rule::R6 => "R6",
         }
     }
 
-    /// Parse `"R1"`…`"R4"` (case-insensitive).
+    /// Parse `"R3"`, `"R5"` or `"R6"` (case-insensitive).
     pub fn parse(s: &str) -> Option<Rule> {
         match s.trim().to_ascii_uppercase().as_str() {
-            "R1" => Some(Rule::R1),
-            "R2" => Some(Rule::R2),
             "R3" => Some(Rule::R3),
-            "R4" => Some(Rule::R4),
             "R5" => Some(Rule::R5),
             "R6" => Some(Rule::R6),
             _ => None,
         }
     }
-}
 
-impl Rule {
     /// A paragraph of context for `--explain`: what the rule protects,
     /// why it exists, and how to satisfy it.
     pub fn explain(self) -> &'static str {
         match self {
-            Rule::R1 => {
-                "R1 panic-freedom: serving-crate library code must not unwrap/expect/panic \
-                 or slice-index. A panic under load poisons locks and takes the whole \
-                 multi-tenant process down; return a typed error instead. Poisoned-lock \
-                 recovery already exists (diesel_util::lock_or_recover), so no lock-unwrap \
-                 pattern is ever needed."
-            }
-            Rule::R2 => {
-                "R2 determinism: no Instant::now/SystemTime::now/thread_rng/from_entropy \
-                 outside the clock module. All time flows through the injectable Clock and \
-                 all randomness through seeded RNGs, so simulations and tests replay \
-                 bit-identically."
-            }
             Rule::R3 => {
                 "R3 lock discipline: no blocking .call(…) RPC or simulated sleep_ns(…) \
                  while a lock guard is live in the scope. Blocking under a lock turns one \
                  slow peer into a wedged shard; drop or scope the guard first."
-            }
-            Rule::R4 => {
-                "R4 format hygiene: the chunk on-disk constants (CHUNK_MAGIC, \
-                 FORMAT_VERSION, FIXED_HEADER_LEN) are referenced only from chunk::format. \
-                 Every other reader goes through the parsed header, so the format can \
-                 evolve in one place."
             }
             Rule::R5 => {
                 "R5 lock order: acquiring a second lock while holding one is allowed only \
@@ -177,26 +128,17 @@ impl fmt::Display for Finding {
 /// How a file participates in each rule, derived from its path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Targets {
-    /// R1 applies (serving-crate library code).
-    pub r1: bool,
-    /// R2 applies (library code outside the clock modules).
-    pub r2: bool,
-    /// R3 applies (library code).
-    pub r3: bool,
-    /// R4 applies (everything except `chunk::format`).
-    pub r4: bool,
-    /// R5 applies (library code).
-    pub r5: bool,
+    /// R3 and R5 apply (library code).
+    pub locks: bool,
     /// R6 applies (serving-crate library code outside `util::bytes`).
-    pub r6: bool,
+    pub copies: bool,
 }
 
 /// Classify a workspace-relative path (`crates/net/src/rpc.rs`).
 ///
-/// Test targets (`tests/`, `benches/`, `*_test.rs`), bin targets
-/// (`src/bin/`, `main.rs`) and bench bins are exempt from R1–R3;
-/// `#[cfg(test)]` regions inside library files are handled separately
-/// during scanning.
+/// Test targets (`tests/`, `benches/`, `*_test.rs`) and bin targets
+/// (`src/bin/`, `main.rs`) are exempt; `#[cfg(test)]` regions inside
+/// library files are handled separately during scanning.
 pub fn classify(rel: &str) -> Targets {
     let rel = rel.replace('\\', "/");
     let test_target = rel.contains("/tests/")
@@ -205,20 +147,11 @@ pub fn classify(rel: &str) -> Targets {
         || rel.ends_with("_test.rs");
     let bin_target = rel.contains("/bin/") || rel.ends_with("/main.rs") || rel == "src/main.rs";
     let lib_code = !test_target && !bin_target;
-
-    let r1_crate = rel
+    let serving = rel
         .strip_prefix("crates/")
         .and_then(|r| r.split('/').next())
-        .is_some_and(|c| rules::R1_CRATES.contains(&c));
-
-    Targets {
-        r1: lib_code && r1_crate,
-        r2: lib_code && !rules::R2_EXEMPT.contains(&rel.as_str()),
-        r3: lib_code,
-        r4: rel != rules::R4_HOME && !test_target,
-        r5: lib_code,
-        r6: lib_code && r1_crate && rel != rules::R6_HOME,
-    }
+        .is_some_and(|c| rules::SERVING_CRATES.contains(&c));
+    Targets { locks: lib_code, copies: lib_code && serving && rel != rules::R6_HOME }
 }
 
 /// Lint one file's source. `rel` is the workspace-relative path used in
@@ -230,30 +163,16 @@ pub fn scan_source(rel: &str, src: &str) -> Vec<Finding> {
     let in_test = |line: usize| test_regions.iter().any(|&(lo, hi)| lo <= line && line <= hi);
 
     let mut raw = Vec::new();
-    if targets.r1 {
-        rules::r1_panic(&scrubbed.code, &mut raw);
+    if targets.locks {
+        rules::lock_rules(&scrubbed.code, &mut raw);
     }
-    if targets.r2 {
-        rules::r2_determinism(&scrubbed.code, &mut raw);
-    }
-    if targets.r3 {
-        rules::r3_lock_discipline(&scrubbed.code, &mut raw);
-    }
-    if targets.r4 {
-        rules::r4_format_hygiene(&scrubbed.code, &mut raw);
-    }
-    if targets.r5 {
-        rules::r5_lock_order(&scrubbed.code, &mut raw);
-    }
-    if targets.r6 {
+    if targets.copies {
         rules::r6_copy_hygiene(&scrubbed.code, &mut raw);
     }
 
     let mut out = Vec::new();
     for mut f in raw {
-        // R4 applies to test code too (fixtures must not clone on-disk
-        // constants); the panic/determinism/lock rules do not.
-        if f.rule != Rule::R4 && in_test(f.line) {
+        if in_test(f.line) {
             continue;
         }
         if let Some(sup) = scrubbed
@@ -279,7 +198,7 @@ pub fn scan_source(rel: &str, src: &str) -> Vec<Finding> {
 /// Recursively collect the workspace `.rs` files to lint, relative to
 /// `root`: `crates/*/…` plus the root package's `src/` and `tests/`.
 /// Skips `target/`, the offline dependency stand-ins in `.devstubs/`,
-/// and diesel-lint's own rule fixtures (which violate on purpose).
+/// and diesel-lint's own rule corpus (which violates on purpose).
 pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     for top in ["crates", "src", "tests"] {
@@ -295,7 +214,6 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
             let s = p.to_string_lossy().replace('\\', "/");
             !s.starts_with(".devstubs/")
                 && !s.contains("/target/")
-                && !s.starts_with("crates/lint/tests/fixtures/")
                 && !s.starts_with("crates/lint/tests/corpus/")
         })
         .collect();
@@ -319,45 +237,15 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Lint every workspace file under `root`; findings carry
-/// root-relative paths.
-pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
+/// Lint `files` (relative to `root`, or absolute). Findings carry the
+/// paths as given.
+pub fn scan(root: &Path, files: &[PathBuf]) -> std::io::Result<Vec<Finding>> {
     let mut out = Vec::new();
-    for rel in workspace_files(root)? {
-        let src = std::fs::read_to_string(root.join(&rel))?;
+    for rel in files {
+        let src = std::fs::read_to_string(root.join(rel))?;
         out.extend(scan_source(&rel.to_string_lossy().replace('\\', "/"), &src));
     }
     Ok(out)
-}
-
-/// Render findings as a machine-readable JSON document.
-pub fn to_json(findings: &[Finding]) -> String {
-    fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-    let mut s = String::from("{\n  \"findings\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"message\": \"{}\"}}{}\n",
-            f.rule,
-            esc(&f.path),
-            f.line,
-            esc(&f.message),
-            if i + 1 < findings.len() { "," } else { "" }
-        ));
-    }
-    s.push_str(&format!("  ],\n  \"total\": {}\n}}\n", findings.len()));
-    s
 }
 
 #[cfg(test)]
@@ -365,59 +253,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classify_serving_crate_lib() {
-        let t = classify("crates/net/src/rpc.rs");
-        assert!(t.r1 && t.r2 && t.r3 && t.r4);
-    }
-
-    #[test]
     fn classify_exemptions() {
-        assert!(classify("crates/train/src/tensor.rs").r1, "train joined R1 in PR 7");
-        assert!(!classify("crates/bench/src/report.rs").r1, "bench tooling may unwrap");
-        assert!(!classify("crates/util/src/bytes.rs").r6, "Bytes owns its copies");
-        assert!(classify("crates/util/src/sync.rs").r6);
-        assert!(!classify("crates/util/src/clock.rs").r2, "clock module reads real time");
-        assert!(!classify("crates/net/src/clock.rs").r2, "re-export shim keeps old paths");
-        let t = classify("crates/net/tests/integration.rs");
-        assert!(!t.r1 && !t.r2 && !t.r3);
-        let t = classify("crates/core/src/bin/dlcmd.rs");
-        assert!(!t.r1 && !t.r2, "bin targets may unwrap and read time");
-        assert!(!classify("crates/chunk/src/format.rs").r4, "format.rs owns the constants");
-        assert!(classify("crates/chunk/src/view.rs").r4);
+        assert_eq!(classify("crates/net/src/rpc.rs"), Targets { locks: true, copies: true });
+        assert!(!classify("crates/bench/src/report.rs").copies, "bench tooling may copy");
+        assert!(classify("crates/bench/src/report.rs").locks);
+        assert!(!classify("crates/util/src/bytes.rs").copies, "Bytes owns its copies");
+        let none = Targets { locks: false, copies: false };
+        assert_eq!(classify("crates/net/tests/integration.rs"), none);
+        assert_eq!(classify("crates/core/src/bin/dlcmd.rs"), none);
     }
 
     #[test]
-    fn cfg_test_regions_are_exempt_from_r1() {
-        let src = "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n\
-                   #[cfg(test)]\nmod tests {\n  fn g() { None::<u8>.unwrap(); }\n}\n";
+    fn cfg_test_regions_are_exempt() {
+        let src = "pub fn f(d: &[u8]) -> Vec<u8> { d.to_vec() }\n\
+                   #[cfg(test)]\nmod tests {\n  fn g(d: &[u8]) { d.to_vec(); }\n}\n";
         let found = scan_source("crates/kv/src/lib.rs", src);
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].line, 1);
     }
 
     #[test]
-    fn suppression_with_reason_silences() {
-        let src = "fn f() { x.unwrap(); // diesel-lint: allow(R1) documented invariant\n}\n";
+    fn tokens_in_strings_and_comments_never_fire() {
+        let src = "pub fn f(m: &Mutex<u8>) -> usize {\n  let g = m.lock();\n  \
+                   let s = \".call() sleep_ns( d.to_vec() b.lock()\"; // chan.call(x) d.to_vec()\n  \
+                   s.len() + *g as usize\n}\n";
         assert!(scan_source("crates/kv/src/lib.rs", src).is_empty());
     }
 
     #[test]
-    fn suppression_without_reason_is_reported() {
-        let src = "fn f() {\n  // diesel-lint: allow(R1)\n  x.unwrap();\n}\n";
-        let found = scan_source("crates/kv/src/lib.rs", src);
-        assert_eq!(found.len(), 1);
-        assert!(found[0].message.contains("missing a reason"), "{}", found[0].message);
+    fn suppression_with_reason_silences() {
+        let src = "fn f() { d.to_vec(); // diesel-lint: allow(R6) metadata, not payload\n}\n";
+        assert!(scan_source("crates/kv/src/lib.rs", src).is_empty());
     }
 
     #[test]
-    fn json_escapes() {
-        let f = vec![Finding {
-            rule: Rule::R1,
-            path: "a\"b.rs".into(),
-            line: 3,
-            message: "x\ny".into(),
-        }];
-        let j = to_json(&f);
-        assert!(j.contains("a\\\"b.rs") && j.contains("x\\ny") && j.contains("\"total\": 1"));
+    fn suppression_without_reason_or_for_another_rule_is_reported() {
+        let src = "fn f() {\n  // diesel-lint: allow(R6)\n  d.to_vec();\n  // diesel-lint: allow(R5) wrong rule\n  d.to_vec();\n}\n";
+        let found = scan_source("crates/kv/src/lib.rs", src);
+        assert_eq!(found.len(), 2, "{found:?}");
+        assert!(found[0].message.contains("missing a reason"), "{}", found[0].message);
+        assert!(found[1].message.contains("ledger"), "{}", found[1].message);
     }
 }

@@ -1,66 +1,44 @@
 //! The `diesel-lint` command-line front end.
 //!
 //! ```text
-//! diesel-lint --workspace [--root DIR] [--json] \
-//!             [--baseline FILE] [--baseline-check] [--write-baseline FILE]
-//! diesel-lint FILE…
+//! diesel-lint --workspace [--root DIR]
+//! diesel-lint [--root DIR] FILE…
 //! diesel-lint --explain RULE
 //! ```
 //!
-//! Exit codes: 0 clean, 1 findings (or stale baseline under
-//! `--baseline-check`), 2 usage/configuration error.
+//! Exit codes: 0 clean, 1 findings, 2 usage error.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use diesel_lint::baseline::Baseline;
-use diesel_lint::{scan_source, to_json, workspace_files, Finding, Rule};
+use diesel_lint::{scan, workspace_files, Rule};
 
 struct Options {
     explain: Option<Rule>,
     workspace: bool,
     root: PathBuf,
-    json: bool,
-    baseline: Option<PathBuf>,
-    baseline_check: bool,
-    write_baseline: Option<PathBuf>,
     files: Vec<PathBuf>,
 }
 
 fn usage() -> &'static str {
-    "usage: diesel-lint (--workspace [--root DIR] | FILE... | --explain RULE) \
-     [--json] [--baseline FILE] [--baseline-check] [--write-baseline FILE]"
+    "usage: diesel-lint (--workspace | FILE... | --explain RULE) [--root DIR]"
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        explain: None,
-        workspace: false,
-        root: PathBuf::from("."),
-        json: false,
-        baseline: None,
-        baseline_check: false,
-        write_baseline: None,
-        files: Vec::new(),
-    };
+    let mut opts =
+        Options { explain: None, workspace: false, root: PathBuf::from("."), files: Vec::new() };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut path_value = |name: &str| {
-            it.next().map(PathBuf::from).ok_or_else(|| format!("{name} needs a value"))
-        };
         match arg.as_str() {
             "--workspace" => opts.workspace = true,
             "--explain" => {
-                let code = it.next().ok_or("--explain needs a rule code (R1..R6)")?;
+                let code = it.next().ok_or("--explain needs a rule code (R3, R5, R6)")?;
                 opts.explain = Some(
-                    Rule::parse(code).ok_or_else(|| format!("unknown rule {code:?} (R1..R6)"))?,
+                    Rule::parse(code)
+                        .ok_or_else(|| format!("unknown rule {code:?} (R3, R5, R6)"))?,
                 );
             }
-            "--json" => opts.json = true,
-            "--baseline-check" => opts.baseline_check = true,
-            "--root" => opts.root = path_value("--root")?,
-            "--baseline" => opts.baseline = Some(path_value("--baseline")?),
-            "--write-baseline" => opts.write_baseline = Some(path_value("--write-baseline")?),
+            "--root" => opts.root = it.next().map(PathBuf::from).ok_or("--root needs a value")?,
             "--help" | "-h" => return Err(usage().to_owned()),
             f if !f.starts_with('-') => opts.files.push(PathBuf::from(f)),
             other => return Err(format!("unknown flag {other:?}\n{}", usage())),
@@ -69,88 +47,37 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if opts.explain.is_none() && opts.workspace != opts.files.is_empty() {
         return Err(format!("pass exactly one of --workspace or file paths\n{}", usage()));
     }
-    if opts.baseline_check && opts.baseline.is_none() {
-        return Err("--baseline-check requires --baseline".to_owned());
-    }
     Ok(opts)
 }
 
-fn scan(opts: &Options) -> std::io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
-    let rels: Vec<PathBuf> =
-        if opts.workspace { workspace_files(&opts.root)? } else { opts.files.clone() };
-    let root: &Path = &opts.root;
-    for rel in rels {
-        let full = if rel.is_absolute() { rel.clone() } else { root.join(&rel) };
-        let src = std::fs::read_to_string(&full)?;
-        findings.extend(scan_source(&rel.to_string_lossy().replace('\\', "/"), &src));
-    }
-    Ok(findings)
-}
-
-fn run() -> Result<bool, (String, u8)> {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_args(&args).map_err(|e| (e, 2))?;
-
+    let opts = match parse_args(&args) {
+        Ok(opts) => opts,
+        Err(msg) => {
+            eprintln!("diesel-lint: {msg}");
+            return ExitCode::from(2);
+        }
+    };
     if let Some(rule) = opts.explain {
         println!("{rule}: {}", rule.explain());
-        return Ok(true);
+        return ExitCode::SUCCESS;
     }
-
-    let findings = scan(&opts).map_err(|e| (format!("scan failed: {e}"), 2))?;
-
-    if let Some(path) = &opts.write_baseline {
-        let base = Baseline::from_findings(&findings);
-        std::fs::write(path, base.render())
-            .map_err(|e| (format!("cannot write {}: {e}", path.display()), 2))?;
-        eprintln!(
-            "diesel-lint: wrote baseline {} ({} entries covering {} findings)",
-            path.display(),
-            base.len(),
-            findings.len()
-        );
-        return Ok(true);
-    }
-
-    let (remaining, stale) = match &opts.baseline {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| (format!("cannot read {}: {e}", path.display()), 2))?;
-            let base = Baseline::parse(&text).map_err(|e| (e.to_string(), 2))?;
-            let stale =
-                if opts.baseline_check { base.stale_entries(&findings) } else { Vec::new() };
-            (base.filter(findings), stale)
+    let files = if opts.workspace { workspace_files(&opts.root) } else { Ok(opts.files) };
+    let findings = match files.and_then(|files| scan(&opts.root, &files)) {
+        Ok(findings) => findings,
+        Err(e) => {
+            eprintln!("diesel-lint: scan failed: {e}");
+            return ExitCode::from(2);
         }
-        None => (findings, Vec::new()),
     };
-
-    if opts.json {
-        print!("{}", to_json(&remaining));
+    for f in &findings {
+        println!("{f}");
+    }
+    if findings.is_empty() {
+        ExitCode::SUCCESS
     } else {
-        for f in &remaining {
-            println!("{f}");
-        }
-        if !remaining.is_empty() {
-            eprintln!("diesel-lint: {} finding(s)", remaining.len());
-        }
-    }
-    for (rule, path, allowed, actual) in &stale {
-        eprintln!(
-            "diesel-lint: stale baseline entry: {} {path} allows {allowed} but only \
-             {actual} remain — shrink the baseline (--write-baseline)",
-            rule.code(),
-        );
-    }
-    Ok(remaining.is_empty() && stale.is_empty())
-}
-
-fn main() -> ExitCode {
-    match run() {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::from(1),
-        Err((msg, code)) => {
-            eprintln!("diesel-lint: {msg}");
-            ExitCode::from(code)
-        }
+        eprintln!("diesel-lint: {} finding(s)", findings.len());
+        ExitCode::from(1)
     }
 }

@@ -1,145 +1,36 @@
-//! Fixture-driven integration tests: each rule must fire on its
-//! positive fixture, stay silent on the clean fixture, respect
-//! suppressions, and honor the baseline. The fixtures live under
-//! `tests/fixtures/` and are never compiled — they're scanned as if
-//! they sat at serving-crate paths.
+//! Whole-tree checks: the workspace is clean, and the serving-crate set
+//! diesel-lint holds to R6 is the set that opts into clippy's
+//! panic-freedom lints.
 
-use diesel_lint::baseline::Baseline;
-use diesel_lint::{scan_source, to_json, Rule};
+use std::path::{Path, PathBuf};
 
-/// Scan fixture `src` as if it were a serving-crate library file.
-fn scan(src: &str) -> Vec<diesel_lint::Finding> {
-    scan_source("crates/core/src/fixture.rs", src)
-}
+use diesel_lint::rules::SERVING_CRATES;
 
-#[test]
-fn r1_fires_on_each_panic_class() {
-    let found = scan(include_str!("fixtures/r1_positive.rs"));
-    let r1: Vec<_> = found.iter().filter(|f| f.rule == Rule::R1).collect();
-    for needle in ["unwrap()", "expect()", "explicit panic", "unimplemented!", "todo!", "indexing"]
-    {
-        assert!(
-            r1.iter().any(|f| f.message.contains(needle)),
-            "no R1 finding mentions {needle}: {r1:?}"
-        );
-    }
-    assert!(found.iter().all(|f| f.line < 23), "the #[cfg(test)] module must be exempt: {found:?}");
-}
-
-#[test]
-fn r2_fires_on_time_and_entropy() {
-    let found = scan(include_str!("fixtures/r2_positive.rs"));
-    let mentioned: Vec<_> = found.iter().filter(|f| f.rule == Rule::R2).collect();
-    for needle in ["Instant::now", "SystemTime::now", "thread_rng", "from_entropy"] {
-        assert!(
-            mentioned.iter().any(|f| f.message.contains(needle)),
-            "no R2 finding mentions {needle}: {mentioned:?}"
-        );
-    }
-}
-
-#[test]
-fn r2_exempt_in_clock_module_and_bin_targets() {
-    let src = include_str!("fixtures/r2_positive.rs");
-    for rel in
-        ["crates/util/src/clock.rs", "crates/core/src/bin/tool.rs", "crates/bench/src/bin/fig.rs"]
-    {
-        let found = scan_source(rel, src);
-        assert!(
-            found.iter().all(|f| f.rule != Rule::R2),
-            "{rel} must be exempt from R2: {found:?}"
-        );
-    }
-}
-
-#[test]
-fn r3_fires_under_guard_but_not_after_release() {
-    let found = scan(include_str!("fixtures/r3_positive.rs"));
-    let r3: Vec<_> = found.iter().filter(|f| f.rule == Rule::R3).collect();
-    assert_eq!(r3.len(), 2, "exactly the two held-guard sites: {r3:?}");
-    assert!(r3[0].message.contains(".call()") && r3[0].message.contains("guard"));
-    assert!(r3[1].message.contains("sleep_ns") && r3[1].message.contains("snapshot"));
-}
-
-#[test]
-fn r4_fires_outside_format_module_only() {
-    let src = include_str!("fixtures/r4_positive.rs");
-    let found = scan(src);
-    assert_eq!(found.iter().filter(|f| f.rule == Rule::R4).count(), 3, "{found:?}");
-    let in_home = scan_source("crates/chunk/src/format.rs", src);
-    assert!(in_home.iter().all(|f| f.rule != Rule::R4), "format.rs owns the constants");
-}
-
-#[test]
-fn clean_fixture_is_silent() {
-    let found = scan(include_str!("fixtures/clean.rs"));
-    assert!(found.is_empty(), "clean fixture must produce no findings: {found:?}");
-}
-
-#[test]
-fn suppressions_need_a_reason_and_the_right_rule() {
-    let found = scan(include_str!("fixtures/suppressed.rs"));
-    // Two justified suppressions silence their sites; the reason-free one
-    // reports the missing reason; the wrong-rule one doesn't apply at all.
-    assert_eq!(found.len(), 2, "{found:?}");
-    assert!(found[0].message.contains("missing a reason"), "{}", found[0].message);
-    assert!(found[1].message.contains("indexing"), "{}", found[1].message);
-}
-
-#[test]
-fn baseline_filters_known_findings_and_ratchets() {
-    let findings = scan(include_str!("fixtures/r1_positive.rs"));
-    let n = findings.len();
-    assert!(n >= 6);
-
-    // The generated baseline swallows everything.
-    let base = Baseline::from_findings(&findings);
-    assert_eq!(base.len(), 1, "one (rule, file) entry");
-    assert!(base.filter(findings.clone()).is_empty());
-
-    // Parse the rendered form back and it still covers the findings.
-    let reparsed = Baseline::parse(&base.render()).expect("rendered baseline parses");
-    assert!(reparsed.filter(findings.clone()).is_empty());
-
-    // A new finding in the same file reports the whole group.
-    let tight =
-        Baseline::parse(&format!("R1 crates/core/src/fixture.rs {}\n", n - 1)).expect("parses");
-    assert_eq!(tight.filter(findings.clone()).len(), n);
-
-    // The ratchet: an over-generous allowance is reported as stale.
-    let loose =
-        Baseline::parse(&format!("R1 crates/core/src/fixture.rs {}\n", n + 5)).expect("parses");
-    assert!(loose.filter(findings.clone()).is_empty());
-    let stale = loose.stale_entries(&findings);
-    assert_eq!(stale.len(), 1);
-    assert_eq!(stale[0].2, n + 5);
-    assert_eq!(stale[0].3, n);
-}
-
-#[test]
-fn json_output_is_well_formed() {
-    let findings = scan(include_str!("fixtures/r2_positive.rs"));
-    let json = to_json(&findings);
-    assert!(json.contains("\"rule\": \"R2\""));
-    assert!(json.contains("\"path\": \"crates/core/src/fixture.rs\""));
-    assert!(json.contains(&format!("\"total\": {}", findings.len())));
-    assert_eq!(json.matches("{\"rule\"").count(), findings.len());
-}
-
-#[test]
-fn the_repo_tree_passes_with_its_committed_baseline() {
+fn workspace_root() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/lint; the workspace root is two up.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .to_path_buf();
-    let findings = diesel_lint::scan_workspace(&root).expect("scan workspace");
-    let text = std::fs::read_to_string(root.join("lint-baseline.txt")).expect("baseline file");
-    let base = Baseline::parse(&text).expect("baseline parses");
-    assert!(base.len() <= 150, "baseline must stay small, has {} entries", base.len());
-    let remaining = base.filter(findings.clone());
-    assert!(remaining.is_empty(), "non-baselined findings: {remaining:#?}");
-    let stale = base.stale_entries(&findings);
-    assert!(stale.is_empty(), "stale baseline entries (run --write-baseline): {stale:?}");
+    Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2).expect("workspace root").to_path_buf()
+}
+
+#[test]
+fn the_repo_tree_has_no_findings() {
+    let root = workspace_root();
+    let files = diesel_lint::workspace_files(&root).expect("list workspace");
+    let findings = diesel_lint::scan(&root, &files).expect("scan workspace");
+    assert!(findings.is_empty(), "findings: {findings:#?}");
+}
+
+#[test]
+fn serving_crates_are_the_crates_that_opt_into_the_workspace_lints() {
+    let mut opted_in = Vec::new();
+    for entry in std::fs::read_dir(workspace_root().join("crates")).expect("crates/") {
+        let dir = entry.expect("dir entry").path();
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap_or_default();
+        if manifest.contains("[lints]\nworkspace = true") {
+            opted_in.push(dir.file_name().expect("name").to_string_lossy().into_owned());
+        }
+    }
+    opted_in.sort();
+    let mut serving: Vec<_> = SERVING_CRATES.iter().map(|c| c.to_string()).collect();
+    serving.sort();
+    assert_eq!(opted_in, serving);
 }

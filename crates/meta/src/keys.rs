@@ -66,10 +66,7 @@ pub fn dir_scan_prefix(dataset: &str, parent: &str, kind: char) -> String {
 
 /// Split a full path into `(parent, basename)`. The root parent is `""`.
 pub fn split_path(path: &str) -> (&str, &str) {
-    match path.rfind('/') {
-        Some(i) => (&path[..i], &path[i + 1..]),
-        None => ("", path),
-    }
+    path.rsplit_once('/').unwrap_or(("", path))
 }
 
 /// All ancestor (parent, child-component) pairs a file's path implies.
@@ -77,17 +74,11 @@ pub fn split_path(path: &str) -> (&str, &str) {
 /// `a/b/c.jpg` yields `[("", "a"), ("a", "b")]` — the directories that
 /// must exist — plus the caller stores the `("a/b", "c.jpg")` file entry.
 pub fn ancestor_dirs(path: &str) -> Vec<(&str, &str)> {
-    let mut out = Vec::new();
-    let mut prev_end = 0usize;
-    for (i, _) in path.match_indices('/') {
-        let parent = if prev_end == 0 { "" } else { &path[..prev_end - 1] };
-        let name = &path[prev_end..i];
-        if !name.is_empty() {
-            out.push((parent, name));
-        }
-        prev_end = i + 1;
-    }
-    out
+    path.match_indices('/')
+        .filter_map(|(i, _)| path.get(..i))
+        .map(split_path)
+        .filter(|(_, name)| !name.is_empty())
+        .collect()
 }
 
 #[cfg(test)]

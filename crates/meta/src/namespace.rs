@@ -139,10 +139,7 @@ fn remove_in(node: &mut DirNode, parent: &str, name: &str) -> bool {
         node.files.remove(name);
         return node.files.is_empty() && node.subdirs.is_empty();
     }
-    let (head, rest) = match parent.find('/') {
-        Some(i) => (&parent[..i], &parent[i + 1..]),
-        None => (parent, ""),
-    };
+    let (head, rest) = parent.split_once('/').unwrap_or((parent, ""));
     let mut prune = false;
     if let Some(child) = node.subdirs.get_mut(head) {
         if remove_in(child, rest, name) {

@@ -23,16 +23,13 @@ impl<'a> Cursor<'a> {
     }
 
     pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.pos + n > self.data.len() {
-            return None;
-        }
-        let s = &self.data[self.pos..self.pos + n];
+        let s = self.data.get(self.pos..self.pos.checked_add(n)?)?;
         self.pos += n;
         Some(s)
     }
 
     pub(crate) fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
+        self.take(1).and_then(|s| s.first().copied())
     }
     pub(crate) fn u32(&mut self) -> Option<u32> {
         self.take(4).and_then(|s| s.try_into().ok()).map(u32::from_le_bytes)

@@ -171,7 +171,7 @@ impl<K: KvStore> MetaService<K> {
         let prefix = keys::chunk_prefix(dataset);
         let mut ids = Vec::new();
         for (k, _) in self.kv.pscan(&prefix)? {
-            let enc = &k[prefix.len()..];
+            let enc = k.get(prefix.len()..).unwrap_or_default();
             ids.push(ChunkId::decode(enc).map_err(|_| MetaError::BadRecord { key: k.clone() })?);
         }
         Ok(ids) // pscan is sorted; the encoding is order-preserving
@@ -185,7 +185,7 @@ impl<K: KvStore> MetaService<K> {
         let mut out = Vec::new();
         for (k, _) in self.kv.pscan(&dprefix)? {
             out.push(DirEntry {
-                name: k[dprefix.len()..].to_owned(),
+                name: k.get(dprefix.len()..).unwrap_or_default().to_owned(),
                 kind: EntryKind::Dir,
                 size: 0,
             });
@@ -193,7 +193,7 @@ impl<K: KvStore> MetaService<K> {
         for (k, v) in self.kv.pscan(&fprefix)? {
             let meta = FileMeta::decode(&v)?;
             out.push(DirEntry {
-                name: k[fprefix.len()..].to_owned(),
+                name: k.get(fprefix.len()..).unwrap_or_default().to_owned(),
                 kind: EntryKind::File,
                 size: meta.length,
             });
@@ -325,7 +325,7 @@ impl<K: KvStore> MetaService<K> {
         let mut files = Vec::new();
         for (k, v) in self.kv.pscan(&fprefix)? {
             files.push(SnapshotFile {
-                path: k[fprefix.len()..].to_owned(),
+                path: k.get(fprefix.len()..).unwrap_or_default().to_owned(),
                 meta: FileMeta::decode(&v)?,
             });
         }

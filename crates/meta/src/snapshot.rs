@@ -65,31 +65,32 @@ impl MetaSnapshot {
             f.meta.encode_into(&mut out);
         }
         let crc = crc32(&out);
-        out[crc_pos..crc_pos + 4].copy_from_slice(&crc.to_le_bytes());
+        #[expect(clippy::indexing_slicing, reason = "the CRC placeholder was pushed above")]
+        let field = &mut out[crc_pos..crc_pos + 4];
+        field.copy_from_slice(&crc.to_le_bytes());
         out
     }
 
     /// Deserialize and verify.
     pub fn decode(data: &[u8]) -> Result<Self> {
         let fail = |why: &str| MetaError::BadSnapshot(why.to_owned());
-        if data.len() < 10 || data[0..4] != SNAPSHOT_MAGIC {
+        let Some((&[m0, m1, m2, m3, v0, v1, c0, c1, c2, c3], body)) = data.split_first_chunk()
+        else {
+            return Err(fail("bad magic"));
+        };
+        if [m0, m1, m2, m3] != SNAPSHOT_MAGIC {
             return Err(fail("bad magic"));
         }
-        let version =
-            u16::from_le_bytes(data[4..6].try_into().map_err(|_| fail("truncated header"))?);
-        if version > SNAPSHOT_VERSION {
+        if u16::from_le_bytes([v0, v1]) > SNAPSHOT_VERSION {
             return Err(fail("unsupported version"));
         }
-        let stored_crc =
-            u32::from_le_bytes(data[6..10].try_into().map_err(|_| fail("truncated header"))?);
         let mut hasher = diesel_chunk::crc::Hasher::new();
-        hasher.update(&data[0..6]);
-        hasher.update(&[0u8; 4]);
-        hasher.update(&data[10..]);
-        if hasher.finalize() != stored_crc {
+        hasher.update(&[m0, m1, m2, m3, v0, v1, 0, 0, 0, 0]);
+        hasher.update(body);
+        if hasher.finalize() != u32::from_le_bytes([c0, c1, c2, c3]) {
             return Err(fail("checksum mismatch"));
         }
-        let mut c = Cursor::new(&data[10..]);
+        let mut c = Cursor::new(body);
         let dataset = c.string().ok_or_else(|| fail("dataset name"))?;
         let updated_ms = c.u64().ok_or_else(|| fail("timestamp"))?;
         let n_chunks = c.u32().ok_or_else(|| fail("chunk count"))? as usize;

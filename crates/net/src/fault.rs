@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use diesel_util::Mutex;
 
-use crate::clock::Clock;
 use crate::{Endpoint, NetError, Result, Service};
+use diesel_util::clock::Clock;
 
 /// What to inject and how often. Probabilities are checked in order:
 /// disconnect, reject, drop, delay; at most one fault fires per call.
@@ -141,8 +141,8 @@ impl<S> std::fmt::Debug for FaultChannel<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::MockClock;
     use crate::direct::DirectChannel;
+    use diesel_util::clock::MockClock;
 
     fn echo() -> DirectChannel<impl Fn(u64) -> Result<u64>> {
         DirectChannel::new(Endpoint::new("svc", 0), |x: u64| Ok(x))

@@ -16,7 +16,7 @@
 //! - [`ThreadServer`]/[`ThreadChannel`] — a serving thread fed by an
 //!   mpsc channel, one reply channel per call.
 //! - [`Retry`] — bounded retries with exponential backoff on retryable
-//!   errors, driven by an injectable [`Clock`] so tests never sleep.
+//!   errors, driven by an injectable [`Clock`](diesel_util::Clock) so tests never sleep.
 //! - [`FaultChannel`] — seeded fault injection (drop → timeout, delay,
 //!   reject, permanent disconnect) for exercising failure paths
 //!   deterministically.
@@ -24,14 +24,12 @@
 //!   error/retry/timeout counters and a latency histogram, living in a
 //!   shared [`diesel_obs::Registry`] for one-snapshot observability.
 
-pub mod clock;
 pub mod direct;
 pub mod fault;
 pub mod retry;
 pub mod stats;
 pub mod thread;
 
-pub use clock::{Clock, MockClock, SystemClock};
 pub use direct::DirectChannel;
 pub use fault::{FaultChannel, FaultPolicy};
 pub use retry::{Retry, RetryPolicy};

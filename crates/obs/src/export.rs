@@ -257,7 +257,8 @@ mod tests {
     }
 
     /// Minimal recursive-descent JSON parser. Depth-limited, allocation
-    /// conscious, and panic-free (diesel-lint R1 applies to this module).
+    /// conscious, and panic-free (clippy's `indexing_slicing` and
+    /// `unwrap_used` apply to this crate).
     struct Parser<'a> {
         b: &'a [u8],
         i: usize,

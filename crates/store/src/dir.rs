@@ -30,22 +30,20 @@ fn escape_key(key: &str) -> String {
     out
 }
 
-/// Invert [`escape_key`].
+/// Invert [`escape_key`]. A `%` not followed by two hex digits is no
+/// escape, so the name is no key: `put`'s tmp files are named that way.
 fn unescape_key(name: &str) -> Option<String> {
-    let bytes = name.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            if i + 3 > bytes.len() {
-                return None;
-            }
-            let hex = std::str::from_utf8(&bytes[i + 1..i + 3]).ok()?;
-            out.push(u8::from_str_radix(hex, 16).ok()?);
-            i += 3;
+    let hex = |c: u8| char::from(c).to_digit(16);
+    let mut out = Vec::with_capacity(name.len());
+    let mut rest = name.as_bytes();
+    while let Some((&b, tail)) = rest.split_first() {
+        rest = tail;
+        if b == b'%' {
+            let (&[hi, lo], tail) = rest.split_first_chunk::<2>()?;
+            out.push(u8::try_from(hex(hi)? * 16 + hex(lo)?).ok()?);
+            rest = tail;
         } else {
-            out.push(bytes[i]);
-            i += 1;
+            out.push(b);
         }
     }
     String::from_utf8(out).ok()
@@ -94,6 +92,12 @@ impl DirObjectStore {
         self.root.join(escape_key(key))
     }
 
+    /// Where `put` writes `key` before the rename. `%t` is no escape, so
+    /// a crash's left-over tmp file never lists as a key.
+    fn tmp_path(&self, key: &str) -> PathBuf {
+        self.root.join(format!("%tmp-{}-{}", std::process::id(), escape_key(key)))
+    }
+
     fn keys(&self) -> Vec<String> {
         let mut keys: Vec<String> = match fs::read_dir(&self.root) {
             Ok(entries) => entries
@@ -112,7 +116,7 @@ impl ObjectStore for DirObjectStore {
     fn put(&self, key: &str, value: Bytes) -> Result<()> {
         // Write-then-rename for atomicity under concurrent readers.
         let final_path = self.path_for(key);
-        let tmp = self.root.join(format!(".tmp-{}-{}", std::process::id(), escape_key(key)));
+        let tmp = self.tmp_path(key);
         fs::write(&tmp, &value).map_err(|e| StoreError::Io(e.to_string()))?;
         fs::rename(&tmp, &final_path).map_err(|e| StoreError::Io(e.to_string()))?;
         self.registry.batch(|| {
@@ -215,6 +219,17 @@ mod tests {
             assert!(!esc.contains('/'), "escaped key must be flat: {esc}");
             assert_eq!(unescape_key(&esc).as_deref(), Some(key), "key {key:?}");
         }
+    }
+
+    #[test]
+    fn a_crashed_puts_tmp_file_is_no_key() {
+        let s = DirObjectStore::open(tmpdir("tmp")).unwrap();
+        fs::write(s.tmp_path("ds/chunk"), b"torn").unwrap();
+        assert_eq!(s.len(), 0);
+        assert!(s.list_prefix("").is_empty(), "{:?}", s.list_prefix(""));
+        s.put(".tmp-x", Bytes::from_static(b"real")).unwrap();
+        assert_eq!(s.list_prefix(""), vec![".tmp-x"]);
+        assert_eq!(s.get(".tmp-x").unwrap(), Bytes::from_static(b"real"));
     }
 
     #[test]

@@ -79,7 +79,10 @@ impl<S: ObjectStore> FaultyStore<S> {
             diesel_obs::record_copy("corruption", data.len() as u64);
             let mut v = data.to_vec();
             let pos = rng.gen_range(0..v.len());
-            v[pos] ^= 1u8 << rng.gen_range(0..8u32);
+            let bit = 1u8 << rng.gen_range(0..8u32);
+            if let Some(b) = v.get_mut(pos) {
+                *b ^= bit;
+            }
             return Ok(Bytes::from(v));
         }
         Ok(data)

@@ -36,12 +36,16 @@ impl Sample {
 
     /// Deserialize.
     pub fn decode(data: &[u8]) -> Option<Sample> {
-        if data.len() < 2 || !(data.len() - 2).is_multiple_of(4) {
+        let (&label, body) = data.split_first_chunk::<2>()?;
+        if !body.len().is_multiple_of(4) {
             return None;
         }
-        let label = u16::from_le_bytes(data[0..2].try_into().ok()?) as usize;
-        let features =
-            data[2..].chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect();
+        let label = u16::from_le_bytes(label) as usize;
+        let features = body
+            .chunks_exact(4)
+            .filter_map(|c| c.try_into().ok())
+            .map(f32::from_le_bytes)
+            .collect();
         Some(Sample { label, features })
     }
 }
@@ -90,6 +94,7 @@ impl SyntheticSpec {
         (0..n)
             .map(|i| {
                 let label = i % self.classes;
+                #[expect(clippy::indexing_slicing, reason = "there is one center per class")]
                 let features =
                     centers[label].iter().map(|&c| c + gauss(&mut rng) * self.noise).collect();
                 Sample { label, features }
@@ -104,6 +109,7 @@ impl SyntheticSpec {
         (0..n)
             .map(|i| {
                 let label = (i * 7 + 3) % self.classes;
+                #[expect(clippy::indexing_slicing, reason = "there is one center per class")]
                 let features =
                     centers[label].iter().map(|&c| c + gauss(&mut rng) * self.noise).collect();
                 Sample { label, features }
@@ -122,7 +128,7 @@ fn gauss(rng: &mut StdRng) -> f32 {
 /// Stack samples into a feature matrix and label vector.
 pub fn to_batch(samples: &[&Sample]) -> (Matrix, Vec<usize>) {
     assert!(!samples.is_empty());
-    let dim = samples[0].features.len();
+    let dim = samples.first().map_or(0, |s| s.features.len());
     let mut x = Matrix::zeros(samples.len(), dim);
     let mut labels = Vec::with_capacity(samples.len());
     for (r, s) in samples.iter().enumerate() {

@@ -52,9 +52,9 @@ impl Mlp {
         dims.extend(&config.hidden);
         dims.push(config.classes);
         let layers = dims
-            .windows(2)
-            .map(|d| {
-                let (fan_in, fan_out) = (d[0], d[1]);
+            .iter()
+            .zip(dims.iter().skip(1))
+            .map(|(&fan_in, &fan_out)| {
                 let std = (2.0 / fan_in as f32).sqrt();
                 Layer {
                     w: Matrix::from_fn(fan_in, fan_out, |_, _| {
@@ -90,6 +90,7 @@ impl Mlp {
     }
 
     /// One SGD step on a mini-batch. Returns the mean loss.
+    #[expect(clippy::indexing_slicing, reason = "acts has n + 1 and pres n entries for n layers")]
     pub fn train_batch(&mut self, x: &Matrix, labels: &[usize]) -> f32 {
         let n = self.layers.len();
         // Forward, keeping pre/post activations.

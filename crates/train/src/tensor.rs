@@ -39,11 +39,13 @@ impl Matrix {
     }
 
     /// Borrow row `r`.
+    #[expect(clippy::indexing_slicing, reason = "a row out of range is a caller bug")]
     pub fn row(&self, r: usize) -> &[f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Mutably borrow row `r`.
+    #[expect(clippy::indexing_slicing, reason = "a row out of range is a caller bug")]
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
@@ -54,11 +56,13 @@ impl Matrix {
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = Matrix::zeros(m, n);
         diesel_exec::global().for_each_chunk_mut(&mut out.data, n, |i, orow| {
+            #[expect(clippy::indexing_slicing, reason = "i < m rows of k")]
             let arow = &self.data[i * k..(i + 1) * k];
             for (p, &a) in arow.iter().enumerate() {
                 if a == 0.0 {
                     continue;
                 }
+                #[expect(clippy::indexing_slicing, reason = "p < k rows of n")]
                 let brow = &other.data[p * n..(p + 1) * n];
                 for (o, &b) in orow.iter_mut().zip(brow) {
                     *o += a * b;
@@ -76,10 +80,12 @@ impl Matrix {
         // Parallelize over output rows (columns of self).
         diesel_exec::global().for_each_chunk_mut(&mut out.data, n, |p, orow| {
             for i in 0..m {
+                #[expect(clippy::indexing_slicing, reason = "i < m rows of k, p < k")]
                 let a = self.data[i * k + p];
                 if a == 0.0 {
                     continue;
                 }
+                #[expect(clippy::indexing_slicing, reason = "i < m rows of n")]
                 let brow = &other.data[i * n..(i + 1) * n];
                 for (o, &b) in orow.iter_mut().zip(brow) {
                     *o += a * b;
@@ -95,8 +101,10 @@ impl Matrix {
         let (m, k, n) = (self.rows, self.cols, other.rows);
         let mut out = Matrix::zeros(m, n);
         diesel_exec::global().for_each_chunk_mut(&mut out.data, n, |i, orow| {
+            #[expect(clippy::indexing_slicing, reason = "i < m rows of k")]
             let arow = &self.data[i * k..(i + 1) * k];
             for (j, o) in orow.iter_mut().enumerate() {
+                #[expect(clippy::indexing_slicing, reason = "j < n rows of k")]
                 let brow = &other.data[j * k..(j + 1) * k];
                 *o = arow.iter().zip(brow).map(|(&a, &b)| a * b).sum();
             }
@@ -179,8 +187,10 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix)
         for v in row.iter_mut() {
             *v /= sum;
         }
-        loss -= (row[label].max(1e-12)).ln() as f64;
-        row[label] -= 1.0;
+        #[expect(clippy::indexing_slicing, reason = "a label is < classes, the row width")]
+        let p = &mut row[label];
+        loss -= p.max(1e-12).ln() as f64;
+        *p -= 1.0;
         for v in row.iter_mut() {
             *v /= b;
         }
@@ -265,6 +275,12 @@ mod tests {
         let (loss, grad) = softmax_cross_entropy(&logits, &[0]);
         assert!(loss.is_finite());
         assert!(grad.data.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    #[should_panic]
+    fn softmax_ce_rejects_a_label_past_the_last_class() {
+        softmax_cross_entropy(&m(1, 2, &[0.0, 0.0]), &[2]);
     }
 
     #[test]

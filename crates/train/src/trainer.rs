@@ -46,6 +46,7 @@ pub fn topk_accuracy(model: &Mlp, samples: &[Sample], k: usize) -> f64 {
     let mut correct = 0usize;
     for (r, &label) in labels.iter().enumerate() {
         let row = logits.row(r);
+        #[expect(clippy::indexing_slicing, reason = "a label is < classes, the row width")]
         let own = row[label];
         // Rank of the true class = #logits strictly greater.
         let better = row.iter().filter(|&&v| v > own).count();

@@ -86,6 +86,7 @@ impl Bytes {
     }
 
     /// The bytes as a slice.
+    #[expect(clippy::indexing_slicing, reason = "start..end is in bounds by construction")]
     pub fn as_slice(&self) -> &[u8] {
         &self.data.as_slice()[self.start..self.end]
     }
@@ -94,6 +95,7 @@ impl Bytes {
     /// sole owner of a full-range heap buffer the allocation is moved
     /// out without copying; otherwise (shared, sliced, or static) the
     /// covered range is copied.
+    #[expect(clippy::indexing_slicing, reason = "start..end is in bounds by construction")]
     pub fn into_vec(self) -> Vec<u8> {
         let Bytes { data, start, end } = self;
         match data {

@@ -8,9 +8,9 @@
 //! [`epoch_ms`](Clock::epoch_ms).
 //!
 //! This module is the only place in the workspace allowed to call
-//! `Instant::now`/`SystemTime::now` — determinism rule R2 (enforced by
-//! `diesel-lint`) flags any other read, which is what guarantees that
-//! swapping in a `MockClock` actually controls all of time.
+//! `Instant::now`/`SystemTime::now`: `clippy.toml` disallows both methods
+//! everywhere else, which is what guarantees that swapping in a
+//! `MockClock` actually controls all of time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -41,6 +41,7 @@ pub struct SystemClock {
 
 impl SystemClock {
     /// A clock whose monotonic origin is "now".
+    #[expect(clippy::disallowed_methods, reason = "the one place that reads real time")]
     pub fn new() -> Self {
         let epoch_at_origin_ms =
             SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0);

@@ -5,12 +5,12 @@
 //! - [`sync`] — `Mutex`/`RwLock`/`Condvar` wrappers that recover from
 //!   poisoning instead of unwrapping, plus the free-function
 //!   [`lock_or_recover`] family for code holding raw std locks. This is
-//!   what makes panic-freedom rule R1 enforceable: the only blessed way
-//!   to acquire a lock never panics.
+//!   what makes clippy's panic-freedom lints enforceable: the only
+//!   blessed way to acquire a lock never panics.
 //! - [`clock`] — the injectable [`Clock`] trait ([`SystemClock`] /
 //!   [`MockClock`]). This module is the single place in the tree allowed
-//!   to read `Instant::now`/`SystemTime::now` (determinism rule R2);
-//!   everything else takes an `Arc<dyn Clock>`.
+//!   to read `Instant::now`/`SystemTime::now` (`clippy.toml`'s
+//!   `disallowed-methods`); everything else takes an `Arc<dyn Clock>`.
 //! - [`bytes`] — [`Bytes`], a cheaply-cloneable, sliceable, immutable
 //!   byte buffer (stand-in for the `bytes` crate).
 //! - [`lockdep`] — the lock-order witness behind `Mutex::named` /

@@ -17,9 +17,10 @@
 //! be named; lint rule R5 and the `DIESEL_LOCKDEP=fail` CI pass keep it
 //! that way.
 //!
-//! Lint rule R1 (see DESIGN.md "Static invariants") bans `unwrap` —
-//! including the lock-unwrap idiom — in library crates; these types and
-//! the [`lock_or_recover`] helpers are the blessed replacement.
+//! Clippy's `unwrap_used` (see DESIGN.md "Static invariants") bans
+//! `unwrap` — including the lock-unwrap idiom — in serving-crate library
+//! code; these types and the [`lock_or_recover`] helpers are the blessed
+//! replacement.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;

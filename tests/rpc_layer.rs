@@ -12,11 +12,11 @@ use diesel_dlt::core::{
 };
 use diesel_dlt::kv::ShardedKv;
 use diesel_dlt::net::{
-    Channel, Endpoint, EndpointMetrics, Instrumented, NetError, Retry, RetryPolicy, SystemClock,
-    ThreadServer,
+    Channel, Endpoint, EndpointMetrics, Instrumented, NetError, Retry, RetryPolicy, ThreadServer,
 };
 use diesel_dlt::obs::Registry;
 use diesel_dlt::store::MemObjectStore;
+use diesel_util::clock::SystemClock;
 
 type Server = DieselServer<ShardedKv, MemObjectStore>;
 
