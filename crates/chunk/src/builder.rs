@@ -9,7 +9,7 @@ use diesel_util::Clock;
 
 use crate::bitmap::DeletionBitmap;
 use crate::crc::crc32;
-use crate::format::{ChunkHeader, FileEntry};
+use crate::format::{ChunkHeader, FileEntry, MAX_NAME_LEN};
 use crate::id::{ChunkId, ChunkIdGenerator};
 use crate::{ChunkError, Result, DEFAULT_CHUNK_SIZE};
 
@@ -93,14 +93,24 @@ impl ChunkBuilder {
             > self.config.target_chunk_size
     }
 
-    /// Append a file. Returns its index within the chunk.
-    pub fn add_file(&mut self, name: &str, data: &[u8]) -> Result<usize> {
-        if data.len() > self.config.max_file_size {
+    /// The typed error [`add_file`](Self::add_file) would return for this
+    /// name and size, checked without buffering anything.
+    pub fn check_file(&self, name: &str, data_len: usize) -> Result<()> {
+        if name.len() > MAX_NAME_LEN {
+            return Err(ChunkError::NameTooLong { len: name.len(), max: MAX_NAME_LEN });
+        }
+        if data_len > self.config.max_file_size {
             return Err(ChunkError::FileTooLarge {
-                size: data.len(),
+                size: data_len,
                 max: self.config.max_file_size,
             });
         }
+        Ok(())
+    }
+
+    /// Append a file. Returns its index within the chunk.
+    pub fn add_file(&mut self, name: &str, data: &[u8]) -> Result<usize> {
+        self.check_file(name, data.len())?;
         let idx = self.files.len();
         self.files.push(FileEntry {
             name: name.to_owned(),
@@ -108,6 +118,13 @@ impl ChunkBuilder {
             length: data.len() as u64,
             crc32: crc32(data),
         });
+        if idx == 0 {
+            // Reserve the whole sealed chunk, header included, so `seal`
+            // builds it in this one allocation. A target too large to
+            // reserve falls back to growing as files arrive.
+            let whole = self.config.target_chunk_size.max(self.estimated_len() + data.len());
+            let _ = self.payload.try_reserve_exact(whole);
+        }
         // The write path's deliberate copy: aggregating small files
         // into the chunk's contiguous payload (DESIGN.md §11).
         diesel_obs::record_copy("ingest", data.len() as u64);
@@ -123,24 +140,33 @@ impl ChunkBuilder {
     /// Seal the chunk: serialize `header ‖ payload` and return the bytes
     /// along with the decoded header. `updated_ms` stamps the chunk's
     /// update time (Fig. 5b metadata).
+    ///
+    /// The chunk is built in the payload's own allocation: the payload
+    /// moves up behind the header in place, so sealing allocates and
+    /// page-faults no second chunk-sized buffer.
     pub fn seal(self, id: ChunkId, updated_ms: u64) -> (ChunkHeader, Vec<u8>) {
+        let header_len = ChunkHeader::wire_len(&self.files);
+        let payload_len = self.payload.len();
         let header = ChunkHeader {
             id,
             updated_ms,
             bitmap: DeletionBitmap::new(self.files.len()),
             files: self.files,
-            payload_len: self.payload.len() as u64,
-            header_len: 0, // recomputed by encode()
+            payload_len: payload_len as u64,
+            header_len: header_len as u32,
         };
-        let mut buf = Vec::with_capacity(ChunkHeader::wire_len(&header.files) + self.payload.len());
-        let mut fixed = header.clone();
-        fixed.header_len = ChunkHeader::wire_len(&header.files) as u32;
-        fixed.encode(&mut buf);
-        // Serializing `header ‖ payload` copies the payload once more;
-        // from here on the buffer travels as shared `Bytes`.
-        diesel_obs::record_copy("seal", self.payload.len() as u64);
-        buf.extend_from_slice(&self.payload);
-        (fixed, buf)
+        let mut encoded = Vec::new();
+        header.encode(&mut encoded);
+        let mut buf = self.payload;
+        buf.resize(header_len + payload_len, 0);
+        // Making room for the header moves the payload once more; from
+        // here on the buffer travels as shared `Bytes`.
+        diesel_obs::record_copy("seal", payload_len as u64);
+        buf.copy_within(..payload_len, header_len);
+        #[expect(clippy::indexing_slicing, reason = "buf was just resized past header_len")]
+        let front = &mut buf[..header_len];
+        front.copy_from_slice(&encoded);
+        (header, buf)
     }
 }
 
@@ -214,6 +240,7 @@ impl<'a> ChunkWriter<'a> {
 
     /// Add a file; seals and starts a new chunk when the current one is full.
     pub fn add_file(&mut self, name: &str, data: &[u8]) -> Result<()> {
+        self.current.check_file(name, data.len())?;
         if self.current.would_overflow(name.len(), data.len()) {
             self.seal_current();
         }
@@ -305,6 +332,53 @@ mod tests {
         let mut b = ChunkBuilder::new(cfg);
         let err = b.add_file("f", &[0u8; 101]).unwrap_err();
         assert!(matches!(err, ChunkError::FileTooLarge { size: 101, max: 100 }));
+    }
+
+    #[test]
+    fn overlong_name_is_rejected_before_buffering() {
+        let mut b = ChunkBuilder::with_default_config();
+        b.add_file("ok", b"1").unwrap();
+        let long = "n".repeat(MAX_NAME_LEN + 1);
+        let err = b.add_file(&long, b"data").unwrap_err();
+        assert_eq!(err, ChunkError::NameTooLong { len: MAX_NAME_LEN + 1, max: MAX_NAME_LEN });
+        assert_eq!((b.file_count(), b.payload_len()), (1, 1));
+        // The longest legal name still round-trips through the header.
+        let longest = "m".repeat(MAX_NAME_LEN);
+        b.add_file(&longest, b"x").unwrap();
+        let (_, bytes) = b.seal(gen().next_id(), 0);
+        let v = ChunkView::parse(bytes.into()).unwrap();
+        assert_eq!(v.read_file(&longest).unwrap(), b"x"[..]);
+    }
+
+    #[test]
+    fn seal_builds_the_chunk_in_the_reserved_allocation() {
+        let cfg = ChunkBuilderConfig { target_chunk_size: 4096, ..Default::default() };
+        let mut b = ChunkBuilder::new(cfg);
+        b.add_file("a", &[1u8; 100]).unwrap();
+        b.add_file("b", &[2u8; 200]).unwrap();
+        let (header, bytes) = b.seal(gen().next_id(), 0);
+        assert_eq!(bytes.len(), header.chunk_len());
+        assert_eq!(bytes.capacity(), 4096, "sealing must not reallocate");
+    }
+
+    /// The sealed bytes of fixed inputs, pinned by length and CRC-32:
+    /// any change to the chunk format or to how a chunk is built fails
+    /// here. Covers a zero-length file and a file larger than the target.
+    #[test]
+    fn sealed_chunk_bytes_are_pinned() {
+        let cfg = ChunkBuilderConfig { target_chunk_size: 4096, ..Default::default() };
+        let mut b = ChunkBuilder::new(cfg);
+        b.add_file("train/cat/001.jpg", b"meow").unwrap();
+        b.add_file("train/empty", b"").unwrap();
+        let big: Vec<u8> =
+            (0..10_000u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+        b.add_file("train/dog/big.bin", &big).unwrap();
+        b.add_file("val/z.txt", b"tail").unwrap();
+        let ids = ChunkIdGenerator::deterministic(7, 3, 1_600_000_000);
+        let (_, bytes) = b.seal(ids.next_id(), 1_600_000_000_123);
+        assert_eq!((bytes.len(), crc32(&bytes)), (10_212, 0xecb5_fcc3));
+        let v = ChunkView::parse(bytes.into()).unwrap();
+        assert_eq!(v.verify_all(), Vec::<String>::new());
     }
 
     #[test]

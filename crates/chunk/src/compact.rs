@@ -42,8 +42,9 @@ pub fn compact_chunk(
         return Ok(None);
     }
     let mut builder = ChunkBuilder::new(ChunkBuilderConfig {
-        // Compaction never splits a chunk: keep everything together.
-        target_chunk_size: usize::MAX,
+        // A builder never splits a chunk, so the target only sizes its
+        // one allocation: the original chunk bounds the rewrite.
+        target_chunk_size: header.chunk_len(),
         max_file_size: usize::MAX,
     });
     let mut reclaimed = 0u64;

@@ -33,6 +33,8 @@ const CHUNK_MAGIC: [u8; 4] = *b"DSLC";
 const FORMAT_VERSION: u16 = 1;
 /// Byte offset of the fixed part described above.
 const FIXED_HEADER_LEN: usize = 54;
+/// Longest file name the file table can hold (its length is a `u16`).
+pub(crate) const MAX_NAME_LEN: usize = u16::MAX as usize;
 /// Length of the chunk prefix that ends with the header-length field —
 /// what a reader must fetch before [`ChunkHeader::peek_header_len`] can
 /// tell it where the payload starts.

@@ -71,6 +71,8 @@ pub enum ChunkError {
     FileTooLarge { size: usize, max: usize },
     /// An entry in the file table has an out-of-range offset/length.
     CorruptEntry { file: String },
+    /// A file name is longer than the file table's `u16` length field.
+    NameTooLong { len: usize, max: usize },
 }
 
 impl std::fmt::Display for ChunkError {
@@ -94,6 +96,9 @@ impl std::fmt::Display for ChunkError {
             }
             ChunkError::CorruptEntry { file } => {
                 write!(f, "file table entry out of range for {file:?}")
+            }
+            ChunkError::NameTooLong { len, max } => {
+                write!(f, "file name of {len} bytes exceeds the chunk format's limit {max}")
             }
         }
     }

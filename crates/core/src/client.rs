@@ -264,6 +264,8 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
     /// reaches the target chunk size.
     pub fn put(&self, path: &str, data: &[u8]) -> Result<()> {
         let mut w = self.write.lock();
+        // A file the builder would refuse must not ship the open chunk.
+        w.open.check_file(path, data.len())?;
         let overflow = w.open.would_overflow(path.len(), data.len());
         if overflow || !w.unshipped.is_empty() {
             let full = overflow.then(|| self.take_open(&mut w));
@@ -756,6 +758,22 @@ mod tests {
         }
         // Several chunks were auto-shipped before the final flush.
         assert!(s.meta().chunk_ids("ds").unwrap().len() > 1);
+    }
+
+    #[test]
+    fn an_overlong_name_is_a_typed_error_and_buffers_nothing() {
+        let s = server();
+        let c = small_chunk_client(&s, 2);
+        c.put("keep", b"k").unwrap();
+        let long = "x".repeat(usize::from(u16::MAX) + 1);
+        let err = c.put(&long, b"lost").unwrap_err();
+        assert!(
+            matches!(err, DieselError::Chunk(diesel_chunk::ChunkError::NameTooLong { .. })),
+            "{err:?}"
+        );
+        assert_eq!(c.flush().unwrap(), 1);
+        assert_eq!(s.meta().dataset_record("ds").unwrap().file_count, 1);
+        assert_eq!(c.get("keep").unwrap().as_ref(), b"k");
     }
 
     /// A channel that loses the first `IngestChunk` in transit and

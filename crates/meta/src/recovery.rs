@@ -102,9 +102,10 @@ pub fn recover_from_timestamp<K: KvStore, S: ObjectStore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diesel_chunk::{ChunkBuilderConfig, ChunkIdGenerator, ChunkWriter};
+    use diesel_chunk::{ChunkBuilder, ChunkBuilderConfig, ChunkIdGenerator, ChunkWriter};
     use diesel_kv::{ClusterConfig, KvCluster, ShardedKv};
     use diesel_store::{Bytes, MemObjectStore};
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
     use std::sync::Arc;
 
     /// Write a small dataset: returns (service, store, file names).
@@ -214,6 +215,81 @@ mod tests {
         svc.kv().clear();
         let report = recover_full(&svc, &store, "ds").unwrap();
         assert!(report.header_bytes <= total, "recovery must not read more than the dataset");
+    }
+
+    /// Forwards to a [`ShardedKv`], counting single-key writes (each
+    /// `mput` pair is one) apart from read-modify-writes.
+    #[derive(Default)]
+    struct CountingKv {
+        inner: ShardedKv,
+        puts: AtomicUsize,
+        updates: AtomicUsize,
+    }
+
+    impl KvStore for CountingKv {
+        fn get(&self, key: &str) -> diesel_kv::Result<Option<Bytes>> {
+            self.inner.get(key)
+        }
+        fn put(&self, key: &str, value: Bytes) -> diesel_kv::Result<()> {
+            self.puts.fetch_add(1, Relaxed);
+            self.inner.put(key, value)
+        }
+        fn delete(&self, key: &str) -> diesel_kv::Result<bool> {
+            self.inner.delete(key)
+        }
+        fn update(
+            &self,
+            key: &str,
+            f: &mut dyn FnMut(Option<Bytes>) -> Option<Bytes>,
+        ) -> diesel_kv::Result<()> {
+            self.updates.fetch_add(1, Relaxed);
+            self.inner.update(key, f)
+        }
+        fn pscan(&self, prefix: &str) -> diesel_kv::Result<Vec<(String, Bytes)>> {
+            self.inner.pscan(prefix)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+    }
+
+    #[test]
+    fn ingest_puts_each_directory_once_per_chunk() {
+        let kv = Arc::new(CountingKv::default());
+        let svc = MetaService::new(kv.clone());
+        let store = MemObjectStore::new();
+        let names: Vec<String> = (0..24)
+            .map(|i| match i % 4 {
+                0 => format!("a/b/c/{i}"),
+                1 => format!("a/b/d/{i}"),
+                2 => format!("a/e/{i}"),
+                _ => format!("top{i}"),
+            })
+            .collect();
+        // a, a/b, a/b/c, a/b/d, a/e
+        let (n, d) = (names.len(), 5);
+        let mut b = ChunkBuilder::with_default_config();
+        for name in &names {
+            b.add_file(name, name.as_bytes()).unwrap();
+        }
+        let (header, bytes) = b.seal(ChunkIdGenerator::deterministic(4, 4, 40).next_id(), 40_000);
+        let size = bytes.len() as u64;
+        store.put(&chunk_object_key("ds", header.id), bytes.into()).unwrap();
+
+        let ingest_counts = || (kv.puts.swap(0, Relaxed), kv.updates.swap(0, Relaxed));
+        svc.ingest_chunk("ds", &header, size).unwrap();
+        assert_eq!(ingest_counts(), (1 + 2 * n + d, 1));
+        let dirs = ["", "a", "a/b", "a/b/c", "a/b/d", "a/e"];
+        let listings = || dirs.map(|dir| svc.readdir("ds", dir).unwrap());
+        let (state, listed) = (kv.pscan("").unwrap(), listings());
+        let root: Vec<&str> = listed[0].iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(root, ["a", "top11", "top15", "top19", "top23", "top3", "top7"]);
+
+        kv.inner.clear();
+        recover_full(&svc, &store, "ds").unwrap();
+        assert_eq!(ingest_counts(), (1 + 2 * n + d, 1));
+        assert_eq!(kv.pscan("").unwrap(), state);
+        assert_eq!(listings(), listed);
     }
 
     #[test]

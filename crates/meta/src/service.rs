@@ -5,6 +5,7 @@
 //! key-value pairs from chunk headers on ingest, translating file-system
 //! operations into KV operations, and materializing snapshots.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use diesel_chunk::{ChunkHeader, ChunkId};
@@ -52,6 +53,9 @@ impl<K: KvStore> MetaService<K> {
 
         let mut live_files = 0u64;
         let mut live_bytes = 0u64;
+        // Files of one chunk share their directories: put each ancestor
+        // `d` entry once per chunk, not once per file.
+        let mut dirs: HashSet<(&str, &str)> = HashSet::new();
         for (i, f) in header.files.iter().enumerate() {
             if header.bitmap.is_deleted(i) {
                 continue;
@@ -71,7 +75,8 @@ impl<K: KvStore> MetaService<K> {
             pairs.push((keys::file_key(dataset, &f.name), enc.clone()));
             let (parent, name) = keys::split_path(&f.name);
             pairs.push((keys::dir_entry_key(dataset, parent, 'f', name), enc));
-            for (anc_parent, anc_name) in keys::ancestor_dirs(&f.name) {
+            let new_dirs = keys::ancestor_dirs(&f.name).into_iter().filter(|dir| dirs.insert(*dir));
+            for (anc_parent, anc_name) in new_dirs {
                 pairs.push((keys::dir_entry_key(dataset, anc_parent, 'd', anc_name), Bytes::new()));
             }
         }

@@ -75,7 +75,12 @@ dlcmd put "$work/src" ds
 dlcmd get ds "$work/out"
 diff -r "$work/src" "$work/out"
 dlcmd cat ds a/b/deep.txt | cmp - "$work/src/a/b/deep.txt"
-dlcmd ls ds a
+# Every directory is listed exactly once, however many files and chunks
+# imply it.
+dlcmd ls ds | diff - <(printf '%s\n' 'd          -  a/' 'f          4  top.txt')
+dlcmd ls ds a | diff - <(printf '%s\n' 'd          -  b/' \
+    'f       1092  f1.txt' 'f       2292  f2.txt' 'f       3492  f3.txt' \
+    'f       4893  f4.txt' 'f       6393  f5.txt')
 dlcmd stat ds top.txt
 dlcmd du ds
 dlcmd datasets
