@@ -49,20 +49,7 @@ fn main() {
 
     // Build the same index the client uses, for the quality metrics.
     client.enable_shuffle(ShuffleKind::DatasetShuffle);
-    let index = {
-        let snap = server.build_snapshot("ds").unwrap();
-        let mut cf: Vec<diesel_shuffle::ChunkFiles> = snap
-            .chunks
-            .iter()
-            .map(|&c| diesel_shuffle::ChunkFiles { chunk: c, chunk_bytes: 0, files: vec![] })
-            .collect();
-        for f in &snap.files {
-            let i = snap.chunks.iter().position(|c| *c == f.meta.chunk).unwrap();
-            cf[i].chunk_bytes += f.meta.length;
-            cf[i].files.push(f.path.clone());
-        }
-        diesel_shuffle::DatasetIndex::new(cf)
-    };
+    let index = diesel_shuffle::DatasetIndex::from_snapshot(&server.build_snapshot("ds").unwrap());
     let canonical: Vec<ShuffleItem> = {
         let mut v = Vec::new();
         for (ci, c) in index.chunks.iter().enumerate() {

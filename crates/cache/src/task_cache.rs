@@ -553,10 +553,6 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
                 *inner = NodeInner { flights, ..NodeInner::default() };
             }
             st.landed.notify_all();
-            self.registry.event(
-                "cache.kill_node",
-                &[("dataset", &self.dataset), ("node", &node.to_string())],
-            );
         }
     }
 
@@ -572,14 +568,6 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
         self.node_state(node)?.down.store(false, Ordering::Release);
         let report = self.load_partition(node)?;
         self.metrics.recoveries.inc();
-        self.registry.event(
-            "cache.recover_node",
-            &[
-                ("dataset", &self.dataset),
-                ("node", &node.to_string()),
-                ("chunks", &report.chunks_loaded.to_string()),
-            ],
-        );
         Ok(report)
     }
 
@@ -1060,7 +1048,7 @@ impl<S> TaskCache<S> {
         &self.metrics
     }
 
-    /// The registry holding this cache's counters and events.
+    /// The registry holding this cache's counters.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
     }
@@ -1293,7 +1281,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_batches_loads_with_bytes_and_logs_recovery() {
+    fn snapshot_batches_loads_with_bytes_and_counts_recovery() {
         let (store, metas, chunks) = dataset(30, 200, 2048);
         let c = cache(store, chunks, 2, 1 << 30, CachePolicy::OnDemand);
         for (_, meta) in &metas {
@@ -1310,8 +1298,6 @@ mod tests {
         c.recover_node(0).unwrap();
         let snap = c.stats();
         assert_eq!(snap.counter("cache.recoveries{dataset=ds}"), 1);
-        let scopes: Vec<&str> = snap.events.iter().map(|e| e.scope.as_str()).collect();
-        assert_eq!(scopes, vec!["cache.kill_node", "cache.recover_node"]);
     }
 
     #[test]

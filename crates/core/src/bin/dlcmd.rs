@@ -100,7 +100,9 @@ fn run(args: &[String]) -> Result<(), Cli> {
         Arc::new(DieselServer::new(Arc::new(ShardedKv::new()), store.clone()));
 
     // Discover datasets from chunk keys (`<dataset>/<chunk-id>`), then
-    // rebuild the metadata database from the self-contained chunks.
+    // rebuild the metadata database from the self-contained chunks. A
+    // torn chunk is skipped, not fatal, so the verbs that repair the
+    // store still run; a dataset left with no chunk is not listed.
     let mut datasets: Vec<String> = store
         .list_prefix("")
         .into_iter()
@@ -108,9 +110,17 @@ fn run(args: &[String]) -> Result<(), Cli> {
         .collect();
     datasets.sort();
     datasets.dedup();
-    for ds in &datasets {
-        server.recover_metadata_full(ds).map_err(Cli::from)?;
+    let mut recovered = Vec::with_capacity(datasets.len());
+    for ds in datasets {
+        let report = server.recover_metadata_full(&ds).map_err(Cli::from)?;
+        if report.chunks_quarantined > 0 {
+            eprintln!("dlcmd: {ds}: {} torn chunk(s) quarantined", report.chunks_quarantined);
+        }
+        if report.chunks_scanned > 0 {
+            recovered.push(ds);
+        }
     }
+    let datasets = recovered;
 
     match (*cmd, rest) {
         ("datasets", []) => {

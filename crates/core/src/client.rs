@@ -355,7 +355,7 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
 
     fn install_snapshot(&self, snapshot: MetaSnapshot) {
         let namespace = snapshot.build_namespace();
-        let index = build_index(&snapshot);
+        let index = DatasetIndex::from_snapshot(&snapshot);
         *self.meta.write() = Some(MetaState { namespace, index });
     }
 
@@ -672,27 +672,6 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
 /// there rather than failing the read.
 fn server_serves(e: &CacheError) -> bool {
     matches!(e, CacheError::NodeDown { .. } | CacheError::UnknownChunk(_))
-}
-
-fn build_index(snapshot: &MetaSnapshot) -> DatasetIndex {
-    use std::collections::HashMap;
-    let mut pos: HashMap<diesel_chunk::ChunkId, usize> = HashMap::new();
-    let mut chunks: Vec<ChunkFiles> = snapshot
-        .chunks
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| {
-            pos.insert(c, i);
-            ChunkFiles { chunk: c, chunk_bytes: 0, files: Vec::new() }
-        })
-        .collect();
-    for f in &snapshot.files {
-        if let Some(c) = pos.get(&f.meta.chunk).and_then(|&i| chunks.get_mut(i)) {
-            c.chunk_bytes += f.meta.length;
-            c.files.push(f.path.clone());
-        }
-    }
-    DatasetIndex::new(chunks)
 }
 
 impl<K, S> std::fmt::Debug for DieselClient<K, S> {

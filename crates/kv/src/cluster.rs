@@ -133,7 +133,6 @@ impl KvCluster {
     pub fn fail_instance(&self, idx: usize) {
         if !self.down[idx].swap(true, Ordering::Release) {
             self.instances_down.add(1);
-            self.registry.event("kv.fail_instance", &[("instance", &idx.to_string())]);
         }
     }
 
@@ -145,7 +144,6 @@ impl KvCluster {
         if self.down[idx].swap(false, Ordering::Release) {
             self.instances_down.sub(1);
         }
-        self.registry.event("kv.recover_instance", &[("instance", &idx.to_string())]);
     }
 
     /// Clear every instance (data-center power failure, scenario b).
@@ -156,7 +154,6 @@ impl KvCluster {
                 self.instances_down.sub(1);
             }
         }
-        self.registry.event("kv.power_loss", &[]);
     }
 
     /// Indices of currently-down instances.
@@ -394,7 +391,7 @@ mod tests {
     }
 
     #[test]
-    fn failure_injection_moves_the_down_gauge_and_logs_events() {
+    fn failure_injection_moves_the_down_gauge() {
         let c = cluster(3);
         c.fail_instance(1);
         c.fail_instance(1); // idempotent: gauge must not double-count
@@ -402,8 +399,6 @@ mod tests {
         c.recover_instance(1);
         let snap = c.obs_snapshot().expect("registry");
         assert_eq!(snap.gauge("kv.instances_down"), 0);
-        let scopes: Vec<&str> = snap.events.iter().map(|e| e.scope.as_str()).collect();
-        assert_eq!(scopes, vec!["kv.fail_instance", "kv.recover_instance"]);
     }
 
     #[test]

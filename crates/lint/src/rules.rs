@@ -194,14 +194,13 @@ pub const LOCK_RANKS: &[(&str, u32)] = &[
     // gauges (obs registry `inner`) while held, so it ranks below the
     // registry.
     ("lanes", 5),
-    // obs registry: snapshot nests gate → metrics map → event ring.
+    // obs registry: snapshot nests gate → metrics map.
     ("gate", 10),
     // The installed epoch plan's load queue: picking the next lookahead
     // load admits it on its owner, one node at a time
     // (cache.lookahead → cache.node at runtime).
     ("lookahead", 14),
     ("inner", 20),
-    ("events", 30),
     // exec pool: worker spawn serializes on start_lock, then appends
     // join handles.
     ("start_lock", 40),
@@ -360,13 +359,13 @@ mod tests {
 
     #[test]
     fn r5_rank_upward_nesting_is_fine() {
-        let src = "fn f() {\n  let g = self.gate.write();\n  let c = self.inner.lock();\n                     let e = self.events.lock();\n}\n";
+        let src = "fn f() {\n  let g = self.gate.write();\n  let c = self.inner.lock();\n                     let s = self.start_lock.lock();\n}\n";
         assert!(run(lock_rules, src).is_empty());
     }
 
     #[test]
     fn r5_flags_rank_inversion() {
-        let src = "fn f() {\n  let e = self.events.lock();\n  let g = self.gate.write();\n}\n";
+        let src = "fn f() {\n  let i = self.inner.lock();\n  let g = self.gate.write();\n}\n";
         let hits = run(lock_rules, src);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].line, 3);
@@ -389,7 +388,7 @@ mod tests {
 
     #[test]
     fn r5_recv_ident_sees_through_index_and_call_groups() {
-        let src = "fn f() {\n  let g = self.events.lock();\n                     let h = self.shards[i].read();\n}\n";
+        let src = "fn f() {\n  let g = self.inner.lock();\n                     let h = self.shards[i].read();\n}\n";
         let hits = run(lock_rules, src);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert!(hits[0].message.contains("`shards`"), "{}", hits[0].message);

@@ -1,9 +1,9 @@
 pub fn f(&self) {
     let g = self.gate.write();
+    let l = self.lookahead.lock();
     let i = self.inner.lock();
-    let e = self.events.lock();
-    drop(e);
     drop(i);
+    drop(l);
     drop(g);
     let a = self.start_lock.lock();
     let h = self.handles.lock();

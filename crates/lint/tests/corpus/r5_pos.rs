@@ -1,5 +1,5 @@
 pub fn f(&self) {
-    let e = self.events.lock();
+    let i = self.inner.lock();
     let g = self.gate.write();
     let x = self.other.lock();
 }

@@ -9,8 +9,16 @@
 //! * **Scenario (b)** — all pairs were lost (power failure):
 //!   [`recover_full`] scans every chunk **in ID order**, which replays
 //!   the original write order so later updates win.
+//!
+//! A torn chunk — an object shorter than the header and payload it
+//! declares, as a crash mid-write leaves it — or a key under the
+//! dataset's prefix that names no chunk is skipped, left in place and
+//! counted in [`RecoveryReport::chunks_quarantined`], so one bad object
+//! cannot take the whole dataset down. A complete object whose header
+//! fails its checksum is still an error: that is corruption, not a
+//! crash.
 
-use diesel_chunk::{ChunkHeader, ChunkId};
+use diesel_chunk::{ChunkError, ChunkHeader, ChunkId};
 use diesel_kv::KvStore;
 use diesel_store::ObjectStore;
 
@@ -28,6 +36,8 @@ pub struct RecoveryReport {
     /// be `header_bytes`; we also report it to show the benefit of
     /// header-prefix reads).
     pub header_bytes: u64,
+    /// Torn chunks and non-chunk keys skipped (left in place).
+    pub chunks_quarantined: u64,
 }
 
 /// Key prefix under which a dataset's chunks live in the object store.
@@ -71,7 +81,8 @@ pub fn recover_from_timestamp<K: KvStore, S: ObjectStore>(
     for key in store.list_prefix(&chunk_object_prefix(dataset)) {
         let Some(encoded) = parse_chunk_object_key(dataset, &key) else { continue };
         let Ok(id) = ChunkId::decode(encoded) else {
-            return Err(MetaError::BadRecord { key });
+            report.chunks_quarantined += 1;
+            continue;
         };
         if id.timestamp_secs() < since_secs {
             continue;
@@ -85,13 +96,22 @@ pub fn recover_from_timestamp<K: KvStore, S: ObjectStore>(
             .get_range(&key, 0, (64 << 10).min(size))
             .map_err(|e| MetaError::Store(e.to_string()))?;
         let (header, bytes_read, chunk_size) = match ChunkHeader::decode(&probe) {
-            Ok(h) => (h, probe.len(), size),
+            Ok(h) => (Some(h), probe.len(), size),
             Err(_) => {
                 let whole = store.get(&key).map_err(|e| MetaError::Store(e.to_string()))?;
-                (ChunkHeader::decode(&whole)?, whole.len(), whole.len())
+                match ChunkHeader::decode(&whole) {
+                    Ok(h) => (Some(h), whole.len(), whole.len()),
+                    Err(ChunkError::Truncated { .. }) => (None, whole.len(), whole.len()),
+                    Err(e) => return Err(e.into()),
+                }
             }
         };
         report.header_bytes += bytes_read as u64;
+        // Torn: too short for its own header, or for its payload.
+        let Some(header) = header.filter(|h| chunk_size >= h.chunk_len()) else {
+            report.chunks_quarantined += 1;
+            continue;
+        };
         service.ingest_chunk(dataset, &header, chunk_size as u64)?;
         report.chunks_scanned += 1;
         report.files_recovered += header.bitmap.live_count() as u64;
@@ -293,10 +313,20 @@ mod tests {
     }
 
     #[test]
-    fn garbage_chunk_key_is_an_error() {
-        let (svc, store, _) = populate(70);
+    fn garbage_keys_and_torn_chunks_are_quarantined_in_place() {
+        let (svc, store, names) = populate(70);
+        let keys = store.list_prefix("ds/");
+        let victim = keys.last().unwrap();
+        let whole = store.get(victim).unwrap();
+        let lost = ChunkHeader::decode(&whole).unwrap().bitmap.live_count() as u64;
+        store.put(victim, whole.slice(..whole.len() - 1)).unwrap();
         store.put("ds/NOT-A-VALID-ID!!", Bytes::from_static(b"junk")).unwrap();
         svc.kv().clear();
-        assert!(matches!(recover_full(&svc, &store, "ds"), Err(MetaError::BadRecord { .. })));
+        let report = recover_full(&svc, &store, "ds").unwrap();
+        assert_eq!(report.chunks_quarantined, 2);
+        assert_eq!(report.chunks_scanned as usize, keys.len() - 1);
+        assert_eq!(report.files_recovered, names.len() as u64 - lost);
+        assert_eq!(store.size_of(victim), Some(whole.len() - 1), "nothing is deleted");
+        assert!(store.get("ds/NOT-A-VALID-ID!!").is_ok(), "nothing is deleted");
     }
 }

@@ -26,8 +26,8 @@ pub const BYTES_COPIED: &str = "bytes.copied";
 
 fn ledger() -> &'static Registry {
     static LEDGER: OnceLock<Registry> = OnceLock::new();
-    // Counters don't read the clock; SystemClock is just the required
-    // stamp source for the (unused) event ring.
+    // Counters never read the clock; SystemClock is only the required
+    // constructor argument.
     LEDGER.get_or_init(|| Registry::new(Arc::new(SystemClock::new())))
 }
 

@@ -12,17 +12,14 @@
 //!   grouped in [`Registry::batch`] appear all-or-nothing; snapshots
 //!   merge, so a server's `Stats` reply folds the KV and store
 //!   registries into its own exactly.
-//! * [`Event`] — a bounded structured-event ring (`{ts, scope, kv}`)
-//!   stamped via the injected [`diesel_util::Clock`], so replays stay
-//!   deterministic under `MockClock`.
 //! * [`Histogram`] — log-bucketed latencies (~4 % relative error),
 //!   shared with the simulator's measurement layer.
 //! * [`copies`] — the process-global `bytes.copied{site=…}` ledger
 //!   every deliberate payload copy reports to, making the zero-copy
 //!   read path an asserted invariant (DESIGN.md §11).
-//! * [`lockdep`] — the `lockdep.cycle{a=…,b=…}` bridge: every
-//!   lock-order cycle detected by `diesel_util::lockdep` lands in a
-//!   process-global ledger registry (DESIGN.md §12).
+//! * [`lockdep`] — the `lockdep.cycles{a=…,b=…}` bridge: every
+//!   lock-order cycle detected by `diesel_util::lockdep` is counted in
+//!   a process-global ledger registry (DESIGN.md §12).
 //!
 //! # Metric naming
 //!
@@ -51,10 +48,8 @@ pub mod trace;
 pub use copies::{copied_at, copied_total, record_copy, BYTES_COPIED};
 pub use export::{chrome_trace_json, critical_path};
 pub use histogram::{fmt_ns, Histogram, Summary};
-pub use lockdep::{cycles_reported, lockdep_snapshot, LOCKDEP_CYCLES, LOCKDEP_EVENT};
-pub use registry::{
-    Counter, Event, Gauge, HistogramHandle, Registry, RegistrySnapshot, DEFAULT_EVENT_CAPACITY,
-};
+pub use lockdep::{cycles_reported, LOCKDEP_CYCLES};
+pub use registry::{Counter, Gauge, HistogramHandle, Registry, RegistrySnapshot};
 pub use trace::{
     AmbientTrace, Sampling, Span, SpanGuard, TraceContext, Tracer, DEFAULT_SPAN_CAPACITY,
 };

@@ -1,14 +1,11 @@
-//! `lockdep.cycle{a=…,b=…}` — the lock-order witness's reporting plane.
+//! `lockdep.cycles{a=…,b=…}` — the lock-order witness's reporting plane.
 //!
 //! The witness itself lives in `diesel_util::lockdep` (util is below
-//! obs and cannot emit events); this module closes the loop by
-//! installing a cycle reporter that lands every detected lock-order
-//! cycle in a process-global ledger registry:
-//!
-//! * counter `lockdep.cycles{a=…,b=…}` — one cell per ordered class
-//!   pair, so dashboards and tests can count inversions per pair;
-//! * event `lockdep.cycle{a=…,b=…,at=…}` — the acquisition site that
-//!   closed the cycle, in the bounded event ring.
+//! obs and cannot reach a registry); this module closes the loop by
+//! installing a cycle reporter that counts every detected lock-order
+//! cycle into a process-global ledger registry: counter
+//! `lockdep.cycles{a=…,b=…}`, one cell per ordered class pair, so tests
+//! can count inversions per pair.
 //!
 //! Like the copy ledger ([`crate::copies`]), the state is process-global
 //! on purpose: a cycle can be detected under any lock in any component,
@@ -24,23 +21,21 @@ use std::sync::{Arc, Once, OnceLock};
 
 use diesel_util::{lockdep, SystemClock};
 
-use crate::registry::{Registry, RegistrySnapshot};
+use crate::registry::Registry;
 
 /// Metric name of the per-pair cycle counter.
 pub const LOCKDEP_CYCLES: &str = "lockdep.cycles";
 
-/// Event scope of cycle reports in the ledger's event ring.
-pub const LOCKDEP_EVENT: &str = "lockdep.cycle";
-
 fn ledger() -> &'static Registry {
     static LEDGER: OnceLock<Registry> = OnceLock::new();
-    // Events want a wall-clock stamp; counters never read it.
+    // Counters never read the clock; SystemClock is only the required
+    // constructor argument.
     LEDGER.get_or_init(|| Registry::new(Arc::new(SystemClock::new())))
 }
 
 /// Install the util→obs reporter bridge (idempotent). Runs implicitly
 /// on first `Registry` construction; call it directly from code that
-/// wants cycle events without building any registry.
+/// wants cycle counts without building any registry.
 pub fn install() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
@@ -49,7 +44,6 @@ pub fn install() {
             // holds a per-thread re-entrancy latch while running this
             // hook, so a cycle detected *here* cannot recurse.
             ledger().counter(LOCKDEP_CYCLES, &[("a", &r.a), ("b", &r.b)]).inc();
-            ledger().event(LOCKDEP_EVENT, &[("a", &r.a), ("b", &r.b), ("at", &r.acquire_site)]);
         }));
     });
 }
@@ -58,12 +52,6 @@ pub fn install() {
 /// acquired), per the ledger counter.
 pub fn cycles_reported(a: &str, b: &str) -> u64 {
     ledger().snapshot().counter(&format!("{LOCKDEP_CYCLES}{{a={a},b={b}}}"))
-}
-
-/// A consistent snapshot of the whole lockdep ledger (counters and the
-/// event ring) for delta assertions.
-pub fn lockdep_snapshot() -> RegistrySnapshot {
-    ledger().snapshot()
 }
 
 #[cfg(test)]
@@ -92,10 +80,5 @@ mod tests {
         }
         lockdep::set_thread_mode(None);
         assert_eq!(cycles_reported("obs-test.b", "obs-test.a"), before + 1);
-        let snap = lockdep_snapshot();
-        let hit = snap.events.iter().any(|e| {
-            e.scope == LOCKDEP_EVENT && e.kv.contains(&("a".to_owned(), "obs-test.b".to_owned()))
-        });
-        assert!(hit, "event ring must carry the cycle: {:?}", snap.events);
     }
 }

@@ -1,4 +1,4 @@
-//! The metric registry: named handles, consistent snapshots, events.
+//! The metric registry: named handles and consistent snapshots.
 //!
 //! # Consistency semantics
 //!
@@ -17,16 +17,13 @@
 //! happens-before edge that makes the `Relaxed` stores visible to the
 //! snapshot loads.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use diesel_util::{Clock, Mutex, RwLock, SystemClock};
 
 use crate::histogram::{Histogram, Summary};
-
-/// Default bound on the structured-event ring.
-pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
 /// A monotonically increasing counter handle. Cheap to clone; all
 /// clones share one cell registered in the [`Registry`].
@@ -105,41 +102,13 @@ impl HistogramHandle {
     }
 }
 
-/// One structured event: a timestamp, a scope, and key/value pairs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event {
-    /// Milliseconds since the Unix epoch, stamped by the registry's
-    /// injected [`Clock`] (deterministic under `MockClock`).
-    pub ts_ms: u64,
-    /// Dotted scope, e.g. `cache.recover`.
-    pub scope: String,
-    /// Free-form dimensions.
-    pub kv: Vec<(String, String)>,
-}
-
-impl std::fmt::Display for Event {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{}] {}", self.ts_ms, self.scope)?;
-        for (k, v) in &self.kv {
-            write!(f, " {k}={v}")?;
-        }
-        Ok(())
-    }
-}
-
-struct EventRing {
-    ring: VecDeque<Event>,
-    capacity: usize,
-    dropped: u64,
-}
-
 struct Inner {
     counters: BTreeMap<String, Arc<AtomicU64>>,
     gauges: BTreeMap<String, Arc<AtomicU64>>,
     histograms: BTreeMap<String, Arc<Mutex<Histogram>>>,
 }
 
-/// The registry: a namespace of metric cells plus the event ring.
+/// The registry: a namespace of metric cells.
 ///
 /// Metric identity is the full id `name{label=value,…}` with labels
 /// sorted by key; requesting the same id twice returns a handle to the
@@ -166,23 +135,17 @@ pub struct Registry {
     clock: Arc<dyn Clock>,
     gate: RwLock<()>,
     inner: Mutex<Inner>,
-    events: Mutex<EventRing>,
 }
 
 impl Registry {
-    /// A registry with the default event-ring bound.
+    /// An empty registry timing against `clock`.
     pub fn new(clock: Arc<dyn Clock>) -> Self {
-        Registry::with_event_capacity(clock, DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// A registry keeping at most `capacity` events (oldest dropped).
-    pub fn with_event_capacity(clock: Arc<dyn Clock>, capacity: usize) -> Self {
         // Every serving component builds a registry, so this is the
         // natural choke point to wire the lockdep→obs bridge.
         crate::lockdep::install();
         Registry {
             clock,
-            // snapshot() nests gate → inner → events; the class ranks
+            // snapshot() nests gate → inner; the class ranks
             // in crates/lint/src/rules.rs encode the same order.
             gate: RwLock::named("obs.gate", ()),
             inner: Mutex::named(
@@ -192,10 +155,6 @@ impl Registry {
                     gauges: BTreeMap::new(),
                     histograms: BTreeMap::new(),
                 },
-            ),
-            events: Mutex::named(
-                "obs.events",
-                EventRing { ring: VecDeque::new(), capacity, dropped: 0 },
             ),
         }
     }
@@ -223,41 +182,6 @@ impl Registry {
         HistogramHandle(self.inner.lock().histograms.entry(id).or_default().clone())
     }
 
-    /// Append one event to the bounded ring, stamped with the
-    /// registry clock's epoch reading. Overflow evicts the oldest
-    /// event and counts into `obs.events_dropped{ring=event}` (the
-    /// tracer's span buffer reports into the `ring=trace` cell of the
-    /// same name, so `sum_counter("obs.events_dropped")` is the total
-    /// across rings while neither ring's drops can mask the other's).
-    pub fn event(&self, scope: &str, kv: &[(&str, &str)]) {
-        let ev = Event {
-            ts_ms: self.clock.epoch_ms(),
-            scope: scope.to_owned(),
-            kv: kv.iter().map(|(k, v)| ((*k).to_owned(), (*v).to_owned())).collect(),
-        };
-        let mut ring = self.events.lock();
-        let evicted = if ring.capacity == 0 {
-            ring.dropped += 1;
-            true
-        } else {
-            let full = ring.ring.len() >= ring.capacity;
-            if full {
-                ring.ring.pop_front();
-                ring.dropped += 1;
-            }
-            ring.ring.push_back(ev);
-            full
-        };
-        // The counter is registered lazily on the first drop (so a
-        // drop-free registry's metric namespace is unchanged), and only
-        // after the ring lock is released — `counter` takes the inner
-        // lock, and snapshot() holds inner before events.
-        drop(ring);
-        if evicted {
-            self.counter("obs.events_dropped", &[("ring", "event")]).inc();
-        }
-    }
-
     /// Run `f` atomically with respect to [`snapshot`](Self::snapshot):
     /// a snapshot sees all of the closure's metric updates or none.
     /// Batches do not exclude each other — only snapshots.
@@ -266,8 +190,8 @@ impl Registry {
         f()
     }
 
-    /// A consistent point-in-time copy of every metric and the event
-    /// ring. Excludes all in-flight [`batch`](Self::batch)es.
+    /// A consistent point-in-time copy of every metric. Excludes all
+    /// in-flight [`batch`](Self::batch)es.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let _gate = self.gate.write();
         let inner = self.inner.lock();
@@ -281,15 +205,7 @@ impl Registry {
             // diesel-lint: allow(R5) histogram cells are leaf locks taken only under obs.metrics
             .map(|(k, h)| (k.clone(), h.lock().clone()))
             .collect();
-        drop(inner);
-        let ring = self.events.lock();
-        RegistrySnapshot {
-            counters,
-            gauges,
-            histograms,
-            events: ring.ring.iter().cloned().collect(),
-            dropped_events: ring.dropped,
-        }
+        RegistrySnapshot { counters, gauges, histograms }
     }
 }
 
@@ -346,10 +262,6 @@ pub struct RegistrySnapshot {
     /// Full histograms keyed by full metric id (kept whole so merges
     /// stay exact).
     pub histograms: BTreeMap<String, Histogram>,
-    /// The event ring, oldest first.
-    pub events: Vec<Event>,
-    /// Events evicted from the ring since the registry was built.
-    pub dropped_events: u64,
 }
 
 impl RegistrySnapshot {
@@ -380,7 +292,7 @@ impl RegistrySnapshot {
     }
 
     /// Fold another snapshot into this one: counters and gauges add,
-    /// histograms merge bucket-wise, events interleave by timestamp.
+    /// histograms merge bucket-wise.
     pub fn merge(&mut self, other: &RegistrySnapshot) {
         for (id, v) in &other.counters {
             *self.counters.entry(id.clone()).or_insert(0) += v;
@@ -391,9 +303,6 @@ impl RegistrySnapshot {
         for (id, h) in &other.histograms {
             self.histograms.entry(id.clone()).or_default().merge(h);
         }
-        self.events.extend(other.events.iter().cloned());
-        self.events.sort_by_key(|e| e.ts_ms);
-        self.dropped_events += other.dropped_events;
     }
 
     /// Human-readable rendering grouped by leading dotted segment.
@@ -415,17 +324,6 @@ impl RegistrySnapshot {
             lines.sort();
             for line in lines {
                 let _ = writeln!(out, "  {line}");
-            }
-        }
-        if !self.events.is_empty() || self.dropped_events > 0 {
-            let _ = writeln!(
-                out,
-                "[events] {} kept, {} dropped",
-                self.events.len(),
-                self.dropped_events
-            );
-            for ev in &self.events {
-                let _ = writeln!(out, "  {ev}");
             }
         }
         out
@@ -487,26 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn events_are_clock_stamped_and_bounded() {
-        let clock = Arc::new(MockClock::at_epoch_ms(1_000));
-        let reg = Registry::with_event_capacity(clock.clone(), 3);
-        for i in 0..5u64 {
-            clock.advance(1_000_000); // 1 ms
-            reg.event("cache.recover", &[("node", &i.to_string())]);
-        }
-        let snap = reg.snapshot();
-        assert_eq!(snap.events.len(), 3);
-        assert_eq!(snap.dropped_events, 2);
-        // Oldest two were evicted; timestamps are deterministic.
-        let ts: Vec<u64> = snap.events.iter().map(|e| e.ts_ms).collect();
-        assert_eq!(ts, vec![1_003, 1_004, 1_005]);
-        assert_eq!(
-            snap.events.first().map(|e| e.kv.clone()),
-            Some(vec![("node".into(), "2".into())])
-        );
-    }
-
-    #[test]
     fn snapshot_is_atomic_with_respect_to_batches() {
         let reg = registry();
         let a = reg.counter("pair.first", &[]);
@@ -541,43 +419,10 @@ mod tests {
         reg.counter("cache.chunk_hits", &[]).inc();
         reg.counter("net.requests", &[("endpoint", "s@0")]).inc();
         reg.histogram("net.latency", &[("endpoint", "s@0")]).record_ns(5_000);
-        reg.event("cache.evict", &[("chunk", "c1")]);
         let text = reg.snapshot().render();
         assert!(text.contains("[cache]"), "{text}");
         assert!(text.contains("[net]"), "{text}");
         assert!(text.contains("cache.chunk_hits"), "{text}");
         assert!(text.contains("net.requests{endpoint=s@0}"), "{text}");
-        assert!(text.contains("[events] 1 kept, 0 dropped"), "{text}");
-    }
-
-    #[test]
-    fn zero_capacity_ring_only_counts_drops() {
-        let reg = Registry::with_event_capacity(Arc::new(MockClock::new()), 0);
-        reg.event("x", &[]);
-        let snap = reg.snapshot();
-        assert!(snap.events.is_empty());
-        assert_eq!(snap.dropped_events, 1);
-        assert_eq!(snap.counter("obs.events_dropped{ring=event}"), 1);
-    }
-
-    #[test]
-    fn event_drops_surface_as_a_counter_and_in_render() {
-        let reg = Registry::with_event_capacity(Arc::new(MockClock::new()), 2);
-        reg.event("a", &[]);
-        reg.event("b", &[]);
-        // No drops yet: the counter must not even exist.
-        assert_eq!(reg.snapshot().sum_counter("obs.events_dropped"), 0);
-        for _ in 0..3 {
-            reg.event("c", &[]);
-        }
-        let snap = reg.snapshot();
-        assert_eq!(snap.dropped_events, 3);
-        // Ring-labelled cell, and the cross-ring total stays compatible.
-        assert_eq!(snap.counter("obs.events_dropped{ring=event}"), 3);
-        assert_eq!(snap.sum_counter("obs.events_dropped"), 3);
-        let text = snap.render();
-        assert!(text.contains("[obs]"), "{text}");
-        assert!(text.contains("obs.events_dropped"), "{text}");
-        assert!(text.contains("[events] 2 kept, 3 dropped"), "{text}");
     }
 }

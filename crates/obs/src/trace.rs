@@ -35,13 +35,6 @@
 //! (`off`, `always`, or an integer `n` for 1-in-n). Children of a
 //! propagated context always record: the root's sampling decision rides
 //! the context, exactly like a sampled bit in a real RPC header.
-//!
-//! # Slow-op watchdog
-//!
-//! When a finished span exceeds its per-name threshold (default from
-//! `DIESEL_SLOW_MS`, 100 ms), the tracer emits a `slow` event into its
-//! registry's event ring, so stalls surface in `dlcmd stats` without
-//! pulling a full trace.
 
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
@@ -50,7 +43,6 @@ use std::sync::Arc;
 
 use diesel_util::{Clock, Mutex};
 
-use crate::histogram::fmt_ns;
 use crate::registry::{Counter, Registry};
 
 /// Compact propagation context: which trace a unit of work belongs to
@@ -141,7 +133,6 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 16_384;
 const SPAN_SHARDS: usize = 8;
 
 struct TracerInner {
-    registry: Arc<Registry>,
     clock: Arc<dyn Clock>,
     sampling: Sampling,
     next_trace: AtomicU64,
@@ -151,7 +142,6 @@ struct TracerInner {
     shard_capacity: usize,
     recorded: Counter,
     dropped: Counter,
-    slow_ns: u64,
 }
 
 /// A span recorder bound to a [`Registry`]'s clock. Cheap to clone;
@@ -181,17 +171,11 @@ impl Tracer {
         } else {
             (
                 registry.counter("obs.spans_recorded", &[]),
-                registry.counter("obs.events_dropped", &[("ring", "trace")]),
+                registry.counter("obs.spans_dropped", &[]),
             )
         };
-        let slow_ns = std::env::var("DIESEL_SLOW_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(100)
-            .saturating_mul(1_000_000);
         Tracer {
             inner: Arc::new(TracerInner {
-                registry: Arc::clone(registry),
                 clock: Arc::clone(registry.clock()),
                 sampling,
                 next_trace: AtomicU64::new(1),
@@ -203,7 +187,6 @@ impl Tracer {
                 shard_capacity: DEFAULT_SPAN_CAPACITY / SPAN_SHARDS,
                 recorded,
                 dropped,
-                slow_ns,
             }),
         }
     }
@@ -253,10 +236,6 @@ impl Tracer {
     }
 
     fn finish(&self, span: Span) {
-        let dur = span.duration_ns();
-        if dur >= self.inner.slow_ns {
-            self.inner.registry.event("slow", &[("span", &span.name), ("took", &fmt_ns(dur))]);
-        }
         let idx = (span.id as usize) % self.inner.shards.len();
         if let Some(shard) = self.inner.shards.get(idx) {
             let mut buf = shard.lock();
@@ -418,8 +397,8 @@ struct ActiveSpan {
 }
 
 /// An open span. While it lives, it is the ambient context on its
-/// thread; dropping it stamps the end time, runs the slow-op watchdog,
-/// records the span, and restores the previous context.
+/// thread; dropping it stamps the end time, records the span, and
+/// restores the previous context.
 #[derive(Debug, Default)]
 pub struct SpanGuard {
     active: Option<ActiveSpan>,
@@ -605,7 +584,7 @@ mod tests {
 
     #[test]
     fn buffer_bound_drops_and_counts() {
-        let (_, _, tracer) = rig(Sampling::Always);
+        let (_, registry, tracer) = rig(Sampling::Always);
         let _t = install_tracer(&tracer);
         for _ in 0..(DEFAULT_SPAN_CAPACITY + 100) {
             let _s = span("tiny", &[]);
@@ -613,28 +592,8 @@ mod tests {
         drop(_t);
         assert_eq!(tracer.spans_recorded(), DEFAULT_SPAN_CAPACITY as u64);
         assert_eq!(tracer.spans_dropped(), 100);
+        assert_eq!(registry.snapshot().counter("obs.spans_dropped"), 100);
         assert_eq!(tracer.drain().len(), DEFAULT_SPAN_CAPACITY);
-    }
-
-    #[test]
-    fn slow_spans_emit_a_watchdog_event() {
-        let (clock, registry, tracer) = rig(Sampling::Always);
-        let _t = install_tracer(&tracer);
-        {
-            let _s = span("slow.op", &[]);
-            clock.advance(200_000_000); // twice the 100 ms default
-        }
-        {
-            let _s = span("fast.op", &[]);
-            clock.advance(10);
-        }
-        drop(_t);
-        let snap = registry.snapshot();
-        let slow: Vec<_> = snap.events.iter().filter(|e| e.scope == "slow").collect();
-        assert_eq!(slow.len(), 1, "{:?}", snap.events);
-        let ev = slow.first().unwrap();
-        assert!(ev.kv.iter().any(|(k, v)| k == "span" && v == "slow.op"), "{ev:?}");
-        assert!(ev.kv.iter().any(|(k, v)| k == "took" && v == "200.00ms"), "{ev:?}");
     }
 
     #[test]

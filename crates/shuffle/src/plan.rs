@@ -1,10 +1,13 @@
 //! Shuffle-order generation.
 
+use std::collections::HashMap;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use diesel_chunk::ChunkId;
+use diesel_meta::MetaSnapshot;
 
 /// The files of one chunk, in chunk order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,6 +32,29 @@ pub struct DatasetIndex {
 impl DatasetIndex {
     /// Build from chunk entries.
     pub fn new(chunks: Vec<ChunkFiles>) -> Self {
+        DatasetIndex { chunks }
+    }
+
+    /// Build from a metadata snapshot: one entry per snapshot chunk, in
+    /// snapshot order, each listing its live files in snapshot order.
+    /// A file whose chunk the snapshot does not list is left out.
+    pub fn from_snapshot(snapshot: &MetaSnapshot) -> Self {
+        let mut pos: HashMap<ChunkId, usize> = HashMap::new();
+        let mut chunks: Vec<ChunkFiles> = snapshot
+            .chunks
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| {
+                pos.insert(c, i);
+                ChunkFiles { chunk: c, chunk_bytes: 0, files: Vec::new() }
+            })
+            .collect();
+        for f in &snapshot.files {
+            if let Some(c) = pos.get(&f.meta.chunk).and_then(|&i| chunks.get_mut(i)) {
+                c.chunk_bytes += f.meta.length;
+                c.files.push(f.path.clone());
+            }
+        }
         DatasetIndex { chunks }
     }
 
@@ -226,6 +252,42 @@ mod tests {
     fn is_permutation(plan: &ShufflePlan, index: &DatasetIndex) -> bool {
         let set: HashSet<ShuffleItem> = plan.items.iter().copied().collect();
         set.len() == plan.items.len() && plan.items.len() == index.file_count()
+    }
+
+    #[test]
+    fn from_snapshot_groups_files_by_chunk_in_snapshot_order() {
+        let id = |n: u32| ChunkId::new(n, MachineId::from_seed(1), 1, n);
+        let file = |path: &str, chunk: ChunkId, length: u64| diesel_meta::snapshot::SnapshotFile {
+            path: path.to_owned(),
+            meta: diesel_meta::FileMeta {
+                chunk,
+                index_in_chunk: 0,
+                offset: 0,
+                length,
+                uploaded_ms: 0,
+            },
+        };
+        let snap = MetaSnapshot {
+            dataset: "ds".to_owned(),
+            updated_ms: 0,
+            chunks: vec![id(0), id(1)],
+            files: vec![
+                file("b", id(1), 5),
+                file("a", id(0), 3),
+                file("orphan", id(9), 100),
+                file("c", id(1), 7),
+            ],
+        };
+        let idx = DatasetIndex::from_snapshot(&snap);
+        let got: Vec<(ChunkId, u64, Vec<String>)> =
+            idx.chunks.into_iter().map(|c| (c.chunk, c.chunk_bytes, c.files)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (id(0), 3, vec!["a".to_owned()]),
+                (id(1), 12, vec!["b".to_owned(), "c".to_owned()])
+            ]
+        );
     }
 
     #[test]

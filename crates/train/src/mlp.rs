@@ -89,9 +89,11 @@ impl Mlp {
         act
     }
 
-    /// One SGD step on a mini-batch. Returns the mean loss.
+    /// One SGD step on a mini-batch. Returns the mean loss, or `None`
+    /// (and leaves the model untouched) when a label is not below
+    /// `classes`.
     #[expect(clippy::indexing_slicing, reason = "acts has n + 1 and pres n entries for n layers")]
-    pub fn train_batch(&mut self, x: &Matrix, labels: &[usize]) -> f32 {
+    pub fn train_batch(&mut self, x: &Matrix, labels: &[usize]) -> Option<f32> {
         let n = self.layers.len();
         // Forward, keeping pre/post activations.
         let mut acts: Vec<Matrix> = Vec::with_capacity(n + 1); // post-activation inputs
@@ -106,7 +108,7 @@ impl Mlp {
             }
             acts.push(z);
         }
-        let (loss, mut grad) = softmax_cross_entropy(&acts[n], labels);
+        let (loss, mut grad) = softmax_cross_entropy(&acts[n], labels)?;
         // Backward.
         for i in (0..n).rev() {
             let dw = acts[i].t_matmul(&grad);
@@ -134,7 +136,7 @@ impl Mlp {
                 grad = dx;
             }
         }
-        loss
+        Some(loss)
     }
 
     /// Predicted class per row.
@@ -180,10 +182,10 @@ mod tests {
             42,
         );
         let (x, y) = xor_batch();
-        let first_loss = mlp.train_batch(&x, &y);
+        let first_loss = mlp.train_batch(&x, &y).unwrap();
         let mut last = first_loss;
         for _ in 0..400 {
-            last = mlp.train_batch(&x, &y);
+            last = mlp.train_batch(&x, &y).unwrap();
         }
         assert!(last < first_loss * 0.1, "loss {first_loss} → {last}");
         assert_eq!(mlp.predict(&x), y);
@@ -197,7 +199,7 @@ mod tests {
                 seed,
             );
             let (x, y) = xor_batch();
-            (0..50).map(|_| m.train_batch(&x, &y)).last().unwrap()
+            (0..50).map(|_| m.train_batch(&x, &y).unwrap()).last().unwrap()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
@@ -234,7 +236,7 @@ mod tests {
         );
         let (x, y) = xor_batch();
         for _ in 0..50 {
-            let loss = m.train_batch(&x, &y);
+            let loss = m.train_batch(&x, &y).unwrap();
             assert!(loss.is_finite());
         }
     }

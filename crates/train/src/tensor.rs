@@ -170,8 +170,9 @@ impl Matrix {
 }
 
 /// Row-wise softmax followed by cross-entropy against integer labels.
-/// Returns `(mean loss, dlogits)` where `dlogits = (softmax − onehot)/B`.
-pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix) {
+/// Returns `(mean loss, dlogits)` where `dlogits = (softmax − onehot)/B`,
+/// or `None` when a label is not below the class count (the row width).
+pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> Option<(f32, Matrix)> {
     assert_eq!(logits.rows, labels.len());
     let b = logits.rows as f32;
     let mut grad = logits.clone();
@@ -187,15 +188,14 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix)
         for v in row.iter_mut() {
             *v /= sum;
         }
-        #[expect(clippy::indexing_slicing, reason = "a label is < classes, the row width")]
-        let p = &mut row[label];
+        let p = row.get_mut(label)?;
         loss -= p.max(1e-12).ln() as f64;
         *p -= 1.0;
         for v in row.iter_mut() {
             *v /= b;
         }
     }
-    ((loss / b as f64) as f32, grad)
+    Some(((loss / b as f64) as f32, grad))
 }
 
 #[cfg(test)]
@@ -248,7 +248,7 @@ mod tests {
     #[test]
     fn softmax_ce_gradient_sums_to_zero_per_row() {
         let logits = m(2, 3, &[2.0, 1.0, 0.1, 0.0, 0.0, 0.0]);
-        let (loss, grad) = softmax_cross_entropy(&logits, &[0, 2]);
+        let (loss, grad) = softmax_cross_entropy(&logits, &[0, 2]).unwrap();
         assert!(loss > 0.0);
         for r in 0..2 {
             let s: f32 = grad.row(r).iter().sum();
@@ -263,8 +263,8 @@ mod tests {
     fn softmax_ce_loss_decreases_with_confidence() {
         let confident = m(1, 2, &[10.0, -10.0]);
         let unsure = m(1, 2, &[0.1, 0.0]);
-        let (l1, _) = softmax_cross_entropy(&confident, &[0]);
-        let (l2, _) = softmax_cross_entropy(&unsure, &[0]);
+        let (l1, _) = softmax_cross_entropy(&confident, &[0]).unwrap();
+        let (l2, _) = softmax_cross_entropy(&unsure, &[0]).unwrap();
         assert!(l1 < l2);
         assert!(l1 < 1e-4);
     }
@@ -272,15 +272,14 @@ mod tests {
     #[test]
     fn softmax_is_stable_for_large_logits() {
         let logits = m(1, 3, &[1e4, 1e4 - 1.0, -1e4]);
-        let (loss, grad) = softmax_cross_entropy(&logits, &[0]);
+        let (loss, grad) = softmax_cross_entropy(&logits, &[0]).unwrap();
         assert!(loss.is_finite());
         assert!(grad.data.iter().all(|v| v.is_finite()));
     }
 
     #[test]
-    #[should_panic]
     fn softmax_ce_rejects_a_label_past_the_last_class() {
-        softmax_cross_entropy(&m(1, 2, &[0.0, 0.0]), &[2]);
+        assert!(softmax_cross_entropy(&m(1, 2, &[0.0, 0.0]), &[2]).is_none());
     }
 
     #[test]

@@ -35,7 +35,8 @@ pub struct EpochMetrics {
     pub topk: f64,
 }
 
-/// Top-k accuracy of `model` on `samples`.
+/// Top-k accuracy of `model` on `samples`. A label the model has no
+/// class for counts as a miss.
 pub fn topk_accuracy(model: &Mlp, samples: &[Sample], k: usize) -> f64 {
     if samples.is_empty() {
         return 0.0;
@@ -46,8 +47,7 @@ pub fn topk_accuracy(model: &Mlp, samples: &[Sample], k: usize) -> f64 {
     let mut correct = 0usize;
     for (r, &label) in labels.iter().enumerate() {
         let row = logits.row(r);
-        #[expect(clippy::indexing_slicing, reason = "a label is < classes, the row width")]
-        let own = row[label];
+        let Some(&own) = row.get(label) else { continue };
         // Rank of the true class = #logits strictly greater.
         let better = row.iter().filter(|&&v| v > own).count();
         if better < k {
@@ -59,7 +59,8 @@ pub fn topk_accuracy(model: &Mlp, samples: &[Sample], k: usize) -> f64 {
 
 /// Train `model` for `config.epochs` epochs, reading data through the
 /// loader (and therefore through DIESEL with whatever shuffle strategy
-/// the client has enabled). Returns per-epoch metrics.
+/// the client has enabled). Returns per-epoch metrics; a sample whose
+/// label is not below the model's class count fails the run.
 pub fn train<K: KvStore + 'static, S: ObjectStore + 'static>(
     model: &mut Mlp,
     loader: &DataLoader<K, S>,
@@ -75,7 +76,12 @@ pub fn train<K: KvStore + 'static, S: ObjectStore + 'static>(
         // compute/I-O overlap).
         for batch in loader.epoch_iter(epoch)? {
             let (x, labels) = batch?;
-            loss_sum += model.train_batch(&x, &labels) as f64;
+            let loss = model.train_batch(&x, &labels).ok_or_else(|| {
+                diesel_core::DieselError::Client(format!(
+                    "epoch {epoch}: a sample's label is not below the model's class count"
+                ))
+            })?;
+            loss_sum += loss as f64;
             n += 1;
         }
         out.push(EpochMetrics {
@@ -157,6 +163,33 @@ mod tests {
         let b = base.last().unwrap().top1;
         let c = cw.last().unwrap().top1;
         assert!((b - c).abs() < 0.08, "chunk-wise top-1 {c:.3} deviates from baseline {b:.3}");
+    }
+
+    #[test]
+    fn a_label_past_the_last_class_is_an_error_and_a_miss() {
+        let spec = SyntheticSpec { dim: 4, classes: 3, separation: 1.0, noise: 0.5, seed: 5 };
+        let mut samples = spec.generate(20);
+        samples.push(Sample { label: spec.classes, features: vec![0.0; spec.dim] });
+        let model = Mlp::new(
+            MlpConfig { input_dim: 4, hidden: vec![], classes: 3, lr: 0.1, momentum: 0.0 },
+            1,
+        );
+        // The stray label is always a miss, so even top-#classes misses it.
+        let acc = topk_accuracy(&model, &samples, spec.classes);
+        assert!((acc - 20.0 / 21.0).abs() < 1e-9, "{acc}");
+
+        let server = Arc::new(DieselServer::new(
+            Arc::new(ShardedKv::new()),
+            Arc::new(MemObjectStore::new()),
+        ));
+        let client = DieselClient::connect(server, "stray").with_deterministic_identity(1, 1, 100);
+        upload_samples(&client, &samples).unwrap();
+        client.download_meta().unwrap();
+        let loader = DataLoader::new(Arc::new(client), 32, 99);
+        let mut model = model;
+        let err =
+            train(&mut model, &loader, &[], &TrainConfig { epochs: 1, topk: (1, 5) }).unwrap_err();
+        assert!(matches!(err, diesel_core::DieselError::Client(_)), "{err}");
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //!
 //! The default is `warn`; CI runs the suite once under `fail`
 //! (scripts/ci.sh) so an inversion anywhere in the tree is a red build.
-//! Reports also flow to `diesel-obs` as `lockdep.cycle{a=…,b=…}` events
+//! Reports are also counted in `diesel-obs` as `lockdep.cycles{a=…,b=…}`
 //! via the pluggable [`set_cycle_reporter`] hook (util cannot depend on
 //! obs, so obs installs the bridge; see `diesel_obs::lockdep`).
 
@@ -221,7 +221,7 @@ fn reporter() -> &'static StdMutex<Option<Reporter>> {
 }
 
 /// Install the process-wide cycle reporter (e.g. the diesel-obs bridge
-/// turning reports into `lockdep.cycle{a=…,b=…}` events). Installing a
+/// counting reports into `lockdep.cycles{a=…,b=…}`). Installing a
 /// new reporter replaces the previous one.
 pub fn set_cycle_reporter(f: Reporter) {
     *lock_or_recover(reporter()) = Some(f);
@@ -451,7 +451,7 @@ fn check_order(
 }
 
 /// Append to the log and invoke the reporter hook. The hook may itself
-/// acquire named locks (the obs bridge records an event); a thread-local
+/// acquire named locks (the obs bridge bumps a counter); a thread-local
 /// re-entrancy latch stops a cycle detected *inside* the hook from
 /// recursing back into it.
 fn deliver(r: &CycleReport) {

@@ -128,18 +128,6 @@ fn build_index(
     client: &DieselClient<ShardedKv, MemObjectStore>,
 ) -> diesel_dlt::shuffle::DatasetIndex {
     // Reconstruct the index the client uses internally, for reporting.
-    let server = client.server();
-    let snap = server.build_snapshot("synth-imagenet").unwrap();
-    let mut chunks: Vec<diesel_dlt::shuffle::ChunkFiles> = snap
-        .chunks
-        .iter()
-        .map(|&c| diesel_dlt::shuffle::ChunkFiles { chunk: c, chunk_bytes: 0, files: vec![] })
-        .collect();
-    for f in &snap.files {
-        if let Some(i) = snap.chunks.iter().position(|c| *c == f.meta.chunk) {
-            chunks[i].chunk_bytes += f.meta.length;
-            chunks[i].files.push(f.path.clone());
-        }
-    }
-    diesel_dlt::shuffle::DatasetIndex::new(chunks)
+    let snap = client.server().build_snapshot("synth-imagenet").unwrap();
+    diesel_dlt::shuffle::DatasetIndex::from_snapshot(&snap)
 }

@@ -95,6 +95,20 @@ if dlcmd cat ds a/f1.txt > /dev/null 2>&1; then
 fi
 dlcmd purge ds
 dlcmd cat ds top.txt | cmp - "$work/src/top.txt"
+# A crash mid-write can leave a chunk short. Recovery runs before every
+# verb, so it skips such a torn chunk instead of failing: import the tree
+# again as `torn` (one chunk), cut that chunk inside its 54-byte fixed
+# header, and the verbs over `ds` still work while stderr reports the
+# quarantined chunk.
+dlcmd put "$work/src" torn > /dev/null
+torn=("$work/store"/torn%2F*)
+[ "${#torn[@]}" -eq 1 ]
+truncate -s 40 "${torn[0]}"
+dlcmd ls ds 2> "$work/ls.err" | diff - <(printf '%s\n' 'd          -  a/' 'f          4  top.txt')
+dlcmd cat ds top.txt 2> "$work/cat.err" | cmp - "$work/src/top.txt"
+for err in "$work/ls.err" "$work/cat.err"; do
+    grep -qx 'dlcmd: torn: 1 torn chunk(s) quarantined' "$err"
+done
 
 echo "== rustfmt =="
 cargo fmt --check
@@ -141,7 +155,6 @@ find crates src examples -name '*.rs' | sort | xargs awk '
         x["crates/obs/src/copies.rs: copied_total"]       # zero-copy invariant probe read by tests/zero_copy.rs
         x["crates/obs/src/copies.rs: copied_at"]          # zero-copy invariant probe read by tests/zero_copy.rs
         x["crates/obs/src/lockdep.rs: cycles_reported"]   # lock-order invariant probe read by tests/lockdep.rs
-        x["crates/obs/src/lockdep.rs: lockdep_snapshot"]  # lock-order invariant probe read by tests/lockdep.rs
     }
     FNR==1 { use=0; test=0; skip=0; armed=0; base=FILENAME; sub(/.*\//,"",base)
              cand=(FILENAME ~ /^crates\/[^\/]+\/src\// && FILENAME !~ /^crates\/benchmark\/|\/bin\//)

@@ -13,8 +13,8 @@
 //! * the task-grained distributed cache ([`cache`]),
 //! * a typed RPC layer with retries, fault injection and
 //!   per-endpoint stats, carrying all inter-node traffic ([`net`]),
-//! * a lock-light metrics registry + structured event ring that every
-//!   serving layer reports into ([`obs`]),
+//! * a lock-light metrics registry that every serving layer reports
+//!   into ([`obs`]),
 //! * a work-pool/pipeline executor behind every background thread in
 //!   the tree, with a deterministic inline mode ([`exec`]),
 //! * the chunk-wise shuffle ([`shuffle`]),

@@ -1,8 +1,8 @@
 //! Deadlock-freedom as an enforced invariant: the lock-order witness
 //! (`diesel_util::lockdep`) reports an ABBA inversion constructed
 //! across two real threads *before* any deadlock can fire — no
-//! contention, no timeout — and the report lands in the diesel-obs
-//! ledger as `lockdep.cycle{a=…,b=…}`.
+//! contention, no timeout — and the report is counted in the
+//! diesel-obs ledger as `lockdep.cycles{a=…,b=…}`.
 
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -74,13 +74,6 @@ fn abba_across_two_threads_is_reported_before_any_deadlock() {
 
     // And the obs bridge carried it into the process-global ledger.
     assert_eq!(diesel_obs::cycles_reported("abba.b", "abba.a"), obs_before + 1);
-    let snap = diesel_obs::lockdep_snapshot();
-    let hit = snap.events.iter().any(|e| {
-        e.scope == diesel_obs::LOCKDEP_EVENT
-            && e.kv.contains(&("a".to_owned(), "abba.b".to_owned()))
-            && e.kv.contains(&("b".to_owned(), "abba.a".to_owned()))
-    });
-    assert!(hit, "lockdep.cycle event missing: {:?}", snap.events);
 }
 
 /// Under `fail` mode the inverted acquisition panics *instead of*
