@@ -30,9 +30,10 @@
 //!   [`CachePolicy::OnDemand`] fill over single-flight chunk loads,
 //!   node-failure injection and chunk-wise recovery. Where a node
 //!   cannot hold its share of the dataset, the epoch's shuffle plan
-//!   ([`TaskCache::follow_plan`]) is its fill and eviction order:
-//!   budget-bounded lookahead, next-use eviction, release on the last
-//!   planned read. Without a plan eviction is install order, and a
+//!   ([`TaskCache::follow_plan`]) is its fill and eviction order: a
+//!   budget-bounded lookahead one shuffle group wide on the work pool's
+//!   blocking lane, next-use eviction, release on the last planned
+//!   read. Without a plan eviction is install order, and a
 //!   node whose share fits never evicts at all. The per-node byte
 //!   budget, like the node set, is fixed when the cache is built.
 //!

@@ -26,7 +26,9 @@
 //! shuffle plan drives it ([`TaskCache::follow_plan`]): eviction takes
 //! the chunk whose next planned read is farthest away, a chunk is
 //! released on its last planned read, and a budget-bounded lookahead
-//! loads ahead of the readers in plan order on the cache's work pool.
+//! loads ahead of the readers in plan order, on the blocking lane of
+//! the cache's work pool, as many chunks at once as the plan's widest
+//! group places on streaming nodes.
 //! A node whose share fits is left alone, and with no plan installed —
 //! or on such a node — the hit path is what it always was plus one
 //! `Option` test under the node lock it already holds.
@@ -345,6 +347,9 @@ struct Lookahead<S> {
     /// Nodes carrying a plan: once each has been seen full, a scan of
     /// `queue` can stop.
     plan_nodes: usize,
+    /// Lookahead workers allowed at once: the most chunks any one group
+    /// of the plan places on nodes that carry it.
+    width: usize,
     /// Lookahead workers alive; each flies one load at a time.
     running: usize,
 }
@@ -414,6 +419,7 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
                     cache: Weak::new(),
                     queue: VecDeque::new(),
                     plan_nodes: 0,
+                    width: 0,
                     running: 0,
                 },
             ),
@@ -832,14 +838,19 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
     ///   away (Belady over the plan; finished and unplanned chunks
     ///   count as never);
     /// * a chunk is released on its last planned read;
-    /// * at most `pool.workers()` loads run ahead of the readers in
-    ///   plan order, each admitted on its owner only into free room or
-    ///   by evicting chunks read later than itself — so lookahead depth
-    ///   is whatever the byte budget allows. A load is submitted when
-    ///   it becomes admissible (here, on a release, when a lookahead
-    ///   load ends); nothing parks a pool worker waiting for room, and
-    ///   an inline pool runs no lookahead at all. An on-demand miss
-    ///   never waits for admission.
+    /// * loads run ahead of the readers in plan order, each admitted on
+    ///   its owner only into free room or by evicting chunks read later
+    ///   than itself. As many run at once as the plan's widest group
+    ///   has chunks on such nodes — a group's first batch reads all of
+    ///   them, so all of them must have landed by the group boundary —
+    ///   or as many as the byte budget admits, whichever is smaller.
+    ///   They run on the pool's blocking lane
+    ///   ([`WorkPool::spawn_blocking`]), so a load waiting on the store
+    ///   holds no CPU worker. A load is submitted when it becomes
+    ///   admissible (here, on a release, when a lookahead load ends);
+    ///   nothing parks a thread waiting for room, and an inline pool
+    ///   runs no lookahead at all. An on-demand miss never waits for
+    ///   admission.
     ///
     /// A node whose share fits — the paper's fully-cached mode — is
     /// left alone: it evicts nothing, counts nothing and runs no
@@ -867,6 +878,11 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
             shares.retain(|_, (share, _)| *share > capacity);
             if self.pool.workers() > 1 {
                 loads.retain(|load| shares.contains_key(&load.node));
+                let mut per_group: HashMap<u32, usize> = HashMap::new();
+                for load in &loads {
+                    *per_group.entry(load.group).or_default() += 1;
+                }
+                la.width = per_group.into_values().max().unwrap_or(0);
                 la.queue = loads;
             }
             for (node, (_, uses)) in shares {
@@ -882,13 +898,13 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
         PlanGuard { cache: Arc::clone(self), generation }
     }
 
-    /// Start lookahead workers while the pool has width to spare and
-    /// some planned load is admissible.
+    /// Start lookahead workers on the pool's blocking lane while the
+    /// plan's width has room and some planned load is admissible.
     fn pump(&self) {
         loop {
             let (cache, load) = {
                 let mut la = self.lookahead.lock();
-                if la.running >= self.pool.workers() {
+                if la.running >= la.width {
                     return;
                 }
                 let Some(cache) = la.cache.upgrade() else { return };
@@ -896,7 +912,7 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
                 la.running += 1;
                 (cache, load)
             };
-            self.pool.spawn(move || cache.run_lookahead(load)).detach();
+            self.pool.spawn_blocking(move || cache.run_lookahead(load)).detach();
         }
     }
 
@@ -1033,6 +1049,7 @@ impl<S> TaskCache<S> {
         la.generation += 1;
         la.queue.clear();
         la.plan_nodes = 0;
+        la.width = 0;
         la.cache = Weak::new();
         for st in &self.nodes {
             st.inner.lock().plan = None;
@@ -1664,28 +1681,29 @@ mod tests {
     #[test]
     fn the_lookahead_fills_the_budget_in_plan_order_and_never_past_a_sooner_read() {
         let (mem, metas, chunks) = dataset(18, 512, 2048);
-        let cap = budget_for(&mem, &chunks, 2);
+        let cap = budget_for(&mem, &chunks, 4);
         let store = Arc::new(TestStore::new(mem));
         let pool = WorkPool::new("ahead", diesel_exec::ExecConfig::workers(2));
         let c = Arc::new(
             cache(store.clone(), chunks.clone(), 1, cap, CachePolicy::OnDemand).with_pool(pool),
         );
-        let [a, b, next] = [chunks[0], chunks[1], chunks[2]];
-        // Groups of two: a and b are read first, `next` after them.
-        let _following = c.follow_plan(&plan_of(&chunks, &metas, 2));
+        let (group, next) = (&chunks[..4], chunks[4]);
+        // Groups of four: the first group is read first, `next` after it.
+        let _following = c.follow_plan(&plan_of(&chunks, &metas, 4));
         let idle = || c.lookahead.lock().running == 0;
         let resident = |chunk| only_node(&c).inner.lock().chunks.contains_key(&chunk);
-        // Two loads fill the budget; `next` is admissible only by
+        // Four loads fill the budget; `next` is admissible only by
         // evicting a chunk read sooner than itself, so the workers exit.
-        until(|| resident(a) && resident(b) && idle());
-        assert_eq!(store.gets(), 2);
+        until(|| group.iter().all(|&chunk| resident(chunk)) && idle());
+        assert_eq!(store.gets(), 4);
         assert_eq!(c.metrics().evictions(), 0);
         assert_eq!(c.lookahead.lock().queue.front().map(|l| l.chunk), Some(next));
-        // a's last planned read releases it, and that admits `next`.
-        read_all(&c, &metas, a);
+        // The first chunk's last planned read releases it, and that
+        // admits `next`.
+        read_all(&c, &metas, group[0]);
         until(|| resident(next) && idle());
-        assert!(resident(b) && !resident(a));
-        assert_eq!(store.gets(), 3, "each chunk read from the store once");
+        assert!(group[1..].iter().all(|&chunk| resident(chunk)) && !resident(group[0]));
+        assert_eq!(store.gets(), 5, "each chunk read from the store once");
         assert!(c.node_resident_bytes(0) <= cap);
     }
 
@@ -1699,15 +1717,22 @@ mod tests {
         let c = Arc::new(
             cache(store.clone(), chunks.clone(), 2, cap, CachePolicy::OnDemand).with_pool(pool),
         );
+        // Groups of four make the lookahead four wide, and each node's
+        // budget admits two loads: four loads reach the gate.
         let following = c.follow_plan(&plan_of(&chunks, &metas, 4));
-        until(|| store.gets() == 2);
+        let four = within_10s(|| store.gets() == 4);
+        if !four {
+            // Let the loads end, so the plan guard can drop.
+            store.set_gate(true);
+        }
+        assert!(four, "{} loads at the gate, not four", store.gets());
         let dropper = std::thread::spawn(move || drop(following));
-        // The drop has emptied the queue and waits for the two loads at
+        // The drop has emptied the queue and waits for the four loads at
         // the gate; nothing further can start.
         until(|| c.lookahead.lock().queue.is_empty());
         store.set_gate(true);
         dropper.join().unwrap();
-        assert_eq!(store.gets(), 2, "the drop waited out the loads in flight and no more");
+        assert_eq!(store.gets(), 4, "the drop waited out the loads in flight and no more");
         assert_eq!(c.lookahead.lock().running, 0);
         for node in 0..2 {
             let st = c.node_state(node).unwrap();
@@ -1715,5 +1740,62 @@ mod tests {
             assert!(inner.plan.is_none() && inner.flights.is_empty());
             assert!(inner.resident_bytes <= cap);
         }
+    }
+
+    /// Yield until `reached` holds or ten seconds have passed; false on
+    /// the latter. For a state a regression could keep the code from
+    /// ever reaching, where [`until`] would hang.
+    fn within_10s(reached: impl Fn() -> bool) -> bool {
+        use diesel_util::{Clock, SystemClock};
+        let clock = SystemClock::new();
+        while !reached() {
+            if clock.now_ns() > 10_000_000_000 {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    #[test]
+    fn a_whole_group_loads_at_once_and_leaves_the_cpu_workers_free() {
+        let (mem, metas, chunks) = dataset(36, 512, 2048);
+        let cap = budget_for(&mem, &chunks, 4);
+        let store = Arc::new(TestStore::new(mem));
+        store.set_gate(false);
+        let pool = WorkPool::new("group", diesel_exec::ExecConfig::workers(2));
+        let c = Arc::new(
+            cache(store.clone(), chunks.clone(), 1, cap, CachePolicy::OnDemand)
+                .with_pool(pool.clone()),
+        );
+        let following = c.follow_plan(&plan_of(&chunks, &metas, 4));
+        // (a) The whole first group is read from the store at once, on
+        // a two-worker pool; (b) meanwhile both CPU workers stay free.
+        let whole_group = within_10s(|| store.gets() == 4);
+        let task = pool.spawn(|| 7);
+        let workers_free = within_10s(|| task.is_finished());
+        let at_gate = store.gets();
+        if !(whole_group && workers_free) {
+            // Let the loads end, so the plan guard can drop.
+            store.set_gate(true);
+        }
+        assert!(whole_group, "{at_gate} loads at the gate, not the group's four");
+        assert!(workers_free, "a CPU worker is held by a load at the gate");
+        assert_eq!(task.join(), Ok(7));
+        assert_eq!(at_gate, 4, "a fifth load started past the budget");
+        assert_eq!(c.lookahead.lock().running, 4);
+        // (c) Dropping the guard waits for exactly those four loads and
+        // starts no other.
+        let dropper = std::thread::spawn(move || drop(following));
+        until(|| c.lookahead.lock().queue.is_empty());
+        assert!(!dropper.is_finished(), "the drop returned with loads at the gate");
+        store.set_gate(true);
+        dropper.join().unwrap();
+        assert_eq!(store.gets(), 4);
+        assert_eq!(c.metrics().chunk_loads(), 4);
+        assert_eq!(c.lookahead.lock().running, 0);
+        let inner = only_node(&c).inner.lock();
+        assert!(inner.flights.is_empty() && inner.plan.is_none());
+        assert_eq!(inner.chunks.len(), 4, "the four loads landed");
     }
 }

@@ -19,6 +19,15 @@
 //!   [`ExecError::Panicked`] at [`TaskHandle::join`]; dropping an
 //!   unjoined handle flips the task's [`CancelToken`] so cooperative
 //!   sweeps stop instead of leaking.
+//! * The blocking lane ([`WorkPool::spawn_blocking`]) — for a job that
+//!   waits on I/O rather than computes. It runs on a lane thread, never
+//!   on one of the pool's CPU workers: an idle lane thread if there is
+//!   one, else a new one. Idle lane threads are kept for reuse until the
+//!   pool drops, and the drop joins them. The lane has no width
+//!   setting; it is as wide as its callers keep it busy, so a cache can
+//!   keep as many store reads in flight as its plan asks for while the
+//!   CPU workers stay free to decode. Handles, panics and the ambient
+//!   trace behave as with [`WorkPool::spawn`].
 //! * [`Scope`] + [`WorkPool::map`]/[`WorkPool::try_map`] — structured
 //!   fan-out over borrowed data. Results are written into per-item
 //!   slots, so the output order (and the first error, for `try_map`) is
@@ -33,7 +42,8 @@
 //! ## Determinism mode
 //!
 //! A pool built with `workers <= 1` runs everything inline on the
-//! calling thread, in submission order — no threads, no interleaving.
+//! calling thread, in submission order — no threads, no interleaving,
+//! and no lane threads either: `spawn_blocking` runs on the caller too.
 //! [`ExecConfig::from_env`] reads `DIESEL_EXEC_WORKERS`, so
 //! `DIESEL_EXEC_WORKERS=1 cargo test` exercises the whole tree in
 //! deterministic mode, the same way an injected
@@ -46,6 +56,7 @@
 //! counters, an `exec.queue_depth` gauge, and an `exec.task_ns`
 //! latency histogram, all labelled `{pool=<name>}`.
 
+mod lane;
 pub mod pipeline;
 pub mod pool;
 pub mod queue;

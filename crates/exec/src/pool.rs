@@ -3,6 +3,8 @@
 //! cancellation ([`WorkPool::spawn`]), scoped fan-out over borrowed
 //! data ([`WorkPool::scope`], [`WorkPool::map`], [`WorkPool::try_map`])
 //! and chunked data parallelism ([`WorkPool::for_each_chunk_mut`]).
+//! Jobs that wait on I/O go to the pool's blocking lane instead
+//! ([`WorkPool::spawn_blocking`]).
 //!
 //! Two properties hold everywhere:
 //!
@@ -23,10 +25,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+use crate::lane::Lane;
 use crate::queue::Bounded;
 use crate::{ExecConfig, ExecError, Result};
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Turn a panic payload into a printable message.
 pub(crate) fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
@@ -69,7 +72,7 @@ impl PoolMetrics {
 /// the task wrappers (spawn/scope wrappers catch their own panics to
 /// deliver the payload; this outer catch keeps worker threads alive no
 /// matter what).
-fn run_job(metrics: &PoolMetrics, clock: &Arc<dyn Clock>, job: Job) {
+pub(crate) fn run_job(metrics: &PoolMetrics, clock: &Arc<dyn Clock>, job: Job) {
     let t0 = clock.now_ns();
     let out = catch_unwind(AssertUnwindSafe(job));
     metrics.task_ns.record_ns(clock.now_ns().saturating_sub(t0));
@@ -100,6 +103,7 @@ struct PoolInner {
     spawned: AtomicUsize,
     start_lock: Mutex<()>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    lane: Arc<Lane>,
     registry: Arc<Registry>,
     clock: Arc<dyn Clock>,
     metrics: PoolMetrics,
@@ -178,6 +182,16 @@ impl PoolInner {
             Err(job) => run_job(&self.metrics, &self.clock, job),
         }
     }
+
+    /// Submit to the blocking lane; an inline pool, or a lane that
+    /// cannot start the job, runs it on the calling thread.
+    fn submit_blocking(&self, job: Job) {
+        self.metrics.submitted.inc();
+        let refused = if self.workers <= 1 { Err(job) } else { self.lane.submit(job) };
+        if let Err(job) = refused {
+            run_job(&self.metrics, &self.clock, job);
+        }
+    }
 }
 
 impl Drop for PoolInner {
@@ -186,6 +200,7 @@ impl Drop for PoolInner {
         for h in self.handles.get_mut().drain(..) {
             let _ = h.join();
         }
+        self.lane.close();
     }
 }
 
@@ -210,6 +225,7 @@ impl WorkPool {
     pub fn with_registry(name: &str, config: ExecConfig, registry: Arc<Registry>) -> Self {
         let metrics = PoolMetrics::new(&registry, name);
         let clock = Arc::clone(registry.clock());
+        let lane = Arc::new(Lane::new(name, metrics.clone(), Arc::clone(&clock)));
         WorkPool {
             inner: Arc::new(PoolInner {
                 name: name.to_owned(),
@@ -219,6 +235,7 @@ impl WorkPool {
                 spawned: AtomicUsize::new(0),
                 start_lock: Mutex::named("exec.pool_start", ()),
                 handles: Mutex::named("exec.pool_handles", Vec::new()),
+                lane,
                 registry,
                 clock,
                 metrics,
@@ -273,6 +290,37 @@ impl WorkPool {
         T: Send + 'static,
         F: FnOnce(&CancelToken) -> T + Send + 'static,
     {
+        let (job, handle) = self.task(f);
+        self.inner.submit(job);
+        handle
+    }
+
+    /// Run `f`, a job that may wait on I/O, on the pool's blocking lane
+    /// rather than on one of its CPU workers: on an idle lane thread, or
+    /// on a new one when no lane thread is idle. Lane threads are kept
+    /// for reuse until the pool drops, and the drop joins them. The
+    /// lane has no width setting; it is as wide as its callers keep it
+    /// busy. The handle behaves as [`spawn`](Self::spawn)'s does —
+    /// panics surface at [`TaskHandle::join`], and the submitter's
+    /// ambient trace is carried into the job — and an inline pool runs
+    /// `f` on the calling thread.
+    pub fn spawn_blocking<T, F>(&self, f: F) -> TaskHandle<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let (job, handle) = self.task(move |_| f());
+        self.inner.submit_blocking(job);
+        handle
+    }
+
+    /// Wrap `f` as a pool job that captures its panic and delivers its
+    /// result to the returned handle.
+    fn task<T, F>(&self, f: F) -> (Job, TaskHandle<T>)
+    where
+        T: Send + 'static,
+        F: FnOnce(&CancelToken) -> T + Send + 'static,
+    {
         let token = CancelToken::default();
         let shared = Arc::new(TaskShared {
             slot: Mutex::named("exec.task_slot", None),
@@ -293,13 +341,13 @@ impl WorkPool {
             *shared2.slot.lock() = Some(out);
             shared2.done.notify_all();
         });
-        self.inner.submit(job);
-        TaskHandle {
+        let handle = TaskHandle {
             shared,
             token,
             cancelled_counter: self.inner.metrics.cancelled.clone(),
             joined: false,
-        }
+        };
+        (job, handle)
     }
 
     // ---- scoped fan-out ----
@@ -893,6 +941,160 @@ mod tests {
                 tasks.iter().all(|s| s.trace == root.trace && s.parent == Some(root.id)),
                 "workers={w}: every task span hangs under the fanout span"
             );
+        }
+    }
+
+    /// Run `n` blocking jobs that can only finish together, so each
+    /// holds a lane thread of its own; returns the threads they ran on.
+    fn blocking_wave(p: &WorkPool, n: usize) -> Vec<std::thread::ThreadId> {
+        let all_in = Arc::new(std::sync::Barrier::new(n));
+        let handles: Vec<_> = (0..n)
+            .map(|_| {
+                let all_in = Arc::clone(&all_in);
+                p.spawn_blocking(move || {
+                    all_in.wait();
+                    std::thread::current().id()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    }
+
+    /// Yield until every lane thread started so far is parked.
+    fn lane_parked(p: &WorkPool) -> usize {
+        loop {
+            let (threads, idle) = p.inner.lane.threads();
+            if threads == idle {
+                return threads;
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_second_blocking_wave_reuses_the_first_waves_threads() {
+        const N: usize = 5;
+        let p = pool(2);
+        let first = blocking_wave(&p, N);
+        let workers: Vec<_> = (0..2).map(|_| p.spawn(|| std::thread::current().id())).collect();
+        let workers: Vec<_> = workers.into_iter().map(|h| h.join().unwrap()).collect();
+        assert!(first.iter().all(|t| !workers.contains(t)), "a blocking job ran on a CPU worker");
+        let mut distinct = first.clone();
+        distinct.sort_by_key(|t| format!("{t:?}"));
+        distinct.dedup();
+        assert_eq!(distinct.len(), N, "the lane is as wide as the wave keeps it busy");
+        assert_eq!(lane_parked(&p), N);
+        let second = blocking_wave(&p, N);
+        assert!(second.iter().all(|t| first.contains(t)), "a parked thread was not reused");
+        assert_eq!(lane_parked(&p), N, "no thread was started for the second wave");
+        let snap = p.registry().snapshot();
+        assert_eq!(snap.counter("exec.tasks_submitted{pool=t}"), 2 * N as u64 + 2);
+        assert_eq!(snap.counter("exec.tasks_completed{pool=t}"), 2 * N as u64 + 2);
+    }
+
+    #[test]
+    fn a_blocking_job_keeps_the_workers_free() {
+        let p = pool(2);
+        let gate = Arc::new(Bounded::<()>::new(4));
+        let held: Vec<_> = (0..4)
+            .map(|_| {
+                let gate = Arc::clone(&gate);
+                p.spawn_blocking(move || gate.pop())
+            })
+            .collect();
+        // Four jobs wait on the gate, more than the pool has workers,
+        // and a CPU job still runs. Were the four on the workers, it
+        // would wait for the gate: give it ten seconds, then open up.
+        let task = p.spawn(|| 7);
+        let clock = diesel_util::SystemClock::new();
+        while !task.is_finished() && clock.now_ns() < 10_000_000_000 {
+            std::thread::yield_now();
+        }
+        let ran = task.is_finished();
+        for _ in 0..4 {
+            gate.push(()).unwrap();
+        }
+        assert!(ran, "a CPU job waited for blocking jobs");
+        assert_eq!(task.join(), Ok(7));
+        for h in held {
+            assert_eq!(h.join(), Ok(Some(())));
+        }
+    }
+
+    #[test]
+    fn a_blocking_job_panic_surfaces_at_join() {
+        let p = pool(2);
+        let h = p.spawn_blocking(|| -> u32 { panic!("kaboom {}", 9) });
+        match h.join() {
+            Err(ExecError::Panicked(msg)) => assert!(msg.contains("kaboom 9"), "{msg}"),
+            other => panic!("expected panic error, got {other:?}"),
+        }
+        let snap = p.registry().snapshot();
+        assert_eq!(snap.counter("exec.tasks_panicked{pool=t}"), 1);
+        assert_eq!(snap.counter("exec.tasks_submitted{pool=t}"), 1);
+        assert_eq!(p.spawn_blocking(|| 5).join(), Ok(5), "the lane outlives a panic");
+    }
+
+    #[test]
+    fn dropping_the_pool_joins_its_lane_threads() {
+        // Counts a lane thread's exit, slowly: a drop that returned
+        // without joining would see the count short.
+        struct OnExit(Arc<AtomicUsize>);
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                std::thread::sleep(Duration::from_millis(20));
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static EXIT: std::cell::RefCell<Option<OnExit>> = const { std::cell::RefCell::new(None) };
+        }
+        let exited = Arc::new(AtomicUsize::new(0));
+        let p = pool(2);
+        let all_in = Arc::new(std::sync::Barrier::new(3));
+        let handles: Vec<_> = (0..3)
+            .map(|_| {
+                let (exited, all_in) = (Arc::clone(&exited), Arc::clone(&all_in));
+                p.spawn_blocking(move || {
+                    // Counted when the thread itself exits.
+                    EXIT.with(|e| *e.borrow_mut() = Some(OnExit(exited)));
+                    all_in.wait();
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(exited.load(Ordering::SeqCst), 0, "lane threads park between jobs");
+        drop(p);
+        assert_eq!(exited.load(Ordering::SeqCst), 3, "the drop returned before a thread ended");
+    }
+
+    #[test]
+    fn an_inline_pool_runs_a_blocking_job_on_the_caller() {
+        let p = pool(1);
+        let tid = std::thread::current().id();
+        let h = p.spawn_blocking(move || std::thread::current().id() == tid);
+        assert!(h.is_finished(), "inline spawn_blocking completes synchronously");
+        assert!(h.join().unwrap());
+        assert_eq!(p.inner.lane.threads(), (0, 0));
+    }
+
+    #[test]
+    fn a_blocking_job_inherits_the_submitters_trace() {
+        use diesel_obs::{trace, Tracer};
+        for w in [1, 2] {
+            let p = pool(w);
+            let tracer = Tracer::enabled(p.registry());
+            let _t = trace::install_tracer(&tracer);
+            {
+                let _root = trace::span("submit", &[]);
+                p.spawn_blocking(|| drop(trace::span("load", &[]))).join().unwrap();
+            }
+            let spans = tracer.drain();
+            let root = spans.iter().find(|s| s.name == "submit").unwrap();
+            let load = spans.iter().find(|s| s.name == "load").unwrap();
+            assert_eq!((load.trace, load.parent), (root.trace, Some(root.id)), "workers={w}");
         }
     }
 

@@ -36,17 +36,18 @@ impl Sample {
 
     /// Deserialize.
     pub fn decode(data: &[u8]) -> Option<Sample> {
-        let (&label, body) = data.split_first_chunk::<2>()?;
-        if !body.len().is_multiple_of(4) {
-            return None;
-        }
-        let label = u16::from_le_bytes(label) as usize;
-        let features = body
-            .chunks_exact(4)
-            .filter_map(|c| c.try_into().ok())
-            .map(f32::from_le_bytes)
-            .collect();
-        Some(Sample { label, features })
+        let (label, features) = split_wire(data)?;
+        Some(Sample { label, features: features.iter().map(|&f| f32::from_le_bytes(f)).collect() })
+    }
+}
+
+/// Split one sample's wire bytes into its label and its little-endian
+/// features, without copying; `None` when the bytes are no sample.
+pub(crate) fn split_wire(data: &[u8]) -> Option<(usize, &[[u8; 4]])> {
+    let (&label, body) = data.split_first_chunk::<2>()?;
+    match body.as_chunks::<4>() {
+        (features, []) => Some((usize::from(u16::from_le_bytes(label)), features)),
+        _ => None,
     }
 }
 

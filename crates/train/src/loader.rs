@@ -30,7 +30,7 @@ use diesel_obs::{trace, Tracer};
 use diesel_store::ObjectStore;
 use diesel_util::Bytes;
 
-use crate::data::{sample_path, to_batch, Sample};
+use crate::data::{sample_path, split_wire, Sample};
 use crate::tensor::Matrix;
 
 /// Upload a sample set as one-file-per-sample through the client
@@ -159,19 +159,32 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DataLoader<K, S> {
     }
 }
 
-/// Decode one fetched path group into a training batch.
+/// Decode one fetched path group into a training batch, writing every
+/// sample's features straight into the batch matrix. A sample that is
+/// not in the wire format, or whose feature count differs from the
+/// batch's first sample, fails the batch with its path.
 fn decode_batch(paths: &[String], bytes: &[Bytes]) -> BatchResult {
     // Decoding samples into tensors is the pipeline's one deliberate
     // transform copy; everything upstream of here is `Bytes` handoff.
     diesel_obs::record_copy("decode", bytes.iter().map(|b| b.len() as u64).sum());
-    let mut samples = Vec::with_capacity(bytes.len());
-    for (path, b) in paths.iter().zip(bytes) {
-        let sample = Sample::decode(b)
+    let dim = bytes.first().map_or(0, |b| b.len().saturating_sub(2) / 4);
+    let mut x = Matrix::zeros(bytes.len(), dim);
+    let mut labels = Vec::with_capacity(bytes.len());
+    for (r, (path, b)) in paths.iter().zip(bytes).enumerate() {
+        let (label, features) = split_wire(b)
             .ok_or_else(|| DieselError::Client(format!("undecodable sample {path}")))?;
-        samples.push(sample);
+        if features.len() != dim {
+            return Err(DieselError::Client(format!(
+                "sample {path} has {} features where its batch has {dim}",
+                features.len()
+            )));
+        }
+        for (to, &from) in x.row_mut(r).iter_mut().zip(features) {
+            *to = f32::from_le_bytes(from);
+        }
+        labels.push(label);
     }
-    let refs: Vec<&Sample> = samples.iter().collect();
-    Ok(to_batch(&refs))
+    Ok((x, labels))
 }
 
 impl<K, S> std::fmt::Debug for DataLoader<K, S> {
@@ -193,7 +206,14 @@ mod tests {
     use diesel_shuffle::ShuffleKind;
     use diesel_store::MemObjectStore;
 
-    fn setup(n: usize) -> (Arc<DieselClient<ShardedKv, MemObjectStore>>, Vec<Sample>) {
+    type Client = DieselClient<ShardedKv, MemObjectStore>;
+
+    fn setup(n: usize) -> (Arc<Client>, Vec<Sample>) {
+        let samples = SyntheticSpec::cifar_like().generate(n);
+        (setup_with(&samples), samples)
+    }
+
+    fn setup_with(samples: &[Sample]) -> Arc<Client> {
         let server = Arc::new(DieselServer::new(
             Arc::new(ShardedKv::new()),
             Arc::new(MemObjectStore::new()),
@@ -209,11 +229,10 @@ mod tests {
             },
         )
         .with_deterministic_identity(1, 1, 100);
-        let samples = SyntheticSpec::cifar_like().generate(n);
-        upload_samples(&client, &samples).unwrap();
+        upload_samples(&client, samples).unwrap();
         client.download_meta().unwrap();
         client.enable_shuffle(ShuffleKind::ChunkWise { group_size: 2 });
-        (Arc::new(client), samples)
+        Arc::new(client)
     }
 
     fn collect(
@@ -346,6 +365,32 @@ mod tests {
                 f.id
             );
         }
+    }
+
+    #[test]
+    fn a_short_sample_fails_its_batch_by_name_and_leaves_the_rest_alone() {
+        const SHORT: usize = 13;
+        let samples = SyntheticSpec::cifar_like().generate(41);
+        let mut short = samples.clone();
+        short[SHORT].features.pop();
+        let (whole, cut) = (setup_with(&samples), setup_with(&short));
+        let order = whole.epoch_file_list(5, 0).unwrap();
+        assert_eq!(cut.epoch_file_list(5, 0).unwrap(), order, "one file shorter, same shuffle");
+        let want = collect(&DataLoader::new(whole, 8, 5), 0);
+        let got: Vec<BatchResult> = DataLoader::new(cut, 8, 5).epoch_iter(0).unwrap().collect();
+        assert_eq!(got.len(), want.len());
+        let path = sample_path(short[SHORT].label, SHORT);
+        let mut failed = 0;
+        for ((got, want), paths) in got.iter().zip(&want).zip(order.chunks(8)) {
+            if paths.contains(&path) {
+                failed += 1;
+                let err = got.as_ref().unwrap_err().to_string();
+                assert!(err.contains(&path) && err.contains("23 features"), "{err}");
+            } else {
+                assert_eq!(got.as_ref().ok(), Some(want), "a batch without the short sample");
+            }
+        }
+        assert_eq!(failed, 1);
     }
 
     #[test]

@@ -110,6 +110,14 @@ for err in "$work/ls.err" "$work/cat.err"; do
     grep -qx 'dlcmd: torn: 1 torn chunk(s) quarantined' "$err"
 done
 
+echo "== paired runs: scripts/paired.sh self-test =="
+# scripts/paired.sh runs the paired protocol a performance change is
+# judged by (parent and change built once each, alternating runs,
+# medians, quartiles and pairs won). Its self-test pairs this build with
+# itself for one pair at smoke scale and fails on a missing metric or a
+# failed operation.
+scripts/paired.sh --self-test
+
 echo "== rustfmt =="
 cargo fmt --check
 
