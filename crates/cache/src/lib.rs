@@ -21,9 +21,9 @@
 //! Modules:
 //!
 //! * [`topology`] — ranks, master election, connection counting.
-//! * [`ring`] — the consistent-hash placement circle (virtual nodes).
-//! * `partition` — chunk → owner-node assignment over the ring of the
-//!   task's fixed nodes `0..n`, computed once per cache.
+//! * `partition` — chunk → owner-node assignment over the task's fixed
+//!   nodes `0..n`, computed once per cache: a chunk's owner is its rank
+//!   in sorted chunk-id order mod n.
 //! * [`task_cache`] — [`TaskCache`]: the cache itself and the only
 //!   owner of residency, byte budget and store loading, over a node set
 //!   fixed at construction, with [`CachePolicy::Oneshot`] prefetch and
@@ -41,11 +41,9 @@
 //! evicting only against its own budget.
 
 mod partition;
-pub mod ring;
 pub mod task_cache;
 pub mod topology;
 
-pub use ring::{HashRing, DEFAULT_VNODES};
 pub use task_cache::{
     CacheConfig, CacheMetrics, CachePolicy, LoadReport, PlanGuard, PlannedChunk, TaskCache,
 };
@@ -68,7 +66,7 @@ pub enum CacheError {
     Backing(String),
     /// The cached chunk bytes could not be parsed.
     Corrupt(String),
-    /// A membership set was structurally invalid (empty ring, a node
+    /// A membership set was structurally invalid (no nodes, a node
     /// index with no clients, …).
     InvalidMembership(String),
     /// The serving plane's admission controller rejected the request —

@@ -2,19 +2,18 @@
 //!
 //! The master clients "participate in dataset partitioning" (§4.2): every
 //! client computes the owner of any chunk locally — no directory service,
-//! no extra hop. Placement is the consistent-hash [`HashRing`] over the
-//! task's fixed nodes `0..n`, so the partition is a pure function of
-//! (chunk set, node count). The materialized owner map and per-node lists
-//! here are a lookup cache over the ring plus the dataset-scoping filter
-//! (`owner_of` answers `None` for chunks outside the dataset, which the
-//! bare ring cannot).
+//! no extra hop. A task's nodes `0..n` are fixed when its cache is built,
+//! and every node gets the same byte budget, so the chunk of rank `r` in
+//! sorted, deduplicated chunk-id order goes to node `r % n`: a pure
+//! function of (chunk set, node count) whose per-node counts differ by at
+//! most one. The materialized owner map answers `None` for chunks outside
+//! the dataset.
 
 use std::collections::HashMap;
 
 use diesel_chunk::ChunkId;
 
-use crate::ring::HashRing;
-use crate::Result;
+use crate::{CacheError, Result};
 
 /// The chunk → node assignment for one dataset in one task.
 #[derive(Debug)]
@@ -26,15 +25,19 @@ pub(crate) struct ChunkPartition {
 
 impl ChunkPartition {
     /// Partition `chunks` (any order; they are sorted internally so that
-    /// all peers agree) over the contiguous ring `0..nodes`.
+    /// all peers agree) over the nodes `0..nodes`, round-robin by rank.
     pub fn new(mut chunks: Vec<ChunkId>, nodes: usize) -> Result<Self> {
-        let ring = HashRing::contiguous(nodes)?;
+        if nodes == 0 {
+            return Err(CacheError::InvalidMembership(
+                "a partition needs at least one node".into(),
+            ));
+        }
         chunks.sort_unstable();
         chunks.dedup();
         let mut owner = HashMap::with_capacity(chunks.len());
         let mut per_node: Vec<Vec<ChunkId>> = vec![Vec::new(); nodes];
-        for c in chunks {
-            let node = ring.owner_of(c);
+        for (rank, c) in chunks.into_iter().enumerate() {
+            let node = rank % nodes;
             owner.insert(c, node);
             if let Some(list) = per_node.get_mut(node) {
                 list.push(c);
@@ -71,22 +74,19 @@ mod tests {
 
     #[test]
     fn zero_nodes_rejected() {
-        assert!(ChunkPartition::new(chunks(4), 0).is_err());
+        assert!(matches!(ChunkPartition::new(chunks(4), 0), Err(CacheError::InvalidMembership(_))));
     }
 
     #[test]
-    fn assignment_is_roughly_balanced() {
-        let p = ChunkPartition::new(chunks(1000), 4).unwrap();
-        assert_eq!(p.chunk_count(), 1000);
-        let mut total = 0;
-        for node in 0..4 {
-            let share = p.chunks_of(node).len();
-            // Ring placement balances statistically, not exactly: with
-            // 128 vnodes each share lands near 250 ± a few tens.
-            assert!((125..=375).contains(&share), "node {node} holds {share} of 1000");
-            total += share;
+    fn shares_differ_by_at_most_one() {
+        for (count, nodes) in [(1000, 4), (37, 5), (3, 8), (0, 3), (101, 1)] {
+            let p = ChunkPartition::new(chunks(count), nodes).unwrap();
+            let shares: Vec<usize> = (0..nodes).map(|n| p.chunks_of(n).len()).collect();
+            let (lo, hi) = (shares.iter().min().unwrap(), shares.iter().max().unwrap());
+            assert!(hi - lo <= 1, "{count} chunks over {nodes} nodes: {shares:?}");
+            assert_eq!(shares.iter().sum::<usize>(), count, "every chunk is owned exactly once");
+            assert_eq!(p.chunk_count(), count);
         }
-        assert_eq!(total, 1000, "every chunk is owned exactly once");
     }
 
     #[test]
@@ -97,6 +97,7 @@ mod tests {
                 assert_eq!(p.owner_of(c), Some(node));
             }
         }
+        assert_eq!(p.chunks_of(5), &[] as &[ChunkId], "no node past the last");
     }
 
     #[test]
@@ -108,6 +109,11 @@ mod tests {
         for c in &cs {
             assert_eq!(p1.owner_of(*c), p2.owner_of(*c), "peers must agree on owners");
         }
+        // The owner is the chunk's rank in sorted id order, mod n.
+        cs.sort_unstable();
+        for (rank, c) in cs.iter().enumerate() {
+            assert_eq!(p1.owner_of(*c), Some(rank % 4));
+        }
     }
 
     #[test]
@@ -116,6 +122,11 @@ mod tests {
         cs.extend(cs.clone());
         let p = ChunkPartition::new(cs, 2).unwrap();
         assert_eq!(p.chunk_count(), 10);
+        assert_eq!(
+            (p.chunks_of(0).len(), p.chunks_of(1).len()),
+            (5, 5),
+            "a duplicate takes no rank"
+        );
     }
 
     #[test]

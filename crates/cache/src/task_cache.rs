@@ -8,13 +8,13 @@
 //!
 //! Membership is fixed when the cache is built (DESIGN.md §13): the
 //! nodes are `0..topology.node_count()` for the cache's whole life, and
-//! the chunk partition over them — the contiguous consistent-hash ring
-//! every client computes alike — never changes. So is the per-node byte
-//! budget ([`CacheConfig::capacity_bytes_per_node`]). A warm hit therefore
-//! finds its owner in immutable state: a partition lookup, then that
-//! node's lock. The only membership events are the paper's: a node
-//! fails ([`TaskCache::kill_node`]) and is recovered chunk-wise
-//! ([`TaskCache::recover_node`]).
+//! the chunk partition over them — a chunk's rank in sorted chunk-id
+//! order mod n, which every client computes alike — never changes. So is
+//! the per-node byte budget ([`CacheConfig::capacity_bytes_per_node`]). A
+//! warm hit therefore finds its owner in immutable state: a partition
+//! lookup, then that node's lock. The only membership events are the
+//! paper's: a node fails ([`TaskCache::kill_node`]) and is recovered
+//! chunk-wise ([`TaskCache::recover_node`]).
 //!
 //! Chunk loads are *single-flight*: at most one store read per (node,
 //! chunk) is in progress at a time, whoever asks — a miss, a sweep, the
@@ -1091,7 +1091,6 @@ impl<S> std::fmt::Debug for TaskCache<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::HashRing;
     use diesel_chunk::{ChunkBuilderConfig, ChunkIdGenerator, ChunkWriter};
     use diesel_kv::ShardedKv;
     use diesel_meta::MetaService;
@@ -1359,19 +1358,18 @@ mod tests {
             };
             rec(c.get_file(&foreign)); // unknown chunk
 
-            // Placement is the contiguous ring every client computes.
-            let ring = HashRing::contiguous(4).unwrap();
+            let owner = |m: &FileMeta| c.partition.owner_of(m.chunk);
             let (_, other) = metas
                 .iter()
-                .find(|(_, m)| ring.owner_of(m.chunk) != ring.owner_of(meta.chunk))
+                .find(|(_, m)| owner(m) != owner(meta))
                 .expect("four nodes share the chunks");
-            let killed = ring.owner_of(other.chunk);
+            let killed = owner(other).unwrap();
             c.kill_node(killed);
             rec(c.get_file(other)); // killed owner
             c.recover_node(killed).unwrap();
             for (_, m) in &metas {
                 let got = c.get_file(m);
-                assert_eq!(got.as_ref().map(|f| f.owner_node).ok(), Some(ring.owner_of(m.chunk)));
+                assert_eq!(got.as_ref().map(|f| f.owner_node).ok(), owner(m));
                 rec(got);
             }
             let m = c.metrics();

@@ -1095,16 +1095,26 @@ mod tests {
         assert!(epoch.batches.iter().take(6).all(|b| b.len() == 8));
         assert_eq!(epoch.batches.concat(), c.epoch_file_list(9, 1).unwrap());
 
-        let cache = Arc::new(
+        let cache_of = |budget| {
             TaskCache::new(
                 Topology::uniform(2, 2).unwrap(),
                 s.store().clone(),
                 "ds",
                 s.meta().chunk_ids("ds").unwrap(),
-                CacheConfig { capacity_bytes_per_node: 4096, policy: CachePolicy::OnDemand },
+                CacheConfig { capacity_bytes_per_node: budget, policy: CachePolicy::OnDemand },
             )
-            .unwrap(),
-        );
+            .unwrap()
+        };
+        // The plan leaves a node whose share fits alone, so the budget
+        // must sit below every node's stored share.
+        const BUDGET: u64 = 3072;
+        let whole = cache_of(1 << 30);
+        whole.prefetch_all().unwrap();
+        for node in 0..2 {
+            let share = whole.node_resident_bytes(node);
+            assert!(share > BUDGET, "node {node} must stream: {share} B vs budget {BUDGET} B");
+        }
+        let cache = Arc::new(cache_of(BUDGET));
         c.attach_cache(cache.clone());
         let epoch = c.epoch_batches(9, 1, 8).unwrap();
         assert!(epoch.following.is_some());

@@ -129,14 +129,21 @@ echo "== rustdoc =="
 # docs on public items, etc. are errors).
 RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps
 
-echo "== manifests: every diesel-* dependency is named =="
+echo "== manifests: every diesel-* dependency and every dev-dependency is named =="
 # A crate's [dependencies] may list a workspace crate only if its src/
 # names it (`diesel_<name>`); edges nothing uses hide the real layering.
+# Every [dev-dependencies] entry must be named under its src/, tests/,
+# benches/ or examples/.
 unused=0
 for manifest in crates/*/Cargo.toml; do
-    src="$(dirname "$manifest")/src"
+    crate="$(dirname "$manifest")"
     for dep in $(awk '/^\[/{deps=($0=="[dependencies]")} deps&&/^diesel-/{sub(/[ .=].*/,""); print}' "$manifest"); do
-        grep -rq "${dep//-/_}" "$src" || { echo "$manifest: $dep is never named under $src"; unused=1; }
+        grep -rq "${dep//-/_}" "$crate/src" || { echo "$manifest: $dep is never named under $crate/src"; unused=1; }
+    done
+    dirs=()
+    for d in src tests benches examples; do [ -d "$crate/$d" ] && dirs+=("$crate/$d"); done
+    for dep in $(awk '/^\[/{deps=($0=="[dev-dependencies]")} deps&&/^[a-z]/{sub(/[ .=].*/,""); print}' "$manifest"); do
+        grep -rq "${dep//-/_}" "${dirs[@]}" || { echo "$manifest: dev-dependency $dep is never named"; unused=1; }
     done
 done
 [ "$unused" -eq 0 ]

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use diesel_dlt::cache::{CacheConfig, CachePolicy, HashRing, LoadReport, TaskCache, Topology};
+use diesel_dlt::cache::{CacheConfig, CachePolicy, LoadReport, TaskCache, Topology};
 use diesel_dlt::chunk::{ChunkBuilderConfig, ChunkId};
 use diesel_dlt::core::{ClientConfig, DieselClient, DieselServer};
 use diesel_dlt::exec::{ExecConfig, WorkPool};
@@ -548,12 +548,17 @@ impl Constrained {
             seed,
         );
         let ids = loader.client().server().meta().chunk_ids("synth").unwrap();
-        let ring = HashRing::contiguous(CONSTRAINED_NODES).unwrap();
-        let chunks = ids
+        // The placement rule, as a reference: a chunk's owner is its rank
+        // in sorted chunk-id order mod the node count.
+        let mut ranked = ids.clone();
+        ranked.sort_unstable();
+        ranked.dedup();
+        let chunks = ranked
             .iter()
-            .map(|&id| {
+            .enumerate()
+            .map(|(rank, &id)| {
                 let key = diesel_dlt::meta::recovery::chunk_object_key("synth", id);
-                (id, (store.size_of(&key).unwrap() as u64, ring.owner_of(id)))
+                (id, (store.size_of(&key).unwrap() as u64, rank % CONSTRAINED_NODES))
             })
             .collect();
         let cap = cap.unwrap_or(store.total_bytes() / 4 / CONSTRAINED_NODES as u64);
