@@ -15,10 +15,11 @@ use diesel_bench::Table;
 use diesel_cache::{CacheConfig, CachePolicy, TaskCache, Topology};
 use diesel_core::{ClientConfig, DieselClient, DieselServer};
 use diesel_kv::ShardedKv;
+use diesel_meta::FileTable;
 use diesel_shuffle::quality::{
     chunk_run_fraction, epoch_correlation, mean_normalized_displacement,
 };
-use diesel_shuffle::{epoch_order, ShuffleItem, ShuffleKind};
+use diesel_shuffle::{canonical_order, epoch_order, ShuffleKind};
 use diesel_store::MemObjectStore;
 
 const FILES: usize = 3000;
@@ -47,18 +48,9 @@ fn main() {
     let chunks = server.meta().chunk_ids("ds").unwrap();
     let nchunks = chunks.len();
 
-    // Build the same index the client uses, for the quality metrics.
-    client.enable_shuffle(ShuffleKind::DatasetShuffle);
-    let index = diesel_shuffle::DatasetIndex::from_snapshot(&server.build_snapshot("ds").unwrap());
-    let canonical: Vec<ShuffleItem> = {
-        let mut v = Vec::new();
-        for (ci, c) in index.chunks.iter().enumerate() {
-            for fi in 0..c.files.len() as u32 {
-                v.push(ShuffleItem { chunk_index: ci as u32, file_index: fi });
-            }
-        }
-        v
-    };
+    // Build the same table the client uses, for the quality metrics.
+    let index = FileTable::new(server.build_snapshot("ds").unwrap());
+    let canonical = canonical_order(&index);
 
     let mut table = Table::new(
         format!("Ablation: shuffle group size ({FILES} files in {nchunks} chunks)"),

@@ -2,7 +2,7 @@
 //! local hashmap hit, so QPS grows linearly with client count.
 //!
 //! Unlike the other cluster figures this one is **measured for real**:
-//! we build an ImageNet-scale [`Namespace`] from a snapshot and hammer
+//! we build an ImageNet-scale [`FileTable`] from a snapshot and hammer
 //! `stat()` from real threads, then scale by node count (nodes share
 //! nothing, so scaling is exactly linear — the paper measures 8.83 M QPS
 //! on one node and 88.77 M on ten).
@@ -14,14 +14,14 @@ use diesel_bench::Table;
 use diesel_chunk::{ChunkId, MachineId};
 use diesel_meta::records::FileMeta;
 use diesel_meta::snapshot::SnapshotFile;
-use diesel_meta::{MetaSnapshot, Namespace};
+use diesel_meta::{FileTable, MetaSnapshot};
 use diesel_util::{Clock, SystemClock};
 
 const FILES: usize = 200_000;
 const THREADS_PER_NODE: usize = 16;
 const LOOKUPS_PER_THREAD: usize = 200_000;
 
-fn build_namespace() -> (Namespace, Vec<String>) {
+fn build_table() -> (FileTable, Vec<String>) {
     let chunk = ChunkId::new(1, MachineId::from_seed(1), 1, 0);
     let files: Vec<SnapshotFile> = (0..FILES)
         .map(|i| SnapshotFile {
@@ -41,27 +41,26 @@ fn build_namespace() -> (Namespace, Vec<String>) {
         chunks: vec![chunk],
         files,
     };
-    let ns = snap.build_namespace();
     let paths = snap.files.iter().map(|f| f.path.clone()).collect();
-    (ns, paths)
+    (FileTable::new(snap), paths)
 }
 
 fn main() {
-    let (ns, paths) = build_namespace();
-    let ns = Arc::new(ns);
+    let (table, paths) = build_table();
+    let table = Arc::new(table);
     let paths = Arc::new(paths);
 
     // Real multithreaded stat throughput on "one node".
     let clock = SystemClock::new();
     let handles: Vec<_> = (0..THREADS_PER_NODE)
         .map(|t| {
-            let ns = ns.clone();
+            let table = table.clone();
             let paths = paths.clone();
             std::thread::spawn(move || {
                 let mut hits = 0u64;
                 for i in 0..LOOKUPS_PER_THREAD {
                     let p = &paths[(t * 1_000_003 + i * 37) % paths.len()];
-                    if ns.stat(p).is_some() {
+                    if table.stat(p).is_some() {
                         hits += 1;
                     }
                 }
@@ -87,7 +86,7 @@ fn main() {
     diesel_bench::report::note(
         "fig10b",
         &format!(
-            "one-node measurement: {} stats/s over {} threads on a {}-file namespace; \
+            "one-node measurement: {} stats/s over {} threads on a {}-file table; \
              nodes share nothing, so multi-node scaling is exactly linear. \
              Against the Lustre MDS ceiling (~68k QPS) the 10-node figure is {:.0}x \
              (paper reports ~1300x).",

@@ -223,12 +223,13 @@ fn run(args: &[String]) -> Result<(), Cli> {
         }
         ("snapshot", [dataset, out]) => {
             let snap = server.build_snapshot(dataset).map_err(Cli::from)?;
-            snap.save_to(out).map_err(Cli::from)?;
+            let bytes = snap.encode();
+            std::fs::write(out, &bytes).map_err(Cli::from)?;
             println!(
                 "snapshot of {dataset}: {} chunks, {} files, {} bytes -> {out}",
                 snap.chunks.len(),
                 snap.files.len(),
-                snap.encoded_size()
+                bytes.len()
             );
             Ok(())
         }

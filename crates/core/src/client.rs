@@ -15,9 +15,11 @@
 //! | `DL_close`       | [`DieselClient::close`]               |
 //!
 //! The client buffers written files into ≥ 4 MB chunks (write flow,
-//! Fig. 3), serves metadata from a locally loaded snapshot (the
-//! "metadata cache and interpreter"), optionally joins a task-grained
-//! distributed cache, and generates chunk-wise shuffled epoch orders.
+//! Fig. 3), serves metadata from a locally loaded snapshot held as one
+//! [`FileTable`] (the "metadata cache and interpreter"), optionally joins
+//! a task-grained distributed cache, and generates chunk-wise shuffled
+//! epoch orders over that table. A mutation swaps in a rebuilt table, so
+//! a plan keeps reading the table it was built from.
 
 use diesel_util::{Clock, Mutex, RwLock};
 use std::collections::VecDeque;
@@ -26,10 +28,10 @@ use std::sync::Arc;
 use diesel_cache::{CacheError, PlanGuard, PlannedChunk, TaskCache};
 use diesel_chunk::{ChunkBuilder, ChunkBuilderConfig, ChunkIdGenerator, SealedChunk};
 use diesel_kv::KvStore;
-use diesel_meta::{DirEntry, FileMeta, MetaSnapshot, Namespace};
+use diesel_meta::{DirEntry, FileMeta, FileTable, MetaSnapshot};
 use diesel_net::Service;
 use diesel_obs::{trace, Span, Tracer};
-use diesel_shuffle::{epoch_order, ChunkFiles, DatasetIndex, ShuffleKind, ShufflePlan};
+use diesel_shuffle::{epoch_order, ShuffleKind, ShufflePlan};
 use diesel_store::{Bytes, ObjectStore};
 
 use crate::api::{ServerConn, ServerRequest, ServerResponse};
@@ -46,41 +48,6 @@ const THROTTLE_RETRIES: u32 = 8;
 pub struct ClientConfig {
     /// Chunk aggregation settings for the write path.
     pub chunk: ChunkBuilderConfig,
-}
-
-/// The loaded snapshot, as the two views reads need: `namespace` for
-/// stat/ls, `index` for shuffle plans. Mutations go through
-/// [`MetaState::remove`]/[`MetaState::insert`] so the views never
-/// disagree about which paths exist.
-struct MetaState {
-    namespace: Namespace,
-    index: DatasetIndex,
-}
-
-impl MetaState {
-    fn remove(&mut self, path: &str) {
-        let Some(meta) = self.namespace.remove(path) else { return };
-        if let Some(c) = self.index.chunks.iter_mut().find(|c| c.chunk == meta.chunk) {
-            c.files.retain(|f| f != path);
-            c.chunk_bytes -= meta.length;
-        }
-    }
-
-    fn insert(&mut self, path: &str, meta: FileMeta) {
-        self.remove(path);
-        self.namespace.insert(path.to_owned(), meta);
-        match self.index.chunks.iter_mut().find(|c| c.chunk == meta.chunk) {
-            Some(c) => {
-                c.chunk_bytes += meta.length;
-                c.files.push(path.to_owned());
-            }
-            None => self.index.chunks.push(ChunkFiles {
-                chunk: meta.chunk,
-                chunk_bytes: meta.length,
-                files: vec![path.to_owned()],
-            }),
-        }
-    }
 }
 
 /// The write path's buffered state: files answered `Ok(())` by `put` live
@@ -120,7 +87,7 @@ pub struct DieselClient<K, S> {
     config: ClientConfig,
     ids: ChunkIdGenerator,
     write: Mutex<WriteBuffer>,
-    meta: RwLock<Option<MetaState>>,
+    meta: RwLock<Option<Arc<FileTable>>>,
     cache: RwLock<Option<Arc<TaskCache<S>>>>,
     shuffle: RwLock<Option<ShuffleKind>>,
     clock_ms: Box<dyn Fn() -> u64 + Send + Sync>,
@@ -354,9 +321,7 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
     }
 
     fn install_snapshot(&self, snapshot: MetaSnapshot) {
-        let namespace = snapshot.build_namespace();
-        let index = DatasetIndex::from_snapshot(&snapshot);
-        *self.meta.write() = Some(MetaState { namespace, index });
+        *self.meta.write() = Some(Arc::new(FileTable::new(snapshot)));
     }
 
     /// Is a metadata snapshot loaded?
@@ -364,12 +329,11 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
         self.meta.read().is_some()
     }
 
-    /// `DL_stat`: O(1) from the local namespace when loaded, otherwise
-    /// one server round trip.
+    /// `DL_stat`: O(1) from the local table when loaded, otherwise one
+    /// server round trip.
     pub fn stat(&self, path: &str) -> Result<FileMeta> {
-        if let Some(state) = self.meta.read().as_ref() {
-            return state
-                .namespace
+        if let Some(table) = self.meta.read().as_ref() {
+            return table
                 .stat(path)
                 .copied()
                 .ok_or_else(|| DieselError::Meta(diesel_meta::MetaError::NoSuchFile(path.into())));
@@ -380,8 +344,8 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
 
     /// `DL_ls`: list a directory.
     pub fn ls(&self, path: &str) -> Result<Vec<DirEntry>> {
-        if let Some(state) = self.meta.read().as_ref() {
-            return Ok(state.namespace.readdir(path)?);
+        if let Some(table) = self.meta.read().as_ref() {
+            return Ok(table.readdir(path)?);
         }
         self.call(ServerRequest::Readdir { dataset: self.dataset.clone(), dir: path.to_owned() })?
             .into_entries()
@@ -390,13 +354,7 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
     /// All file paths in the loaded snapshot, sorted (training file
     /// lists).
     pub fn file_list(&self) -> Result<Vec<String>> {
-        let guard = self.meta.read();
-        let state = guard
-            .as_ref()
-            .ok_or_else(|| DieselError::Client("no metadata snapshot loaded".into()))?;
-        let mut paths: Vec<String> = state.namespace.iter().map(|(p, _)| p.clone()).collect();
-        paths.sort_unstable();
-        Ok(paths)
+        Ok(self.table()?.paths().map(str::to_owned).collect())
     }
 
     // ---- read path (Fig. 4) ----
@@ -527,9 +485,7 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
             path: path.to_owned(),
             now_ms: (self.clock_ms)(),
         })?;
-        if let Some(state) = self.meta.write().as_mut() {
-            state.remove(path);
-        }
+        self.edit_meta(path, None);
         Ok(())
     }
 
@@ -546,17 +502,33 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
         }
         self.put(path, data)?;
         self.flush()?;
-        if let Some(state) = self.meta.write().as_mut() {
+        if self.has_meta() {
             // Keep the local metadata usable without a full re-download
             // (a saved snapshot file is now stale, as after any mutation).
-            let fresh = self
-                .call(ServerRequest::Stat { dataset: self.dataset.clone(), path: path.to_owned() })
-                .and_then(ServerResponse::into_meta);
-            if let Ok(meta) = fresh {
-                state.insert(path, meta);
-            }
+            // The local row is gone, so a failed lookup must not be `Ok`.
+            let meta = self
+                .call(ServerRequest::Stat { dataset: self.dataset.clone(), path: path.to_owned() })?
+                .into_meta()?;
+            self.edit_meta(path, Some(meta));
         }
         Ok(())
+    }
+
+    /// Swap in the loaded table with `path`'s row dropped and, given
+    /// `meta`, re-added.
+    fn edit_meta(&self, path: &str, meta: Option<FileMeta>) {
+        let mut guard = self.meta.write();
+        if let Some(table) = guard.as_mut() {
+            if meta.is_some() || table.stat(path).is_some() {
+                *table = Arc::new(table.with_file(path, meta));
+            }
+        }
+    }
+
+    /// The loaded table.
+    fn table(&self) -> Result<Arc<FileTable>> {
+        let table = self.meta.read().clone();
+        table.ok_or_else(|| DieselError::Client("no metadata snapshot loaded".into()))
     }
 
     // ---- chunk-wise shuffle (§4.3) ----
@@ -570,18 +542,18 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
     /// Generate this epoch's shuffled file list (the list the training
     /// framework reads).
     pub fn epoch_file_list(&self, seed: u64, epoch: u64) -> Result<Vec<String>> {
-        self.with_epoch_plan(seed, epoch, |index, plan| {
-            plan.items.iter().map(|&i| index.resolve(i).1.to_owned()).collect()
+        self.with_epoch_plan(seed, epoch, |table, plan| {
+            plan.items.iter().filter_map(|i| table.path(i.file)).map(str::to_owned).collect()
         })
     }
 
     /// This epoch's shuffled file list cut into `batch_size` path groups
     /// — what a loader's fetch stage reads, batch by batch.
     ///
-    /// With a task cache attached, the same pass over the plan, under
-    /// the same metadata guard, also derives the cache's schedule —
-    /// every chunk's shuffle group and read count, in order of first
-    /// read — and hands it to [`TaskCache::follow_plan`].
+    /// With a task cache attached, the same pass over the plan also
+    /// derives the cache's schedule — every chunk's shuffle group and read
+    /// count, in order of first read — and hands it to
+    /// [`TaskCache::follow_plan`].
     pub fn epoch_batches(
         &self,
         seed: u64,
@@ -590,12 +562,12 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
     ) -> Result<EpochBatches<S>> {
         let batch_size = batch_size.max(1);
         let cache = self.cache.read().clone();
-        let (batches, schedule) = self.with_epoch_plan(seed, epoch, |index, plan| {
+        let (batches, schedule) = self.with_epoch_plan(seed, epoch, |table, plan| {
             let mut batches: Vec<Vec<String>> = Vec::with_capacity(plan.len().div_ceil(batch_size));
             let mut batch: Vec<String> = Vec::with_capacity(batch_size);
             let mut schedule: Vec<PlannedChunk> = Vec::new();
             // Chunk index → its position in `schedule`, once read.
-            let mut seen: Vec<Option<usize>> = vec![None; index.chunks.len()];
+            let mut seen: Vec<Option<usize>> = vec![None; table.chunks().len()];
             let mut group = 0u32;
             let mut later_groups = plan.group_starts.iter().skip(1).peekable();
             for (at, item) in plan.items.iter().enumerate() {
@@ -603,9 +575,9 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
                     group += 1;
                 }
                 let at_chunk = item.chunk_index as usize;
-                let Some(files) = index.chunks.get(at_chunk) else { continue };
-                let Some(path) = files.files.get(item.file_index as usize) else { continue };
-                batch.push(path.clone());
+                let Some(&chunk) = table.chunks().get(at_chunk) else { continue };
+                let Some(path) = table.path(item.file) else { continue };
+                batch.push(path.to_owned());
                 if batch.len() == batch_size {
                     batches.push(std::mem::replace(&mut batch, Vec::with_capacity(batch_size)));
                 }
@@ -616,7 +588,7 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
                     Some(planned) => planned.reads += 1,
                     None => {
                         *slot = Some(schedule.len());
-                        schedule.push(PlannedChunk { chunk: files.chunk, group, reads: 1 });
+                        schedule.push(PlannedChunk { chunk, group, reads: 1 });
                     }
                 }
             }
@@ -625,9 +597,7 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
             }
             (batches, schedule)
         })?;
-        // Installed outside the metadata guard: replacing a plan waits
-        // out the previous one's loads in flight, and the schedule names
-        // chunks, not index positions — nothing a writer can shift.
+        // Replacing a plan waits out the previous one's loads in flight.
         Ok(EpochBatches { batches, following: cache.map(|cache| cache.follow_plan(&schedule)) })
     }
 
@@ -637,26 +607,23 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
         self.with_epoch_plan(seed, epoch, |_, plan| plan)
     }
 
-    /// Build the epoch's plan and hand it to `f` beside the index it was
-    /// built from, under one metadata guard: plan items are positions in
-    /// that index, and a `delete`/`overwrite`/`download_meta` landing
-    /// before they are resolved would shift or drop them.
+    /// Build the epoch's plan and hand it to `f` beside the table it was
+    /// built from: plan items are rows of that table, and a
+    /// `delete`/`overwrite`/`download_meta` swaps in a new table rather
+    /// than changing this one.
     fn with_epoch_plan<T>(
         &self,
         seed: u64,
         epoch: u64,
-        f: impl FnOnce(&DatasetIndex, ShufflePlan) -> T,
+        f: impl FnOnce(&FileTable, ShufflePlan) -> T,
     ) -> Result<T> {
         let kind = (*self.shuffle.read())
             .ok_or_else(|| DieselError::Client("call enable_shuffle first".into()))?;
         if kind == (ShuffleKind::ChunkWise { group_size: 0 }) {
             return Err(DieselError::Client("chunk-wise shuffle needs group_size >= 1".into()));
         }
-        let guard = self.meta.read();
-        let state = guard
-            .as_ref()
-            .ok_or_else(|| DieselError::Client("no metadata snapshot loaded".into()))?;
-        Ok(f(&state.index, epoch_order(&state.index, kind, seed, epoch)))
+        let table = self.table()?;
+        Ok(f(&table, epoch_order(&table, kind, seed, epoch)))
     }
 
     /// `DL_close`: flush outstanding writes and drop local state.
@@ -755,17 +722,23 @@ mod tests {
         assert_eq!(c.get("keep").unwrap().as_ref(), b"k");
     }
 
-    /// A channel that loses the first `IngestChunk` in transit and
-    /// forwards everything else.
-    struct DropFirstIngest {
+    /// A channel that loses the first request `drops` picks in transit
+    /// and forwards everything else.
+    struct DropFirst {
         inner: ServerConn,
+        drops: fn(&ServerRequest) -> bool,
         dropped: AtomicBool,
     }
 
-    impl Service<ServerRequest, ServerReply> for DropFirstIngest {
+    impl DropFirst {
+        fn conn(server: &Arc<Server>, drops: fn(&ServerRequest) -> bool) -> ServerConn {
+            Arc::new(DropFirst { inner: server.direct_channel(0), drops, dropped: false.into() })
+        }
+    }
+
+    impl Service<ServerRequest, ServerReply> for DropFirst {
         fn call(&self, req: ServerRequest) -> diesel_net::Result<ServerReply> {
-            let first = matches!(req, ServerRequest::IngestChunk { .. })
-                && !self.dropped.swap(true, Ordering::SeqCst);
+            let first = (self.drops)(&req) && !self.dropped.swap(true, Ordering::SeqCst);
             if first {
                 return Err(diesel_net::NetError::Disconnected { endpoint: self.endpoint() });
             }
@@ -780,8 +753,7 @@ mod tests {
     #[test]
     fn a_failed_ship_keeps_the_acknowledged_files_for_the_next_flush() {
         let s = server();
-        let conn: ServerConn =
-            Arc::new(DropFirstIngest { inner: s.direct_channel(0), dropped: false.into() });
+        let conn = DropFirst::conn(&s, |req| matches!(req, ServerRequest::IngestChunk { .. }));
         let c: Client = DieselClient::connect_channel(conn, "ds");
         let files: Vec<(String, Vec<u8>)> =
             (0..5u8).map(|i| (format!("f{i}"), vec![i; 64])).collect();
@@ -795,6 +767,67 @@ mod tests {
             assert_eq!(c.get(n).unwrap().as_ref(), &d[..], "{n}");
         }
         assert_eq!(s.meta().chunk_ids("ds").unwrap().len(), 1, "shipped exactly once");
+    }
+
+    #[test]
+    fn an_overwrite_whose_lookup_fails_is_an_error_not_a_lost_file() {
+        let s = server();
+        let conn = DropFirst::conn(&s, |req| matches!(req, ServerRequest::Stat { .. }));
+        let c: Client = DieselClient::connect_channel(conn, "ds");
+        c.put("a", b"old").unwrap();
+        c.flush().unwrap();
+        c.download_meta().unwrap();
+        // The new copy is stored, but the local row is gone and the
+        // lookup that would restore it was lost: say so.
+        assert!(matches!(c.overwrite("a", b"new"), Err(DieselError::Net(_))));
+        assert!(c.get("a").is_err());
+        c.overwrite("a", b"newer").unwrap();
+        assert_eq!(c.get("a").unwrap().as_ref(), b"newer");
+    }
+
+    #[test]
+    fn a_file_whose_chunk_the_snapshot_omits_exists_nowhere() {
+        // `build_snapshot` scans chunk ids before files, and ingest puts
+        // the chunk key before the file keys, so a snapshot can list a
+        // file of a chunk it does not list.
+        let s = server();
+        let c = small_chunk_client(&s, 14);
+        populate(&c, 30, 150);
+        let mut snap = s.build_snapshot("ds").unwrap();
+        let unlisted = snap.chunks.pop().unwrap();
+        let orphan = snap.files.iter().find(|f| f.meta.chunk == unlisted).unwrap().path.clone();
+        c.install_snapshot(snap);
+        assert!(matches!(
+            c.stat(&orphan),
+            Err(DieselError::Meta(diesel_meta::MetaError::NoSuchFile(_)))
+        ));
+        let listed = c.file_list().unwrap();
+        assert!(!listed.contains(&orphan));
+        for kind in [ShuffleKind::DatasetShuffle, ShuffleKind::ChunkWise { group_size: 2 }] {
+            c.enable_shuffle(kind);
+            let mut epoch = c.epoch_file_list(5, 0).unwrap();
+            epoch.sort();
+            assert_eq!(epoch, listed, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn ls_from_the_table_matches_the_server() {
+        // As full paths `b.x/…` and `b.txt` sort before `b/…`, and `b0`
+        // after; as names `b` sorts first.
+        let s = server();
+        let c = small_chunk_client(&s, 15);
+        let paths = ["b/1", "b/c/2", "b/c/d/3", "b.x/4", "b.x/c/5", "b0", "b.txt", "b0x/6", "a"];
+        for (i, path) in paths.iter().enumerate() {
+            c.put(path, &vec![i as u8; 100 + i]).unwrap();
+        }
+        c.flush().unwrap();
+        c.download_meta().unwrap();
+        let dirs = ["", "b", "b/c", "b/c/d", "b.x", "b.x/c", "b0x"];
+        for dir in dirs {
+            assert_eq!(c.ls(dir).unwrap(), s.readdir("ds", dir).unwrap(), "ls {dir:?}");
+        }
+        assert!(c.ls("b/x").is_err(), "a missing directory");
     }
 
     #[test]

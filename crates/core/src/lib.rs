@@ -11,9 +11,10 @@
 //! * [`DieselClient`] — libDIESEL (Table 3): `DL_connect`, `DL_put`,
 //!   `DL_flush`, `DL_get`, `DL_stat`, `DL_ls`, `DL_delete`,
 //!   `DL_save_meta`, `DL_load_meta`, `DL_shuffle`, `DL_close`, expressed
-//!   as idiomatic Rust methods. The client holds the metadata snapshot /
-//!   namespace ("metadata cache and interpreter") and optionally attaches
-//!   to a task-grained distributed cache.
+//!   as idiomatic Rust methods. The client holds the loaded snapshot as
+//!   one [`FileTable`](diesel_meta::FileTable) ("metadata cache and
+//!   interpreter") and optionally attaches to a task-grained distributed
+//!   cache.
 //! * [`dlcmd`] — the `DLCMD` dataset-management tool (import a directory
 //!   tree, export, purge), mirroring `s3cmd`-style usage; the `dlcmd`
 //!   binary wraps it as a CLI.

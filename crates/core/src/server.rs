@@ -667,8 +667,8 @@ mod tests {
         ingest_files(&s, "ds", &[("p/q", vec![9; 40])], 1024);
         let snap = s.build_snapshot("ds").unwrap();
         assert_eq!(snap.files.len(), 1);
-        let ns = snap.build_namespace();
-        assert_eq!(ns.stat("p/q").unwrap().length, 40);
+        let table = diesel_meta::FileTable::new(snap);
+        assert_eq!(table.stat("p/q").unwrap().length, 40);
         assert_eq!(s.readdir("ds", "p").unwrap().len(), 1);
     }
 }

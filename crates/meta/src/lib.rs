@@ -17,24 +17,25 @@
 //!   timestamp, the chunk-ID list, and per-file (chunk, offset, length,
 //!   full name). Clients load it once and serve *all* metadata locally —
 //!   the mechanism behind the linear scaling of Fig. 10b.
-//! * [`Namespace`] — the client-side in-memory index built from a
-//!   snapshot: O(1) stat, directory tree for `readdir`/`ls -R`.
+//! * [`FileTable`] — the client-side table built from a snapshot: each
+//!   path held once, O(1) `stat` by hash probe, `readdir` by a range scan
+//!   of the sorted paths, and every chunk's files for the shuffle.
 //! * [`recovery`] — §4.1.2: rebuild the KV contents by scanning
 //!   self-contained chunks in ID (= write) order, either from a timestamp
 //!   (scenario a, partial loss) or from scratch (scenario b, power loss).
 
 pub mod keys;
-pub mod namespace;
 pub mod records;
 pub mod recovery;
 pub mod service;
 pub mod snapshot;
+pub mod table;
 
-pub use namespace::{DirEntry, EntryKind, Namespace};
 pub use records::{ChunkRecord, DatasetRecord, FileMeta};
 pub use recovery::{recover_from_timestamp, recover_full, RecoveryReport};
 pub use service::MetaService;
 pub use snapshot::MetaSnapshot;
+pub use table::{DirEntry, EntryKind, FileId, FileTable};
 
 /// Errors from the metadata layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -12,9 +12,9 @@ use diesel_chunk::{ChunkHeader, ChunkId};
 use diesel_kv::{Bytes, KvStore};
 
 use crate::keys;
-use crate::namespace::{DirEntry, EntryKind};
 use crate::records::{ChunkRecord, DatasetRecord, FileMeta};
 use crate::snapshot::{MetaSnapshot, SnapshotFile};
+use crate::table::{DirEntry, EntryKind};
 use crate::{MetaError, Result};
 
 /// Metadata processing over a KV storage backend.

@@ -16,7 +16,6 @@
 use diesel_chunk::crc::crc32;
 use diesel_chunk::ChunkId;
 
-use crate::namespace::Namespace;
 use crate::records::{put_string, Cursor, FileMeta};
 use crate::{MetaError, Result};
 
@@ -122,20 +121,10 @@ impl MetaSnapshot {
         Self::decode(&data)
     }
 
-    /// Build the client-side O(1) metadata index from this snapshot.
-    pub fn build_namespace(&self) -> Namespace {
-        Namespace::from_files(self.files.iter().map(|f| (f.path.clone(), f.meta)))
-    }
-
     /// Is this snapshot current w.r.t. the authority's `(dataset,
     /// updated_ms)`? (§4.1.3's up-to-date check.)
     pub fn is_fresh(&self, dataset: &str, authority_updated_ms: u64) -> bool {
         self.dataset == dataset && self.updated_ms == authority_updated_ms
-    }
-
-    /// Total serialized size (reported by the snapshot-efficiency bench).
-    pub fn encoded_size(&self) -> usize {
-        self.encode().len()
     }
 }
 
@@ -194,15 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn namespace_from_snapshot() {
-        let s = sample();
-        let ns = s.build_namespace();
-        assert_eq!(ns.file_count(), 100);
-        assert_eq!(ns.stat("train/class0/img0.jpg").unwrap().length, 997);
-        assert!(ns.is_dir("train/class3"));
-    }
-
-    #[test]
     fn save_load_file() {
         let s = sample();
         let path = std::env::temp_dir().join(format!("diesel-snap-{}.bin", std::process::id()));
@@ -217,7 +197,7 @@ mod tests {
         // The paper: ImageNet-1K snapshot stays small. Check bytes/file
         // stays near name-length + ~48 B of fixed cost.
         let s = sample();
-        let per_file = s.encoded_size() as f64 / s.files.len() as f64;
+        let per_file = s.encode().len() as f64 / s.files.len() as f64;
         assert!(per_file < 80.0, "snapshot too fat: {per_file:.1} B/file");
     }
 
@@ -227,7 +207,6 @@ mod tests {
             MetaSnapshot { dataset: "empty".into(), updated_ms: 0, chunks: vec![], files: vec![] };
         let back = MetaSnapshot::decode(&s.encode()).unwrap();
         assert_eq!(back, s);
-        assert_eq!(back.build_namespace().file_count(), 0);
     }
 
     proptest! {

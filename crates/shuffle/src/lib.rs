@@ -20,7 +20,12 @@
 //!
 //! * [`epoch_order`] — generate an epoch's file order for either
 //!   strategy ([`ShuffleKind::DatasetShuffle`] baseline or
-//!   [`ShuffleKind::ChunkWise`]), deterministically from `(seed, epoch)`.
+//!   [`ShuffleKind::ChunkWise`]), deterministically from `(seed, epoch)`,
+//!   over the chunks and files of a client's
+//!   [`FileTable`](diesel_meta::FileTable).
+//! * [`ShuffleItem`] — one position of an order: a file's
+//!   [`FileId`](diesel_meta::FileId) beside its chunk's index in the
+//!   table; [`canonical_order`] is every item unshuffled.
 //! * [`ShufflePlan`] — the generated order plus group boundaries, the
 //!   working-set accounting, and conversion of file reads into
 //!   chunk-wise reads.
@@ -31,4 +36,4 @@
 pub mod plan;
 pub mod quality;
 
-pub use plan::{epoch_order, ChunkFiles, DatasetIndex, ShuffleItem, ShuffleKind, ShufflePlan};
+pub use plan::{canonical_order, epoch_order, ShuffleItem, ShuffleKind, ShufflePlan};

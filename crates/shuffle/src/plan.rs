@@ -1,82 +1,18 @@
 //! Shuffle-order generation.
 
-use std::collections::HashMap;
-
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use diesel_chunk::ChunkId;
-use diesel_meta::MetaSnapshot;
+use diesel_meta::{FileId, FileTable};
 
-/// The files of one chunk, in chunk order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkFiles {
-    /// The chunk's ID.
-    pub chunk: ChunkId,
-    /// Total chunk size in bytes (for working-set accounting).
-    pub chunk_bytes: u64,
-    /// File paths stored in this chunk (live files only).
-    pub files: Vec<String>,
-}
-
-/// The dataset layout the shuffler works over: one entry per chunk.
-///
-/// Built once per task from a metadata snapshot; epochs reuse it.
-#[derive(Debug, Clone, Default)]
-pub struct DatasetIndex {
-    /// Chunk entries, in write order.
-    pub chunks: Vec<ChunkFiles>,
-}
-
-impl DatasetIndex {
-    /// Build from chunk entries.
-    pub fn new(chunks: Vec<ChunkFiles>) -> Self {
-        DatasetIndex { chunks }
-    }
-
-    /// Build from a metadata snapshot: one entry per snapshot chunk, in
-    /// snapshot order, each listing its live files in snapshot order.
-    /// A file whose chunk the snapshot does not list is left out.
-    pub fn from_snapshot(snapshot: &MetaSnapshot) -> Self {
-        let mut pos: HashMap<ChunkId, usize> = HashMap::new();
-        let mut chunks: Vec<ChunkFiles> = snapshot
-            .chunks
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                pos.insert(c, i);
-                ChunkFiles { chunk: c, chunk_bytes: 0, files: Vec::new() }
-            })
-            .collect();
-        for f in &snapshot.files {
-            if let Some(c) = pos.get(&f.meta.chunk).and_then(|&i| chunks.get_mut(i)) {
-                c.chunk_bytes += f.meta.length;
-                c.files.push(f.path.clone());
-            }
-        }
-        DatasetIndex { chunks }
-    }
-
-    /// Total number of files.
-    pub fn file_count(&self) -> usize {
-        self.chunks.iter().map(|c| c.files.len()).sum()
-    }
-
-    /// Resolve an item to its `(chunk id, path)`.
-    pub fn resolve(&self, item: ShuffleItem) -> (&ChunkId, &str) {
-        let c = &self.chunks[item.chunk_index as usize];
-        (&c.chunk, c.files[item.file_index as usize].as_str())
-    }
-}
-
-/// One position in a shuffled order: `(chunk, file-within-chunk)`.
+/// One position in a shuffled order: a file and its chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShuffleItem {
-    /// Index into [`DatasetIndex::chunks`].
+    /// Index into the table's [`chunks`](FileTable::chunks).
     pub chunk_index: u32,
-    /// Index into that chunk's `files`.
-    pub file_index: u32,
+    /// The file.
+    pub file: FileId,
 }
 
 /// Which shuffle strategy to use for an epoch.
@@ -140,10 +76,14 @@ impl ShufflePlan {
     /// Peak working-set size in bytes: the largest per-group sum of
     /// distinct chunk sizes. This is the "memory footprint" the paper
     /// reports (~2 GB for ImageNet-1K vs the 150 GB dataset).
-    pub fn peak_working_set_bytes(&self, index: &DatasetIndex) -> u64 {
+    pub fn peak_working_set_bytes(&self, table: &FileTable) -> u64 {
+        let chunk_bytes = |c: u32| -> u64 {
+            let files = table.chunk_files(c as usize).iter();
+            files.filter_map(|&id| table.meta(id)).map(|m| m.length).sum()
+        };
         self.group_chunk_sets()
             .iter()
-            .map(|chunks| chunks.iter().map(|&c| index.chunks[c as usize].chunk_bytes).sum())
+            .map(|chunks| chunks.iter().map(|&c| chunk_bytes(c)).sum())
             .max()
             .unwrap_or(0)
     }
@@ -159,28 +99,35 @@ impl ShufflePlan {
 ///
 /// ```
 /// use diesel_chunk::{ChunkId, MachineId};
-/// use diesel_shuffle::{epoch_order, ChunkFiles, DatasetIndex, ShuffleKind};
+/// use diesel_meta::snapshot::SnapshotFile;
+/// use diesel_meta::{FileMeta, FileTable, MetaSnapshot};
+/// use diesel_shuffle::{epoch_order, ShuffleKind};
 ///
-/// let index = DatasetIndex::new(
-///     (0..8u32)
-///         .map(|c| ChunkFiles {
-///             chunk: ChunkId::new(c, MachineId::from_seed(1), 1, c),
-///             chunk_bytes: 4 << 20,
-///             files: (0..10).map(|f| format!("c{c}/f{f}")).collect(),
-///         })
-///         .collect(),
-/// );
-/// let plan = epoch_order(&index, ShuffleKind::ChunkWise { group_size: 2 }, 7, 0);
+/// let id = |c| ChunkId::new(c, MachineId::from_seed(1), 1, c);
+/// let file = |i: u32| SnapshotFile {
+///     path: format!("f{i:02}"),
+///     meta: FileMeta {
+///         chunk: id(i / 10),
+///         index_in_chunk: i % 10,
+///         offset: 0,
+///         length: 1,
+///         uploaded_ms: 0,
+///     },
+/// };
+/// let chunks = (0..8).map(id).collect();
+/// let files = (0..80).map(file).collect();
+/// let table = FileTable::new(MetaSnapshot { dataset: "ds".into(), updated_ms: 0, chunks, files });
+/// let plan = epoch_order(&table, ShuffleKind::ChunkWise { group_size: 2 }, 7, 0);
 /// assert_eq!(plan.len(), 80);                 // a permutation of all files
 /// assert_eq!(plan.group_starts.len(), 4);     // 8 chunks / groups of 2
 /// // Reading a group touches at most `group_size` chunks at a time.
 /// assert!(plan.group_chunk_sets().iter().all(|s| s.len() <= 2));
 /// ```
-pub fn epoch_order(index: &DatasetIndex, kind: ShuffleKind, seed: u64, epoch: u64) -> ShufflePlan {
+pub fn epoch_order(table: &FileTable, kind: ShuffleKind, seed: u64, epoch: u64) -> ShufflePlan {
     let mut rng = StdRng::seed_from_u64(seed ^ epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     match kind {
         ShuffleKind::DatasetShuffle => {
-            let mut items: Vec<ShuffleItem> = all_items(index);
+            let mut items: Vec<ShuffleItem> = canonical_order(table);
             items.shuffle(&mut rng);
             let group_starts = if items.is_empty() { vec![] } else { vec![0] };
             ShufflePlan { items, group_starts }
@@ -188,19 +135,17 @@ pub fn epoch_order(index: &DatasetIndex, kind: ShuffleKind, seed: u64, epoch: u6
         ShuffleKind::ChunkWise { group_size } => {
             assert!(group_size >= 1, "group size must be at least 1");
             // Step 1: shuffle chunk IDs.
-            let mut chunk_order: Vec<u32> = (0..index.chunks.len() as u32).collect();
+            let mut chunk_order: Vec<u32> = (0..table.chunks().len() as u32).collect();
             chunk_order.shuffle(&mut rng);
             // Step 2: split into groups; step 3: shuffle files per group.
-            let mut items = Vec::with_capacity(index.file_count());
+            let mut items = Vec::with_capacity(table.file_count());
             let mut group_starts = Vec::new();
             for group in chunk_order.chunks(group_size) {
                 group_starts.push(items.len());
                 let start = items.len();
                 for &ci in group {
-                    let files = index.chunks[ci as usize].files.len() as u32;
-                    items.extend(
-                        (0..files).map(|fi| ShuffleItem { chunk_index: ci, file_index: fi }),
-                    );
+                    let files = table.chunk_files(ci as usize);
+                    items.extend(files.iter().map(|&file| ShuffleItem { chunk_index: ci, file }));
                 }
                 items[start..].shuffle(&mut rng);
             }
@@ -220,74 +165,57 @@ pub fn epoch_order(index: &DatasetIndex, kind: ShuffleKind, seed: u64, epoch: u6
     }
 }
 
-fn all_items(index: &DatasetIndex) -> Vec<ShuffleItem> {
-    let mut items = Vec::with_capacity(index.file_count());
-    for (ci, c) in index.chunks.iter().enumerate() {
-        items.extend(
-            (0..c.files.len() as u32)
-                .map(|fi| ShuffleItem { chunk_index: ci as u32, file_index: fi }),
-        );
+/// Every file of `table` unshuffled: chunk by chunk in snapshot order,
+/// each chunk's files in path order.
+pub fn canonical_order(table: &FileTable) -> Vec<ShuffleItem> {
+    let mut items = Vec::with_capacity(table.file_count());
+    for ci in 0..table.chunks().len() {
+        let files = table.chunk_files(ci).iter();
+        items.extend(files.map(|&file| ShuffleItem { chunk_index: ci as u32, file }));
     }
     items
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use diesel_chunk::MachineId;
+    use diesel_chunk::{ChunkId, MachineId};
+    use diesel_meta::snapshot::SnapshotFile;
+    use diesel_meta::{FileMeta, MetaSnapshot};
     use std::collections::HashSet;
 
-    fn index(chunks: usize, files_per_chunk: usize) -> DatasetIndex {
-        DatasetIndex::new(
-            (0..chunks)
-                .map(|c| ChunkFiles {
-                    chunk: ChunkId::new(c as u32, MachineId::from_seed(1), 1, c as u32),
-                    chunk_bytes: 4 << 20,
-                    files: (0..files_per_chunk).map(|f| format!("c{c}/f{f}")).collect(),
-                })
-                .collect(),
-        )
+    /// Every fixture file's length.
+    const FILE_BYTES: u64 = 1 << 16;
+
+    /// A table whose chunk `c` holds `files[c]` files named `c{c}/f{f}`.
+    pub(crate) fn table(files: &[usize]) -> FileTable {
+        let chunks: Vec<ChunkId> = (0..files.len() as u32)
+            .map(|c| ChunkId::new(c, MachineId::from_seed(1), 1, c))
+            .collect();
+        let rows = chunks.iter().zip(files).flat_map(|(&chunk, &n)| {
+            (0..n).map(move |f| SnapshotFile {
+                path: format!("{chunk:?}/f{f}"),
+                meta: FileMeta {
+                    chunk,
+                    index_in_chunk: f as u32,
+                    offset: 0,
+                    length: FILE_BYTES,
+                    uploaded_ms: 0,
+                },
+            })
+        });
+        let snapshot =
+            MetaSnapshot { dataset: "ds".into(), updated_ms: 0, files: rows.collect(), chunks };
+        FileTable::new(snapshot)
     }
 
-    fn is_permutation(plan: &ShufflePlan, index: &DatasetIndex) -> bool {
+    fn index(chunks: usize, files_per_chunk: usize) -> FileTable {
+        table(&vec![files_per_chunk; chunks])
+    }
+
+    fn is_permutation(plan: &ShufflePlan, table: &FileTable) -> bool {
         let set: HashSet<ShuffleItem> = plan.items.iter().copied().collect();
-        set.len() == plan.items.len() && plan.items.len() == index.file_count()
-    }
-
-    #[test]
-    fn from_snapshot_groups_files_by_chunk_in_snapshot_order() {
-        let id = |n: u32| ChunkId::new(n, MachineId::from_seed(1), 1, n);
-        let file = |path: &str, chunk: ChunkId, length: u64| diesel_meta::snapshot::SnapshotFile {
-            path: path.to_owned(),
-            meta: diesel_meta::FileMeta {
-                chunk,
-                index_in_chunk: 0,
-                offset: 0,
-                length,
-                uploaded_ms: 0,
-            },
-        };
-        let snap = MetaSnapshot {
-            dataset: "ds".to_owned(),
-            updated_ms: 0,
-            chunks: vec![id(0), id(1)],
-            files: vec![
-                file("b", id(1), 5),
-                file("a", id(0), 3),
-                file("orphan", id(9), 100),
-                file("c", id(1), 7),
-            ],
-        };
-        let idx = DatasetIndex::from_snapshot(&snap);
-        let got: Vec<(ChunkId, u64, Vec<String>)> =
-            idx.chunks.into_iter().map(|c| (c.chunk, c.chunk_bytes, c.files)).collect();
-        assert_eq!(
-            got,
-            vec![
-                (id(0), 3, vec!["a".to_owned()]),
-                (id(1), 12, vec!["b".to_owned(), "c".to_owned()])
-            ]
-        );
+        set.len() == plan.items.len() && plan.items.len() == table.file_count()
     }
 
     #[test]
@@ -316,15 +244,15 @@ mod tests {
         for set in plan.group_chunk_sets() {
             assert!(set.len() <= g, "group touches {} chunks > {g}", set.len());
         }
-        assert_eq!(plan.peak_working_set_bytes(&idx), (g as u64) * (4 << 20));
+        assert_eq!(plan.peak_working_set_bytes(&idx), (g as u64) * 10 * FILE_BYTES);
     }
 
     #[test]
     fn working_set_is_tiny_compared_to_dataset() {
         // The paper's headline: 2 GB footprint for a 150 GB dataset.
-        let idx = index(1000, 30); // 1000 × 4 MB ≈ 4 GB dataset
+        let idx = index(1000, 30); // 1000 chunks of ≈ 2 MB
         let plan = epoch_order(&idx, ShuffleKind::ChunkWise { group_size: 10 }, 5, 0);
-        let total: u64 = idx.chunks.iter().map(|c| c.chunk_bytes).sum();
+        let total = idx.file_count() as u64 * FILE_BYTES;
         let ws = plan.peak_working_set_bytes(&idx);
         assert!(ws * 50 <= total, "working set {ws} vs dataset {total}");
     }
@@ -359,7 +287,7 @@ mod tests {
 
     #[test]
     fn empty_dataset() {
-        let idx = DatasetIndex::default();
+        let idx = table(&[]);
         for kind in [ShuffleKind::DatasetShuffle, ShuffleKind::ChunkWise { group_size: 4 }] {
             let plan = epoch_order(&idx, kind, 1, 0);
             assert!(plan.is_empty());
@@ -369,20 +297,25 @@ mod tests {
 
     #[test]
     fn uneven_chunks_are_covered() {
-        let mut idx = index(3, 0);
-        idx.chunks[0].files = vec!["a".into(), "b".into()];
-        idx.chunks[2].files = vec!["c".into()];
+        let idx = table(&[2, 0, 1]);
         let plan = epoch_order(&idx, ShuffleKind::ChunkWise { group_size: 2 }, 3, 0);
         assert_eq!(plan.len(), 3);
         assert!(is_permutation(&plan, &idx));
+        // A chunk's bytes are its files' lengths; the empty chunk costs none.
+        let one = epoch_order(&idx, ShuffleKind::ChunkWise { group_size: 1 }, 3, 0);
+        assert_eq!(one.peak_working_set_bytes(&idx), 2 * FILE_BYTES);
     }
 
     #[test]
-    fn resolve_maps_back_to_names() {
+    fn items_name_their_files_and_chunks() {
         let idx = index(2, 2);
         let plan = epoch_order(&idx, ShuffleKind::DatasetShuffle, 1, 0);
-        let names: HashSet<&str> = plan.items.iter().map(|&i| idx.resolve(i).1).collect();
+        let names: HashSet<&str> = plan.items.iter().map(|i| idx.path(i.file).unwrap()).collect();
         assert_eq!(names.len(), 4);
-        assert!(names.contains("c1/f0"));
+        for item in &plan.items {
+            let chunk = idx.chunks()[item.chunk_index as usize];
+            assert_eq!(idx.meta(item.file).unwrap().chunk, chunk);
+        }
+        assert_eq!(canonical_order(&idx).len(), 4);
     }
 }

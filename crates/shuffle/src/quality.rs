@@ -76,29 +76,12 @@ pub fn chunk_run_fraction(plan: &ShufflePlan) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{epoch_order, ChunkFiles, DatasetIndex, ShuffleKind};
-    use diesel_chunk::{ChunkId, MachineId};
+    use crate::plan::tests::table;
+    use crate::plan::{canonical_order as canonical, epoch_order, ShuffleKind};
+    use diesel_meta::FileTable;
 
-    fn index(chunks: usize, files: usize) -> DatasetIndex {
-        DatasetIndex::new(
-            (0..chunks)
-                .map(|c| ChunkFiles {
-                    chunk: ChunkId::new(c as u32, MachineId::from_seed(2), 1, c as u32),
-                    chunk_bytes: 1 << 20,
-                    files: (0..files).map(|f| format!("c{c}/f{f}")).collect(),
-                })
-                .collect(),
-        )
-    }
-
-    fn canonical(idx: &DatasetIndex) -> Vec<ShuffleItem> {
-        let mut v = Vec::new();
-        for (ci, c) in idx.chunks.iter().enumerate() {
-            for fi in 0..c.files.len() as u32 {
-                v.push(ShuffleItem { chunk_index: ci as u32, file_index: fi });
-            }
-        }
-        v
+    fn index(chunks: usize, files: usize) -> FileTable {
+        table(&vec![files; chunks])
     }
 
     #[test]

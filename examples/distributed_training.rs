@@ -74,7 +74,7 @@ fn main() {
         "epoch plan: {} files in {} groups; peak working set {} KiB (dataset {} KiB)",
         plan.len(),
         plan.group_starts.len(),
-        plan.peak_working_set_bytes(&build_index(&client)) >> 10,
+        plan.peak_working_set_bytes(&build_table(&client)) >> 10,
         (train_set.len() * (2 + spec.dim * 4)) >> 10,
     );
 
@@ -124,10 +124,8 @@ fn attach(
     c
 }
 
-fn build_index(
-    client: &DieselClient<ShardedKv, MemObjectStore>,
-) -> diesel_dlt::shuffle::DatasetIndex {
-    // Reconstruct the index the client uses internally, for reporting.
+fn build_table(client: &DieselClient<ShardedKv, MemObjectStore>) -> diesel_dlt::meta::FileTable {
+    // Reconstruct the table the client uses internally, for reporting.
     let snap = client.server().build_snapshot("synth-imagenet").unwrap();
-    diesel_dlt::shuffle::DatasetIndex::from_snapshot(&snap)
+    diesel_dlt::meta::FileTable::new(snap)
 }

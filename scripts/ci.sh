@@ -60,6 +60,11 @@ for example in quickstart failure_recovery memory_constrained distributed_traini
     cargo run --release --offline -q --example "$example"
 done
 
+echo "== fig10b: the client's stat over a 200 k-file table =="
+# The one paper figure that measures the client's metadata table for
+# real, at a scale no test reaches; it asserts that every lookup hits.
+cargo run --release --offline -q -p diesel-bench --bin fig10b
+
 echo "== dlcmd: every verb over a scratch store =="
 # The CLI is a product root too: import a generated tree, read it back
 # byte for byte, run each inspection verb, then delete and purge. Every
