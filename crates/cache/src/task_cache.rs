@@ -912,7 +912,7 @@ impl<S: ObjectStore + 'static> TaskCache<S> {
                 la.running += 1;
                 (cache, load)
             };
-            self.pool.spawn_blocking(move || cache.run_lookahead(load)).detach();
+            self.pool.spawn_blocking(move || cache.run_lookahead(load));
         }
     }
 
@@ -1396,6 +1396,7 @@ mod tests {
         inner: Arc<MemObjectStore>,
         fail: AtomicBool,
         gets: AtomicU64,
+        reader_threads: Mutex<Vec<String>>,
         gate_open: Mutex<bool>,
         gate_moved: Condvar,
     }
@@ -1406,6 +1407,7 @@ mod tests {
                 inner,
                 fail: AtomicBool::new(false),
                 gets: AtomicU64::new(0),
+                reader_threads: Mutex::new(Vec::new()),
                 gate_open: Mutex::new(true),
                 gate_moved: Condvar::new(),
             }
@@ -1431,6 +1433,7 @@ mod tests {
             self.inner.put(key, value)
         }
         fn get(&self, key: &str) -> diesel_store::Result<Bytes> {
+            self.reader_threads.lock().push(std::thread::current().name().unwrap_or("").into());
             self.gets.fetch_add(1, Ordering::AcqRel);
             let mut open = self.gate_open.lock();
             while !*open {
@@ -1763,24 +1766,24 @@ mod tests {
         store.set_gate(false);
         let pool = WorkPool::new("group", diesel_exec::ExecConfig::workers(2));
         let c = Arc::new(
-            cache(store.clone(), chunks.clone(), 1, cap, CachePolicy::OnDemand)
-                .with_pool(pool.clone()),
+            cache(store.clone(), chunks.clone(), 1, cap, CachePolicy::OnDemand).with_pool(pool),
         );
         let following = c.follow_plan(&plan_of(&chunks, &metas, 4));
         // (a) The whole first group is read from the store at once, on
-        // a two-worker pool; (b) meanwhile both CPU workers stay free.
+        // a two-worker pool; (b) each load waits on a `group-io-<n>` lane
+        // thread, leaving both `group-<n>` CPU workers free.
         let whole_group = within_10s(|| store.gets() == 4);
-        let task = pool.spawn(|| 7);
-        let workers_free = within_10s(|| task.is_finished());
         let at_gate = store.gets();
-        if !(whole_group && workers_free) {
+        let readers = store.reader_threads.lock().clone();
+        let on_the_lane = readers.iter().all(|name| name.starts_with("group-io-"));
+        if !(whole_group && on_the_lane) {
             // Let the loads end, so the plan guard can drop.
             store.set_gate(true);
         }
         assert!(whole_group, "{at_gate} loads at the gate, not the group's four");
-        assert!(workers_free, "a CPU worker is held by a load at the gate");
-        assert_eq!(task.join(), Ok(7));
+        assert!(on_the_lane, "a load at the gate holds a CPU worker: {readers:?}");
         assert_eq!(at_gate, 4, "a fifth load started past the budget");
+        assert_eq!(readers.len(), 4);
         assert_eq!(c.lookahead.lock().running, 4);
         // (c) Dropping the guard waits for exactly those four loads and
         // starts no other.

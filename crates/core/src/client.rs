@@ -548,7 +548,8 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
     }
 
     /// This epoch's shuffled file list cut into `batch_size` path groups
-    /// — what a loader's fetch stage reads, batch by batch.
+    /// — what a loader's fetch stage reads, batch by batch. A
+    /// `batch_size` of 0 is a [`DieselError::Client`].
     ///
     /// With a task cache attached, the same pass over the plan also
     /// derives the cache's schedule — every chunk's shuffle group and read
@@ -560,7 +561,9 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
         epoch: u64,
         batch_size: usize,
     ) -> Result<EpochBatches<S>> {
-        let batch_size = batch_size.max(1);
+        if batch_size == 0 {
+            return Err(DieselError::Client("epoch batches need batch_size >= 1".into()));
+        }
         let cache = self.cache.read().clone();
         let (batches, schedule) = self.with_epoch_plan(seed, epoch, |table, plan| {
             let mut batches: Vec<Vec<String>> = Vec::with_capacity(plan.len().div_ceil(batch_size));
@@ -871,8 +874,10 @@ mod tests {
         assert!(matches!(c.epoch_file_list(1, 0), Err(DieselError::Client(_))));
         assert!(matches!(c.epoch_plan(1, 0), Err(DieselError::Client(_))));
         assert!(matches!(c.epoch_batches(1, 0, 4), Err(DieselError::Client(_))));
-        // The client stays usable: a valid group size plans as before.
         c.enable_shuffle(ShuffleKind::ChunkWise { group_size: 2 });
+        assert!(matches!(c.epoch_batches(1, 0, 0), Err(DieselError::Client(_))));
+        // The client stays usable: valid sizes plan as before.
+        assert_eq!(c.epoch_batches(1, 0, 4).unwrap().batches.len(), 2);
         assert_eq!(c.epoch_file_list(1, 0).unwrap().len(), 8);
     }
 

@@ -3,41 +3,38 @@
 //! DIESEL's throughput story is overlap: the oneshot cache "prefetches
 //! in the background" while the task trains (§4.2, Figs. 10a/11b), the
 //! request executor merges and issues chunk reads concurrently, and the
-//! data loader hides storage latency behind compute. Before this crate,
-//! each of those used its own ad-hoc `std::thread::spawn`; now they all
-//! share one executor with bounded queues, backpressure, panic
-//! propagation, cancellation, and observability.
+//! data loader hides storage latency behind compute. All of it runs on
+//! one executor with bounded queues, contained panics and
+//! observability. The system makes four calls into it:
 //!
-//! Pieces:
-//!
-//! * [`WorkPool`] — a named pool of worker threads fed by a bounded
-//!   queue ([`queue::Bounded`]). Submitting past the queue capacity
-//!   blocks (backpressure) or runs inline (scoped fan-out), never grows
-//!   an unbounded buffer.
-//! * [`TaskHandle`] / [`CancelToken`] — detached background tasks
-//!   ([`WorkPool::spawn`]): panics are captured and surface as
-//!   [`ExecError::Panicked`] at [`TaskHandle::join`]; dropping an
-//!   unjoined handle flips the task's [`CancelToken`] so cooperative
-//!   sweeps stop instead of leaking.
-//! * The blocking lane ([`WorkPool::spawn_blocking`]) — for a job that
+//! * [`WorkPool::try_map`] — structured fan-out over borrowed data.
+//!   Results are written into per-item slots, so the output order and
+//!   the first error are deterministic regardless of worker count or
+//!   scheduling. A job that finds the pool queue full runs inline on the
+//!   submitter instead of blocking, and a waiter helps drain the queue,
+//!   so nested fan-out cannot deadlock.
+//! * [`WorkPool::for_each_chunk_mut`] — chunked data parallelism over a
+//!   mutable slice (GEMM).
+//! * [`WorkPool::pipeline`] ([`PipelineIter`]) — a bounded-channel
+//!   pipeline stage: N workers pull `(seq, item)` records from a shared
+//!   source, apply the stage function, and the consumer reorders by
+//!   sequence number, so the stream is byte-identical to the serial
+//!   loop for any worker count. Stages chain by using one pipeline as
+//!   the next one's source.
+//! * [`WorkPool::spawn_blocking`] — fire-and-forget, for a job that
 //!   waits on I/O rather than computes. It runs on a lane thread, never
 //!   on one of the pool's CPU workers: an idle lane thread if there is
 //!   one, else a new one. Idle lane threads are kept for reuse until the
 //!   pool drops, and the drop joins them. The lane has no width
 //!   setting; it is as wide as its callers keep it busy, so a cache can
 //!   keep as many store reads in flight as its plan asks for while the
-//!   CPU workers stay free to decode. Handles, panics and the ambient
-//!   trace behave as with [`WorkPool::spawn`].
-//! * [`Scope`] + [`WorkPool::map`]/[`WorkPool::try_map`] — structured
-//!   fan-out over borrowed data. Results are written into per-item
-//!   slots, so the output order (and the first error, for `try_map`) is
-//!   deterministic regardless of worker count or scheduling.
-//! * [`PipelineIter`] ([`WorkPool::pipeline`]) — a bounded-channel
-//!   pipeline stage: N workers pull `(seq, item)` records from a shared
-//!   source, apply the stage function, and the consumer reorders by
-//!   sequence number, so the stream is byte-identical to the serial
-//!   loop for any worker count. Stages chain by using one pipeline as
-//!   the next one's source.
+//!   CPU workers stay free to decode.
+//!
+//! There are no task handles and no cancellation: a fan-out returns
+//! when its items have run, a pipeline stops when its iterator drops,
+//! and a blocking job's caller tracks the job's end itself. A job's
+//! panic is contained and counted in `exec.tasks_panicked`; a fan-out
+//! or pipeline re-raises it on the caller.
 //!
 //! ## Determinism mode
 //!
@@ -52,58 +49,31 @@
 //! ## Observability
 //!
 //! Pools registered with a shared [`Registry`](diesel_obs::Registry)
-//! export `exec.tasks_submitted`/`completed`/`panicked`/`cancelled`
-//! counters, an `exec.queue_depth` gauge, and an `exec.task_ns`
-//! latency histogram, all labelled `{pool=<name>}`.
+//! export `exec.tasks_submitted`/`completed`/`panicked` counters, an
+//! `exec.queue_depth` gauge, and an `exec.task_ns` latency histogram,
+//! all labelled `{pool=<name>}`.
 
 mod lane;
-pub mod pipeline;
-pub mod pool;
-pub mod queue;
+mod pipeline;
+mod pool;
+mod queue;
 
 pub use pipeline::PipelineIter;
-pub use pool::{global, CancelToken, Scope, TaskHandle, WorkPool};
-pub use queue::Bounded;
-
-/// Errors surfaced by the executor itself (task bodies carry their own
-/// error types through [`WorkPool::try_map`] and pipeline items).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExecError {
-    /// The task panicked; the payload message is preserved.
-    Panicked(String),
-    /// The task was cancelled before it produced a result.
-    Cancelled,
-}
-
-impl std::fmt::Display for ExecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecError::Panicked(msg) => write!(f, "task panicked: {msg}"),
-            ExecError::Cancelled => write!(f, "task cancelled"),
-        }
-    }
-}
-
-impl std::error::Error for ExecError {}
-
-/// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, ExecError>;
+pub use pool::{global, WorkPool};
 
 /// Pool construction parameters.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Worker threads. `<= 1` selects the deterministic inline mode:
     /// every submission runs on the calling thread, in order.
-    pub workers: usize,
-    /// Bounded queue capacity; submissions past it block (backpressure)
-    /// or run inline (scoped fan-out). `0` picks `4 × workers`.
-    pub queue_capacity: usize,
+    pub(crate) workers: usize,
 }
 
 impl ExecConfig {
-    /// A pool of exactly `workers` threads.
+    /// A pool of exactly `workers` threads, fed by a queue of
+    /// `4 × workers` jobs.
     pub fn workers(workers: usize) -> Self {
-        ExecConfig { workers, queue_capacity: 0 }
+        ExecConfig { workers }
     }
 
     /// Deterministic inline mode (no worker threads).
@@ -123,21 +93,6 @@ impl ExecConfig {
             .unwrap_or_else(default_workers);
         Self::workers(workers)
     }
-
-    /// The effective queue capacity for this configuration.
-    pub(crate) fn capacity(&self) -> usize {
-        if self.queue_capacity > 0 {
-            self.queue_capacity
-        } else {
-            (self.workers.max(1)) * 4
-        }
-    }
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        Self::from_env()
-    }
 }
 
 fn default_workers() -> usize {
@@ -152,15 +107,5 @@ mod tests {
     fn config_constructors() {
         assert_eq!(ExecConfig::inline().workers, 1);
         assert_eq!(ExecConfig::workers(5).workers, 5);
-        assert_eq!(ExecConfig::workers(3).capacity(), 12);
-        assert_eq!(ExecConfig { workers: 2, queue_capacity: 7 }.capacity(), 7);
-        // Zero workers still yields a sane capacity.
-        assert_eq!(ExecConfig { workers: 0, queue_capacity: 0 }.capacity(), 4);
-    }
-
-    #[test]
-    fn error_display() {
-        assert_eq!(ExecError::Cancelled.to_string(), "task cancelled");
-        assert!(ExecError::Panicked("boom".into()).to_string().contains("boom"));
     }
 }

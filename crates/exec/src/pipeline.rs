@@ -19,6 +19,7 @@
 //! workers observe the cancel flag / closed channel, stop pulling from
 //! the source, and are joined before the drop returns.
 
+use diesel_obs::{AmbientTrace, Counter, HistogramHandle};
 use diesel_util::{Clock, Mutex};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -35,22 +36,39 @@ struct SourceState<I> {
     seq: u64,
 }
 
+/// What every application of a stage's function records.
+#[derive(Clone)]
+struct Instruments {
+    clock: Arc<dyn Clock>,
+    items: Counter,
+    stage_ns: HistogramHandle,
+    /// Trace state captured when the pipeline was built, restored where
+    /// the stage function runs so it runs under the submitter's tracer.
+    ambient: AmbientTrace,
+}
+
+impl Instruments {
+    /// Run `apply`, one item's pass through the stage: time and count it.
+    fn timed<R>(&self, apply: impl FnOnce() -> R) -> R {
+        let t0 = self.clock.now_ns();
+        let out = apply();
+        self.stage_ns.record_ns(self.clock.now_ns().saturating_sub(t0));
+        self.items.inc();
+        out
+    }
+}
+
 struct StageCtx<I, T> {
     source: Arc<Mutex<SourceState<I>>>,
     out: Arc<Bounded<(u64, StageResult<T>)>>,
     f: Arc<dyn Fn(I) -> T + Send + Sync>,
     cancel: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
-    clock: Arc<dyn Clock>,
-    items: diesel_obs::Counter,
-    stage_ns: diesel_obs::HistogramHandle,
-    /// Trace state captured when the pipeline was built, restored on
-    /// the stage worker so `f` runs under the submitter's tracer.
-    ambient: diesel_obs::AmbientTrace,
+    m: Instruments,
 }
 
 fn stage_loop<I, T>(ctx: StageCtx<I, T>) {
-    let _trace = ctx.ambient.install();
+    let _trace = ctx.m.ambient.install();
     loop {
         if ctx.cancel.load(Ordering::Acquire) {
             break;
@@ -67,10 +85,7 @@ fn stage_loop<I, T>(ctx: StageCtx<I, T>) {
             })
         };
         let Some((seq, item)) = next else { break };
-        let t0 = ctx.clock.now_ns();
-        let out = catch_unwind(AssertUnwindSafe(|| (ctx.f)(item)));
-        ctx.stage_ns.record_ns(ctx.clock.now_ns().saturating_sub(t0));
-        ctx.items.inc();
+        let out = ctx.m.timed(|| catch_unwind(AssertUnwindSafe(|| (ctx.f)(item))));
         if ctx.out.push((seq, out)).is_err() {
             // Consumer dropped the iterator; stop producing.
             break;
@@ -79,6 +94,21 @@ fn stage_loop<I, T>(ctx: StageCtx<I, T>) {
     if ctx.active.fetch_sub(1, Ordering::AcqRel) == 1 {
         ctx.out.close();
     }
+}
+
+/// A stage run on the consumer's thread: each `next()` pulls one item
+/// and applies `f` there, lazily.
+fn inline<I, T: 'static>(
+    mut pull: impl FnMut() -> Option<I> + Send + 'static,
+    f: impl Fn(I) -> T + Send + 'static,
+    m: Instruments,
+) -> PipelineIter<T> {
+    let next = Box::new(move || {
+        let item = pull()?;
+        let _trace = m.ambient.install();
+        Some(m.timed(|| f(item)))
+    });
+    PipelineIter { inner: Inner::Inline(next) }
 }
 
 struct Threaded<T> {
@@ -181,25 +211,18 @@ impl WorkPool {
         F: Fn(I) -> T + Send + Sync + 'static,
     {
         let labels = [("pool", self.name()), ("stage", stage)];
-        let items = self.registry().counter("exec.pipeline_items", &labels);
-        let stage_ns = self.registry().histogram("exec.pipeline_stage_ns", &labels);
-        let clock = Arc::clone(self.clock());
-        // Captured here (at build time) rather than at pull time: the
-        // iterator may be consumed on a thread with no ambient tracer.
-        let ambient = diesel_obs::AmbientTrace::capture();
+        let m = Instruments {
+            clock: Arc::clone(self.clock()),
+            items: self.registry().counter("exec.pipeline_items", &labels),
+            stage_ns: self.registry().histogram("exec.pipeline_stage_ns", &labels),
+            // Captured here (at build time) rather than at pull time: the
+            // iterator may be consumed on a thread with no ambient tracer.
+            ambient: AmbientTrace::capture(),
+        };
 
         if self.workers() <= 1 {
             let mut source = source;
-            let pull = Box::new(move || {
-                let item = source.next()?;
-                let _trace = ambient.install();
-                let t0 = clock.now_ns();
-                let out = f(item);
-                stage_ns.record_ns(clock.now_ns().saturating_sub(t0));
-                items.inc();
-                Some(out)
-            });
-            return PipelineIter { inner: Inner::Inline(pull) };
+            return inline(move || source.next(), f, m);
         }
 
         let workers = self.workers();
@@ -220,10 +243,7 @@ impl WorkPool {
                 f: Arc::clone(&f),
                 cancel: Arc::clone(&cancel),
                 active: Arc::clone(&active),
-                clock: Arc::clone(&clock),
-                items: items.clone(),
-                stage_ns: stage_ns.clone(),
-                ambient: ambient.clone(),
+                m: m.clone(),
             };
             let spawned = std::thread::Builder::new()
                 .name(format!("{}-{stage}-{i}", self.name()))
@@ -241,16 +261,7 @@ impl WorkPool {
         if handles.is_empty() {
             // Could not spawn a single stage thread (resource
             // exhaustion): degrade to pulling inline so no item is lost.
-            let pull = Box::new(move || {
-                let item = { source.lock().iter.next() }?;
-                let _trace = ambient.install();
-                let t0 = clock.now_ns();
-                let result = f(item);
-                stage_ns.record_ns(clock.now_ns().saturating_sub(t0));
-                items.inc();
-                Some(result)
-            });
-            return PipelineIter { inner: Inner::Inline(pull) };
+            return inline(move || source.lock().iter.next(), move |item| f(item), m);
         }
 
         PipelineIter {

@@ -1,10 +1,9 @@
 //! [`WorkPool`]: named worker threads over a bounded queue, plus the
-//! structured concurrency primitives built on it — detached tasks with
-//! cancellation ([`WorkPool::spawn`]), scoped fan-out over borrowed
-//! data ([`WorkPool::scope`], [`WorkPool::map`], [`WorkPool::try_map`])
-//! and chunked data parallelism ([`WorkPool::for_each_chunk_mut`]).
-//! Jobs that wait on I/O go to the pool's blocking lane instead
-//! ([`WorkPool::spawn_blocking`]).
+//! structured fan-out built on it — over borrowed data
+//! ([`WorkPool::try_map`]) and over a mutable slice's chunks
+//! ([`WorkPool::for_each_chunk_mut`]). Jobs that wait on I/O go to the
+//! pool's blocking lane instead ([`WorkPool::spawn_blocking`]), fire
+//! and forget: there are no task handles and no cancellation.
 //!
 //! Two properties hold everywhere:
 //!
@@ -12,13 +11,15 @@
 //!   output (and the first error of a fallible fan-out) is identical
 //!   for any worker count, including the inline (`workers <= 1`) mode
 //!   that runs everything on the calling thread.
-//! * **No idle deadlock** — a thread waiting for a scope *helps*: it
-//!   drains jobs from the pool queue while it waits, so nested fan-out
-//!   (a pooled task that itself fans out on the same pool) cannot
-//!   starve even when every worker is busy.
+//! * **No idle deadlock** — a job that finds the pool queue full runs
+//!   inline on the submitter instead of blocking, and a thread waiting
+//!   for a scope *helps*: it drains jobs from the pool queue while it
+//!   waits, so nested fan-out (a pooled task that itself fans out on
+//!   the same pool) cannot starve even when every worker is busy.
 
 use diesel_obs::{AmbientTrace, Counter, Gauge, HistogramHandle, Registry};
 use diesel_util::{Clock, Condvar, Mutex};
+use std::any::Any;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -27,20 +28,9 @@ use std::time::Duration;
 
 use crate::lane::Lane;
 use crate::queue::Bounded;
-use crate::{ExecConfig, ExecError, Result};
+use crate::ExecConfig;
 
 pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Turn a panic payload into a printable message.
-pub(crate) fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
 
 /// Registry handles for one pool's `exec.*` metrics, labelled
 /// `{pool=<name>}`.
@@ -49,7 +39,6 @@ pub(crate) struct PoolMetrics {
     submitted: Counter,
     completed: Counter,
     panicked: Counter,
-    cancelled: Counter,
     queue_depth: Gauge,
     task_ns: HistogramHandle,
 }
@@ -61,17 +50,16 @@ impl PoolMetrics {
             submitted: registry.counter("exec.tasks_submitted", &labels),
             completed: registry.counter("exec.tasks_completed", &labels),
             panicked: registry.counter("exec.tasks_panicked", &labels),
-            cancelled: registry.counter("exec.tasks_cancelled", &labels),
             queue_depth: registry.gauge("exec.queue_depth", &labels),
             task_ns: registry.histogram("exec.task_ns", &labels),
         }
     }
 }
 
-/// Run one job: time it, count it, and contain any panic that escaped
-/// the task wrappers (spawn/scope wrappers catch their own panics to
-/// deliver the payload; this outer catch keeps worker threads alive no
-/// matter what).
+/// Run one job: time it, count it, and contain its panic, counting it
+/// in `exec.tasks_panicked` (a scope's jobs catch their own panics to
+/// deliver the payload; this outer catch keeps worker and lane threads
+/// alive no matter what).
 pub(crate) fn run_job(metrics: &PoolMetrics, clock: &Arc<dyn Clock>, job: Job) {
     let t0 = clock.now_ns();
     let out = catch_unwind(AssertUnwindSafe(job));
@@ -146,30 +134,9 @@ impl PoolInner {
         self.started.store(true, Ordering::Release);
     }
 
-    /// Submit with backpressure: block while the queue is full.
-    fn submit(&self, job: Job) {
-        self.metrics.submitted.inc();
-        if self.inline_now() {
-            run_job(&self.metrics, &self.clock, job);
-            return;
-        }
-        self.ensure_started();
-        if self.inline_now() {
-            run_job(&self.metrics, &self.clock, job);
-            return;
-        }
-        match self.queue.push(job) {
-            Ok(()) => self.metrics.queue_depth.set(self.queue.len() as u64),
-            // Closed mid-shutdown: run the straggler here rather than
-            // dropping it.
-            Err(job) => run_job(&self.metrics, &self.clock, job),
-        }
-    }
-
-    /// Submit without blocking: a full (or closed) queue runs the job
-    /// on the calling thread instead. Scoped fan-out uses this so a
-    /// pooled task that fans out on its own pool can never deadlock on
-    /// its own queue.
+    /// Queue `job` for the workers, or run it on the calling thread when
+    /// the queue is full (or closed): a pooled task that fans out on its
+    /// own pool can never deadlock on its own queue.
     fn submit_or_run(&self, job: Job) {
         self.metrics.submitted.inc();
         if self.inline_now() {
@@ -180,16 +147,6 @@ impl PoolInner {
         match self.queue.try_push(job) {
             Ok(()) => self.metrics.queue_depth.set(self.queue.len() as u64),
             Err(job) => run_job(&self.metrics, &self.clock, job),
-        }
-    }
-
-    /// Submit to the blocking lane; an inline pool, or a lane that
-    /// cannot start the job, runs it on the calling thread.
-    fn submit_blocking(&self, job: Job) {
-        self.metrics.submitted.inc();
-        let refused = if self.workers <= 1 { Err(job) } else { self.lane.submit(job) };
-        if let Err(job) = refused {
-            run_job(&self.metrics, &self.clock, job);
         }
     }
 }
@@ -226,11 +183,12 @@ impl WorkPool {
         let metrics = PoolMetrics::new(&registry, name);
         let clock = Arc::clone(registry.clock());
         let lane = Arc::new(Lane::new(name, metrics.clone(), Arc::clone(&clock)));
+        let workers = config.workers.max(1);
         WorkPool {
             inner: Arc::new(PoolInner {
                 name: name.to_owned(),
-                workers: config.workers.max(1),
-                queue: Arc::new(Bounded::new(config.capacity())),
+                workers,
+                queue: Arc::new(Bounded::new(4 * workers)),
                 started: AtomicBool::new(false),
                 spawned: AtomicUsize::new(0),
                 start_lock: Mutex::named("exec.pool_start", ()),
@@ -268,95 +226,35 @@ impl WorkPool {
         &self.inner.clock
     }
 
-    // ---- detached tasks ----
-
-    /// Run `f` in the background. The handle's drop cancels the task's
-    /// token (see [`TaskHandle`]); use
-    /// [`spawn_cancellable`](Self::spawn_cancellable) when the task
-    /// wants to observe that.
-    pub fn spawn<T, F>(&self, f: F) -> TaskHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.spawn_cancellable(move |_| f())
-    }
-
-    /// Run `f` in the background with a [`CancelToken`] it can poll
-    /// between units of work. Panics inside `f` are captured and
-    /// surface as [`ExecError::Panicked`] from [`TaskHandle::join`].
-    pub fn spawn_cancellable<T, F>(&self, f: F) -> TaskHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce(&CancelToken) -> T + Send + 'static,
-    {
-        let (job, handle) = self.task(f);
-        self.inner.submit(job);
-        handle
-    }
-
     /// Run `f`, a job that may wait on I/O, on the pool's blocking lane
     /// rather than on one of its CPU workers: on an idle lane thread, or
     /// on a new one when no lane thread is idle. Lane threads are kept
     /// for reuse until the pool drops, and the drop joins them. The
     /// lane has no width setting; it is as wide as its callers keep it
-    /// busy. The handle behaves as [`spawn`](Self::spawn)'s does —
-    /// panics surface at [`TaskHandle::join`], and the submitter's
-    /// ambient trace is carried into the job — and an inline pool runs
-    /// `f` on the calling thread.
-    pub fn spawn_blocking<T, F>(&self, f: F) -> TaskHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let (job, handle) = self.task(move |_| f());
-        self.inner.submit_blocking(job);
-        handle
-    }
-
-    /// Wrap `f` as a pool job that captures its panic and delivers its
-    /// result to the returned handle.
-    fn task<T, F>(&self, f: F) -> (Job, TaskHandle<T>)
-    where
-        T: Send + 'static,
-        F: FnOnce(&CancelToken) -> T + Send + 'static,
-    {
-        let token = CancelToken::default();
-        let shared = Arc::new(TaskShared {
-            slot: Mutex::named("exec.task_slot", None),
-            done: Condvar::new(),
-        });
-        let (token2, shared2) = (token.clone(), Arc::clone(&shared));
-        let panicked = self.inner.metrics.panicked.clone();
-        // Carry the submitter's ambient trace into the worker, so spans
-        // opened by the task parent the span that spawned it.
+    /// busy. Fire and forget: the submitter's ambient trace is carried
+    /// into the job, a panic is contained and counted in
+    /// `exec.tasks_panicked`, and a caller that must know when `f` ends
+    /// has `f` tell it. An inline pool runs `f` on the calling thread.
+    pub fn spawn_blocking(&self, f: impl FnOnce() + Send + 'static) {
+        let inner = &self.inner;
+        inner.metrics.submitted.inc();
+        // Spans opened by the job parent the span that submitted it.
         let ambient = AmbientTrace::capture();
         let job: Job = Box::new(move || {
             let _trace = ambient.install();
-            let out = catch_unwind(AssertUnwindSafe(|| f(&token2)));
-            let out = out.map_err(|p| {
-                panicked.inc();
-                panic_message(p.as_ref())
-            });
-            *shared2.slot.lock() = Some(out);
-            shared2.done.notify_all();
+            f();
         });
-        let handle = TaskHandle {
-            shared,
-            token,
-            cancelled_counter: self.inner.metrics.cancelled.clone(),
-            joined: false,
-        };
-        (job, handle)
+        let refused = if inner.workers <= 1 { Err(job) } else { inner.lane.submit(job) };
+        if let Err(job) = refused {
+            run_job(&inner.metrics, &inner.clock, job);
+        }
     }
-
-    // ---- scoped fan-out ----
 
     /// Structured fan-out over borrowed data, like `std::thread::scope`
     /// but on the pool: every job spawned inside `f` completes before
     /// `scope` returns, and the first captured panic is re-raised on
     /// the caller.
-    pub fn scope<'env, F, R>(&'env self, f: F) -> R
+    fn scope<'env, F, R>(&'env self, f: F) -> R
     where
         F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
     {
@@ -380,8 +278,8 @@ impl WorkPool {
             let _guard = WaitGuard { pool: self, state: &state };
             f(&scope)
         };
-        if let Some(msg) = state.core.lock().panic.take() {
-            std::panic::resume_unwind(Box::new(msg));
+        if let Some(payload) = state.core.lock().panic.take() {
+            std::panic::resume_unwind(payload);
         }
         result
     }
@@ -410,45 +308,28 @@ impl WorkPool {
         }
     }
 
-    /// Fan `f` out over `items`; the result vector is index-aligned
-    /// with the input regardless of worker count or scheduling.
-    pub fn map<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(usize, I) -> T + Sync,
-    {
-        enum NoError {}
-        let out: std::result::Result<Vec<T>, NoError> =
-            self.try_map(items, |i, item| Ok(f(i, item)));
-        match out {
-            Ok(v) => v,
-            Err(e) => match e {},
-        }
-    }
-
     /// Fallible fan-out: runs `f` over every item, returns the results
     /// in input order, or the error of the *lowest-indexed* failing
     /// item — the same error the serial loop would have returned first,
-    /// for any worker count.
+    /// for any worker count. A panic in `f` is re-raised on the caller
+    /// once every item has run.
     ///
     /// On an inline pool this *is* the serial loop on the caller: no
-    /// scope, no boxed job, no clock read. It still runs every item,
-    /// counts each in `exec.tasks_submitted` / `exec.tasks_completed`
-    /// (and `exec.tasks_panicked`), and re-raises the first panic once
-    /// the remaining items have run; `exec.task_ns` is not recorded.
-    pub fn try_map<I, T, E, F>(&self, items: Vec<I>, f: F) -> std::result::Result<Vec<T>, E>
+    /// scope, no boxed job, no clock read. It still counts each item in
+    /// `exec.tasks_submitted` / `exec.tasks_completed` (and
+    /// `exec.tasks_panicked`); `exec.task_ns` is not recorded.
+    pub fn try_map<I, T, E, F>(&self, items: Vec<I>, f: F) -> Result<Vec<T>, E>
     where
         I: Send,
         T: Send,
         E: Send,
-        F: Fn(usize, I) -> std::result::Result<T, E> + Sync,
+        F: Fn(usize, I) -> Result<T, E> + Sync,
     {
         if self.inner.inline_now() {
             return self.try_map_inline(items, f);
         }
         let n = items.len();
-        let mut slots: Vec<Option<std::result::Result<T, E>>> = Vec::with_capacity(n);
+        let mut slots: Vec<Option<Result<T, E>>> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
         self.scope(|s| {
             let f = &f;
@@ -467,9 +348,9 @@ impl WorkPool {
         Ok(out)
     }
 
-    fn try_map_inline<I, T, E, F>(&self, items: Vec<I>, f: F) -> std::result::Result<Vec<T>, E>
+    fn try_map_inline<I, T, E, F>(&self, items: Vec<I>, f: F) -> Result<Vec<T>, E>
     where
-        F: Fn(usize, I) -> std::result::Result<T, E>,
+        F: Fn(usize, I) -> Result<T, E>,
     {
         let metrics = &self.inner.metrics;
         let n = items.len() as u64;
@@ -560,100 +441,12 @@ pub fn global() -> &'static WorkPool {
     GLOBAL.get_or_init(|| WorkPool::new("global", ExecConfig::from_env()))
 }
 
-// ---- cancellation ----
-
-/// A cooperative cancellation flag shared between a task and its
-/// [`TaskHandle`]. Long-running tasks poll
-/// [`is_cancelled`](CancelToken::is_cancelled) between units of work.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// Request cancellation (idempotent).
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-
-    /// Has cancellation been requested?
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
-    }
-}
-
-// ---- task handles ----
-
-struct TaskShared<T> {
-    slot: Mutex<Option<std::result::Result<T, String>>>,
-    done: Condvar,
-}
-
-/// Handle to a background task started by [`WorkPool::spawn`].
-///
-/// Unlike a raw `JoinHandle`, dropping this handle does not leak the
-/// task: the drop flips the task's [`CancelToken`] so a cooperative
-/// task winds down, and the pool still owns (and finishes) the
-/// submitted job either way.
-pub struct TaskHandle<T> {
-    shared: Arc<TaskShared<T>>,
-    token: CancelToken,
-    cancelled_counter: Counter,
-    joined: bool,
-}
-
-impl<T> TaskHandle<T> {
-    /// Wait for the task and take its result. A panic inside the task
-    /// surfaces as [`ExecError::Panicked`].
-    pub fn join(mut self) -> Result<T> {
-        self.joined = true;
-        let mut g = self.shared.slot.lock();
-        loop {
-            if let Some(r) = g.take() {
-                return r.map_err(ExecError::Panicked);
-            }
-            g = self.shared.done.wait(g);
-        }
-    }
-
-    /// Has the task produced its result?
-    pub fn is_finished(&self) -> bool {
-        self.shared.slot.lock().is_some()
-    }
-
-    /// Request cancellation without waiting.
-    pub fn cancel(&self) {
-        self.token.cancel();
-    }
-
-    /// Let the task run to completion unobserved: giving up the handle
-    /// this way neither cancels the task nor counts it as cancelled.
-    pub fn detach(mut self) {
-        self.joined = true;
-    }
-}
-
-impl<T> Drop for TaskHandle<T> {
-    fn drop(&mut self) {
-        if !self.joined {
-            self.token.cancel();
-            self.cancelled_counter.inc();
-        }
-    }
-}
-
-impl<T> std::fmt::Debug for TaskHandle<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TaskHandle")
-            .field("finished", &self.is_finished())
-            .field("cancelled", &self.token.is_cancelled())
-            .finish()
-    }
-}
-
 // ---- scopes ----
 
 struct ScopeCore {
     pending: usize,
-    panic: Option<String>,
+    /// The first job panic's payload, re-raised when the scope ends.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 struct ScopeState {
@@ -663,7 +456,7 @@ struct ScopeState {
 
 /// A fan-out scope created by [`WorkPool::scope`]. Jobs may borrow
 /// anything that outlives the scope (`'env`).
-pub struct Scope<'scope, 'env: 'scope> {
+struct Scope<'scope, 'env: 'scope> {
     pool: &'scope WorkPool,
     state: Arc<ScopeState>,
     _env: PhantomData<&'env mut &'env ()>,
@@ -672,7 +465,7 @@ pub struct Scope<'scope, 'env: 'scope> {
 impl<'scope, 'env> Scope<'scope, 'env> {
     /// Run `f` on the pool (or inline when the queue is full — the
     /// backpressure path). The closure may borrow from `'env`.
-    pub fn spawn<F>(&self, f: F)
+    fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'env,
     {
@@ -688,9 +481,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
             let mut core = state.core.lock();
             if let Err(p) = out {
                 panicked.inc();
-                if core.panic.is_none() {
-                    core.panic = Some(panic_message(p.as_ref()));
-                }
+                core.panic.get_or_insert(p);
             }
             core.pending -= 1;
             drop(core);
@@ -707,76 +498,27 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     }
 }
 
-impl std::fmt::Debug for Scope<'_, '_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scope")
-            .field("pool", &self.pool.name())
-            .field("pending", &self.state.core.lock().pending)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    use std::thread::Thread;
 
     fn pool(workers: usize) -> WorkPool {
         WorkPool::new("t", ExecConfig::workers(workers))
     }
 
-    #[test]
-    fn a_detached_task_runs_to_completion_uncounted() {
-        let p = pool(2);
-        let (tx, rx) = std::sync::mpsc::channel();
-        p.spawn_cancellable(move |token| tx.send(token.is_cancelled())).detach();
-        assert_eq!(rx.recv(), Ok(false), "detaching neither cancels nor drops the task");
-        assert_eq!(p.registry().snapshot().counter("exec.tasks_cancelled{pool=t}"), 0);
+    /// A panic payload's message.
+    fn panic_text(p: &(dyn Any + Send)) -> &str {
+        let text = p.downcast_ref::<&str>().copied();
+        text.or_else(|| p.downcast_ref::<String>().map(String::as_str)).unwrap_or("")
     }
 
     #[test]
-    fn spawn_join_roundtrip() {
-        for w in [1, 4] {
-            let p = pool(w);
-            let h = p.spawn(|| 6 * 7);
-            assert_eq!(h.join().unwrap(), 42);
-        }
-    }
-
-    #[test]
-    fn spawn_panic_surfaces_at_join() {
-        let p = pool(2);
-        let h = p.spawn(|| -> u32 { panic!("kaboom {}", 9) });
-        match h.join() {
-            Err(ExecError::Panicked(msg)) => assert!(msg.contains("kaboom 9"), "{msg}"),
-            other => panic!("expected panic error, got {other:?}"),
-        }
-        let snap = p.registry().snapshot();
-        assert_eq!(snap.counter("exec.tasks_panicked{pool=t}"), 1);
-        assert_eq!(snap.counter("exec.tasks_submitted{pool=t}"), 1);
-    }
-
-    #[test]
-    fn drop_cancels_cooperative_task() {
-        let p = pool(2);
-        let seen = Arc::new(AtomicBool::new(false));
-        let seen2 = seen.clone();
-        let gate = Arc::new(Bounded::<()>::new(1));
-        let gate2 = gate.clone();
-        let h = p.spawn_cancellable(move |token| {
-            gate2.pop(); // wait until the main thread dropped the handle
-            seen2.store(token.is_cancelled(), Ordering::SeqCst);
-        });
-        drop(h);
-        gate.push(()).unwrap();
-        // Wait for the task to record what it saw.
-        for _ in 0..1000 {
-            if seen.load(Ordering::SeqCst) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(seen.load(Ordering::SeqCst), "task observed cancellation");
-        assert_eq!(p.registry().snapshot().counter("exec.tasks_cancelled{pool=t}"), 1);
+    fn the_pool_queue_holds_four_jobs_per_worker() {
+        assert_eq!(pool(3).inner.queue.capacity, 12);
+        // Zero workers still yields a sane capacity.
+        assert_eq!(pool(0).inner.queue.capacity, 4);
     }
 
     #[test]
@@ -799,18 +541,18 @@ mod tests {
                 s.spawn(|| panic!("inner failure"));
             });
         }));
-        let msg = panic_message(caught.unwrap_err().as_ref());
-        assert!(msg.contains("inner failure"), "{msg}");
+        let payload = caught.unwrap_err();
+        assert!(panic_text(payload.as_ref()).contains("inner failure"));
     }
 
     #[test]
-    fn map_is_index_aligned_for_any_worker_count() {
+    fn try_map_is_index_aligned_for_any_worker_count() {
         let items: Vec<u64> = (0..100).collect();
         let reference: Vec<u64> = items.iter().map(|&x| x * x).collect();
         for w in [1, 2, 8] {
             let p = pool(w);
-            let out = p.map(items.clone(), |_, x| x * x);
-            assert_eq!(out, reference, "workers={w}");
+            let out = p.try_map(items.clone(), |_, x| Ok::<_, ()>(x * x));
+            assert_eq!(out, Ok(reference.clone()), "workers={w}");
         }
     }
 
@@ -818,14 +560,13 @@ mod tests {
     fn try_map_returns_lowest_index_error() {
         for w in [1, 2, 8] {
             let p = pool(w);
-            let out: std::result::Result<Vec<u32>, String> =
-                p.try_map((0..50).collect(), |i, x: u32| {
-                    if x % 7 == 3 {
-                        Err(format!("bad {i}"))
-                    } else {
-                        Ok(x)
-                    }
-                });
+            let out: Result<Vec<u32>, String> = p.try_map((0..50).collect(), |i, x: u32| {
+                if x % 7 == 3 {
+                    Err(format!("bad {i}"))
+                } else {
+                    Ok(x)
+                }
+            });
             // Items 3, 10, 17… fail; index 3 must win for every worker count.
             assert_eq!(out.unwrap_err(), "bad 3", "workers={w}");
         }
@@ -836,21 +577,12 @@ mod tests {
         // Tasks that themselves fan out on the same (small) pool: the
         // scope helper drains the queue while waiting.
         let p = pool(2);
-        let outer: Vec<u64> = p.map((0..4u64).collect(), |_, x| {
-            let inner: Vec<u64> = p.map((0..8u64).collect(), |_, y| x * 100 + y);
-            inner.iter().sum()
+        let outer = p.try_map((0..4u64).collect(), |_, x| {
+            let inner = p.try_map((0..8u64).collect(), |_, y| Ok::<_, ()>(x * 100 + y))?;
+            Ok::<u64, ()>(inner.iter().sum())
         });
         let expect: Vec<u64> = (0..4u64).map(|x| (0..8u64).map(|y| x * 100 + y).sum()).collect();
-        assert_eq!(outer, expect);
-    }
-
-    #[test]
-    fn inline_pool_runs_everything_on_the_caller() {
-        let p = pool(1);
-        let tid = std::thread::current().id();
-        let h = p.spawn(move || std::thread::current().id() == tid);
-        assert!(h.is_finished(), "inline spawn completes synchronously");
-        assert!(h.join().unwrap());
+        assert_eq!(outer, Ok(expect));
     }
 
     #[test]
@@ -859,17 +591,17 @@ mod tests {
         let caller = std::thread::current().id();
         let seen = Mutex::new(Vec::new());
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            p.map((0..6).collect::<Vec<u32>>(), |i, x| {
+            p.try_map((0..6).collect::<Vec<u32>>(), |i, x| {
                 assert_eq!(std::thread::current().id(), caller, "item {i} left the caller");
                 seen.lock().push(i);
                 if x == 2 {
                     panic!("item {x} failed");
                 }
-                x
+                Ok::<_, ()>(x)
             })
         }));
-        let msg = panic_message(caught.unwrap_err().as_ref());
-        assert!(msg.contains("item 2 failed"), "{msg}");
+        let payload = caught.unwrap_err();
+        assert!(panic_text(payload.as_ref()).contains("item 2 failed"));
         assert_eq!(*seen.lock(), vec![0, 1, 2, 3, 4, 5], "in index order, past the panic");
         let snap = p.registry().snapshot();
         assert_eq!(snap.counter("exec.tasks_submitted{pool=t}"), 6);
@@ -905,7 +637,10 @@ mod tests {
     fn metrics_flow_into_the_shared_registry() {
         let registry = Arc::new(Registry::default());
         let p = WorkPool::with_registry("svc", ExecConfig::workers(2), registry.clone());
-        p.map((0..10).collect::<Vec<u32>>(), |_, x| x + 1);
+        p.try_map((0..10).collect::<Vec<u32>>(), |_, x| Ok::<_, ()>(x + 1)).unwrap();
+        // A worker counts a job once it has returned, which can be after
+        // `try_map` has: the drop joins the workers.
+        drop(p);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("exec.tasks_submitted{pool=svc}"), 10);
         assert_eq!(snap.counter("exec.tasks_completed{pool=svc}"), 10);
@@ -929,9 +664,11 @@ mod tests {
             let _t = trace::install_tracer(&tracer);
             {
                 let _root = trace::span("fanout", &[]);
-                p.map((0..4).collect::<Vec<u32>>(), |_, _| {
+                p.try_map((0..4).collect::<Vec<u32>>(), |_, _| {
                     let _s = trace::span("task", &[]);
-                });
+                    Ok::<_, ()>(())
+                })
+                .unwrap();
             }
             let spans = tracer.drain();
             let root = spans.iter().find(|s| s.name == "fanout").unwrap();
@@ -946,18 +683,23 @@ mod tests {
 
     /// Run `n` blocking jobs that can only finish together, so each
     /// holds a lane thread of its own; returns the threads they ran on.
-    fn blocking_wave(p: &WorkPool, n: usize) -> Vec<std::thread::ThreadId> {
+    fn blocking_wave(p: &WorkPool, n: usize) -> Vec<Thread> {
         let all_in = Arc::new(std::sync::Barrier::new(n));
-        let handles: Vec<_> = (0..n)
-            .map(|_| {
-                let all_in = Arc::clone(&all_in);
-                p.spawn_blocking(move || {
-                    all_in.wait();
-                    std::thread::current().id()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let (tx, rx) = channel();
+        for _ in 0..n {
+            let (all_in, tx) = (Arc::clone(&all_in), tx.clone());
+            p.spawn_blocking(move || {
+                all_in.wait();
+                tx.send(std::thread::current()).unwrap();
+            });
+        }
+        rx.iter().take(n).collect()
+    }
+
+    /// Whether `thread` is one of pool `t`'s lane threads (`t-io-<n>`),
+    /// not one of its CPU workers (`t-<n>`).
+    fn on_the_lane(thread: &Thread) -> bool {
+        thread.name().is_some_and(|name| name.starts_with("t-io-"))
     }
 
     /// Yield until every lane thread started so far is parked.
@@ -976,63 +718,64 @@ mod tests {
         const N: usize = 5;
         let p = pool(2);
         let first = blocking_wave(&p, N);
-        let workers: Vec<_> = (0..2).map(|_| p.spawn(|| std::thread::current().id())).collect();
-        let workers: Vec<_> = workers.into_iter().map(|h| h.join().unwrap()).collect();
-        assert!(first.iter().all(|t| !workers.contains(t)), "a blocking job ran on a CPU worker");
+        assert!(first.iter().all(on_the_lane), "a blocking job ran on a CPU worker");
+        let first: Vec<_> = first.iter().map(Thread::id).collect();
         let mut distinct = first.clone();
         distinct.sort_by_key(|t| format!("{t:?}"));
         distinct.dedup();
         assert_eq!(distinct.len(), N, "the lane is as wide as the wave keeps it busy");
         assert_eq!(lane_parked(&p), N);
         let second = blocking_wave(&p, N);
-        assert!(second.iter().all(|t| first.contains(t)), "a parked thread was not reused");
+        assert!(second.iter().all(on_the_lane), "a blocking job ran on a CPU worker");
+        assert!(second.iter().all(|t| first.contains(&t.id())), "a parked thread was not reused");
         assert_eq!(lane_parked(&p), N, "no thread was started for the second wave");
         let snap = p.registry().snapshot();
-        assert_eq!(snap.counter("exec.tasks_submitted{pool=t}"), 2 * N as u64 + 2);
-        assert_eq!(snap.counter("exec.tasks_completed{pool=t}"), 2 * N as u64 + 2);
+        assert_eq!(snap.counter("exec.tasks_submitted{pool=t}"), 2 * N as u64);
+        assert_eq!(snap.counter("exec.tasks_completed{pool=t}"), 2 * N as u64);
     }
 
     #[test]
     fn a_blocking_job_keeps_the_workers_free() {
+        // Four jobs wait on the gate, more than the pool has workers:
+        // all four start, each on a lane thread and none on a worker.
         let p = pool(2);
         let gate = Arc::new(Bounded::<()>::new(4));
-        let held: Vec<_> = (0..4)
-            .map(|_| {
-                let gate = Arc::clone(&gate);
-                p.spawn_blocking(move || gate.pop())
-            })
-            .collect();
-        // Four jobs wait on the gate, more than the pool has workers,
-        // and a CPU job still runs. Were the four on the workers, it
-        // would wait for the gate: give it ten seconds, then open up.
-        let task = p.spawn(|| 7);
-        let clock = diesel_util::SystemClock::new();
-        while !task.is_finished() && clock.now_ns() < 10_000_000_000 {
-            std::thread::yield_now();
+        let (tx, rx) = channel();
+        for _ in 0..4 {
+            let (gate, tx) = (Arc::clone(&gate), tx.clone());
+            p.spawn_blocking(move || {
+                tx.send(std::thread::current()).unwrap();
+                gate.pop();
+            });
         }
-        let ran = task.is_finished();
+        let ten_s = Duration::from_secs(10);
+        let started: Vec<Result<Thread, RecvTimeoutError>> =
+            (0..4).map(|_| rx.recv_timeout(ten_s)).collect();
         for _ in 0..4 {
             gate.push(()).unwrap();
         }
-        assert!(ran, "a CPU job waited for blocking jobs");
-        assert_eq!(task.join(), Ok(7));
-        for h in held {
-            assert_eq!(h.join(), Ok(Some(())));
+        for thread in started {
+            let thread = thread.expect("a gated job never started");
+            assert!(on_the_lane(&thread), "a blocking job ran on {:?}", thread.name());
         }
     }
 
     #[test]
-    fn a_blocking_job_panic_surfaces_at_join() {
+    fn a_blocking_job_panic_is_counted_and_the_lane_runs_the_next_job() {
         let p = pool(2);
-        let h = p.spawn_blocking(|| -> u32 { panic!("kaboom {}", 9) });
-        match h.join() {
-            Err(ExecError::Panicked(msg)) => assert!(msg.contains("kaboom 9"), "{msg}"),
-            other => panic!("expected panic error, got {other:?}"),
+        p.spawn_blocking(|| panic!("kaboom {}", 9));
+        let panicked = || p.registry().snapshot().counter("exec.tasks_panicked{pool=t}");
+        while panicked() == 0 {
+            std::thread::yield_now();
         }
+        assert_eq!(lane_parked(&p), 1, "the lane thread outlived the panic");
+        let (tx, rx) = channel();
+        p.spawn_blocking(move || tx.send(std::thread::current()).unwrap());
+        let next = rx.recv().unwrap();
+        assert_eq!(next.name(), Some("t-io-0"), "the next job ran on the same lane thread");
         let snap = p.registry().snapshot();
         assert_eq!(snap.counter("exec.tasks_panicked{pool=t}"), 1);
-        assert_eq!(snap.counter("exec.tasks_submitted{pool=t}"), 1);
-        assert_eq!(p.spawn_blocking(|| 5).join(), Ok(5), "the lane outlives a panic");
+        assert_eq!(snap.counter("exec.tasks_submitted{pool=t}"), 2);
     }
 
     #[test]
@@ -1052,19 +795,17 @@ mod tests {
         let exited = Arc::new(AtomicUsize::new(0));
         let p = pool(2);
         let all_in = Arc::new(std::sync::Barrier::new(3));
-        let handles: Vec<_> = (0..3)
-            .map(|_| {
-                let (exited, all_in) = (Arc::clone(&exited), Arc::clone(&all_in));
-                p.spawn_blocking(move || {
-                    // Counted when the thread itself exits.
-                    EXIT.with(|e| *e.borrow_mut() = Some(OnExit(exited)));
-                    all_in.wait();
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+        let (tx, rx) = channel();
+        for _ in 0..3 {
+            let (exited, all_in, tx) = (Arc::clone(&exited), Arc::clone(&all_in), tx.clone());
+            p.spawn_blocking(move || {
+                // Counted when the thread itself exits.
+                EXIT.with(|e| *e.borrow_mut() = Some(OnExit(exited)));
+                all_in.wait();
+                tx.send(()).unwrap();
+            });
         }
+        assert_eq!(rx.iter().take(3).count(), 3);
         assert_eq!(exited.load(Ordering::SeqCst), 0, "lane threads park between jobs");
         drop(p);
         assert_eq!(exited.load(Ordering::SeqCst), 3, "the drop returned before a thread ended");
@@ -1074,9 +815,9 @@ mod tests {
     fn an_inline_pool_runs_a_blocking_job_on_the_caller() {
         let p = pool(1);
         let tid = std::thread::current().id();
-        let h = p.spawn_blocking(move || std::thread::current().id() == tid);
-        assert!(h.is_finished(), "inline spawn_blocking completes synchronously");
-        assert!(h.join().unwrap());
+        let (tx, rx) = channel();
+        p.spawn_blocking(move || tx.send(std::thread::current().id() == tid).unwrap());
+        assert_eq!(rx.try_recv(), Ok(true), "inline spawn_blocking completes synchronously");
         assert_eq!(p.inner.lane.threads(), (0, 0));
     }
 
@@ -1087,10 +828,15 @@ mod tests {
             let p = pool(w);
             let tracer = Tracer::enabled(p.registry());
             let _t = trace::install_tracer(&tracer);
+            let (tx, rx) = channel();
             {
                 let _root = trace::span("submit", &[]);
-                p.spawn_blocking(|| drop(trace::span("load", &[]))).join().unwrap();
+                p.spawn_blocking(move || {
+                    drop(trace::span("load", &[]));
+                    tx.send(()).unwrap();
+                });
             }
+            rx.recv().unwrap();
             let spans = tracer.drain();
             let root = spans.iter().find(|s| s.name == "submit").unwrap();
             let load = spans.iter().find(|s| s.name == "load").unwrap();

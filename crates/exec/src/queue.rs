@@ -3,9 +3,10 @@
 //! [`PipelineIter`](crate::PipelineIter).
 //!
 //! The capacity bound is what turns "spawn everything" into
-//! backpressure: a producer that outruns the consumers blocks in
-//! [`push`](Bounded::push) instead of growing an unbounded buffer, and
-//! a closed queue wakes every waiter so shutdown never hangs.
+//! backpressure: a pipeline stage that outruns its consumer blocks in
+//! [`push`](Bounded::push), and a pool submitter that finds the queue
+//! full runs the job itself, instead of growing an unbounded buffer. A
+//! closed queue wakes every waiter so shutdown never hangs.
 //!
 //! [`WorkPool`]: crate::WorkPool
 
@@ -18,8 +19,8 @@ struct State<T> {
 }
 
 /// A bounded multi-producer multi-consumer queue.
-pub struct Bounded<T> {
-    capacity: usize,
+pub(crate) struct Bounded<T> {
+    pub(crate) capacity: usize,
     state: Mutex<State<T>>,
     not_empty: Condvar,
     not_full: Condvar,
@@ -27,7 +28,7 @@ pub struct Bounded<T> {
 
 impl<T> Bounded<T> {
     /// A queue holding at most `capacity` items (minimum 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Bounded {
             capacity,
@@ -40,24 +41,14 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Items currently queued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.state.lock().items.len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.state.lock().items.is_empty()
     }
 
     /// Enqueue, blocking while the queue is full. Returns the item back
     /// when the queue has been closed.
-    pub fn push(&self, item: T) -> std::result::Result<(), T> {
+    pub(crate) fn push(&self, item: T) -> Result<(), T> {
         let mut g = self.state.lock();
         loop {
             if g.closed {
@@ -75,7 +66,7 @@ impl<T> Bounded<T> {
 
     /// Enqueue without blocking. Returns the item back when the queue
     /// is full or closed.
-    pub fn try_push(&self, item: T) -> std::result::Result<(), T> {
+    pub(crate) fn try_push(&self, item: T) -> Result<(), T> {
         let mut g = self.state.lock();
         if g.closed || g.items.len() >= self.capacity {
             return Err(item);
@@ -88,7 +79,7 @@ impl<T> Bounded<T> {
 
     /// Dequeue, blocking while the queue is empty. Returns `None` once
     /// the queue is closed *and* drained.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut g = self.state.lock();
         loop {
             if let Some(item) = g.items.pop_front() {
@@ -104,7 +95,7 @@ impl<T> Bounded<T> {
     }
 
     /// Dequeue without blocking; `None` when nothing is queued.
-    pub fn try_pop(&self) -> Option<T> {
+    pub(crate) fn try_pop(&self) -> Option<T> {
         let mut g = self.state.lock();
         let item = g.items.pop_front()?;
         drop(g);
@@ -114,25 +105,10 @@ impl<T> Bounded<T> {
 
     /// Close the queue: producers get their items back, consumers drain
     /// what is left and then see `None`. Idempotent.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.state.lock().closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
-    }
-
-    /// Whether [`close`](Bounded::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
-    }
-}
-
-impl<T> std::fmt::Debug for Bounded<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Bounded")
-            .field("capacity", &self.capacity)
-            .field("len", &self.len())
-            .field("closed", &self.is_closed())
-            .finish()
     }
 }
 
@@ -144,7 +120,7 @@ mod tests {
     #[test]
     fn fifo_order_and_len() {
         let q = Bounded::new(4);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         q.push(1).unwrap();
         q.push(2).unwrap();
         assert_eq!(q.len(), 2);
@@ -166,7 +142,7 @@ mod tests {
     #[test]
     fn capacity_floor_is_one() {
         let q = Bounded::new(0);
-        assert_eq!(q.capacity(), 1);
+        assert_eq!(q.capacity, 1);
         q.push(9).unwrap();
         assert_eq!(q.try_push(10), Err(10));
     }
@@ -185,7 +161,7 @@ mod tests {
         // The queued item still drains; then consumers see the end.
         assert_eq!(q.pop(), Some(7));
         assert_eq!(q.pop(), None);
-        assert!(q.is_closed());
+        assert!(q.state.lock().closed);
         assert_eq!(q.push(9), Err(9));
     }
 
@@ -208,13 +184,5 @@ mod tests {
         assert_eq!(q.pop(), Some(1));
         assert!(t.join().unwrap());
         assert_eq!(q.pop(), Some(2));
-    }
-
-    #[test]
-    fn debug_format() {
-        let q = Bounded::new(3);
-        q.push('x').unwrap();
-        let s = format!("{q:?}");
-        assert!(s.contains("capacity: 3") && s.contains("len: 1"), "{s}");
     }
 }

@@ -24,9 +24,8 @@ enum Msg<Req, Resp> {
 
 /// A service running on its own named thread.
 ///
-/// Dropping (or [`kill`](ThreadServer::kill)ing) the server sends a
-/// shutdown message and joins the thread; outstanding callers observe
-/// [`NetError::Disconnected`].
+/// Dropping the server sends a shutdown message and joins the thread;
+/// outstanding callers observe [`NetError::Disconnected`].
 pub struct ThreadServer<Req, Resp> {
     endpoint: Endpoint,
     tx: Sender<Msg<Req, Resp>>,
@@ -73,14 +72,6 @@ impl<Req: Send + 'static, Resp: Send + 'static> ThreadServer<Req, Resp> {
     /// This server's endpoint.
     pub fn endpoint(&self) -> &Endpoint {
         &self.endpoint
-    }
-
-    /// Stop the serving thread and wait for it to exit. Idempotent.
-    pub fn kill(&mut self) {
-        let _ = self.tx.send(Msg::Shutdown);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
     }
 }
 
@@ -171,11 +162,10 @@ mod tests {
 
     #[test]
     fn killed_server_disconnects_callers() {
-        let mut srv = ThreadServer::spawn(Endpoint::new("dead", 4), |x: u64| x);
+        let srv = ThreadServer::spawn(Endpoint::new("dead", 4), |x: u64| x);
         let chan = srv.channel();
         assert_eq!(chan.call(1).unwrap(), 1);
-        srv.kill();
-        srv.kill(); // idempotent
+        drop(srv);
         let err = chan.call(2).unwrap_err();
         assert_eq!(err, NetError::Disconnected { endpoint: Endpoint::new("dead", 4) });
     }

@@ -97,14 +97,14 @@ fn fault_sequences_are_deterministic_end_to_end() {
 #[test]
 fn disconnected_server_is_not_retried() {
     let clock = Arc::new(MockClock::new());
-    let mut server = ThreadServer::spawn(Endpoint::new("peer", 4), |x: u64| x);
+    let server = ThreadServer::spawn(Endpoint::new("peer", 4), |x: u64| x);
     let reg = Registry::new(clock.clone());
     let metrics = EndpointMetrics::new(&reg, server.endpoint());
     let measured = Instrumented::new(server.channel(), metrics.clone(), clock.clone());
     let chan =
         Retry::new(measured, RetryPolicy::default(), clock.clone()).with_metrics(metrics.clone());
     assert_eq!(chan.call(1).unwrap(), 1);
-    server.kill();
+    drop(server);
     let err = chan.call(2).unwrap_err();
     assert_eq!(err, NetError::Disconnected { endpoint: Endpoint::new("peer", 4) });
     // The registry snapshot carries the same story as the live handles.

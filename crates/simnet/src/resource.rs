@@ -164,14 +164,12 @@ mod tests {
         // must finish exactly at ceil(N/k)*s — regardless of thread
         // interleaving.
         let r = Resource::new("c", 3);
-        let pool = diesel_exec::WorkPool::new(
-            "simnet-test",
-            diesel_exec::ExecConfig { workers: 6, queue_capacity: 0 },
-        );
-        let ends = pool.map((0..6).collect::<Vec<_>>(), |_, _| {
-            (0..500).map(|_| r.acquire(SimTime::ZERO, SimTime::from_micros(10)).end).max().unwrap()
+        let acquire = || r.acquire(SimTime::ZERO, SimTime::from_micros(10)).end;
+        let max_end = std::thread::scope(|s| {
+            let threads: Vec<_> =
+                (0..6).map(|_| s.spawn(|| (0..500).map(|_| acquire()).max().unwrap())).collect();
+            threads.into_iter().map(|t| t.join().unwrap()).max().unwrap()
         });
-        let max_end = ends.into_iter().max().unwrap();
         let expect = SimTime::from_micros(10 * 3000 / 3);
         assert_eq!(max_end, expect);
     }

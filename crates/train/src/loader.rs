@@ -64,8 +64,8 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DataLoader<K, S> {
     /// Build a loader. The client must have a snapshot loaded and a
     /// shuffle strategy enabled. Uses the process-wide work pool
     /// (`DIESEL_EXEC_WORKERS`); override with [`with_pool`](Self::with_pool).
+    /// A `batch_size` of 0 fails every [`epoch_iter`](Self::epoch_iter).
     pub fn new(client: Arc<DieselClient<K, S>>, batch_size: usize, seed: u64) -> Self {
-        assert!(batch_size >= 1);
         DataLoader {
             client,
             batch_size,
@@ -292,10 +292,7 @@ mod tests {
             DataLoader::new(Arc::clone(&client), 8, 11).with_pool(WorkPool::inline("loader-test"));
         let baseline = collect(&inline, 0);
         for workers in [2usize, 8] {
-            let pool = WorkPool::new(
-                "loader-test",
-                diesel_exec::ExecConfig { workers, queue_capacity: 0 },
-            );
+            let pool = WorkPool::new("loader-test", diesel_exec::ExecConfig::workers(workers));
             let loader =
                 DataLoader::new(Arc::clone(&client), 8, 11).with_pool(pool).with_prefetch_depth(3);
             let got = collect(&loader, 0);
@@ -333,10 +330,7 @@ mod tests {
         client.enable_shuffle(ShuffleKind::ChunkWise { group_size: 2 });
         tracer.drain(); // keep only the epoch's spans
 
-        let pool = WorkPool::new(
-            "loader-trace",
-            diesel_exec::ExecConfig { workers: 2, queue_capacity: 0 },
-        );
+        let pool = WorkPool::new("loader-trace", diesel_exec::ExecConfig::workers(2));
         let loader =
             DataLoader::new(Arc::new(client), 4, 3).with_pool(pool).with_tracer(tracer.clone());
         let batches = collect(&loader, 0);
@@ -391,6 +385,13 @@ mod tests {
             }
         }
         assert_eq!(failed, 1);
+    }
+
+    #[test]
+    fn a_zero_batch_size_is_a_typed_error_not_a_panic() {
+        let (client, _) = setup(8);
+        let err = DataLoader::new(client, 0, 3).epoch_iter(0).err();
+        assert!(matches!(err, Some(DieselError::Client(_))), "{err:?}");
     }
 
     #[test]

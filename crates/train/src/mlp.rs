@@ -40,7 +40,7 @@ struct Layer {
 
 /// The model.
 pub struct Mlp {
-    config: MlpConfig,
+    pub(crate) config: MlpConfig,
     layers: Vec<Layer>,
 }
 

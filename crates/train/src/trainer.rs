@@ -60,7 +60,8 @@ pub fn topk_accuracy(model: &Mlp, samples: &[Sample], k: usize) -> f64 {
 /// Train `model` for `config.epochs` epochs, reading data through the
 /// loader (and therefore through DIESEL with whatever shuffle strategy
 /// the client has enabled). Returns per-epoch metrics; a sample whose
-/// label is not below the model's class count fails the run.
+/// label is not below the model's class count, or whose feature count
+/// is not the model's input width, fails the run.
 pub fn train<K: KvStore + 'static, S: ObjectStore + 'static>(
     model: &mut Mlp,
     loader: &DataLoader<K, S>,
@@ -76,6 +77,13 @@ pub fn train<K: KvStore + 'static, S: ObjectStore + 'static>(
         // compute/I-O overlap).
         for batch in loader.epoch_iter(epoch)? {
             let (x, labels) = batch?;
+            let width = model.config.input_dim;
+            if x.cols != width {
+                return Err(diesel_core::DieselError::Client(format!(
+                    "epoch {epoch}: samples have {} features where the model takes {width}",
+                    x.cols
+                )));
+            }
             let loss = model.train_batch(&x, &labels).ok_or_else(|| {
                 diesel_core::DieselError::Client(format!(
                     "epoch {epoch}: a sample's label is not below the model's class count"
@@ -165,6 +173,19 @@ mod tests {
         assert!((b - c).abs() < 0.08, "chunk-wise top-1 {c:.3} deviates from baseline {b:.3}");
     }
 
+    /// A loader over `samples`, stored one file each, chunk-wise shuffled.
+    fn loader_of(samples: &[Sample]) -> DataLoader<ShardedKv, MemObjectStore> {
+        let server = Arc::new(DieselServer::new(
+            Arc::new(ShardedKv::new()),
+            Arc::new(MemObjectStore::new()),
+        ));
+        let client = DieselClient::connect(server, "stray").with_deterministic_identity(1, 1, 100);
+        upload_samples(&client, samples).unwrap();
+        client.download_meta().unwrap();
+        client.enable_shuffle(ShuffleKind::ChunkWise { group_size: 2 });
+        DataLoader::new(Arc::new(client), 32, 99)
+    }
+
     #[test]
     fn a_label_past_the_last_class_is_an_error_and_a_miss() {
         let spec = SyntheticSpec { dim: 4, classes: 3, separation: 1.0, noise: 0.5, seed: 5 };
@@ -178,18 +199,26 @@ mod tests {
         let acc = topk_accuracy(&model, &samples, spec.classes);
         assert!((acc - 20.0 / 21.0).abs() < 1e-9, "{acc}");
 
-        let server = Arc::new(DieselServer::new(
-            Arc::new(ShardedKv::new()),
-            Arc::new(MemObjectStore::new()),
-        ));
-        let client = DieselClient::connect(server, "stray").with_deterministic_identity(1, 1, 100);
-        upload_samples(&client, &samples).unwrap();
-        client.download_meta().unwrap();
-        let loader = DataLoader::new(Arc::new(client), 32, 99);
         let mut model = model;
-        let err =
-            train(&mut model, &loader, &[], &TrainConfig { epochs: 1, topk: (1, 5) }).unwrap_err();
+        let config = TrainConfig { epochs: 1, topk: (1, 5) };
+        let err = train(&mut model, &loader_of(&samples), &[], &config).unwrap_err();
         assert!(matches!(err, diesel_core::DieselError::Client(_)), "{err}");
+        assert!(err.to_string().contains("epoch 0: a sample's label"), "{err}");
+    }
+
+    #[test]
+    fn samples_narrower_than_the_model_are_an_error_not_a_panic() {
+        let spec = SyntheticSpec { dim: 4, classes: 3, separation: 1.0, noise: 0.5, seed: 5 };
+        let mut model = Mlp::new(
+            MlpConfig { input_dim: 5, hidden: vec![], classes: 3, lr: 0.1, momentum: 0.0 },
+            1,
+        );
+        let config = TrainConfig { epochs: 1, topk: (1, 5) };
+        let err = train(&mut model, &loader_of(&spec.generate(20)), &[], &config).unwrap_err();
+        assert!(matches!(err, diesel_core::DieselError::Client(_)), "{err}");
+        assert!(err
+            .to_string()
+            .contains("epoch 0: samples have 4 features where the model takes 5"));
     }
 
     #[test]

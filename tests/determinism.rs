@@ -25,7 +25,7 @@ fn pool(workers: usize) -> WorkPool {
     if workers <= 1 {
         WorkPool::inline("determinism")
     } else {
-        WorkPool::new("determinism", ExecConfig { workers, queue_capacity: 0 })
+        WorkPool::new("determinism", ExecConfig::workers(workers))
     }
 }
 

@@ -87,13 +87,13 @@ fn full_client_api_over_thread_transport() {
 fn killed_server_surfaces_as_net_error() {
     let srv = server();
     let registry = Registry::default();
-    let (mut thread, chan) = serve(srv.clone(), 3, &registry);
+    let (thread, chan) = serve(srv.clone(), 3, &registry);
     let c: DieselClient<ShardedKv, MemObjectStore> =
         DieselClient::connect_channel_with(chan, "ds", small_chunks());
     c.put("a", b"payload").unwrap();
     c.flush().unwrap();
 
-    thread.kill();
+    drop(thread);
     let err = c.flush_probe();
     assert_eq!(
         err,
