@@ -18,7 +18,7 @@ use diesel_net::{Channel, DirectChannel, Endpoint};
 use diesel_obs::{trace, RegistrySnapshot, Span};
 use diesel_store::{Bytes, ObjectStore};
 
-use crate::server::{DieselServer, PurgeReport};
+use crate::server::{check_dataset, DieselServer, PurgeReport};
 use crate::{DieselError, Result};
 
 /// One request to a DIESEL server.
@@ -269,6 +269,11 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
         // channel), the handle span parents the caller's span.
         let _tracer = trace::install_tracer(self.tracer());
         let _span = trace::span("server.handle", &[("endpoint", req.kind())]);
+        // A dataset name that would alias another dataset's keys is
+        // refused before it reaches admission, the KV or the store.
+        if let Some(dataset) = req.tenant() {
+            check_dataset(dataset)?;
+        }
         // Admission control (DESIGN.md §14): tenant-carrying requests
         // pass the per-tenant token bucket + DRR fair-share queue before
         // touching the exec pool; the permit is held for the whole

@@ -48,6 +48,10 @@ pub enum DieselError {
     Net(diesel_net::NetError),
     /// Client misuse (e.g. reading before loading metadata).
     Client(String),
+    /// A dataset name that is empty or contains `/`. Keys and chunk
+    /// objects are named `…/{dataset}/…`, so such a name would share
+    /// keys with another dataset.
+    BadDataset(String),
 }
 
 impl std::fmt::Display for DieselError {
@@ -59,6 +63,9 @@ impl std::fmt::Display for DieselError {
             DieselError::Cache(e) => write!(f, "cache: {e}"),
             DieselError::Net(e) => write!(f, "net: {e}"),
             DieselError::Client(e) => write!(f, "client: {e}"),
+            DieselError::BadDataset(name) => {
+                write!(f, "bad dataset name {name:?}: it must be non-empty and contain no '/'")
+            }
         }
     }
 }

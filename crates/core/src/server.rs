@@ -174,8 +174,11 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
     /// Receive one sealed chunk from a client: persist the chunk bytes
     /// and extract its metadata into the KV database. Takes the chunk
     /// by value so the payload moves straight into the store's
-    /// refcounted [`Bytes`] without a copy.
+    /// refcounted [`Bytes`] without a copy. This is how a dataset comes
+    /// into being, so a name that is empty or contains `/` is refused
+    /// here ([`DieselError::BadDataset`]) before anything is written.
     pub fn ingest_chunk(&self, dataset: &str, chunk: SealedChunk) -> Result<()> {
+        check_dataset(dataset)?;
         let SealedChunk { header, bytes } = chunk;
         let key = chunk_object_key(dataset, header.id);
         let size = bytes.len() as u64;
@@ -407,6 +410,17 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
     }
 }
 
+/// Refuse a dataset name that would alias another dataset's keys: every
+/// KV key and chunk object is named `…/{dataset}/…`, so dataset `a/b`'s
+/// file `y` and dataset `a`'s file `b/y` would share one, and dropping
+/// `a` would drop `a/b` too.
+pub(crate) fn check_dataset(dataset: &str) -> Result<()> {
+    if dataset.is_empty() || dataset.contains('/') {
+        return Err(DieselError::BadDataset(dataset.to_owned()));
+    }
+    Ok(())
+}
+
 /// The object range `header_len + offset ‖ length` of a payload read.
 /// `None` when the arithmetic overflows: file metadata arrives from
 /// snapshots loaded off disk and is not trusted to describe a real range.
@@ -435,19 +449,24 @@ mod tests {
         DieselServer::new(Arc::new(ShardedKv::new()), Arc::new(MemObjectStore::new()))
     }
 
+    /// Seal `files` into chunks whose ids are unique to `writer`.
+    fn seal(files: &[(&str, Vec<u8>)], chunk_size: usize, writer: u32) -> Vec<SealedChunk> {
+        let ids = ChunkIdGenerator::deterministic(1, writer, 1_000);
+        let cfg = ChunkBuilderConfig { target_chunk_size: chunk_size, ..Default::default() };
+        let mut w = ChunkWriter::new(cfg, &ids).with_clock(|| 1_000_000);
+        for (n, d) in files {
+            w.add_file(n, d).unwrap();
+        }
+        w.finish()
+    }
+
     fn ingest_files<K: KvStore>(
         s: &DieselServer<K, MemObjectStore>,
         dataset: &str,
         files: &[(&str, Vec<u8>)],
         chunk_size: usize,
     ) {
-        let ids = ChunkIdGenerator::deterministic(1, 1, 1_000);
-        let cfg = ChunkBuilderConfig { target_chunk_size: chunk_size, ..Default::default() };
-        let mut w = ChunkWriter::new(cfg, &ids).with_clock(|| 1_000_000);
-        for (n, d) in files {
-            w.add_file(n, d).unwrap();
-        }
-        for sealed in w.finish() {
+        for sealed in seal(files, chunk_size, 1) {
             s.ingest_chunk(dataset, sealed).unwrap();
         }
     }
@@ -470,6 +489,38 @@ mod tests {
         let rec = s.meta().dataset_record("ds").unwrap();
         assert_eq!(rec.file_count, 30);
         assert!(rec.chunk_count > 1);
+    }
+
+    #[test]
+    fn a_dataset_named_with_a_slash_cannot_repoint_another_datasets_file() {
+        let s = server();
+        ingest_files(&s, "a", &[("b/y.bin", vec![1; 40])], 1024);
+        // `a/b`'s `y.bin` would be keyed `f/a/b/y.bin`, which is `a`'s `b/y.bin`.
+        for sealed in seal(&[("y.bin", vec![2; 40])], 1024, 2) {
+            let got = s.ingest_chunk("a/b", sealed);
+            assert!(matches!(&got, Err(DieselError::BadDataset(d)) if d == "a/b"), "{got:?}");
+        }
+        assert_eq!(s.read_file("a", "b/y.bin").unwrap().as_ref(), &[1; 40][..]);
+    }
+
+    #[test]
+    fn deleting_a_dataset_cannot_reach_a_slash_named_one() {
+        use crate::api::ServerRequest;
+        let s = server();
+        ingest_files(&s, "a", &[("x.bin", vec![1; 40])], 1024);
+        for sealed in seal(&[("z.bin", vec![2; 40])], 1024, 2) {
+            let got = s.handle(ServerRequest::IngestChunk { dataset: "a/b".into(), chunk: sealed });
+            assert!(matches!(&got, Err(DieselError::BadDataset(d)) if d == "a/b"), "{got:?}");
+        }
+        // `a`'s delete scans the prefix `a/`, so it would also take every
+        // chunk and key `a/b` had: only `a`'s own chunk may go.
+        assert_eq!(s.delete_dataset("a").unwrap(), 1);
+        assert!(s.meta().kv().is_empty());
+        for dataset in ["a/b", ""] {
+            let got =
+                s.handle(ServerRequest::Stat { dataset: dataset.into(), path: "z.bin".into() });
+            assert!(matches!(&got, Err(DieselError::BadDataset(d)) if d == dataset), "{got:?}");
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!   A server's merged read resolves its whole batch of paths with one
 //!   `mget`, not one `get` per file.
 //! * [`ShardedKv`] — a single "instance": an in-memory store sharded
-//!   across lock-striped ordered maps, so prefix scans are range scans;
-//!   an `mget` visits each shard once.
+//!   across lock-striped hash maps, so a point lookup is one hash probe
+//!   and a prefix scan filters every key, then sorts the matches; an
+//!   `mget` visits each shard once.
 //! * [`KvCluster`] — N instances with Redis-style slot routing
 //!   (CRC-16 of the key modulo 16384 slots, slots striped over
 //!   instances), per-instance failure injection (node kill) and whole-

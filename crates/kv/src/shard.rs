@@ -1,12 +1,13 @@
-//! One KV *instance*: a lock-striped, ordered, in-memory store.
+//! One KV *instance*: a lock-striped, in-memory hash store.
 //!
 //! Keys are distributed over `S` shards by FNV hash; each shard is a
-//! `RwLock<BTreeMap>` so point ops contend only within a shard while
-//! prefix scans are ordered range scans unioned across shards. This
-//! mirrors one Redis process: fast point ops, support for `SCAN`-style
-//! prefix iteration, and zero durability.
+//! `RwLock<HashMap>`, so a point op is one hash probe that contends only
+//! within its shard. A prefix scan filters every key of every shard and
+//! sorts what matched. This mirrors one Redis process: fast point ops,
+//! `SCAN`-style prefix iteration that visits the whole keyspace, and
+//! zero durability.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use diesel_obs::{trace, Registry, RegistrySnapshot};
@@ -19,14 +20,18 @@ use crate::{Bytes, KvStore, Result};
 /// A single in-memory KV instance.
 #[derive(Debug)]
 pub struct ShardedKv {
-    shards: Vec<RwLock<BTreeMap<String, Bytes>>>,
+    // Each map hashes with std's randomly keyed default hasher, not the
+    // FNV routing hash: that hash's low bits pick the shard, so every key
+    // in one shard would share them.
+    shards: Vec<RwLock<HashMap<String, Bytes>>>,
     registry: Arc<Registry>,
     metrics: KvMetrics,
 }
 
 impl ShardedKv {
     /// Default shard count: enough stripes that 16-thread writers rarely
-    /// collide, without bloating scan fan-in.
+    /// collide. A scan visits every key whatever the count, so it costs
+    /// only one more read guard per shard.
     pub const DEFAULT_SHARDS: usize = 64;
 
     /// An empty instance with [`Self::DEFAULT_SHARDS`] stripes.
@@ -47,7 +52,7 @@ impl ShardedKv {
         assert!(shards >= 1, "need at least one shard");
         let metrics = KvMetrics::new(&registry, labels);
         ShardedKv {
-            shards: (0..shards).map(|_| RwLock::named("kv.shard", BTreeMap::new())).collect(),
+            shards: (0..shards).map(|_| RwLock::named("kv.shard", HashMap::new())).collect(),
             registry,
             metrics,
         }
@@ -58,7 +63,7 @@ impl ShardedKv {
     }
 
     #[expect(clippy::indexing_slicing, reason = "shard_index is reduced modulo shards.len()")]
-    fn shard_for(&self, key: &str) -> &RwLock<BTreeMap<String, Bytes>> {
+    fn shard_for(&self, key: &str) -> &RwLock<HashMap<String, Bytes>> {
         &self.shards[self.shard_index(key)]
     }
 
@@ -166,13 +171,14 @@ impl KvStore for ShardedKv {
         } else {
             trace::SpanGuard::default()
         };
+        // No shard keeps its keys in order: filter them all, then sort.
         let mut out = Vec::new();
         for s in &self.shards {
             let guard = s.read();
             out.extend(
                 guard
-                    .range(prefix.to_owned()..)
-                    .take_while(|(k, _)| k.starts_with(prefix))
+                    .iter()
+                    .filter(|(k, _)| k.starts_with(prefix))
                     .map(|(k, v)| (k.clone(), v.clone())),
             );
         }
@@ -193,6 +199,7 @@ impl KvStore for ShardedKv {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     #[test]

@@ -86,6 +86,15 @@ dlcmd ls ds | diff - <(printf '%s\n' 'd          -  a/' 'f          4  top.txt')
 dlcmd ls ds a | diff - <(printf '%s\n' 'd          -  b/' \
     'f       1092  f1.txt' 'f       2292  f2.txt' 'f       3492  f3.txt' \
     'f       4893  f4.txt' 'f       6393  f5.txt')
+# A dataset name with a `/` would share keys with another dataset (`a/b`'s
+# file `y` is `a`'s file `b/y`), so the server refuses it before writing
+# anything, and `ds` lists as before. The listing also pins the order of
+# the KV's prefix scan.
+if dlcmd put "$work/src" a/b > /dev/null 2>&1; then
+    echo "dlcmd put into a dataset named a/b succeeded"
+    exit 1
+fi
+dlcmd ls ds | diff - <(printf '%s\n' 'd          -  a/' 'f          4  top.txt')
 dlcmd stat ds top.txt
 dlcmd du ds
 dlcmd datasets

@@ -163,6 +163,9 @@ fn snapshot_downloads_race_ingest_safely() {
     let server =
         Arc::new(DieselServer::new(Arc::new(ShardedKv::new()), Arc::new(MemObjectStore::new())));
     let stop = Arc::new(AtomicBool::new(false));
+    // Force the race instead of hoping for it: after its first flush the
+    // ingester waits until the snapshotter has taken one snapshot.
+    let (taken_tx, taken_rx) = std::sync::mpsc::channel();
     let ingester = {
         let server = server.clone();
         let stop = stop.clone();
@@ -178,6 +181,11 @@ fn snapshot_downloads_race_ingest_safely() {
                 c.put(&format!("f{i:04}"), &content_for(1, i)).unwrap();
                 if i % 50 == 49 {
                     c.flush().unwrap();
+                }
+                if i == 49 {
+                    // An error means the snapshotter is gone; its join
+                    // below reports why.
+                    let _ = taken_rx.recv();
                 }
             }
             c.flush().unwrap();
@@ -197,6 +205,9 @@ fn snapshot_downloads_race_ingest_safely() {
                         assert_eq!(data.as_ref(), &content_for(1, i)[..], "{}", f.path);
                     }
                     taken += 1;
+                    if taken == 1 {
+                        let _ = taken_tx.send(());
+                    }
                 }
             }
             taken
