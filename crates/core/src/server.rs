@@ -413,8 +413,10 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
 /// Refuse a dataset name that would alias another dataset's keys: every
 /// KV key and chunk object is named `…/{dataset}/…`, so dataset `a/b`'s
 /// file `y` and dataset `a`'s file `b/y` would share one, and dropping
-/// `a` would drop `a/b` too.
-pub(crate) fn check_dataset(dataset: &str) -> Result<()> {
+/// `a` would drop `a/b` too. [`DieselServer::handle`] applies it to every
+/// request that names a dataset; a caller of the server's methods applies
+/// it itself.
+pub fn check_dataset(dataset: &str) -> Result<()> {
     if dataset.is_empty() || dataset.contains('/') {
         return Err(DieselError::BadDataset(dataset.to_owned()));
     }

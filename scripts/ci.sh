@@ -94,6 +94,16 @@ if dlcmd put "$work/src" a/b > /dev/null 2>&1; then
     echo "dlcmd put into a dataset named a/b succeeded"
     exit 1
 fi
+# The verbs call the server's methods directly, so dlcmd makes the same
+# check itself: `ds/a` names no dataset, and no verb may answer for, or
+# delete, `ds`'s file a/b/deep.txt through it.
+for verb in "stat ds/a b/deep.txt" "cat ds/a b/deep.txt" "rm ds/a b/deep.txt" "ls ds/a"; do
+    if dlcmd $verb > /dev/null 2>&1; then
+        echo "dlcmd $verb succeeded"
+        exit 1
+    fi
+done
+dlcmd cat ds a/b/deep.txt | cmp - "$work/src/a/b/deep.txt"
 dlcmd ls ds | diff - <(printf '%s\n' 'd          -  a/' 'f          4  top.txt')
 dlcmd stat ds top.txt
 dlcmd du ds
