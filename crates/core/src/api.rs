@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use diesel_chunk::SealedChunk;
 use diesel_kv::KvStore;
-use diesel_meta::{DatasetRecord, DirEntry, FileMeta, MetaSnapshot};
+use diesel_meta::{DatasetRecord, FileMeta, MetaSnapshot};
 use diesel_net::{Channel, DirectChannel, Endpoint};
 use diesel_obs::{trace, RegistrySnapshot, Span};
 use diesel_store::{Bytes, ObjectStore};
@@ -59,13 +59,6 @@ pub enum ServerRequest {
         dataset: String,
         /// File path.
         path: String,
-    },
-    /// `readdir`.
-    Readdir {
-        /// Dataset.
-        dataset: String,
-        /// Directory path.
-        dir: String,
     },
     /// Materialize the dataset's metadata snapshot.
     BuildSnapshot {
@@ -117,7 +110,6 @@ impl ServerRequest {
             ServerRequest::ReadByMeta { .. } => "ReadByMeta",
             ServerRequest::ReadFilesMerged { .. } => "ReadFilesMerged",
             ServerRequest::Stat { .. } => "Stat",
-            ServerRequest::Readdir { .. } => "Readdir",
             ServerRequest::BuildSnapshot { .. } => "BuildSnapshot",
             ServerRequest::DatasetRecord { .. } => "DatasetRecord",
             ServerRequest::DeleteFile { .. } => "DeleteFile",
@@ -141,7 +133,6 @@ impl ServerRequest {
             | ServerRequest::ReadByMeta { dataset, .. }
             | ServerRequest::ReadFilesMerged { dataset, .. }
             | ServerRequest::Stat { dataset, .. }
-            | ServerRequest::Readdir { dataset, .. }
             | ServerRequest::BuildSnapshot { dataset }
             | ServerRequest::DatasetRecord { dataset }
             | ServerRequest::DeleteFile { dataset, .. }
@@ -163,8 +154,6 @@ pub enum ServerResponse {
     BytesVec(Vec<Bytes>),
     /// A `stat` result.
     Meta(FileMeta),
-    /// A `readdir` result.
-    Entries(Vec<DirEntry>),
     /// A metadata snapshot.
     Snapshot(MetaSnapshot),
     /// A dataset freshness record.
@@ -212,14 +201,6 @@ impl ServerResponse {
         match self {
             ServerResponse::Meta(m) => Ok(m),
             other => Err(unexpected("file metadata", &other)),
-        }
-    }
-
-    /// Unwrap [`ServerResponse::Entries`].
-    pub fn into_entries(self) -> Result<Vec<DirEntry>> {
-        match self {
-            ServerResponse::Entries(v) => Ok(v),
-            other => Err(unexpected("directory entries", &other)),
         }
     }
 
@@ -298,9 +279,6 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
             }
             ServerRequest::Stat { dataset, path } => {
                 self.stat(&dataset, &path).map(ServerResponse::Meta)
-            }
-            ServerRequest::Readdir { dataset, dir } => {
-                self.readdir(&dataset, &dir).map(ServerResponse::Entries)
             }
             ServerRequest::BuildSnapshot { dataset } => {
                 self.build_snapshot(&dataset).map(ServerResponse::Snapshot)
@@ -415,15 +393,6 @@ mod tests {
             .into_record()
             .unwrap();
         assert_eq!(rec.file_count, 2);
-        assert_eq!(
-            conn.call(ServerRequest::Readdir { dataset: ds(), dir: "".into() })
-                .unwrap()
-                .unwrap()
-                .into_entries()
-                .unwrap()
-                .len(),
-            2
-        );
         let stats = conn.call(ServerRequest::Stats).unwrap().unwrap().into_stats().unwrap();
         assert!(stats.sum_counter("server.file_reads") >= 2, "reads counted: {stats:?}");
         assert_eq!(stats.counter("server.chunks_ingested"), 1);

@@ -26,13 +26,14 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use diesel_core::dlcmd;
-use diesel_core::{check_dataset, DieselClient, DieselServer, ServerRequest};
+use diesel_core::{DieselClient, DieselServer, ServerRequest, ServerResponse};
 use diesel_kv::ShardedKv;
 use diesel_meta::EntryKind;
 use diesel_store::{DirObjectStore, ObjectStore};
 use diesel_util::{Clock, SystemClock};
 
 type Server = DieselServer<ShardedKv, DirObjectStore>;
+type Client = DieselClient<ShardedKv, DirObjectStore>;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -94,22 +95,8 @@ fn run(args: &[String]) -> Result<(), Cli> {
     }
     let Some(store_dir) = store_dir else { return Err(Cli::Usage) };
     let (cmd, rest) = rest.split_first().ok_or(Cli::Usage)?;
-    // The verbs call the server's methods directly, past the name check
-    // its request dispatch makes, so refuse a bad dataset name here,
-    // before any verb runs: `ds/a` must not answer for `ds`'s files.
-    let dataset = match (*cmd, rest) {
-        ("put", [_, ds]) => Some(ds),
-        (
-            "get" | "ls" | "stat" | "cat" | "rm" | "du" | "purge" | "snapshot" | "trace",
-            [ds, ..],
-        ) => Some(ds),
-        _ => None,
-    };
-    if let Some(ds) = dataset {
-        check_dataset(ds)?;
-    }
 
-    let store = Arc::new(DirObjectStore::open(store_dir).map_err(Cli::from)?);
+    let store = Arc::new(DirObjectStore::open(store_dir)?);
     let server: Arc<Server> =
         Arc::new(DieselServer::new(Arc::new(ShardedKv::new()), store.clone()));
 
@@ -126,7 +113,7 @@ fn run(args: &[String]) -> Result<(), Cli> {
     datasets.dedup();
     let mut recovered = Vec::with_capacity(datasets.len());
     for ds in datasets {
-        let report = server.recover_metadata_full(&ds).map_err(Cli::from)?;
+        let report = server.recover_metadata_full(&ds)?;
         if report.chunks_quarantined > 0 {
             eprintln!("dlcmd: {ds}: {} torn chunk(s) quarantined", report.chunks_quarantined);
         }
@@ -136,30 +123,31 @@ fn run(args: &[String]) -> Result<(), Cli> {
     }
     let datasets = recovered;
 
+    // Every verb goes through a client or the server's request dispatch,
+    // which refuses a dataset name that would alias another dataset's
+    // keys: `ds/a` must not answer for `ds`'s files.
     match (*cmd, rest) {
         ("datasets", []) => {
             for ds in &datasets {
-                let (chunks, files, bytes) = dlcmd::usage(&server, ds).map_err(Cli::from)?;
+                let (chunks, files, bytes) = dlcmd::usage(&server, ds)?;
                 println!("{ds}\t{chunks} chunks\t{files} files\t{bytes} bytes");
             }
             Ok(())
         }
         ("put", [local, dataset]) => {
             let client = DieselClient::connect(server.clone(), *dataset);
-            let report = dlcmd::import_directory(&client, local).map_err(Cli::from)?;
+            let report = dlcmd::import_directory(&client, local)?;
             println!("imported {} files / {} bytes into {dataset}", report.files, report.bytes);
             Ok(())
         }
         ("get", [dataset, local]) => {
-            let client = DieselClient::connect(server.clone(), *dataset);
-            client.download_meta().map_err(Cli::from)?;
-            let n = dlcmd::export_directory(&client, local).map_err(Cli::from)?;
+            let n = dlcmd::export_directory(&loaded(&server, dataset)?, local)?;
             println!("exported {n} files to {local}");
             Ok(())
         }
         ("ls", [dataset]) | ("ls", [dataset, _]) => {
             let path = rest.get(1).copied().unwrap_or("");
-            for e in server.readdir(dataset, path).map_err(Cli::from)? {
+            for e in loaded(&server, dataset)?.ls(path)? {
                 match e.kind {
                     EntryKind::Dir => println!("d {:>10}  {}/", "-", e.name),
                     EntryKind::File => println!("f {:>10}  {}", e.size, e.name),
@@ -168,7 +156,7 @@ fn run(args: &[String]) -> Result<(), Cli> {
             Ok(())
         }
         ("stat", [dataset, path]) => {
-            let m = server.stat(dataset, path).map_err(Cli::from)?;
+            let m = loaded(&server, dataset)?.stat(path)?;
             println!("path:     {path}");
             println!("size:     {} bytes", m.length);
             println!("chunk:    {}", m.chunk);
@@ -177,24 +165,28 @@ fn run(args: &[String]) -> Result<(), Cli> {
             Ok(())
         }
         ("cat", [dataset, path]) => {
-            let data = server.read_file(dataset, path).map_err(Cli::from)?;
-            std::io::stdout().write_all(&data).map_err(Cli::from)?;
+            let data = loaded(&server, dataset)?.get(path)?;
+            std::io::stdout().write_all(&data)?;
             Ok(())
         }
         ("rm", [dataset, path]) => {
-            server.delete_file(dataset, path, SystemClock::new().epoch_ms()).map_err(Cli::from)?;
+            DieselClient::connect(server.clone(), *dataset).delete(path)?;
             println!("deleted {path} (run `purge` to reclaim space)");
             Ok(())
         }
         ("du", [dataset]) => {
-            let (chunks, files, bytes) = dlcmd::usage(&server, dataset).map_err(Cli::from)?;
+            let (chunks, files, bytes) = dlcmd::usage(&server, dataset)?;
             println!("{dataset}: {files} files, {bytes} bytes in {chunks} chunks");
             println!("stored: {} bytes on disk", store.total_bytes());
             Ok(())
         }
         ("purge", [dataset]) => {
-            let r =
-                server.purge_dataset(dataset, SystemClock::new().epoch_ms()).map_err(Cli::from)?;
+            let now_ms = SystemClock::new().epoch_ms();
+            let request = ServerRequest::PurgeDataset { dataset: dataset.to_string(), now_ms };
+            let reply = server.handle(request)?;
+            let ServerResponse::Purge(r) = reply else {
+                return Err(Cli::Failed(format!("server replied {reply:?} to a purge")));
+            };
             println!(
                 "compacted {} chunks, removed {}, reclaimed {} bytes",
                 r.chunks_compacted, r.chunks_removed, r.bytes_reclaimed
@@ -206,7 +198,7 @@ fn run(args: &[String]) -> Result<(), Cli> {
             // registry directly: this is exactly what a remote
             // `ServerRequest::Stats` sees, with KV/store backend metrics
             // merged into one consistent snapshot.
-            let snap = server.handle(ServerRequest::Stats).map_err(Cli::from)?.into_stats()?;
+            let snap = server.handle(ServerRequest::Stats)?.into_stats()?;
             print!("{}", snap.render());
             Ok(())
         }
@@ -219,26 +211,27 @@ fn run(args: &[String]) -> Result<(), Cli> {
             let traced = DieselServer::new(Arc::new(ShardedKv::new()), store.clone());
             let tracer = diesel_obs::Tracer::enabled(traced.registry());
             let traced: Arc<Server> = Arc::new(traced.with_tracer(tracer.clone()));
-            traced.recover_metadata_full(dataset).map_err(Cli::from)?;
+            traced.recover_metadata_full(dataset)?;
             let client =
                 DieselClient::connect(traced.clone(), *dataset).with_tracer(tracer.clone());
-            client.download_meta().map_err(Cli::from)?;
+            client.download_meta()?;
             tracer.drain(); // trace only the read sweep
-            for f in client.file_list().map_err(Cli::from)? {
-                client.get(&f).map_err(Cli::from)?;
+            for f in client.file_list()? {
+                client.get(&f)?;
             }
-            let spans = client.drain_trace().map_err(Cli::from)?;
+            let spans = client.drain_trace()?;
             if let Some(out) = out {
-                std::fs::write(out, diesel_obs::chrome_trace_json(&spans)).map_err(Cli::from)?;
+                std::fs::write(out, diesel_obs::chrome_trace_json(&spans))?;
                 println!("wrote {} spans to {out}", spans.len());
             }
             print!("{}", diesel_obs::critical_path(&spans));
             Ok(())
         }
         ("snapshot", [dataset, out]) => {
-            let snap = server.build_snapshot(dataset).map_err(Cli::from)?;
+            let request = ServerRequest::BuildSnapshot { dataset: dataset.to_string() };
+            let snap = server.handle(request)?.into_snapshot()?;
             let bytes = snap.encode();
-            std::fs::write(out, &bytes).map_err(Cli::from)?;
+            std::fs::write(out, &bytes)?;
             println!(
                 "snapshot of {dataset}: {} chunks, {} files, {} bytes -> {out}",
                 snap.chunks.len(),
@@ -249,4 +242,12 @@ fn run(args: &[String]) -> Result<(), Cli> {
         }
         _ => Err(Cli::Usage),
     }
+}
+
+/// A client of `dataset` with its snapshot loaded: `get`, `ls`, `stat`
+/// and `cat` answer from that one table.
+fn loaded(server: &Arc<Server>, dataset: &str) -> Result<Client, Cli> {
+    let client = DieselClient::connect(server.clone(), dataset);
+    client.download_meta()?;
+    Ok(client)
 }

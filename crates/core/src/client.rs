@@ -342,13 +342,11 @@ impl<K: KvStore + 'static, S: ObjectStore + 'static> DieselClient<K, S> {
             .into_meta()
     }
 
-    /// `DL_ls`: list a directory.
+    /// `DL_ls`: list a directory of the loaded table, as a client lists
+    /// from its snapshot (§4.1.3). With no snapshot loaded it is the
+    /// same error [`file_list`](Self::file_list) returns.
     pub fn ls(&self, path: &str) -> Result<Vec<DirEntry>> {
-        if let Some(table) = self.meta.read().as_ref() {
-            return Ok(table.readdir(path)?);
-        }
-        self.call(ServerRequest::Readdir { dataset: self.dataset.clone(), dir: path.to_owned() })?
-            .into_entries()
+        Ok(self.table()?.readdir(path)?)
     }
 
     /// All file paths in the loaded snapshot, sorted (training file
@@ -657,6 +655,7 @@ mod tests {
     use crate::api::ServerReply;
     use diesel_cache::{CacheConfig, CachePolicy, Topology};
     use diesel_kv::ShardedKv;
+    use diesel_meta::EntryKind;
     use diesel_store::MemObjectStore;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -815,22 +814,44 @@ mod tests {
     }
 
     #[test]
-    fn ls_from_the_table_matches_the_server() {
+    fn ls_lists_the_loaded_table() {
         // As full paths `b.x/…` and `b.txt` sort before `b/…`, and `b0`
         // after; as names `b` sorts first.
         let s = server();
         let c = small_chunk_client(&s, 15);
+        assert!(matches!(c.ls(""), Err(DieselError::Client(_))), "no snapshot loaded");
         let paths = ["b/1", "b/c/2", "b/c/d/3", "b.x/4", "b.x/c/5", "b0", "b.txt", "b0x/6", "a"];
         for (i, path) in paths.iter().enumerate() {
             c.put(path, &vec![i as u8; 100 + i]).unwrap();
         }
         c.flush().unwrap();
         c.download_meta().unwrap();
-        let dirs = ["", "b", "b/c", "b/c/d", "b.x", "b.x/c", "b0x"];
-        for dir in dirs {
-            assert_eq!(c.ls(dir).unwrap(), s.readdir("ds", dir).unwrap(), "ls {dir:?}");
+        let d = |name: &str| DirEntry { name: name.into(), kind: EntryKind::Dir, size: 0 };
+        let f = |name: &str, size| DirEntry { name: name.into(), kind: EntryKind::File, size };
+        let listings = [
+            ("", vec![d("b"), d("b.x"), d("b0x"), f("a", 108), f("b.txt", 106), f("b0", 105)]),
+            ("b", vec![d("c"), f("1", 100)]),
+            ("b/c", vec![d("d"), f("2", 101)]),
+            ("b/c/d", vec![f("3", 102)]),
+            ("b.x", vec![d("c"), f("4", 103)]),
+            ("b.x/c", vec![f("5", 104)]),
+            ("b0x", vec![f("6", 107)]),
+        ];
+        for (dir, listing) in listings {
+            assert_eq!(c.ls(dir).unwrap(), listing, "ls {dir:?}");
         }
         assert!(c.ls("b/x").is_err(), "a missing directory");
+        assert!(c.ls("b0").is_err(), "a file is not a directory");
+
+        // Deleting a directory's last file leaves no ghost directory.
+        c.delete("b/c/d/3").unwrap();
+        c.download_meta().unwrap();
+        assert_eq!(c.ls("b/c").unwrap(), [f("2", 101)]);
+        let gone = c.ls("b/c/d");
+        assert!(
+            matches!(&gone, Err(DieselError::Meta(diesel_meta::MetaError::NoSuchFile(p))) if p == "b/c/d"),
+            "{gone:?}"
+        );
     }
 
     #[test]

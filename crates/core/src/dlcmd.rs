@@ -3,15 +3,16 @@
 //! manage the datasets in DIESEL").
 //!
 //! These functions are the verbs that walk a local tree or summarise a
-//! dataset (`put`, `get`, `purge`, `du`); the `dlcmd` binary wires them
-//! to a CLI beside the verbs it serves straight from a `DieselServer`.
+//! dataset (`put`, `get`, `du`); the `dlcmd` binary wires them to a CLI
+//! beside the verbs it runs through a `DieselClient` or the server's
+//! request dispatch.
 
 use std::path::{Component, Path};
-use std::sync::Arc;
 
 use diesel_kv::KvStore;
 use diesel_store::ObjectStore;
 
+use crate::api::ServerRequest;
 use crate::client::DieselClient;
 use crate::server::DieselServer;
 use crate::{DieselError, Result};
@@ -92,21 +93,15 @@ pub fn export_directory<K: KvStore + 'static, S: ObjectStore + 'static>(
     Ok(count)
 }
 
-/// `dlcmd purge diesel://<dataset>` — compact chunks with deletion holes.
-pub fn purge<K: KvStore, S: ObjectStore>(
+/// `dlcmd du diesel://<dataset>` — dataset usage summary: the chunk,
+/// file and byte counts of the dataset's record, asked of the server as
+/// a request.
+pub fn usage<K: KvStore, S: ObjectStore>(
     server: &DieselServer<K, S>,
     dataset: &str,
-    now_ms: u64,
-) -> Result<crate::server::PurgeReport> {
-    server.purge_dataset(dataset, now_ms)
-}
-
-/// `dlcmd du diesel://<dataset>` — dataset usage summary.
-pub fn usage<K: KvStore, S: ObjectStore>(
-    server: &Arc<DieselServer<K, S>>,
-    dataset: &str,
 ) -> Result<(u64, u64, u64)> {
-    let rec = server.meta().dataset_record(dataset)?;
+    let request = ServerRequest::DatasetRecord { dataset: dataset.to_owned() };
+    let rec = server.handle(request)?.into_record()?;
     Ok((rec.chunk_count, rec.file_count, rec.total_bytes))
 }
 
@@ -117,6 +112,7 @@ mod tests {
     use diesel_chunk::ChunkBuilderConfig;
     use diesel_kv::ShardedKv;
     use diesel_store::MemObjectStore;
+    use std::sync::Arc;
 
     fn tempdir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("dlcmd-{tag}-{}", std::process::id()));

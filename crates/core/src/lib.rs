@@ -16,7 +16,7 @@
 //!   interpreter") and optionally attaches to a task-grained distributed
 //!   cache.
 //! * [`dlcmd`] — the `DLCMD` dataset-management tool (import a directory
-//!   tree, export, purge), mirroring `s3cmd`-style usage; the `dlcmd`
+//!   tree, export, `du`), mirroring `s3cmd`-style usage; the `dlcmd`
 //!   binary wraps it as a CLI.
 
 pub mod admission;
@@ -30,7 +30,7 @@ pub use admission::{AdmissionConfig, AdmissionController, Permit};
 pub use api::{ServerConn, ServerReply, ServerRequest, ServerResponse};
 pub use client::{ClientConfig, DieselClient};
 pub use executor::{plan_chunk_reads, ChunkReadPlan};
-pub use server::{check_dataset, DieselServer};
+pub use server::DieselServer;
 
 /// Errors from the core layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -13,7 +13,7 @@ use diesel_kv::KvStore;
 use diesel_meta::recovery::{
     chunk_object_key, recover_from_timestamp, recover_full, RecoveryReport,
 };
-use diesel_meta::{DirEntry, FileMeta, MetaService, MetaSnapshot};
+use diesel_meta::{FileMeta, MetaService, MetaSnapshot};
 use diesel_obs::{trace, Counter, Registry, RegistrySnapshot, Tracer};
 use diesel_store::{Bytes, ObjectStore};
 use diesel_util::Mutex;
@@ -298,11 +298,6 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
         Ok(self.meta.file_meta(dataset, path)?)
     }
 
-    /// `readdir`.
-    pub fn readdir(&self, dataset: &str, dir: &str) -> Result<Vec<DirEntry>> {
-        Ok(self.meta.readdir(dataset, dir)?)
-    }
-
     /// Materialize the dataset's metadata snapshot (what clients
     /// download).
     pub fn build_snapshot(&self, dataset: &str) -> Result<MetaSnapshot> {
@@ -414,9 +409,9 @@ impl<K: KvStore, S: ObjectStore> DieselServer<K, S> {
 /// KV key and chunk object is named `…/{dataset}/…`, so dataset `a/b`'s
 /// file `y` and dataset `a`'s file `b/y` would share one, and dropping
 /// `a` would drop `a/b` too. [`DieselServer::handle`] applies it to every
-/// request that names a dataset; a caller of the server's methods applies
-/// it itself.
-pub fn check_dataset(dataset: &str) -> Result<()> {
+/// request that names a dataset, and [`DieselServer::ingest_chunk`] to
+/// every chunk, since a dataset comes into being there.
+pub(crate) fn check_dataset(dataset: &str) -> Result<()> {
     if dataset.is_empty() || dataset.contains('/') {
         return Err(DieselError::BadDataset(dataset.to_owned()));
     }
@@ -722,6 +717,6 @@ mod tests {
         assert_eq!(snap.files.len(), 1);
         let table = diesel_meta::FileTable::new(snap);
         assert_eq!(table.stat("p/q").unwrap().length, 40);
-        assert_eq!(s.readdir("ds", "p").unwrap().len(), 1);
+        assert_eq!(table.readdir("p").unwrap().len(), 1);
     }
 }

@@ -5,8 +5,8 @@
 //! substitute substrate:
 //!
 //! * [`KvStore`] — the operation surface DIESEL needs: `get`, `put`,
-//!   `delete`, batched `mget`/`mput`, and `pscan` (prefix scan — the paper
-//!   translates `readdir` into `pscan hash(dir)/d ∪ pscan hash(dir)/f`).
+//!   `delete`, batched `mget`/`mput`, and `pscan` (prefix scan — a
+//!   snapshot is one scan of a dataset's file records).
 //!   A server's merged read resolves its whole batch of paths with one
 //!   `mget`, not one `get` per file.
 //! * [`ShardedKv`] — a single "instance": an in-memory store sharded

@@ -5,14 +5,15 @@
 //! servers and, via snapshots, in the clients themselves):
 //!
 //! * [`keys`] — the key schema of Fig. 5b. File-system operations map to
-//!   KV operations: `stat` is one `get`; `readdir` of `/folderA` is
-//!   `pscan hash(/folderA)/d ∪ pscan hash(/folderA)/f`.
+//!   KV operations: `stat` is one `get`, and a snapshot is one `pscan`
+//!   of the dataset's file records; `readdir` is served from the
+//!   snapshot's [`FileTable`], not from the KV.
 //! * [`records`] — compact binary codecs for dataset / chunk / file
 //!   records (hand-rolled: versioned, little-endian, no external format
 //!   dependency).
 //! * [`MetaService`] — the server-side metadata path: ingest a chunk
-//!   header into KV pairs, look up files, list directories, delete files
-//!   (bitmap update), and materialize snapshots.
+//!   header into KV pairs, look up files, delete files (bitmap update),
+//!   and materialize snapshots.
 //! * [`MetaSnapshot`] — the per-dataset snapshot (§4.1.3): dataset update
 //!   timestamp, the chunk-ID list, and per-file (chunk, offset, length,
 //!   full name). Clients load it once and serve *all* metadata locally —

@@ -125,6 +125,8 @@ mod tests {
     use diesel_chunk::{ChunkBuilder, ChunkBuilderConfig, ChunkIdGenerator, ChunkWriter};
     use diesel_kv::{ClusterConfig, KvCluster, ShardedKv};
     use diesel_store::{Bytes, MemObjectStore};
+
+    use crate::FileTable;
     use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
     use std::sync::Arc;
 
@@ -274,7 +276,7 @@ mod tests {
     }
 
     #[test]
-    fn ingest_puts_each_directory_once_per_chunk() {
+    fn ingest_puts_one_record_per_live_file() {
         let kv = Arc::new(CountingKv::default());
         let svc = MetaService::new(kv.clone());
         let store = MemObjectStore::new();
@@ -286,8 +288,7 @@ mod tests {
                 _ => format!("top{i}"),
             })
             .collect();
-        // a, a/b, a/b/c, a/b/d, a/e
-        let (n, d) = (names.len(), 5);
+        let n = names.len();
         let mut b = ChunkBuilder::with_default_config();
         for name in &names {
             b.add_file(name, name.as_bytes()).unwrap();
@@ -298,16 +299,20 @@ mod tests {
 
         let ingest_counts = || (kv.puts.swap(0, Relaxed), kv.updates.swap(0, Relaxed));
         svc.ingest_chunk("ds", &header, size).unwrap();
-        assert_eq!(ingest_counts(), (1 + 2 * n + d, 1));
+        assert_eq!(ingest_counts(), (1 + n, 1));
         let dirs = ["", "a", "a/b", "a/b/c", "a/b/d", "a/e"];
-        let listings = || dirs.map(|dir| svc.readdir("ds", dir).unwrap());
+        let listings = || {
+            let table = FileTable::new(svc.build_snapshot("ds").unwrap());
+            dirs.map(|dir| table.readdir(dir).unwrap())
+        };
         let (state, listed) = (kv.pscan("").unwrap(), listings());
+        assert_eq!(state.len(), 2 + n, "the chunk, each file and the dataset record");
         let root: Vec<&str> = listed[0].iter().map(|e| e.name.as_str()).collect();
         assert_eq!(root, ["a", "top11", "top15", "top19", "top23", "top3", "top7"]);
 
         kv.inner.clear();
         recover_full(&svc, &store, "ds").unwrap();
-        assert_eq!(ingest_counts(), (1 + 2 * n + d, 1));
+        assert_eq!(ingest_counts(), (1 + n, 1));
         assert_eq!(kv.pscan("").unwrap(), state);
         assert_eq!(listings(), listed);
     }

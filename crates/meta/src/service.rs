@@ -5,7 +5,6 @@
 //! key-value pairs from chunk headers on ingest, translating file-system
 //! operations into KV operations, and materializing snapshots.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use diesel_chunk::{ChunkHeader, ChunkId};
@@ -14,7 +13,6 @@ use diesel_kv::{Bytes, KvStore};
 use crate::keys;
 use crate::records::{ChunkRecord, DatasetRecord, FileMeta};
 use crate::snapshot::{MetaSnapshot, SnapshotFile};
-use crate::table::{DirEntry, EntryKind};
 use crate::{MetaError, Result};
 
 /// Metadata processing over a KV storage backend.
@@ -42,7 +40,7 @@ impl<K: KvStore> MetaService<K> {
     /// construct key-value pairs and writes them to the key-value
     /// database" (Fig. 3). `chunk_size` is the full chunk length.
     pub fn ingest_chunk(&self, dataset: &str, header: &ChunkHeader, chunk_size: u64) -> Result<()> {
-        let mut pairs: Vec<(String, Bytes)> = Vec::with_capacity(2 + header.files.len() * 2);
+        let mut pairs: Vec<(String, Bytes)> = Vec::with_capacity(1 + header.files.len());
         let record = ChunkRecord {
             updated_ms: header.updated_ms,
             size: chunk_size,
@@ -53,9 +51,6 @@ impl<K: KvStore> MetaService<K> {
 
         let mut live_files = 0u64;
         let mut live_bytes = 0u64;
-        // Files of one chunk share their directories: put each ancestor
-        // `d` entry once per chunk, not once per file.
-        let mut dirs: HashSet<(&str, &str)> = HashSet::new();
         for (i, f) in header.files.iter().enumerate() {
             if header.bitmap.is_deleted(i) {
                 continue;
@@ -69,16 +64,7 @@ impl<K: KvStore> MetaService<K> {
                 length: f.length,
                 uploaded_ms: header.updated_ms,
             };
-            // One encoded buffer, shared by the file record and its
-            // dir entry (a `Bytes` clone is a refcount bump).
-            let enc: Bytes = meta.encode().into();
-            pairs.push((keys::file_key(dataset, &f.name), enc.clone()));
-            let (parent, name) = keys::split_path(&f.name);
-            pairs.push((keys::dir_entry_key(dataset, parent, 'f', name), enc));
-            let new_dirs = keys::ancestor_dirs(&f.name).into_iter().filter(|dir| dirs.insert(*dir));
-            for (anc_parent, anc_name) in new_dirs {
-                pairs.push((keys::dir_entry_key(dataset, anc_parent, 'd', anc_name), Bytes::new()));
-            }
+            pairs.push((keys::file_key(dataset, &f.name), meta.encode().into()));
         }
         self.kv.mput(pairs)?;
 
@@ -182,32 +168,8 @@ impl<K: KvStore> MetaService<K> {
         Ok(ids) // pscan is sorted; the encoding is order-preserving
     }
 
-    /// `readdir`: "`pscan hash(/folderA)/d ∪ pscan hash(/folderA)/f`"
-    /// (§4.1.1).
-    pub fn readdir(&self, dataset: &str, dir: &str) -> Result<Vec<DirEntry>> {
-        let dprefix = keys::dir_scan_prefix(dataset, dir, 'd');
-        let fprefix = keys::dir_scan_prefix(dataset, dir, 'f');
-        let mut out = Vec::new();
-        for (k, _) in self.kv.pscan(&dprefix)? {
-            out.push(DirEntry {
-                name: k.get(dprefix.len()..).unwrap_or_default().to_owned(),
-                kind: EntryKind::Dir,
-                size: 0,
-            });
-        }
-        for (k, v) in self.kv.pscan(&fprefix)? {
-            let meta = FileMeta::decode(&v)?;
-            out.push(DirEntry {
-                name: k.get(fprefix.len()..).unwrap_or_default().to_owned(),
-                kind: EntryKind::File,
-                size: meta.length,
-            });
-        }
-        Ok(out)
-    }
-
-    /// Delete a file: remove its records and flip its bit in the chunk
-    /// record. Returns the removed meta (the caller updates the chunk
+    /// Delete a file: remove its file record and flip its bit in the
+    /// chunk record. Returns the removed meta (the caller updates the chunk
     /// bytes in object storage via `mark_deleted`).
     pub fn delete_file(&self, dataset: &str, path: &str, now_ms: u64) -> Result<FileMeta> {
         let meta = self.file_meta(dataset, path)?;
@@ -237,10 +199,7 @@ impl<K: KvStore> MetaService<K> {
         if !found {
             return Err(MetaError::BadRecord { key: ck });
         }
-        // Remove the file and dir-entry records.
         self.kv.delete(&keys::file_key(dataset, path))?;
-        let (parent, name) = keys::split_path(path);
-        self.kv.delete(&keys::dir_entry_key(dataset, parent, 'f', name))?;
         // Subtract the file from the dataset counters.
         let mut decode_err = None;
         self.kv.update(&keys::dataset_key(dataset), &mut |cur| {
@@ -307,9 +266,7 @@ impl<K: KvStore> MetaService<K> {
     /// Returns the number of deleted keys.
     pub fn delete_dataset(&self, dataset: &str) -> Result<u64> {
         let mut deleted = 0u64;
-        for prefix in
-            [keys::chunk_prefix(dataset), keys::file_prefix(dataset), format!("dir/{dataset}/")]
-        {
+        for prefix in [keys::chunk_prefix(dataset), keys::file_prefix(dataset)] {
             for (k, _) in self.kv.pscan(&prefix)? {
                 if self.kv.delete(&k)? {
                     deleted += 1;
@@ -355,6 +312,8 @@ mod tests {
     use diesel_chunk::{ChunkBuilder, ChunkIdGenerator};
     use diesel_kv::ShardedKv;
 
+    use crate::FileTable;
+
     fn service() -> MetaService<ShardedKv> {
         MetaService::new(Arc::new(ShardedKv::new()))
     }
@@ -397,34 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn readdir_via_pscan() {
-        let svc = service();
-        let (h, b) = make_chunk(
-            &[
-                ("train/cat/1.jpg", b"a"),
-                ("train/cat/2.jpg", b"bb"),
-                ("train/dog/1.jpg", b"c"),
-                ("top.txt", b"d"),
-            ],
-            5,
-        );
-        svc.ingest_chunk("ds", &h, b.len() as u64).unwrap();
-
-        let root = svc.readdir("ds", "").unwrap();
-        let names: Vec<&str> = root.iter().map(|e| e.name.as_str()).collect();
-        assert!(names.contains(&"train"));
-        assert!(names.contains(&"top.txt"));
-
-        let cat = svc.readdir("ds", "train/cat").unwrap();
-        assert_eq!(cat.len(), 2);
-        assert!(cat.iter().all(|e| e.kind == EntryKind::File));
-        assert_eq!(cat.iter().map(|e| e.size).sum::<u64>(), 3);
-
-        let train = svc.readdir("ds", "train").unwrap();
-        assert_eq!(train.iter().filter(|e| e.kind == EntryKind::Dir).count(), 2);
-    }
-
-    #[test]
     fn multiple_chunks_accumulate_and_sort() {
         let svc = service();
         let ids = ChunkIdGenerator::deterministic(1, 1, 50);
@@ -454,10 +385,10 @@ mod tests {
         let cr = svc.chunk_record("ds", h.id).unwrap();
         assert_eq!(cr.deleted_count(), 1);
         assert_eq!(cr.updated_ms, 99_000);
-        // readdir no longer lists it.
-        let entries = svc.readdir("ds", "a").unwrap();
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].name, "y");
+        // A fresh snapshot no longer lists it.
+        let table = FileTable::new(svc.build_snapshot("ds").unwrap());
+        let names: Vec<String> = table.readdir("a").unwrap().into_iter().map(|e| e.name).collect();
+        assert_eq!(names, ["y"]);
         // Dataset counters updated.
         let ds = svc.dataset_record("ds").unwrap();
         assert_eq!(ds.file_count, 1);
@@ -499,13 +430,16 @@ mod tests {
         svc.ingest_chunk("ds", &h, b.len() as u64).unwrap();
         let (h2, b2) = make_chunk(&[("other", b"3")], 8);
         svc.ingest_chunk("keepme", &h2, b2.len() as u64).unwrap();
+        let kept = svc.kv().pscan("").unwrap();
+        let kept: Vec<_> = kept.into_iter().filter(|(k, _)| k.contains("keepme")).collect();
+        assert_eq!(kept.len(), 3, "keepme: chunk, file and dataset record");
 
         let removed = svc.delete_dataset("ds").unwrap();
-        assert!(removed >= 5, "chunk + 2 files + dir entries + ds record, got {removed}");
+        assert_eq!(removed, 4, "1 chunk + 2 files + the dataset record");
         assert!(svc.dataset_record("ds").is_err());
         assert!(svc.file_meta("ds", "a/d").is_err());
         // Other datasets untouched.
-        assert!(svc.dataset_record("keepme").is_ok());
+        assert_eq!(svc.kv().pscan("").unwrap(), kept);
     }
 
     #[test]

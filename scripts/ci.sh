@@ -88,16 +88,19 @@ dlcmd ls ds a | diff - <(printf '%s\n' 'd          -  b/' \
     'f       4893  f4.txt' 'f       6393  f5.txt')
 # A dataset name with a `/` would share keys with another dataset (`a/b`'s
 # file `y` is `a`'s file `b/y`), so the server refuses it before writing
-# anything, and `ds` lists as before. The listing also pins the order of
-# the KV's prefix scan.
+# anything, and `ds` lists as before: directories, then files, each in
+# name order.
 if dlcmd put "$work/src" a/b > /dev/null 2>&1; then
     echo "dlcmd put into a dataset named a/b succeeded"
     exit 1
 fi
-# The verbs call the server's methods directly, so dlcmd makes the same
-# check itself: `ds/a` names no dataset, and no verb may answer for, or
-# delete, `ds`'s file a/b/deep.txt through it.
-for verb in "stat ds/a b/deep.txt" "cat ds/a b/deep.txt" "rm ds/a b/deep.txt" "ls ds/a"; do
+# Every verb reaches the server through a client or its request dispatch,
+# which makes the same check: `ds/a` names no dataset, and no verb may
+# answer for, or delete, `ds`'s file a/b/deep.txt through it. `ls` lists
+# the loaded snapshot, so a path no file lies under, or a file, is no
+# directory to list.
+for verb in "stat ds/a b/deep.txt" "cat ds/a b/deep.txt" "rm ds/a b/deep.txt" "ls ds/a" \
+    "ls ds nope" "ls ds top.txt"; do
     if dlcmd $verb > /dev/null 2>&1; then
         echo "dlcmd $verb succeeded"
         exit 1
